@@ -107,8 +107,9 @@ struct WorkerContext {
   /// The SUT (or per-worker lane adapter) the executor targets. Engine
   /// selection monomorphizes against this pointer's proven runtime type.
   SystemUnderTest* exec_target = nullptr;
-  /// Per-element result arena for batch ops, sized once (off the measured
-  /// loop) to the run's largest batch so the hot loop never allocates.
+  /// Per-element result arena for every request unit, sized once (off the
+  /// measured loop) to the run's largest batch so the hot loop never
+  /// allocates.
   std::vector<OpResult> batch_results;
   /// Armed only in [service] mode; persists across phases (the shed budget
   /// and the smoothed service time are run-scoped, like the breaker).
@@ -121,10 +122,57 @@ struct WorkerContext {
   std::unique_ptr<WorkerObs> obs;
 };
 
-/// Drains one worker's current phase: issue, pace, execute resiliently,
-/// record. This is the inner loop both the serial path and every worker
-/// thread run; at workers == 1 with the generic engine it reproduces the
-/// monolithic driver's loop bit-for-bit.
+/// The event builder: records one request unit as one event per element.
+/// Every element shares the unit's timestamps and outcome and carries its
+/// own data-level ok/rows from `results` (a scalar op is a unit of one).
+/// The issue time is `issue_rel` clamped to the completion: inline pacing
+/// issues a unit the moment its arrival is due, so that is the intended
+/// arrival; the admission step issues it when it pops from the queue.
+///
+/// `results == nullptr` records a queue shed: no SUT work happened, so it
+/// completes at its decision point, and its response time still counts
+/// from the intended arrival — a dropped request is a served-badly request,
+/// not a missing sample. Shed elements are recorded one at a time, which
+/// keeps one record-stage profile sample per element.
+void RecordUnit(WorkerContext* ctx, const WorkloadStream::Issue& issue,
+                int64_t issue_rel, int64_t completion_rel,
+                const ExecOutcome& outcome, const OpResult* results) {
+  OpEvent proto;
+  proto.timestamp_nanos = completion_rel;
+  proto.latency_nanos =
+      std::max<int64_t>(0, completion_rel - issue.arrival_rel_nanos);
+  proto.issue_nanos = std::min(issue_rel, completion_rel);
+  proto.phase = ctx->current_phase;
+  proto.type = issue.op.type;
+  proto.retries = outcome.retries;
+  proto.failed = outcome.failed;
+  proto.timed_out = outcome.timed_out;
+  proto.shed = outcome.shed;
+  proto.open_loop = issue.open_loop;
+  proto.batch = OpResultCount(issue.op);
+  if (results != nullptr) {
+    ctx->sink.RecordBatch(proto, results, proto.batch);
+    return;
+  }
+  proto.failed = true;
+  proto.queue_shed = true;
+  for (uint32_t i = 0; i < proto.batch; ++i) ctx->sink.Record(proto);
+}
+
+/// Drains one worker's current phase: obtain the next request unit, execute
+/// it resiliently, record its events. This is the one inner loop the serial
+/// path and every worker thread run, for every arrival mode and op class;
+/// at workers == 1 with the generic engine it reproduces the monolithic
+/// driver's loop bit-for-bit.
+///
+/// Only obtaining the next unit depends on the mode:
+///   - inline (closed loop, or open loop without [service]): draw the next
+///     issue after the previous completion, then pace to its arrival;
+///   - [service]: fire every due arrival into the bounded admission queue
+///     (the overload policy sheds what cannot be served), pace only while
+///     the queue is empty, and pop. A unit's issue time can then lag its
+///     intended arrival — the queue wait coordinated-omission-correct
+///     latency must include.
 ///
 /// The loop is a template over the executor's attempt-dispatch policy: the
 /// driver selects — once per phase — either the generic VirtualExec engine
@@ -135,194 +183,74 @@ void RunWorkerPhaseT(WorkerContext* ctx, int64_t run_start_nanos,
                      const Exec exec) {
   WorkloadStream& stream = *ctx->stream;
   ResilientExecutor& executor = *ctx->executor;
+  AdmissionQueue* queue = ctx->admission ? &*ctx->admission : nullptr;
   const Pacer pacer(ctx->clock, ctx->sim_clock);
 #if !defined(LSBENCH_NO_TRACING)
   StageProfiler* profiler =
       ctx->obs != nullptr ? &ctx->obs->profiler : nullptr;
 #endif
-  while (stream.HasNext()) {
-    const WorkloadStream::Issue issue = stream.Next();
-    {
-      LSBENCH_PROFILE_STAGE(profiler, Stage::kPace);
-      pacer.PaceUntil(run_start_nanos + issue.arrival_rel_nanos);
-    }
+  OpResult* results = ctx->batch_results.data();
 
-    if (IsBatchOp(issue.op.type)) {
-      // Batch ops: one request unit (breaker check, deadline, retries, and
-      // coordinated-omission charge all happen once), one recorded event
-      // per element with distinct seqs.
-      OpResult* results = ctx->batch_results.data();
-      const ExecOutcome outcome = executor.ExecuteBatchWith(
-          exec, issue.op, issue.arrival_rel_nanos, results);
-      const int64_t completion_rel = ctx->clock->NowNanos() - run_start_nanos;
-
-      OpEvent proto;
-      proto.timestamp_nanos = completion_rel;
-      proto.latency_nanos =
-          std::max<int64_t>(0, completion_rel - issue.arrival_rel_nanos);
-      proto.issue_nanos = completion_rel - proto.latency_nanos;
-      proto.phase = ctx->current_phase;
-      proto.type = issue.op.type;
-      proto.retries = outcome.retries;
-      proto.failed = outcome.failed;
-      proto.timed_out = outcome.timed_out;
-      proto.shed = outcome.shed;
-      proto.open_loop = issue.open_loop;
-      proto.batch = issue.op.batch_size;
-      ctx->sink.RecordBatch(proto, results, issue.op.batch_size);
-      stream.RecordCompletion(completion_rel);
-      continue;
-    }
-
-    const ExecOutcome outcome =
-        executor.ExecuteOneWith(exec, issue.op, issue.arrival_rel_nanos);
-    const int64_t completion_rel = ctx->clock->NowNanos() - run_start_nanos;
-
-    OpEvent event;
-    event.timestamp_nanos = completion_rel;
-    event.latency_nanos =
-        std::max<int64_t>(0, completion_rel - issue.arrival_rel_nanos);
-    // Inline pacing issues the op the moment its arrival is due, so the
-    // issue time IS the (clamped) intended arrival — no queueing here.
-    event.issue_nanos = completion_rel - event.latency_nanos;
-    event.phase = ctx->current_phase;
-    event.type = issue.op.type;
-    event.ok = !outcome.failed && outcome.result.ok;
-    event.rows = outcome.result.rows;
-    event.retries = outcome.retries;
-    event.failed = outcome.failed;
-    event.timed_out = outcome.timed_out;
-    event.shed = outcome.shed;
-    event.open_loop = issue.open_loop;
-    ctx->sink.Record(event);
-    stream.RecordCompletion(completion_rel);
-  }
-}
-
-/// Drains one worker's current phase in [service] mode: arrivals fire at
-/// their intended times into the bounded admission queue, the executor
-/// drains the queue as fast as the SUT allows, and the overload policy
-/// sheds what cannot be served. Unlike RunWorkerPhase, an operation's issue
-/// time can lag its intended arrival — that gap (queue wait) is exactly
-/// what coordinated-omission-correct latency must include.
-template <typename Exec>
-void RunWorkerServicePhaseT(WorkerContext* ctx, int64_t run_start_nanos,
-                            const Exec exec) {
-  WorkloadStream& stream = *ctx->stream;
-  ResilientExecutor& executor = *ctx->executor;
-  AdmissionQueue& queue = *ctx->admission;
-  const Pacer pacer(ctx->clock, ctx->sim_clock);
-#if !defined(LSBENCH_NO_TRACING)
-  StageProfiler* profiler =
-      ctx->obs != nullptr ? &ctx->obs->profiler : nullptr;
-#endif
-
-  // Sheds complete instantly at the decision point: no SUT work happens,
-  // and the virtual clock does not advance (that keeps overload schedules
-  // hand-computable). Their response time still counts from the intended
-  // arrival — a dropped request is a served-badly request, not a missing
-  // sample. A shed batch op sheds all of its elements: one event each,
-  // sharing the request unit's timestamps.
-  const auto record_shed = [ctx](const WorkloadStream::Issue& issue,
-                                 int64_t now_rel) {
-    OpEvent event;
-    event.timestamp_nanos = now_rel;
-    event.latency_nanos =
-        std::max<int64_t>(0, now_rel - issue.arrival_rel_nanos);
-    event.issue_nanos = now_rel;
-    event.phase = ctx->current_phase;
-    event.type = issue.op.type;
-    event.ok = false;
-    event.failed = true;
-    event.queue_shed = true;
-    event.open_loop = issue.open_loop;
-    event.batch = OpResultCount(issue.op);
-    for (uint32_t i = 0; i < event.batch; ++i) ctx->sink.Record(event);
-  };
-
-  while (stream.HasNext() || !queue.empty()) {
-    const int64_t now_rel = ctx->clock->NowNanos() - run_start_nanos;
-
-    // Fire every arrival that is due. Admission consults the breaker: a
-    // non-closed state means the SUT is degraded and the SLO-aware policy
-    // sheds more eagerly.
-    while (stream.HasNext() &&
-           stream.Peek().arrival_rel_nanos <= now_rel) {
-      const CircuitBreaker* breaker = executor.breaker();
-      const bool degraded = breaker != nullptr &&
-                            breaker->state() != CircuitBreaker::State::kClosed;
-      const WorkloadStream::Issue arrival = stream.Next();
-      const AdmissionQueue::Admission admission =
-          queue.Offer(arrival, now_rel, degraded);
-      if (admission.shed.has_value()) record_shed(*admission.shed, now_rel);
-    }
-
-    if (queue.empty()) {
-      if (!stream.HasNext()) break;
+  WorkloadStream::Issue issue;
+  int64_t issue_rel = 0;
+  const auto next_unit = [&]() -> bool {
+    if (queue == nullptr) {
+      if (!stream.HasNext()) return false;
+      issue = stream.Next();
       {
         LSBENCH_PROFILE_STAGE(profiler, Stage::kPace);
-        pacer.PaceUntil(run_start_nanos + stream.Peek().arrival_rel_nanos);
+        pacer.PaceUntil(run_start_nanos + issue.arrival_rel_nanos);
       }
-      continue;
+      issue_rel = issue.arrival_rel_nanos;
+      return true;
     }
-
-    const WorkloadStream::Issue issue = queue.PopFront(now_rel);
-
-    if (IsBatchOp(issue.op.type)) {
-      OpResult* results = ctx->batch_results.data();
-      const ExecOutcome outcome = executor.ExecuteBatchWith(
-          exec, issue.op, issue.arrival_rel_nanos, results);
-      const int64_t completion_rel = ctx->clock->NowNanos() - run_start_nanos;
-      queue.RecordServiceTime(completion_rel - now_rel);
-
-      OpEvent proto;
-      proto.timestamp_nanos = completion_rel;
-      proto.latency_nanos =
-          std::max<int64_t>(0, completion_rel - issue.arrival_rel_nanos);
-      proto.issue_nanos = now_rel;
-      proto.phase = ctx->current_phase;
-      proto.type = issue.op.type;
-      proto.retries = outcome.retries;
-      proto.failed = outcome.failed;
-      proto.timed_out = outcome.timed_out;
-      proto.shed = outcome.shed;
-      proto.open_loop = issue.open_loop;
-      proto.batch = issue.op.batch_size;
-      ctx->sink.RecordBatch(proto, results, issue.op.batch_size);
-      stream.RecordCompletion(completion_rel);
-      continue;
+    while (stream.HasNext() || !queue->empty()) {
+      const int64_t now_rel = ctx->clock->NowNanos() - run_start_nanos;
+      // Fire every arrival that is due. Admission consults the breaker: a
+      // non-closed state means the SUT is degraded and the SLO-aware
+      // policy sheds more eagerly. Sheds do not advance the virtual clock
+      // (that keeps overload schedules hand-computable).
+      while (stream.HasNext() &&
+             stream.Peek().arrival_rel_nanos <= now_rel) {
+        const CircuitBreaker* breaker = executor.breaker();
+        const bool degraded =
+            breaker != nullptr &&
+            breaker->state() != CircuitBreaker::State::kClosed;
+        const WorkloadStream::Issue arrival = stream.Next();
+        const AdmissionQueue::Admission admission =
+            queue->Offer(arrival, now_rel, degraded);
+        if (admission.shed.has_value()) {
+          RecordUnit(ctx, *admission.shed, now_rel, now_rel, ExecOutcome{},
+                     nullptr);
+        }
+      }
+      if (!queue->empty()) {
+        issue = queue->PopFront(now_rel);
+        issue_rel = now_rel;
+        return true;
+      }
+      if (!stream.HasNext()) break;
+      LSBENCH_PROFILE_STAGE(profiler, Stage::kPace);
+      pacer.PaceUntil(run_start_nanos + stream.Peek().arrival_rel_nanos);
     }
+    return false;
+  };
 
+  while (next_unit()) {
     const ExecOutcome outcome =
-        executor.ExecuteOneWith(exec, issue.op, issue.arrival_rel_nanos);
+        executor.Execute(exec, issue.op, issue.arrival_rel_nanos, results);
     const int64_t completion_rel = ctx->clock->NowNanos() - run_start_nanos;
-    queue.RecordServiceTime(completion_rel - now_rel);
-
-    OpEvent event;
-    event.timestamp_nanos = completion_rel;
-    event.latency_nanos =
-        std::max<int64_t>(0, completion_rel - issue.arrival_rel_nanos);
-    event.issue_nanos = now_rel;
-    event.phase = ctx->current_phase;
-    event.type = issue.op.type;
-    event.ok = !outcome.failed && outcome.result.ok;
-    event.rows = outcome.result.rows;
-    event.retries = outcome.retries;
-    event.failed = outcome.failed;
-    event.timed_out = outcome.timed_out;
-    event.shed = outcome.shed;
-    event.open_loop = issue.open_loop;
-    ctx->sink.Record(event);
+    if (queue != nullptr) queue->RecordServiceTime(completion_rel - issue_rel);
+    RecordUnit(ctx, issue, issue_rel, completion_rel, outcome, results);
     stream.RecordCompletion(completion_rel);
   }
 }
 
 // ---- Engine selection ----
-// One inline-loop and one service-loop entry point per engine, with a
-// uniform signature so phase orchestration stays a plain function-pointer
-// call. The monomorphized wrappers re-derive the typed SUT pointer with a
-// static_cast that is only reached after SelectEngines proved the runtime
-// type via dynamic_cast.
+// One worker-loop entry point per engine, with a uniform signature so phase
+// orchestration stays a plain function-pointer call. The monomorphized
+// entry re-derives the typed SUT pointer with a static_cast that is only
+// reached after SelectEngine proved the runtime type via dynamic_cast.
 
 using PhaseFn = void (*)(WorkerContext*, int64_t);
 
@@ -330,31 +258,10 @@ void RunWorkerPhaseVirtual(WorkerContext* ctx, int64_t run_start_nanos) {
   RunWorkerPhaseT(ctx, run_start_nanos, VirtualExec{ctx->exec_target});
 }
 
-void RunWorkerServicePhaseVirtual(WorkerContext* ctx,
-                                  int64_t run_start_nanos) {
-  RunWorkerServicePhaseT(ctx, run_start_nanos, VirtualExec{ctx->exec_target});
-}
-
 template <typename SutT>
 void RunWorkerPhaseMono(WorkerContext* ctx, int64_t run_start_nanos) {
   RunWorkerPhaseT(ctx, run_start_nanos,
                   MonoExec<SutT>{static_cast<SutT*>(ctx->exec_target)});
-}
-
-template <typename SutT>
-void RunWorkerServicePhaseMono(WorkerContext* ctx, int64_t run_start_nanos) {
-  RunWorkerServicePhaseT(ctx, run_start_nanos,
-                         MonoExec<SutT>{static_cast<SutT*>(ctx->exec_target)});
-}
-
-struct PhaseEngines {
-  PhaseFn inline_loop = nullptr;
-  PhaseFn service_loop = nullptr;
-};
-
-template <typename SutT>
-constexpr PhaseEngines MonoEngines() {
-  return {&RunWorkerPhaseMono<SutT>, &RunWorkerServicePhaseMono<SutT>};
 }
 
 /// Picks the execution engine for the phase about to run. Monomorphization
@@ -366,20 +273,20 @@ constexpr PhaseEngines MonoEngines() {
 /// so serial SUTs under fan-out keep a monomorphized loop. Fault lanes and
 /// user-supplied decorators fail every cast and fall back to the generic
 /// virtual engine, preserving their must-see-every-call semantics.
-PhaseEngines SelectEngines(SystemUnderTest* target) {
+PhaseFn SelectEngine(SystemUnderTest* target) {
   if (dynamic_cast<BTreeSystem*>(target) != nullptr) {
-    return MonoEngines<BTreeSystem>();
+    return &RunWorkerPhaseMono<BTreeSystem>;
   }
   if (dynamic_cast<LearnedKvSystem*>(target) != nullptr) {
-    return MonoEngines<LearnedKvSystem>();
+    return &RunWorkerPhaseMono<LearnedKvSystem>;
   }
   if (dynamic_cast<PartitionedKvSystem*>(target) != nullptr) {
-    return MonoEngines<PartitionedKvSystem>();
+    return &RunWorkerPhaseMono<PartitionedKvSystem>;
   }
   if (dynamic_cast<SerializingSut*>(target) != nullptr) {
-    return MonoEngines<SerializingSut>();
+    return &RunWorkerPhaseMono<SerializingSut>;
   }
-  return {&RunWorkerPhaseVirtual, &RunWorkerServicePhaseVirtual};
+  return &RunWorkerPhaseVirtual;
 }
 
 }  // namespace
@@ -667,12 +574,8 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
     // bare SUT (no wrappers, no lanes), monomorphize the whole inner loop
     // on its proven final type — zero virtual calls per op in the steady
     // state. Workers always share the target's runtime type, so worker 0
-    // decides for all. Service mode swaps the inner loop: arrivals fire
-    // into the admission queue instead of pacing inline. Everything around
-    // it (barriers, merge, clocks) is unchanged.
-    const PhaseEngines engines = SelectEngines(contexts[0].exec_target);
-    const PhaseFn run_worker =
-        spec.service.enabled ? engines.service_loop : engines.inline_loop;
+    // decides for all.
+    const PhaseFn run_worker = SelectEngine(contexts[0].exec_target);
 
     if (workers == 1) {
       run_worker(&contexts[0], run_start);

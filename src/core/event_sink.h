@@ -42,9 +42,10 @@ class EventSink {
     }
   }
 
-  /// Records one event per element of a completed batch op. `proto` carries
-  /// the request-unit outcome shared by every element (timestamp, latency,
-  /// issue, phase, type, retries, failure flags, batch size); each element
+  /// Records one event per element of a completed request unit (a batch
+  /// op, or a scalar op as a unit of one). `proto` carries the request-unit
+  /// outcome shared by every element (timestamp, latency, issue, phase,
+  /// type, retries, failure flags, batch size); each element
   /// contributes its own data-level ok/rows from `results[i]`. Elements get
   /// consecutive seqs from this shard, so the (timestamp, worker, seq)
   /// merge contract keeps a batch contiguous and deterministic.

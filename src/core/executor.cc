@@ -35,9 +35,10 @@ void ResilientExecutor::BindObservability(Tracer* tracer,
   }
 }
 
-ExecOutcome ResilientExecutor::ExecuteOne(const Operation& op,
-                                          int64_t arrival_rel_nanos) {
-  return ExecuteOneWith(VirtualExec{sut_}, op, arrival_rel_nanos);
+ExecOutcome ResilientExecutor::Execute(const Operation& op,
+                                       int64_t arrival_rel_nanos,
+                                       OpResult* results) {
+  return Execute(VirtualExec{sut_}, op, arrival_rel_nanos, results);
 }
 
 }  // namespace lsbench

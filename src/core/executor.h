@@ -47,11 +47,10 @@ class Pacer {
   VirtualClock* virtual_clock_;
 };
 
-/// What resilient execution of one operation produced, beyond the SUT's own
-/// OpResult: retries consumed and the failure classification the event
-/// stream records.
+/// How resilient execution classified one request unit: retries consumed
+/// and the failure classification the event stream records. Per-element
+/// data (ok, rows, status) stays in the caller's results array.
 struct ExecOutcome {
-  OpResult result;
   uint16_t retries = 0;
   bool failed = false;     ///< Operation ultimately failed (any cause).
   bool timed_out = false;  ///< Exceeded its per-op timeout budget.
@@ -91,12 +90,13 @@ struct MonoExec {
 };
 
 /// Stage 2 of the execution core: the timeout/retry/circuit-breaker policy
-/// around a single Execute call. One instance per worker — each worker gets
-/// its own backoff jitter stream and breaker so fan-out never serializes on
-/// resilience bookkeeping. Semantics are exactly the monolithic driver's
-/// retry loop: deadline measured from the intended arrival, breaker checked
-/// before every attempt, transient failures retried with seeded backoff
-/// inside the deadline, open breaker shedding operations unexecuted.
+/// around one request unit's SUT call. One instance per worker — each
+/// worker gets its own backoff jitter stream and breaker so fan-out never
+/// serializes on resilience bookkeeping. Semantics are exactly the
+/// monolithic driver's retry loop: deadline measured from the intended
+/// arrival, breaker checked before every attempt, transient failures
+/// retried with seeded backoff inside the deadline, open breaker shedding
+/// operations unexecuted.
 class ResilientExecutor {
  public:
   struct Options {
@@ -112,45 +112,42 @@ class ResilientExecutor {
                     Pacer pacer, uint64_t backoff_seed, bool enable_breaker,
                     Options options);
 
-  /// Runs one operation through the resilience policy. `arrival_rel_nanos`
-  /// is the operation's intended start (run-relative) from which its
-  /// deadline is measured. Equivalent to ExecuteOneWith(VirtualExec{sut}).
+  /// Runs one request unit through the resilience policy: a scalar op, or
+  /// a whole batch op. `arrival_rel_nanos` is the unit's intended start
+  /// (run-relative) from which its deadline is measured. `results` must
+  /// have room for OpResultCount(op) entries; it receives the last
+  /// attempt's per-element results, or default (failed) results on a
+  /// breaker shed. Equivalent to Execute(VirtualExec{sut}, ...).
   LSBENCH_HOT_PATH
   LSBENCH_DETERMINISTIC
-  ExecOutcome ExecuteOne(const Operation& op, int64_t arrival_rel_nanos);
+  ExecOutcome Execute(const Operation& op, int64_t arrival_rel_nanos,
+                      OpResult* results);
 
   /// The retry loop itself, parameterized on the attempt dispatch policy.
   /// `exec` must target the same SUT this executor was constructed with
   /// (the breaker/backoff bookkeeping is per-SUT state).
   ///
-  /// Deliberately NOT an LSBENCH_HOT_PATH root: through MonoExec the
-  /// qualified attempt call devirtualizes, so the interprocedural walk
-  /// would cross into SUT internals (B-tree node splits, learned-index
-  /// retrains) that legitimately allocate — a boundary the scalar path
-  /// gets for free from virtual dispatch. Hot-path proofs cover this loop
-  /// via the ExecuteOne root (VirtualExec flavor, bit-identical logic);
-  /// the end-to-end batch allocation budget is pinned at runtime by
-  /// tests/hotpath_alloc_test.cc instead.
+  /// A batch is ONE request unit: one breaker check per attempt, one
+  /// deadline measured from the shared intended arrival, and a transient
+  /// failure retries the whole batch. An attempt is classified by its
+  /// first non-OK element status (element "misses" — ok == false with an
+  /// OK status — are data-level outcomes, not failures). In simulation
+  /// mode each attempt advances the virtual clock by virtual_service_nanos
+  /// per *element*, so simulated batch latency scales with batch size and
+  /// a scalar op is simply a unit of one element.
+  ///
+  /// Not annotated itself: lsbench-deepcheck merges overloads by name, so
+  /// the non-template Execute root already walks this loop, scalar and
+  /// batch dispatch alike. The walk stops at the SUT boundary in both
+  /// engines — virtual dispatch through VirtualExec, the statically bound
+  /// call through MonoExec — since SUT internals (B-tree node splits,
+  /// learned-index retrains) legitimately allocate. The end-to-end
+  /// allocation budget is pinned at runtime by tests/hotpath_alloc_test.cc.
   template <typename Exec>
-  LSBENCH_DETERMINISTIC ExecOutcome ExecuteOneWith(const Exec& exec,
-                                                   const Operation& op,
-                                                   int64_t arrival_rel_nanos);
-
-  /// Batch flavor: the batch is ONE request unit. One breaker check per
-  /// attempt, one deadline measured from the shared intended arrival, and a
-  /// transient failure retries the whole batch. The attempt's aggregate
-  /// classification is the first non-OK element status (element "misses" —
-  /// ok == false with an OK status — are data-level outcomes, not
-  /// failures). In simulation mode each attempt advances the virtual clock
-  /// by virtual_service_nanos per *element*, so simulated batch latency
-  /// scales with batch size and effective per-op latency stays comparable
-  /// to the scalar path. `results` must have room for OpResultCount(op)
-  /// entries; on a shed it is filled with default (failed) results.
-  /// Not a HOT_PATH root for the same reason as ExecuteOneWith.
-  template <typename Exec>
-  LSBENCH_DETERMINISTIC ExecOutcome ExecuteBatchWith(
-      const Exec& exec, const Operation& op, int64_t arrival_rel_nanos,
-      OpResult* results);
+  LSBENCH_DETERMINISTIC ExecOutcome Execute(const Exec& exec,
+                                            const Operation& op,
+                                            int64_t arrival_rel_nanos,
+                                            OpResult* results);
 
   /// Breaker state for run-level accounting (null when disabled).
   const CircuitBreaker* breaker() const {
@@ -184,18 +181,19 @@ class ResilientExecutor {
   Counter* failures_ = nullptr;
 };
 
-// ---- Retry-loop templates ----
+// ---- Retry-loop template ----
 // Defined in the header so each MonoExec instantiation compiles into a
-// self-contained engine with the SUT's execute path inlined. ExecuteOne
-// (executor.cc) instantiates the VirtualExec flavor; behavior there is
-// bit-identical to the historical out-of-line loop.
+// self-contained engine with the SUT's execute path inlined. The
+// non-template Execute (executor.cc) instantiates the VirtualExec flavor.
 
 template <typename Exec>
-ExecOutcome ResilientExecutor::ExecuteOneWith(const Exec& exec,
-                                              const Operation& op,
-                                              int64_t arrival_rel_nanos) {
+ExecOutcome ResilientExecutor::Execute(const Exec& exec, const Operation& op,
+                                       int64_t arrival_rel_nanos,
+                                       OpResult* results) {
   const Clock* clock = pacer_.clock();
   VirtualClock* vclock = pacer_.virtual_clock();
+  const uint32_t count = OpResultCount(op);
+  const bool batch = IsBatchOp(op.type);
   const int64_t deadline_rel =
       spec_.op_timeout_nanos > 0
           ? arrival_rel_nanos + spec_.op_timeout_nanos
@@ -204,10 +202,10 @@ ExecOutcome ResilientExecutor::ExecuteOneWith(const Exec& exec,
   ExecOutcome out;
   for (;;) {
     if (breaker_ && !breaker_->AllowRequest(clock->NowNanos())) {
-      // Open breaker: degraded mode sheds the operation unexecuted.
+      // Open breaker: degraded mode sheds the whole unit unexecuted.
       out.shed = true;
       out.failed = true;
-      out.result = OpResult();
+      for (uint32_t i = 0; i < count; ++i) results[i] = OpResult();
       if (shed_ != nullptr) shed_->Increment();
       if (vclock != nullptr) {
         vclock->AdvanceNanos(options_.virtual_shed_nanos);
@@ -218,14 +216,24 @@ ExecOutcome ResilientExecutor::ExecuteOneWith(const Exec& exec,
       LSBENCH_TRACE_SPAN(tracer_, "execute");
       LSBENCH_PROFILE_STAGE(profiler_, Stage::kExecute);
       if (attempts_ != nullptr) attempts_->Increment();
-      out.result = exec.Execute(op);
-      if (vclock != nullptr) {
-        vclock->AdvanceNanos(options_.virtual_service_nanos);
+      if (batch) {
+        exec.ExecuteBatch(op, results);
+      } else {
+        results[0] = exec.Execute(op);
       }
+      if (vclock != nullptr) {
+        vclock->AdvanceNanos(options_.virtual_service_nanos *
+                             static_cast<int64_t>(count));
+      }
+    }
+    // The first non-OK element status classifies the attempt.
+    const Status* failure = nullptr;
+    for (uint32_t i = 0; i < count && failure == nullptr; ++i) {
+      if (!results[i].status.ok()) failure = &results[i].status;
     }
     const int64_t now_rel = clock->NowNanos() - options_.run_start_nanos;
     const bool past_deadline = now_rel > deadline_rel;
-    if (out.result.status.ok() && !past_deadline) {
+    if (failure == nullptr && !past_deadline) {
       if (breaker_) breaker_->RecordSuccess(clock->NowNanos());
       break;
     }
@@ -238,86 +246,7 @@ ExecOutcome ResilientExecutor::ExecuteOneWith(const Exec& exec,
       if (timeouts_ != nullptr) timeouts_->Increment();
       break;
     }
-    if (out.result.status.IsTransient() && out.retries < spec_.max_retries) {
-      ++out.retries;
-      if (retries_ != nullptr) retries_->Increment();
-      LSBENCH_TRACE_SPAN(tracer_, "backoff");
-      LSBENCH_PROFILE_STAGE(profiler_, Stage::kBackoff);
-      pacer_.PaceUntil(clock->NowNanos() +
-                       backoff_.NextDelayNanos(out.retries));
-      continue;
-    }
-    out.failed = true;
-    break;
-  }
-  if (out.failed && failures_ != nullptr) failures_->Increment();
-  return out;
-}
-
-template <typename Exec>
-ExecOutcome ResilientExecutor::ExecuteBatchWith(const Exec& exec,
-                                                const Operation& op,
-                                                int64_t arrival_rel_nanos,
-                                                OpResult* results) {
-  const Clock* clock = pacer_.clock();
-  VirtualClock* vclock = pacer_.virtual_clock();
-  const uint32_t count = OpResultCount(op);
-  const int64_t deadline_rel =
-      spec_.op_timeout_nanos > 0
-          ? arrival_rel_nanos + spec_.op_timeout_nanos
-          : std::numeric_limits<int64_t>::max();
-
-  ExecOutcome out;
-  for (;;) {
-    if (breaker_ && !breaker_->AllowRequest(clock->NowNanos())) {
-      // Open breaker: the whole batch is shed unexecuted.
-      out.shed = true;
-      out.failed = true;
-      out.result = OpResult();
-      for (uint32_t i = 0; i < count; ++i) results[i] = OpResult();
-      if (shed_ != nullptr) shed_->Increment();
-      if (vclock != nullptr) {
-        vclock->AdvanceNanos(options_.virtual_shed_nanos);
-      }
-      break;
-    }
-    {
-      LSBENCH_TRACE_SPAN(tracer_, "execute");
-      LSBENCH_PROFILE_STAGE(profiler_, Stage::kExecute);
-      if (attempts_ != nullptr) attempts_->Increment();
-      exec.ExecuteBatch(op, results);
-      if (vclock != nullptr) {
-        vclock->AdvanceNanos(options_.virtual_service_nanos *
-                             static_cast<int64_t>(count));
-      }
-    }
-    // Aggregate the attempt: first non-OK element status classifies the
-    // batch; rows sum across elements.
-    uint32_t bad = count;
-    uint64_t rows = 0;
-    for (uint32_t i = 0; i < count; ++i) {
-      if (bad == count && !results[i].status.ok()) bad = i;
-      rows += results[i].rows;
-    }
-    out.result = OpResult();
-    out.result.ok = bad == count;
-    out.result.rows = rows;
-    if (bad < count) out.result.status = results[bad].status;
-
-    const int64_t now_rel = clock->NowNanos() - options_.run_start_nanos;
-    const bool past_deadline = now_rel > deadline_rel;
-    if (out.result.status.ok() && !past_deadline) {
-      if (breaker_) breaker_->RecordSuccess(clock->NowNanos());
-      break;
-    }
-    if (breaker_) breaker_->RecordFailure(clock->NowNanos());
-    if (past_deadline) {
-      out.timed_out = true;
-      out.failed = true;
-      if (timeouts_ != nullptr) timeouts_->Increment();
-      break;
-    }
-    if (out.result.status.IsTransient() && out.retries < spec_.max_retries) {
+    if (failure->IsTransient() && out.retries < spec_.max_retries) {
       ++out.retries;
       if (retries_ != nullptr) retries_->Increment();
       LSBENCH_TRACE_SPAN(tracer_, "backoff");

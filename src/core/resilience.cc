@@ -21,7 +21,6 @@ bool operator==(const ResilienceSpec& a, const ResilienceSpec& b) {
 }
 
 int64_t RetryBackoff::NextDelayNanos(uint32_t attempt) {
-  LSBENCH_ASSERT(attempt >= 1);
   double delay = static_cast<double>(spec_.backoff_initial_nanos);
   for (uint32_t i = 1; i < attempt; ++i) delay *= spec_.backoff_multiplier;
   delay = std::min(delay, static_cast<double>(spec_.backoff_max_nanos));

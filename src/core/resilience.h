@@ -52,7 +52,8 @@ bool operator==(const ResilienceSpec& a, const ResilienceSpec& b);
 /// Deterministic exponential-backoff schedule with seeded jitter:
 /// delay(attempt) = min(initial * multiplier^(attempt-1), max) * jitter
 /// where jitter ~ U[1 - j, 1 + j] from the supplied seed. Attempts are
-/// 1-based.
+/// 1-based; attempt 0 gets the initial delay too, so the schedule has no
+/// crash path on the executor's hot retry loop.
 class RetryBackoff {
  public:
   RetryBackoff(const ResilienceSpec& spec, uint64_t seed)

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -79,6 +80,19 @@ RunSpec MakeBatchReadOnlySpec(uint64_t num_elements, uint32_t batch_size) {
   return spec;
 }
 
+/// Service-mode analogue of either spec above: Poisson arrivals at twice the
+/// simulated capacity (100 us per element) into a bounded admission queue,
+/// so the steady state includes queue sheds as well as executed units.
+RunSpec WithServiceOverload(RunSpec spec, uint32_t unit_elements) {
+  spec.name += "_service";
+  PhaseSpec& phase = spec.phases[0];
+  phase.arrival = ArrivalPattern::kPoisson;
+  phase.arrival_rate_qps = 2.0 * 1e9 / (100000.0 * unit_elements);
+  spec.service.enabled = true;
+  spec.service.queue_capacity = 16;
+  return spec;
+}
+
 uint64_t HeapAllocsForSpec(const RunSpec& spec, uint64_t expected_events) {
   VirtualClock clock;
   DriverOptions options;
@@ -91,24 +105,33 @@ uint64_t HeapAllocsForSpec(const RunSpec& spec, uint64_t expected_events) {
   const Result<RunResult> result = driver.Run(spec, &sut);
   const uint64_t used = g_heap_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result.value().events.size(), expected_events);
+  const EventStream& events = result.value().events;
+  EXPECT_EQ(events.size(), expected_events);
+  // Service-mode inputs must actually reach the shed path.
+  const bool queue_shed =
+      std::any_of(events.begin(), events.end(),
+                  [](const OpEvent& e) { return e.queue_shed; });
+  EXPECT_EQ(queue_shed, spec.service.enabled);
   return used;
 }
 
-uint64_t HeapAllocsForRun(uint64_t num_operations) {
-  return HeapAllocsForSpec(MakeReadOnlySpec(num_operations), num_operations);
+/// Doubled-run-minus-base: the heap calls `elements` additional elements
+/// cost, between two equally-warm runs of `make_spec`.
+template <typename MakeSpec>
+uint64_t MarginalAllocs(const MakeSpec& make_spec, uint64_t elements) {
+  // The first run warms whatever process-lifetime lazy state the driver
+  // touches.
+  (void)HeapAllocsForSpec(make_spec(elements), elements);
+  const uint64_t base = HeapAllocsForSpec(make_spec(elements), elements);
+  const uint64_t doubled =
+      HeapAllocsForSpec(make_spec(2 * elements), 2 * elements);
+  EXPECT_GE(doubled, base);
+  return doubled - base;
 }
 
 TEST(HotpathAllocTest, MarginalAllocationsPerOpWithinBudget) {
   constexpr uint64_t kOps = 4000;
-  // First run also warms whatever process-lifetime lazy state the driver
-  // touches; the comparison below is between two equally-warm runs.
-  (void)HeapAllocsForRun(kOps);
-
-  const uint64_t base = HeapAllocsForRun(kOps);
-  const uint64_t doubled = HeapAllocsForRun(2 * kOps);
-  ASSERT_GE(doubled, base);
-  const uint64_t marginal = doubled - base;
+  const uint64_t marginal = MarginalAllocs(MakeReadOnlySpec, kOps);
 
   // Container regrowth in post-run merge/metrics is O(log n) allocation
   // calls regardless of op count; 96 absolute calls of slack covers it
@@ -131,15 +154,9 @@ TEST(HotpathAllocTest, BatchSteadyStateAllocatesZeroPerElement) {
   // doubled-run-minus-base technique as the scalar test.
   constexpr uint64_t kElements = 4096;
   constexpr uint32_t kBatchSize = 64;
-  (void)HeapAllocsForSpec(MakeBatchReadOnlySpec(kElements, kBatchSize),
-                          kElements);
-
-  const uint64_t base = HeapAllocsForSpec(
-      MakeBatchReadOnlySpec(kElements, kBatchSize), kElements);
-  const uint64_t doubled = HeapAllocsForSpec(
-      MakeBatchReadOnlySpec(2 * kElements, kBatchSize), 2 * kElements);
-  ASSERT_GE(doubled, base);
-  const uint64_t marginal = doubled - base;
+  const uint64_t marginal = MarginalAllocs(
+      [](uint64_t n) { return MakeBatchReadOnlySpec(n, kBatchSize); },
+      kElements);
 
   constexpr uint64_t kSlack = 96;
   EXPECT_LE(marginal, kSlack)
@@ -147,6 +164,32 @@ TEST(HotpathAllocTest, BatchSteadyStateAllocatesZeroPerElement) {
       << " extra batch elements: " << marginal << " (slack " << kSlack
       << ") — the batch hot path regressed to allocating in steady state; "
       << "run tools/lint/deepcheck.py to find the new call path";
+}
+
+TEST(HotpathAllocTest, ServiceModeSteadyStateAllocatesZeroPerElement) {
+  // [service] mode adds the admission step (fire due arrivals, shed on
+  // overload, pop) in front of the same execute/record steps. Its steady
+  // state, sheds included, is pinned at zero marginal heap calls per
+  // element for scalar and batch units alike.
+  constexpr uint64_t kElements = 4096;
+  constexpr uint32_t kBatchSize = 64;
+  constexpr uint64_t kSlack = 96;
+  const uint64_t scalar = MarginalAllocs(
+      [](uint64_t n) { return WithServiceOverload(MakeReadOnlySpec(n), 1); },
+      kElements);
+  EXPECT_LE(scalar, kSlack)
+      << "marginal heap allocations for " << kElements
+      << " extra service-mode ops: " << scalar << " (slack " << kSlack << ")";
+  const uint64_t batch = MarginalAllocs(
+      [](uint64_t n) {
+        return WithServiceOverload(MakeBatchReadOnlySpec(n, kBatchSize),
+                                   kBatchSize);
+      },
+      kElements);
+  EXPECT_LE(batch, kSlack)
+      << "marginal heap allocations for " << kElements
+      << " extra service-mode batch elements: " << batch << " (slack "
+      << kSlack << ")";
 }
 
 }  // namespace

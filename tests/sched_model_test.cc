@@ -218,14 +218,15 @@ struct MergeFixture {
       op.type = OpType::kGet;
       op.key = static_cast<Key>(w) * 2 + 1 + i;
       const int64_t arrival = static_cast<int64_t>(i) * 50000;
-      const ExecOutcome out = worker.exec->ExecuteOne(op, arrival);
+      OpResult result;
+      const ExecOutcome out = worker.exec->Execute(op, arrival, &result);
       OpEvent ev;
       ev.timestamp_nanos = worker.clock->NowNanos();
       ev.latency_nanos = ev.timestamp_nanos - arrival;
       ev.issue_nanos = arrival;
       ev.type = op.type;
-      ev.ok = out.result.ok;
-      ev.rows = out.result.rows;
+      ev.ok = result.ok;
+      ev.rows = result.rows;
       ev.retries = out.retries;
       ev.failed = out.failed;
       ev.timed_out = out.timed_out;

@@ -3,7 +3,7 @@
 
 docs/ARCHITECTURE.md describes a layer DAG over the modules under src/:
 
-    util -> {stats, data, workload} -> {index, learned, cache, txn, sched}
+    util -> {stats, data, workload} -> {index, learned, cache, sched}
          -> sut -> core -> report
 
 This tool turns that prose into a checked contract. The DAG lives in
@@ -207,7 +207,7 @@ def check_layering(layers, includes, suppressions):
             f"'{inc.target_rel}' from '{dst_mod}' (band {dst_rank}): the "
             f"edge points {direction} in the layer DAG "
             f"util -> {{stats,data,workload}} -> "
-            f"{{index,learned,cache,txn,sched}} -> sut -> core -> report. "
+            f"{{index,learned,cache,sched}} -> sut -> core -> report. "
             "Move the shared code down a band, or invert the dependency"))
     return findings
 
