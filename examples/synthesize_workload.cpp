@@ -8,12 +8,12 @@
 #include <cstdio>
 
 #include "core/driver.h"
-#include "core/replay.h"
 #include "data/dataset.h"
 #include "data/synthesizer.h"
 #include "stats/similarity.h"
 #include "sut/systems.h"
 #include "workload/generator.h"
+#include "workload/trace.h"
 
 int main() {
   using namespace lsbench;
@@ -31,8 +31,14 @@ int main() {
   production_phase.mix.insert = 0.15;
   production_phase.access = AccessPattern::kZipfian;
   production_phase.scan_length = 80;
-  const OperationTrace trace =
+  const Result<OperationTrace> recorded =
       RecordTrace(production, production_phase, 50000, 99);
+  if (!recorded.ok()) {
+    std::fprintf(stderr, "recording failed: %s\n",
+                 recorded.status().ToString().c_str());
+    return 1;
+  }
+  const OperationTrace& trace = recorded.value();
 
   // --- the synthesizer output (what you can publish) ---
   const Dataset synthetic = SynthesizeDatasetLike(production);
@@ -63,7 +69,7 @@ int main() {
       fitted.phase.scan_length, fitted.hot10_mass);
 
   // --- does the synthetic benchmark predict production performance? ---
-  auto measure = [](const Dataset& ds, const PhaseSpec& phase) {
+  auto measure = [](const Dataset& ds, const PhaseSpec& phase) -> double {
     RunSpec spec;
     spec.name = "synth_check";
     spec.datasets.push_back(ds);
@@ -73,10 +79,17 @@ int main() {
     spec.phases.push_back(p);
     LearnedKvSystem sut;
     BenchmarkDriver driver;
-    return driver.Run(spec, &sut).value().metrics.mean_throughput;
+    const Result<RunResult> run = driver.Run(spec, &sut);
+    if (!run.ok()) {
+      std::fprintf(stderr, "run failed: %s\n",
+                   run.status().ToString().c_str());
+      return 0.0;
+    }
+    return run.value().metrics.mean_throughput;
   };
   const double prod_tput = measure(production, production_phase);
   const double synth_tput = measure(synthetic, fitted.phase);
+  if (prod_tput <= 0.0 || synth_tput <= 0.0) return 1;
   std::printf(
       "learned SUT throughput: production %.0f ops/s vs synthetic %.0f "
       "ops/s (ratio %.2f)\n",

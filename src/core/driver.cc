@@ -433,9 +433,10 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
   // Batch accounting: a batch issue expands into batch_size per-element
   // events, and transition blending can carry the previous phase's batch
   // class into this phase's window — so each phase's event multiplier is
-  // the largest batch its window can draw.
+  // the largest batch its window can draw. Trace phases are scalar-only.
   const auto phase_has_batch = [](const PhaseSpec& p) {
-    return p.mix.batch_get > 0.0 || p.mix.batch_put > 0.0;
+    return p.trace == nullptr &&
+           (p.mix.batch_get > 0.0 || p.mix.batch_put > 0.0);
   };
   uint32_t max_batch = 1;
   std::vector<uint64_t> phase_event_mult(spec.phases.size(), 1);
@@ -479,7 +480,8 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
     // RNG roots: worker 0 IS the master stream (bit-identity), workers
     // w > 0 fork disjoint streams.
     const Rng root = w == 0 ? master : master.Fork(kWorkerStreamTag + w);
-    ctx.stream.emplace(&spec, root, 1.0 / static_cast<double>(workers));
+    ctx.stream.emplace(&spec, root, 1.0 / static_cast<double>(workers), w,
+                       workers);
 
     SystemUnderTest* target = sut;
     if (workers > 1 && fault_wrapper) {

@@ -1,5 +1,7 @@
 #include "core/run_spec.h"
 
+#include "workload/trace.h"
+
 namespace lsbench {
 
 namespace {
@@ -68,6 +70,25 @@ Status RunSpec::Validate() const {
         static_cast<size_t>(p.dataset_index) >= datasets.size()) {
       return Status::InvalidArgument("phase " + std::to_string(i) +
                                      " references missing dataset");
+    }
+    if (p.trace != nullptr) {
+      if (p.trace->empty()) {
+        return Status::InvalidArgument("phase " + std::to_string(i) +
+                                       " replays an empty trace");
+      }
+      if (p.num_operations != p.trace->size()) {
+        return Status::InvalidArgument(
+            "phase " + std::to_string(i) + " has num_operations " +
+            std::to_string(p.num_operations) + " but its trace holds " +
+            std::to_string(p.trace->size()) + " operations");
+      }
+    }
+    if (p.transition_operations != 0 &&
+        (p.trace != nullptr || (i > 0 && phases[i - 1].trace != nullptr))) {
+      return Status::InvalidArgument(
+          "phase " + std::to_string(i) +
+          " declares a transition, but no transition runs into or out of a "
+          "trace phase");
     }
     if (p.num_operations == 0) {
       return Status::InvalidArgument("phase " + std::to_string(i) +
@@ -231,6 +252,16 @@ uint64_t RunSpec::StructuralHash() const {
     h = MixHash(h, p.scan_length);
     h = MixHash(h, HashDouble(p.range_selectivity));
     h = MixHash(h, p.batch_size);
+    if (p.trace != nullptr) {
+      h = MixHash(h, p.trace->size());
+      for (const Operation& op : p.trace->operations()) {
+        h = MixHash(h, static_cast<uint64_t>(op.type));
+        h = MixHash(h, op.key);
+        h = MixHash(h, op.range_end);
+        h = MixHash(h, op.scan_length);
+        h = MixHash(h, op.value);
+      }
+    }
   }
   h = MixHash(h, faults.seed);
   h = MixHash(h, faults.load_failures);

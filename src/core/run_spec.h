@@ -144,11 +144,14 @@ struct RunSpec {
   std::vector<DatasetSourceSpec> dataset_sources;
 
   /// Structural validation: phases reference valid datasets, lengths are
-  /// nonzero, datasets are nonempty.
+  /// nonzero, datasets are nonempty, trace phases match their trace's
+  /// length, and no transition blends into or out of a trace phase.
   Status Validate() const;
 
   /// Stable hash of the spec's structure — the identity under which the
-  /// driver enforces single execution of hold-out phases (§V-A).
+  /// driver enforces single execution of hold-out phases (§V-A). A trace
+  /// phase hashes every trace entry, so two hidden traces are two
+  /// identities.
   uint64_t StructuralHash() const;
 };
 

@@ -956,6 +956,11 @@ Result<std::string> RenderRunSpecText(const RunSpec& spec) {
   }
   LSBENCH_RETURN_IF_ERROR(CheckRenderableName(spec.name, "run"));
   for (const PhaseSpec& phase : spec.phases) {
+    if (phase.trace != nullptr) {
+      return Status::FailedPrecondition(
+          "phase '" + phase.name +
+          "' replays a trace; the text format has no trace key");
+    }
     LSBENCH_RETURN_IF_ERROR(CheckRenderableName(phase.name, "phase"));
   }
 

@@ -107,7 +107,8 @@ std::string RenderResilienceText(const RunSpec& spec);
 
 /// Renders a complete RunSpec back into parseable spec text. Requires
 /// generation provenance (`dataset_sources`, filled by ParseRunSpecText);
-/// programmatically built specs without it get FailedPrecondition. For any
+/// programmatically built specs without it get FailedPrecondition, as do
+/// specs with trace phases (the text format has no trace key). For any
 /// spec that came from ParseRunSpecText, parse → render → parse yields a
 /// spec with the same StructuralHash and identical dataset keys, and
 /// render is a fixpoint (render(parse(render(s))) == render(s)) — the

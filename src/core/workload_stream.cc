@@ -3,14 +3,21 @@
 #include <utility>
 
 #include "util/assert.h"
+#include "workload/trace.h"
 
 namespace lsbench {
 
 WorkloadStream::WorkloadStream(const RunSpec* spec, Rng root,
-                               double rate_scale)
-    : spec_(spec), root_(root), rate_scale_(rate_scale) {
+                               double rate_scale, uint32_t worker,
+                               uint32_t workers)
+    : spec_(spec),
+      root_(root),
+      rate_scale_(rate_scale),
+      worker_(worker),
+      workers_(workers) {
   LSBENCH_ASSERT(spec != nullptr);
   LSBENCH_ASSERT(rate_scale > 0.0);
+  LSBENCH_ASSERT(worker < workers);
 }
 
 void WorkloadStream::BeginPhase(size_t phase_idx, uint64_t num_operations,
@@ -25,6 +32,9 @@ void WorkloadStream::BeginPhase(size_t phase_idx, uint64_t num_operations,
   issued_ = 0;
 
   prev_generator_ = std::move(generator_);
+  trace_ = phase.trace.get();
+  LSBENCH_ASSERT(trace_ == nullptr || num_operations == 0 ||
+                 worker_ + (num_operations - 1) * workers_ < trace_->size());
   // Batch-key arena sizing: a batch op's keys stay valid until the
   // generator reuses the slot's ring entry. Inline and service paths keep
   // at most one drawn-ahead issue (Peek) live, but the admission queue
@@ -35,9 +45,11 @@ void WorkloadStream::BeginPhase(size_t phase_idx, uint64_t num_operations,
       spec_->service.enabled
           ? static_cast<size_t>(spec_->service.queue_capacity) + 2
           : size_t{4};
-  generator_ = std::make_unique<OperationGenerator>(
-      &spec_->datasets[phase.dataset_index], phase,
-      root_.Fork(phase_idx * 2 + 1).Next(), batch_arena_slots);
+  if (trace_ == nullptr) {
+    generator_ = std::make_unique<OperationGenerator>(
+        &spec_->datasets[phase.dataset_index], phase,
+        root_.Fork(phase_idx * 2 + 1).Next(), batch_arena_slots);
+  }
   mix_rng_ = root_.Fork(phase_idx * 2 + 2);
   arrival_ = MakeArrivalProcess(phase.arrival,
                                 phase.arrival_rate_qps * rate_scale_,
@@ -74,8 +86,9 @@ WorkloadStream::Issue WorkloadStream::Draw() {
   const PhaseSpec& phase = spec_->phases[phase_idx_];
   const uint64_t op_idx = issued_++;
 
-  // Pick the source generator: during a transition window the old phase's
-  // stream fades out per the configured ramp.
+  // Pick the source: a trace phase replays this worker's stride of its
+  // entries. Otherwise it is the phase's generator, except that during a
+  // transition window the old phase's stream fades out per the ramp.
   OperationGenerator* source = generator_.get();
   if (blend_ && op_idx < transition_ops_) {
     const double progress =
@@ -86,7 +99,9 @@ WorkloadStream::Issue WorkloadStream::Draw() {
   }
 
   Issue issue;
-  issue.op = source->Next();
+  issue.op = trace_ != nullptr
+                 ? trace_->operations()[worker_ + op_idx * workers_]
+                 : source->Next();
 
   // Arrival pacing: open-loop streams fix the intended arrival times;
   // closed-loop issues immediately after the previous completion.

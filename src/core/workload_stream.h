@@ -29,12 +29,21 @@ namespace lsbench {
 /// each operation consumes draws in the fixed order (blend?, op, inter-
 /// arrival). Additional workers seed disjoint streams from further forks of
 /// the run seed, so enabling fan-out never perturbs worker 0.
+///
+/// A phase's operations come from one of two sources: its generator, or —
+/// for a trace phase (`PhaseSpec::trace`) — the recorded trace, taken in
+/// order with no generator built. Arrival draws are the same for both, so
+/// a trace recorded from a phase's generator seed replays as that phase
+/// bit-for-bit. Under fan-out, worker w of N replays trace
+/// entries w, w+N, w+2N, ... — exactly WorkerShare(size, N, w) of them.
 class WorkloadStream {
  public:
   /// `spec` must outlive the stream. `root` is this worker's RNG root;
   /// `rate_scale` divides open-loop arrival rates across workers (1/N so N
-  /// workers still present the spec's aggregate offered load).
-  WorkloadStream(const RunSpec* spec, Rng root, double rate_scale);
+  /// workers still present the spec's aggregate offered load). `worker` of
+  /// `workers` picks this stream's stride through trace phases.
+  WorkloadStream(const RunSpec* spec, Rng root, double rate_scale,
+                 uint32_t worker = 0, uint32_t workers = 1);
 
   WorkloadStream(const WorkloadStream&) = delete;
   WorkloadStream& operator=(const WorkloadStream&) = delete;
@@ -97,6 +106,8 @@ class WorkloadStream {
   const RunSpec* spec_;
   Rng root_;
   double rate_scale_;
+  uint32_t worker_;
+  uint32_t workers_;
 
   // Current-phase state.
   size_t phase_idx_ = 0;
@@ -106,6 +117,8 @@ class WorkloadStream {
   bool blend_ = false;
   std::unique_ptr<OperationGenerator> generator_;
   std::unique_ptr<OperationGenerator> prev_generator_;
+  /// The current phase's trace; null for a generated phase.
+  const OperationTrace* trace_ = nullptr;
   std::unique_ptr<ArrivalProcess> arrival_;
   Rng mix_rng_;
 

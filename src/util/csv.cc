@@ -76,7 +76,8 @@ Result<std::vector<std::vector<std::string>>> ParseCsv(std::string_view text,
     }
     if (c == '"') {
       if (field_started && !field.empty()) {
-        return Status::InvalidArgument("quote inside unquoted field");
+        return Status::InvalidArgument("row " + std::to_string(rows.size()) +
+                                       ": quote inside unquoted field");
       }
       in_quotes = true;
       field_started = true;
@@ -91,7 +92,10 @@ Result<std::vector<std::vector<std::string>>> ParseCsv(std::string_view text,
       field_started = true;
     }
   }
-  if (in_quotes) return Status::InvalidArgument("unterminated quoted field");
+  if (in_quotes) {
+    return Status::InvalidArgument("row " + std::to_string(rows.size()) +
+                                   ": unterminated quoted field");
+  }
   if (field_started || !row.empty()) end_row();
   return rows;
 }

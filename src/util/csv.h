@@ -41,6 +41,7 @@ class CsvWriter {
 
 /// Parses CSV text produced by CsvWriter back into rows of fields. Handles
 /// quoted fields with embedded separators/newlines and doubled quotes.
+/// Errors name the 0-based row they occur in.
 Result<std::vector<std::vector<std::string>>> ParseCsv(std::string_view text,
                                                        char sep = ',');
 

@@ -2,6 +2,7 @@
 #define LSBENCH_WORKLOAD_SPEC_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "workload/access_distribution.h"
@@ -9,6 +10,8 @@
 #include "workload/operation.h"
 
 namespace lsbench {
+
+class OperationTrace;
 
 /// How a phase takes over from its predecessor (§V-B: "a workload can slowly
 /// transition to another or transition abruptly").
@@ -58,6 +61,14 @@ struct PhaseSpec {
   /// to their scalar equivalents (kGet / kUpdate) with identical RNG
   /// consumption, so a batch_size=1 run is bit-identical to a scalar run.
   uint32_t batch_size = 64;
+  /// Recorded trace phase. When set, the phase issues the trace's entries
+  /// in order instead of drawing from a generator: `mix`, `access*`,
+  /// `scan_length`, `range_selectivity` and `batch_*` are ignored, while
+  /// `dataset_index` still selects the load image and arrivals, hold-out
+  /// and every driver feature apply as for a generated phase. Requires
+  /// `num_operations == trace->size()` and `transition_operations == 0`,
+  /// and the next phase cannot blend in from it (RunSpec::Validate).
+  std::shared_ptr<const OperationTrace> trace;
 };
 
 }  // namespace lsbench

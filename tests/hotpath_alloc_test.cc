@@ -18,12 +18,14 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "core/driver.h"
 #include "core/run_spec.h"
 #include "data/dataset.h"
 #include "sut/systems.h"
+#include "workload/trace.h"
 
 namespace {
 
@@ -77,6 +79,18 @@ RunSpec MakeBatchReadOnlySpec(uint64_t num_elements, uint32_t batch_size) {
   phase.mix.batch_get = 1.0;
   phase.batch_size = batch_size;
   phase.num_operations = num_elements / batch_size;
+  return spec;
+}
+
+/// Trace analogue of MakeReadOnlySpec: the same phase, recorded up front
+/// (outside the counted window) and replayed as a trace phase, so the
+/// stream copies entries out of the trace instead of drawing them.
+RunSpec MakeTraceReadOnlySpec(uint64_t num_operations) {
+  RunSpec spec = MakeReadOnlySpec(num_operations);
+  spec.name = "hotpath_alloc_trace_" + std::to_string(num_operations);
+  PhaseSpec& phase = spec.phases[0];
+  phase.trace = std::make_shared<const OperationTrace>(
+      RecordTrace(spec.datasets[0], phase, num_operations, spec.seed).value());
   return spec;
 }
 
@@ -144,6 +158,19 @@ TEST(HotpathAllocTest, MarginalAllocationsPerOpWithinBudget) {
       << marginal << " (per-op budget " << kBudget << ", slack " << kSlack
       << ") — the hot path regressed to allocating per operation; run "
       << "tools/lint/deepcheck.py to find the new call path";
+}
+
+TEST(HotpathAllocTest, TracePhaseAllocatesZeroPerOp) {
+  // Replaying a recorded trace builds no generator: its steady state
+  // (copy the next entry, pace, execute, record) is pinned at zero
+  // marginal heap calls per op, like the generated phase it replays.
+  constexpr uint64_t kOps = 4000;
+  constexpr uint64_t kSlack = 96;
+  const uint64_t marginal = MarginalAllocs(MakeTraceReadOnlySpec, kOps);
+  EXPECT_LE(marginal, kSlack)
+      << "marginal heap allocations for " << kOps
+      << " extra trace-phase ops: " << marginal << " (slack " << kSlack
+      << ")";
 }
 
 TEST(HotpathAllocTest, BatchSteadyStateAllocatesZeroPerElement) {

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 
-#include "core/replay.h"
 #include "data/dataset.h"
 #include "data/synthesizer.h"
 #include "stats/similarity.h"
 #include "workload/generator.h"
+#include "workload/trace.h"
 
 namespace lsbench {
 namespace {
@@ -81,7 +81,7 @@ TEST(SynthesizeDatasetTest, DeterministicBySeed) {
 
 OperationTrace TraceFor(const PhaseSpec& phase, const Dataset& ds,
                         size_t count) {
-  return RecordTrace(ds, phase, count, 77);
+  return RecordTrace(ds, phase, count, 77).value();
 }
 
 TEST(FitPhaseSpecTest, RecoversMixAndSkew) {
