@@ -1,5 +1,7 @@
 #include "core/run_spec.h"
 
+#include <cmath>
+
 #include "workload/trace.h"
 
 namespace lsbench {
@@ -94,6 +96,17 @@ Status RunSpec::Validate() const {
       return Status::InvalidArgument("phase " + std::to_string(i) +
                                      " has zero operations");
     }
+    // The generator normalizes the fractions by their total, so a negative
+    // or non-finite one would skew or poison every other op's share.
+    for (const double fraction :
+         {p.mix.get, p.mix.scan, p.mix.insert, p.mix.update, p.mix.del,
+          p.mix.range_count, p.mix.batch_get, p.mix.batch_put}) {
+      if (!std::isfinite(fraction) || fraction < 0.0) {
+        return Status::InvalidArgument(
+            "phase " + std::to_string(i) +
+            " has a negative or non-finite mix fraction");
+      }
+    }
     if (p.mix.Total() <= 0.0) {
       return Status::InvalidArgument("phase " + std::to_string(i) +
                                      " has an empty operation mix");
@@ -101,10 +114,6 @@ Status RunSpec::Validate() const {
     if (p.batch_size < 1 || p.batch_size > 4096) {
       return Status::InvalidArgument("phase " + std::to_string(i) +
                                      " batch_size must be in [1, 4096]");
-    }
-    if (p.mix.batch_get < 0.0 || p.mix.batch_put < 0.0) {
-      return Status::InvalidArgument("phase " + std::to_string(i) +
-                                     " has a negative batch_mix fraction");
     }
     if (p.transition_operations > p.num_operations) {
       return Status::InvalidArgument(

@@ -1,10 +1,14 @@
 #include "core/spec_text.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
+#include <type_traits>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -18,143 +22,424 @@ namespace {
 /// allocation inside BuildDataset.
 constexpr uint64_t kMaxSpecDatasetKeys = uint64_t{1} << 22;
 
+/// Strips leading blanks and trailing blanks and carriage returns.
 std::string Trim(const std::string& s) {
-  size_t begin = 0;
-  size_t end = s.size();
-  while (begin < end && (s[begin] == ' ' || s[begin] == '\t')) ++begin;
-  while (end > begin && (s[end - 1] == ' ' || s[end - 1] == '\t' ||
-                         s[end - 1] == '\r')) {
-    --end;
-  }
-  return s.substr(begin, end - begin);
-}
-
-Result<double> ParseDouble(const std::string& value,
-                           const std::string& key) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  // strtod happily accepts "inf"/"nan" (and huge exponents overflow to
-  // inf); a spec number must be finite or every downstream computation is
-  // poisoned.
-  if (end == value.c_str() || *end != '\0' || !std::isfinite(v)) {
-    return Status::InvalidArgument("bad number for '" + key + "': " + value);
-  }
-  return v;
-}
-
-Result<uint64_t> ParseU64(const std::string& value, const std::string& key) {
-  // strtoull silently wraps negatives ("-1" parses as 2^64-1) and saturates
-  // overflow; require pure digits and check ERANGE explicitly.
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    return Status::InvalidArgument("bad integer for '" + key + "': " + value);
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument("bad integer for '" + key + "': " + value);
-  }
-  return static_cast<uint64_t>(v);
-}
-
-/// ParseU64 plus a uint32 range check — for keys the spec structs store
-/// narrow (workers, retries, scan_length, ...), where a silent truncating
-/// cast would accept "4294967297" as 1.
-Result<uint32_t> ParseU32(const std::string& value, const std::string& key) {
-  const Result<uint64_t> v = ParseU64(value, key);
-  if (!v.ok()) return v.status();
-  if (v.value() > std::numeric_limits<uint32_t>::max()) {
-    return Status::InvalidArgument("value out of range for '" + key +
-                                   "': " + value);
-  }
-  return static_cast<uint32_t>(v.value());
-}
-
-/// Parses a duration in coarse units (ms/us) and scales it to nanoseconds,
-/// rejecting values whose scaled form overflows int64.
-Result<int64_t> ParseScaledNanos(const std::string& value,
-                                 const std::string& key, int64_t scale) {
-  const Result<uint64_t> v = ParseU64(value, key);
-  if (!v.ok()) return v.status();
-  const uint64_t limit = static_cast<uint64_t>(
-      std::numeric_limits<int64_t>::max() / scale);
-  if (v.value() > limit) {
-    return Status::InvalidArgument("duration out of range for '" + key +
-                                   "': " + value);
-  }
-  return static_cast<int64_t>(v.value()) * scale;
-}
-
-Result<bool> ParseBool(const std::string& value, const std::string& key) {
-  if (value == "true" || value == "1" || value == "yes") return true;
-  if (value == "false" || value == "0" || value == "no") return false;
-  return Status::InvalidArgument("bad bool for '" + key + "': " + value);
-}
-
-Result<int64_t> ParseI64(const std::string& value, const std::string& key) {
-  const bool negative = !value.empty() && value.front() == '-';
-  const std::string digits = negative ? value.substr(1) : value;
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return Status::InvalidArgument("bad integer for '" + key + "': " + value);
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument("bad integer for '" + key + "': " + value);
-  }
-  return static_cast<int64_t>(v);
-}
-
-Result<StatusCode> ParseFailCode(const std::string& value) {
-  if (value == "unavailable") return StatusCode::kUnavailable;
-  if (value == "timeout") return StatusCode::kTimeout;
-  if (value == "resource_exhausted") return StatusCode::kResourceExhausted;
-  if (value == "io_error") return StatusCode::kIoError;
-  if (value == "internal") return StatusCode::kInternal;
-  return Status::InvalidArgument("unknown fault code: " + value);
-}
-
-std::string FailCodeToSpecString(StatusCode code) {
-  switch (code) {
-    case StatusCode::kUnavailable:
-      return "unavailable";
-    case StatusCode::kTimeout:
-      return "timeout";
-    case StatusCode::kResourceExhausted:
-      return "resource_exhausted";
-    case StatusCode::kIoError:
-      return "io_error";
-    default:
-      return "internal";
-  }
+  const size_t last = s.find_last_not_of(" \t\r");
+  if (last == std::string::npos) return "";
+  const size_t first = s.find_first_not_of(" \t");
+  return s.substr(first, last + 1 - first);
 }
 
 /// Shortest decimal representation that strtod round-trips exactly.
 std::string FullDouble(double v) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Prefer a shorter form when it round-trips (keeps specs readable).
-  for (int precision = 1; precision <= 16; ++precision) {
-    char candidate[64];
-    std::snprintf(candidate, sizeof(candidate), "%.*g", precision, v);
-    if (std::strtod(candidate, nullptr) == v) return candidate;
+  // Prefer a shorter form when it round-trips (keeps specs readable); 17
+  // significant digits always do.
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) break;
   }
   return buf;
 }
 
-/// Accumulated description of one [dataset] section.
-struct DatasetDesc {
-  std::string kind = "uniform";
-  size_t num_keys = 100000;
-  uint64_t seed = 42;
-  double param1 = 0.0;
-  double param2 = 0.0;
+// Codecs: how one key's value is parsed from and rendered to spec text.
+// Parse errors describe the value only; the parse loop prefixes the line
+// and the key.
+
+struct TextCodec {
+  Status Parse(const std::string& value, std::string* out) const {
+    *out = value;
+    return Status::OK();
+  }
+  std::string Render(const std::string& v) const { return v; }
 };
 
-Result<Dataset> BuildDataset(const DatasetDesc& desc) {
+/// Whole numbers in [min, max], stored as the written value times `scale`
+/// (1, or nanoseconds per ms/us for durations).
+struct IntCodec {
+  int64_t min;
+  uint64_t max;
+  int64_t scale;
+  template <class T>
+  Status Parse(const std::string& value, T* out) const {
+    // strtoull wraps negatives ("-1" is 2^64-1) and saturates overflow:
+    // require digits, after a '-' only where min < 0, and check ERANGE.
+    const size_t first = min < 0 && StartsWith(value, "-") ? 1 : 0;
+    if (value.size() == first ||
+        value.find_first_not_of("0123456789", first) != std::string::npos) {
+      return Status::InvalidArgument("bad integer: " + value);
+    }
+    errno = 0;
+    const uint64_t magnitude = std::strtoull(value.c_str() + first, nullptr,
+                                             10);
+    const bool in_range =
+        first == 1 ? magnitude <= static_cast<uint64_t>(-min)
+                   : magnitude <= max &&
+                         (min <= 0 || magnitude >= static_cast<uint64_t>(min));
+    if (errno == ERANGE || !in_range) {
+      return Status::InvalidArgument(
+          "value out of range [" + std::to_string(min) + ", " +
+          std::to_string(max) + "]: " + value);
+    }
+    *out = first == 1
+               ? static_cast<T>(-static_cast<int64_t>(magnitude))
+               : static_cast<T>(magnitude * static_cast<uint64_t>(scale));
+    return Status::OK();
+  }
+  template <class T>
+  std::string Render(T v) const {
+    return std::to_string(v / static_cast<T>(scale));
+  }
+};
+
+/// A finite number, optionally with a range rule.
+struct DoubleCodec {
+  bool (*in_range)(double) = nullptr;
+  const char* range = nullptr;
+  Status Parse(const std::string& value, double* out) const {
+    char* end = nullptr;
+    const double v = std::strtod(value.c_str(), &end);
+    // strtod accepts "inf"/"nan" (and huge exponents overflow to inf); a
+    // spec number must be finite or every downstream computation is poisoned.
+    if (end == value.c_str() || *end != '\0' || !std::isfinite(v)) {
+      return Status::InvalidArgument("bad number: " + value);
+    }
+    if (in_range != nullptr && !in_range(v)) {
+      return Status::InvalidArgument(std::string("must be ") + range +
+                                     ", got " + value);
+    }
+    *out = v;
+    return Status::OK();
+  }
+  std::string Render(double v) const { return FullDouble(v); }
+};
+
+struct BoolCodec {
+  Status Parse(const std::string& value, bool* out) const {
+    *out = value == "true" || value == "1" || value == "yes";
+    if (*out || value == "false" || value == "0" || value == "no") {
+      return Status::OK();
+    }
+    return Status::InvalidArgument("bad bool: " + value);
+  }
+  std::string Render(bool v) const { return v ? "true" : "false"; }
+};
+
+/// An enum spelled as one of a token list: every value the spec accepts,
+/// and the function naming each. The list serves both directions.
+template <class E>
+struct EnumCodec {
+  template <size_t N>
+  EnumCodec(const E (&list)[N], std::string (*name)(E))
+      : values(list), count(N), token(name) {}
+  Status Parse(const std::string& value, E* out) const {
+    std::string expected;
+    for (size_t i = 0; i < count; ++i) {
+      if (token(values[i]) == value) {
+        *out = values[i];
+        return Status::OK();
+      }
+      expected.append(i == 0 ? "" : "|").append(token(values[i]));
+    }
+    return Status::InvalidArgument("unknown value '" + value +
+                                   "', expected " + expected);
+  }
+  std::string Render(E v) const { return token(v); }
+  const E* values;
+  size_t count;
+  std::string (*token)(E);
+};
+
+constexpr AccessPattern kAccessPatterns[] = {
+    AccessPattern::kUniform, AccessPattern::kZipfian, AccessPattern::kHotSpot,
+    AccessPattern::kLatest, AccessPattern::kSequential};
+constexpr ArrivalPattern kArrivals[] = {
+    ArrivalPattern::kClosedLoop, ArrivalPattern::kPoisson,
+    ArrivalPattern::kDiurnal, ArrivalPattern::kBursty,
+    ArrivalPattern::kConstant};
+constexpr TransitionKind kTransitions[] = {
+    TransitionKind::kAbrupt, TransitionKind::kLinear, TransitionKind::kCosine};
+constexpr OverloadPolicy kPolicies[] = {OverloadPolicy::kDropNewest,
+                                        OverloadPolicy::kDropOldest,
+                                        OverloadPolicy::kSloShed};
+constexpr StatusCode kFailCodes[] = {
+    StatusCode::kUnavailable, StatusCode::kTimeout,
+    StatusCode::kResourceExhausted, StatusCode::kIoError,
+    StatusCode::kInternal};
+
+/// The spec writes closed-loop arrivals as `closed`; every other token is
+/// the pattern's display name.
+std::string ArrivalToken(ArrivalPattern arrival) {
+  return arrival == ArrivalPattern::kClosedLoop
+             ? "closed"
+             : ArrivalPatternToString(arrival);
+}
+
+std::string FailCodeToken(StatusCode code) {
+  switch (code) {
+    case StatusCode::kUnavailable: return "unavailable";
+    case StatusCode::kTimeout: return "timeout";
+    case StatusCode::kResourceExhausted: return "resource_exhausted";
+    case StatusCode::kIoError: return "io_error";
+    default: return "internal";
+  }
+}
+
+/// One `op:fraction` component of a mix key.
+struct MixOp {
+  const char* op;
+  double OperationMix::*fraction;
+};
+
+constexpr MixOp kScalarOps[] = {{"get", &OperationMix::get},
+                                 {"scan", &OperationMix::scan},
+                                 {"insert", &OperationMix::insert},
+                                 {"update", &OperationMix::update},
+                                 {"delete", &OperationMix::del},
+                                 {"range_count", &OperationMix::range_count}};
+constexpr MixOp kBatchOps[] = {{"batch_get", &OperationMix::batch_get},
+                               {"batch_put", &OperationMix::batch_put}};
+
+constexpr DoubleCodec kNonNegative{[](double v) { return v >= 0.0; },
+                                   ">= 0"};
+
+/// Comma-separated `op:fraction` components over a fixed op list. Parsing
+/// zeroes only this list's fractions, so `mix` (scalar ops) and `batch_mix`
+/// (batch ops) compose in either file order.
+struct MixCodec {
+  template <size_t N>
+  explicit MixCodec(const MixOp (&list)[N]) : ops(list), count(N) {}
+  Status Parse(const std::string& value, OperationMix* mix) const {
+    for (size_t i = 0; i < count; ++i) mix->*ops[i].fraction = 0.0;
+    for (const std::string& part : Split(value, ',')) {
+      const std::vector<std::string> kv = Split(Trim(part), ':');
+      const MixOp* op = std::find_if(ops, ops + count, [&](const MixOp& m) {
+        return kv.size() == 2 && Trim(kv[0]) == m.op;
+      });
+      if (op == ops + count) {
+        return Status::InvalidArgument("bad op:fraction component: " + part);
+      }
+      LSBENCH_RETURN_IF_ERROR(
+          kNonNegative.Parse(Trim(kv[1]), &(mix->*op->fraction)));
+    }
+    return Status::OK();
+  }
+  std::string Render(const OperationMix& mix) const {
+    std::string out;
+    for (size_t i = 0; i < count; ++i) {
+      out.append(i == 0 ? "" : ",").append(ops[i].op).append(":");
+      out.append(FullDouble(mix.*ops[i].fraction));
+    }
+    return out;
+  }
+
+  const MixOp* ops;
+  size_t count;
+};
+
+/// Comma-separated numbers; an empty value is an empty list.
+struct DoubleListCodec {
+  Status Parse(const std::string& value, std::vector<double>* out) const {
+    out->clear();
+    if (value.empty()) return Status::OK();
+    for (const std::string& part : Split(value, ',')) {
+      double v = 0.0;
+      LSBENCH_RETURN_IF_ERROR(DoubleCodec().Parse(Trim(part), &v));
+      out->push_back(v);
+    }
+    return Status::OK();
+  }
+  std::string Render(const std::vector<double>& values) const {
+    std::string out;
+    for (const double v : values) {
+      out.append(out.empty() ? "" : ", ").append(FullDouble(v));
+    }
+    return out;
+  }
+};
+
+constexpr TextCodec kText{};
+constexpr IntCodec kU64{0, std::numeric_limits<uint64_t>::max(), 1};
+constexpr IntCodec kU32{0, std::numeric_limits<uint32_t>::max(), 1};
+constexpr int64_t kInt32Min = std::numeric_limits<int32_t>::min();
+constexpr uint64_t kInt32Max = std::numeric_limits<int32_t>::max();
+constexpr uint64_t kMaxNanos = std::numeric_limits<int64_t>::max();
+constexpr IntCodec kMillis{0, kMaxNanos / 1000000, 1000000};
+constexpr IntCodec kMicros{0, kMaxNanos / 1000, 1000};
+constexpr DoubleCodec kDouble{};
+constexpr BoolCodec kBool{};
+
+// Field lists: one line per key, binding its name to its field and codec.
+// ParseArchive and RenderArchive both walk these lists, so unknown-key
+// rejection comes from the list and render order is list order. A fourth
+// argument is a value the key renders no line for.
+
+template <class A>
+void Fields(A& a, RunSpec& s) {
+  a("name", s.name, kText);
+  a("seed", s.seed, kU64);
+  a("interval_ms", s.interval_nanos, kMillis);
+  a("boxplot_sample_ms", s.boxplot_sample_nanos, kMillis);
+  a("offline_training", s.offline_training, kBool);
+  a("sla_ms", s.sla.threshold_nanos, kMillis, int64_t{0});
+  a("sla_auto_percentile", s.sla.auto_percentile, kDouble);
+  a("sla_auto_margin", s.sla.auto_margin, kDouble);
+  a("adjustment_window_ops", s.adjustment_window_ops, kU64);
+}
+
+template <class A>
+void Fields(A& a, DatasetSourceSpec& d) {
+  a("kind", d.kind, kText);
+  a("num_keys", d.num_keys, kU64);
+  a("seed", d.seed, kU64);
+  a("param1", d.param1, kDouble);
+  a("param2", d.param2, kDouble);
+}
+
+template <class A>
+void Fields(A& a, PhaseSpec& p) {
+  a("name", p.name, kText);
+  a("dataset", p.dataset_index, IntCodec{0, kInt32Max, 1});
+  a("ops", p.num_operations, kU64);
+  a("mix", p.mix, MixCodec(kScalarOps));
+  a("access", p.access, EnumCodec(kAccessPatterns, AccessPatternToString));
+  a("access_param", p.access_param, kDouble);
+  a("access_param2", p.access_param2, kDouble);
+  a("arrival", p.arrival, EnumCodec(kArrivals, ArrivalToken));
+  a("arrival_qps", p.arrival_rate_qps, kNonNegative);
+  a("arrival_amplitude", p.arrival_amplitude,
+    DoubleCodec{[](double v) { return v >= 0.0 && v < 1.0; }, "in [0, 1)"});
+  a("arrival_period_s", p.arrival_period_seconds,
+    DoubleCodec{[](double v) { return v > 0.0; }, "> 0"});
+  a("transition", p.transition_in,
+    EnumCodec(kTransitions, TransitionKindToString));
+  a("transition_ops", p.transition_operations, kU64);
+  a("holdout", p.holdout, kBool);
+  a("scan_length", p.scan_length, kU32);
+  a("range_selectivity", p.range_selectivity, kDouble);
+  a("batch_mix", p.mix, MixCodec(kBatchOps));
+  a("batch_size", p.batch_size, IntCodec{1, 4096, 1});
+}
+
+/// Plan-level fault keys: accepted in any [faults] section.
+template <class A>
+void Fields(A& a, FaultPlan& f) {
+  a("seed", f.seed, kU64, FaultPlan().seed);
+  a("load_failures", f.load_failures, kU32, uint32_t{0});
+}
+
+template <class A>
+void Fields(A& a, FaultWindow& w) {
+  a("phase", w.phase, IntCodec{kInt32Min, kInt32Max, 1});
+  a("execute_fail_rate", w.execute_fail_rate, kDouble);
+  a("execute_fail_code", w.execute_fail_code,
+    EnumCodec(kFailCodes, FailCodeToken));
+  a("latency_spike_rate", w.latency_spike_rate, kDouble);
+  a("latency_spike_us", w.latency_spike_nanos, kMicros);
+  a("stall_rate", w.stall_rate, kDouble);
+  a("stall_us", w.stall_nanos, kMicros);
+  a("fail_train", w.fail_train, kBool);
+  a("train_hang_us", w.train_hang_nanos, kMicros);
+}
+
+template <class A>
+void Fields(A& a, ResilienceSpec& r) {
+  a("op_timeout_us", r.op_timeout_nanos, kMicros);
+  a("max_retries", r.max_retries, kU32);
+  a("backoff_initial_us", r.backoff_initial_nanos, kMicros);
+  a("backoff_multiplier", r.backoff_multiplier, kDouble);
+  a("backoff_max_us", r.backoff_max_nanos, kMicros);
+  a("backoff_jitter", r.backoff_jitter, kDouble);
+  a("breaker_enabled", r.breaker_enabled, kBool);
+  a("breaker_window_ops", r.breaker_window_ops, kU32);
+  a("breaker_threshold", r.breaker_failure_threshold, kDouble);
+  a("breaker_cooldown_us", r.breaker_cooldown_nanos, kMicros);
+  a("breaker_halfopen_probes", r.breaker_half_open_probes, kU32);
+}
+
+template <class A>
+void Fields(A& a, ExecutionSpec& e) {
+  a("workers", e.workers, kU32);
+}
+
+template <class A>
+void Fields(A& a, ObservabilitySpec& o) {
+  a("trace", o.trace, kBool);
+  a("profile", o.profile, kBool);
+  a("metrics", o.metrics, kBool);
+}
+
+template <class A>
+void Fields(A& a, ServiceSpec& s) {
+  a("enabled", s.enabled, kBool);
+  a("queue_capacity", s.queue_capacity, kU32);
+  a("policy", s.policy, EnumCodec(kPolicies, OverloadPolicyToString));
+  a("slo_p99_ms", s.slo_p99_nanos, kMillis);
+  a("max_shed_fraction", s.max_shed_fraction, kDouble);
+}
+
+template <class A>
+void Fields(A& a, DriftSpec& d) {
+  a("trajectory", d.trajectory, DoubleListCodec(), std::vector<double>());
+  a("tolerance", d.tolerance, kDouble);
+  a("sample_ops", d.sample_ops, kU64);
+  a("seed", d.seed, kU64);
+}
+
+/// Parses one `key = value` line into the listed field named `key`.
+struct ParseArchive {
+  const std::string& key;
+  const std::string& value;
+  const void* field = nullptr;  ///< The matched field; null if none.
+  Status status;
+
+  template <class T, class C, class... Omitted>
+  void operator()(const char* name, T& target, const C& codec,
+                  const Omitted&...) {
+    if (field != nullptr || key != name) return;
+    field = &target;
+    status = codec.Parse(value, &target);
+  }
+};
+
+/// Renders every listed field as a `key = value` line.
+struct RenderArchive {
+  std::string out;
+
+  template <class T, class C, class... Omitted>
+  void operator()(const char* name, const T& field, const C& codec,
+                  const Omitted&... omitted) {
+    if ((... || (field == omitted))) return;
+    out += std::string(name) + " = " + codec.Render(field) + '\n';
+  }
+};
+
+template <class T>
+std::string RenderFields(const T& object) {
+  RenderArchive archive;
+  // The field lists bind mutable references so one list serves both
+  // archives; RenderArchive only reads through them.
+  Fields(archive, const_cast<T&>(object));
+  return archive.out;
+}
+
+enum class Section {
+  kTop, kDataset, kPhase, kFaults, kResilience, kExecution, kObservability,
+  kService, kDrift
+};
+
+/// Section headers, indexed by Section. The top level has no header; its
+/// entry only names it in errors.
+constexpr const char* kHeaders[] = {
+    "top-level",   "[dataset]",       "[phase]",   "[faults]", "[resilience]",
+    "[execution]", "[observability]", "[service]", "[drift]"};
+
+Status AtLine(size_t line, const std::string& message) {
+  return Status::InvalidArgument("line " + std::to_string(line) + ": " +
+                                 message);
+}
+
+Result<Dataset> BuildDataset(const DatasetSourceSpec& desc) {
   if (desc.num_keys == 0) {
     return Status::InvalidArgument("dataset num_keys must be > 0");
   }
@@ -191,162 +476,20 @@ Result<Dataset> BuildDataset(const DatasetDesc& desc) {
   } else {
     return Status::InvalidArgument("unknown dataset kind: " + desc.kind);
   }
-  return GenerateDataset(*dist, options);
-}
-
-Status ParseMix(const std::string& value, OperationMix* mix) {
-  // `mix` names only the scalar op classes; batch fractions live in the
-  // separate `batch_mix` key. Preserve them so the two keys compose in
-  // either file order.
-  const double batch_get = mix->batch_get;
-  const double batch_put = mix->batch_put;
-  *mix = OperationMix();
-  mix->get = 0.0;
-  mix->batch_get = batch_get;
-  mix->batch_put = batch_put;
-  for (const std::string& part : Split(value, ',')) {
-    const std::vector<std::string> kv = Split(Trim(part), ':');
-    if (kv.size() != 2) {
-      return Status::InvalidArgument("bad mix component: " + part);
-    }
-    const Result<double> frac = ParseDouble(Trim(kv[1]), "mix");
-    if (!frac.ok()) return frac.status();
-    const std::string op = Trim(kv[0]);
-    if (op == "get") {
-      mix->get = frac.value();
-    } else if (op == "scan") {
-      mix->scan = frac.value();
-    } else if (op == "insert") {
-      mix->insert = frac.value();
-    } else if (op == "update") {
-      mix->update = frac.value();
-    } else if (op == "delete") {
-      mix->del = frac.value();
-    } else if (op == "range_count") {
-      mix->range_count = frac.value();
-    } else {
-      return Status::InvalidArgument("unknown op in mix: " + op);
-    }
+  Dataset ds = GenerateDataset(*dist, options);
+  if (ds.keys.size() < desc.num_keys) {
+    return Status::InvalidArgument("dataset " + dist->name() +
+                                   " yields too few distinct keys");
   }
-  return Status::OK();
-}
-
-/// Parses the `batch_mix` key: comma-separated `batch_get:frac` /
-/// `batch_put:frac` components. Touches only the batch fractions, so it
-/// composes with `mix` in either file order.
-Status ParseBatchMix(const std::string& value, OperationMix* mix) {
-  mix->batch_get = 0.0;
-  mix->batch_put = 0.0;
-  for (const std::string& part : Split(value, ',')) {
-    const std::vector<std::string> kv = Split(Trim(part), ':');
-    if (kv.size() != 2) {
-      return Status::InvalidArgument("bad batch_mix component: " + part);
-    }
-    const Result<double> frac = ParseDouble(Trim(kv[1]), "batch_mix");
-    if (!frac.ok()) return frac.status();
-    if (frac.value() < 0.0) {
-      return Status::InvalidArgument("batch_mix fraction must be >= 0, got " +
-                                     Trim(kv[1]));
-    }
-    const std::string op = Trim(kv[0]);
-    if (op == "batch_get") {
-      mix->batch_get = frac.value();
-    } else if (op == "batch_put") {
-      mix->batch_put = frac.value();
-    } else {
-      return Status::InvalidArgument("unknown op in batch_mix: " + op);
-    }
-  }
-  return Status::OK();
-}
-
-Result<AccessPattern> ParseAccess(const std::string& value) {
-  if (value == "uniform") return AccessPattern::kUniform;
-  if (value == "zipfian") return AccessPattern::kZipfian;
-  if (value == "hotspot") return AccessPattern::kHotSpot;
-  if (value == "latest") return AccessPattern::kLatest;
-  if (value == "sequential") return AccessPattern::kSequential;
-  return Status::InvalidArgument("unknown access pattern: " + value);
-}
-
-Result<ArrivalPattern> ParseArrival(const std::string& value) {
-  if (value == "closed") return ArrivalPattern::kClosedLoop;
-  if (value == "poisson") return ArrivalPattern::kPoisson;
-  if (value == "diurnal") return ArrivalPattern::kDiurnal;
-  if (value == "bursty") return ArrivalPattern::kBursty;
-  if (value == "constant") return ArrivalPattern::kConstant;
-  return Status::InvalidArgument("unknown arrival pattern: " + value);
-}
-
-Result<OverloadPolicy> ParseOverloadPolicy(const std::string& value) {
-  if (value == "drop_newest") return OverloadPolicy::kDropNewest;
-  if (value == "drop_oldest") return OverloadPolicy::kDropOldest;
-  if (value == "slo_shed") return OverloadPolicy::kSloShed;
-  return Status::InvalidArgument("unknown overload policy: " + value);
-}
-
-Result<TransitionKind> ParseTransition(const std::string& value) {
-  if (value == "abrupt") return TransitionKind::kAbrupt;
-  if (value == "linear") return TransitionKind::kLinear;
-  if (value == "cosine") return TransitionKind::kCosine;
-  return Status::InvalidArgument("unknown transition kind: " + value);
-}
-
-// Spec-token renderers, the exact inverses of the Parse* functions above
-// (ToString helpers elsewhere use display names, not spec tokens).
-
-std::string AccessToSpecString(AccessPattern access) {
-  switch (access) {
-    case AccessPattern::kUniform:
-      return "uniform";
-    case AccessPattern::kZipfian:
-      return "zipfian";
-    case AccessPattern::kHotSpot:
-      return "hotspot";
-    case AccessPattern::kLatest:
-      return "latest";
-    case AccessPattern::kSequential:
-      return "sequential";
-  }
-  return "uniform";
-}
-
-std::string ArrivalToSpecString(ArrivalPattern arrival) {
-  switch (arrival) {
-    case ArrivalPattern::kClosedLoop:
-      return "closed";
-    case ArrivalPattern::kPoisson:
-      return "poisson";
-    case ArrivalPattern::kDiurnal:
-      return "diurnal";
-    case ArrivalPattern::kBursty:
-      return "bursty";
-    case ArrivalPattern::kConstant:
-      return "constant";
-  }
-  return "closed";
-}
-
-std::string TransitionToSpecString(TransitionKind kind) {
-  switch (kind) {
-    case TransitionKind::kAbrupt:
-      return "abrupt";
-    case TransitionKind::kLinear:
-      return "linear";
-    case TransitionKind::kCosine:
-      return "cosine";
-  }
-  return "abrupt";
+  return ds;
 }
 
 /// Spec names (run, phase) become comment-stripped, trimmed single lines on
 /// reparse; reject the characters the renderer cannot round-trip.
 Status CheckRenderableName(const std::string& name, const char* what) {
-  if (name.find('#') != std::string::npos ||
-      name.find('\n') != std::string::npos ||
-      name.find('\r') != std::string::npos) {
+  if (name.find_first_of("#\n\r") != std::string::npos) {
     return Status::InvalidArgument(
-        std::string(what) + " name contains '#' or a newline and cannot be "
+        std::string(what) + " contains '#' or a newline and cannot be "
         "rendered as spec text: " + name);
   }
   return Status::OK();
@@ -356,596 +499,99 @@ Status CheckRenderableName(const std::string& name, const char* what) {
 
 Result<RunSpec> ParseRunSpecText(const std::string& text) {
   RunSpec spec;
-  enum class Section {
-    kTop,
-    kDataset,
-    kPhase,
-    kFaults,
-    kResilience,
-    kExecution,
-    kObservability,
-    kService,
-    kDrift
-  };
   Section section = Section::kTop;
-  DatasetDesc dataset_desc;
-  bool dataset_open = false;
+  size_t section_line = 0;  // line of the open section's header
+  DatasetSourceSpec dataset;
   PhaseSpec phase;
-  bool phase_open = false;
-  size_t phase_line = 0;    // line of the open phase's [phase] header
-  size_t arrival_line = 0;  // last arrival / arrival_qps key in that phase
-  FaultWindow fault_window;
-  bool fault_window_open = false;
+  size_t arrival_line = 0;  // the phase's last arrival key, else its header
+  FaultWindow window;
 
-  auto close_dataset = [&]() -> Status {
-    if (!dataset_open) return Status::OK();
-    Result<Dataset> ds = BuildDataset(dataset_desc);
-    if (!ds.ok()) return ds.status();
-    spec.datasets.push_back(std::move(ds).value());
-    // Keep the generation parameters alongside the generated keys so the
-    // spec can be rendered back to text (RenderRunSpecText).
-    DatasetSourceSpec source;
-    source.kind = dataset_desc.kind;
-    source.num_keys = dataset_desc.num_keys;
-    source.seed = dataset_desc.seed;
-    source.param1 = dataset_desc.param1;
-    source.param2 = dataset_desc.param2;
-    spec.dataset_sources.push_back(std::move(source));
-    dataset_desc = DatasetDesc();
-    dataset_open = false;
-    return Status::OK();
-  };
-  auto close_phase = [&]() -> Status {
-    if (!phase_open) return Status::OK();
-    // Arrival parameters interact (an open-loop pattern needs a rate, but
-    // keys arrive in any order), so the combined check runs when the phase
-    // closes — pointed back at the offending line.
-    if (const Status st = ValidateArrivalParams(
+  // Finishes the open section; its errors name the section's header line.
+  auto close_section = [&]() -> Status {
+    switch (section) {
+      case Section::kDataset: {
+        Result<Dataset> ds = BuildDataset(dataset);
+        if (!ds.ok()) return AtLine(section_line, ds.status().message());
+        spec.datasets.push_back(std::move(ds).value());
+        // Keep the generation parameters so the spec renders back to text.
+        spec.dataset_sources.push_back(
+            std::exchange(dataset, DatasetSourceSpec()));
+        break;
+      }
+      case Section::kPhase: {
+        // Arrival parameters interact (an open-loop pattern needs a rate,
+        // but keys arrive in any order), so the combined check runs when
+        // the phase closes, pointed back at the last arrival key.
+        const Status st = ValidateArrivalParams(
             phase.arrival, phase.arrival_rate_qps, phase.arrival_amplitude,
             phase.arrival_period_seconds);
-        !st.ok()) {
-      const size_t at = arrival_line != 0 ? arrival_line : phase_line;
-      return Status::InvalidArgument("line " + std::to_string(at) + ": " +
-                                     st.message());
+        if (!st.ok()) return AtLine(arrival_line, st.message());
+        spec.phases.push_back(std::exchange(phase, PhaseSpec()));
+        break;
+      }
+      case Section::kFaults:
+        // An all-default window only carried plan-level keys; drop it.
+        if (!(window == FaultWindow())) spec.faults.windows.push_back(window);
+        window = FaultWindow();
+        break;
+      default: break;
     }
-    spec.phases.push_back(phase);
-    phase = PhaseSpec();
-    phase_open = false;
-    arrival_line = 0;
     return Status::OK();
-  };
-  auto close_fault_window = [&]() -> Status {
-    if (!fault_window_open) return Status::OK();
-    // An all-default window is a no-op carrier for plan-level keys
-    // (seed / load_failures) and is not recorded.
-    if (!(fault_window == FaultWindow())) {
-      spec.faults.windows.push_back(fault_window);
-    }
-    fault_window = FaultWindow();
-    fault_window_open = false;
-    return Status::OK();
-  };
-  auto close_sections = [&]() -> Status {
-    LSBENCH_RETURN_IF_ERROR(close_dataset());
-    LSBENCH_RETURN_IF_ERROR(close_phase());
-    return close_fault_window();
   };
 
   size_t line_no = 0;
   for (const std::string& raw_line : Split(text, '\n')) {
     ++line_no;
-    std::string line = raw_line;
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    line = Trim(line);
+    const std::string line = Trim(raw_line.substr(0, raw_line.find('#')));
     if (line.empty()) continue;
 
-    if (line == "[dataset]") {
-      LSBENCH_RETURN_IF_ERROR(close_sections());
-      section = Section::kDataset;
-      dataset_open = true;
-      continue;
-    }
-    if (line == "[phase]") {
-      LSBENCH_RETURN_IF_ERROR(close_sections());
-      section = Section::kPhase;
-      phase_open = true;
-      phase_line = line_no;
-      continue;
-    }
-    if (line == "[faults]") {
-      LSBENCH_RETURN_IF_ERROR(close_sections());
-      section = Section::kFaults;
-      fault_window_open = true;
-      continue;
-    }
-    if (line == "[resilience]") {
-      LSBENCH_RETURN_IF_ERROR(close_sections());
-      section = Section::kResilience;
-      continue;
-    }
-    if (line == "[execution]") {
-      LSBENCH_RETURN_IF_ERROR(close_sections());
-      section = Section::kExecution;
-      continue;
-    }
-    if (line == "[observability]") {
-      LSBENCH_RETURN_IF_ERROR(close_sections());
-      section = Section::kObservability;
-      continue;
-    }
-    if (line == "[service]") {
-      LSBENCH_RETURN_IF_ERROR(close_sections());
-      section = Section::kService;
-      continue;
-    }
-    if (line == "[drift]") {
-      LSBENCH_RETURN_IF_ERROR(close_sections());
-      section = Section::kDrift;
-      spec.drift.declared = true;
-      continue;
-    }
     if (line.front() == '[') {
-      return Status::InvalidArgument("unknown section at line " +
-                                     std::to_string(line_no) + ": " + line);
+      const auto* header =
+          std::find(std::begin(kHeaders) + 1, std::end(kHeaders), line);
+      if (header == std::end(kHeaders)) {
+        return AtLine(line_no, "unknown section " + line);
+      }
+      LSBENCH_RETURN_IF_ERROR(close_section());
+      section = static_cast<Section>(header - std::begin(kHeaders));
+      section_line = arrival_line = line_no;
+      if (section == Section::kDrift) spec.drift.declared = true;
+      continue;
     }
 
     const size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("expected key = value at line " +
-                                     std::to_string(line_no));
-    }
+    if (eq == std::string::npos) return AtLine(line_no, "expected key = value");
     const std::string key = Trim(line.substr(0, eq));
     const std::string value = Trim(line.substr(eq + 1));
-
+    ParseArchive archive{key, value, nullptr, Status::OK()};
     switch (section) {
-      case Section::kTop: {
-        if (key == "name") {
-          spec.name = value;
-        } else if (key == "seed") {
-          const auto v = ParseU64(value, key);
-          if (!v.ok()) return v.status();
-          spec.seed = v.value();
-        } else if (key == "interval_ms") {
-          const auto v = ParseScaledNanos(value, key, 1000000);
-          if (!v.ok()) return v.status();
-          spec.interval_nanos = v.value();
-        } else if (key == "boxplot_sample_ms") {
-          const auto v = ParseScaledNanos(value, key, 1000000);
-          if (!v.ok()) return v.status();
-          spec.boxplot_sample_nanos = v.value();
-        } else if (key == "offline_training") {
-          const auto v = ParseBool(value, key);
-          if (!v.ok()) return v.status();
-          spec.offline_training = v.value();
-        } else if (key == "sla_ms") {
-          const auto v = ParseScaledNanos(value, key, 1000000);
-          if (!v.ok()) return v.status();
-          spec.sla.threshold_nanos = v.value();
-        } else if (key == "sla_auto_percentile") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          spec.sla.auto_percentile = v.value();
-        } else if (key == "sla_auto_margin") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          spec.sla.auto_margin = v.value();
-        } else if (key == "adjustment_window_ops") {
-          const auto v = ParseU64(value, key);
-          if (!v.ok()) return v.status();
-          spec.adjustment_window_ops = v.value();
-        } else if (key == "fault_seed") {
-          const auto v = ParseU64(value, key);
-          if (!v.ok()) return v.status();
-          spec.faults.seed = v.value();
-        } else if (key == "fault_load_failures") {
-          const auto v = ParseU32(value, key);
-          if (!v.ok()) return v.status();
-          spec.faults.load_failures = v.value();
-        } else {
-          return Status::InvalidArgument("unknown top-level key: " + key);
-        }
+      case Section::kTop: Fields(archive, spec); break;
+      case Section::kDataset: Fields(archive, dataset); break;
+      case Section::kPhase: Fields(archive, phase); break;
+      case Section::kFaults:
+        Fields(archive, spec.faults);
+        Fields(archive, window);
         break;
-      }
-      case Section::kDataset: {
-        if (key == "kind") {
-          dataset_desc.kind = value;
-        } else if (key == "num_keys") {
-          const auto v = ParseU64(value, key);
-          if (!v.ok()) return v.status();
-          dataset_desc.num_keys = v.value();
-        } else if (key == "seed") {
-          const auto v = ParseU64(value, key);
-          if (!v.ok()) return v.status();
-          dataset_desc.seed = v.value();
-        } else if (key == "param1") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          dataset_desc.param1 = v.value();
-        } else if (key == "param2") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          dataset_desc.param2 = v.value();
-        } else {
-          return Status::InvalidArgument("unknown dataset key: " + key);
-        }
-        break;
-      }
-      case Section::kPhase: {
-        if (key == "name") {
-          phase.name = value;
-        } else if (key == "dataset") {
-          const auto v = ParseU32(value, key);
-          if (!v.ok()) return v.status();
-          if (v.value() >
-              static_cast<uint32_t>(std::numeric_limits<int32_t>::max())) {
-            return Status::InvalidArgument("dataset index out of range: " +
-                                           value);
-          }
-          phase.dataset_index = static_cast<int>(v.value());
-        } else if (key == "ops") {
-          const auto v = ParseU64(value, key);
-          if (!v.ok()) return v.status();
-          phase.num_operations = v.value();
-        } else if (key == "mix") {
-          LSBENCH_RETURN_IF_ERROR(ParseMix(value, &phase.mix));
-        } else if (key == "access") {
-          const auto v = ParseAccess(value);
-          if (!v.ok()) return v.status();
-          phase.access = v.value();
-        } else if (key == "access_param") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          phase.access_param = v.value();
-        } else if (key == "access_param2") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          phase.access_param2 = v.value();
-        } else if (key == "arrival") {
-          const auto v = ParseArrival(value);
-          if (!v.ok()) return v.status();
-          phase.arrival = v.value();
-          if (arrival_line == 0) arrival_line = line_no;
-        } else if (key == "arrival_qps") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          if (v.value() < 0.0) {
-            return Status::InvalidArgument(
-                "line " + std::to_string(line_no) +
-                ": arrival_qps must be >= 0, got " + value);
-          }
-          phase.arrival_rate_qps = v.value();
-          arrival_line = line_no;
-        } else if (key == "arrival_amplitude") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          if (v.value() < 0.0 || v.value() >= 1.0) {
-            return Status::InvalidArgument(
-                "line " + std::to_string(line_no) +
-                ": arrival_amplitude must be in [0, 1), got " + value);
-          }
-          phase.arrival_amplitude = v.value();
-        } else if (key == "arrival_period_s") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          if (v.value() <= 0.0) {
-            return Status::InvalidArgument(
-                "line " + std::to_string(line_no) +
-                ": arrival_period_s must be > 0, got " + value);
-          }
-          phase.arrival_period_seconds = v.value();
-        } else if (key == "transition") {
-          const auto v = ParseTransition(value);
-          if (!v.ok()) return v.status();
-          phase.transition_in = v.value();
-        } else if (key == "transition_ops") {
-          const auto v = ParseU64(value, key);
-          if (!v.ok()) return v.status();
-          phase.transition_operations = v.value();
-        } else if (key == "holdout") {
-          const auto v = ParseBool(value, key);
-          if (!v.ok()) return v.status();
-          phase.holdout = v.value();
-        } else if (key == "scan_length") {
-          const auto v = ParseU32(value, key);
-          if (!v.ok()) return v.status();
-          phase.scan_length = v.value();
-        } else if (key == "range_selectivity") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          phase.range_selectivity = v.value();
-        } else if (key == "batch_size") {
-          const auto v = ParseU32(value, key);
-          if (!v.ok()) return v.status();
-          if (v.value() < 1 || v.value() > 4096) {
-            return Status::InvalidArgument(
-                "line " + std::to_string(line_no) +
-                ": batch_size must be in [1, 4096], got " + value);
-          }
-          phase.batch_size = v.value();
-        } else if (key == "batch_mix") {
-          if (const Status st = ParseBatchMix(value, &phase.mix); !st.ok()) {
-            return Status::InvalidArgument("line " +
-                                           std::to_string(line_no) + ": " +
-                                           st.message());
-          }
-        } else {
-          return Status::InvalidArgument("unknown phase key: " + key);
-        }
-        break;
-      }
-      case Section::kFaults: {
-        if (key == "seed") {
-          const auto v = ParseU64(value, key);
-          if (!v.ok()) return v.status();
-          spec.faults.seed = v.value();
-        } else if (key == "load_failures") {
-          const auto v = ParseU32(value, key);
-          if (!v.ok()) return v.status();
-          spec.faults.load_failures = v.value();
-        } else if (key == "phase") {
-          const auto v = ParseI64(value, key);
-          if (!v.ok()) return v.status();
-          if (v.value() < std::numeric_limits<int32_t>::min() ||
-              v.value() > std::numeric_limits<int32_t>::max()) {
-            return Status::InvalidArgument("fault phase out of range: " +
-                                           value);
-          }
-          fault_window.phase = static_cast<int32_t>(v.value());
-        } else if (key == "execute_fail_rate") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          fault_window.execute_fail_rate = v.value();
-        } else if (key == "execute_fail_code") {
-          const auto v = ParseFailCode(value);
-          if (!v.ok()) return v.status();
-          fault_window.execute_fail_code = v.value();
-        } else if (key == "latency_spike_rate") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          fault_window.latency_spike_rate = v.value();
-        } else if (key == "latency_spike_us") {
-          const auto v = ParseScaledNanos(value, key, 1000);
-          if (!v.ok()) return v.status();
-          fault_window.latency_spike_nanos = v.value();
-        } else if (key == "stall_rate") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          fault_window.stall_rate = v.value();
-        } else if (key == "stall_us") {
-          const auto v = ParseScaledNanos(value, key, 1000);
-          if (!v.ok()) return v.status();
-          fault_window.stall_nanos = v.value();
-        } else if (key == "fail_train") {
-          const auto v = ParseBool(value, key);
-          if (!v.ok()) return v.status();
-          fault_window.fail_train = v.value();
-        } else if (key == "train_hang_us") {
-          const auto v = ParseScaledNanos(value, key, 1000);
-          if (!v.ok()) return v.status();
-          fault_window.train_hang_nanos = v.value();
-        } else {
-          return Status::InvalidArgument("unknown faults key: " + key);
-        }
-        break;
-      }
-      case Section::kResilience: {
-        ResilienceSpec& r = spec.resilience;
-        if (key == "op_timeout_us") {
-          const auto v = ParseScaledNanos(value, key, 1000);
-          if (!v.ok()) return v.status();
-          r.op_timeout_nanos = v.value();
-        } else if (key == "max_retries") {
-          const auto v = ParseU32(value, key);
-          if (!v.ok()) return v.status();
-          r.max_retries = v.value();
-        } else if (key == "backoff_initial_us") {
-          const auto v = ParseScaledNanos(value, key, 1000);
-          if (!v.ok()) return v.status();
-          r.backoff_initial_nanos = v.value();
-        } else if (key == "backoff_multiplier") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          r.backoff_multiplier = v.value();
-        } else if (key == "backoff_max_us") {
-          const auto v = ParseScaledNanos(value, key, 1000);
-          if (!v.ok()) return v.status();
-          r.backoff_max_nanos = v.value();
-        } else if (key == "backoff_jitter") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          r.backoff_jitter = v.value();
-        } else if (key == "breaker_enabled") {
-          const auto v = ParseBool(value, key);
-          if (!v.ok()) return v.status();
-          r.breaker_enabled = v.value();
-        } else if (key == "breaker_window_ops") {
-          const auto v = ParseU32(value, key);
-          if (!v.ok()) return v.status();
-          r.breaker_window_ops = v.value();
-        } else if (key == "breaker_threshold") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          r.breaker_failure_threshold = v.value();
-        } else if (key == "breaker_cooldown_us") {
-          const auto v = ParseScaledNanos(value, key, 1000);
-          if (!v.ok()) return v.status();
-          r.breaker_cooldown_nanos = v.value();
-        } else if (key == "breaker_halfopen_probes") {
-          const auto v = ParseU32(value, key);
-          if (!v.ok()) return v.status();
-          r.breaker_half_open_probes = v.value();
-        } else {
-          return Status::InvalidArgument("unknown resilience key: " + key);
-        }
-        break;
-      }
-      case Section::kExecution: {
-        if (key == "workers") {
-          const auto v = ParseU32(value, key);
-          if (!v.ok()) return v.status();
-          spec.execution.workers = v.value();
-        } else {
-          return Status::InvalidArgument("unknown execution key: " + key);
-        }
-        break;
-      }
-      case Section::kObservability: {
-        ObservabilitySpec& o = spec.observability;
-        if (key == "trace") {
-          const auto v = ParseBool(value, key);
-          if (!v.ok()) return v.status();
-          o.trace = v.value();
-        } else if (key == "profile") {
-          const auto v = ParseBool(value, key);
-          if (!v.ok()) return v.status();
-          o.profile = v.value();
-        } else if (key == "metrics") {
-          const auto v = ParseBool(value, key);
-          if (!v.ok()) return v.status();
-          o.metrics = v.value();
-        } else {
-          return Status::InvalidArgument("unknown observability key: " + key);
-        }
-        break;
-      }
-      case Section::kService: {
-        ServiceSpec& s = spec.service;
-        if (key == "enabled") {
-          const auto v = ParseBool(value, key);
-          if (!v.ok()) return v.status();
-          s.enabled = v.value();
-        } else if (key == "queue_capacity") {
-          const auto v = ParseU32(value, key);
-          if (!v.ok()) return v.status();
-          s.queue_capacity = v.value();
-        } else if (key == "policy") {
-          const auto v = ParseOverloadPolicy(value);
-          if (!v.ok()) return v.status();
-          s.policy = v.value();
-        } else if (key == "slo_p99_ms") {
-          const auto v = ParseScaledNanos(value, key, 1000000);
-          if (!v.ok()) return v.status();
-          s.slo_p99_nanos = v.value();
-        } else if (key == "max_shed_fraction") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          s.max_shed_fraction = v.value();
-        } else {
-          return Status::InvalidArgument("unknown service key: " + key);
-        }
-        break;
-      }
-      case Section::kDrift: {
-        DriftSpec& d = spec.drift;
-        if (key == "trajectory") {
-          d.trajectory.clear();
-          if (!value.empty()) {
-            for (const std::string& part : Split(value, ',')) {
-              const auto v = ParseDouble(Trim(part), key);
-              if (!v.ok()) return v.status();
-              d.trajectory.push_back(v.value());
-            }
-          }
-        } else if (key == "tolerance") {
-          const auto v = ParseDouble(value, key);
-          if (!v.ok()) return v.status();
-          d.tolerance = v.value();
-        } else if (key == "sample_ops") {
-          const auto v = ParseU64(value, key);
-          if (!v.ok()) return v.status();
-          d.sample_ops = v.value();
-        } else if (key == "seed") {
-          const auto v = ParseU64(value, key);
-          if (!v.ok()) return v.status();
-          d.seed = v.value();
-        } else {
-          return Status::InvalidArgument("unknown drift key: " + key);
-        }
-        break;
-      }
+      case Section::kResilience: Fields(archive, spec.resilience); break;
+      case Section::kExecution: Fields(archive, spec.execution); break;
+      case Section::kObservability: Fields(archive, spec.observability); break;
+      case Section::kService: Fields(archive, spec.service); break;
+      case Section::kDrift: Fields(archive, spec.drift); break;
+    }
+    if (archive.field == nullptr) {
+      return AtLine(line_no, "unknown " + std::string(kHeaders[static_cast<int>(
+                                 section)]) + " key '" + key + "'");
+    }
+    if (!archive.status.ok()) {
+      return AtLine(line_no, key + ": " + archive.status.message());
+    }
+    if (archive.field == &phase.arrival ||
+        archive.field == &phase.arrival_rate_qps) {
+      arrival_line = line_no;
     }
   }
-  LSBENCH_RETURN_IF_ERROR(close_sections());
+  LSBENCH_RETURN_IF_ERROR(close_section());
   LSBENCH_RETURN_IF_ERROR(spec.Validate());
   return spec;
-}
-
-std::string RenderResilienceText(const RunSpec& spec) {
-  std::string out;
-  const FaultPlan defaults_plan;
-  const ResilienceSpec defaults_res;
-  auto emit = [&](const std::string& line) {
-    out += line;
-    out += '\n';
-  };
-  auto emit_u64 = [&](const char* key, uint64_t v) {
-    emit(std::string(key) + " = " + std::to_string(v));
-  };
-  auto emit_us = [&](const char* key, int64_t nanos) {
-    emit(std::string(key) + " = " + std::to_string(nanos / 1000));
-  };
-  auto emit_dbl = [&](const char* key, double v) {
-    emit(std::string(key) + " = " + FullDouble(v));
-  };
-  auto emit_bool = [&](const char* key, bool v) {
-    emit(std::string(key) + std::string(v ? " = true" : " = false"));
-  };
-
-  if (!spec.faults.Empty() || spec.faults.seed != defaults_plan.seed) {
-    // Plan-level keys ride in the first [faults] section so the rendered
-    // text can be appended to any spec; an all-default carrier section is
-    // dropped again on parse.
-    bool plan_keys_pending = spec.faults.seed != defaults_plan.seed ||
-                             spec.faults.load_failures != 0;
-    auto emit_plan_keys = [&]() {
-      if (!plan_keys_pending) return;
-      if (spec.faults.seed != defaults_plan.seed) {
-        emit_u64("seed", spec.faults.seed);
-      }
-      if (spec.faults.load_failures != 0) {
-        emit_u64("load_failures", spec.faults.load_failures);
-      }
-      plan_keys_pending = false;
-    };
-    for (const FaultWindow& w : spec.faults.windows) {
-      if (!out.empty()) emit("");
-      emit("[faults]");
-      emit_plan_keys();
-      emit("phase = " + std::to_string(w.phase));
-      emit_dbl("execute_fail_rate", w.execute_fail_rate);
-      emit("execute_fail_code = " +
-           FailCodeToSpecString(w.execute_fail_code));
-      emit_dbl("latency_spike_rate", w.latency_spike_rate);
-      emit_us("latency_spike_us", w.latency_spike_nanos);
-      emit_dbl("stall_rate", w.stall_rate);
-      emit_us("stall_us", w.stall_nanos);
-      emit_bool("fail_train", w.fail_train);
-      emit_us("train_hang_us", w.train_hang_nanos);
-    }
-    if (plan_keys_pending) {
-      emit("[faults]");
-      emit_plan_keys();
-    }
-  }
-
-  if (!(spec.resilience == defaults_res)) {
-    if (!out.empty()) emit("");
-    emit("[resilience]");
-    const ResilienceSpec& r = spec.resilience;
-    emit_us("op_timeout_us", r.op_timeout_nanos);
-    emit_u64("max_retries", r.max_retries);
-    emit_us("backoff_initial_us", r.backoff_initial_nanos);
-    emit_dbl("backoff_multiplier", r.backoff_multiplier);
-    emit_us("backoff_max_us", r.backoff_max_nanos);
-    emit_dbl("backoff_jitter", r.backoff_jitter);
-    emit_bool("breaker_enabled", r.breaker_enabled);
-    emit_u64("breaker_window_ops", r.breaker_window_ops);
-    emit_dbl("breaker_threshold", r.breaker_failure_threshold);
-    emit_us("breaker_cooldown_us", r.breaker_cooldown_nanos);
-    emit_u64("breaker_halfopen_probes", r.breaker_half_open_probes);
-  }
-  return out;
 }
 
 Result<std::string> RenderRunSpecText(const RunSpec& spec) {
@@ -954,135 +600,49 @@ Result<std::string> RenderRunSpecText(const RunSpec& spec) {
         "spec has no dataset generation provenance (dataset_sources); only "
         "specs parsed from text can be rendered back");
   }
-  LSBENCH_RETURN_IF_ERROR(CheckRenderableName(spec.name, "run"));
+  LSBENCH_RETURN_IF_ERROR(CheckRenderableName(spec.name, "run name"));
   for (const PhaseSpec& phase : spec.phases) {
     if (phase.trace != nullptr) {
       return Status::FailedPrecondition(
           "phase '" + phase.name +
           "' replays a trace; the text format has no trace key");
     }
-    LSBENCH_RETURN_IF_ERROR(CheckRenderableName(phase.name, "phase"));
+    LSBENCH_RETURN_IF_ERROR(CheckRenderableName(phase.name, "phase name"));
   }
 
-  std::string out;
-  auto emit = [&](const std::string& line) {
-    out += line;
-    out += '\n';
+  std::string out = RenderFields(spec);
+  auto emit_section = [&](Section s, const std::string& body) {
+    out += '\n' + std::string(kHeaders[static_cast<int>(s)]) + '\n' + body;
   };
-  auto emit_u64 = [&](const char* key, uint64_t v) {
-    emit(std::string(key) + " = " + std::to_string(v));
+  // A single section appears only when some key differs from its default.
+  auto emit_if_set = [&](Section section, const auto& object) {
+    const std::string body = RenderFields(object);
+    if (body != RenderFields(std::decay_t<decltype(object)>())) {
+      emit_section(section, body);
+    }
   };
-  auto emit_dbl = [&](const char* key, double v) {
-    emit(std::string(key) + " = " + FullDouble(v));
-  };
-  auto emit_bool = [&](const char* key, bool v) {
-    emit(std::string(key) + std::string(v ? " = true" : " = false"));
-  };
-  auto emit_str = [&](const char* key, const std::string& v) {
-    emit(std::string(key) + " = " + v);
-  };
-
-  emit_str("name", spec.name);
-  emit_u64("seed", spec.seed);
-  emit_u64("interval_ms", static_cast<uint64_t>(spec.interval_nanos /
-                                                1000000));
-  emit_u64("boxplot_sample_ms",
-           static_cast<uint64_t>(spec.boxplot_sample_nanos / 1000000));
-  emit_bool("offline_training", spec.offline_training);
-  if (spec.sla.threshold_nanos != 0) {
-    emit_u64("sla_ms",
-             static_cast<uint64_t>(spec.sla.threshold_nanos / 1000000));
-  }
-  emit_dbl("sla_auto_percentile", spec.sla.auto_percentile);
-  emit_dbl("sla_auto_margin", spec.sla.auto_margin);
-  emit_u64("adjustment_window_ops", spec.adjustment_window_ops);
 
   for (const DatasetSourceSpec& source : spec.dataset_sources) {
-    emit("");
-    emit("[dataset]");
-    emit_str("kind", source.kind);
-    emit_u64("num_keys", source.num_keys);
-    emit_u64("seed", source.seed);
-    emit_dbl("param1", source.param1);
-    emit_dbl("param2", source.param2);
+    emit_section(Section::kDataset, RenderFields(source));
   }
-
   for (const PhaseSpec& phase : spec.phases) {
-    emit("");
-    emit("[phase]");
-    emit_str("name", phase.name);
-    emit_u64("dataset", static_cast<uint64_t>(phase.dataset_index));
-    emit_u64("ops", phase.num_operations);
-    emit_str("mix", "get:" + FullDouble(phase.mix.get) +
-                        ",scan:" + FullDouble(phase.mix.scan) +
-                        ",insert:" + FullDouble(phase.mix.insert) +
-                        ",update:" + FullDouble(phase.mix.update) +
-                        ",delete:" + FullDouble(phase.mix.del) +
-                        ",range_count:" + FullDouble(phase.mix.range_count));
-    emit_str("access", AccessToSpecString(phase.access));
-    emit_dbl("access_param", phase.access_param);
-    emit_dbl("access_param2", phase.access_param2);
-    emit_str("arrival", ArrivalToSpecString(phase.arrival));
-    emit_dbl("arrival_qps", phase.arrival_rate_qps);
-    emit_dbl("arrival_amplitude", phase.arrival_amplitude);
-    emit_dbl("arrival_period_s", phase.arrival_period_seconds);
-    emit_str("transition", TransitionToSpecString(phase.transition_in));
-    emit_u64("transition_ops", phase.transition_operations);
-    emit_bool("holdout", phase.holdout);
-    emit_u64("scan_length", phase.scan_length);
-    emit_dbl("range_selectivity", phase.range_selectivity);
-    emit_str("batch_mix",
-             "batch_get:" + FullDouble(phase.mix.batch_get) +
-                 ",batch_put:" + FullDouble(phase.mix.batch_put));
-    emit_u64("batch_size", phase.batch_size);
+    emit_section(Section::kPhase, RenderFields(phase));
   }
-
-  if (!(spec.service == ServiceSpec())) {
-    emit("");
-    emit("[service]");
-    emit_bool("enabled", spec.service.enabled);
-    emit_u64("queue_capacity", spec.service.queue_capacity);
-    emit_str("policy", OverloadPolicyToString(spec.service.policy));
-    emit_u64("slo_p99_ms",
-             static_cast<uint64_t>(spec.service.slo_p99_nanos / 1000000));
-    emit_dbl("max_shed_fraction", spec.service.max_shed_fraction);
-  }
-
-  if (spec.execution.workers != ExecutionSpec().workers) {
-    emit("");
-    emit("[execution]");
-    emit_u64("workers", spec.execution.workers);
-  }
-
-  if (!(spec.observability == ObservabilitySpec())) {
-    emit("");
-    emit("[observability]");
-    emit_bool("trace", spec.observability.trace);
-    emit_bool("profile", spec.observability.profile);
-    emit_bool("metrics", spec.observability.metrics);
-  }
-
+  emit_if_set(Section::kService, spec.service);
+  emit_if_set(Section::kExecution, spec.execution);
+  emit_if_set(Section::kObservability, spec.observability);
   if (spec.drift.declared) {
-    emit("");
-    emit("[drift]");
-    if (!spec.drift.trajectory.empty()) {
-      std::string joined;
-      for (size_t i = 0; i < spec.drift.trajectory.size(); ++i) {
-        if (i > 0) joined += ", ";
-        joined += FullDouble(spec.drift.trajectory[i]);
-      }
-      emit_str("trajectory", joined);
-    }
-    emit_dbl("tolerance", spec.drift.tolerance);
-    emit_u64("sample_ops", spec.drift.sample_ops);
-    emit_u64("seed", spec.drift.seed);
+    emit_section(Section::kDrift, RenderFields(spec.drift));
   }
-
-  const std::string resilience = RenderResilienceText(spec);
-  if (!resilience.empty()) {
-    emit("");
-    out += resilience;
+  // Plan-level fault keys ride in the first [faults] section, or in one of
+  // their own when there are no windows.
+  std::string plan = RenderFields(spec.faults);
+  for (const FaultWindow& w : spec.faults.windows) {
+    emit_section(Section::kFaults,
+                 std::exchange(plan, std::string()) + RenderFields(w));
   }
+  if (!plan.empty()) emit_section(Section::kFaults, plan);
+  emit_if_set(Section::kResilience, spec.resilience);
   return out;
 }
 

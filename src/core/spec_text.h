@@ -17,7 +17,12 @@ namespace lsbench {
 /// name = demo
 /// seed = 42
 /// interval_ms = 1000
+/// boxplot_sample_ms = 100
 /// offline_training = true
+/// sla_ms = 5                # 0 (the default) calibrates from phase 0
+/// sla_auto_percentile = 0.99
+/// sla_auto_margin = 2
+/// adjustment_window_ops = 1000
 ///
 /// [dataset]                 # one section per dataset, in index order
 /// kind = clustered          # uniform|gaussian|lognormal|pareto|clustered|emails
@@ -34,24 +39,28 @@ namespace lsbench {
 /// access = zipfian          # uniform|zipfian|hotspot|latest|sequential
 /// access_param = 0.99
 /// access_param2 = 0         # hotspot: hot region start in [0, 1)
-/// arrival = closed          # closed|poisson|diurnal|bursty
-/// arrival_qps = 10000
+/// arrival = closed          # closed|poisson|diurnal|bursty|constant
+/// arrival_qps = 10000       # >= 0; open-loop arrivals need > 0
+/// arrival_amplitude = 0.8   # diurnal: in [0, 1)
+/// arrival_period_s = 20     # diurnal: > 0
 /// transition = linear       # abrupt|linear|cosine
 /// transition_ops = 5000
 /// holdout = false
 /// scan_length = 100
 /// range_selectivity = 0.001
+/// batch_mix = batch_get:0.5,batch_put:0  # batch op fractions, beside mix
+/// batch_size = 64           # elements per batch op, in [1, 4096]
 /// ```
 ///
-/// Fault-injection and resilience blocks (all optional):
+/// Mix fractions must be >= 0; a phase's fractions are weights and need
+/// not sum to 1.
+///
+/// Fault-injection, resilience, and the other optional blocks:
 ///
 /// ```
-/// fault_seed = 77            # top-level: seeds the injector's RNG
-/// fault_load_failures = 0    # first N Load calls fail with an I/O error
-///
 /// [faults]                   # one section per fault window
-/// seed = 77                  # plan-level alternatives to the fault_*
-/// load_failures = 0          # top-level keys (usable in any window)
+/// seed = 77                  # plan-level: seeds the injector's RNG
+/// load_failures = 0          # plan-level: first N Load calls fail
 /// phase = -1                 # -1 = every phase; exact match wins
 /// execute_fail_rate = 0.01   # P(injected transient Execute failure)
 /// execute_fail_code = unavailable  # unavailable|timeout|
@@ -76,6 +85,13 @@ namespace lsbench {
 /// breaker_cooldown_us = 250000
 /// breaker_halfopen_probes = 10
 ///
+/// [service]                  # open-loop admission queue (optional)
+/// enabled = true             # every phase then needs an open-loop arrival
+/// queue_capacity = 256       # per worker, in [1, 2^20]
+/// policy = drop_newest       # drop_newest|drop_oldest|slo_shed
+/// slo_p99_ms = 0             # response-time target; slo_shed needs > 0
+/// max_shed_fraction = 1      # predictive-shed budget, in [0, 1]
+///
 /// [execution]                # driver fan-out (single section, optional)
 /// workers = 4                # concurrent workers, in [1, 1024]; 1 (the
 ///                            # default) reproduces the serial driver
@@ -95,15 +111,13 @@ namespace lsbench {
 /// Dataset kind parameters: gaussian(param1=mean, param2=stddev),
 /// lognormal(param1=mu, param2=sigma), pareto(param1=alpha),
 /// clustered(param1=num_clusters, param2=spread); uniform and emails take
-/// none. Unknown keys are rejected (typo safety).
+/// none. Unknown keys are rejected (typo safety). Every error about a line
+/// starts with `line N:`: a key error names the key, an error found when a
+/// section closes (an unknown dataset kind, an open-loop phase without a
+/// rate) names the section header's line or the phase's last arrival key.
+/// Errors from RunSpec::Validate, run on the whole spec, name the phase or
+/// fault window instead.
 Result<RunSpec> ParseRunSpecText(const std::string& text);
-
-/// Renders a spec's fault-injection and resilience configuration back into
-/// spec text (the `fault_*` top-level keys plus `[faults]` / `[resilience]`
-/// sections). parse -> render -> parse is lossless for these blocks; note
-/// durations are emitted in whole microseconds, matching what the parser
-/// accepts. Returns "" when the spec has no faults and default resilience.
-std::string RenderResilienceText(const RunSpec& spec);
 
 /// Renders a complete RunSpec back into parseable spec text. Requires
 /// generation provenance (`dataset_sources`, filled by ParseRunSpecText);
@@ -112,7 +126,9 @@ std::string RenderResilienceText(const RunSpec& spec);
 /// spec that came from ParseRunSpecText, parse → render → parse yields a
 /// spec with the same StructuralHash and identical dataset keys, and
 /// render is a fixpoint (render(parse(render(s))) == render(s)) — the
-/// round-trip property the spec robustness tests pin.
+/// round-trip property the spec robustness tests pin. Durations render in
+/// the whole ms/us units the parser accepts; optional sections and keys
+/// render only when they differ from their defaults.
 Result<std::string> RenderRunSpecText(const RunSpec& spec);
 
 }  // namespace lsbench

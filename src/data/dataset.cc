@@ -30,7 +30,9 @@ Dataset GenerateDataset(const UnitDistribution& dist,
   seen.reserve(options.num_keys * 2);
   const double scale = static_cast<double>(options.domain_max);
   // The unit sample is < 1 so the scaled key is < domain_max.
-  while (seen.size() < options.num_keys) {
+  const size_t max_draws = 64 * options.num_keys + 1024;
+  for (size_t draws = 0; seen.size() < options.num_keys && draws < max_draws;
+       ++draws) {
     const double u = dist.Sample(&rng);
     const uint64_t key = static_cast<uint64_t>(u * scale);
     seen.insert(key);

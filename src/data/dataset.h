@@ -34,8 +34,10 @@ struct DatasetOptions {
 
 /// Samples `options.num_keys` distinct keys from `dist` scaled into the key
 /// domain. Oversamples internally until enough distinct keys exist, so the
-/// result always has exactly `num_keys` keys (requires
-/// num_keys <= domain_max / 2).
+/// result has exactly `num_keys` keys (requires num_keys <= domain_max / 2)
+/// unless the distribution is too narrow to yield that many: generation
+/// stops after 64 * num_keys + 1024 draws, so a degenerate distribution (a
+/// vanishing spread, a huge mean) returns fewer keys instead of spinning.
 Dataset GenerateDataset(const UnitDistribution& dist,
                         const DatasetOptions& options);
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/spec_text.h"
+#include "data/dataset.h"
 
 namespace lsbench {
 namespace {
@@ -167,8 +171,6 @@ TEST(SpecTextTest, EmailDatasetKind) {
 
 constexpr char kFaultedSpec[] = R"(
 name = faulted
-fault_seed = 777
-fault_load_failures = 2
 
 [dataset]
 num_keys = 500
@@ -184,6 +186,8 @@ ops = 100
 mix = get:1.0
 
 [faults]
+seed = 777
+load_failures = 2
 phase = -1
 latency_spike_rate = 0.01
 latency_spike_us = 1500
@@ -247,31 +251,47 @@ TEST(SpecTextTest, ParsesFaultsAndResilience) {
 
 TEST(SpecTextTest, FaultsRoundTripLosslessly) {
   const RunSpec parsed = ParseRunSpecText(kFaultedSpec).value();
-
-  // Re-embed the rendered fault/resilience blocks into a minimal base spec
-  // and parse again: both blocks must survive byte-exactly in structure.
-  const std::string rendered = RenderResilienceText(parsed);
-  EXPECT_NE(rendered.find("[faults]"), std::string::npos);
-  EXPECT_NE(rendered.find("[resilience]"), std::string::npos);
-  const std::string base =
-      "name = roundtrip\n[dataset]\nnum_keys = 500\n"
-      "[phase]\nops = 100\nmix = get:1.0\n"
-      "[phase]\nops = 100\nmix = get:1.0\n";
-  const Result<RunSpec> reparsed = ParseRunSpecText(base + rendered);
+  const Result<std::string> rendered = RenderRunSpecText(parsed);
+  ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
+  EXPECT_NE(rendered.value().find("[faults]"), std::string::npos);
+  EXPECT_NE(rendered.value().find("[resilience]"), std::string::npos);
+  const Result<RunSpec> reparsed = ParseRunSpecText(rendered.value());
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   EXPECT_TRUE(reparsed.value().faults == parsed.faults);
   EXPECT_TRUE(reparsed.value().resilience == parsed.resilience);
 
   // Rendering the reparsed spec reproduces the same text (fixed point).
-  EXPECT_EQ(RenderResilienceText(reparsed.value()), rendered);
+  EXPECT_EQ(RenderRunSpecText(reparsed.value()).value(), rendered.value());
 }
 
-TEST(SpecTextTest, RenderResilienceIsEmptyForDefaultSpec) {
+TEST(SpecTextTest, PlanKeysWithoutWindowsRoundTrip) {
+  // Plan-level keys in an otherwise empty [faults] section record no
+  // window, and render back into a [faults] section of their own.
+  const RunSpec parsed =
+      ParseRunSpecText(
+          "[dataset]\nnum_keys = 100\n[phase]\nops = 10\n"
+          "[faults]\nseed = 5\nload_failures = 1\n")
+          .value();
+  EXPECT_TRUE(parsed.faults.windows.empty());
+  EXPECT_EQ(parsed.faults.seed, 5u);
+  const std::string rendered = RenderRunSpecText(parsed).value();
+  EXPECT_NE(rendered.find("\n[faults]\nseed = 5\nload_failures = 1\n"),
+            std::string::npos)
+      << rendered;
+  EXPECT_TRUE(ParseRunSpecText(rendered).value().faults == parsed.faults);
+}
+
+TEST(SpecTextTest, DefaultSectionsAreNotRendered) {
   const RunSpec plain =
       ParseRunSpecText(
           "[dataset]\nnum_keys = 100\n[phase]\nops = 10\nmix = get:1\n")
           .value();
-  EXPECT_EQ(RenderResilienceText(plain), "");
+  const std::string rendered = RenderRunSpecText(plain).value();
+  for (const char* header : {"[faults]", "[resilience]", "[service]",
+                             "[execution]", "[observability]", "[drift]"}) {
+    EXPECT_EQ(rendered.find(header), std::string::npos) << header;
+  }
+  EXPECT_EQ(rendered.find("sla_ms"), std::string::npos);
 }
 
 TEST(SpecTextTest, RejectsBadFaultValues) {
@@ -315,6 +335,87 @@ TEST(SpecTextTest, RejectsBadExecutionValues) {
                   .IsInvalidArgument());
   // Validate() rejects a zero worker count.
   EXPECT_FALSE(ParseRunSpecText(base + "[execution]\nworkers = 0\n").ok());
+}
+
+TEST(SpecTextTest, ErrorsNameTheirLine) {
+  // Key errors point at the key's line and name the key; errors found when
+  // a section closes point at its header (or, for arrival parameters, at
+  // the phase's last arrival key).
+  const std::string base =
+      "[dataset]\nnum_keys = 100\n[phase]\nops = 10\n";  // Lines 1-4.
+  struct Case {
+    std::string text;
+    const char* prefix;
+    const char* names;
+  };
+  const Case kCases[] = {
+      {"seed = banana\n", "line 1: ", "seed"},
+      {"\n[dataset]\nkind = pyramid\nnum_keys = 10\n", "line 2: ",
+       "pyramid"},
+      {"[dataset]\nnum_keys = 99999999\n[phase]\n", "line 1: ",
+       "num_keys"},
+      // A distribution too narrow for num_keys distinct keys fails instead
+      // of sampling forever.
+      {"[dataset]\nkind = gaussian\nparam1 = 1e20\n[phase]\n", "line 1: ",
+       "too few distinct keys"},
+      {"[phase]\naccess = psychic\n", "line 2: ", "access"},
+      {base + "[faults]\nexecute_fail_code = maybe\n", "line 6: ",
+       "execute_fail_code"},
+      {base + "[phase]\nops = 10\n[drift]\ntrajectory = 0.3,,0.8\n",
+       "line 8: ", "trajectory"},
+      {base + "mix = get:2,insert:-1\n", "line 5: ", "mix"},
+      {base + "mix = get:1.5,update:-0.5\n", "line 5: ", "mix"},
+      {base + "mix = fly:1.0\n", "line 5: ", "fly"},
+      {base + "batch_mix = batch_put:-0.5\n", "line 5: ", "batch_mix"},
+      {base + "batch_size = 0\n", "line 5: ", "batch_size"},
+      {base + "arrival_qps = -1\n", "line 5: ", "arrival_qps"},
+      {base + "arrival = poisson\nname = p\n", "line 5: ", "arrival_qps"},
+      {base + "priority = high\n", "line 5: ", "priority"},
+      {"bogus_key = 1\n", "line 1: ", "bogus_key"},
+      {"\n\n[bogus_section]\n", "line 3: ", "[bogus_section]"},
+      {"just some text\n", "line 1: ", "key = value"},
+  };
+  for (const Case& c : kCases) {
+    const Status status = ParseRunSpecText(c.text).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << c.text;
+    EXPECT_EQ(status.message().rfind(c.prefix, 0), 0u)
+        << c.text << " -> " << status.message();
+    EXPECT_NE(status.message().find(c.names), std::string::npos)
+        << c.text << " -> " << status.message();
+  }
+}
+
+TEST(RunSpecTest, ValidateRejectsNegativeOrNonFiniteMixFractions) {
+  RunSpec spec;
+  DatasetOptions options;
+  options.num_keys = 100;
+  spec.datasets.push_back(GenerateDataset(UniformUnit(), options));
+  spec.phases.emplace_back();
+  spec.phases[0].num_operations = 10;
+  ASSERT_TRUE(spec.Validate().ok());
+
+  double OperationMix::*const kFractions[] = {
+      &OperationMix::get,    &OperationMix::scan,
+      &OperationMix::insert, &OperationMix::update,
+      &OperationMix::del,    &OperationMix::range_count,
+      &OperationMix::batch_get, &OperationMix::batch_put};
+  for (double OperationMix::*fraction : kFractions) {
+    for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+      RunSpec copy = spec;
+      copy.phases[0].mix.get = 2.0;  // The mix stays non-empty overall.
+      copy.phases[0].mix.*fraction = bad;
+      EXPECT_TRUE(copy.Validate().IsInvalidArgument()) << bad;
+    }
+  }
+  // The two mixes that used to crash or silently run as all-gets.
+  spec.phases[0].mix.get = 2.0;
+  spec.phases[0].mix.insert = -1.0;
+  EXPECT_FALSE(spec.Validate().ok());
+  spec.phases[0].mix = OperationMix();
+  spec.phases[0].mix.get = 1.5;
+  spec.phases[0].mix.update = -0.5;
+  EXPECT_FALSE(spec.Validate().ok());
 }
 
 }  // namespace
