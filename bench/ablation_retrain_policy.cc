@@ -8,6 +8,7 @@
 
 #include "bench/bench_common.h"
 #include "core/comparison.h"
+#include "report/report.h"
 
 namespace lsbench {
 namespace {
@@ -63,7 +64,7 @@ void Main() {
   }
 
   bench::Header("Ablation — retraining policies under an abrupt shift");
-  std::printf("%s\n", RenderComparison(report.value()).c_str());
+  std::printf("%s\n", TableText(ComparisonTable(report.value())).c_str());
   std::printf(
       "=> 'never' avoids retraining cost but decays after the shift;\n"
       "   frequent small retrains trade average throughput for smoother\n"

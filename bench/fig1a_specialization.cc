@@ -59,7 +59,8 @@ void RunSystem(const RunSpec& spec, SystemUnderTest* sut) {
   bench::Header("Fig. 1a — " + sut->name());
   std::printf("%s\n", RenderRunSummary(result).c_str());
   std::printf("%s\n", RenderSpecializationReport(report).c_str());
-  std::printf("CSV:\n%s\n", SpecializationCsv(report).c_str());
+  std::printf("CSV:\n%s\n",
+              TableCsv(SpecializationTable(report)).c_str());
 }
 
 void Main() {

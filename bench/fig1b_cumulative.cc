@@ -87,7 +87,8 @@ void Main() {
               AreaBetweenCurves(adaptive_run.metrics.cumulative,
                                 frozen_run.metrics.cumulative));
   std::printf("\nCSV (%s):\n%s\n", adaptive.name().c_str(),
-              CumulativeCsv(adaptive_run.metrics.cumulative).c_str());
+              TableCsv(CumulativeTable(adaptive_run.metrics.cumulative))
+                  .c_str());
 }
 
 }  // namespace

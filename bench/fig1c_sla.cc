@@ -82,7 +82,8 @@ void RunSystem(const RunSpec& spec, SystemUnderTest* sut) {
   }
   std::printf("multi-threshold bands (<=SLA/2, <=SLA, <=4xSLA, above):\n%s",
               RenderMultiBandChart(columns).c_str());
-  std::printf("\nCSV:\n%s\n", SlaBandsCsv(result.metrics.bands).c_str());
+  std::printf("\nCSV:\n%s\n",
+              TableCsv(BandsTable(result.metrics.bands)).c_str());
 }
 
 void Main() {

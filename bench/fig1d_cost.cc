@@ -132,7 +132,7 @@ void Main() {
   }
   std::printf("\n%s\n",
               RenderCostReport(curves, base_throughput, dba).c_str());
-  std::printf("CSV:\n%s\n", CostCurveCsv(curves).c_str());
+  std::printf("CSV:\n%s\n", TableCsv(CostCurveTable(curves)).c_str());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "core/comparison.h"
 #include "core/driver.h"
 #include "data/dataset.h"
+#include "report/report.h"
 #include "sut/systems.h"
 #include "util/random.h"
 #include "workload/trace.h"
@@ -61,7 +62,7 @@ int main() {
                  report.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s\n", RenderComparison(report.value()).c_str());
+  std::printf("%s\n", TableText(ComparisonTable(report.value())).c_str());
 
   // Archive the first 1000 operations the steady phase drew (its generator
   // seed is the run seed's first fork), then replay the archived CSV as a

@@ -1,10 +1,6 @@
 #include "core/comparison.h"
 
-#include <sstream>
-
-#include "stats/ascii_chart.h"
 #include "util/assert.h"
-#include "util/string_util.h"
 
 namespace lsbench {
 
@@ -51,34 +47,6 @@ Result<ComparisonReport> CompareSystems(
     report.results.push_back(std::move(result).value());
   }
   return report;
-}
-
-std::string RenderComparison(const ComparisonReport& report) {
-  std::ostringstream os;
-  os << "=== Comparison on run '" << report.run_name << "' ===\n";
-  std::vector<std::vector<std::string>> rows;
-  for (const ComparisonRow& r : report.rows) {
-    rows.push_back({r.sut_name, HumanCount(r.mean_throughput),
-                    HumanDuration(r.p50_latency_nanos),
-                    HumanDuration(r.p99_latency_nanos),
-                    std::to_string(r.sla_violations),
-                    FormatDouble(r.adjustment_excess_seconds, 4),
-                    FormatDouble(r.area_vs_ideal, 1),
-                    FormatDouble(r.offline_train_seconds +
-                                     r.online_train_seconds,
-                                 3),
-                    std::to_string(r.retrain_events),
-                    HumanCount(static_cast<double>(r.memory_bytes))});
-  }
-  os << RenderTable({"system", "tput", "p50", "p99", "sla_viol",
-                     "adj_excess_s", "area_ideal", "train_s", "retrains",
-                     "mem_B"},
-                    rows);
-  if (!report.rows.empty()) {
-    os << "best mean throughput: "
-       << report.rows[report.BestThroughputIndex()].sut_name << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace lsbench

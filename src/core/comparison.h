@@ -49,9 +49,6 @@ Result<ComparisonReport> CompareSystems(
 /// Extracts a comparison row from a finished run.
 ComparisonRow MakeComparisonRow(const RunResult& result);
 
-/// Monospace table of the comparison (one row per system).
-std::string RenderComparison(const ComparisonReport& report);
-
 }  // namespace lsbench
 
 #endif  // LSBENCH_CORE_COMPARISON_H_

@@ -164,7 +164,7 @@ Status RunSpec::Validate() const {
     }
     for (double rate :
          {w.execute_fail_rate, w.latency_spike_rate, w.stall_rate}) {
-      if (rate < 0.0 || rate > 1.0) {
+      if (!(rate >= 0.0 && rate <= 1.0)) {  // NaN fails too.
         return Status::InvalidArgument("fault window " + std::to_string(i) +
                                        " has a rate outside [0, 1]");
       }

@@ -1,9 +1,10 @@
 #include "report/html.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
+#include "report/report.h"
+#include "report/table.h"
 #include "util/string_util.h"
 
 namespace lsbench {
@@ -55,26 +56,6 @@ void Axes(std::ostringstream* os, const std::string& x_label,
         << "\" font-size=\"10\">" << y_lo << "</text>\n";
   (*os) << "<text x=\"4\" y=\"" << (kMarginTop + 10)
         << "\" font-size=\"10\">" << y_hi << "</text>\n";
-}
-
-std::string HtmlEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '&':
-        out += "&amp;";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 void CumulativeSvg(std::ostringstream* os,
@@ -179,7 +160,7 @@ void BoxPlotsSvg(std::ostringstream* os, const SpecializationReport& report) {
 
 std::string RenderHtmlReport(const RunResult& result,
                              const SpecializationReport& specialization,
-                             const DriftTrajectoryReport* drift) {
+                             const DriftTrajectoryReport& drift) {
   std::ostringstream os;
   os << "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n<title>"
      << HtmlEscape(result.run_name) << " — " << HtmlEscape(result.sut_name)
@@ -190,213 +171,18 @@ std::string RenderHtmlReport(const RunResult& result,
   os << "<h1>LSBench run &quot;" << HtmlEscape(result.run_name)
      << "&quot; on " << HtmlEscape(result.sut_name) << "</h1>\n";
 
-  const RunMetrics& m = result.metrics;
-  os << "<table><tr><th>operations</th><th>wall (s)</th><th>mean ops/s</th>"
-        "<th>p50</th><th>p99</th><th>SLA</th><th>violations</th>"
-        "<th>train (s)</th><th>retrains</th></tr><tr>"
-     << "<td>" << m.total_operations << "</td>"
-     << "<td>" << FormatDouble(m.wall_seconds, 3) << "</td>"
-     << "<td>" << HumanCount(m.mean_throughput) << "</td>"
-     << "<td>" << HumanDuration(m.overall_latency.Median()) << "</td>"
-     << "<td>" << HumanDuration(m.overall_latency.P99()) << "</td>"
-     << "<td>" << HumanDuration(static_cast<double>(m.sla_nanos)) << "</td>"
-     << "<td>" << m.total_sla_violations << "</td>"
-     << "<td>" << FormatDouble(result.OfflineTrainSeconds(), 3) << "</td>"
-     << "<td>" << result.final_sut_stats.retrain_events << "</td>"
-     << "</tr></table>\n";
-
-  const ResilienceMetrics& rm = m.resilience;
-  if (rm.failed_operations > 0 || rm.total_retries > 0 ||
-      rm.breaker_opens > 0 || rm.failed_trains > 0) {
-    os << "<table><tr><th>availability</th><th>errors</th><th>timeouts</th>"
-          "<th>shed</th><th>retries</th><th>breaker opens</th>"
-          "<th>degraded (s)</th><th>failed trains</th></tr><tr>"
-       << "<td>" << FormatDouble(100.0 * rm.availability, 2) << "%</td>"
-       << "<td>" << rm.failed_operations << "</td>"
-       << "<td>" << rm.timeouts << "</td>"
-       << "<td>" << rm.shed_operations << "</td>"
-       << "<td>" << rm.total_retries << "</td>"
-       << "<td>" << rm.breaker_opens << "</td>"
-       << "<td>" << FormatDouble(rm.degraded_seconds, 3) << "</td>"
-       << "<td>" << rm.failed_trains << "</td>"
-       << "</tr></table>\n";
+  os << "<pre>"
+     << HtmlEscape(RenderRunSummary(result) + RenderDriftReport(drift))
+     << "</pre>\n";
+  for (const Table& table : RunTables(result, specialization, drift)) {
+    if (!table.chart) os << TableHtml(table);
   }
-
-  const ServiceMetrics& sm = m.service;
-  if (sm.enabled || sm.open_loop_operations > 0) {
-    os << "<h2>Service mode (open loop)</h2>\n"
-          "<table><tr><th>policy</th><th>queue cap</th>"
-          "<th>offered qps</th><th>goodput qps</th>"
-          "<th>response p99</th><th>service p99</th><th>queue wait p99</th>"
-          "<th>shed</th><th>shed bound</th><th>SLO p99</th></tr><tr>"
-       << "<td>" << HtmlEscape(sm.policy) << "</td>"
-       << "<td>" << sm.queue_capacity << "</td>"
-       << "<td>" << HumanCount(sm.offered_qps) << "</td>"
-       << "<td>" << HumanCount(sm.achieved_qps) << "</td>"
-       << "<td>" << HumanDuration(sm.response_latency.P99()) << "</td>"
-       << "<td>" << HumanDuration(sm.service_latency.P99()) << "</td>"
-       << "<td>" << HumanDuration(sm.queue_wait.P99()) << "</td>"
-       << "<td>" << sm.queue_shed_operations << " ("
-       << FormatDouble(100.0 * sm.shed_fraction, 2) << "%)</td>"
-       << "<td>" << FormatDouble(100.0 * sm.max_shed_fraction, 0) << "% "
-       << (sm.shed_bound_met ? "met" : "EXCEEDED") << "</td>"
-       << "<td>";
-    if (sm.slo_p99_nanos > 0) {
-      os << HumanDuration(static_cast<double>(sm.slo_p99_nanos)) << " "
-         << (sm.slo_met ? "met" : "VIOLATED");
-    } else {
-      os << "—";
-    }
-    os << "</td></tr></table>\n";
-  }
-
-  os << "<table><tr><th>phase</th><th>holdout</th><th>ops</th>"
-        "<th>mean ops/s</th><th>p99</th><th>violations</th>"
-        "<th>adjust excess (s)</th></tr>\n";
-  for (const PhaseMetrics& pm : m.phases) {
-    os << "<tr><td>" << pm.phase << "</td><td>"
-       << (pm.holdout ? "yes" : "no") << "</td><td>" << pm.operations
-       << "</td><td>" << HumanCount(pm.mean_throughput) << "</td><td>"
-       << HumanDuration(pm.latency.P99()) << "</td><td>"
-       << pm.sla_violations << "</td><td>"
-       << FormatDouble(pm.adjustment_excess_seconds, 4)
-       << "</td></tr>\n";
-  }
-  os << "</table>\n";
-
-  // Per-op-type rollup; batch rows (batch_get / batch_put) additionally
-  // report the effective per-op latency = request latency / batch size.
-  bool any_op_rows = false;
-  for (const OpTypeMetrics& ot : m.op_types) {
-    any_op_rows = any_op_rows || ot.operations > 0;
-  }
-  if (any_op_rows) {
-    os << "<h2>Per op type</h2>\n"
-          "<table><tr><th>op</th><th>ops</th><th>ok</th><th>failed</th>"
-          "<th>p50</th><th>p99</th><th>mean batch</th>"
-          "<th>effective p50</th><th>effective p99</th></tr>\n";
-    for (const OpTypeMetrics& ot : m.op_types) {
-      if (ot.operations == 0) continue;
-      const bool batch = IsBatchOp(ot.type);
-      os << "<tr><td>" << HtmlEscape(OpTypeToString(ot.type)) << "</td><td>"
-         << ot.operations << "</td><td>" << ot.ok_operations << "</td><td>"
-         << ot.failed_operations << "</td><td>"
-         << HumanDuration(ot.latency.Median()) << "</td><td>"
-         << HumanDuration(ot.latency.P99()) << "</td><td>"
-         << (batch ? FormatDouble(ot.MeanBatchSize(), 1) : "—")
-         << "</td><td>"
-         << (batch ? HumanDuration(ot.effective_latency.Median()) : "—")
-         << "</td><td>"
-         << (batch ? HumanDuration(ot.effective_latency.P99()) : "—")
-         << "</td></tr>\n";
-    }
-    os << "</table>\n";
-  }
-
-  if (drift != nullptr && !drift->transitions.empty()) {
-    os << "<h2>Drift trajectory</h2>\n";
-    if (drift->declared) {
-      os << "<p>declared trajectory, tolerance "
-         << FormatDouble(drift->tolerance, 3) << " — "
-         << (drift->AllWithinTolerance() ? "met" : "<b>VIOLATED</b>")
-         << "</p>\n";
-    }
-    os << "<table><tr><th>transition</th><th>factor</th><th>declared</th>"
-          "<th>within tol</th><th>key KS</th><th>key MMD</th>"
-          "<th>key overlap</th><th>op-mix TV</th></tr>\n";
-    for (const DriftTransitionReport& t : drift->transitions) {
-      os << "<tr><td>" << HtmlEscape(t.from_phase) << " → "
-         << HtmlEscape(t.to_phase) << "</td><td>"
-         << FormatDouble(t.components.factor, 3) << "</td><td>"
-         << (t.declared >= 0.0 ? FormatDouble(t.declared, 3) : "—")
-         << "</td><td>"
-         << (t.declared >= 0.0 ? (t.within_tolerance ? "yes" : "<b>NO</b>")
-                               : "—")
-         << "</td><td>" << FormatDouble(t.components.key_ks, 3)
-         << "</td><td>" << FormatDouble(t.components.key_mmd, 3)
-         << "</td><td>" << FormatDouble(t.components.key_overlap, 3)
-         << "</td><td>" << FormatDouble(t.components.op_mix_tv, 3)
-         << "</td></tr>\n";
-    }
-    os << "</table>\n";
-  }
-
   BoxPlotsSvg(&os, specialization);
-  CumulativeSvg(&os, m.cumulative);
-  BandsSvg(&os, m.bands);
-
-  const ObsReport& obs = result.observability;
-  if (!obs.stages.empty()) {
-    os << "<h2>Stage time breakdown</h2>\n"
-          "<table><tr><th>phase</th><th>stage</th><th>time</th>"
-          "<th>samples</th><th>share of phase</th></tr>\n";
-    for (const PhaseStageBreakdown& pb : obs.stages) {
-      const int64_t phase_total = pb.TotalNanos();
-      for (size_t s = 0; s < kNumStages; ++s) {
-        const StageAccum& accum = pb.stages[s];
-        if (accum.samples == 0) continue;
-        os << "<tr><td>"
-           << (pb.phase == PhaseStageBreakdown::kRunLevelPhase
-                   ? std::string("run")
-                   : std::to_string(pb.phase))
-           << "</td><td>" << StageName(static_cast<Stage>(s)) << "</td><td>"
-           << HumanDuration(static_cast<double>(accum.total_nanos))
-           << "</td><td>" << accum.samples << "</td><td>"
-           << FormatDouble(
-                  phase_total > 0
-                      ? 100.0 * static_cast<double>(accum.total_nanos) /
-                            static_cast<double>(phase_total)
-                      : 0.0,
-                  1)
-           << "%</td></tr>\n";
-      }
-    }
-    os << "</table>\n";
-  }
-  if (!obs.metrics.empty()) {
-    os << "<h2>Metrics</h2>\n"
-          "<table><tr><th>metric</th><th>value</th></tr>\n";
-    for (const auto& [name, value] : obs.metrics.counters) {
-      os << "<tr><td>" << HtmlEscape(name) << "</td><td>" << value
-         << "</td></tr>\n";
-    }
-    for (const auto& [name, value] : obs.metrics.gauges) {
-      os << "<tr><td>" << HtmlEscape(name) << "</td><td>" << value
-         << "</td></tr>\n";
-    }
-    for (const auto& [name, hist] : obs.metrics.histograms) {
-      os << "<tr><td>" << HtmlEscape(name) << "</td><td>count=" << hist.count
-         << " p50="
-         << HumanDuration(static_cast<double>(hist.Quantile(0.5)))
-         << " p99="
-         << HumanDuration(static_cast<double>(hist.Quantile(0.99)))
-         << "</td></tr>\n";
-    }
-    os << "</table>\n";
-  }
-  if (!obs.trace.empty()) {
-    os << "<p>trace: " << obs.trace.size() << " spans recorded</p>\n";
-  }
+  CumulativeSvg(&os, result.metrics.cumulative);
+  BandsSvg(&os, result.metrics.bands);
 
   os << "</body></html>\n";
   return os.str();
-}
-
-Status WriteHtmlReport(const RunResult& result,
-                       const SpecializationReport& specialization,
-                       const std::string& path,
-                       const DriftTrajectoryReport* drift) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return Status::IoError("cannot open for write: " + path);
-  }
-  const std::string html = RenderHtmlReport(result, specialization, drift);
-  const size_t written = std::fwrite(html.data(), 1, html.size(), file);
-  std::fclose(file);
-  if (written != html.size()) {
-    return Status::IoError("short write: " + path);
-  }
-  return Status::OK();
 }
 
 }  // namespace lsbench

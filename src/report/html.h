@@ -6,25 +6,18 @@
 #include "core/drift.h"
 #include "core/driver.h"
 #include "core/specialization.h"
-#include "util/status.h"
 
 namespace lsbench {
 
-/// Self-contained HTML report for one run: the summary table plus inline
-/// SVG renderings of the paper's Figure-1 charts (cumulative curve, SLA
-/// bands, specialization box plots). No external assets or scripts — the
-/// file can be archived next to the CSVs and opened anywhere. Pass `drift`
-/// to include the per-transition drift-trajectory table (nullptr or an
-/// empty report omits the section).
+/// Self-contained HTML report for one run: the text headline, every
+/// section of RunTables as a table, and inline SVG renderings of the
+/// paper's Figure-1 charts (specialization box plots, cumulative curve, SLA
+/// bands). No external assets or scripts — the file can be archived next to
+/// the CSVs and opened anywhere. Pass `drift` to include the drift
+/// trajectory section.
 std::string RenderHtmlReport(const RunResult& result,
                              const SpecializationReport& specialization,
-                             const DriftTrajectoryReport* drift = nullptr);
-
-/// Renders and writes the report to `path`.
-Status WriteHtmlReport(const RunResult& result,
-                       const SpecializationReport& specialization,
-                       const std::string& path,
-                       const DriftTrajectoryReport* drift = nullptr);
+                             const DriftTrajectoryReport& drift = {});
 
 }  // namespace lsbench
 

@@ -2,11 +2,27 @@
 
 #include <sstream>
 
+#include "obs/metrics_registry.h"
+#include "obs/profile.h"
 #include "stats/ascii_chart.h"
-#include "util/csv.h"
 #include "util/string_util.h"
 
 namespace lsbench {
+
+namespace {
+
+// Each section's "nothing to report" predicate, shared by its headline
+// line and its table.
+bool HasResilience(const ResilienceMetrics& rm) {
+  return rm.failed_operations > 0 || rm.total_retries > 0 ||
+         rm.breaker_opens > 0 || rm.failed_trains > 0;
+}
+
+bool HasService(const ServiceMetrics& sm) {
+  return sm.enabled || sm.open_loop_operations > 0;
+}
+
+}  // namespace
 
 std::string RenderRunSummary(const RunResult& result) {
   std::ostringstream os;
@@ -46,8 +62,7 @@ std::string RenderRunSummary(const RunResult& result) {
   os << "area vs ideal: " << FormatDouble(m.area_vs_ideal, 1)
      << " query-seconds\n";
   const ResilienceMetrics& rm = m.resilience;
-  if (rm.failed_operations > 0 || rm.total_retries > 0 ||
-      rm.breaker_opens > 0 || rm.failed_trains > 0) {
+  if (HasResilience(rm)) {
     os << "resilience: availability="
        << FormatDouble(100.0 * rm.availability, 2) << "%"
        << ", errors=" << rm.failed_operations
@@ -59,7 +74,7 @@ std::string RenderRunSummary(const RunResult& result) {
     os << "\n";
   }
   const ServiceMetrics& sm = m.service;
-  if (sm.enabled || sm.open_loop_operations > 0) {
+  if (HasService(sm)) {
     os << "service mode: policy=" << (sm.policy.empty() ? "-" : sm.policy)
        << ", queue capacity=" << sm.queue_capacity
        << ", offered=" << HumanCount(sm.offered_qps) << " qps"
@@ -92,71 +107,23 @@ std::string RenderRunSummary(const RunResult& result) {
      << ", online training="
      << FormatDouble(result.final_sut_stats.online_train_seconds, 3) << "s\n";
 
-  std::vector<std::vector<std::string>> rows;
-  for (const PhaseMetrics& pm : m.phases) {
-    rows.push_back({std::to_string(pm.phase),
-                    pm.holdout ? "yes" : "no",
-                    std::to_string(pm.operations),
-                    HumanCount(pm.mean_throughput),
-                    HumanCount(pm.throughput_box.median),
-                    HumanDuration(pm.latency.P99()),
-                    std::to_string(pm.sla_violations),
-                    FormatDouble(pm.adjustment_excess_seconds, 4)});
-  }
-  os << RenderTable({"phase", "holdout", "ops", "mean_tput", "median_tput",
-                     "p99_lat", "sla_viol", "adjust_excess_s"},
-                    rows);
-
-  // Per-op-class table. Batch classes (batch_get / batch_put) are judged by
-  // their *effective* per-op latency — the request-unit latency divided by
-  // the batch size — which is what makes their rows comparable to scalar
-  // rows; for scalar classes the two latency columns coincide and the
-  // effective columns are rendered as '-'.
-  std::vector<std::vector<std::string>> op_rows;
-  for (const OpTypeMetrics& ot : m.op_types) {
-    if (ot.operations == 0) continue;
-    const bool batch = IsBatchOp(ot.type);
-    op_rows.push_back(
-        {OpTypeToString(ot.type), std::to_string(ot.operations),
-         std::to_string(ot.ok_operations),
-         std::to_string(ot.failed_operations),
-         HumanDuration(ot.latency.Median()),
-         HumanDuration(ot.latency.P99()),
-         batch ? FormatDouble(ot.MeanBatchSize(), 1) : "-",
-         batch ? HumanDuration(ot.effective_latency.Median()) : "-",
-         batch ? HumanDuration(ot.effective_latency.P99()) : "-"});
-  }
-  if (!op_rows.empty()) {
-    os << "--- per op type (batch rows: eff_* = latency / batch size) ---\n";
-    os << RenderTable({"op", "ops", "ok", "failed", "p50_lat", "p99_lat",
-                       "mean_batch", "eff_p50", "eff_p99"},
-                      op_rows);
+  if (!result.observability.trace.empty()) {
+    os << "trace: " << result.observability.trace.size()
+       << " spans recorded (--trace-out writes the full stream)\n";
   }
   return os.str();
 }
 
 std::string RenderSpecializationReport(const SpecializationReport& report) {
-  std::ostringstream os;
-  os << "=== Specialization (Fig. 1a): throughput per workload/data "
-        "distribution, sorted by phi ===\n";
   std::vector<LabeledBox> boxes;
-  std::vector<std::vector<std::string>> rows;
   for (const SpecializationEntry& e : report.entries) {
     std::string label = "phi=" + FormatDouble(e.phi, 2) + " " + e.phase_name;
     if (e.holdout) label += " [holdout]";
     boxes.push_back({label, e.throughput_box});
-    rows.push_back({e.phase_name, FormatDouble(e.phi, 3),
-                    FormatDouble(e.data_ks, 3),
-                    FormatDouble(e.workload_jaccard, 3),
-                    HumanCount(e.mean_throughput),
-                    HumanCount(e.throughput_box.median),
-                    e.holdout ? "yes" : "no"});
   }
-  os << RenderBoxPlotChart(boxes);
-  os << RenderTable({"phase", "phi", "data_ks", "wl_jaccard", "mean_tput",
-                     "median_tput", "holdout"},
-                    rows);
-  return os.str();
+  return "=== Specialization (Fig. 1a): throughput per workload/data "
+         "distribution, sorted by phi ===\n" +
+         RenderBoxPlotChart(boxes);
 }
 
 std::string RenderCumulativeComparison(
@@ -256,261 +223,268 @@ std::string RenderCostReport(
   return os.str();
 }
 
+
+std::string RenderDriftReport(const DriftTrajectoryReport& report) {
+  if (report.transitions.empty() || !report.declared) return "";
+  return "declared drift trajectory, tolerance " +
+         FormatDouble(report.tolerance, 3) + " -> " +
+         (report.AllWithinTolerance() ? "met" : "VIOLATED") + "\n";
+}
+
 namespace {
 
-std::string PhaseLabel(int32_t phase) {
-  return phase == PhaseStageBreakdown::kRunLevelPhase ? "run"
-                                                      : std::to_string(phase);
+Table PhasesTable(const RunMetrics& metrics) {
+  Table t{"phases",
+          {"phase", "holdout", "operations", "duration_s", "mean_throughput",
+           "median_throughput", "p99_latency_ns", "sla_violations",
+           "adjustment_excess_s"}};
+  for (const PhaseMetrics& pm : metrics.phases) {
+    t.rows.push_back({Cell::Count(static_cast<int64_t>(pm.phase)),
+                      Cell::Flag(pm.holdout), Cell::Count(pm.operations),
+                      Cell::Seconds(pm.duration_seconds),
+                      Cell::Rate(pm.mean_throughput),
+                      Cell::Rate(pm.throughput_box.median),
+                      Cell::Nanos(pm.latency.P99()),
+                      Cell::Count(pm.sla_violations),
+                      Cell::Seconds(pm.adjustment_excess_seconds)});
+  }
+  return t;
+}
+
+/// One row per OpType, zero rows included so columns line up across runs.
+/// Batch classes are judged by their effective per-op latency (request
+/// latency / batch size); for scalar classes both latencies coincide.
+Table OpTypesTable(const RunMetrics& metrics) {
+  Table t{"op_types",
+          {"op_type", "operations", "ok", "failed", "p50_latency_ns",
+           "p99_latency_ns", "max_latency_ns", "mean_batch",
+           "effective_p50_ns", "effective_p99_ns"}};
+  for (const OpTypeMetrics& ot : metrics.op_types) {
+    t.rows.push_back({Cell::Text(OpTypeToString(ot.type)),
+                      Cell::Count(ot.operations),
+                      Cell::Count(ot.ok_operations),
+                      Cell::Count(ot.failed_operations),
+                      Cell::Nanos(ot.latency.Median()),
+                      Cell::Nanos(ot.latency.P99()),
+                      Cell::Nanos(ot.latency.max()),
+                      Cell::Ratio(ot.MeanBatchSize()),
+                      Cell::Nanos(ot.effective_latency.Median()),
+                      Cell::Nanos(ot.effective_latency.P99())});
+  }
+  return t;
+}
+
+/// The [service] section's verdicts and latency decomposition (response vs
+/// service time, shed accounting). Nothing to report on closed-loop runs.
+std::optional<Table> ServiceTable(const ServiceMetrics& sm) {
+  if (!HasService(sm)) return std::nullopt;
+  return Table{
+      "service",
+      {"policy", "queue_capacity", "offered_ops", "queue_shed",
+       "shed_fraction", "max_shed_fraction", "shed_bound_met", "offered_qps",
+       "achieved_qps", "response_p50_ns", "response_p99_ns", "service_p50_ns",
+       "service_p99_ns", "queue_wait_p99_ns", "slo_p99_ns", "slo_met"},
+      {{Cell::Text(sm.policy),
+        Cell::Count(static_cast<uint64_t>(sm.queue_capacity)),
+        Cell::Count(sm.open_loop_operations),
+        Cell::Count(sm.queue_shed_operations), Cell::Ratio(sm.shed_fraction),
+        Cell::Ratio(sm.max_shed_fraction), Cell::Flag(sm.shed_bound_met),
+        Cell::Rate(sm.offered_qps), Cell::Rate(sm.achieved_qps),
+        Cell::Nanos(sm.response_latency.Median()),
+        Cell::Nanos(sm.response_latency.P99()),
+        Cell::Nanos(sm.service_latency.Median()),
+        Cell::Nanos(sm.service_latency.P99()),
+        Cell::Nanos(sm.queue_wait.P99()), Cell::Nanos(sm.slo_p99_nanos),
+        Cell::Flag(sm.slo_met)}}};
+}
+
+/// Nothing to report on a run without failures, retries or breaker trips.
+std::optional<Table> ResilienceTable(const ResilienceMetrics& rm) {
+  if (!HasResilience(rm)) return std::nullopt;
+  return Table{"resilience",
+               {"availability", "failed_operations", "timeouts",
+                "shed_operations", "retries", "breaker_opens", "degraded_s",
+                "failed_trains"},
+               {{Cell::Ratio(rm.availability),
+                 Cell::Count(rm.failed_operations), Cell::Count(rm.timeouts),
+                 Cell::Count(rm.shed_operations),
+                 Cell::Count(rm.total_retries), Cell::Count(rm.breaker_opens),
+                 Cell::Seconds(rm.degraded_seconds),
+                 Cell::Count(rm.failed_trains)}}};
+}
+
+/// Where the time went, per phase (phase -1 holds load/train/merge).
+/// Nothing to report unless the spec's [observability] profile is on.
+std::optional<Table> StagesTable(const StageBreakdown& stages) {
+  if (stages.empty()) return std::nullopt;
+  Table t{"stages",
+          {"phase", "stage", "total_nanos", "samples", "share"}};
+  for (const PhaseStageBreakdown& pb : stages) {
+    const int64_t phase_total = pb.TotalNanos();
+    for (size_t s = 0; s < kNumStages; ++s) {
+      const StageAccum& accum = pb.stages[s];
+      if (accum.samples == 0) continue;
+      t.rows.push_back(
+          {Cell::Count(static_cast<int64_t>(pb.phase)),
+           Cell::Text(std::string(StageName(static_cast<Stage>(s)))),
+           Cell::Nanos(accum.total_nanos), Cell::Count(accum.samples),
+           Cell::Ratio(phase_total > 0
+                           ? static_cast<double>(accum.total_nanos) /
+                                 static_cast<double>(phase_total)
+                           : 0.0)});
+    }
+  }
+  return t;
+}
+
+/// Metrics-registry counters and gauges.
+std::optional<Table> MetricsTable(const MetricsSnapshot& metrics) {
+  if (metrics.counters.empty() && metrics.gauges.empty()) return std::nullopt;
+  Table t{"metrics", {"metric", "value"}};
+  for (const auto& [name, value] : metrics.counters) {
+    t.rows.push_back({Cell::Text(name), Cell::Count(value)});
+  }
+  for (const auto& [name, value] : metrics.gauges) {
+    t.rows.push_back({Cell::Text(name), Cell::Count(value)});
+  }
+  return t;
+}
+
+/// Metrics-registry latency histograms.
+std::optional<Table> HistogramsTable(const MetricsSnapshot& metrics) {
+  if (metrics.histograms.empty()) return std::nullopt;
+  Table t{"histograms",
+          {"histogram", "count", "p50_ns", "p99_ns", "max_ns"}};
+  for (const auto& [name, hist] : metrics.histograms) {
+    t.rows.push_back({Cell::Text(name), Cell::Count(hist.count),
+                      Cell::Nanos(hist.Quantile(0.5)),
+                      Cell::Nanos(hist.Quantile(0.99)),
+                      Cell::Nanos(hist.count > 0 ? hist.max : int64_t{0})});
+  }
+  return t;
 }
 
 }  // namespace
 
-std::string RenderObservability(const ObsReport& report) {
-  if (report.empty()) return "";
-  std::ostringstream os;
-  os << "=== Observability ===\n";
-  if (!report.stages.empty()) {
-    os << "--- stage time breakdown (per phase; 'run' = load/train/merge) "
-          "---\n";
-    std::vector<std::vector<std::string>> rows;
-    for (const PhaseStageBreakdown& pb : report.stages) {
-      const int64_t phase_total = pb.TotalNanos();
-      for (size_t s = 0; s < kNumStages; ++s) {
-        const StageAccum& accum = pb.stages[s];
-        if (accum.samples == 0) continue;
-        rows.push_back(
-            {PhaseLabel(pb.phase),
-             std::string(StageName(static_cast<Stage>(s))),
-             HumanDuration(static_cast<double>(accum.total_nanos)),
-             std::to_string(accum.samples),
-             FormatDouble(phase_total > 0
-                              ? 100.0 * static_cast<double>(accum.total_nanos) /
-                                    static_cast<double>(phase_total)
-                              : 0.0,
-                          1)});
-      }
-    }
-    os << RenderTable({"phase", "stage", "time", "samples", "phase%"}, rows);
-  }
-  if (!report.metrics.counters.empty() || !report.metrics.gauges.empty()) {
-    os << "--- counters & gauges ---\n";
-    std::vector<std::vector<std::string>> rows;
-    for (const auto& [name, value] : report.metrics.counters) {
-      rows.push_back({name, std::to_string(value)});
-    }
-    for (const auto& [name, value] : report.metrics.gauges) {
-      rows.push_back({name, std::to_string(value)});
-    }
-    os << RenderTable({"metric", "value"}, rows);
-  }
-  if (!report.metrics.histograms.empty()) {
-    os << "--- latency histograms ---\n";
-    std::vector<std::vector<std::string>> rows;
-    for (const auto& [name, hist] : report.metrics.histograms) {
-      rows.push_back({name, std::to_string(hist.count),
-                      HumanDuration(static_cast<double>(hist.Quantile(0.5))),
-                      HumanDuration(static_cast<double>(hist.Quantile(0.99))),
-                      HumanDuration(static_cast<double>(
-                          hist.count > 0 ? hist.max : 0))});
-    }
-    os << RenderTable({"histogram", "count", "p50", "p99", "max"}, rows);
-  }
-  if (!report.trace.empty()) {
-    os << "trace: " << report.trace.size()
-       << " spans recorded (--trace-out writes the full stream)\n";
-  }
-  return os.str();
-}
-
-std::string SpecializationCsv(const SpecializationReport& report) {
-  std::ostringstream out;
-  CsvWriter csv(&out);
-  csv.WriteRow({"phase", "phi", "data_ks", "workload_jaccard", "holdout",
-                "mean_throughput", "q1", "median", "q3", "min", "max"});
+Table SpecializationTable(const SpecializationReport& report) {
+  Table t{"specialization",
+          {"phase", "phi", "data_ks", "workload_jaccard", "holdout",
+           "mean_throughput", "q1", "median", "q3", "min", "max"}};
   for (const SpecializationEntry& e : report.entries) {
-    csv.WriteRow({e.phase_name, CsvWriter::Field(e.phi),
-                  CsvWriter::Field(e.data_ks),
-                  CsvWriter::Field(e.workload_jaccard),
-                  e.holdout ? "1" : "0",
-                  CsvWriter::Field(e.mean_throughput),
-                  CsvWriter::Field(e.throughput_box.q1),
-                  CsvWriter::Field(e.throughput_box.median),
-                  CsvWriter::Field(e.throughput_box.q3),
-                  CsvWriter::Field(e.throughput_box.min),
-                  CsvWriter::Field(e.throughput_box.max)});
+    t.rows.push_back({Cell::Text(e.phase_name), Cell::Ratio(e.phi),
+                      Cell::Ratio(e.data_ks), Cell::Ratio(e.workload_jaccard),
+                      Cell::Flag(e.holdout), Cell::Rate(e.mean_throughput),
+                      Cell::Rate(e.throughput_box.q1),
+                      Cell::Rate(e.throughput_box.median),
+                      Cell::Rate(e.throughput_box.q3),
+                      Cell::Rate(e.throughput_box.min),
+                      Cell::Rate(e.throughput_box.max)});
   }
-  return out.str();
+  return t;
 }
 
-std::string CumulativeCsv(const std::vector<CumulativePoint>& curve) {
-  std::ostringstream out;
-  CsvWriter csv(&out);
-  csv.WriteRow({"t_seconds", "completed"});
+Table CumulativeTable(const std::vector<CumulativePoint>& curve) {
+  Table t{"cumulative", {"t_seconds", "completed"}, {}, /*chart=*/true};
   for (const CumulativePoint& p : curve) {
-    csv.WriteRow({CsvWriter::Field(static_cast<double>(p.t_nanos) * 1e-9),
-                  CsvWriter::Field(p.completed)});
+    t.rows.push_back({Cell::Seconds(static_cast<double>(p.t_nanos) * 1e-9),
+                      Cell::Count(p.completed)});
   }
-  return out.str();
+  return t;
 }
 
-std::string SlaBandsCsv(const std::vector<LatencyBand>& bands) {
-  std::ostringstream out;
-  CsvWriter csv(&out);
-  csv.WriteRow({"start_seconds", "within_sla", "violated"});
+Table BandsTable(const std::vector<LatencyBand>& bands) {
+  Table t{"bands", {"start_seconds", "within_sla", "violated"}, {},
+          /*chart=*/true};
   for (const LatencyBand& b : bands) {
-    csv.WriteRow(
-        {CsvWriter::Field(static_cast<double>(b.start_nanos) * 1e-9),
-         CsvWriter::Field(b.within_sla), CsvWriter::Field(b.violated)});
+    t.rows.push_back(
+        {Cell::Seconds(static_cast<double>(b.start_nanos) * 1e-9),
+         Cell::Count(b.within_sla), Cell::Count(b.violated)});
   }
-  return out.str();
+  return t;
 }
 
-std::string PhaseMetricsCsv(const RunMetrics& metrics) {
-  std::ostringstream out;
-  CsvWriter csv(&out);
-  csv.WriteRow({"phase", "holdout", "operations", "duration_s",
-                "mean_throughput", "median_throughput", "p99_latency_ns",
-                "sla_violations", "adjustment_excess_s"});
-  for (const PhaseMetrics& pm : metrics.phases) {
-    csv.WriteRow({CsvWriter::Field(static_cast<int64_t>(pm.phase)),
-                  pm.holdout ? "1" : "0", CsvWriter::Field(pm.operations),
-                  CsvWriter::Field(pm.duration_seconds),
-                  CsvWriter::Field(pm.mean_throughput),
-                  CsvWriter::Field(pm.throughput_box.median),
-                  CsvWriter::Field(pm.latency.P99()),
-                  CsvWriter::Field(pm.sla_violations),
-                  CsvWriter::Field(pm.adjustment_excess_seconds)});
-  }
-  return out.str();
-}
-
-std::string OpTypeCsv(const RunMetrics& metrics) {
-  std::ostringstream out;
-  CsvWriter csv(&out);
-  csv.WriteRow({"op_type", "operations", "ok", "failed", "p50_latency_ns",
-                "p99_latency_ns", "max_latency_ns", "mean_batch",
-                "effective_p50_ns", "effective_p99_ns"});
-  for (const OpTypeMetrics& ot : metrics.op_types) {
-    csv.WriteRow({OpTypeToString(ot.type), CsvWriter::Field(ot.operations),
-                  CsvWriter::Field(ot.ok_operations),
-                  CsvWriter::Field(ot.failed_operations),
-                  CsvWriter::Field(ot.latency.Median()),
-                  CsvWriter::Field(ot.latency.P99()),
-                  CsvWriter::Field(ot.latency.max()),
-                  CsvWriter::Field(ot.MeanBatchSize()),
-                  CsvWriter::Field(ot.effective_latency.Median()),
-                  CsvWriter::Field(ot.effective_latency.P99())});
-  }
-  return out.str();
-}
-
-std::string ServiceCsv(const RunMetrics& metrics) {
-  const ServiceMetrics& sm = metrics.service;
-  std::ostringstream out;
-  CsvWriter csv(&out);
-  csv.WriteRow({"policy", "queue_capacity", "offered_ops", "queue_shed",
-                "shed_fraction", "max_shed_fraction", "shed_bound_met",
-                "offered_qps", "achieved_qps", "response_p50_ns",
-                "response_p99_ns", "service_p50_ns", "service_p99_ns",
-                "queue_wait_p99_ns", "slo_p99_ns", "slo_met"});
-  csv.WriteRow({sm.policy,
-                CsvWriter::Field(static_cast<uint64_t>(sm.queue_capacity)),
-                CsvWriter::Field(sm.open_loop_operations),
-                CsvWriter::Field(sm.queue_shed_operations),
-                CsvWriter::Field(sm.shed_fraction),
-                CsvWriter::Field(sm.max_shed_fraction),
-                sm.shed_bound_met ? "1" : "0",
-                CsvWriter::Field(sm.offered_qps),
-                CsvWriter::Field(sm.achieved_qps),
-                CsvWriter::Field(sm.response_latency.Median()),
-                CsvWriter::Field(sm.response_latency.P99()),
-                CsvWriter::Field(sm.service_latency.Median()),
-                CsvWriter::Field(sm.service_latency.P99()),
-                CsvWriter::Field(sm.queue_wait.P99()),
-                CsvWriter::Field(sm.slo_p99_nanos),
-                sm.slo_met ? "1" : "0"});
-  return out.str();
-}
-
-std::string StageBreakdownCsv(const StageBreakdown& stages) {
-  std::ostringstream out;
-  CsvWriter csv(&out);
-  csv.WriteRow({"phase", "stage", "total_nanos", "samples"});
-  for (const PhaseStageBreakdown& pb : stages) {
-    for (size_t s = 0; s < kNumStages; ++s) {
-      const StageAccum& accum = pb.stages[s];
-      if (accum.samples == 0) continue;
-      csv.WriteRow({CsvWriter::Field(static_cast<int64_t>(pb.phase)),
-                    std::string(StageName(static_cast<Stage>(s))),
-                    CsvWriter::Field(accum.total_nanos),
-                    CsvWriter::Field(accum.samples)});
-    }
-  }
-  return out.str();
-}
-
-std::string RenderDriftReport(const DriftTrajectoryReport& report) {
-  if (report.transitions.empty()) return "";
-  std::ostringstream os;
-  os << "=== Drift trajectory ===\n";
-  if (report.declared) {
-    os << "declared trajectory, tolerance "
-       << FormatDouble(report.tolerance, 3) << " -> "
-       << (report.AllWithinTolerance() ? "met" : "VIOLATED") << "\n";
-  }
-  std::vector<std::vector<std::string>> rows;
-  for (const DriftTransitionReport& t : report.transitions) {
-    rows.push_back({t.from_phase + " -> " + t.to_phase,
-                    FormatDouble(t.components.factor, 3),
-                    t.declared >= 0.0 ? FormatDouble(t.declared, 3) : "-",
-                    t.declared >= 0.0
-                        ? (t.within_tolerance ? "yes" : "NO")
-                        : "-",
-                    FormatDouble(t.components.key_ks, 3),
-                    FormatDouble(t.components.key_mmd, 3),
-                    FormatDouble(t.components.key_overlap, 3),
-                    FormatDouble(t.components.op_mix_tv, 3)});
-  }
-  os << RenderTable({"transition", "factor", "declared", "within_tol",
-                     "key_ks", "key_mmd", "key_overlap", "op_mix_tv"},
-                    rows);
-  return os.str();
-}
-
-std::string DriftCsv(const DriftTrajectoryReport& report) {
-  std::ostringstream out;
-  CsvWriter csv(&out);
-  csv.WriteRow({"transition", "from_phase", "to_phase", "factor", "declared",
-                "tolerance", "within_tolerance", "key_ks", "key_mmd",
-                "key_overlap", "op_mix_tv"});
-  for (size_t i = 0; i < report.transitions.size(); ++i) {
-    const DriftTransitionReport& t = report.transitions[i];
-    csv.WriteRow({CsvWriter::Field(static_cast<uint64_t>(i)), t.from_phase,
-                  t.to_phase, CsvWriter::Field(t.components.factor),
-                  t.declared >= 0.0 ? CsvWriter::Field(t.declared) : "",
-                  report.declared ? CsvWriter::Field(report.tolerance) : "",
-                  t.declared >= 0.0 ? (t.within_tolerance ? "1" : "0") : "",
-                  CsvWriter::Field(t.components.key_ks),
-                  CsvWriter::Field(t.components.key_mmd),
-                  CsvWriter::Field(t.components.key_overlap),
-                  CsvWriter::Field(t.components.op_mix_tv)});
-  }
-  return out.str();
-}
-
-std::string CostCurveCsv(
+Table CostCurveTable(
     const std::vector<std::pair<std::string, std::vector<CostPoint>>>&
         curves) {
-  std::ostringstream out;
-  CsvWriter csv(&out);
-  csv.WriteRow({"system", "training_dollars", "throughput"});
+  Table t{"cost", {"system", "training_dollars", "throughput"}, {},
+          /*chart=*/true};
   for (const auto& [name, points] : curves) {
     for (const CostPoint& p : points) {
-      csv.WriteRow({name, CsvWriter::Field(p.training_dollars),
-                    CsvWriter::Field(p.throughput)});
+      // Dollars have no unit kind of their own; a ratio prints the number.
+      t.rows.push_back({Cell::Text(name), Cell::Ratio(p.training_dollars),
+                        Cell::Rate(p.throughput)});
     }
   }
-  return out.str();
+  return t;
+}
+
+std::optional<Table> DriftTable(const DriftTrajectoryReport& report) {
+  if (report.transitions.empty()) return std::nullopt;
+  Table t{"drift",
+          {"transition", "from_phase", "to_phase", "factor", "declared",
+           "tolerance", "within_tolerance", "key_ks", "key_mmd",
+           "key_overlap", "op_mix_tv"}};
+  for (size_t i = 0; i < report.transitions.size(); ++i) {
+    const DriftTransitionReport& tr = report.transitions[i];
+    const bool declared = tr.declared >= 0.0;
+    t.rows.push_back(
+        {Cell::Count(static_cast<uint64_t>(i)), Cell::Text(tr.from_phase),
+         Cell::Text(tr.to_phase), Cell::Ratio(tr.components.factor),
+         declared ? Cell::Ratio(tr.declared) : Cell(),
+         report.declared ? Cell::Ratio(report.tolerance) : Cell(),
+         declared ? Cell::Flag(tr.within_tolerance) : Cell(),
+         Cell::Ratio(tr.components.key_ks), Cell::Ratio(tr.components.key_mmd),
+         Cell::Ratio(tr.components.key_overlap),
+         Cell::Ratio(tr.components.op_mix_tv)});
+  }
+  return t;
+}
+
+Table ComparisonTable(const ComparisonReport& report) {
+  Table t{"comparison",
+          {"system", "mean_throughput", "p50_latency_ns", "p99_latency_ns",
+           "sla_violations", "adjustment_excess_s", "area_vs_ideal",
+           "train_s", "retrains", "memory_bytes", "best_throughput"}};
+  const size_t best = report.BestThroughputIndex();
+  for (size_t i = 0; i < report.rows.size(); ++i) {
+    const ComparisonRow& r = report.rows[i];
+    t.rows.push_back(
+        {Cell::Text(r.sut_name), Cell::Rate(r.mean_throughput),
+         Cell::Nanos(r.p50_latency_nanos), Cell::Nanos(r.p99_latency_nanos),
+         Cell::Count(r.sla_violations),
+         Cell::Seconds(r.adjustment_excess_seconds),
+         Cell::Seconds(r.area_vs_ideal),
+         Cell::Seconds(r.offline_train_seconds + r.online_train_seconds),
+         Cell::Count(r.retrain_events),
+         Cell::Count(static_cast<uint64_t>(r.memory_bytes)),
+         Cell::Flag(i == best)});
+  }
+  return t;
+}
+
+std::vector<Table> RunTables(const RunResult& run,
+                             const SpecializationReport& specialization,
+                             const DriftTrajectoryReport& drift) {
+  const RunMetrics& m = run.metrics;
+  const MetricsSnapshot& registry = run.observability.metrics;
+  std::optional<Table> sections[] = {
+      PhasesTable(m),
+      OpTypesTable(m),
+      ServiceTable(m.service),
+      ResilienceTable(m.resilience),
+      StagesTable(run.observability.stages),
+      MetricsTable(registry),
+      HistogramsTable(registry),
+      SpecializationTable(specialization),
+      CumulativeTable(m.cumulative),
+      BandsTable(m.bands),
+      DriftTable(drift),
+  };
+  std::vector<Table> tables;
+  for (std::optional<Table>& section : sections) {
+    if (section) tables.push_back(std::move(*section));
+  }
+  return tables;
 }
 
 }  // namespace lsbench

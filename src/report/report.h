@@ -1,20 +1,24 @@
 #ifndef LSBENCH_REPORT_REPORT_H_
 #define LSBENCH_REPORT_REPORT_H_
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/comparison.h"
 #include "core/drift.h"
 #include "core/driver.h"
 #include "core/metrics.h"
 #include "core/specialization.h"
-#include "obs/observability.h"
+#include "report/table.h"
 #include "sut/cost_model.h"
 
 namespace lsbench {
 
-/// Human-readable run summary: totals, training, per-phase table.
+/// Human-readable run headline: totals, training, latency, SLA, resilience
+/// and service-mode verdicts, SUT stats and the trace span count. The
+/// per-section numbers are in RunTables.
 std::string RenderRunSummary(const RunResult& result);
 
 /// Fig. 1a — box plots per phase, sorted by Φ, hold-outs marked.
@@ -42,36 +46,37 @@ std::string RenderCostReport(
     const std::vector<std::pair<std::string, std::vector<CostPoint>>>& curves,
     double traditional_base_throughput, const DbaCostModel& dba);
 
-/// Observability: the per-phase stage-time breakdown ("where did the time
-/// go"), the merged metrics-registry snapshot (counters, gauges, latency
-/// histograms), and the trace span count. Empty report renders nothing.
-std::string RenderObservability(const ObsReport& report);
-
-/// Per-transition drift trajectory (measured factor + components, declared
-/// target and verdict when the spec carries a [drift] section). A report
-/// with no transitions renders nothing.
+/// The declared drift trajectory's overall verdict against its tolerance;
+/// empty when the spec declares no trajectory. The per-transition numbers
+/// are in DriftTable.
 std::string RenderDriftReport(const DriftTrajectoryReport& report);
 
-/// CSV emitters (one header row + data rows) for downstream plotting.
-std::string SpecializationCsv(const SpecializationReport& report);
-std::string CumulativeCsv(const std::vector<CumulativePoint>& curve);
-std::string SlaBandsCsv(const std::vector<LatencyBand>& bands);
-std::string PhaseMetricsCsv(const RunMetrics& metrics);
-/// Per-op-class rollup: one row per OpType (all kNumOpTypes rows, zero rows
-/// included so downstream columns line up across runs). Batch classes carry
-/// the effective per-op latency (request latency / batch size) next to the
-/// raw request-unit latency.
-std::string OpTypeCsv(const RunMetrics& metrics);
-/// One-row CSV of the [service] section's verdicts and latency
-/// decomposition (response vs service time, shed accounting).
-std::string ServiceCsv(const RunMetrics& metrics);
-std::string StageBreakdownCsv(const StageBreakdown& stages);
-/// One row per phase transition: measured drift factor and its components,
-/// plus the declared target and within-tolerance verdict (-1 / empty when
-/// the spec declares no trajectory).
-std::string DriftCsv(const DriftTrajectoryReport& report);
-std::string CostCurveCsv(
+// One builder per report section. A builder returning std::nullopt has
+// nothing to report for this run, and its section is left out.
+
+/// Fig. 1a rows: Φ, its components and the throughput box per phase.
+Table SpecializationTable(const SpecializationReport& report);
+/// Fig. 1b series (chart table).
+Table CumulativeTable(const std::vector<CumulativePoint>& curve);
+/// Fig. 1c series (chart table).
+Table BandsTable(const std::vector<LatencyBand>& bands);
+/// Fig. 1d series, one row per (system, sample) (chart table).
+Table CostCurveTable(
     const std::vector<std::pair<std::string, std::vector<CostPoint>>>& curves);
+/// One row per phase transition: measured drift factor and components, the
+/// declared target, tolerance and verdict (empty cells when undeclared).
+/// Nothing to report when the spec has a single phase.
+std::optional<Table> DriftTable(const DriftTrajectoryReport& report);
+/// One row per compared system; best_throughput flags the fastest.
+Table ComparisonTable(const ComparisonReport& report);
+
+/// Every section of one run, in report order: phases, op_types, service,
+/// resilience, stages, metrics, histograms, specialization, cumulative,
+/// bands, drift. Sections with nothing to report are left out. Text, CSV
+/// and HTML reports are loops over this list.
+std::vector<Table> RunTables(const RunResult& run,
+                             const SpecializationReport& specialization,
+                             const DriftTrajectoryReport& drift);
 
 }  // namespace lsbench
 

@@ -10,6 +10,7 @@
 #include "core/event_sink.h"
 #include "core/spec_text.h"
 #include "data/dataset.h"
+#include "report/report.h"
 #include "sut/systems.h"
 #include "util/random.h"
 #include "workload/trace.h"
@@ -70,10 +71,16 @@ TEST(ComparisonTest, RenderContainsAllSystems) {
   AdaptiveKvSystem b;
   const ComparisonReport report =
       CompareSystems(SmallSpec(), {&a, &b}, &clock, options).value();
-  const std::string text = RenderComparison(report);
+  const Table table = ComparisonTable(report);
+  const std::string text = TableText(table);
   EXPECT_NE(text.find("btree_system"), std::string::npos);
   EXPECT_NE(text.find("adaptive_system"), std::string::npos);
-  EXPECT_NE(text.find("best mean throughput"), std::string::npos);
+  // The best_throughput flag marks exactly the fastest system.
+  ASSERT_EQ(table.rows.size(), 2u);
+  for (size_t i = 0; i < table.rows.size(); ++i) {
+    EXPECT_EQ(table.rows[i].back().Raw(),
+              i == report.BestThroughputIndex() ? "1" : "0");
+  }
 }
 
 // ---------------------------------------------------------------------------

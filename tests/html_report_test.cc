@@ -1,9 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "core/driver.h"
 #include "core/specialization.h"
 #include "data/dataset.h"
@@ -68,22 +64,6 @@ TEST_F(HtmlReportTest, EscapesHtmlInNames) {
   const std::string html = RenderHtmlReport(run_, specialization_);
   EXPECT_NE(html.find("html_test &lt;run&gt;"), std::string::npos);
   EXPECT_EQ(html.find("html_test <run>"), std::string::npos);
-}
-
-TEST_F(HtmlReportTest, WritesFile) {
-  const std::string path = ::testing::TempDir() + "lsbench_report.html";
-  ASSERT_TRUE(WriteHtmlReport(run_, specialization_, path).ok());
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), RenderHtmlReport(run_, specialization_));
-  std::remove(path.c_str());
-}
-
-TEST_F(HtmlReportTest, WriteToBadPathFails) {
-  EXPECT_TRUE(WriteHtmlReport(run_, specialization_, "/nonexistent/x.html")
-                  .IsIoError());
 }
 
 }  // namespace

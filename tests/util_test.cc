@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -10,6 +12,7 @@
 #include "util/clock.h"
 #include "util/csv.h"
 #include "util/env.h"
+#include "util/file.h"
 #include "util/histogram.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -138,6 +141,28 @@ TEST(EnvTest, EnvFlagEnabledRequiresLeadingOne) {
   EXPECT_FALSE(EnvFlagEnabled("LSBENCH_UTIL_TEST_FLAG"));
   ::unsetenv("LSBENCH_UTIL_TEST_FLAG");
   EXPECT_FALSE(EnvFlagEnabled("LSBENCH_UTIL_TEST_FLAG"));
+}
+
+TEST(WriteTextFileTest, ReplacesContents) {
+  const std::string path = ::testing::TempDir() + "lsbench_write_test.txt";
+  ASSERT_TRUE(WriteTextFile(path, "a longer first payload").ok());
+  ASSERT_TRUE(WriteTextFile(path, "second").ok());
+  std::ifstream in(path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  EXPECT_EQ(buffer.str(), "second");
+  std::remove(path.c_str());
+}
+
+TEST(WriteTextFileTest, UnopenablePathIsIoError) {
+  EXPECT_TRUE(WriteTextFile("/nonexistent/x.txt", "x").IsIoError());
+}
+
+// /dev/full accepts the open and the buffered write, then fails the flush
+// at close: the error a full disk gives.
+TEST(WriteTextFileTest, FullDeviceIsIoError) {
+  if (!std::ifstream("/dev/full").good()) GTEST_SKIP() << "no /dev/full";
+  EXPECT_TRUE(WriteTextFile("/dev/full", "x").IsIoError());
 }
 
 TEST(ResultTest, HoldsValue) {
