@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -625,13 +626,45 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
 #endif
   }
 
-  // ---- Merge shards ----
-  Stopwatch merge_watch(clock_);
+  // ---- Fold metrics per worker, then merge shards ----
+  // Every figure but the adjustment-window excess is an order-free fold,
+  // so each worker's shard is folded on its own thread (the calling thread
+  // at workers == 1) and the folds merge exactly. The fold also checks the
+  // order the merge relies on: an out-of-order shard fails the run.
+  Stopwatch metrics_watch(clock_);
+  const MetricsOptions metrics_options = MetricsOptions::FromSpec(spec);
   std::vector<EventStream> shards;
+  std::vector<const EventStream*> shard_ptrs;
   shards.reserve(workers);
   for (WorkerContext& ctx : contexts) {
     shards.push_back(ctx.sink.TakeEvents());
   }
+  for (const EventStream& shard : shards) shard_ptrs.push_back(&shard);
+  std::vector<ShardAccumulation> folds(
+      workers, ShardAccumulation(result.boundaries, metrics_options,
+                                 ResolveSla(shard_ptrs, metrics_options)));
+  std::vector<Status> fold_status(workers);
+  const auto fold = [&folds, &fold_status, &shards](uint32_t w) {
+    fold_status[w] = folds[w].Accumulate(shards[w]);
+  };
+  if (workers == 1) {
+    fold(0);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    for (uint32_t w = 0; w < workers; ++w) threads.emplace_back(fold, w);
+    for (std::thread& t : threads) t.join();
+  }
+  for (uint32_t w = 0; w < workers; ++w) {
+    if (!fold_status[w].ok()) {
+      return Status::Internal("worker " + std::to_string(w) +
+                              " shard: " + fold_status[w].message());
+    }
+    if (w > 0) folds[0].Merge(folds[w]);
+  }
+  int64_t metrics_nanos = metrics_watch.ElapsedNanos();
+
+  Stopwatch merge_watch(clock_);
   result.events = MergeEventShards(std::move(shards));
 #if !defined(LSBENCH_NO_TRACING)
   if (driver_obs != nullptr) {
@@ -640,14 +673,16 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
   }
 #endif
 
-  // ---- Metrics ----
-  Stopwatch metrics_watch(clock_);
-  result.metrics = ComputeRunMetrics(result.events, result.boundaries,
-                                     MetricsOptions::FromSpec(spec));
+  metrics_watch.Restart();
+  result.metrics =
+      FinalizeRunMetrics(folds[0], result.events, metrics_options);
+  metrics_nanos += metrics_watch.ElapsedNanos();
 #if !defined(LSBENCH_NO_TRACING)
   if (driver_obs != nullptr) {
-    driver_obs->profiler.Add(Stage::kMetrics, metrics_watch.ElapsedNanos());
+    driver_obs->profiler.Add(Stage::kMetrics, metrics_nanos);
   }
+#else
+  (void)metrics_nanos;
 #endif
   // Driver-owned resilience state the metric layer cannot derive from the
   // event stream alone.

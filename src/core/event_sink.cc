@@ -1,8 +1,11 @@
 #include "core/event_sink.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <sstream>
 #include <utility>
+
+#include "util/assert.h"
 
 namespace lsbench {
 
@@ -19,22 +22,56 @@ EventStream MergeEventShards(std::vector<EventStream> shards) {
   if (shards.empty()) return {};
   if (shards.size() == 1) return std::move(shards[0]);
 
+  // A k-way merge: a min-heap holds each unfinished shard's next event
+  // (ties between shards broken by shard index, so equal keys still merge
+  // deterministically). The shard on top contributes its whole run of
+  // events that sort before every other shard's head -- a batch's elements
+  // usually move as one copy.
+  struct Head {
+    const EventStream* shard;
+    size_t index;
+    size_t pos;
+  };
+  const auto after = [](const Head& a, const Head& b) {
+    const OpEvent& x = (*a.shard)[a.pos];
+    const OpEvent& y = (*b.shard)[b.pos];
+    if (MergeOrderLess(x, y)) return false;
+    if (MergeOrderLess(y, x)) return true;
+    return a.index > b.index;
+  };
+  std::vector<Head> heap;
   size_t total = 0;
-  for (const EventStream& s : shards) total += s.size();
+  for (size_t i = 0; i < shards.size(); ++i) {
+    total += shards[i].size();
+    if (!shards[i].empty()) heap.push_back({&shards[i], i, 0});
+  }
+  std::make_heap(heap.begin(), heap.end(), after);
+
   EventStream merged;
   merged.reserve(total);
-  for (EventStream& s : shards) {
-    merged.insert(merged.end(), s.begin(), s.end());
-    s.clear();
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    Head& head = heap.back();
+    const EventStream& shard = *head.shard;
+    size_t end = head.pos + 1;
+    for (; end < shard.size(); ++end) {
+      LSBENCH_ASSERT_MSG(!MergeOrderLess(shard[end], shard[end - 1]),
+                         "MergeEventShards: a shard is not in "
+                         "(timestamp, seq) order");
+      if (heap.size() > 1) {
+        const Head next{&shard, head.index, end};
+        if (after(next, heap.front())) break;
+      }
+    }
+    merged.insert(merged.end(), shard.begin() + head.pos,
+                  shard.begin() + end);
+    if (end == shard.size()) {
+      heap.pop_back();
+    } else {
+      head.pos = end;
+      std::push_heap(heap.begin(), heap.end(), after);
+    }
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const OpEvent& a, const OpEvent& b) {
-              if (a.timestamp_nanos != b.timestamp_nanos) {
-                return a.timestamp_nanos < b.timestamp_nanos;
-              }
-              if (a.worker != b.worker) return a.worker < b.worker;
-              return a.seq < b.seq;
-            });
   return merged;
 }
 

@@ -116,10 +116,18 @@ class EventSink {
 };
 
 /// Merges per-worker event shards into one stream ordered by
-/// (timestamp, worker, seq). The tie-break on provenance makes the merged
-/// order a pure function of the shards' contents — two runs with identical
-/// shards merge identically no matter how threads interleaved. A single
-/// already-ordered shard passes through unchanged.
+/// (timestamp, worker, seq) (MergeOrderLess). The tie-break on provenance
+/// makes the merged order a pure function of the shards' contents — two
+/// runs with identical shards merge identically no matter how threads
+/// interleaved.
+///
+/// Precondition: every shard is already in that order, i.e. in (timestamp,
+/// seq) order, which an EventSink's shard is as long as its clock never
+/// steps back. The merge is a k-way merge of the shards, not a sort; it
+/// aborts (LSBENCH_ASSERT_MSG) on an out-of-order shard rather than
+/// re-sorting it. The driver checks each shard's order first and fails the
+/// run with a located error instead. A single shard passes through
+/// unchanged and unchecked.
 EventStream MergeEventShards(std::vector<EventStream> shards);
 
 /// Canonical one-line-per-event text form of a merged stream. Two runs

@@ -55,6 +55,17 @@ struct OpEvent {
   uint64_t seq = 0;
 };
 
+/// The deterministic merge order of events: by (timestamp, worker, seq).
+/// A worker's shard is already in this order (its completion times never
+/// decrease and its seqs count up); MergeEventShards keeps it.
+inline bool MergeOrderLess(const OpEvent& a, const OpEvent& b) {
+  if (a.timestamp_nanos != b.timestamp_nanos) {
+    return a.timestamp_nanos < b.timestamp_nanos;
+  }
+  if (a.worker != b.worker) return a.worker < b.worker;
+  return a.seq < b.seq;
+}
+
 /// When a phase ran, and whether it was out-of-sample.
 struct PhaseBoundary {
   int32_t phase = 0;

@@ -2,29 +2,77 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "core/run_spec.h"
 #include "util/assert.h"
 
 namespace lsbench {
 
+namespace {
+
+/// Which `width`-wide slot, counted from `origin`, a time falls in; times
+/// before the origin fall in slot 0. Caches the last slot's range, because
+/// a shard's times arrive in order and mostly land in the slot just used,
+/// which saves a division per event.
+class SlotCursor {
+ public:
+  SlotCursor(int64_t origin, int64_t width)
+      : origin_(origin), width_(width) {
+    LSBENCH_ASSERT(width > 0);
+  }
+
+  size_t SlotOf(int64_t t) {
+    if (t < lo_ || t >= hi_) {
+      slot_ = t <= origin_ ? 0 : static_cast<size_t>((t - origin_) / width_);
+      const int64_t start = origin_ + static_cast<int64_t>(slot_) * width_;
+      lo_ = slot_ == 0 ? INT64_MIN : start;
+      hi_ = start + width_;
+    }
+    return slot_;
+  }
+
+ private:
+  int64_t origin_;
+  int64_t width_;
+  size_t slot_ = 0;
+  int64_t lo_ = 0;  // Empty range until the first lookup.
+  int64_t hi_ = 0;
+};
+
+/// Makes `bands` at least `size` intervals long, stamping each new band's
+/// start time.
+void GrowBands(std::vector<LatencyBand>* bands, size_t size,
+               int64_t interval_nanos) {
+  for (size_t i = bands->size(); i < size; ++i) {
+    LatencyBand band;
+    band.start_nanos = static_cast<int64_t>(i) * interval_nanos;
+    bands->push_back(band);
+  }
+}
+
+/// The cumulative curve whose steps are the bands' totals: (0, 0), then one
+/// point per interval end with every completion before it.
+std::vector<CumulativePoint> CurveFromBands(
+    const std::vector<LatencyBand>& bands, int64_t interval_nanos) {
+  std::vector<CumulativePoint> curve;
+  curve.reserve(bands.size() + 1);
+  curve.push_back({0, 0});
+  uint64_t completed = 0;
+  for (size_t i = 0; i < bands.size(); ++i) {
+    completed += bands[i].Total();
+    curve.push_back({static_cast<int64_t>(i + 1) * interval_nanos, completed});
+  }
+  return curve;
+}
+
+}  // namespace
+
 std::vector<CumulativePoint> BuildCumulativeCurve(const EventStream& events,
                                                   int64_t interval_nanos) {
-  LSBENCH_ASSERT(interval_nanos > 0);
-  std::vector<CumulativePoint> curve;
-  curve.push_back({0, 0});
-  if (events.empty()) return curve;
-  int64_t boundary = interval_nanos;
-  uint64_t completed = 0;
-  for (const OpEvent& e : events) {
-    while (e.timestamp_nanos >= boundary) {
-      curve.push_back({boundary, completed});
-      boundary += interval_nanos;
-    }
-    ++completed;
-  }
-  curve.push_back({boundary, completed});
-  return curve;
+  return CurveFromBands(BuildSlaBands(events, interval_nanos, INT64_MAX),
+                        interval_nanos);
 }
 
 double AreaVsIdeal(const std::vector<CumulativePoint>& curve) {
@@ -99,20 +147,11 @@ double AreaBetweenCurves(const std::vector<CumulativePoint>& a,
 std::vector<LatencyBand> BuildSlaBands(const EventStream& events,
                                        int64_t interval_nanos,
                                        int64_t sla_nanos) {
-  LSBENCH_ASSERT(interval_nanos > 0);
+  SlotCursor interval(0, interval_nanos);
   std::vector<LatencyBand> bands;
-  if (events.empty()) return bands;
-  const int64_t last = events.back().timestamp_nanos;
-  const size_t num_bands =
-      static_cast<size_t>(last / interval_nanos) + 1;
-  bands.resize(num_bands);
-  for (size_t i = 0; i < num_bands; ++i) {
-    bands[i].start_nanos = static_cast<int64_t>(i) * interval_nanos;
-  }
   for (const OpEvent& e : events) {
-    const size_t idx =
-        static_cast<size_t>(e.timestamp_nanos / interval_nanos);
-    LSBENCH_ASSERT(idx < num_bands);
+    const size_t idx = interval.SlotOf(e.timestamp_nanos);
+    if (idx >= bands.size()) GrowBands(&bands, idx + 1, interval_nanos);
     if (e.latency_nanos <= sla_nanos) {
       ++bands[idx].within_sla;
     } else {
@@ -157,14 +196,9 @@ std::vector<MultiBand> BuildMultiBands(
   return bands;
 }
 
-int64_t CalibrateSla(const EventStream& events, double percentile,
+int64_t CalibrateSla(std::vector<double> latencies, double percentile,
                      double margin) {
-  if (events.empty()) return 1000000;  // 1 ms fallback.
-  std::vector<double> latencies;
-  latencies.reserve(events.size());
-  for (const OpEvent& e : events) {
-    latencies.push_back(static_cast<double>(e.latency_nanos));
-  }
+  if (latencies.empty()) return 1000000;  // 1 ms fallback.
   const double p = Quantile(std::move(latencies), percentile);
   const double threshold = std::max(1.0, p * margin);
   return static_cast<int64_t>(threshold);
@@ -186,38 +220,158 @@ MetricsOptions MetricsOptions::FromSpec(const RunSpec& spec) {
   return options;
 }
 
-void ShardAccumulation::Accumulate(const OpEvent& event, int64_t sla_nanos) {
-  ++operations;
-  if (event.ok) ++ok_operations;
-  latency.Record(static_cast<double>(event.latency_nanos));
-  if (event.latency_nanos > sla_nanos) ++sla_violations;
-  if (event.failed) ++failed_operations;
-  if (event.timed_out) ++timeouts;
-  if (event.shed) ++shed_operations;
-  total_retries += event.retries;
-  if (event.open_loop) {
-    ++open_loop_operations;
-    const int64_t intended = event.timestamp_nanos - event.latency_nanos;
-    intended_min_nanos = std::min(intended_min_nanos, intended);
-    intended_max_nanos = std::max(intended_max_nanos, intended);
-    if (event.queue_shed) {
-      ++queue_shed_operations;
-    } else {
-      // Executed ops only: a shed's "latency" is the policy's decision
-      // delay, not a measurement of the SUT. Since issue >= intended
-      // arrival, response >= service pointwise, so the p99 gap the report
-      // prints — the coordinated-omission error — is nonnegative by
-      // construction.
-      response_latency.Record(static_cast<double>(event.latency_nanos));
-      service_latency.Record(
-          static_cast<double>(event.timestamp_nanos - event.issue_nanos));
-      queue_wait.Record(
-          static_cast<double>(event.issue_nanos - intended));
+namespace {
+
+/// "worker W seq S at t=T ns": where an event sits in its shard.
+std::string DescribeEvent(const OpEvent& e) {
+  return "worker " + std::to_string(e.worker) + " seq " +
+         std::to_string(e.seq) + " at t=" +
+         std::to_string(e.timestamp_nanos) + " ns";
+}
+
+/// Index of the first boundary of `phase`, or boundaries.size() if none.
+size_t FindPhase(const std::vector<PhaseBoundary>& boundaries,
+                 int32_t phase) {
+  size_t i = 0;
+  while (i < boundaries.size() && boundaries[i].phase != phase) ++i;
+  return i;
+}
+
+/// Histogram::BucketFor, remembering the last value: the elements of a
+/// batch share one latency, so a shard repeats values in runs.
+class BucketMemo {
+ public:
+  int Of(double value) {
+    if (value != value_) {
+      value_ = value;
+      bucket_ = Histogram::BucketFor(value);
     }
+    return bucket_;
+  }
+
+ private:
+  double value_ = 0.0;
+  int bucket_ = Histogram::BucketFor(0.0);
+};
+
+}  // namespace
+
+ShardAccumulation::ShardAccumulation(std::vector<PhaseBoundary> boundaries_in,
+                                     const MetricsOptions& options,
+                                     int64_t sla)
+    : boundaries(std::move(boundaries_in)),
+      interval_nanos(options.interval_nanos),
+      boxplot_sample_nanos(options.boxplot_sample_nanos),
+      sla_nanos(sla),
+      op_types(kNumOpTypes),
+      phases(boundaries.size()) {
+  LSBENCH_ASSERT(interval_nanos > 0 && boxplot_sample_nanos > 0);
+  for (size_t i = 0; i < kNumOpTypes; ++i) {
+    op_types[i].type = static_cast<OpType>(i);
   }
 }
 
+Status ShardAccumulation::Accumulate(const EventStream& shard) {
+  SlotCursor interval(0, interval_nanos);
+  SlotCursor sample(0, boxplot_sample_nanos);
+  PhaseAccumulation* phase = nullptr;
+  int32_t phase_id = 0;
+  BucketMemo latency_bucket;
+  BucketMemo effective_bucket;
+  const OpEvent* prev = nullptr;
+  for (const OpEvent& e : shard) {
+    if (prev != nullptr && MergeOrderLess(e, *prev)) {
+      return Status::InvalidArgument(
+          "event out of order: " + DescribeEvent(e) + " follows " +
+          DescribeEvent(*prev) +
+          "; events must be in (timestamp, worker, seq) order");
+    }
+    prev = &e;
+    if (phase == nullptr || e.phase != phase_id) {
+      const size_t idx = FindPhase(boundaries, e.phase);
+      if (idx == boundaries.size()) {
+        return Status::InvalidArgument(
+            "event " + DescribeEvent(e) + " has phase " +
+            std::to_string(e.phase) + ", which has no phase boundary");
+      }
+      phase = &phases[idx];
+      phase_id = e.phase;
+      sample = SlotCursor(boundaries[idx].start_nanos, boxplot_sample_nanos);
+    }
+
+    const double latency_value = static_cast<double>(e.latency_nanos);
+    const int bucket = latency_bucket.Of(latency_value);
+    const bool violated = e.latency_nanos > sla_nanos;
+
+    // Whole-run totals.
+    ++operations;
+    if (e.ok) ++ok_operations;
+    latency.RecordInBucket(latency_value, bucket);
+    if (violated) ++sla_violations;
+    if (e.failed) ++failed_operations;
+    if (e.timed_out) ++timeouts;
+    if (e.shed) ++shed_operations;
+    total_retries += e.retries;
+    last_timestamp_nanos = std::max(last_timestamp_nanos, e.timestamp_nanos);
+    if (e.open_loop) {
+      ++open_loop_operations;
+      const int64_t intended = e.timestamp_nanos - e.latency_nanos;
+      intended_min_nanos = std::min(intended_min_nanos, intended);
+      intended_max_nanos = std::max(intended_max_nanos, intended);
+      if (e.queue_shed) {
+        ++queue_shed_operations;
+      } else {
+        // Executed ops only: a shed's "latency" is the policy's decision
+        // delay, not a measurement of the SUT. Since issue >= intended
+        // arrival, response >= service pointwise, so the p99 gap the
+        // report prints — the coordinated-omission error — is nonnegative
+        // by construction.
+        response_latency.RecordInBucket(latency_value, bucket);
+        service_latency.Record(
+            static_cast<double>(e.timestamp_nanos - e.issue_nanos));
+        queue_wait.Record(static_cast<double>(e.issue_nanos - intended));
+      }
+    }
+
+    // Op-type row: batch classes count per element, with the effective
+    // (per-element) latency beside the request-unit latency.
+    const size_t type = static_cast<size_t>(e.type);
+    LSBENCH_ASSERT(type < kNumOpTypes);
+    OpTypeMetrics& row = op_types[type];
+    ++row.operations;
+    if (e.ok) ++row.ok_operations;
+    if (e.failed) ++row.failed_operations;
+    row.latency.RecordInBucket(latency_value, bucket);
+    const uint32_t batch = e.batch > 0 ? e.batch : 1;
+    const double effective = latency_value / static_cast<double>(batch);
+    row.effective_latency.RecordInBucket(effective,
+                                         effective_bucket.Of(effective));
+    row.batch_sum += batch;
+
+    // Phase.
+    ++phase->operations;
+    phase->latency.RecordInBucket(latency_value, bucket);
+    if (violated) ++phase->sla_violations;
+    if (e.failed) ++phase->failed_operations;
+    const size_t s = sample.SlotOf(e.timestamp_nanos);
+    if (s >= phase->samples.size()) phase->samples.resize(s + 1);
+    ++phase->samples[s];
+
+    // Interval.
+    const size_t i = interval.SlotOf(e.timestamp_nanos);
+    if (i >= bands.size()) GrowBands(&bands, i + 1, interval_nanos);
+    if (violated) {
+      ++bands[i].violated;
+    } else {
+      ++bands[i].within_sla;
+    }
+  }
+  return Status::OK();
+}
+
 void ShardAccumulation::Merge(const ShardAccumulation& other) {
+  LSBENCH_ASSERT(other.phases.size() == phases.size() &&
+                 other.sla_nanos == sla_nanos);
   operations += other.operations;
   ok_operations += other.ok_operations;
   sla_violations += other.sla_violations;
@@ -226,6 +380,8 @@ void ShardAccumulation::Merge(const ShardAccumulation& other) {
   shed_operations += other.shed_operations;
   total_retries += other.total_retries;
   latency.Merge(other.latency);
+  last_timestamp_nanos =
+      std::max(last_timestamp_nanos, other.last_timestamp_nanos);
   open_loop_operations += other.open_loop_operations;
   queue_shed_operations += other.queue_shed_operations;
   response_latency.Merge(other.response_latency);
@@ -233,54 +389,116 @@ void ShardAccumulation::Merge(const ShardAccumulation& other) {
   queue_wait.Merge(other.queue_wait);
   intended_min_nanos = std::min(intended_min_nanos, other.intended_min_nanos);
   intended_max_nanos = std::max(intended_max_nanos, other.intended_max_nanos);
+  for (size_t t = 0; t < kNumOpTypes; ++t) {
+    OpTypeMetrics& row = op_types[t];
+    const OpTypeMetrics& add = other.op_types[t];
+    row.operations += add.operations;
+    row.ok_operations += add.ok_operations;
+    row.failed_operations += add.failed_operations;
+    row.latency.Merge(add.latency);
+    row.effective_latency.Merge(add.effective_latency);
+    row.batch_sum += add.batch_sum;
+  }
+  for (size_t p = 0; p < phases.size(); ++p) {
+    PhaseAccumulation& phase = phases[p];
+    const PhaseAccumulation& add = other.phases[p];
+    phase.operations += add.operations;
+    phase.sla_violations += add.sla_violations;
+    phase.failed_operations += add.failed_operations;
+    phase.latency.Merge(add.latency);
+    if (add.samples.size() > phase.samples.size()) {
+      phase.samples.resize(add.samples.size());
+    }
+    for (size_t s = 0; s < add.samples.size(); ++s) {
+      phase.samples[s] += add.samples[s];
+    }
+  }
+  GrowBands(&bands, other.bands.size(), interval_nanos);
+  for (size_t i = 0; i < other.bands.size(); ++i) {
+    bands[i].within_sla += other.bands[i].within_sla;
+    bands[i].violated += other.bands[i].violated;
+  }
 }
 
-RunMetrics ComputeRunMetrics(const EventStream& events,
-                             const std::vector<PhaseBoundary>& boundaries,
-                             const MetricsOptions& options) {
+int64_t ResolveSla(const std::vector<const EventStream*>& shards,
+                   const MetricsOptions& options) {
+  if (options.sla_nanos > 0) return options.sla_nanos;
+  size_t total = 0;
+  for (const EventStream* shard : shards) total += shard->size();
+  std::vector<double> latencies;
+  latencies.reserve(total);
+  for (const EventStream* shard : shards) {
+    for (const OpEvent& e : *shard) {
+      if (e.phase == 0) {
+        latencies.push_back(static_cast<double>(e.latency_nanos));
+      }
+    }
+  }
+  return CalibrateSla(std::move(latencies), options.sla_auto_percentile,
+                      options.sla_auto_margin);
+}
+
+namespace {
+
+/// Fig. 1a's box: throughput per box-plot sample, in ops/s. Every sample
+/// but the last is full. The last is scaled by its actual duration, and
+/// dropped when it covers too little of a sample to be a meaningful
+/// throughput estimate (unless it is the only sample).
+BoxPlotSummary SampleThroughputBox(const std::vector<uint64_t>& samples,
+                                   const PhaseBoundary& boundary,
+                                   int64_t sample_nanos) {
+  std::vector<double> rates;
+  if (samples.empty()) return ComputeBoxPlot(std::move(rates));
+  const size_t last = samples.size() - 1;
+  rates.reserve(samples.size());
+  const double sample_seconds = static_cast<double>(sample_nanos) * 1e-9;
+  for (size_t s = 0; s < last; ++s) {
+    rates.push_back(static_cast<double>(samples[s]) / sample_seconds);
+  }
+  const int64_t last_start =
+      boundary.start_nanos + static_cast<int64_t>(last) * sample_nanos;
+  const double partial_seconds =
+      static_cast<double>(boundary.end_nanos - last_start) * 1e-9;
+  if (partial_seconds >= 0.2 * sample_seconds || rates.empty()) {
+    rates.push_back(static_cast<double>(samples[last]) /
+                    std::max(partial_seconds, 1e-9));
+  }
+  return ComputeBoxPlot(std::move(rates));
+}
+
+}  // namespace
+
+RunMetrics FinalizeRunMetrics(const ShardAccumulation& acc,
+                              const EventStream& events,
+                              const MetricsOptions& options) {
+  LSBENCH_ASSERT_MSG(events.size() == acc.operations,
+                     "the fold must cover exactly the merged stream");
   RunMetrics metrics;
-  metrics.total_operations = events.size();
-  if (!events.empty()) {
+  metrics.total_operations = acc.operations;
+  if (acc.operations > 0) {
     metrics.wall_seconds =
-        static_cast<double>(events.back().timestamp_nanos) * 1e-9;
+        static_cast<double>(acc.last_timestamp_nanos) * 1e-9;
     if (metrics.wall_seconds > 0.0) {
       metrics.mean_throughput =
-          static_cast<double>(events.size()) / metrics.wall_seconds;
+          static_cast<double>(acc.operations) / metrics.wall_seconds;
     }
   }
-
-  // SLA threshold: fixed or calibrated on the first phase's events.
-  int64_t sla = options.sla_nanos;
-  if (sla <= 0) {
-    EventStream first_phase;
-    for (const OpEvent& e : events) {
-      if (e.phase == 0) first_phase.push_back(e);
-    }
-    sla = CalibrateSla(first_phase, options.sla_auto_percentile,
-                       options.sla_auto_margin);
-  }
+  const int64_t sla = acc.sla_nanos;
   metrics.sla_nanos = sla;
-
-  // Whole-run totals go through the same mergeable accumulation the
-  // multi-worker driver uses per shard, so the two paths cannot diverge.
-  ShardAccumulation acc;
-  for (const OpEvent& e : events) acc.Accumulate(e, sla);
   metrics.overall_latency = acc.latency;
   metrics.total_sla_violations = acc.sla_violations;
   metrics.resilience.failed_operations = acc.failed_operations;
   metrics.resilience.timeouts = acc.timeouts;
   metrics.resilience.shed_operations = acc.shed_operations;
   metrics.resilience.total_retries = acc.total_retries;
-  if (!events.empty()) {
+  if (acc.operations > 0) {
     metrics.resilience.availability =
-        static_cast<double>(events.size() -
-                            metrics.resilience.failed_operations) /
-        static_cast<double>(events.size());
+        static_cast<double>(acc.operations - acc.failed_operations) /
+        static_cast<double>(acc.operations);
   }
 
-  // Service-mode latency decomposition (populated from the same
-  // accumulation; enabled is an explicit spec echo so a run with zero
-  // open-loop events still reports the section).
+  // Service-mode latency decomposition (enabled is an explicit spec echo
+  // so a run with zero open-loop events still reports the section).
   ServiceMetrics& svc = metrics.service;
   svc.enabled = options.service_enabled;
   svc.policy = options.service_policy;
@@ -310,92 +528,71 @@ RunMetrics ComputeRunMetrics(const EventStream& events,
                 svc.response_latency.P99() <=
                     static_cast<double>(svc.slo_p99_nanos);
 
-  metrics.cumulative = BuildCumulativeCurve(events, options.interval_nanos);
+  metrics.bands = acc.bands;
+  metrics.cumulative = CurveFromBands(acc.bands, acc.interval_nanos);
   metrics.area_vs_ideal = AreaVsIdeal(metrics.cumulative);
-  metrics.bands = BuildSlaBands(events, options.interval_nanos, sla);
+  metrics.op_types = acc.op_types;
 
-  // Per-op-type rollup: one row per operation class, batch classes counted
-  // per element with effective (per-element) latency alongside the
-  // request-unit latency.
-  metrics.op_types.resize(kNumOpTypes);
-  for (size_t i = 0; i < kNumOpTypes; ++i) {
-    metrics.op_types[i].type = static_cast<OpType>(i);
-  }
-  for (const OpEvent& e : events) {
-    const size_t idx = static_cast<size_t>(e.type);
-    LSBENCH_ASSERT(idx < kNumOpTypes);
-    OpTypeMetrics& ot = metrics.op_types[idx];
-    ++ot.operations;
-    if (e.ok) ++ot.ok_operations;
-    if (e.failed) ++ot.failed_operations;
-    ot.latency.Record(static_cast<double>(e.latency_nanos));
-    const uint32_t batch = e.batch > 0 ? e.batch : 1;
-    ot.effective_latency.Record(static_cast<double>(e.latency_nanos) /
-                                static_cast<double>(batch));
-    ot.batch_sum += batch;
-  }
-
-  // Per-phase metrics.
-  metrics.phases.reserve(boundaries.size());
-  size_t event_idx = 0;
-  for (const PhaseBoundary& b : boundaries) {
-    PhaseMetrics pm;
+  const std::vector<PhaseBoundary>& boundaries = acc.boundaries;
+  metrics.phases.resize(boundaries.size());
+  uint64_t phase_operations = 0;
+  for (size_t p = 0; p < boundaries.size(); ++p) {
+    const PhaseBoundary& b = boundaries[p];
+    const PhaseAccumulation& fold = acc.phases[p];
+    PhaseMetrics& pm = metrics.phases[p];
     pm.phase = b.phase;
     pm.holdout = b.holdout;
+    pm.operations = fold.operations;
     pm.duration_seconds =
         static_cast<double>(b.end_nanos - b.start_nanos) * 1e-9;
-
-    // Events are sorted; phases are contiguous.
-    std::vector<double> per_sample_counts;
-    int64_t sample_start = b.start_nanos;
-    uint64_t sample_count = 0;
-    uint64_t window_ops = 0;
-    while (event_idx < events.size() &&
-           events[event_idx].phase == b.phase) {
-      const OpEvent& e = events[event_idx];
-      ++pm.operations;
-      pm.latency.Record(static_cast<double>(e.latency_nanos));
-      if (e.latency_nanos > sla) ++pm.sla_violations;
-      if (e.failed) ++pm.failed_operations;
-      if (window_ops < options.adjustment_window_ops) {
-        ++window_ops;
-        if (e.latency_nanos > sla) {
-          pm.adjustment_excess_seconds +=
-              static_cast<double>(e.latency_nanos - sla) * 1e-9;
-        }
-      }
-      while (e.timestamp_nanos >= sample_start + options.boxplot_sample_nanos) {
-        per_sample_counts.push_back(static_cast<double>(sample_count));
-        sample_count = 0;
-        sample_start += options.boxplot_sample_nanos;
-      }
-      ++sample_count;
-      ++event_idx;
-    }
-    // Convert per-sample counts to ops/s.
-    const double sample_seconds =
-        static_cast<double>(options.boxplot_sample_nanos) * 1e-9;
-    for (double& c : per_sample_counts) c /= sample_seconds;
-    // The trailing sample is partial: scale by its actual duration, and
-    // drop it entirely when it covers too little of the interval to be a
-    // meaningful throughput estimate (unless it is the only sample).
-    if (sample_count > 0) {
-      const double partial_seconds =
-          static_cast<double>(b.end_nanos - sample_start) * 1e-9;
-      if (partial_seconds >= 0.2 * sample_seconds ||
-          per_sample_counts.empty()) {
-        per_sample_counts.push_back(static_cast<double>(sample_count) /
-                                    std::max(partial_seconds, 1e-9));
-      }
-    }
-    pm.throughput_box = ComputeBoxPlot(std::move(per_sample_counts));
     if (pm.duration_seconds > 0.0) {
       pm.mean_throughput =
           static_cast<double>(pm.operations) / pm.duration_seconds;
     }
-    metrics.phases.push_back(std::move(pm));
+    pm.throughput_box =
+        SampleThroughputBox(fold.samples, b, acc.boxplot_sample_nanos);
+    pm.latency = fold.latency;
+    pm.sla_violations = fold.sla_violations;
+    pm.failed_operations = fold.failed_operations;
+    phase_operations += fold.operations;
+  }
+  LSBENCH_ASSERT_MSG(phase_operations == acc.operations,
+                     "every event must count under exactly one phase");
+
+  // Adjustment speed: latency above the SLA over the first
+  // adjustment_window_ops events of each phase, summed in merged order.
+  std::vector<uint64_t> window(boundaries.size());
+  uint64_t remaining = 0;
+  for (size_t p = 0; p < boundaries.size(); ++p) {
+    window[p] =
+        std::min(options.adjustment_window_ops, acc.phases[p].operations);
+    remaining += window[p];
+  }
+  size_t p = 0;
+  for (size_t idx = 0; idx < events.size() && remaining > 0; ++idx) {
+    const OpEvent& e = events[idx];
+    if (p == boundaries.size() || boundaries[p].phase != e.phase) {
+      p = FindPhase(boundaries, e.phase);
+      LSBENCH_ASSERT(p < boundaries.size());
+    }
+    if (window[p] == 0) continue;
+    --window[p];
+    --remaining;
+    if (e.latency_nanos > sla) {
+      metrics.phases[p].adjustment_excess_seconds +=
+          static_cast<double>(e.latency_nanos - sla) * 1e-9;
+    }
   }
   return metrics;
+}
+
+RunMetrics ComputeRunMetrics(const EventStream& events,
+                             const std::vector<PhaseBoundary>& boundaries,
+                             const MetricsOptions& options) {
+  ShardAccumulation acc(boundaries, options, ResolveSla({&events}, options));
+  const Status folded = acc.Accumulate(events);
+  LSBENCH_ASSERT_MSG(folded.ok(), folded.message().c_str());
+  return FinalizeRunMetrics(acc, events, options);
 }
 
 }  // namespace lsbench

@@ -8,6 +8,7 @@
 #include "core/events.h"
 #include "stats/descriptive.h"
 #include "util/histogram.h"
+#include "util/status.h"
 
 namespace lsbench {
 
@@ -50,9 +51,10 @@ std::vector<LatencyBand> BuildSlaBands(const EventStream& events,
                                        int64_t interval_nanos,
                                        int64_t sla_nanos);
 
-/// SLA threshold calibrated from observed latencies: percentile * margin
-/// (§V-D2: derive the threshold from a baseline's latency statistics).
-int64_t CalibrateSla(const EventStream& events, double percentile,
+/// SLA threshold calibrated from observed latencies (nanoseconds):
+/// percentile * margin (§V-D2: derive the threshold from a baseline's
+/// latency statistics). 1 ms when `latencies` is empty.
+int64_t CalibrateSla(std::vector<double> latencies, double percentile,
                      double margin);
 
 /// §V-D2's extension of Fig. 1c: "Increasing the number of bands and
@@ -209,13 +211,38 @@ struct MetricsOptions {
   static MetricsOptions FromSpec(const RunSpec& spec);
 };
 
-/// Order-independent aggregates of one event shard. Each worker can fold
-/// its own events into a ShardAccumulation without synchronization; merging
-/// the per-worker accumulations yields exactly the totals ComputeRunMetrics
-/// derives from the merged stream (every field is a sum, so accumulation
-/// commutes with the shard merge). ComputeRunMetrics itself routes its
-/// whole-run totals through this type to machine-enforce that property.
+/// One phase's share of a ShardAccumulation.
+struct PhaseAccumulation {
+  uint64_t operations = 0;
+  uint64_t sla_violations = 0;
+  uint64_t failed_operations = 0;
+  Histogram latency;
+  /// Completions per box-plot sample (boxplot_sample_nanos wide), counted
+  /// from the phase's start; an event before the start counts in sample 0.
+  std::vector<uint64_t> samples;
+};
+
+/// Order-free fold of one event shard: every RunMetrics figure that is a
+/// count, an integer-valued sum or a histogram. The driver folds each
+/// worker's shard on that worker's own thread and merges the folds;
+/// ComputeRunMetrics folds the merged stream as one shard. Both give the
+/// same accumulation, because every field merges exactly: integer counts;
+/// histograms, whose bucket counts, minimum and maximum (so every quantile
+/// a report prints) merge exactly; and counts indexed by op type, phase,
+/// box-plot sample and interval. The only figure that depends on the
+/// merged order, the adjustment-window excess, is left to
+/// FinalizeRunMetrics.
 struct ShardAccumulation {
+  /// An empty fold against the run's phases and its resolved SLA threshold
+  /// (see ResolveSla).
+  ShardAccumulation(std::vector<PhaseBoundary> boundaries,
+                    const MetricsOptions& options, int64_t sla_nanos);
+
+  const std::vector<PhaseBoundary> boundaries;
+  const int64_t interval_nanos;
+  const int64_t boxplot_sample_nanos;
+  const int64_t sla_nanos;
+
   uint64_t operations = 0;
   uint64_t ok_operations = 0;
   uint64_t sla_violations = 0;
@@ -224,6 +251,8 @@ struct ShardAccumulation {
   uint64_t shed_operations = 0;
   uint64_t total_retries = 0;
   Histogram latency;
+  /// Latest completion folded; 0 while empty.
+  int64_t last_timestamp_nanos = 0;
   // Open-loop / service-mode aggregates (untouched on closed-loop events).
   uint64_t open_loop_operations = 0;
   uint64_t queue_shed_operations = 0;
@@ -234,16 +263,43 @@ struct ShardAccumulation {
   /// timestamp - latency); INT64_MAX/MIN sentinels while empty.
   int64_t intended_min_nanos = INT64_MAX;
   int64_t intended_max_nanos = INT64_MIN;
+  /// Always exactly kNumOpTypes rows, indexed by static_cast<size_t>(type).
+  std::vector<OpTypeMetrics> op_types;
+  /// Parallel to `boundaries`; an event counts under the first boundary
+  /// whose phase equals its own.
+  std::vector<PhaseAccumulation> phases;
+  /// SLA bands per interval_nanos interval from t = 0; their totals are the
+  /// cumulative curve's steps.
+  std::vector<LatencyBand> bands;
 
-  /// Folds one event in. `sla_nanos` must be the run's resolved threshold.
-  void Accumulate(const OpEvent& event, int64_t sla_nanos);
+  /// Folds one shard: a worker's events, or a merged stream. Returns a
+  /// located error, naming the event's worker, seq and timestamp, when an
+  /// event sorts before its predecessor by (timestamp, worker, seq), or
+  /// when its phase has no boundary. Events folded before the error stay
+  /// counted.
+  Status Accumulate(const EventStream& shard);
 
-  /// Adds another shard's aggregates into this one.
+  /// Adds another fold of the same run (same boundaries, options and SLA).
   void Merge(const ShardAccumulation& other);
 };
 
-/// Computes the full metric suite. `events` must be sorted by timestamp and
-/// each event's phase must match one of `boundaries`.
+/// The run's SLA threshold: `options.sla_nanos` when fixed, otherwise
+/// calibrated (CalibrateSla) on the latencies of every phase-0 event in
+/// `shards`. Shard and event order do not matter.
+int64_t ResolveSla(const std::vector<const EventStream*>& shards,
+                   const MetricsOptions& options);
+
+/// Turns the fold of a whole run into its metrics. `events` is the merged
+/// stream the fold covered; only the adjustment-window excess reads it (the
+/// first adjustment_window_ops events of each phase, in merged order).
+RunMetrics FinalizeRunMetrics(const ShardAccumulation& acc,
+                              const EventStream& events,
+                              const MetricsOptions& options);
+
+/// Computes the full metric suite: ResolveSla, one fold of `events`, then
+/// FinalizeRunMetrics. `events` must be in (timestamp, worker, seq) order
+/// and each event's phase must match one of `boundaries`; a violation
+/// aborts with the fold's located message.
 RunMetrics ComputeRunMetrics(const EventStream& events,
                              const std::vector<PhaseBoundary>& boundaries,
                              const MetricsOptions& options);

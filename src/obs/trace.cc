@@ -38,8 +38,8 @@ TraceStream MergeTraceShards(std::vector<TraceStream> shards) {
     merged.insert(merged.end(), shard.begin(), shard.end());
   }
   // Each shard is already in (start, seq) order for its single worker, so a
-  // k-way merge would do; stable_sort keeps the code aligned with
-  // MergeEventShards and the cost is off the hot path.
+  // k-way merge like MergeEventShards' would do; spans exist only on traced
+  // runs, so the simpler stable_sort stays.
   std::stable_sort(merged.begin(), merged.end(), SpanBefore);
   return merged;
 }

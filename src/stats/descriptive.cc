@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <sstream>
 
 
@@ -53,19 +54,44 @@ double StreamingStats::CoefficientOfVariation() const {
   return StdDev() / m;
 }
 
+namespace {
+
+/// Where type-7 quantile q of n > 0 values falls: between order statistics
+/// `lo` and `lo + 1` (clamped to n - 1), `frac` of the way up.
+struct QuantilePosition {
+  size_t lo;
+  size_t hi;
+  double frac;
+};
+
+QuantilePosition PositionOf(size_t n, double q) {
+  q = std::clamp(q, 0.0, 1.0);
+  const double pos = q * static_cast<double>(n - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  return {lo, std::min(lo + 1, n - 1), pos - static_cast<double>(lo)};
+}
+
+}  // namespace
+
 double QuantileSorted(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  const QuantilePosition p = PositionOf(sorted.size(), q);
+  return sorted[p.lo] + p.frac * (sorted[p.hi] - sorted[p.lo]);
 }
 
 double Quantile(std::vector<double> values, double q) {
-  std::sort(values.begin(), values.end());
-  return QuantileSorted(values, q);
+  if (values.empty()) return 0.0;
+  const QuantilePosition p = PositionOf(values.size(), q);
+  // Selection instead of a sort: nth_element places order statistic `lo`
+  // and leaves everything above it in the upper partition, whose minimum
+  // is order statistic `lo + 1`. Same two doubles as sorting, so the same
+  // result bit for bit.
+  const auto lo = values.begin() + static_cast<std::ptrdiff_t>(p.lo);
+  std::nth_element(values.begin(), lo, values.end());
+  const double below = *lo;
+  const double above =
+      p.hi == p.lo ? below : *std::min_element(lo + 1, values.end());
+  return below + p.frac * (above - below);
 }
 
 std::string BoxPlotSummary::ToString() const {

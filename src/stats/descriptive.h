@@ -35,7 +35,9 @@ class StreamingStats {
 };
 
 /// Exact quantile of a sample using linear interpolation between order
-/// statistics (type-7, the numpy/R default). `q` in [0, 1]. Sorts a copy.
+/// statistics (type-7, the numpy/R default). `q` in [0, 1]. Selects the
+/// two order statistics in its by-value copy (linear time, no sort); the
+/// result equals QuantileSorted on the sorted values bit for bit.
 double Quantile(std::vector<double> values, double q);
 
 /// Quantile over already-sorted data (no copy).

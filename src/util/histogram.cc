@@ -31,6 +31,10 @@ double Histogram::BucketLower(int i) {
 double Histogram::BucketUpper(int i) { return std::pow(kGrowth, i); }
 
 void Histogram::Record(double value) {
+  RecordInBucket(value, BucketFor(value));
+}
+
+void Histogram::RecordInBucket(double value, int bucket) {
   if (value < 0.0) value = 0.0;
   if (count_ == 0) {
     min_ = value;
@@ -42,7 +46,7 @@ void Histogram::Record(double value) {
   ++count_;
   sum_ += value;
   sum_squares_ += value * value;
-  ++buckets_[BucketFor(value)];
+  ++buckets_[bucket];
 }
 
 void Histogram::Merge(const Histogram& other) {

@@ -18,6 +18,14 @@ class Histogram {
   /// Records one observation. Negative values are clamped to zero.
   void Record(double value);
 
+  /// The bucket Record(value) counts `value` in. Lets a caller that records
+  /// one value into several histograms, or the same value many times in a
+  /// row, take the logarithm once.
+  static int BucketFor(double value);
+
+  /// Record(value), given `bucket == BucketFor(value)`.
+  void RecordInBucket(double value, int bucket);
+
   /// Merges another histogram into this one.
   void Merge(const Histogram& other);
 
@@ -46,8 +54,6 @@ class Histogram {
  private:
   static constexpr int kNumBuckets = 1024;
 
-  /// Maps a value to its bucket index.
-  static int BucketFor(double value);
   /// Lower bound of bucket i.
   static double BucketLower(int i);
   /// Upper bound of bucket i.

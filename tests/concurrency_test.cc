@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/driver.h"
@@ -49,6 +50,24 @@ RunSpec MakeSpec(uint64_t seed, uint32_t workers) {
   return spec;
 }
 
+/// MakeSpec's phases as open-loop [service] traffic with a batch class in
+/// the mix, offered at 1.5x what 100 us of virtual service per op sustains,
+/// so the admission queues shed.
+RunSpec MakeServiceSpec(uint64_t seed, uint32_t workers) {
+  RunSpec spec = MakeSpec(seed, workers);
+  spec.name += "_service";
+  for (PhaseSpec& phase : spec.phases) {
+    phase.arrival = ArrivalPattern::kPoisson;
+    phase.arrival_rate_qps = 15000.0 * workers;
+    phase.mix.batch_get = 0.1;
+    phase.batch_size = 8;
+  }
+  spec.service.enabled = true;
+  spec.service.queue_capacity = 4;
+  spec.service.policy = OverloadPolicy::kDropNewest;
+  return spec;
+}
+
 RunResult RunSimulated(const RunSpec& spec, SystemUnderTest* sut) {
   VirtualClock clock;
   DriverOptions options;
@@ -73,6 +92,125 @@ void ExpectIdenticalStreams(const EventStream& a, const EventStream& b) {
     EXPECT_EQ(a[i].worker, b[i].worker) << "event " << i;
     EXPECT_EQ(a[i].seq, b[i].seq) << "event " << i;
   }
+}
+
+void ExpectSameHistogram(const Histogram& a, const Histogram& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.count(), b.count()) << what;
+  EXPECT_EQ(a.min(), b.min()) << what;
+  EXPECT_EQ(a.max(), b.max()) << what;
+  EXPECT_EQ(a.sum(), b.sum()) << what;
+  // Sums of squares can round differently in another order; no report
+  // prints them.
+  EXPECT_DOUBLE_EQ(a.StdDev(), b.StdDev()) << what;
+  for (double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(a.Quantile(q), b.Quantile(q)) << what << " q=" << q;
+  }
+}
+
+void ExpectSameBox(const BoxPlotSummary& a, const BoxPlotSummary& b,
+                   const std::string& what) {
+  EXPECT_EQ(a.count, b.count) << what;
+  EXPECT_EQ(a.min, b.min) << what;
+  EXPECT_EQ(a.q1, b.q1) << what;
+  EXPECT_EQ(a.median, b.median) << what;
+  EXPECT_EQ(a.q3, b.q3) << what;
+  EXPECT_EQ(a.max, b.max) << what;
+  EXPECT_EQ(a.mean, b.mean) << what;
+  EXPECT_EQ(a.whisker_low, b.whisker_low) << what;
+  EXPECT_EQ(a.whisker_high, b.whisker_high) << what;
+  EXPECT_EQ(a.outliers, b.outliers) << what;
+}
+
+/// Every RunMetrics field the metric layer computes. The driver stamps
+/// breaker_opens, degraded_seconds and failed_trains itself.
+void ExpectSameRunMetrics(const RunMetrics& a, const RunMetrics& b) {
+  EXPECT_EQ(a.total_operations, b.total_operations);
+  EXPECT_EQ(a.wall_seconds, b.wall_seconds);
+  EXPECT_EQ(a.mean_throughput, b.mean_throughput);
+  EXPECT_EQ(a.sla_nanos, b.sla_nanos);
+  EXPECT_EQ(a.total_sla_violations, b.total_sla_violations);
+  ExpectSameHistogram(a.overall_latency, b.overall_latency, "overall");
+
+  ASSERT_EQ(a.op_types.size(), b.op_types.size());
+  for (size_t t = 0; t < a.op_types.size(); ++t) {
+    const OpTypeMetrics& x = a.op_types[t];
+    const OpTypeMetrics& y = b.op_types[t];
+    const std::string what = "op type " + std::to_string(t);
+    EXPECT_EQ(x.type, y.type) << what;
+    EXPECT_EQ(x.operations, y.operations) << what;
+    EXPECT_EQ(x.ok_operations, y.ok_operations) << what;
+    EXPECT_EQ(x.failed_operations, y.failed_operations) << what;
+    EXPECT_EQ(x.batch_sum, y.batch_sum) << what;
+    ExpectSameHistogram(x.latency, y.latency, what);
+    ExpectSameHistogram(x.effective_latency, y.effective_latency, what);
+  }
+
+  ASSERT_EQ(a.phases.size(), b.phases.size());
+  for (size_t p = 0; p < a.phases.size(); ++p) {
+    const PhaseMetrics& x = a.phases[p];
+    const PhaseMetrics& y = b.phases[p];
+    const std::string what = "phase " + std::to_string(p);
+    EXPECT_EQ(x.phase, y.phase) << what;
+    EXPECT_EQ(x.holdout, y.holdout) << what;
+    EXPECT_EQ(x.operations, y.operations) << what;
+    EXPECT_EQ(x.duration_seconds, y.duration_seconds) << what;
+    EXPECT_EQ(x.mean_throughput, y.mean_throughput) << what;
+    ExpectSameBox(x.throughput_box, y.throughput_box, what);
+    ExpectSameHistogram(x.latency, y.latency, what);
+    EXPECT_EQ(x.sla_violations, y.sla_violations) << what;
+    EXPECT_EQ(x.adjustment_excess_seconds, y.adjustment_excess_seconds)
+        << what;
+    EXPECT_EQ(x.failed_operations, y.failed_operations) << what;
+  }
+
+  ASSERT_EQ(a.cumulative.size(), b.cumulative.size());
+  for (size_t i = 0; i < a.cumulative.size(); ++i) {
+    EXPECT_EQ(a.cumulative[i].t_nanos, b.cumulative[i].t_nanos) << i;
+    EXPECT_EQ(a.cumulative[i].completed, b.cumulative[i].completed) << i;
+  }
+  ASSERT_EQ(a.bands.size(), b.bands.size());
+  for (size_t i = 0; i < a.bands.size(); ++i) {
+    EXPECT_EQ(a.bands[i].start_nanos, b.bands[i].start_nanos) << i;
+    EXPECT_EQ(a.bands[i].within_sla, b.bands[i].within_sla) << i;
+    EXPECT_EQ(a.bands[i].violated, b.bands[i].violated) << i;
+  }
+  EXPECT_EQ(a.area_vs_ideal, b.area_vs_ideal);
+
+  const ResilienceMetrics& r = a.resilience;
+  const ResilienceMetrics& q = b.resilience;
+  EXPECT_EQ(r.failed_operations, q.failed_operations);
+  EXPECT_EQ(r.timeouts, q.timeouts);
+  EXPECT_EQ(r.shed_operations, q.shed_operations);
+  EXPECT_EQ(r.total_retries, q.total_retries);
+  EXPECT_EQ(r.availability, q.availability);
+
+  const ServiceMetrics& x = a.service;
+  const ServiceMetrics& y = b.service;
+  EXPECT_EQ(x.enabled, y.enabled);
+  EXPECT_EQ(x.policy, y.policy);
+  EXPECT_EQ(x.queue_capacity, y.queue_capacity);
+  ExpectSameHistogram(x.response_latency, y.response_latency, "response");
+  ExpectSameHistogram(x.service_latency, y.service_latency, "service");
+  ExpectSameHistogram(x.queue_wait, y.queue_wait, "queue wait");
+  EXPECT_EQ(x.open_loop_operations, y.open_loop_operations);
+  EXPECT_EQ(x.queue_shed_operations, y.queue_shed_operations);
+  EXPECT_EQ(x.shed_fraction, y.shed_fraction);
+  EXPECT_EQ(x.offered_qps, y.offered_qps);
+  EXPECT_EQ(x.achieved_qps, y.achieved_qps);
+  EXPECT_EQ(x.slo_p99_nanos, y.slo_p99_nanos);
+  EXPECT_EQ(x.max_shed_fraction, y.max_shed_fraction);
+  EXPECT_EQ(x.slo_met, y.slo_met);
+  EXPECT_EQ(x.shed_bound_met, y.shed_bound_met);
+}
+
+/// The metrics the driver reports (each worker's shard folded on its own
+/// thread, the folds merged) equal ComputeRunMetrics on the merged stream.
+void ExpectDriverFoldMatchesMergedStream(const RunSpec& spec,
+                                         const RunResult& run) {
+  ExpectSameRunMetrics(run.metrics,
+                       ComputeRunMetrics(run.events, run.boundaries,
+                                         MetricsOptions::FromSpec(spec)));
 }
 
 class ConcurrencyTest : public ::testing::Test {
@@ -244,6 +382,7 @@ TEST_F(ConcurrencyTest, RealClockFanOutRunsToCompletion) {
               run.events[i - 1].timestamp_nanos);
     EXPECT_GE(run.events[i].phase, run.events[i - 1].phase);
   }
+  ExpectDriverFoldMatchesMergedStream(spec, run);
 }
 
 TEST_F(ConcurrencyTest, SerializingSutReportsThreadSafe) {
@@ -271,33 +410,38 @@ TEST_F(ConcurrencyTest, PartitionedKvMatchesBTreeResults) {
 }
 
 TEST_F(ConcurrencyTest, ShardAccumulationCommutesWithMerge) {
-  const RunSpec spec = MakeSpec(17, 4);
-  PartitionedKvSystem sut(8);
-  const RunResult run = RunSimulated(spec, &sut);
-  const int64_t sla = run.metrics.sla_nanos;
+  for (const bool service : {false, true}) {
+    for (const uint32_t workers : {1u, 2u, 4u}) {
+      for (const int64_t sla : {int64_t{0}, int64_t{150000}}) {
+        RunSpec spec =
+            service ? MakeServiceSpec(17, workers) : MakeSpec(17, workers);
+        spec.sla.threshold_nanos = sla;  // 0 calibrates on phase 0.
+        SCOPED_TRACE(spec.name + " sla=" + std::to_string(sla));
+        PartitionedKvSystem sut(8);
+        const RunResult run = RunSimulated(spec, &sut);
+        if (service) {
+          EXPECT_GT(run.metrics.service.queue_shed_operations, 0u);
+        }
+        ExpectDriverFoldMatchesMergedStream(spec, run);
 
-  // Whole-stream accumulation...
-  ShardAccumulation whole;
-  for (const OpEvent& e : run.events) whole.Accumulate(e, sla);
-
-  // ...equals per-worker accumulation merged in any order.
-  std::vector<ShardAccumulation> shards(4);
-  for (const OpEvent& e : run.events) shards[e.worker].Accumulate(e, sla);
-  ShardAccumulation merged;
-  for (size_t w = shards.size(); w-- > 0;) merged.Merge(shards[w]);
-
-  EXPECT_EQ(whole.operations, merged.operations);
-  EXPECT_EQ(whole.ok_operations, merged.ok_operations);
-  EXPECT_EQ(whole.sla_violations, merged.sla_violations);
-  EXPECT_EQ(whole.failed_operations, merged.failed_operations);
-  EXPECT_EQ(whole.timeouts, merged.timeouts);
-  EXPECT_EQ(whole.shed_operations, merged.shed_operations);
-  EXPECT_EQ(whole.total_retries, merged.total_retries);
-  EXPECT_EQ(whole.latency.count(), merged.latency.count());
-  EXPECT_EQ(whole.latency.sum(), merged.latency.sum());
-  // And both match the driver's reported totals.
-  EXPECT_EQ(whole.operations, run.metrics.total_operations);
-  EXPECT_EQ(whole.sla_violations, run.metrics.total_sla_violations);
+        // Per-worker folds merged in reverse order give the same metrics
+        // again.
+        const MetricsOptions options = MetricsOptions::FromSpec(spec);
+        std::vector<EventStream> shards(workers);
+        for (const OpEvent& e : run.events) shards[e.worker].push_back(e);
+        const ShardAccumulation empty(run.boundaries, options,
+                                      run.metrics.sla_nanos);
+        ShardAccumulation merged = empty;
+        for (size_t w = shards.size(); w-- > 0;) {
+          ShardAccumulation fold = empty;
+          ASSERT_TRUE(fold.Accumulate(shards[w]).ok());
+          merged.Merge(fold);
+        }
+        ExpectSameRunMetrics(run.metrics,
+                             FinalizeRunMetrics(merged, run.events, options));
+      }
+    }
+  }
 }
 
 TEST_F(ConcurrencyTest, ExecutionSpecValidation) {

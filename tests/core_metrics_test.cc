@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/metrics.h"
@@ -127,14 +128,9 @@ TEST(SlaBandsTest, EmptyEvents) {
 }
 
 TEST(CalibrateSlaTest, UsesPercentileTimesMargin) {
-  EventStream events;
-  for (int i = 1; i <= 100; ++i) {
-    OpEvent e;
-    e.timestamp_nanos = i;
-    e.latency_nanos = i * 1000;  // 1..100 us.
-    events.push_back(e);
-  }
-  const int64_t sla = CalibrateSla(events, 0.99, 2.0);
+  std::vector<double> latencies;
+  for (int i = 1; i <= 100; ++i) latencies.push_back(i * 1000.0);  // 1..100 us.
+  const int64_t sla = CalibrateSla(latencies, 0.99, 2.0);
   // p99 of 1..100us is ~99.01us in the interpolated definition; x2 margin.
   EXPECT_NEAR(static_cast<double>(sla), 198020.0, 3000.0);
 }
@@ -247,6 +243,64 @@ TEST(RunMetricsTest, AutoSlaCalibrationUsesPhaseZero) {
               0.1 * kMilli);
   EXPECT_EQ(m.phases[0].sla_violations, 0u);
   EXPECT_EQ(m.phases[1].sla_violations, 200u);  // All of phase 1 violates.
+}
+
+TEST(RunMetricsTest, NonContiguousPhasesCountEveryEvent) {
+  // A merged stream can interleave phases where completions tie across
+  // workers at a phase barrier. Every event still counts under its phase.
+  EventStream events(6);
+  const int32_t phases[] = {0, 0, 1, 0, 1, 1};
+  for (size_t i = 0; i < events.size(); ++i) {
+    events[i].timestamp_nanos = static_cast<int64_t>(i / 2) * kMilli;
+    events[i].latency_nanos = kMilli;
+    events[i].phase = phases[i];
+    events[i].worker = static_cast<uint32_t>(i % 2);
+    events[i].seq = i / 2;
+    events[i].ok = true;
+  }
+  std::vector<PhaseBoundary> boundaries(2);
+  boundaries[0] = {0, 0, kMilli, false, 3};
+  boundaries[1] = {1, kMilli, 3 * kMilli, false, 3};
+  MetricsOptions options;
+  options.sla_nanos = 2 * kMilli;
+  const RunMetrics m = ComputeRunMetrics(events, boundaries, options);
+  EXPECT_EQ(m.total_operations, 6u);
+  ASSERT_EQ(m.phases.size(), 2u);
+  EXPECT_EQ(m.phases[0].operations, 3u);
+  EXPECT_EQ(m.phases[1].operations, 3u);
+  EXPECT_EQ(m.phases[0].latency.count() + m.phases[1].latency.count(), 6u);
+}
+
+TEST(RunMetricsTest, FoldRejectsPhaseWithoutBoundary) {
+  EventStream events = ConstantRate(0, 1, 10, kMilli, 0);
+  events[4].phase = 7;
+  events[4].worker = 2;
+  events[4].seq = 4;
+  std::vector<PhaseBoundary> boundaries(1);
+  boundaries[0] = {0, 0, kSecond, false, 10};
+  const MetricsOptions options;
+  ShardAccumulation acc(boundaries, options, kMilli);
+  const Status status = acc.Accumulate(events);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.message(),
+            "event worker 2 seq 4 at t=400000000 ns has phase 7, which has "
+            "no phase boundary");
+  EXPECT_DEATH(ComputeRunMetrics(events, boundaries, options),
+               "has phase 7, which has no phase boundary");
+}
+
+TEST(RunMetricsTest, FoldRejectsOutOfOrderEvents) {
+  EventStream events = ConstantRate(0, 1, 10, kMilli, 0);
+  std::swap(events[2], events[5]);
+  std::vector<PhaseBoundary> boundaries(1);
+  boundaries[0] = {0, 0, kSecond, false, 10};
+  ShardAccumulation acc(boundaries, MetricsOptions(), kMilli);
+  const Status status = acc.Accumulate(events);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.message(),
+            "event out of order: worker 0 seq 0 at t=300000000 ns follows "
+            "worker 0 seq 0 at t=500000000 ns; events must be in "
+            "(timestamp, worker, seq) order");
 }
 
 TEST(RunMetricsTest, EmptyRun) {

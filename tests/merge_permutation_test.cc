@@ -11,17 +11,25 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <regex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/driver.h"
 #include "core/event_sink.h"
 #include "core/events.h"
+#include "core/run_spec.h"
+#include "data/dataset.h"
 #include "obs/metrics_registry.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "sut/concurrent_kv.h"
+#include "util/atomic.h"
+#include "util/clock.h"
 #include "util/random.h"
 
 namespace lsbench {
@@ -98,6 +106,115 @@ TEST(MergePermutation, MergedEventStreamIsProvenanceOrdered) {
       return std::make_tuple(e.timestamp_nanos, e.worker, e.seq);
     };
     EXPECT_LT(key(a), key(b)) << "merge order violated at index " << i;
+  }
+}
+
+// --- k-way merge against the sort it replaced ------------------------------
+
+// What MergeEventShards did before it became a k-way merge: concatenate the
+// shards and sort by (timestamp, worker, seq). Kept as the oracle.
+EventStream SortMerge(const std::vector<EventStream>& shards) {
+  if (shards.size() == 1) return shards[0];
+  EventStream merged;
+  for (const EventStream& s : shards) {
+    merged.insert(merged.end(), s.begin(), s.end());
+  }
+  std::sort(merged.begin(), merged.end(),
+            [](const OpEvent& a, const OpEvent& b) {
+              if (a.timestamp_nanos != b.timestamp_nanos) {
+                return a.timestamp_nanos < b.timestamp_nanos;
+              }
+              if (a.worker != b.worker) return a.worker < b.worker;
+              return a.seq < b.seq;
+            });
+  return merged;
+}
+
+// A shard whose timestamps start in [0, 4) and step by 0 or 1, so shards tie
+// with each other on most timestamps, and runs of equal timestamps inside a
+// shard stand in for a batch's elements.
+EventStream MakeTiedShard(Rng* rng, uint32_t worker, size_t n) {
+  EventStream shard;
+  int64_t ts = static_cast<int64_t>(rng->NextBounded(4));
+  for (size_t i = 0; i < n; ++i) {
+    ts += static_cast<int64_t>(rng->NextBounded(2));
+    OpEvent e;
+    e.timestamp_nanos = ts;
+    e.latency_nanos = static_cast<int64_t>(rng->NextBounded(50));
+    e.rows = rng->NextBounded(8);
+    e.worker = worker;
+    e.seq = i;
+    shard.push_back(e);
+  }
+  return shard;
+}
+
+TEST(MergePermutation, KWayMergeEqualsSortMerge) {
+  Rng rng(5000);
+  for (uint32_t k = 1; k <= 8; ++k) {
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<EventStream> shards;
+      for (uint32_t w = 0; w < k; ++w) {
+        // A quarter of the shards are empty.
+        const size_t n = rng.NextBounded(4) == 0 ? 0 : rng.NextBounded(64);
+        shards.push_back(MakeTiedShard(&rng, w, n));
+      }
+      EXPECT_EQ(SerializeEventStream(SortMerge(shards)),
+                SerializeEventStream(MergeEventShards(shards)))
+          << "k=" << k << " trial " << trial;
+    }
+  }
+}
+
+TEST(MergePermutation, OutOfOrderShardAbortsTheMerge) {
+  Rng rng(5001);
+  std::vector<EventStream> shards;
+  shards.push_back(MakeTiedShard(&rng, 0, 16));
+  shards.push_back(MakeTiedShard(&rng, 1, 16));
+  std::swap(shards[1][3], shards[1][9]);
+  EXPECT_DEATH(MergeEventShards(shards), "not in \\(timestamp, seq\\) order");
+}
+
+// A clock that, every seventh read, reads half a millisecond early -- the
+// kind of step backwards that leaves a worker's shard out of order.
+class DippingClock final : public Clock {
+ public:
+  int64_t NowNanos() const override {
+    const int64_t n = reads_.Add(1);
+    return n % 7 == 6 ? n * 1000 - 500000 : n * 1000;
+  }
+
+ private:
+  mutable Atomic<int64_t> reads_{1000};
+};
+
+RunSpec SmallSpec(uint32_t workers) {
+  RunSpec spec;
+  spec.name = "dipping_clock_w" + std::to_string(workers);
+  DatasetOptions options;
+  options.num_keys = 1000;
+  spec.datasets.push_back(GenerateDataset(UniformUnit(), options));
+  PhaseSpec phase;
+  phase.num_operations = 400;
+  phase.mix = OperationMix::ReadMostly();
+  spec.phases.push_back(phase);
+  spec.execution.workers = workers;
+  return spec;
+}
+
+TEST(MergePermutation, DriverRejectsOutOfOrderShard) {
+  const std::regex located(
+      "worker [0-9]+ shard: event out of order: worker [0-9]+ seq [0-9]+ "
+      "at t=-?[0-9]+ ns follows worker [0-9]+ seq [0-9]+ at t=-?[0-9]+ ns");
+  for (const uint32_t workers : {1u, 2u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    DippingClock clock;
+    PartitionedKvSystem sut(4);
+    BenchmarkDriver driver(&clock);
+    const Result<RunResult> run = driver.Run(SmallSpec(workers), &sut);
+    ASSERT_FALSE(run.ok());
+    EXPECT_TRUE(std::regex_search(run.status().message(), located))
+        << run.status().ToString();
   }
 }
 

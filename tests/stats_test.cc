@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "stats/descriptive.h"
@@ -82,6 +84,31 @@ TEST(QuantileTest, LinearInterpolation) {
 TEST(QuantileTest, EmptyAndSingle) {
   EXPECT_EQ(Quantile({}, 0.5), 0.0);
   EXPECT_DOUBLE_EQ(Quantile({7.0}, 0.9), 7.0);
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+TEST(QuantileTest, SelectionMatchesSortOracleBitForBit) {
+  Rng rng(77);
+  for (size_t n = 1; n <= 1000; n += n < 40 ? 1 : 37) {
+    std::vector<double> values(n);
+    // Few distinct values, so most order statistics are duplicated, plus a
+    // fractional part so the interpolation does real work.
+    const uint64_t distinct = 1 + rng.NextBounded(n < 8 ? 4 : n / 4);
+    for (double& v : values) {
+      v = static_cast<double>(rng.NextBounded(distinct)) * 1.375 + 0.1;
+    }
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    for (double q : {0.0, 0.01, 0.5, 0.99, 1.0}) {
+      EXPECT_EQ(Bits(Quantile(values, q)), Bits(QuantileSorted(sorted, q)))
+          << "n=" << n << " q=" << q;
+    }
+  }
 }
 
 TEST(BoxPlotTest, FiveNumberSummary) {
