@@ -1,6 +1,7 @@
 // Micro-benchmarks for the learned components beyond indexing: learned sort
 // vs std::sort, cardinality estimators (latency and accuracy), the
-// similarity statistics powering the phi axis, and the drift detector.
+// similarity statistics powering the phi axis, and the drift detector —
+// plus dataset generation, which is most of a large run's set-up.
 
 #include <benchmark/benchmark.h>
 
@@ -24,6 +25,28 @@ std::vector<Key> SortInput(size_t n, uint64_t seed) {
   for (Key& k : keys) k = static_cast<Key>(dist.Sample(&rng) * 9e18);
   return keys;
 }
+
+// Arg 0: uniform keys, arg 1: lognormal(0, 1.5) keys; 1M keys per run.
+// The per_key counter is the time per generated key.
+void BM_GenerateDataset(benchmark::State& state) {
+  const UniformUnit uniform;
+  const LognormalUnit lognormal(0.0, 1.5);
+  const UnitDistribution& dist =
+      state.range(0) == 0 ? static_cast<const UnitDistribution&>(uniform)
+                          : lognormal;
+  DatasetOptions options;
+  options.num_keys = 1000000;
+  for (auto _ : state) {
+    const Dataset ds = GenerateDataset(dist, options);
+    benchmark::DoNotOptimize(ds.keys.data());
+  }
+  state.SetLabel(dist.name());
+  state.counters["per_key"] = benchmark::Counter(
+      static_cast<double>(options.num_keys),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_GenerateDataset)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_StdSort(benchmark::State& state) {
   const auto input = SortInput(static_cast<size_t>(state.range(0)), 1);

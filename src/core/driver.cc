@@ -1,6 +1,7 @@
 #include "core/driver.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <string>
 #include <thread>
@@ -55,6 +56,12 @@ constexpr uint64_t kWorkerStreamTag = 0x3077ab5cULL;
 /// Stream tag for the backoff-jitter fork (historical constant — worker 0
 /// must reproduce the monolithic driver's backoff sequence).
 constexpr uint64_t kBackoffStreamTag = 0x0ba2c0ffULL;
+
+/// Headroom of each worker's event arena over its expected element count,
+/// in binomial standard deviations of the batch-unit count
+/// (ExpectedArenaEvents). A worker that draws past it records through
+/// EventSink's allocating overflow path, recording the same events.
+constexpr double kArenaMarginSigmas = 6.0;
 
 /// Routes one worker's Execute calls through its fault lane. Phase
 /// notifications and lifecycle calls are orchestrator business — the
@@ -309,6 +316,22 @@ std::vector<KeyValue> BuildLoadImage(const RunSpec& spec) {
   return pairs;
 }
 
+uint64_t ExpectedArenaEvents(uint64_t ops, double batch_probability,
+                             uint64_t batch_size, double margin_sigmas) {
+  LSBENCH_ASSERT(margin_sigmas >= 0.0);
+  if (batch_size <= 1 || batch_probability <= 0.0) return ops;
+  const uint64_t worst = ops * batch_size;
+  const double units = static_cast<double>(ops) * batch_probability;
+  const double spread =
+      std::sqrt(units * std::max(0.0, 1.0 - batch_probability));
+  const double bound =
+      static_cast<double>(ops) +
+      (units + margin_sigmas * spread) * static_cast<double>(batch_size - 1);
+  return bound < static_cast<double>(worst)
+             ? static_cast<uint64_t>(std::ceil(bound))
+             : worst;
+}
+
 uint64_t WorkerShare(uint64_t total, uint32_t workers, uint32_t worker) {
   LSBENCH_ASSERT(workers > 0 && worker < workers);
   return total / workers + (worker < total % workers ? 1 : 0);
@@ -434,20 +457,28 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
   // Batch accounting: a batch issue expands into batch_size per-element
   // events, and transition blending can carry the previous phase's batch
   // class into this phase's window — so each phase's event multiplier is
-  // the largest batch its window can draw. Trace phases are scalar-only.
-  const auto phase_has_batch = [](const PhaseSpec& p) {
-    return p.trace == nullptr &&
-           (p.mix.batch_get > 0.0 || p.mix.batch_put > 0.0);
+  // the largest batch its window can draw, drawn with the larger of the two
+  // phases' batch probabilities. Trace phases are scalar-only.
+  const auto batch_probability = [](const PhaseSpec& p) {
+    const double total = p.mix.Total();
+    if (p.trace != nullptr || total <= 0.0) return 0.0;
+    return (p.mix.batch_get + p.mix.batch_put) / total;
   };
   uint32_t max_batch = 1;
   std::vector<uint64_t> phase_event_mult(spec.phases.size(), 1);
+  std::vector<double> phase_batch_prob(spec.phases.size(), 0.0);
   for (size_t i = 0; i < spec.phases.size(); ++i) {
-    uint64_t mult = 1;
-    if (phase_has_batch(spec.phases[i])) mult = spec.phases[i].batch_size;
-    if (i > 0 && phase_has_batch(spec.phases[i - 1])) {
-      mult = std::max<uint64_t>(mult, spec.phases[i - 1].batch_size);
+    double prob = batch_probability(spec.phases[i]);
+    uint64_t mult = prob > 0.0 ? spec.phases[i].batch_size : 1;
+    if (i > 0) {
+      const double prev_prob = batch_probability(spec.phases[i - 1]);
+      prob = std::max(prob, prev_prob);
+      if (prev_prob > 0.0) {
+        mult = std::max<uint64_t>(mult, spec.phases[i - 1].batch_size);
+      }
     }
     phase_event_mult[i] = mult;
+    phase_batch_prob[i] = prob;
     max_batch = std::max<uint32_t>(max_batch,
                                    static_cast<uint32_t>(mult));
   }
@@ -458,9 +489,9 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
     ctx.sink = EventSink(w);
     uint64_t worker_events = 0;
     for (size_t i = 0; i < spec.phases.size(); ++i) {
-      worker_events +=
-          WorkerShare(spec.phases[i].num_operations, workers, w) *
-          phase_event_mult[i];
+      worker_events += ExpectedArenaEvents(
+          WorkerShare(spec.phases[i].num_operations, workers, w),
+          phase_batch_prob[i], phase_event_mult[i], kArenaMarginSigmas);
     }
     ctx.sink.Reserve(worker_events + workers);
     ctx.batch_results.resize(max_batch);

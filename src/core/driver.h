@@ -106,6 +106,15 @@ class BenchmarkDriver {
 /// (key, ordinal) pairs.
 std::vector<KeyValue> BuildLoadImage(const RunSpec& spec);
 
+/// Event-arena slots for `ops` draws of one phase on one worker, when each
+/// draw is a batch of `batch_size` elements with probability
+/// `batch_probability` and one element otherwise: the expected element
+/// count plus `margin_sigmas` standard deviations of the batch-unit count
+/// (each unit adds batch_size - 1 elements), capped at the worst case of
+/// `ops * batch_size`.
+uint64_t ExpectedArenaEvents(uint64_t ops, double batch_probability,
+                             uint64_t batch_size, double margin_sigmas);
+
 /// This worker's share of `total` items under the driver's round-robin
 /// split: total/workers plus one of the first (total % workers) remainders.
 /// Shares over all workers always sum to `total`.

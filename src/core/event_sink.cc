@@ -11,8 +11,9 @@ namespace lsbench {
 
 // lsbench-deepcheck: allow(hot-alloc, hot-throw)
 void EventSink::RecordSlow(const OpEvent& event) {
-  // Only reached when Reserve undersized the arena (e.g. retries exceeding
-  // the per-worker headroom). Doubling keeps repeat spills amortized.
+  // Only reached when Reserve undersized the arena: a worker drew more
+  // batch elements than the driver's expected count plus margin
+  // (ExpectedArenaEvents). Doubling keeps repeat spills amortized.
   events_.reserve(std::max<size_t>(events_.size() * 2, 64));
   events_.push_back(event);
   used_ = events_.size();

@@ -26,8 +26,9 @@ class EventSink {
   void Reserve(size_t n) { events_.resize(used_ + n); }
 
   /// Records one completed operation, stamping provenance. Allocation-free
-  /// while the arena has room (the steady state — the driver Reserves the
-  /// full phase up front); growth is delegated to the cold slow path.
+  /// while the arena has room (the steady state — the driver Reserves each
+  /// phase's expected element count plus a margin up front); growth is
+  /// delegated to the cold slow path.
   LSBENCH_HOT_PATH
   LSBENCH_DETERMINISTIC
   void Record(OpEvent event) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "data/distinct_draws.h"
 #include "util/assert.h"
 
 namespace lsbench {
@@ -26,19 +27,15 @@ Dataset GenerateDataset(const UnitDistribution& dist,
   ds.seed = options.seed;
 
   Rng rng(options.seed);
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(options.num_keys * 2);
   const double scale = static_cast<double>(options.domain_max);
-  // The unit sample is < 1 so the scaled key is < domain_max.
-  const size_t max_draws = 64 * options.num_keys + 1024;
-  for (size_t draws = 0; seen.size() < options.num_keys && draws < max_draws;
-       ++draws) {
-    const double u = dist.Sample(&rng);
-    const uint64_t key = static_cast<uint64_t>(u * scale);
-    seen.insert(key);
-  }
-  ds.keys.assign(seen.begin(), seen.end());
-  std::sort(ds.keys.begin(), ds.keys.end());
+  ds.keys = DistinctSortedDraws(
+      options.num_keys, 64 * options.num_keys + 1024,
+      [&dist, &rng, scale](uint64_t* out, size_t count) {
+        // The unit sample is < 1 so the scaled key is < domain_max.
+        for (size_t i = 0; i < count; ++i) {
+          out[i] = static_cast<uint64_t>(dist.Sample(&rng) * scale);
+        }
+      });
   return ds;
 }
 

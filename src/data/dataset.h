@@ -38,6 +38,18 @@ struct DatasetOptions {
 /// unless the distribution is too narrow to yield that many: generation
 /// stops after 64 * num_keys + 1024 draws, so a degenerate distribution (a
 /// vanishing spread, a huge mean) returns fewer keys instead of spinning.
+///
+/// The keys are the distinct keys among the draws of one seeded Rng up to
+/// the draw that fills `num_keys` (or the cap), byte-identical to inserting
+/// draws into a hash set one at a time. They are computed with a sorted
+/// vector instead (DistinctSortedDraws): rounds that each draw exactly the
+/// keys still missing, sort them and merge them in, while each round at
+/// least halves the shortfall; then a tail that draws ahead in chunks,
+/// merge-joins each sorted chunk against the kept keys, and cuts it at the
+/// draw that fills the target. Memory is the key vector plus, in the tail,
+/// two chunk-sized scratch vectors; time is O(d log d) for d draws, at most
+/// the cap, so a near-saturated support costs about as much as the hash set
+/// did.
 Dataset GenerateDataset(const UnitDistribution& dist,
                         const DatasetOptions& options);
 

@@ -1,0 +1,50 @@
+#ifndef LSBENCH_DATA_DISTINCT_DRAWS_H_
+#define LSBENCH_DATA_DISTINCT_DRAWS_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <vector>
+
+namespace lsbench {
+
+/// Writes the next `count` draws of a key stream to `out[0, count)`. Draw i
+/// of the stream must not depend on how the stream is split into calls.
+using KeyDrawFn = std::function<void(uint64_t* out, size_t count)>;
+
+/// The distinct keys a hash set would hold if it took `draw`'s keys one at
+/// a time until it held `target` keys or `max_draws` draws had been made,
+/// sorted ascending — computed with a sorted vector instead of the hash
+/// set, byte-identical to it.
+///
+/// Rounds: round 1 draws exactly `target` keys, then sorts and
+/// de-duplicates them; each later round draws exactly the keys still
+/// missing and merges them in. A round that draws exactly the shortfall
+/// cannot pass the hash-set loop's stopping draw: the distinct count can
+/// reach `target` only on that round's last draw. Rounds continue while
+/// each at least halves the shortfall.
+///
+/// Tail: once collisions stall the rounds, the same loop draws chunks of
+/// max(shortfall, kept keys) keys. A chunk longer than the shortfall is
+/// sorted into a copy and merge-joined against the kept keys to find its
+/// new keys; if it holds more new keys than the shortfall, it is walked in
+/// draw order and cut at the draw that fills the target, and only new keys
+/// drawn up to that cut are kept. Drawing past the cut is harmless because
+/// callers own the stream (a call-local Rng) and only the keys leave the
+/// call.
+///
+/// Cost: every tail chunk is at least as long as the kept set, so the
+/// merge-join and sort cost O(log) per draw, and at most `max_draws` draws
+/// are made: O(max_draws log max_draws) time. Memory is the key vector plus,
+/// in the tail, two chunk-sized scratch vectors (the chunk in draw order
+/// and its sorted new keys), where the hash set needed a node per key.
+///
+/// GenerateEmailDataset does not use this: its stagnation stop is decided
+/// per attempt (a run of attempts with no new key), which rounds of draws
+/// cannot see.
+std::vector<uint64_t> DistinctSortedDraws(size_t target, size_t max_draws,
+                                          const KeyDrawFn& draw);
+
+}  // namespace lsbench
+
+#endif  // LSBENCH_DATA_DISTINCT_DRAWS_H_

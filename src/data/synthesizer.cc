@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "data/distinct_draws.h"
 #include "stats/model.h"
 #include "util/assert.h"
 #include "util/random.h"
@@ -25,20 +25,16 @@ Dataset SynthesizeDatasetLike(const Dataset& original,
   synthetic.seed = options.seed;
 
   Rng rng(options.seed);
-  std::unordered_set<Key> seen;
-  seen.reserve(target * 2);
   // Inverse-transform sampling with a small additive jitter so quantile
   // plateaus (flat CDF stretches) do not alias onto identical keys.
-  size_t attempts = 0;
-  const size_t max_attempts = target * 100 + 1000;
-  while (seen.size() < target && attempts < max_attempts) {
-    ++attempts;
-    const Key base = cdf.EvaluateInverse(rng.NextDouble());
-    const Key jitter = rng.NextBounded(256);
-    seen.insert(base + jitter);
-  }
-  synthetic.keys.assign(seen.begin(), seen.end());
-  std::sort(synthetic.keys.begin(), synthetic.keys.end());
+  synthetic.keys = DistinctSortedDraws(
+      target, target * 100 + 1000, [&cdf, &rng](Key* out, size_t count) {
+        for (size_t i = 0; i < count; ++i) {
+          const Key base = cdf.EvaluateInverse(rng.NextDouble());
+          const Key jitter = rng.NextBounded(256);
+          out[i] = base + jitter;
+        }
+      });
   return synthetic;
 }
 

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "data/dataset.h"
 #include "data/distribution.h"
 #include "data/quality.h"
+#include "data/synthesizer.h"
 #include "index/kv_index.h"
 #include "stats/descriptive.h"
 #include "stats/similarity.h"
@@ -170,6 +174,229 @@ TEST(DriftSequenceTest, EndpointsMatchSourcesAndDriftIsGradual) {
     EXPECT_LT(step, end_to_end);
   }
   EXPECT_GT(end_to_end, 0.4);
+}
+
+// ---------------------------------------------------------------------------
+// Generation golden pins. The keys every generator returns are pinned by
+// FNV-1a hash, so any rewrite of the generation loop must reproduce the
+// original hash-set loop byte for byte: the same keys, and the same stop at
+// the draw that fills the target or at the draw cap.
+// ---------------------------------------------------------------------------
+
+uint64_t HashKeys(const std::vector<Key>& keys) {
+  uint64_t h = 14695981039346656037ull;
+  for (const Key k : keys) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (k >> (8 * b)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+struct KeysPin {
+  std::string name;
+  size_t size;
+  uint64_t hash;
+};
+
+/// Compares `actual` to `pins` row by row; a mismatch prints the actual
+/// rows in source form.
+void ExpectPins(const std::vector<KeysPin>& actual,
+                const std::vector<KeysPin>& pins) {
+  bool all_equal = actual.size() == pins.size();
+  for (size_t i = 0; i < actual.size() && i < pins.size(); ++i) {
+    EXPECT_EQ(actual[i].name, pins[i].name);
+    EXPECT_EQ(actual[i].size, pins[i].size) << actual[i].name;
+    EXPECT_EQ(actual[i].hash, pins[i].hash) << actual[i].name;
+    all_equal = all_equal && actual[i].name == pins[i].name &&
+                actual[i].size == pins[i].size &&
+                actual[i].hash == pins[i].hash;
+  }
+  EXPECT_EQ(actual.size(), pins.size());
+  if (!all_equal) {
+    for (const KeysPin& a : actual) {
+      std::printf("      {\"%s\", %zu, 0x%016llxull},\n", a.name.c_str(),
+                  a.size, static_cast<unsigned long long>(a.hash));
+    }
+  }
+}
+
+TEST(GenerationPinTest, GenerateDatasetKeysArePinned) {
+  const UniformUnit uniform;
+  const LognormalUnit lognormal(0.0, 1.5);
+  const ClusteredUnit clustered(6, 0.004, 3);
+  const BlendUnit blend(&uniform, &lognormal, 0.5);
+  // A vanishing spread puts every draw on a handful of keys, so generation
+  // stops at the draw cap with far fewer keys than asked for.
+  const LognormalUnit degenerate(0.0, 1e-9);
+  const std::pair<const char*, const UnitDistribution*> dists[] = {
+      {"uniform", &uniform},     {"lognormal", &lognormal},
+      {"clustered", &clustered}, {"blend", &blend},
+      {"degenerate", &degenerate}};
+
+  std::vector<KeysPin> actual;
+  for (const size_t n : {size_t{3000}, size_t{40000}}) {
+    const std::pair<const char*, uint64_t> domains[] = {
+        {"2^48", uint64_t{1} << 48}, {"2n", 2 * n}, {"4n+3", 4 * n + 3}};
+    for (const auto& [dist_name, dist] : dists) {
+      for (const auto& [domain_name, domain] : domains) {
+        for (const uint64_t seed : {uint64_t{1}, uint64_t{9}}) {
+          DatasetOptions options;
+          options.num_keys = n;
+          options.domain_max = domain;
+          options.seed = seed;
+          const Dataset ds = GenerateDataset(*dist, options);
+          actual.push_back({std::string(dist_name) + "/n=" +
+                                std::to_string(n) + "/" + domain_name +
+                                "/seed=" + std::to_string(seed),
+                            ds.size(), HashKeys(ds.keys)});
+        }
+      }
+    }
+  }
+  ExpectPins(actual, {
+      {"uniform/n=3000/2^48/seed=1", 3000, 0x709a5961accc22f7ull},
+      {"uniform/n=3000/2^48/seed=9", 3000, 0x04729b2fb2af6f5bull},
+      {"uniform/n=3000/2n/seed=1", 3000, 0x3775221007a82cd2ull},
+      {"uniform/n=3000/2n/seed=9", 3000, 0x3cc8ee3436c61ddfull},
+      {"uniform/n=3000/4n+3/seed=1", 3000, 0xf5f9192f14ae2ad4ull},
+      {"uniform/n=3000/4n+3/seed=9", 3000, 0x4bd0cea82ec5b45cull},
+      {"lognormal/n=3000/2^48/seed=1", 3000, 0xa34f988628aea4c8ull},
+      {"lognormal/n=3000/2^48/seed=9", 3000, 0x856e8f1ee7ae316full},
+      {"lognormal/n=3000/2n/seed=1", 1341, 0x28b0facf0d593047ull},
+      {"lognormal/n=3000/2n/seed=9", 1339, 0x58c774bffdabc205ull},
+      {"lognormal/n=3000/4n+3/seed=1", 2141, 0xfbb8e0f54605e9aaull},
+      {"lognormal/n=3000/4n+3/seed=9", 2147, 0xa4bb074163f36543ull},
+      {"clustered/n=3000/2^48/seed=1", 3000, 0x746599eb69a43a81ull},
+      {"clustered/n=3000/2^48/seed=9", 3000, 0x3c9c4019893e4379ull},
+      {"clustered/n=3000/2n/seed=1", 1037, 0xfd1a0c8d4921a384ull},
+      {"clustered/n=3000/2n/seed=9", 1027, 0xe9be3869075588c3ull},
+      {"clustered/n=3000/4n+3/seed=1", 1991, 0xa6b44ebd7d0bb33cull},
+      {"clustered/n=3000/4n+3/seed=9", 1972, 0xd3668b8ff1f3722eull},
+      {"blend/n=3000/2^48/seed=1", 3000, 0x944e5e119f055e68ull},
+      {"blend/n=3000/2^48/seed=9", 3000, 0xb1567ee57c5a00f3ull},
+      {"blend/n=3000/2n/seed=1", 3000, 0x51cace1fed3e00daull},
+      {"blend/n=3000/2n/seed=9", 3000, 0x826df94bb24100a4ull},
+      {"blend/n=3000/4n+3/seed=1", 3000, 0x2b02e1e1926706ebull},
+      {"blend/n=3000/4n+3/seed=9", 3000, 0xfe78543fad72064cull},
+      {"degenerate/n=3000/2^48/seed=1", 3000, 0x8cf5cc07999d04bfull},
+      {"degenerate/n=3000/2^48/seed=9", 3000, 0x3625041e7d259442ull},
+      {"degenerate/n=3000/2n/seed=1", 1, 0xf3429a28064fa493ull},
+      {"degenerate/n=3000/2n/seed=9", 1, 0xf3429a28064fa493ull},
+      {"degenerate/n=3000/4n+3/seed=1", 1, 0x39195fdec403b869ull},
+      {"degenerate/n=3000/4n+3/seed=9", 1, 0x39195fdec403b869ull},
+      {"uniform/n=40000/2^48/seed=1", 40000, 0x10067ff82da761f8ull},
+      {"uniform/n=40000/2^48/seed=9", 40000, 0x15ad7447e208c6b8ull},
+      {"uniform/n=40000/2n/seed=1", 40000, 0x63af1780b06824e1ull},
+      {"uniform/n=40000/2n/seed=9", 40000, 0x40f58f35260cdd98ull},
+      {"uniform/n=40000/4n+3/seed=1", 40000, 0x8f3e46eaffe87a3dull},
+      {"uniform/n=40000/4n+3/seed=9", 40000, 0x6663ddae3744c0cbull},
+      {"lognormal/n=40000/2^48/seed=1", 40000, 0xa6505d5ba404fa98ull},
+      {"lognormal/n=40000/2^48/seed=9", 40000, 0xa25226352d507a45ull},
+      {"lognormal/n=40000/2n/seed=1", 17629, 0x8554fa1d9e93e63eull},
+      {"lognormal/n=40000/2n/seed=9", 17740, 0x06bf6804ae50e861ull},
+      {"lognormal/n=40000/4n+3/seed=1", 28067, 0x2017df3a0e6d71e3ull},
+      {"lognormal/n=40000/4n+3/seed=9", 28172, 0x008a6cfd8f3bcf64ull},
+      {"clustered/n=40000/2^48/seed=1", 40000, 0x628e751770bdc4c6ull},
+      {"clustered/n=40000/2^48/seed=9", 40000, 0x3c2cf91a89d62a20ull},
+      {"clustered/n=40000/2n/seed=1", 13812, 0x96cd972afc50d3d7ull},
+      {"clustered/n=40000/2n/seed=9", 13817, 0x51fcd2f5cd3ff8e3ull},
+      {"clustered/n=40000/4n+3/seed=1", 26391, 0xdd87aacfe2cab20bull},
+      {"clustered/n=40000/4n+3/seed=9", 26362, 0xf7dd1fb3f365b852ull},
+      {"blend/n=40000/2^48/seed=1", 40000, 0x9fc1f76d4a16712full},
+      {"blend/n=40000/2^48/seed=9", 40000, 0x5bfbb0677466b09bull},
+      {"blend/n=40000/2n/seed=1", 40000, 0x981dad98effd60baull},
+      {"blend/n=40000/2n/seed=9", 40000, 0x11cd0064edbf46f0ull},
+      {"blend/n=40000/4n+3/seed=1", 40000, 0x0e82446e82aaf21dull},
+      {"blend/n=40000/4n+3/seed=9", 40000, 0xf0f7cef10d7b7ec0ull},
+      {"degenerate/n=40000/2^48/seed=1", 40000, 0xd382317d43d3c075ull},
+      {"degenerate/n=40000/2^48/seed=9", 40000, 0xa7f8acc6ba26a4ceull},
+      {"degenerate/n=40000/2n/seed=1", 1, 0x6f8dfc4cadba944bull},
+      {"degenerate/n=40000/2n/seed=9", 1, 0x6f8dfc4cadba944bull},
+      {"degenerate/n=40000/4n+3/seed=1", 1, 0x85701a7aaacb59eeull},
+      {"degenerate/n=40000/4n+3/seed=9", 1, 0x85701a7aaacb59eeull},
+  });
+}
+
+TEST(GenerationPinTest, DriftAndSynthesizedKeysArePinned) {
+  const UniformUnit uniform;
+  const LognormalUnit lognormal(0.0, 1.5);
+  std::vector<KeysPin> actual;
+  for (const uint64_t domain : {uint64_t{1} << 48, uint64_t{40000}}) {
+    DatasetOptions options;
+    options.num_keys = 20000;
+    options.domain_max = domain;
+    options.seed = 5;
+    const std::vector<Dataset> seq =
+        GenerateDriftSequence(uniform, lognormal, 4, options);
+    for (size_t i = 0; i < seq.size(); ++i) {
+      actual.push_back({"drift/domain=" + std::to_string(domain) +
+                            "/step=" + std::to_string(i),
+                        seq[i].size(), HashKeys(seq[i].keys)});
+    }
+  }
+
+  DatasetOptions options;
+  options.num_keys = 20000;
+  options.seed = 5;
+  const Dataset original = GenerateDataset(lognormal, options);
+  SynthesizeOptions synth;
+  synth.seed = 6;
+  Dataset ds = SynthesizeDatasetLike(original, synth);
+  actual.push_back({"synthesize/like", ds.size(), HashKeys(ds.keys)});
+
+  // A narrow original leaves fewer distinct keys than asked for, so
+  // synthesis stops at its attempt cap.
+  options.num_keys = 200;
+  options.domain_max = 400;
+  const Dataset narrow = GenerateDataset(uniform, options);
+  synth.num_keys = 5000;
+  ds = SynthesizeDatasetLike(narrow, synth);
+  actual.push_back({"synthesize/capped", ds.size(), HashKeys(ds.keys)});
+  ExpectPins(actual, {
+      {"drift/domain=281474976710656/step=0", 20000, 0x109fad700d9699b8ull},
+      {"drift/domain=281474976710656/step=1", 20000, 0x2a29232fab6124a0ull},
+      {"drift/domain=281474976710656/step=2", 20000, 0x64db2afabc0aeb76ull},
+      {"drift/domain=281474976710656/step=3", 20000, 0x070cff737a81cdd0ull},
+      {"drift/domain=40000/step=0", 20000, 0xcc5a87e256e3abcaull},
+      {"drift/domain=40000/step=1", 20000, 0x9b19a287154e3ed2ull},
+      {"drift/domain=40000/step=2", 20000, 0xc77adb3af7a87b8dull},
+      {"drift/domain=40000/step=3", 8850, 0x889d31b65055ad2aull},
+      {"synthesize/like", 20000, 0xa664c225e8fdb17cull},
+      {"synthesize/capped", 652, 0xebfddae303b34571ull},
+  });
+}
+
+/// Exactly `reachable` keys of the domain can be drawn, so a target above
+/// that count is only given up at the draw cap, with every reachable key
+/// found.
+class FiniteSupportUnit final : public UnitDistribution {
+ public:
+  FiniteSupportUnit(uint64_t reachable, uint64_t domain_max)
+      : reachable_(reachable), domain_max_(domain_max) {}
+  double Sample(Rng* rng) const override {
+    // The half-key offset keeps u * domain_max clear of a key boundary.
+    return (static_cast<double>(rng->NextBounded(reachable_)) + 0.5) /
+           static_cast<double>(domain_max_);
+  }
+  std::string name() const override { return "finite_support"; }
+
+ private:
+  uint64_t reachable_;
+  uint64_t domain_max_;
+};
+
+TEST(GenerationPinTest, SaturatedSupportReturnsEveryReachableKey) {
+  constexpr size_t kKeys = 200000;
+  DatasetOptions options;
+  options.num_keys = kKeys;
+  options.domain_max = 2 * kKeys;
+  options.seed = 3;
+  const Dataset ds =
+      GenerateDataset(FiniteSupportUnit(kKeys - 5, 2 * kKeys), options);
+  ASSERT_EQ(ds.size(), kKeys - 5);
+  for (size_t i = 0; i < ds.size(); ++i) ASSERT_EQ(ds.keys[i], i);
 }
 
 // ---------------------------------------------------------------------------

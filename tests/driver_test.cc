@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/driver.h"
+#include "core/event_sink.h"
 #include "core/run_spec.h"
 #include "core/specialization.h"
 #include "data/dataset.h"
@@ -369,6 +371,102 @@ TEST_F(DriverTest, LoadFailureProducesCleanError) {
   const Result<RunResult> retry = driver.Run(spec, &sut);
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
   EXPECT_EQ(retry.value().events.size(), 4000u);
+}
+
+TEST_F(DriverTest, ExpectedArenaEventsBoundsTheBatchDraws) {
+  // Scalar phases reserve one slot per op; a pure batch phase has no
+  // spread and reserves the worst case.
+  EXPECT_EQ(ExpectedArenaEvents(1000, 0.0, 16, 6.0), 1000u);
+  EXPECT_EQ(ExpectedArenaEvents(1000, 0.5, 1, 6.0), 1000u);
+  EXPECT_EQ(ExpectedArenaEvents(1000, 1.0, 16, 6.0), 16000u);
+  // open_loop's shape: 10% batch_get x 16 expects 2.5 events per op.
+  const uint64_t expected = ExpectedArenaEvents(400000, 0.1, 16, 0.0);
+  EXPECT_EQ(expected, 1000000u);
+  const uint64_t reserved = ExpectedArenaEvents(400000, 0.1, 16, 6.0);
+  EXPECT_GT(reserved, expected);
+  EXPECT_LT(reserved, expected + expected / 50);
+  // A margin past the worst case is capped there.
+  EXPECT_EQ(ExpectedArenaEvents(4, 0.5, 16, 6.0), 64u);
+}
+
+TEST_F(DriverTest, UndersizedArenaRecordsTheSameShard) {
+  // A sink reserved short of what it records spills through its overflow
+  // path, at any point of a scalar or batch record, and records the same
+  // shard as one reserved for every event.
+  const auto record = [](EventSink* sink) {
+    OpResult results[4];
+    for (uint32_t i = 0; i < 4; ++i) {
+      results[i].ok = i != 2;
+      results[i].rows = i;
+    }
+    OpEvent proto;
+    for (int64_t op = 0; op < 12; ++op) {
+      proto.timestamp_nanos = 100 * op;
+      proto.latency_nanos = op + 1;
+      proto.issue_nanos = 100 * op - op;
+      if (op % 3 == 0) {
+        proto.batch = 4;
+        sink->RecordBatch(proto, results, 4);
+      } else {
+        proto.batch = 1;
+        sink->Record(proto);
+      }
+    }
+  };
+  constexpr size_t kEvents = 8 * 1 + 4 * 4;
+  EventSink full(1);
+  full.Reserve(kEvents);
+  record(&full);
+  const std::string expected = SerializeEventStream(full.TakeEvents());
+  for (size_t reserved = 0; reserved < kEvents; ++reserved) {
+    EventSink sink(1);
+    sink.Reserve(reserved);
+    record(&sink);
+    EXPECT_EQ(sink.recorded(), kEvents);
+    EXPECT_EQ(SerializeEventStream(sink.TakeEvents()), expected)
+        << "reserved " << reserved;
+  }
+}
+
+TEST_F(DriverTest, ExpectedSizeArenaRecordsEveryElement) {
+  // Half the ops are batches of 4 elements, over 1-8 ops per worker at two
+  // workers: every element of every drawn unit is recorded.
+  constexpr uint32_t kWorkers = 2;
+  constexpr uint32_t kBatch = 4;
+  DatasetOptions options;
+  options.num_keys = 500;
+  options.seed = 3;
+  const Dataset dataset = GenerateDataset(UniformUnit(), options);
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    RunSpec spec;
+    spec.name = "arena_" + std::to_string(seed);
+    spec.seed = seed;
+    spec.datasets.push_back(dataset);
+    spec.execution.workers = kWorkers;
+    PhaseSpec phase;
+    phase.name = "half_batches";
+    phase.mix = OperationMix{};
+    phase.mix.get = 0.5;
+    phase.mix.batch_get = 0.5;
+    phase.batch_size = kBatch;
+    phase.num_operations = kWorkers * (1 + seed % 8);
+    spec.phases.push_back(phase);
+
+    VirtualClock clock;
+    DriverOptions driver_options;
+    driver_options.virtual_clock = &clock;
+    BenchmarkDriver driver(&clock, driver_options);
+    BTreeSystem sut;
+    const RunResult result = driver.Run(spec, &sut).value();
+    uint64_t units = 0;
+    for (const OpEvent& e : result.events) {
+      if (e.batch == 1) ++units;
+    }
+    const uint64_t batch_events = result.events.size() - units;
+    ASSERT_EQ(batch_events % kBatch, 0u) << "seed " << seed;
+    EXPECT_EQ(units + batch_events / kBatch, phase.num_operations)
+        << "seed " << seed;
+  }
 }
 
 TEST_F(DriverTest, HoldoutRegistryResetClearsCrossTestState) {

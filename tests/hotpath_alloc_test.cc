@@ -82,6 +82,19 @@ RunSpec MakeBatchReadOnlySpec(uint64_t num_elements, uint32_t batch_size) {
   return spec;
 }
 
+/// Mixed analogue of MakeReadOnlySpec: 90% scalar gets and 10% kBatchGet
+/// units of 16 keys, so the event arena is reserved at the expected 2.5
+/// elements per op (plus a binomial margin), not at 16.
+RunSpec MakeMixedReadOnlySpec(uint64_t num_operations) {
+  RunSpec spec = MakeReadOnlySpec(num_operations);
+  spec.name = "hotpath_alloc_mixed_" + std::to_string(num_operations);
+  PhaseSpec& phase = spec.phases[0];
+  phase.mix.get = 0.9;
+  phase.mix.batch_get = 0.1;
+  phase.batch_size = 16;
+  return spec;
+}
+
 /// Trace analogue of MakeReadOnlySpec: the same phase, recorded up front
 /// (outside the counted window) and replayed as a trace phase, so the
 /// stream copies entries out of the trace instead of drawing them.
@@ -107,7 +120,7 @@ RunSpec WithServiceOverload(RunSpec spec, uint32_t unit_elements) {
   return spec;
 }
 
-uint64_t HeapAllocsForSpec(const RunSpec& spec, uint64_t expected_events) {
+uint64_t HeapAllocsForSpec(const RunSpec& spec) {
   VirtualClock clock;
   DriverOptions options;
   options.virtual_clock = &clock;
@@ -120,7 +133,13 @@ uint64_t HeapAllocsForSpec(const RunSpec& spec, uint64_t expected_events) {
   const uint64_t used = g_heap_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   const EventStream& events = result.value().events;
-  EXPECT_EQ(events.size(), expected_events);
+  // Every drawn request unit records one event per element.
+  uint64_t batch_events = 0;
+  for (const OpEvent& e : events) batch_events += e.batch > 1 ? 1 : 0;
+  const uint32_t batch = spec.phases[0].batch_size;
+  EXPECT_EQ(batch_events % batch, 0u);
+  EXPECT_EQ(events.size() - batch_events + batch_events / batch,
+            spec.phases[0].num_operations);
   // Service-mode inputs must actually reach the shed path.
   const bool queue_shed =
       std::any_of(events.begin(), events.end(),
@@ -135,10 +154,9 @@ template <typename MakeSpec>
 uint64_t MarginalAllocs(const MakeSpec& make_spec, uint64_t elements) {
   // The first run warms whatever process-lifetime lazy state the driver
   // touches.
-  (void)HeapAllocsForSpec(make_spec(elements), elements);
-  const uint64_t base = HeapAllocsForSpec(make_spec(elements), elements);
-  const uint64_t doubled =
-      HeapAllocsForSpec(make_spec(2 * elements), 2 * elements);
+  (void)HeapAllocsForSpec(make_spec(elements));
+  const uint64_t base = HeapAllocsForSpec(make_spec(elements));
+  const uint64_t doubled = HeapAllocsForSpec(make_spec(2 * elements));
   EXPECT_GE(doubled, base);
   return doubled - base;
 }
@@ -191,6 +209,19 @@ TEST(HotpathAllocTest, BatchSteadyStateAllocatesZeroPerElement) {
       << " extra batch elements: " << marginal << " (slack " << kSlack
       << ") — the batch hot path regressed to allocating in steady state; "
       << "run tools/lint/deepcheck.py to find the new call path";
+}
+
+TEST(HotpathAllocTest, MixedBatchSteadyStateAllocatesZeroPerElement) {
+  // A phase that mixes scalar ops with a few large batches reserves its
+  // event arena at the expected element count plus a six-sigma margin.
+  // That margin must hold: zero marginal heap calls per element.
+  constexpr uint64_t kOps = 4000;
+  constexpr uint64_t kSlack = 96;
+  const uint64_t marginal = MarginalAllocs(MakeMixedReadOnlySpec, kOps);
+  EXPECT_LE(marginal, kSlack)
+      << "marginal heap allocations for " << kOps
+      << " extra mixed scalar/batch ops: " << marginal << " (slack "
+      << kSlack << ") — the expected-size event arena overflowed";
 }
 
 TEST(HotpathAllocTest, ServiceModeSteadyStateAllocatesZeroPerElement) {
