@@ -193,10 +193,8 @@ void RunWorkerPhaseT(WorkerContext* ctx, int64_t run_start_nanos,
   ResilientExecutor& executor = *ctx->executor;
   AdmissionQueue* queue = ctx->admission ? &*ctx->admission : nullptr;
   const Pacer pacer(ctx->clock, ctx->sim_clock);
-#if !defined(LSBENCH_NO_TRACING)
   StageProfiler* profiler =
       ctx->obs != nullptr ? &ctx->obs->profiler : nullptr;
-#endif
   OpResult* results = ctx->batch_results.data();
 
   WorkloadStream::Issue issue;
@@ -394,27 +392,23 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
   // the phases, merge/metrics after, plus the SUT's registry instruments
   // (the SUT is shared across workers, so it binds into this registry —
   // its instruments are thread-safe by construction). Workers get private
-  // shards below. Compiled out entirely under LSBENCH_NO_TRACING.
+  // shards below.
   const ObservabilitySpec& obs_spec = spec.observability;
-#if !defined(LSBENCH_NO_TRACING)
   std::unique_ptr<WorkerObs> driver_obs;
   if (obs_spec.Enabled()) {
     driver_obs = std::make_unique<WorkerObs>(kDriverTraceWorker);
     if (obs_spec.profile) driver_obs->profiler.Bind(clock_);
     if (obs_spec.metrics) sut->BindObservability(&driver_obs->registry);
   }
-#endif
 
   // ---- Load ----
   {
     Stopwatch watch(clock_);
     LSBENCH_RETURN_IF_ERROR(sut->Load(BuildLoadImage(spec)));
     result.load_seconds = watch.ElapsedSeconds();
-#if !defined(LSBENCH_NO_TRACING)
     if (driver_obs != nullptr) {
       driver_obs->profiler.Add(Stage::kLoad, watch.ElapsedNanos());
     }
-#endif
   }
 
   // ---- Offline training (timed, first-class) ----
@@ -428,27 +422,22 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
     te.ok = report.status.ok();
     if (!te.ok) ++failed_trains;
     if (report.trained || !te.ok) result.train_events.push_back(te);
-#if !defined(LSBENCH_NO_TRACING)
     if (driver_obs != nullptr) {
       driver_obs->profiler.Add(Stage::kTrain, te.end_nanos - te.start_nanos);
     }
-#endif
   }
 
   // ---- Execution ----
   const int64_t run_start = clock_->NowNanos();
-#if !defined(LSBENCH_NO_TRACING)
   if (driver_obs != nullptr && obs_spec.trace) {
     driver_obs->tracer.Bind(clock_, run_start);
   }
-#endif
   const Rng master(spec.seed);
   const bool simulated = options_.virtual_clock != nullptr;
 
   ResilientExecutor::Options exec_options;
   exec_options.run_start_nanos = run_start;
   exec_options.virtual_service_nanos = options_.virtual_service_nanos;
-  exec_options.virtual_shed_nanos = options_.virtual_shed_nanos;
 
   std::vector<WorkerContext> contexts(workers);
   uint64_t total_ops = 0;
@@ -523,11 +512,9 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
     ctx.exec_target = target;
     ctx.executor.emplace(target, spec.resilience,
                          Pacer(ctx.clock, ctx.sim_clock),
-                         root.Fork(kBackoffStreamTag).Next(),
-                         spec.resilience.breaker_enabled, exec_options);
+                         root.Fork(kBackoffStreamTag).Next(), exec_options);
     if (spec.service.enabled) ctx.admission.emplace(spec.service);
 
-#if !defined(LSBENCH_NO_TRACING)
     // Per-worker observability shard. The hooks only *read* the worker's
     // clock — they never advance it or draw randomness — so arming them
     // cannot perturb the operation stream (pinned by test).
@@ -565,7 +552,6 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
             registry->GetHistogram("service.queue_wait"));
       }
     }
-#endif
   }
 
   // Under fan-out, bind one fault lane (with its clocks) per worker.
@@ -592,23 +578,22 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
     for (uint32_t w = 0; w < workers; ++w) {
       WorkerContext& ctx = contexts[w];
       ctx.current_phase = static_cast<int32_t>(phase_idx);
-#if !defined(LSBENCH_NO_TRACING)
       if (ctx.obs != nullptr) {
         ctx.obs->tracer.set_phase(static_cast<int32_t>(phase_idx));
         ctx.obs->profiler.set_phase(static_cast<int32_t>(phase_idx));
       }
-#endif
       ctx.stream->BeginPhase(
           phase_idx, WorkerShare(phase.num_operations, workers, w),
           WorkerShare(phase.transition_operations, workers, w),
           ctx.clock->NowNanos() - run_start);
     }
 
-    // Engine selection, once at phase start: if every worker drives the
-    // bare SUT (no wrappers, no lanes), monomorphize the whole inner loop
-    // on its proven final type — zero virtual calls per op in the steady
-    // state. Workers always share the target's runtime type, so worker 0
-    // decides for all.
+    // Engine selection, once at phase start: if the target's exact type is
+    // in SelectEngine's list (SerializingSut included), monomorphize the
+    // whole inner loop on it — zero virtual calls per op in the steady
+    // state. Runs with a fault plan drive the fault wrapper or its lanes,
+    // which take the virtual engine. Workers always share the target's
+    // runtime type, so worker 0 decides for all.
     const PhaseFn run_worker = SelectEngine(contexts[0].exec_target);
 
     if (workers == 1) {
@@ -646,7 +631,6 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
     boundary.operations = phase.num_operations;
     result.boundaries.push_back(boundary);
 
-#if !defined(LSBENCH_NO_TRACING)
     // Orchestrator-level phase span, recorded from the already-measured
     // boundary so it costs nothing extra. No-op while the tracer is unbound.
     if (driver_obs != nullptr) {
@@ -654,7 +638,6 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
       driver_obs->tracer.Record("phase", boundary.start_nanos,
                                 boundary.end_nanos);
     }
-#endif
   }
 
   // ---- Fold metrics per worker, then merge shards ----
@@ -697,24 +680,18 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
 
   Stopwatch merge_watch(clock_);
   result.events = MergeEventShards(std::move(shards));
-#if !defined(LSBENCH_NO_TRACING)
   if (driver_obs != nullptr) {
     driver_obs->profiler.set_phase(PhaseStageBreakdown::kRunLevelPhase);
     driver_obs->profiler.Add(Stage::kMerge, merge_watch.ElapsedNanos());
   }
-#endif
 
   metrics_watch.Restart();
   result.metrics =
       FinalizeRunMetrics(folds[0], result.events, metrics_options);
   metrics_nanos += metrics_watch.ElapsedNanos();
-#if !defined(LSBENCH_NO_TRACING)
   if (driver_obs != nullptr) {
     driver_obs->profiler.Add(Stage::kMetrics, metrics_nanos);
   }
-#else
-  (void)metrics_nanos;
-#endif
   // Driver-owned resilience state the metric layer cannot derive from the
   // event stream alone.
   result.metrics.resilience.failed_trains = failed_trains;
@@ -733,7 +710,6 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
   // Worker shards plus the driver's own shard merge exactly like event
   // shards: the result is a pure function of shard contents.
   result.observability.spec = obs_spec;
-#if !defined(LSBENCH_NO_TRACING)
   if (obs_spec.Enabled()) {
     std::vector<TraceStream> trace_shards;
     std::vector<MetricsSnapshot> metric_shards;
@@ -758,7 +734,6 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
                                MergeMetricsShards(metric_shards));
     }
   }
-#endif
   return result;
 }
 

@@ -30,8 +30,7 @@ struct RunResult {
   /// What the fault injector did (all zero when the spec has no faults).
   FaultStats fault_stats;
   /// Merged observability output (trace, metrics snapshot, stage times);
-  /// empty apart from the echoed spec when observability is off or the
-  /// build compiled hooks out (LSBENCH_NO_TRACING).
+  /// empty apart from the echoed spec when observability is off.
   ObsReport observability;
 
   /// Total offline training wall time across train_events, seconds.
@@ -53,10 +52,6 @@ struct DriverOptions {
   /// Enforce the paper's single-execution rule for hold-out phases via the
   /// process-wide registry.
   bool enforce_holdout_once = true;
-  /// Simulated cost of shedding one operation while the circuit breaker is
-  /// open (fast-fail is cheap but not free; this also keeps virtual time
-  /// moving so the breaker's cooldown can elapse in closed-loop phases).
-  int64_t virtual_shed_nanos = 1000;  // 1 us.
 };
 
 /// The LSBench benchmark driver: executes a RunSpec against a SUT, producing

@@ -6,15 +6,14 @@ namespace lsbench {
 
 ResilientExecutor::ResilientExecutor(SystemUnderTest* sut,
                                      const ResilienceSpec& spec, Pacer pacer,
-                                     uint64_t backoff_seed,
-                                     bool enable_breaker, Options options)
+                                     uint64_t backoff_seed, Options options)
     : sut_(sut),
       spec_(spec),
       pacer_(pacer),
       backoff_(spec, backoff_seed),
       options_(options) {
   LSBENCH_ASSERT(sut != nullptr);
-  if (enable_breaker && spec.breaker_enabled) breaker_.emplace(spec);
+  if (spec.breaker_enabled) breaker_.emplace(spec);
 }
 
 void ResilientExecutor::BindObservability(Tracer* tracer,

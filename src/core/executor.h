@@ -63,8 +63,9 @@ struct ExecOutcome {
 /// final SUT type baked in.
 
 /// Generic engine: every attempt goes through the SystemUnderTest vtable.
-/// Always correct; the only choice when the SUT runs behind wrappers
-/// (serializing, fault lanes).
+/// Always correct; the driver uses it for any SUT whose exact type is not
+/// in SelectEngine's list, which includes every run with a fault plan (the
+/// fault wrapper and its per-worker lanes are not in the list).
 struct VirtualExec {
   SystemUnderTest* sut;
   OpResult Execute(const Operation& op) const { return sut->Execute(op); }
@@ -76,8 +77,10 @@ struct VirtualExec {
 /// Monomorphized engine: the final SUT type is a compile-time parameter and
 /// the attempt calls are *qualified*, so they bind statically — zero virtual
 /// calls per operation in the steady state, and the SUT's batch loop inlines
-/// into the executor's. Only valid when the driver proved the runtime type
-/// (dynamic_cast) and the SUT runs unwrapped.
+/// into the executor's. Only valid when the driver proved the exact runtime
+/// type (dynamic_cast to a final class). A wrapper in SelectEngine's list,
+/// such as SerializingSut, qualifies like any other listed type: the
+/// engine binds the wrapper's own calls statically.
 template <typename SutT>
 struct MonoExec {
   SutT* sut;
@@ -88,6 +91,11 @@ struct MonoExec {
     sut->SutT::ExecuteBatch(op, results);
   }
 };
+
+/// Simulated cost of shedding one unit while the circuit breaker is open
+/// (simulation mode only). Fast-fail is cheap but not free, and advancing
+/// virtual time lets the breaker's cooldown elapse in closed-loop phases.
+inline constexpr int64_t kVirtualShedNanos = 1000;  // 1 us.
 
 /// Stage 2 of the execution core: the timeout/retry/circuit-breaker policy
 /// around one request unit's SUT call. One instance per worker — each
@@ -101,16 +109,14 @@ class ResilientExecutor {
  public:
   struct Options {
     int64_t run_start_nanos = 0;
-    /// Simulated service/shed cost per attempt (simulation mode only).
+    /// Simulated service cost per attempted element (simulation mode only).
     int64_t virtual_service_nanos = 100000;
-    int64_t virtual_shed_nanos = 1000;
   };
 
-  /// `sut` must outlive the executor. A disabled breaker is expressed by
-  /// passing nullopt-constructed state: pass `enable_breaker = false`.
+  /// `sut` must outlive the executor. The executor has a circuit breaker
+  /// exactly when `spec.breaker_enabled` is set.
   ResilientExecutor(SystemUnderTest* sut, const ResilienceSpec& spec,
-                    Pacer pacer, uint64_t backoff_seed, bool enable_breaker,
-                    Options options);
+                    Pacer pacer, uint64_t backoff_seed, Options options);
 
   /// Runs one request unit through the resilience policy: a scalar op, or
   /// a whole batch op. `arrival_rel_nanos` is the unit's intended start
@@ -208,7 +214,7 @@ ExecOutcome ResilientExecutor::Execute(const Exec& exec, const Operation& op,
       for (uint32_t i = 0; i < count; ++i) results[i] = OpResult();
       if (shed_ != nullptr) shed_->Increment();
       if (vclock != nullptr) {
-        vclock->AdvanceNanos(options_.virtual_shed_nanos);
+        vclock->AdvanceNanos(kVirtualShedNanos);
       }
       break;
     }

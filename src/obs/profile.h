@@ -61,9 +61,7 @@ void MergeStageBreakdown(StageBreakdown* target, const StageBreakdown& shard);
 
 /// One worker's (or the driver's) stage-time accumulator. Single-writer,
 /// no synchronization — same sharding discipline as EventSink/Tracer.
-/// Disabled until Bind(); when disabled, Add() and timers are no-ops, and
-/// under LSBENCH_NO_TRACING the LSBENCH_PROFILE_STAGE macro removes the
-/// hook entirely.
+/// Disabled until Bind(); when disabled, Add() and timers are no-ops.
 class StageProfiler {
  public:
   StageProfiler() = default;
@@ -145,17 +143,10 @@ class StageTimer {
 }  // namespace lsbench
 
 // Scoped profiling hook. `profiler` is a `StageProfiler*` (may be null).
-// Compiled out entirely under LSBENCH_NO_TRACING.
-#if defined(LSBENCH_NO_TRACING)
-#define LSBENCH_PROFILE_STAGE(profiler, stage) \
-  do {                                         \
-  } while (false)
-#else
 #define LSBENCH_PROFILE_STAGE_CONCAT2(a, b) a##b
 #define LSBENCH_PROFILE_STAGE_CONCAT(a, b) LSBENCH_PROFILE_STAGE_CONCAT2(a, b)
 #define LSBENCH_PROFILE_STAGE(profiler, stage)         \
   ::lsbench::StageTimer LSBENCH_PROFILE_STAGE_CONCAT(  \
       lsbench_stage_, __LINE__)((profiler), (stage))
-#endif
 
 #endif  // LSBENCH_OBS_PROFILE_H_

@@ -37,9 +37,7 @@ inline constexpr uint32_t kDriverTraceWorker = 0xffffffffu;
 /// One worker's span shard. Like EventSink, a Tracer is single-writer: each
 /// worker records into its own instance with no synchronization, and the
 /// shards are merged deterministically afterwards. A Tracer starts disabled
-/// (all recording no-ops) until Bind() points it at the worker's clock;
-/// LSBENCH_TRACE_SPAN additionally compiles to nothing under
-/// LSBENCH_NO_TRACING, so disabled builds pay zero cost on the hot path.
+/// (all recording no-ops) until Bind() points it at the worker's clock.
 class Tracer {
  public:
   explicit Tracer(uint32_t worker = 0) : worker_(worker) {}
@@ -154,19 +152,12 @@ uint64_t HashTrace(const TraceStream& trace);
 }  // namespace lsbench
 
 // The span macro. `tracer` is a `Tracer*` (may be null); `name` must be a
-// string literal. Under LSBENCH_NO_TRACING every span site compiles to
-// nothing, which is what lets benches prove the disabled-overhead claim.
-#if defined(LSBENCH_NO_TRACING)
-#define LSBENCH_TRACE_SPAN(tracer, name) \
-  do {                                   \
-  } while (false)
-#else
+// string literal.
 #define LSBENCH_TRACE_SPAN_CONCAT2(a, b) a##b
 #define LSBENCH_TRACE_SPAN_CONCAT(a, b) LSBENCH_TRACE_SPAN_CONCAT2(a, b)
 #define LSBENCH_TRACE_SPAN(tracer, name)                             \
   ::lsbench::ScopedSpan LSBENCH_TRACE_SPAN_CONCAT(lsbench_span_,     \
                                                   __LINE__)((tracer), \
                                                             (name))
-#endif
 
 #endif  // LSBENCH_OBS_TRACE_H_

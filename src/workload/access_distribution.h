@@ -71,8 +71,9 @@ class ZipfianAccess final : public AccessDistribution {
 /// the rest are uniform over the cold set. `hot_start` places the hot
 /// region: the hot ranks are [hot_start * population, hot_start * population
 /// + hot_fraction * population), wrapping around the rank space — the
-/// "hotspot location" knob the drift synthesizer searches over. The default
-/// of 0 reproduces the historical hot-ranks-first behaviour draw-for-draw.
+/// "hotspot location" knob that drift scenarios march across phases. The
+/// default of 0 reproduces the historical hot-ranks-first behaviour
+/// draw-for-draw.
 class HotSpotAccess final : public AccessDistribution {
  public:
   HotSpotAccess(double hot_fraction, double hot_probability,

@@ -1,18 +1,11 @@
-// DriftMeter and DriftSynthesizer: the quantified "changing workloads" axis.
-// The meter's metric properties (identity, symmetry, bounds, monotonicity)
-// are what make a declared trajectory meaningful; the synthesizer tests pin
-// the paper-facing contract that a requested trajectory is hit within
-// tolerance, deterministically, with infeasible and stagnating searches
-// failing loudly instead of spinning.
+// DriftMeter: the quantified "changing workloads" axis. The meter's metric
+// properties (identity, symmetry, bounds, monotonicity) are what make a
+// declared trajectory meaningful.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <vector>
-
 #include "data/dataset.h"
 #include "stats/drift.h"
-#include "workload/drift_synthesizer.h"
 #include "workload/spec.h"
 
 namespace lsbench {
@@ -149,128 +142,6 @@ TEST(DriftMeterTest, MeasurementIsBitDeterministic) {
   EXPECT_EQ(a.key_mmd, b.key_mmd);
   EXPECT_EQ(a.key_overlap, b.key_overlap);
   EXPECT_EQ(a.op_mix_tv, b.op_mix_tv);
-}
-
-// ---------------------------------------------------------------------------
-// DriftSynthesizer
-// ---------------------------------------------------------------------------
-
-TEST(DriftSynthesizerTest, HitsAThreePointTrajectoryWithinTolerance) {
-  const Dataset dataset = MakeDataset();
-  const DriftSynthesizer synth;
-  const std::vector<double> targets = {0.0, 0.3, 0.6};
-  const Result<SynthesizedTrajectory> fitted =
-      synth.Synthesize(dataset, HotspotPhase(0.0), targets);
-  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
-  const SynthesizedTrajectory& t = fitted.value();
-  ASSERT_EQ(t.phases.size(), targets.size() + 1);
-  ASSERT_EQ(t.achieved.size(), targets.size());
-  const double tolerance = synth.options().tolerance;
-  for (size_t i = 0; i < targets.size(); ++i) {
-    EXPECT_NEAR(t.achieved[i].factor, targets[i], tolerance)
-        << "transition " << i;
-  }
-  // A 0-target is realized by the identity dial, not a lucky search.
-  EXPECT_DOUBLE_EQ(t.dials[0], 0.0);
-
-  // Fitting is honest: re-measuring the emitted phases with an independent
-  // meter (same options) reproduces the achieved factors.
-  const DriftMeter meter(synth.options().meter);
-  for (size_t i = 0; i < targets.size(); ++i) {
-    const DriftComponents check = meter.MeasurePhases(
-        dataset, t.phases[i], dataset, t.phases[i + 1]);
-    EXPECT_DOUBLE_EQ(check.factor, t.achieved[i].factor) << "transition " << i;
-  }
-}
-
-TEST(DriftSynthesizerTest, SynthesisIsDeterministic) {
-  const Dataset dataset = MakeDataset();
-  const DriftSynthesizer synth;
-  const std::vector<double> targets = {0.2, 0.5};
-  const Result<SynthesizedTrajectory> a =
-      synth.Synthesize(dataset, HotspotPhase(0.0), targets);
-  const Result<SynthesizedTrajectory> b =
-      synth.Synthesize(dataset, HotspotPhase(0.0), targets);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_EQ(a.value().dials, b.value().dials);
-  ASSERT_EQ(a.value().achieved.size(), b.value().achieved.size());
-  for (size_t i = 0; i < a.value().achieved.size(); ++i) {
-    EXPECT_EQ(a.value().achieved[i].factor, b.value().achieved[i].factor);
-  }
-  EXPECT_EQ(a.value().phases[1].access_param2,
-            b.value().phases[1].access_param2);
-}
-
-TEST(DriftSynthesizerTest, TargetOutsideUnitIntervalIsInvalidArgument) {
-  const Dataset dataset = MakeDataset();
-  const DriftSynthesizer synth;
-  const Result<SynthesizedTrajectory> fitted =
-      synth.Synthesize(dataset, HotspotPhase(0.0), {1.5});
-  ASSERT_FALSE(fitted.ok());
-  EXPECT_TRUE(fitted.status().IsInvalidArgument());
-}
-
-TEST(DriftSynthesizerTest, InfeasibleTargetReportsTheCeiling) {
-  // The dial's maximum achievable drift for this base phase is well below
-  // 0.95; the synthesizer must reject the target up front (with the
-  // measured ceiling in the message) instead of bisecting forever.
-  const Dataset dataset = MakeDataset();
-  const DriftSynthesizer synth;
-  const Result<SynthesizedTrajectory> fitted =
-      synth.Synthesize(dataset, HotspotPhase(0.0), {0.95});
-  ASSERT_FALSE(fitted.ok());
-  EXPECT_TRUE(fitted.status().IsInvalidArgument());
-  EXPECT_NE(fitted.status().message().find("infeasible"), std::string::npos)
-      << fitted.status().message();
-}
-
-TEST(DriftSynthesizerTest, StagnationGuardFailsInsteadOfSpinning) {
-  // An impossible tolerance with a tiny evaluation budget must terminate
-  // with FailedPrecondition and a diagnostic, never loop.
-  const Dataset dataset = MakeDataset();
-  DriftSynthesizerOptions options;
-  options.tolerance = 1e-9;
-  options.max_iterations_per_transition = 4;
-  const DriftSynthesizer synth(options);
-  const Result<SynthesizedTrajectory> fitted =
-      synth.Synthesize(dataset, HotspotPhase(0.0), {0.3});
-  ASSERT_FALSE(fitted.ok());
-  EXPECT_TRUE(fitted.status().IsFailedPrecondition());
-  EXPECT_NE(fitted.status().message().find("stagnated"), std::string::npos)
-      << fitted.status().message();
-}
-
-TEST(DriftSynthesizerTest, EmptyDatasetIsRejected) {
-  const Dataset empty;
-  const DriftSynthesizer synth;
-  const Result<SynthesizedTrajectory> fitted =
-      synth.Synthesize(empty, HotspotPhase(0.0), {0.3});
-  ASSERT_FALSE(fitted.ok());
-  EXPECT_TRUE(fitted.status().IsInvalidArgument());
-}
-
-TEST(DriftSynthesizerTest, ZeroDialIsTheIdentity) {
-  const DriftSynthesizer synth;
-  const PhaseSpec base = HotspotPhase(0.25, /*get=*/0.7, /*update=*/0.3);
-  const PhaseSpec same = synth.ApplyDial(base, 0.0);
-  EXPECT_DOUBLE_EQ(same.access_param2, base.access_param2);
-  EXPECT_DOUBLE_EQ(same.access_param, base.access_param);
-  EXPECT_DOUBLE_EQ(same.mix.get, base.mix.get);
-  EXPECT_DOUBLE_EQ(same.mix.update, base.mix.update);
-}
-
-TEST(DriftSynthesizerTest, LargerDialMovesPhaseFurther) {
-  const Dataset dataset = MakeDataset();
-  const DriftSynthesizer synth;
-  const DriftMeter meter(synth.options().meter);
-  const PhaseSpec base = HotspotPhase(0.0);
-  const double small = meter.MeasurePhases(
-      dataset, base, dataset, synth.ApplyDial(base, 0.2)).factor;
-  const double large = meter.MeasurePhases(
-      dataset, base, dataset, synth.ApplyDial(base, 0.9)).factor;
-  EXPECT_GT(small, 0.0);
-  EXPECT_GT(large, small);
 }
 
 }  // namespace

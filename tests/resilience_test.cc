@@ -324,6 +324,29 @@ TEST(ResilientDriverTest, BreakerShedsDuringOutageAndRecovers) {
   EXPECT_LT(rm.availability, 0.51);
 }
 
+TEST(ResilientDriverTest, DisabledBreakerNeverShedsThroughTheOutage) {
+  // The same outage with the breaker off: every outage op reaches the SUT
+  // and fails, nothing is shed, and the run never enters degraded mode.
+  VirtualClock clock;
+  BenchmarkDriver driver = MakeSimDriver(&clock);
+  BTreeSystem sut;
+  RunSpec spec = OutageThenRecoverySpec();
+  spec.resilience.breaker_enabled = false;
+
+  const RunResult run = driver.Run(spec, &sut).value();
+  const ResilienceMetrics& rm = run.metrics.resilience;
+  EXPECT_EQ(rm.shed_operations, 0u);
+  EXPECT_EQ(rm.breaker_opens, 0u);
+  EXPECT_EQ(rm.degraded_seconds, 0.0);
+  EXPECT_GT(run.fault_stats.injected_failures, 0u);
+
+  const PhaseMetrics& outage = run.metrics.phases[0];
+  const PhaseMetrics& recovery = run.metrics.phases[1];
+  EXPECT_EQ(outage.failed_operations, outage.operations);
+  EXPECT_EQ(run.fault_stats.injected_failures, outage.operations);
+  EXPECT_EQ(recovery.failed_operations, 0u);
+}
+
 TEST(ResilientDriverTest, FaultedRunIsByteForByteDeterministic) {
   RunSpec spec = OutageThenRecoverySpec(77);
   spec.faults.windows[0].execute_fail_rate = 0.3;

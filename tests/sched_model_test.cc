@@ -201,7 +201,7 @@ struct MergeFixture {
           shared.get(), spec,
           Pacer(worker.clock.get(), worker.clock.get()),
           /*backoff_seed=*/7 + static_cast<uint64_t>(w),
-          /*enable_breaker=*/true, ResilientExecutor::Options());
+          ResilientExecutor::Options());
       worker.sink = std::make_unique<EventSink>(static_cast<uint32_t>(w));
       worker.sink->Reserve(kOpsPerWorker);
       worker.sink->BindObservability(nullptr, recorded);

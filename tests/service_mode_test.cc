@@ -210,7 +210,6 @@ RunSpec MakeOverloadSpec() {
   return spec;
 }
 
-#if !defined(LSBENCH_NO_TRACING)
 int64_t GaugeValue(const MetricsSnapshot& snapshot, const std::string& name) {
   for (const auto& [metric, value] : snapshot.gauges) {
     if (metric == name) return value;
@@ -225,7 +224,6 @@ uint64_t CounterValue(const MetricsSnapshot& snapshot,
   }
   return 0;
 }
-#endif
 
 TEST(ServiceModeTest, OverloadMatchesHandComputedSchedule) {
   // Constant arrivals every 50 us against a 100 us service time, queue
@@ -285,15 +283,13 @@ TEST(ServiceModeTest, OverloadMatchesHandComputedSchedule) {
   EXPECT_NEAR(static_cast<double>(sm.response_latency.P99()), 150000.0,
               6000.0);
 
-#if !defined(LSBENCH_NO_TRACING)
   // The queue instruments saw the same run: 201 admitted, 199 shed, and a
-  // high-water depth of exactly one. (They compile out with tracing.)
+  // high-water depth of exactly one.
   const MetricsSnapshot& metrics = run.observability.metrics;
   EXPECT_EQ(CounterValue(metrics, "service.admitted"), 201u);
   EXPECT_EQ(CounterValue(metrics, "service.shed"), 199u);
   EXPECT_EQ(GaugeValue(metrics, "service.queue_peak_depth"), 1);
   EXPECT_EQ(GaugeValue(metrics, "service.queue_depth"), 0);
-#endif
 }
 
 TEST(ServiceModeTest, ClosedLoopRunsReportNoOpenLoopOperations) {

@@ -108,13 +108,9 @@ TEST_P(TraceDeterminismTest, RepeatedRunsAreByteIdentical) {
   EXPECT_EQ(RenderTraceFile(a.observability, a.run_name, a.sut_name, workers),
             RenderTraceFile(b.observability, b.run_name, b.sut_name, workers));
 
-#if !defined(LSBENCH_NO_TRACING)
-  // The trace actually recorded the hot path. (With tracing compiled out
-  // the streams are empty — trivially identical, which is still the
-  // documented contract of that build mode.)
+  // The trace actually recorded the hot path.
   EXPECT_FALSE(a.observability.trace.empty());
   EXPECT_FALSE(a.observability.stages.empty());
-#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, TraceDeterminismTest,
@@ -343,12 +339,10 @@ TEST_P(GoldenEventStreamTest, HashesMatchThePinnedBytes) {
 
   EXPECT_EQ(Fnv1a64(SerializeEventStream(run.events)), c.events_hash)
       << std::hex << "events 0x" << Fnv1a64(SerializeEventStream(run.events));
-#if !defined(LSBENCH_NO_TRACING)
   const std::string trace_file = RenderTraceFile(
       run.observability, run.run_name, run.sut_name, c.workers);
   EXPECT_EQ(Fnv1a64(trace_file), c.trace_hash)
       << std::hex << "trace 0x" << Fnv1a64(trace_file);
-#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -406,9 +400,6 @@ INSTANTIATE_TEST_SUITE_P(
     PinCaseName);
 
 TEST(TraceDeterminismTest, MergedTraceIsProvenanceOrdered) {
-#if defined(LSBENCH_NO_TRACING)
-  GTEST_SKIP() << "tracing compiled out (LSBENCH_NO_TRACING)";
-#endif
   const RunResult run = RunOnce(4);
   const TraceStream& trace = run.observability.trace;
   ASSERT_FALSE(trace.empty());

@@ -17,6 +17,10 @@ is present) and reports:
                     between same-band peers)
   unknown-module    a src/ file or quoted include in a directory the DAG
                     does not declare
+  uncalled-module   a src/ header that no file in src/, tools/, bench/,
+                    examples/ or benchmark/ includes, apart from its own .cc
+                    (tests/ do not count: a module only its tests call has
+                    no caller)
 
 Two extra modes:
 
@@ -62,6 +66,10 @@ except ModuleNotFoundError:  # pragma: no cover - python < 3.11
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 HEADER_EXTENSIONS = (".h", ".hpp")
 SOURCE_EXTENSIONS = (".cc", ".cpp", ".cxx") + HEADER_EXTENSIONS
+
+# Directories, relative to --root, whose files count as callers of a src/
+# header. tests/ is left out on purpose.
+CALLER_DIRS = ("src", "tools", "bench", "examples", "benchmark")
 
 DEFAULT_LAYERS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                               "layers.toml")
@@ -112,10 +120,11 @@ def module_of(rel):
 
 
 def walk_sources(src_root):
-    """Yields paths (relative to src_root) of every source/header file."""
+    """Yields paths (relative to src_root) of every source/header file,
+    skipping lint fixture trees (testdata/)."""
     out = []
     for dirpath, dirnames, filenames in os.walk(src_root):
-        dirnames.sort()
+        dirnames[:] = sorted(d for d in dirnames if d != "testdata")
         for name in sorted(filenames):
             if name.endswith(SOURCE_EXTENSIONS):
                 out.append(os.path.relpath(os.path.join(dirpath, name),
@@ -271,6 +280,32 @@ def check_cycles(includes):
             "; break it by extracting the shared declarations into a "
             "lower-band header"))
     return findings
+
+
+def check_uncalled(root):
+    """Every src/ header must have a caller: a file under CALLER_DIRS that
+    includes it, other than the header's own .cc."""
+    src_root = os.path.join(root, "src")
+    headers = {rel for rel in walk_sources(src_root)
+               if rel.endswith(HEADER_EXTENSIONS)}
+    called = set()
+    for top in CALLER_DIRS:
+        base = os.path.join(root, top)
+        for rel in walk_sources(base):
+            own = os.path.splitext(rel)[0] if top == "src" else None
+            with open(os.path.join(base, rel), "r", encoding="utf-8",
+                      errors="replace") as f:
+                for line in f:
+                    m = INCLUDE_RE.match(line)
+                    if (m and m.group(1) in headers
+                            and os.path.splitext(m.group(1))[0] != own):
+                        called.add(m.group(1))
+    return [lsbench_lint.Finding(
+        f"src/{rel}", 1, "uncalled-module",
+        "no file in " + ", ".join(f"{d}/" for d in CALLER_DIRS) +
+        " includes this header apart from its own .cc (tests/ do not "
+        "count); give the module a caller or delete it")
+        for rel in sorted(headers - called)]
 
 
 # --- Unused-edge (dead include) report --------------------------------------
@@ -435,7 +470,7 @@ def main(argv=None):
               file=sys.stderr)
 
     findings = (check_layering(layers, includes, suppressions)
-                + check_cycles(includes))
+                + check_cycles(includes) + check_uncalled(root))
     if args.check_unused:
         findings.extend(
             lsbench_lint.Finding(f"src/{rel}", line, "unused-include",

@@ -249,6 +249,12 @@ class LayeringFixtures(unittest.TestCase):
             os.path.join(repo_root, "src"), LAYERS)
         self.assertEqual([], [str(f) for f in findings])
 
+    def test_header_only_its_test_includes_is_uncalled(self):
+        findings = layering.check_uncalled(
+            os.path.join(LAYERING_DATA, "uncalled"))
+        self.assertEqual([("src/data/loader.h", "uncalled-module")],
+                         [(f.path, f.rule) for f in findings])
+
 
 class LayersTomlTests(unittest.TestCase):
     def test_bands_cover_every_src_module(self):
