@@ -1,8 +1,32 @@
 #include "data/distinct_draws.h"
 
 #include <algorithm>
+#include <system_error>
+#include <thread>
 
 namespace lsbench {
+
+void ParallelSortKeys(uint64_t* keys, size_t n, size_t parts) {
+  const size_t low_n = n / 2;
+  if (parts < 2 || low_n < kMinPartKeys) {
+    std::sort(keys, keys + n);
+    return;
+  }
+  uint64_t* const mid = keys + low_n;
+  std::nth_element(keys, mid, keys + n);
+  const size_t low_parts = parts / 2;
+  // Joined below, before the caller can see the keys (lsbench-lint:
+  // no-detached-thread). Every level catches its own failure to start a
+  // thread, so nothing can throw between the start and the join.
+  std::thread low;
+  try {
+    low = std::thread(ParallelSortKeys, keys, low_n, low_parts);
+  } catch (const std::system_error&) {
+    std::sort(keys, mid);
+  }
+  ParallelSortKeys(mid, n - low_n, parts - low_parts);
+  if (low.joinable()) low.join();
+}
 
 std::vector<uint64_t> DistinctSortedDraws(size_t target, size_t max_draws,
                                           const KeyDrawFn& draw) {
@@ -11,6 +35,8 @@ std::vector<uint64_t> DistinctSortedDraws(size_t target, size_t max_draws,
   std::vector<uint64_t> chunk;  // A long chunk, in draw order.
   std::vector<uint64_t> fresh;  // Its keys not kept yet, sorted.
   std::vector<char> first_drawn;
+  // A fact of the host, not a setting: the keys do not depend on it.
+  const size_t parts = std::max(1u, std::thread::hardware_concurrency());
   size_t draws = 0;
   size_t need = target;
   bool halving = true;
@@ -26,13 +52,12 @@ std::vector<uint64_t> DistinctSortedDraws(size_t target, size_t max_draws,
       // fills the target, so it is drawn straight into the key vector.
       keys.resize(old_size + count);
       draw(keys.data() + old_size, count);
-      std::sort(keys.begin() + static_cast<std::ptrdiff_t>(old_size),
-                keys.end());
+      ParallelSortKeys(keys.data() + old_size, count, parts);
     } else {
       chunk.resize(count);
       draw(chunk.data(), count);
       fresh.assign(chunk.begin(), chunk.end());
-      std::sort(fresh.begin(), fresh.end());
+      ParallelSortKeys(fresh.data(), fresh.size(), parts);
       // Merge-join against the kept keys, keeping each new key once.
       size_t kept = 0;
       auto k = keys.begin();

@@ -35,15 +35,30 @@ using KeyDrawFn = std::function<void(uint64_t* out, size_t count)>;
 ///
 /// Cost: every tail chunk is at least as long as the kept set, so the
 /// merge-join and sort cost O(log) per draw, and at most `max_draws` draws
-/// are made: O(max_draws log max_draws) time. Memory is the key vector plus,
-/// in the tail, two chunk-sized scratch vectors (the chunk in draw order
-/// and its sorted new keys), where the hash set needed a node per key.
+/// are made: O(max_draws log max_draws) time. Both sorts (a round's draws,
+/// a tail chunk's copy) are ParallelSortKeys over the host's hardware
+/// threads, split in place, so they add no memory and the keys do not
+/// depend on the thread count. Memory is the key vector plus, in the tail,
+/// two chunk-sized scratch vectors (the chunk in draw order and its sorted
+/// new keys), where the hash set needed a node per key.
 ///
 /// GenerateEmailDataset does not use this: its stagnation stop is decided
 /// per attempt (a run of attempts with no new key), which rounds of draws
 /// cannot see.
 std::vector<uint64_t> DistinctSortedDraws(size_t target, size_t max_draws,
                                           const KeyDrawFn& draw);
+
+/// Smallest half ParallelSortKeys hands to a thread of its own.
+inline constexpr size_t kMinPartKeys = size_t{1} << 16;
+
+/// Sorts `keys[0, n)` ascending, like std::sort, on up to `parts` threads.
+/// While `parts > 1` and both halves would hold at least kMinPartKeys keys,
+/// std::nth_element splits the range in place at its middle, and the two
+/// halves are sorted at once: the lower on a new, joined thread with half
+/// the parts, the upper on the calling thread with the rest. Each part left
+/// is a plain std::sort. There is no merge step and no scratch buffer, and
+/// since a sort has one output the result is the same for every `parts`.
+void ParallelSortKeys(uint64_t* keys, size_t n, size_t parts);
 
 }  // namespace lsbench
 

@@ -30,11 +30,15 @@ std::string GaussianUnit::name() const {
          ")";
 }
 
+// Saturate at exp(mu + 4 sigma) so nearly all mass lands inside [0, 1).
+LognormalUnit::LognormalUnit(double mu, double sigma)
+    : mu_(mu), sigma_(sigma), saturation_(std::exp(mu + 4.0 * sigma)) {}
+
 double LognormalUnit::Sample(Rng* rng) const {
   const double x = std::exp(mu_ + sigma_ * rng->NextGaussian());
-  // Saturate at exp(mu + 4 sigma) so nearly all mass lands inside [0, 1).
-  const double saturation = std::exp(mu_ + 4.0 * sigma_);
-  return std::min(x / saturation, std::nextafter(1.0, 0.0));
+  // A division, not a multiply by 1 / saturation_: that rounds differently
+  // and would change the keys.
+  return std::min(x / saturation_, std::nextafter(1.0, 0.0));
 }
 
 std::string LognormalUnit::name() const {

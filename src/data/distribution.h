@@ -48,13 +48,14 @@ class GaussianUnit final : public UnitDistribution {
 /// right-skewed shape typical of real key sets (e.g., "books" in SOSD).
 class LognormalUnit final : public UnitDistribution {
  public:
-  LognormalUnit(double mu, double sigma) : mu_(mu), sigma_(sigma) {}
+  LognormalUnit(double mu, double sigma);
   double Sample(Rng* rng) const override;
   std::string name() const override;
 
  private:
   double mu_;
   double sigma_;
+  double saturation_;  // exp(mu + 4 sigma)
 };
 
 /// Bounded Pareto-style heavy tail mapped into [0, 1). Higher alpha means a

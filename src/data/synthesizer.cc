@@ -14,6 +14,8 @@ namespace lsbench {
 Dataset SynthesizeDatasetLike(const Dataset& original,
                               const SynthesizeOptions& options) {
   LSBENCH_ASSERT(!original.empty());
+  const Key domain_max = original.domain_max;
+  LSBENCH_ASSERT(original.keys.back() < domain_max);
   const size_t target =
       options.num_keys > 0 ? options.num_keys : original.size();
   const CdfModel cdf =
@@ -21,18 +23,22 @@ Dataset SynthesizeDatasetLike(const Dataset& original,
 
   Dataset synthetic;
   synthetic.name = "synthetic_like_" + original.name;
-  synthetic.domain_max = original.domain_max;
+  synthetic.domain_max = domain_max;
   synthetic.seed = options.seed;
 
   Rng rng(options.seed);
   // Inverse-transform sampling with a small additive jitter so quantile
-  // plateaus (flat CDF stretches) do not alias onto identical keys.
+  // plateaus (flat CDF stretches) do not alias onto identical keys. The
+  // inverse never passes the original's largest key, so base < domain_max,
+  // and a jitter that would leave the domain clamps to its last key
+  // without overflowing.
   synthetic.keys = DistinctSortedDraws(
-      target, target * 100 + 1000, [&cdf, &rng](Key* out, size_t count) {
+      target, target * 100 + 1000,
+      [&cdf, &rng, domain_max](Key* out, size_t count) {
         for (size_t i = 0; i < count; ++i) {
           const Key base = cdf.EvaluateInverse(rng.NextDouble());
           const Key jitter = rng.NextBounded(256);
-          out[i] = base + jitter;
+          out[i] = jitter < domain_max - base ? base + jitter : domain_max - 1;
         }
       });
   return synthetic;

@@ -347,7 +347,8 @@ TEST(GenerationPinTest, DriftAndSynthesizedKeysArePinned) {
   actual.push_back({"synthesize/like", ds.size(), HashKeys(ds.keys)});
 
   // A narrow original leaves fewer distinct keys than asked for, so
-  // synthesis stops at its attempt cap.
+  // synthesis stops at its attempt cap, with every key below the original's
+  // domain_max of 400.
   options.num_keys = 200;
   options.domain_max = 400;
   const Dataset narrow = GenerateDataset(uniform, options);
@@ -364,7 +365,31 @@ TEST(GenerationPinTest, DriftAndSynthesizedKeysArePinned) {
       {"drift/domain=40000/step=2", 20000, 0xc77adb3af7a87b8dull},
       {"drift/domain=40000/step=3", 8850, 0x889d31b65055ad2aull},
       {"synthesize/like", 20000, 0xa664c225e8fdb17cull},
-      {"synthesize/capped", 652, 0xebfddae303b34571ull},
+      {"synthesize/capped", 398, 0xf439f256babfa6b4ull},
+  });
+}
+
+// Sizes large enough that generation's sorts split across threads (on a
+// host with more than one): the lognormal case stays in the halving rounds,
+// the clustered case at a 2n domain runs into the draw-ahead tail. Pinned
+// before the sorts were parallel, so they hold the serial sort's bytes.
+TEST(GenerationPinTest, LargeGenerationKeysArePinned) {
+  const LognormalUnit lognormal(0.0, 1.5);
+  const ClusteredUnit clustered(6, 0.004, 3);
+  constexpr size_t kKeys = 300000;
+  std::vector<KeysPin> actual;
+  DatasetOptions options;
+  options.num_keys = kKeys;
+  options.seed = 1;
+  options.domain_max = uint64_t{1} << 48;
+  Dataset ds = GenerateDataset(lognormal, options);
+  actual.push_back({"lognormal/n=300000/2^48", ds.size(), HashKeys(ds.keys)});
+  options.domain_max = 2 * kKeys;
+  ds = GenerateDataset(clustered, options);
+  actual.push_back({"clustered/n=300000/2n", ds.size(), HashKeys(ds.keys)});
+  ExpectPins(actual, {
+      {"lognormal/n=300000/2^48", 300000, 0x53c4eed82776e6e7ull},
+      {"clustered/n=300000/2n", 103482, 0x53ee79eeca5b774full},
   });
 }
 

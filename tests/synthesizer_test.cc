@@ -63,6 +63,29 @@ TEST(SynthesizeDatasetTest, RespectsRequestedCardinality) {
   EXPECT_EQ(SynthesizeDatasetLike(original, synth).size(), 1234u);
 }
 
+// The jitter added to each inverse-CDF key must not push it past the
+// original's domain: a narrow original whose domain the synthesis saturates,
+// and a dense 2n domain whose largest keys sit at its edge.
+TEST(SynthesizeDatasetTest, KeysStayInsideTheDomain) {
+  DatasetOptions capped;
+  capped.num_keys = 200;
+  capped.domain_max = 400;
+  capped.seed = 5;
+  DatasetOptions dense;
+  dense.num_keys = 5000;
+  dense.domain_max = 2 * dense.num_keys;
+  for (const DatasetOptions& options : {capped, dense}) {
+    const Dataset original = GenerateDataset(UniformUnit(), options);
+    SynthesizeOptions synth;
+    synth.num_keys = 5000;
+    synth.seed = 6;
+    const Dataset synthetic = SynthesizeDatasetLike(original, synth);
+    ASSERT_FALSE(synthetic.empty());
+    EXPECT_LT(synthetic.keys.back(), options.domain_max)
+        << "domain " << options.domain_max;
+  }
+}
+
 TEST(SynthesizeDatasetTest, DeterministicBySeed) {
   DatasetOptions options;
   options.num_keys = 2000;
