@@ -131,6 +131,29 @@ void BM_RmiTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_RmiTrain)->Arg(64)->Arg(1024);
 
+/// Retrain of a loaded RMI whose delta holds `delta_pct` percent of the key
+/// count in fresh inserts: the merge plus the refit, as an online retrain
+/// pays it. Row 0 is the retrain that offline training runs after a load.
+void BM_RmiRetrain(benchmark::State& state) {
+  const auto pairs = BenchPairs();
+  const size_t delta_keys =
+      pairs.size() * static_cast<size_t>(state.range(0)) / 100;
+  RmiIndex rmi;
+  for (auto _ : state) {
+    state.PauseTiming();
+    rmi.BulkLoad(pairs);
+    Rng rng(11);
+    for (size_t i = 0; i < delta_keys; ++i) {
+      rmi.Insert(rng.NextBounded(BenchDataset().domain_max), i);
+    }
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(rmi.Retrain());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(pairs.size()));
+}
+BENCHMARK(BM_RmiRetrain)->ArgName("delta_pct")->Arg(0)->Arg(1)->UseRealTime();
+
 void BM_PgmBuild(benchmark::State& state) {
   const auto pairs = BenchPairs();
   for (auto _ : state) {

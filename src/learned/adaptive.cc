@@ -36,9 +36,7 @@ AdaptiveLearnedIndex::Segment AdaptiveLearnedIndex::MakeSegment(
 
   // Spread entries evenly across the slots and fit the model to the actual
   // placement, so fresh segments predict perfectly.
-  std::vector<double> xs, ys;
-  xs.reserve(n);
-  ys.reserve(n);
+  LinearFitSums fit;
   for (size_t i = 0; i < n; ++i) {
     const size_t slot =
         n == 1 ? 0
@@ -46,10 +44,9 @@ AdaptiveLearnedIndex::Segment AdaptiveLearnedIndex::MakeSegment(
     seg.slot_keys[slot] = pairs[i].first;
     seg.slot_values[slot] = pairs[i].second;
     seg.occupied[slot] = true;
-    xs.push_back(static_cast<double>(pairs[i].first));
-    ys.push_back(static_cast<double>(slot));
+    fit.Add(static_cast<double>(pairs[i].first), static_cast<double>(slot));
   }
-  seg.model = FitLinearTargets(xs, ys);
+  seg.model = fit.Fit();
   return seg;
 }
 

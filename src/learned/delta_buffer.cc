@@ -18,28 +18,35 @@ void DeltaBuffer::Put(Key key, Value value) {
 
 void DeltaBuffer::Delete(Key key) { entries_[key] = Entry{true, 0}; }
 
-std::vector<KeyValue> DeltaBuffer::MergeWith(
-    const std::vector<KeyValue>& static_pairs) const {
-  std::vector<KeyValue> merged;
-  merged.reserve(static_pairs.size() + entries_.size());
-  auto sit = static_pairs.begin();
+void DeltaBuffer::MergeInto(std::vector<Key>* keys,
+                            std::vector<Value>* values) {
+  if (entries_.empty()) return;
+  std::vector<Key> merged_keys;
+  std::vector<Value> merged_values;
+  merged_keys.reserve(keys->size() + entries_.size());
+  merged_values.reserve(keys->size() + entries_.size());
+  size_t si = 0;
   auto dit = entries_.begin();
-  while (sit != static_pairs.end() || dit != entries_.end()) {
+  while (si < keys->size() || dit != entries_.end()) {
     if (dit == entries_.end() ||
-        (sit != static_pairs.end() && sit->first < dit->first)) {
-      merged.push_back(*sit);
-      ++sit;
+        (si < keys->size() && (*keys)[si] < dit->first)) {
+      merged_keys.push_back((*keys)[si]);
+      merged_values.push_back((*values)[si]);
+      ++si;
       continue;
     }
-    if (sit != static_pairs.end() && sit->first == dit->first) {
-      ++sit;  // Delta shadows the static entry.
+    if (si < keys->size() && (*keys)[si] == dit->first) {
+      ++si;  // Delta shadows the static entry.
     }
     if (!dit->second.tombstone) {
-      merged.emplace_back(dit->first, dit->second.value);
+      merged_keys.push_back(dit->first);
+      merged_values.push_back(dit->second.value);
     }
     ++dit;
   }
-  return merged;
+  keys->swap(merged_keys);
+  values->swap(merged_values);
+  entries_.clear();
 }
 
 size_t DeltaBuffer::MergeScan(const std::vector<Key>& static_keys,

@@ -37,11 +37,12 @@ class DeltaBuffer {
     return entries_.size() * (sizeof(Key) + sizeof(Value) + 4 * sizeof(void*));
   }
 
-  /// Merges the static run `static_pairs` (sorted, tombstone-free) with the
-  /// buffer into a fresh sorted run with tombstones applied. Used at
-  /// retrain time.
-  std::vector<KeyValue> MergeWith(
-      const std::vector<KeyValue>& static_pairs) const;
+  /// Merges the buffer into the static run given by parallel key/value
+  /// arrays (sorted, tombstone-free): buffered entries shadow static ones
+  /// and tombstones remove them. Used at retrain time. An empty buffer
+  /// leaves both arrays untouched; otherwise one merge pass fills fresh
+  /// arrays that replace them, and the buffer is cleared.
+  void MergeInto(std::vector<Key>* keys, std::vector<Value>* values);
 
   /// Merge-scan: appends up to `limit` pairs with key >= `from` to `out`,
   /// combining the buffer with a static sorted view given by parallel

@@ -180,21 +180,7 @@ void PgmIndex::BulkLoad(const std::vector<KeyValue>& sorted_pairs) {
 }
 
 size_t PgmIndex::Retrain() {
-  std::vector<KeyValue> static_pairs;
-  static_pairs.reserve(keys_.size());
-  for (size_t i = 0; i < keys_.size(); ++i) {
-    static_pairs.emplace_back(keys_[i], values_[i]);
-  }
-  const std::vector<KeyValue> merged = delta_.MergeWith(static_pairs);
-  keys_.clear();
-  values_.clear();
-  keys_.reserve(merged.size());
-  values_.reserve(merged.size());
-  for (const auto& [k, v] : merged) {
-    keys_.push_back(k);
-    values_.push_back(v);
-  }
-  delta_.Clear();
+  delta_.MergeInto(&keys_, &values_);
   live_count_ = keys_.size();
   Fit();
   return keys_.size();

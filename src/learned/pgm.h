@@ -35,6 +35,9 @@ class PgmIndex final : public KvIndex {
 
   size_t delta_size() const { return delta_.size(); }
   size_t static_size() const { return keys_.size(); }
+  /// The sorted keys the models were last fitted over. They are every live
+  /// key only while delta_size() == 0.
+  const std::vector<Key>& static_keys() const { return keys_; }
   size_t segment_count() const { return segments_.size(); }
   uint32_t epsilon() const { return epsilon_; }
 

@@ -65,22 +65,21 @@ void RmiIndex::Fit() {
       leaf_models_[leaf].intercept = static_cast<double>(start);
       leaf_errors_[leaf] = 0;
     } else {
-      std::vector<double> xs, ys;
-      xs.reserve(count / options_.train_sample_every + 2);
-      ys.reserve(xs.capacity());
+      LinearFitSums fit;
+      double last_x = 0.0;
       for (size_t i = start; i < end;
            i += static_cast<size_t>(options_.train_sample_every)) {
-        xs.push_back(static_cast<double>(keys_[i]));
-        ys.push_back(static_cast<double>(i));
+        last_x = static_cast<double>(keys_[i]);
+        fit.Add(last_x, static_cast<double>(i));
       }
       // Always include the last key so the model sees the full span.
-      if (xs.empty() ||
-          xs.back() != static_cast<double>(keys_[end - 1])) {
-        xs.push_back(static_cast<double>(keys_[end - 1]));
-        ys.push_back(static_cast<double>(end - 1));
+      if (fit.count() == 0 ||
+          last_x != static_cast<double>(keys_[end - 1])) {
+        fit.Add(static_cast<double>(keys_[end - 1]),
+                static_cast<double>(end - 1));
       }
-      leaf_models_[leaf] = FitLinearTargets(xs, ys);
-      last_fit_points_ += xs.size();
+      leaf_models_[leaf] = fit.Fit();
+      last_fit_points_ += fit.count();
       // The error bound must be exact over *all* keys (correctness), even
       // when the fit was subsampled (cost).
       uint32_t max_err = 0;
@@ -191,21 +190,7 @@ void RmiIndex::BulkLoad(const std::vector<KeyValue>& sorted_pairs) {
 }
 
 size_t RmiIndex::Retrain() {
-  std::vector<KeyValue> static_pairs;
-  static_pairs.reserve(keys_.size());
-  for (size_t i = 0; i < keys_.size(); ++i) {
-    static_pairs.emplace_back(keys_[i], values_[i]);
-  }
-  const std::vector<KeyValue> merged = delta_.MergeWith(static_pairs);
-  keys_.clear();
-  values_.clear();
-  keys_.reserve(merged.size());
-  values_.reserve(merged.size());
-  for (const auto& [k, v] : merged) {
-    keys_.push_back(k);
-    values_.push_back(v);
-  }
-  delta_.Clear();
+  delta_.MergeInto(&keys_, &values_);
   live_count_ = keys_.size();
   Fit();
   return keys_.size();

@@ -44,6 +44,9 @@ class RmiIndex final : public KvIndex {
 
   size_t delta_size() const { return delta_.size(); }
   size_t static_size() const { return keys_.size(); }
+  /// The sorted keys the models were last fitted over. They are every live
+  /// key only while delta_size() == 0.
+  const std::vector<Key>& static_keys() const { return keys_; }
 
   /// Mean/max of the per-leaf maximum position errors — the model quality
   /// signal the adaptability experiments watch degrade under drift.

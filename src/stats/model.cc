@@ -17,61 +17,31 @@ size_t LinearModel::PredictClamped(double x, size_t n) const {
 }
 
 LinearModel FitLinear(const Key* keys, size_t n) {
-  LinearModel m;
-  if (n == 0) return m;
-  if (n == 1) {
-    m.slope = 0.0;
-    m.intercept = 0.0;
-    return m;
-  }
+  if (n == 0) return LinearModel{};
   // Shift by the first key to keep the arithmetic well-conditioned for
   // large 64-bit keys.
   const double x0 = static_cast<double>(keys[0]);
-  double sum_x = 0.0, sum_y = 0.0, sum_xx = 0.0, sum_xy = 0.0;
+  LinearFitSums sums;
   for (size_t i = 0; i < n; ++i) {
-    const double x = static_cast<double>(keys[i]) - x0;
-    const double y = static_cast<double>(i);
-    sum_x += x;
-    sum_y += y;
-    sum_xx += x * x;
-    sum_xy += x * y;
+    sums.Add(static_cast<double>(keys[i]) - x0, static_cast<double>(i));
   }
-  const double dn = static_cast<double>(n);
-  const double denom = dn * sum_xx - sum_x * sum_x;
-  if (denom == 0.0 || !std::isfinite(denom)) {
-    m.slope = 0.0;
-    m.intercept = sum_y / dn;
-    return m;
-  }
-  const double slope = (dn * sum_xy - sum_x * sum_y) / denom;
-  const double intercept_shifted = (sum_y - slope * sum_x) / dn;
-  m.slope = slope;
-  m.intercept = intercept_shifted - slope * x0;
+  LinearModel m = sums.Fit();
+  m.intercept -= m.slope * x0;
   return m;
 }
 
-LinearModel FitLinearTargets(const std::vector<double>& xs,
-                             const std::vector<double>& ys) {
-  LSBENCH_ASSERT(xs.size() == ys.size());
+LinearModel LinearFitSums::Fit() const {
   LinearModel m;
-  const size_t n = xs.size();
-  if (n == 0) return m;
-  double sum_x = 0.0, sum_y = 0.0, sum_xx = 0.0, sum_xy = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    sum_x += xs[i];
-    sum_y += ys[i];
-    sum_xx += xs[i] * xs[i];
-    sum_xy += xs[i] * ys[i];
-  }
-  const double dn = static_cast<double>(n);
-  const double denom = dn * sum_xx - sum_x * sum_x;
+  if (count_ == 0) return m;
+  const double dn = static_cast<double>(count_);
+  const double denom = dn * sum_xx_ - sum_x_ * sum_x_;
   if (denom == 0.0 || !std::isfinite(denom)) {
     m.slope = 0.0;
-    m.intercept = sum_y / dn;
+    m.intercept = sum_y_ / dn;
     return m;
   }
-  m.slope = (dn * sum_xy - sum_x * sum_y) / denom;
-  m.intercept = (sum_y - m.slope * sum_x) / dn;
+  m.slope = (dn * sum_xy_ - sum_x_ * sum_y_) / denom;
+  m.intercept = (sum_y_ - m.slope * sum_x_) / dn;
   return m;
 }
 

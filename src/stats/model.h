@@ -26,9 +26,30 @@ struct LinearModel {
 /// Degenerate inputs (n < 2 or all-equal keys) produce a constant model.
 LinearModel FitLinear(const Key* keys, size_t n);
 
-/// Fits keys -> target positions (arbitrary targets, same length).
-LinearModel FitLinearTargets(const std::vector<double>& xs,
-                             const std::vector<double>& ys);
+/// Least-squares fit of y against x from running sums: points are added one
+/// at a time, so a caller fits straight from its own arrays without copying
+/// them into (x, y) vectors. No points give the zero model; a degenerate x
+/// (all points equal) gives a constant model at the mean y.
+class LinearFitSums {
+ public:
+  void Add(double x, double y) {
+    sum_x_ += x;
+    sum_y_ += y;
+    sum_xx_ += x * x;
+    sum_xy_ += x * y;
+    ++count_;
+  }
+
+  size_t count() const { return count_; }
+  LinearModel Fit() const;
+
+ private:
+  double sum_x_ = 0.0;
+  double sum_y_ = 0.0;
+  double sum_xx_ = 0.0;
+  double sum_xy_ = 0.0;
+  size_t count_ = 0;
+};
 
 /// Monotone piecewise-linear CDF model over a sample: F(key) in [0, 1].
 /// Used by the learned sorter and the learned cardinality estimator.

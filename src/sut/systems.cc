@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/assert.h"
 
 namespace lsbench {
 
@@ -315,16 +316,9 @@ size_t LearnedKvSystem::delta_size() const {
   return rmi_ != nullptr ? rmi_->delta_size() : pgm_->delta_size();
 }
 
-std::vector<Key> LearnedKvSystem::CurrentKeysSnapshot() const {
-  std::vector<KeyValue> pairs;
-  index()->Scan(0, index()->size(), &pairs);
-  std::vector<Key> keys;
-  keys.reserve(pairs.size());
-  for (const auto& [k, v] : pairs) {
-    (void)v;
-    keys.push_back(k);
-  }
-  return keys;
+const std::vector<Key>& LearnedKvSystem::TrainedKeys() const {
+  LSBENCH_ASSERT_MSG(delta_size() == 0, "trained keys read after a write");
+  return rmi_ != nullptr ? rmi_->static_keys() : pgm_->static_keys();
 }
 
 Status LearnedKvSystem::Load(const std::vector<KeyValue>& sorted_pairs) {
@@ -346,7 +340,7 @@ TrainReport LearnedKvSystem::Train() {
   offline_train_items_ += fitted;
   if (train_items_counter_ != nullptr) train_items_counter_->Increment(fitted);
 
-  const std::vector<Key> keys = CurrentKeysSnapshot();
+  const std::vector<Key>& keys = TrainedKeys();
   estimator_ = std::make_unique<LearnedCardinalityEstimator>(
       keys, options_.estimator);
   cost_model_ = std::make_unique<OnlineCostModel>();
@@ -366,7 +360,7 @@ void LearnedKvSystem::RetrainNow() {
   if (estimator_ != nullptr) {
     auto* learned =
         static_cast<LearnedCardinalityEstimator*>(estimator_.get());
-    learned->Retrain(CurrentKeysSnapshot());
+    learned->Retrain(TrainedKeys());
   }
   drift_.Rebase();
   ++retrain_events_;

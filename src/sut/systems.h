@@ -137,6 +137,11 @@ class LearnedKvSystem final : public KvSystemBase {
 
   std::string name() const override;
   Status Load(const std::vector<KeyValue>& sorted_pairs) override;
+  /// Timed offline training: refits the index models, samples the learned
+  /// estimator and feeds the drift reference, all from the keys the index
+  /// holds in place. It copies no key set (merging an empty delta touches
+  /// nothing), so set-up memory peaks during Load at dataset + load image +
+  /// index, and this call adds only the models.
   TrainReport Train() override;
   void OnPhaseStart(int phase_index, bool holdout) override;
   SutStats GetStats() const override;
@@ -161,7 +166,9 @@ class LearnedKvSystem final : public KvSystemBase {
   void MaybeRetrain();
   /// Synchronous retrain: refits index models and the estimator.
   void RetrainNow();
-  std::vector<Key> CurrentKeysSnapshot() const;
+  /// The keys the index was just fitted over, read in place. Valid only
+  /// right after a Retrain, while the delta buffer is empty.
+  const std::vector<Key>& TrainedKeys() const;
 
   LearnedSystemOptions options_;
   RealClock default_clock_;

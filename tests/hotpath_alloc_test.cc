@@ -11,6 +11,9 @@
 // reserved up front the marginal cost per op must be zero heap calls. The
 // absolute slack term absorbs O(log n) container regrowth in post-run
 // metrics, which scales with run size but not per operation.
+//
+// The same counter also sums the bytes requested, which pins that training
+// a learned index reads its key set where it lives instead of copying it.
 
 #include <gtest/gtest.h>
 
@@ -20,19 +23,24 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include "core/driver.h"
 #include "core/run_spec.h"
 #include "data/dataset.h"
+#include "learned/pgm.h"
+#include "learned/rmi.h"
 #include "sut/systems.h"
 #include "workload/trace.h"
 
 namespace {
 
 std::atomic<uint64_t> g_heap_allocs{0};
+std::atomic<uint64_t> g_heap_bytes{0};
 
 void* CountedAlloc(size_t size) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -248,6 +256,65 @@ TEST(HotpathAllocTest, ServiceModeSteadyStateAllocatesZeroPerElement) {
       << "marginal heap allocations for " << kElements
       << " extra service-mode batch elements: " << batch << " (slack "
       << kSlack << ")";
+}
+
+/// Total bytes requested from the heap while `fn` runs; frees do not
+/// subtract, so a transient copy counts in full.
+template <typename Fn>
+uint64_t HeapBytesDuring(Fn&& fn) {
+  const uint64_t before = g_heap_bytes.load(std::memory_order_relaxed);
+  fn();
+  return g_heap_bytes.load(std::memory_order_relaxed) - before;
+}
+
+constexpr size_t kTrainKeys = 200000;
+/// One copy of the trained keys: the smallest copy of the key set.
+constexpr uint64_t kKeySetBytes = kTrainKeys * sizeof(Key);
+
+std::vector<KeyValue> TrainPairs() {
+  DatasetOptions options;
+  options.num_keys = kTrainKeys;
+  options.seed = 7;
+  const Dataset ds = GenerateDataset(UniformUnit(), options);
+  std::vector<KeyValue> pairs;
+  pairs.reserve(ds.size());
+  for (size_t i = 0; i < ds.size(); ++i) pairs.emplace_back(ds.keys[i], i);
+  return pairs;
+}
+
+TEST(TrainAllocTest, TrainCopiesNoKeySet) {
+  // Train refits the index, samples the estimator and feeds the drift
+  // reference from the keys the index already holds; none of that needs
+  // a copy of the key set.
+  const std::vector<KeyValue> pairs = TrainPairs();
+  ASSERT_EQ(pairs.size(), kTrainKeys);
+  for (const auto kind : {LearnedSystemOptions::IndexKind::kRmi,
+                          LearnedSystemOptions::IndexKind::kPgm}) {
+    LearnedSystemOptions options;
+    options.index_kind = kind;
+    LearnedKvSystem sut(options);
+    ASSERT_TRUE(sut.Load(pairs).ok());
+    const uint64_t bytes = HeapBytesDuring([&] { (void)sut.Train(); });
+    EXPECT_LT(bytes, kKeySetBytes)
+        << sut.name() << ": Train() allocated " << bytes
+        << " bytes for " << kTrainKeys << " keys";
+  }
+}
+
+TEST(TrainAllocTest, RetrainWithEmptyDeltaCopiesNoKeySet) {
+  const std::vector<KeyValue> pairs = TrainPairs();
+  RmiIndex rmi;
+  rmi.BulkLoad(pairs);
+  const uint64_t rmi_bytes = HeapBytesDuring([&] { (void)rmi.Retrain(); });
+  EXPECT_LT(rmi_bytes, kKeySetBytes)
+      << "RmiIndex::Retrain() with an empty delta allocated " << rmi_bytes
+      << " bytes";
+  PgmIndex pgm;
+  pgm.BulkLoad(pairs);
+  const uint64_t pgm_bytes = HeapBytesDuring([&] { (void)pgm.Retrain(); });
+  EXPECT_LT(pgm_bytes, kKeySetBytes)
+      << "PgmIndex::Retrain() with an empty delta allocated " << pgm_bytes
+      << " bytes";
 }
 
 }  // namespace

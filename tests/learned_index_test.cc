@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
@@ -123,16 +125,77 @@ TEST(DeltaBufferTest, LookupStates) {
   EXPECT_EQ(delta.Lookup(1, &v), DeltaBuffer::Presence::kTombstone);
 }
 
-TEST(DeltaBufferTest, MergeWithAppliesShadowsAndTombstones) {
+/// Runs MergeInto over the static run `static_pairs` and returns the
+/// merged run as pairs.
+std::vector<KeyValue> MergeIntoPairs(DeltaBuffer* delta,
+                                     const std::vector<KeyValue>& static_pairs) {
+  std::vector<Key> keys;
+  std::vector<Value> values;
+  for (const auto& [k, v] : static_pairs) {
+    keys.push_back(k);
+    values.push_back(v);
+  }
+  delta->MergeInto(&keys, &values);
+  EXPECT_EQ(keys.size(), values.size());
+  std::vector<KeyValue> merged;
+  for (size_t i = 0; i < keys.size(); ++i) merged.emplace_back(keys[i], values[i]);
+  return merged;
+}
+
+TEST(DeltaBufferTest, MergeIntoAppliesShadowsAndTombstones) {
   DeltaBuffer delta;
   delta.Put(2, 20);      // Overwrites static.
   delta.Put(5, 50);      // New key.
   delta.Delete(3);       // Removes static.
   delta.Delete(99);      // Tombstone for non-existent key: no effect.
   const std::vector<KeyValue> merged =
-      delta.MergeWith({{1, 1}, {2, 2}, {3, 3}, {4, 4}});
+      MergeIntoPairs(&delta, {{1, 1}, {2, 2}, {3, 3}, {4, 4}});
   const std::vector<KeyValue> expected = {{1, 1}, {2, 20}, {4, 4}, {5, 50}};
   EXPECT_EQ(merged, expected);
+  EXPECT_TRUE(delta.empty());
+}
+
+TEST(DeltaBufferTest, MergeIntoEmptyStaticRun) {
+  DeltaBuffer delta;
+  delta.Put(7, 70);
+  delta.Delete(8);
+  delta.Put(3, 30);
+  const std::vector<KeyValue> expected = {{3, 30}, {7, 70}};
+  EXPECT_EQ(MergeIntoPairs(&delta, {}), expected);
+  EXPECT_TRUE(delta.empty());
+}
+
+TEST(DeltaBufferTest, MergeIntoOnlyTombstones) {
+  DeltaBuffer delta;
+  delta.Delete(1);
+  delta.Delete(4);
+  const std::vector<KeyValue> expected = {{2, 2}, {3, 3}};
+  EXPECT_EQ(MergeIntoPairs(&delta, {{1, 1}, {2, 2}, {3, 3}, {4, 4}}),
+            expected);
+  EXPECT_TRUE(delta.empty());
+}
+
+TEST(DeltaBufferTest, MergeIntoTombstoneForAbsentKey) {
+  DeltaBuffer delta;
+  delta.Delete(0);   // Before the static run.
+  delta.Delete(25);  // Between static keys.
+  delta.Delete(99);  // After the static run.
+  const std::vector<KeyValue> expected = {{10, 1}, {20, 2}, {30, 3}};
+  EXPECT_EQ(MergeIntoPairs(&delta, {{10, 1}, {20, 2}, {30, 3}}), expected);
+  EXPECT_TRUE(delta.empty());
+}
+
+TEST(DeltaBufferTest, MergeIntoEmptyBufferLeavesArraysUntouched) {
+  DeltaBuffer delta;
+  std::vector<Key> keys = {10, 20, 30};
+  std::vector<Value> values = {1, 2, 3};
+  const Key* key_data = keys.data();
+  const Value* value_data = values.data();
+  delta.MergeInto(&keys, &values);
+  EXPECT_EQ(keys.data(), key_data);
+  EXPECT_EQ(values.data(), value_data);
+  EXPECT_EQ(keys, (std::vector<Key>{10, 20, 30}));
+  EXPECT_EQ(values, (std::vector<Value>{1, 2, 3}));
 }
 
 TEST(DeltaBufferTest, MergeScanInterleaves) {
@@ -329,6 +392,93 @@ TEST(PgmTest, DeltaOperations) {
   EXPECT_EQ(*pgm.Get(5), 500u);
   EXPECT_EQ(*pgm.Get(10), 600u);
   EXPECT_FALSE(pgm.Get(20).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Model pins: exact fit results of RMI and PGM on one fixed key set, after a
+// load, an empty-delta retrain and a retrain with writes. A change to how
+// the indexes merge or fit must leave them bit-identical.
+// ---------------------------------------------------------------------------
+
+Dataset PinDataset() {
+  DatasetOptions options;
+  options.num_keys = 300000;
+  options.domain_max = uint64_t{1} << 48;
+  options.seed = 1;
+  return GenerateDataset(LognormalUnit(0.0, 1.5), options);
+}
+
+/// 1,000 inserts of fresh random keys and 100 erases of loaded keys, so the
+/// next Retrain merges live entries and tombstones.
+void ApplyPinWrites(KvIndex* index, const Dataset& ds) {
+  Rng rng(2);
+  for (Value i = 0; i < 1000; ++i) {
+    index->Insert(rng.NextBounded(ds.domain_max), i);
+  }
+  for (size_t i = 0; i < 100; ++i) index->Erase(ds.keys[i * 2999]);
+}
+
+struct RmiPin {
+  const char* point;
+  double mean_leaf_error;
+  uint32_t max_leaf_error;
+  size_t fit_points;
+};
+
+TEST(LearnedModelPinTest, RmiLeafErrorsArePinned) {
+  const Dataset ds = PinDataset();
+  // train_sample_every 3 leaves most leaves' last key off the stride, so
+  // it also pins the "always include the last key" branch.
+  const std::vector<std::pair<int, std::vector<RmiPin>>> cases = {
+      {1,
+       {{"bulk_load", 0x1.08fp+5, 1542, 300000},
+        {"retrain/empty", 0x1.08fp+5, 1542, 300000},
+        {"retrain/writes", 0x1.a5a8p+5, 6259, 300900}}},
+      {3,
+       {{"bulk_load", 0x1.08f8p+5, 1542, 100137},
+        {"retrain/empty", 0x1.08f8p+5, 1542, 100137},
+        {"retrain/writes", 0x1.a578p+5, 6258, 100435}}},
+  };
+  for (const auto& [every, expected] : cases) {
+    RmiOptions options;
+    options.train_sample_every = every;
+    RmiIndex rmi(options);
+    std::vector<RmiPin> actual;
+    auto record = [&](const char* point) {
+      actual.push_back({point, rmi.MeanLeafError(), rmi.MaxLeafError(),
+                        rmi.last_fit_points()});
+    };
+    rmi.BulkLoad(PairsFromDataset(ds));
+    record("bulk_load");
+    rmi.Retrain();
+    record("retrain/empty");
+    ApplyPinWrites(&rmi, ds);
+    rmi.Retrain();
+    record("retrain/writes");
+    ASSERT_EQ(actual.size(), expected.size());
+    for (size_t i = 0; i < actual.size(); ++i) {
+      SCOPED_TRACE(std::string("every=") + std::to_string(every) + " " +
+                   actual[i].point);
+      EXPECT_EQ(actual[i].mean_leaf_error, expected[i].mean_leaf_error);
+      EXPECT_EQ(actual[i].max_leaf_error, expected[i].max_leaf_error);
+      EXPECT_EQ(actual[i].fit_points, expected[i].fit_points);
+    }
+  }
+}
+
+TEST(LearnedModelPinTest, PgmSegmentCountsArePinned) {
+  const Dataset ds = PinDataset();
+  PgmIndex pgm;
+  std::vector<size_t> actual;
+  pgm.BulkLoad(PairsFromDataset(ds));
+  actual.push_back(pgm.segment_count());
+  pgm.Retrain();
+  actual.push_back(pgm.segment_count());
+  ApplyPinWrites(&pgm, ds);
+  pgm.Retrain();
+  actual.push_back(pgm.segment_count());
+  const std::vector<size_t> expected = {62, 62, 62};
+  EXPECT_EQ(actual, expected);
 }
 
 // ---------------------------------------------------------------------------
