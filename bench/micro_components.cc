@@ -1,30 +1,20 @@
-// Micro-benchmarks for the learned components beyond indexing: learned sort
-// vs std::sort, cardinality estimators (latency and accuracy), the
-// similarity statistics powering the phi axis, and the drift detector —
-// plus dataset generation, which is most of a large run's set-up.
+// Micro-benchmarks for the learned components beyond indexing: cardinality
+// estimators (latency and accuracy), the similarity statistics powering the
+// phi axis, and the drift detector — plus dataset generation, which is most
+// of a large run's set-up.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
+#include <vector>
 
 #include "data/dataset.h"
 #include "learned/cardinality.h"
-#include "learned/join.h"
 #include "learned/drift_detector.h"
-#include "learned/learned_sort.h"
 #include "stats/similarity.h"
 #include "util/random.h"
 
 namespace lsbench {
 namespace {
-
-std::vector<Key> SortInput(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  const LognormalUnit dist(0.0, 1.5);
-  std::vector<Key> keys(n);
-  for (Key& k : keys) k = static_cast<Key>(dist.Sample(&rng) * 9e18);
-  return keys;
-}
 
 // Arg 0: uniform keys, arg 1: lognormal(0, 1.5) keys; 1M keys per run.
 // The per_key counter is the wall time per generated key: generation sorts
@@ -52,28 +42,6 @@ BENCHMARK(BM_GenerateDataset)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-void BM_StdSort(benchmark::State& state) {
-  const auto input = SortInput(static_cast<size_t>(state.range(0)), 1);
-  for (auto _ : state) {
-    auto data = input;
-    std::sort(data.begin(), data.end());
-    benchmark::DoNotOptimize(data.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_StdSort)->Arg(100000)->Arg(1000000);
-
-void BM_LearnedSort(benchmark::State& state) {
-  const auto input = SortInput(static_cast<size_t>(state.range(0)), 1);
-  for (auto _ : state) {
-    auto data = input;
-    LearnedSort(&data);
-    benchmark::DoNotOptimize(data.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_LearnedSort)->Arg(100000)->Arg(1000000);
 
 const std::vector<Key>& EstimatorKeys() {
   static const auto& keys = *new std::vector<Key>(
@@ -142,57 +110,6 @@ void BM_MmdSquared(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MmdSquared)->Arg(256)->Arg(1024);
-
-// Join kernels: a 1:16 probe:build size ratio where learned skipping pays.
-struct JoinInputs {
-  std::vector<Key> small;
-  std::vector<Key> large;
-};
-
-const JoinInputs& JoinData() {
-  static const JoinInputs& inputs = *new JoinInputs([] {
-    JoinInputs in;
-    Rng rng(21);
-    Key k = 0;
-    for (int i = 0; i < 1000000; ++i) {
-      k += 1 + rng.NextBounded(20);
-      in.large.push_back(k);
-      if (i % 16 == 0) in.small.push_back(k);
-    }
-    return in;
-  }());
-  return inputs;
-}
-
-void BM_MergeJoin(benchmark::State& state) {
-  const JoinInputs& in = JoinData();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MergeJoin(in.small, in.large).matches);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(in.large.size()));
-}
-BENCHMARK(BM_MergeJoin);
-
-void BM_HashJoin(benchmark::State& state) {
-  const JoinInputs& in = JoinData();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(HashJoin(in.small, in.large).matches);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(in.large.size()));
-}
-BENCHMARK(BM_HashJoin);
-
-void BM_LearnedJoin(benchmark::State& state) {
-  const JoinInputs& in = JoinData();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(LearnedJoin(in.small, in.large).matches);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(in.large.size()));
-}
-BENCHMARK(BM_LearnedJoin);
 
 void BM_DriftDetectorObserve(benchmark::State& state) {
   DriftDetector detector;

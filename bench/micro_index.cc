@@ -10,8 +10,6 @@
 #include "data/dataset.h"
 #include "index/btree.h"
 #include "index/lsm.h"
-#include "index/skiplist.h"
-#include "index/sorted_array.h"
 #include "learned/adaptive.h"
 #include "learned/pgm.h"
 #include "learned/rmi.h"
@@ -95,8 +93,6 @@ void BM_Scan100(benchmark::State& state) {
   BENCHMARK_TEMPLATE(BM_Scan100, IndexT)
 
 LSBENCH_INDEX_BENCHES(BTree);
-LSBENCH_INDEX_BENCHES(SortedArrayIndex);
-LSBENCH_INDEX_BENCHES(SkipList);
 LSBENCH_INDEX_BENCHES(RmiIndex);
 LSBENCH_INDEX_BENCHES(PgmIndex);
 LSBENCH_INDEX_BENCHES(AdaptiveLearnedIndex);

@@ -10,10 +10,10 @@
 namespace lsbench {
 
 /// Ordered key-value index abstraction shared by the traditional (B+-tree,
-/// sorted array, skip list) and learned (RMI, PGM, adaptive) data-access
-/// substrates. The benchmark's SUTs compose implementations of this
-/// interface; keeping it minimal is deliberate — the paper requires the
-/// benchmark to avoid imposing architectural constraints on the SUT.
+/// LSM tree) and learned (RMI, PGM, adaptive) data-access substrates. The
+/// benchmark's SUTs compose implementations of this interface; keeping it
+/// minimal is deliberate — the paper requires the benchmark to avoid
+/// imposing architectural constraints on the SUT.
 class KvIndex {
  public:
   virtual ~KvIndex() = default;
@@ -44,11 +44,7 @@ class KvIndex {
   bool empty() const { return size() == 0; }
 
   /// Replaces the contents with `sorted_pairs` (strictly ascending keys).
-  /// Implementations override this when a bulk path is cheaper than repeated
-  /// Insert calls.
-  virtual void BulkLoad(const std::vector<KeyValue>& sorted_pairs) {
-    for (const auto& [k, v] : sorted_pairs) Insert(k, v);
-  }
+  virtual void BulkLoad(const std::vector<KeyValue>& sorted_pairs) = 0;
 };
 
 }  // namespace lsbench

@@ -16,11 +16,11 @@ namespace lsbench {
 /// IS in the fitted array. For absent keys the window may miss the lower
 /// bound (predictions extrapolate inside a segment's key gap), so this
 /// model supports membership-style probes, not general lower-bound
-/// queries — exactly what point reads and equi-joins need.
+/// queries — exactly what point reads need.
 /// Segments predict relative to their own origin, which keeps the epsilon
 /// guarantee intact for keys near 2^64 where absolute slope*key+intercept
-/// arithmetic loses whole positions. Consumers: the learned join kernel and
-/// the learned-run LSM mode (Bourbon-style).
+/// arithmetic loses whole positions. Consumer: the learned-run LSM mode
+/// (Bourbon-style).
 class SegmentModel {
  public:
   SegmentModel() = default;

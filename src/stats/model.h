@@ -52,7 +52,7 @@ class LinearFitSums {
 };
 
 /// Monotone piecewise-linear CDF model over a sample: F(key) in [0, 1].
-/// Used by the learned sorter and the learned cardinality estimator.
+/// `SynthesizeDatasetLike` inverts it to draw keys shaped like a dataset.
 class CdfModel {
  public:
   /// Builds from a *sorted* sample using `num_knots` equally-spaced-in-rank

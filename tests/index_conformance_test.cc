@@ -9,8 +9,6 @@
 #include "index/btree.h"
 #include "index/kv_index.h"
 #include "index/lsm.h"
-#include "index/skiplist.h"
-#include "index/sorted_array.h"
 #include "learned/adaptive.h"
 #include "learned/pgm.h"
 #include "learned/rmi.h"
@@ -31,17 +29,6 @@ struct IndexFactory {
 std::vector<IndexFactory> AllFactories() {
   return {
       {"btree", [] { return std::make_unique<BTree>(16); }},
-      {"sorted_array",
-       [] {
-         return std::make_unique<SortedArrayIndex>(
-             SortedArrayIndex::SearchMode::kBinary);
-       }},
-      {"sorted_array_interp",
-       [] {
-         return std::make_unique<SortedArrayIndex>(
-             SortedArrayIndex::SearchMode::kInterpolation);
-       }},
-      {"skiplist", [] { return std::make_unique<SkipList>(); }},
       {"lsm",
        [] {
          LsmOptions options;

@@ -7,101 +7,10 @@
 #include "learned/access_path.h"
 #include "learned/cardinality.h"
 #include "learned/drift_detector.h"
-#include "learned/learned_sort.h"
 #include "util/random.h"
 
 namespace lsbench {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Learned sort
-// ---------------------------------------------------------------------------
-
-struct SortCase {
-  std::string label;
-  std::function<std::vector<Key>(size_t)> make;
-};
-
-std::vector<Key> SampleKeys(const UnitDistribution& dist, size_t n,
-                            uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Key> keys(n);
-  for (Key& k : keys) {
-    k = static_cast<Key>(dist.Sample(&rng) * 9e18);
-  }
-  return keys;
-}
-
-class LearnedSortTest : public ::testing::TestWithParam<SortCase> {};
-
-TEST_P(LearnedSortTest, SortsCorrectly) {
-  std::vector<Key> data = GetParam().make(50000);
-  std::vector<Key> expected = data;
-  std::sort(expected.begin(), expected.end());
-  const LearnedSortStats stats = LearnedSort(&data);
-  EXPECT_EQ(data, expected) << GetParam().label;
-  EXPECT_EQ(stats.n, expected.size());
-  EXPECT_GT(stats.num_buckets, 1u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Distributions, LearnedSortTest,
-    ::testing::Values(
-        SortCase{"uniform",
-                 [](size_t n) { return SampleKeys(UniformUnit(), n, 1); }},
-        SortCase{"lognormal",
-                 [](size_t n) {
-                   return SampleKeys(LognormalUnit(0, 2), n, 2);
-                 }},
-        SortCase{"clustered",
-                 [](size_t n) {
-                   return SampleKeys(ClusteredUnit(20, 0.001, 3), n, 3);
-                 }},
-        SortCase{"with_duplicates",
-                 [](size_t n) {
-                   Rng rng(4);
-                   std::vector<Key> keys(n);
-                   for (Key& k : keys) k = rng.NextBounded(100);
-                   return keys;
-                 }},
-        SortCase{"already_sorted",
-                 [](size_t n) {
-                   std::vector<Key> keys(n);
-                   for (size_t i = 0; i < n; ++i) keys[i] = i * 17;
-                   return keys;
-                 }},
-        SortCase{"reverse_sorted",
-                 [](size_t n) {
-                   std::vector<Key> keys(n);
-                   for (size_t i = 0; i < n; ++i) {
-                     keys[i] = (n - i) * 17;
-                   }
-                   return keys;
-                 }}),
-    [](const ::testing::TestParamInfo<SortCase>& param_info) {
-      return param_info.param.label;
-    });
-
-TEST(LearnedSortEdgeTest, TinyInputsFallBack) {
-  std::vector<Key> data = {5, 3, 1};
-  const LearnedSortStats stats = LearnedSort(&data);
-  EXPECT_EQ(data, (std::vector<Key>{1, 3, 5}));
-  EXPECT_EQ(stats.num_buckets, 1u);
-}
-
-TEST(LearnedSortEdgeTest, EmptyInput) {
-  std::vector<Key> data;
-  LearnedSort(&data);
-  EXPECT_TRUE(data.empty());
-}
-
-TEST(LearnedSortEdgeTest, AllEqualKeysSpillGracefully) {
-  std::vector<Key> data(20000, 42);
-  const LearnedSortStats stats = LearnedSort(&data);
-  EXPECT_EQ(data.size(), 20000u);
-  for (Key k : data) EXPECT_EQ(k, 42u);
-  EXPECT_GT(stats.spill_count, 0u);  // Everything maps to one bucket.
-}
 
 // ---------------------------------------------------------------------------
 // Cardinality estimation

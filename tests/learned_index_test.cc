@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "index/skiplist.h"
-#include "index/sorted_array.h"
 #include "learned/adaptive.h"
 #include "learned/delta_buffer.h"
 #include "stats/model.h"
@@ -534,41 +532,6 @@ TEST(AdaptiveTest, EraseDrainsSegments) {
   // Still usable after draining.
   EXPECT_TRUE(alex.Insert(5, 5));
   EXPECT_EQ(*alex.Get(5), 5u);
-}
-
-// ---------------------------------------------------------------------------
-// SkipList / SortedArray specifics
-// ---------------------------------------------------------------------------
-
-TEST(SkipListTest, InvariantsUnderRandomOps) {
-  SkipList list;
-  Rng rng(29);
-  for (int i = 0; i < 5000; ++i) {
-    const Key key = rng.NextBounded(2000);
-    if (rng.NextBool(0.7)) {
-      list.Insert(key, key);
-    } else {
-      list.Erase(key);
-    }
-  }
-  list.CheckInvariants();
-}
-
-TEST(SortedArrayTest, InterpolationMatchesBinaryOnSkewedData) {
-  const Dataset ds = GenerateDataset(ParetoUnit(1.2),
-                                     {20000, uint64_t{1} << 40, 31});
-  SortedArrayIndex binary(SortedArrayIndex::SearchMode::kBinary);
-  SortedArrayIndex interp(SortedArrayIndex::SearchMode::kInterpolation);
-  binary.BulkLoad(PairsFromDataset(ds));
-  interp.BulkLoad(PairsFromDataset(ds));
-  Rng rng(37);
-  for (int i = 0; i < 2000; ++i) {
-    const Key probe = rng.Next() % ds.domain_max;
-    EXPECT_EQ(binary.Get(probe).has_value(), interp.Get(probe).has_value());
-  }
-  for (size_t i = 0; i < ds.keys.size(); i += 97) {
-    EXPECT_EQ(*interp.Get(ds.keys[i]), static_cast<Value>(i));
-  }
 }
 
 }  // namespace

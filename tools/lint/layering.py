@@ -19,8 +19,9 @@ is present) and reports:
                     does not declare
   uncalled-module   a src/ header that no file in src/, tools/, bench/,
                     examples/ or benchmark/ includes, apart from its own .cc
-                    (tests/ do not count: a module only its tests call has
-                    no caller)
+                    (tests/ and the bench/micro_* benches do not count: a
+                    module only its tests and micro benches call is driven
+                    by no run and has no caller)
 
 Two extra modes:
 
@@ -68,7 +69,8 @@ HEADER_EXTENSIONS = (".h", ".hpp")
 SOURCE_EXTENSIONS = (".cc", ".cpp", ".cxx") + HEADER_EXTENSIONS
 
 # Directories, relative to --root, whose files count as callers of a src/
-# header. tests/ is left out on purpose.
+# header. tests/ is left out on purpose, and so are the micro benches: a
+# micro_* file under bench/ times a kernel outside any run.
 CALLER_DIRS = ("src", "tools", "bench", "examples", "benchmark")
 
 DEFAULT_LAYERS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -284,7 +286,8 @@ def check_cycles(includes):
 
 def check_uncalled(root):
     """Every src/ header must have a caller: a file under CALLER_DIRS that
-    includes it, other than the header's own .cc."""
+    includes it, other than the header's own .cc and the bench/micro_*
+    files."""
     src_root = os.path.join(root, "src")
     headers = {rel for rel in walk_sources(src_root)
                if rel.endswith(HEADER_EXTENSIONS)}
@@ -292,6 +295,8 @@ def check_uncalled(root):
     for top in CALLER_DIRS:
         base = os.path.join(root, top)
         for rel in walk_sources(base):
+            if top == "bench" and os.path.basename(rel).startswith("micro_"):
+                continue
             own = os.path.splitext(rel)[0] if top == "src" else None
             with open(os.path.join(base, rel), "r", encoding="utf-8",
                       errors="replace") as f:
@@ -303,8 +308,8 @@ def check_uncalled(root):
     return [lsbench_lint.Finding(
         f"src/{rel}", 1, "uncalled-module",
         "no file in " + ", ".join(f"{d}/" for d in CALLER_DIRS) +
-        " includes this header apart from its own .cc (tests/ do not "
-        "count); give the module a caller or delete it")
+        " includes this header apart from its own .cc (tests/ and "
+        "bench/micro_* do not count); give the module a caller or delete it")
         for rel in sorted(headers - called)]
 
 

@@ -255,6 +255,12 @@ class LayeringFixtures(unittest.TestCase):
         self.assertEqual([("src/data/loader.h", "uncalled-module")],
                          [(f.path, f.rule) for f in findings])
 
+    def test_header_only_a_micro_bench_includes_is_uncalled(self):
+        findings = layering.check_uncalled(
+            os.path.join(LAYERING_DATA, "uncalled_micro"))
+        self.assertEqual([("src/util/kernel.h", "uncalled-module")],
+                         [(f.path, f.rule) for f in findings])
+
 
 class LayersTomlTests(unittest.TestCase):
     def test_bands_cover_every_src_module(self):
