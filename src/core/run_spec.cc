@@ -1,7 +1,12 @@
 #include "core/run_spec.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <memory>
+#include <utility>
 
+#include "data/distribution.h"
 #include "workload/trace.h"
 
 namespace lsbench {
@@ -27,7 +32,150 @@ uint64_t HashString(const std::string& s) {
   return h;
 }
 
+/// Bytes of keys one spec's datasets may hold together. Specs are
+/// untrusted input, so a mangled num_keys must fail before it allocates;
+/// 256 MiB fits the 14M-key (112 MB) DRAM-resident benchmark dataset.
+constexpr uint64_t kMaxSpecDatasetBytes = uint64_t{256} << 20;
+
+/// How a dataset kind reads one of param1 and param2.
+struct DatasetParam {
+  const char* meaning = nullptr;  ///< Null: the kind takes no such parameter.
+  bool may_be_negative = false;
+};
+
+/// `value`, or the parameter's default when it is 0.
+double OrDefault(double value, double fallback) {
+  return value > 0 ? value : fallback;
+}
+
+/// One dataset kind: its spec name, its two parameters, and the
+/// distribution BuildDatasets samples (null: the email generator).
+struct DatasetKind {
+  const char* name;
+  DatasetParam params[2];
+  std::unique_ptr<UnitDistribution> (*make)(const DatasetSourceSpec&);
+};
+
+const DatasetKind kDatasetKinds[] = {
+    {"uniform", {}, [](const DatasetSourceSpec&) { return MakeUniform(); }},
+    {"gaussian", {{"mean"}, {"stddev"}},
+     [](const DatasetSourceSpec& d) {
+       return MakeGaussian(OrDefault(d.param1, 0.5), OrDefault(d.param2, 0.1));
+     }},
+    {"lognormal", {{"mu", true}, {"sigma"}},
+     [](const DatasetSourceSpec& d) {
+       return MakeLognormal(d.param1, OrDefault(d.param2, 1.0));
+     }},
+    {"pareto", {{"alpha"}},
+     [](const DatasetSourceSpec& d) {
+       return MakePareto(OrDefault(d.param1, 1.5));
+     }},
+    {"clustered", {{"cluster count"}, {"spread"}},
+     [](const DatasetSourceSpec& d) {
+       return MakeClustered(d.param1 > 0 ? static_cast<int>(d.param1) : 8,
+                            OrDefault(d.param2, 0.01), d.seed);
+     }},
+    {"emails", {}, nullptr},
+};
+
+const DatasetKind* FindDatasetKind(const std::string& name) {
+  for (const DatasetKind& kind : kDatasetKinds) {
+    if (name == kind.name) return &kind;
+  }
+  return nullptr;
+}
+
+std::string FormatNumber(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", v);
+  return buf;
+}
+
+Status DatasetError(size_t index, const DatasetSourceSpec& source,
+                    const std::string& message) {
+  return Status::InvalidArgument("dataset " + std::to_string(index) + " (" +
+                                 source.kind + "): " + message);
+}
+
 }  // namespace
+
+Status CheckDatasetSource(const DatasetSourceSpec& source, int* param) {
+  if (param != nullptr) *param = 0;
+  const DatasetKind* kind = FindDatasetKind(source.kind);
+  if (kind == nullptr) {
+    return Status::InvalidArgument("unknown dataset kind: " + source.kind);
+  }
+  if (source.num_keys == 0) {
+    return Status::InvalidArgument("dataset num_keys must be > 0");
+  }
+  const double values[] = {source.param1, source.param2};
+  for (int i = 0; i < 2; ++i) {
+    const DatasetParam& p = kind->params[i];
+    const std::string key = "param" + std::to_string(i + 1);
+    std::string problem;
+    if (p.meaning == nullptr && values[i] != 0.0) {
+      problem = source.kind + " takes no " + key;
+    } else if (p.meaning != nullptr && !p.may_be_negative &&
+               !(values[i] >= 0.0)) {
+      problem = source.kind + " " + p.meaning + " must be >= 0";
+    }
+    if (!problem.empty()) {
+      if (param != nullptr) *param = i + 1;
+      return Status::InvalidArgument(key + ": " + problem + ", got " +
+                                     FormatNumber(values[i]));
+    }
+  }
+  // The cluster count is cast to int; the cast is UB for huge doubles.
+  if (source.kind == "clustered" && source.param1 > 65536.0) {
+    return Status::InvalidArgument(
+        "clustered param1 (cluster count) too large: " +
+        FormatNumber(source.param1) + " (max 65536)");
+  }
+  return Status::OK();
+}
+
+Status BuildDatasets(RunSpec* spec) {
+  const std::vector<DatasetSourceSpec>& sources = spec->dataset_sources;
+  if (spec->datasets.size() >= sources.size()) return Status::OK();
+  uint64_t keys_left = kMaxSpecDatasetBytes / sizeof(uint64_t);
+  for (size_t i = 0; i < sources.size(); ++i) {
+    if (const Status st = CheckDatasetSource(sources[i]); !st.ok()) {
+      return DatasetError(i, sources[i], st.message());
+    }
+    if (sources[i].num_keys > keys_left) {
+      return DatasetError(
+          i, sources[i],
+          "num_keys " + std::to_string(sources[i].num_keys) +
+              " takes the spec's keys past the " +
+              std::to_string(kMaxSpecDatasetBytes) +
+              "-byte bound (256 MiB of 8-byte keys over all its datasets)");
+    }
+    keys_left -= sources[i].num_keys;
+  }
+
+  std::vector<Dataset> datasets;
+  datasets.reserve(sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) {
+    const DatasetSourceSpec& source = sources[i];
+    const DatasetKind& kind = *FindDatasetKind(source.kind);
+    if (kind.make == nullptr) {
+      datasets.push_back(GenerateEmailDataset(source.num_keys, source.seed));
+      continue;
+    }
+    DatasetOptions options;
+    options.num_keys = source.num_keys;
+    options.seed = source.seed;
+    const std::unique_ptr<UnitDistribution> dist = kind.make(source);
+    Dataset ds = GenerateDataset(*dist, options);
+    if (ds.keys.size() < source.num_keys) {
+      return DatasetError(i, source,
+                          dist->name() + " yields too few distinct keys");
+    }
+    datasets.push_back(std::move(ds));
+  }
+  spec->datasets = std::move(datasets);
+  return Status::OK();
+}
 
 std::string OverloadPolicyToString(OverloadPolicy policy) {
   switch (policy) {
@@ -54,7 +202,10 @@ bool operator==(const DriftSpec& a, const DriftSpec& b) {
 }
 
 Status RunSpec::Validate() const {
-  if (datasets.empty()) {
+  // A parsed spec describes its datasets before BuildDatasets generates
+  // them; phases may reference either.
+  const size_t num_datasets = std::max(datasets.size(), dataset_sources.size());
+  if (num_datasets == 0) {
     return Status::InvalidArgument("run spec has no datasets");
   }
   if (phases.empty()) {
@@ -69,7 +220,7 @@ Status RunSpec::Validate() const {
   for (size_t i = 0; i < phases.size(); ++i) {
     const PhaseSpec& p = phases[i];
     if (p.dataset_index < 0 ||
-        static_cast<size_t>(p.dataset_index) >= datasets.size()) {
+        static_cast<size_t>(p.dataset_index) >= num_datasets) {
       return Status::InvalidArgument("phase " + std::to_string(i) +
                                      " references missing dataset");
     }

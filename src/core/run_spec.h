@@ -89,10 +89,13 @@ struct ExecutionSpec {
   uint32_t workers = 1;
 };
 
-/// Provenance of one generated dataset: the `[dataset]` section that
-/// produced it. Dataset itself keeps only the generated keys, so without
-/// this record a parsed spec cannot be rendered back to text
-/// (RenderRunSpecText needs the generation parameters, not the keys).
+/// The description of one dataset: a `[dataset]` section of spec text.
+/// ParseRunSpecText fills and checks these; BuildDatasets generates the
+/// Dataset each one describes. Parameters by kind, 0 selecting the kind's
+/// default: gaussian(param1 = mean 0.5, param2 = stddev 0.1),
+/// lognormal(param1 = mu 0, param2 = sigma 1), pareto(param1 = alpha 1.5),
+/// clustered(param1 = cluster count 8, param2 = spread 0.01); uniform and
+/// emails take none. Only lognormal's mu may be negative.
 struct DatasetSourceSpec {
   std::string kind = "uniform";
   uint64_t num_keys = 100000;
@@ -138,14 +141,17 @@ struct RunSpec {
   /// annotation about the run rather than part of it — excluded from
   /// StructuralHash so declaring drift does not change run identity.
   DriftSpec drift;
-  /// Generation provenance for `datasets`, parallel by index when the spec
-  /// came from ParseRunSpecText. May be empty for programmatically built
-  /// specs — then the spec cannot be rendered back to text.
+  /// What `datasets` is generated from, one entry per `[dataset]` section.
+  /// ParseRunSpecText fills only this; `datasets` stays empty until
+  /// BuildDatasets generates it, parallel by index. May be empty for
+  /// programmatically built specs — then the spec cannot be rendered back
+  /// to text.
   std::vector<DatasetSourceSpec> dataset_sources;
 
-  /// Structural validation: phases reference valid datasets, lengths are
-  /// nonzero, datasets are nonempty, trace phases match their trace's
-  /// length, and no transition blends into or out of a trace phase.
+  /// Structural validation: phases reference valid datasets (generated or
+  /// only described), lengths are nonzero, generated datasets are nonempty,
+  /// trace phases match their trace's length, and no transition blends
+  /// into or out of a trace phase.
   Status Validate() const;
 
   /// Stable hash of the spec's structure — the identity under which the
@@ -154,6 +160,25 @@ struct RunSpec {
   /// identities.
   uint64_t StructuralHash() const;
 };
+
+/// Checks that `source` describes a dataset BuildDatasets can generate,
+/// without generating it: a known kind, num_keys > 0, no parameter the
+/// kind does not take, no negative parameter but lognormal's mu, and at
+/// most 65536 clusters. A parameter's error message starts with its key
+/// ("param2: ..."); `*param` (when given) is set to that parameter's
+/// number, 1 or 2, or to 0 when the error is not about one parameter.
+Status CheckDatasetSource(const DatasetSourceSpec& source,
+                          int* param = nullptr);
+
+/// Generates `spec->datasets` from `spec->dataset_sources`: the only code
+/// that turns a DatasetSourceSpec into a Dataset. A spec with at least as
+/// many datasets as sources (already built, or built in code) is left as
+/// it is. Every source is checked, and the keys of all of them together
+/// are bounded to 256 MiB (2^25 8-byte keys), before anything is
+/// generated, so a rejected spec allocates no keys. A distribution too
+/// narrow to yield num_keys distinct keys is an error too. Errors name the
+/// dataset's ordinal and kind; on error `spec->datasets` is unchanged.
+Status BuildDatasets(RunSpec* spec);
 
 }  // namespace lsbench
 

@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iterator>
 #include <limits>
+#include <sstream>
 #include <type_traits>
 #include <utility>
 
@@ -15,12 +17,6 @@
 namespace lsbench {
 
 namespace {
-
-/// Upper bound on eagerly generated dataset sizes. Specs are untrusted
-/// input (the fuzz tests feed mutated bytes straight into the parser); a
-/// mangled num_keys must produce an error Status, not a multi-gigabyte
-/// allocation inside BuildDataset.
-constexpr uint64_t kMaxSpecDatasetKeys = uint64_t{1} << 22;
 
 /// Strips leading blanks and trailing blanks and carriage returns.
 std::string Trim(const std::string& s) {
@@ -439,51 +435,6 @@ Status AtLine(size_t line, const std::string& message) {
                                  message);
 }
 
-Result<Dataset> BuildDataset(const DatasetSourceSpec& desc) {
-  if (desc.num_keys == 0) {
-    return Status::InvalidArgument("dataset num_keys must be > 0");
-  }
-  if (desc.num_keys > kMaxSpecDatasetKeys) {
-    return Status::InvalidArgument(
-        "dataset num_keys too large: " + std::to_string(desc.num_keys) +
-        " (max " + std::to_string(kMaxSpecDatasetKeys) + ")");
-  }
-  if (desc.kind == "emails") {
-    return GenerateEmailDataset(desc.num_keys, desc.seed);
-  }
-  DatasetOptions options;
-  options.num_keys = desc.num_keys;
-  options.seed = desc.seed;
-  std::unique_ptr<UnitDistribution> dist;
-  if (desc.kind == "uniform") {
-    dist = MakeUniform();
-  } else if (desc.kind == "gaussian") {
-    dist = MakeGaussian(desc.param1 > 0 ? desc.param1 : 0.5,
-                        desc.param2 > 0 ? desc.param2 : 0.1);
-  } else if (desc.kind == "lognormal") {
-    dist = MakeLognormal(desc.param1, desc.param2 > 0 ? desc.param2 : 1.0);
-  } else if (desc.kind == "pareto") {
-    dist = MakePareto(desc.param1 > 0 ? desc.param1 : 1.5);
-  } else if (desc.kind == "clustered") {
-    // param1 is a cluster count; the cast to int is UB for huge doubles,
-    // so bound it before converting.
-    if (desc.param1 > 65536.0) {
-      return Status::InvalidArgument("clustered param1 (cluster count) too "
-                                     "large");
-    }
-    dist = MakeClustered(desc.param1 > 0 ? static_cast<int>(desc.param1) : 8,
-                         desc.param2 > 0 ? desc.param2 : 0.01, desc.seed);
-  } else {
-    return Status::InvalidArgument("unknown dataset kind: " + desc.kind);
-  }
-  Dataset ds = GenerateDataset(*dist, options);
-  if (ds.keys.size() < desc.num_keys) {
-    return Status::InvalidArgument("dataset " + dist->name() +
-                                   " yields too few distinct keys");
-  }
-  return ds;
-}
-
 /// Spec names (run, phase) become comment-stripped, trimmed single lines on
 /// reparse; reject the characters the renderer cannot round-trip.
 Status CheckRenderableName(const std::string& name, const char* what) {
@@ -502,6 +453,7 @@ Result<RunSpec> ParseRunSpecText(const std::string& text) {
   Section section = Section::kTop;
   size_t section_line = 0;  // line of the open section's header
   DatasetSourceSpec dataset;
+  size_t param_lines[2] = {};  // the dataset's last param1 and param2 keys
   PhaseSpec phase;
   size_t arrival_line = 0;  // the phase's last arrival key, else its header
   FaultWindow window;
@@ -510,10 +462,14 @@ Result<RunSpec> ParseRunSpecText(const std::string& text) {
   auto close_section = [&]() -> Status {
     switch (section) {
       case Section::kDataset: {
-        Result<Dataset> ds = BuildDataset(dataset);
-        if (!ds.ok()) return AtLine(section_line, ds.status().message());
-        spec.datasets.push_back(std::move(ds).value());
-        // Keep the generation parameters so the spec renders back to text.
+        // The section only describes its dataset; BuildDatasets generates
+        // it. A parameter's error names that parameter's key line.
+        int param = 0;
+        const Status st = CheckDatasetSource(dataset, &param);
+        if (!st.ok()) {
+          return AtLine(param == 0 ? section_line : param_lines[param - 1],
+                        st.message());
+        }
         spec.dataset_sources.push_back(
             std::exchange(dataset, DatasetSourceSpec()));
         break;
@@ -588,17 +544,30 @@ Result<RunSpec> ParseRunSpecText(const std::string& text) {
         archive.field == &phase.arrival_rate_qps) {
       arrival_line = line_no;
     }
+    if (archive.field == &dataset.param1) param_lines[0] = line_no;
+    if (archive.field == &dataset.param2) param_lines[1] = line_no;
   }
   LSBENCH_RETURN_IF_ERROR(close_section());
   LSBENCH_RETURN_IF_ERROR(spec.Validate());
   return spec;
 }
 
+Result<RunSpec> LoadRunSpecFile(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Status::IoError("cannot open spec file: " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  LSBENCH_ASSIGN_OR_RETURN(RunSpec spec, ParseRunSpecText(text.str()));
+  LSBENCH_RETURN_IF_ERROR(BuildDatasets(&spec));
+  return spec;
+}
+
 Result<std::string> RenderRunSpecText(const RunSpec& spec) {
-  if (spec.dataset_sources.size() != spec.datasets.size()) {
+  if (spec.dataset_sources.empty() ||
+      spec.dataset_sources.size() < spec.datasets.size()) {
     return Status::FailedPrecondition(
-        "spec has no dataset generation provenance (dataset_sources); only "
-        "specs parsed from text can be rendered back");
+        "spec has no dataset descriptions (dataset_sources); only specs "
+        "parsed from text can be rendered back");
   }
   LSBENCH_RETURN_IF_ERROR(CheckRenderableName(spec.name, "run name"));
   for (const PhaseSpec& phase : spec.phases) {

@@ -8,8 +8,12 @@
 
 namespace lsbench {
 
-/// Parses the LSBench textual spec format into a RunSpec (datasets are
-/// generated eagerly from their described distributions). The format is a
+/// Parses the LSBench textual spec format into a RunSpec. Parsing only
+/// describes the run: each `[dataset]` section becomes a checked entry of
+/// `dataset_sources`, and `datasets` stays empty, so parsing allocates no
+/// keys however large num_keys is. BuildDatasets (core/run_spec.h)
+/// generates the datasets, bounding a spec's keys to 256 MiB in all;
+/// LoadRunSpecFile reads, parses and builds in one call. The format is a
 /// line-based INI dialect:
 ///
 /// ```
@@ -110,21 +114,31 @@ namespace lsbench {
 ///
 /// Dataset kind parameters: gaussian(param1=mean, param2=stddev),
 /// lognormal(param1=mu, param2=sigma), pareto(param1=alpha),
-/// clustered(param1=num_clusters, param2=spread); uniform and emails take
-/// none. Unknown keys are rejected (typo safety). Every error about a line
-/// starts with `line N:`: a key error names the key, an error found when a
-/// section closes (an unknown dataset kind, an open-loop phase without a
-/// rate) names the section header's line or the phase's last arrival key.
+/// clustered(param1=num_clusters <= 65536, param2=spread); uniform and
+/// emails take none, so a nonzero one is an error. 0 selects the kind's
+/// default (see DatasetSourceSpec), and only mu may be negative. Unknown
+/// keys are rejected (typo safety). Every error about a line starts with
+/// `line N:`: a key error names the key, an error found when a section
+/// closes names the section header's line (an unknown dataset kind,
+/// num_keys = 0, too many clusters), the dataset parameter at fault, or
+/// the phase's last arrival key (an open-loop phase without a rate).
 /// Errors from RunSpec::Validate, run on the whole spec, name the phase or
-/// fault window instead.
+/// fault window instead; phase `dataset` indexes are checked against the
+/// number of `[dataset]` sections.
 Result<RunSpec> ParseRunSpecText(const std::string& text);
 
-/// Renders a complete RunSpec back into parseable spec text. Requires
-/// generation provenance (`dataset_sources`, filled by ParseRunSpecText);
-/// programmatically built specs without it get FailedPrecondition, as do
-/// specs with trace phases (the text format has no trace key). For any
-/// spec that came from ParseRunSpecText, parse → render → parse yields a
-/// spec with the same StructuralHash and identical dataset keys, and
+/// Reads the spec file at `path`, parses it, and generates its datasets
+/// (BuildDatasets): a spec ready for BenchmarkDriver::Run. An unreadable
+/// file is an IoError; parse and build errors come back as they are.
+Result<RunSpec> LoadRunSpecFile(const std::string& path);
+
+/// Renders a complete RunSpec back into parseable spec text, whether or not
+/// its datasets have been built. Requires the dataset descriptions
+/// (`dataset_sources`, filled by ParseRunSpecText); programmatically built
+/// specs without them get FailedPrecondition, as do specs with trace
+/// phases (the text format has no trace key). For any spec that came from
+/// ParseRunSpecText, parse → render → parse yields the same descriptions,
+/// so once built the same StructuralHash and identical dataset keys, and
 /// render is a fixpoint (render(parse(render(s))) == render(s)) — the
 /// round-trip property the spec robustness tests pin. Durations render in
 /// the whole ms/us units the parser accepts; optional sections and keys

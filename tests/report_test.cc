@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -110,11 +108,10 @@ struct ShippedRun {
 /// `observed` turns on the [observability] switches, as --trace-out does.
 ShippedRun RunShippedSpec(const std::string& file, const std::string& sut,
                           bool observed) {
-  std::ifstream in(std::string(LSBENCH_SPEC_DIR) + "/" + file);
-  EXPECT_TRUE(in.good()) << "missing spec file: " << file;
-  std::ostringstream text;
-  text << in.rdbuf();
-  RunSpec spec = ParseRunSpecText(text.str()).value();
+  Result<RunSpec> loaded =
+      LoadRunSpecFile(std::string(LSBENCH_SPEC_DIR) + "/" + file);
+  EXPECT_TRUE(loaded.ok()) << file << ": " << loaded.status().ToString();
+  RunSpec spec = std::move(loaded).value();
   if (observed) {
     spec.observability.trace = true;
     spec.observability.profile = true;

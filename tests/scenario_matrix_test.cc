@@ -11,9 +11,7 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,15 +41,10 @@ std::vector<std::string> ScenarioFiles() {
 }
 
 RunSpec LoadScenario(const std::string& name) {
-  const std::string path =
-      std::string(LSBENCH_SPEC_DIR) + "/scenarios/" + name;
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "missing scenario spec: " << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  Result<RunSpec> parsed = ParseRunSpecText(buffer.str());
-  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
-  return std::move(parsed).value();
+  Result<RunSpec> loaded =
+      LoadRunSpecFile(std::string(LSBENCH_SPEC_DIR) + "/scenarios/" + name);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  return std::move(loaded).value();
 }
 
 /// One full simulation run with observability on (the determinism bar).

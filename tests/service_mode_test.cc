@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -313,20 +311,11 @@ TEST(ServiceModeTest, ClosedLoopRunsReportNoOpenLoopOperations) {
 // ---------------------------------------------------------------------------
 // Demo spec: determinism and the overload acceptance properties.
 
-RunSpec LoadServiceDemoSpec() {
-  const std::string path =
-      std::string(LSBENCH_SPEC_DIR) + "/service_overload_demo.lsb";
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "missing spec file: " << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  Result<RunSpec> parsed = ParseRunSpecText(buffer.str());
-  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
-  return std::move(parsed).value();
-}
-
 RunResult RunDemoOnce(uint32_t workers) {
-  RunSpec spec = LoadServiceDemoSpec();
+  Result<RunSpec> loaded = LoadRunSpecFile(std::string(LSBENCH_SPEC_DIR) +
+                                           "/service_overload_demo.lsb");
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  RunSpec spec = std::move(loaded).value();
   spec.execution.workers = workers;
   spec.observability.trace = true;
   spec.observability.profile = true;

@@ -1,13 +1,14 @@
 // Spec-parser robustness: (1) every spec under specs/ round-trips through
-// parse -> print -> parse with an identical structural hash, identical
-// dataset keys, and a render fixpoint, and its rendering, structural hash
-// and generated keys match golden hashes; (2) seeded byte- and line-level
-// mutation fuzzing of those specs must never crash the parser — every
-// outcome is either a parsed spec or an error Status; (3) every (section,
-// key) pair the renderer emits, crossed with adversarial values, yields a
-// parsed spec that re-renders identically or a located error. Failures
-// report the mutation seed or the key and value so the case can be
-// replayed.
+// parse -> print -> parse with a render fixpoint and, once both are built,
+// an identical structural hash and identical dataset keys, and its
+// rendering, structural hash and generated keys match golden hashes; (2)
+// seeded byte- and line-level mutation fuzzing of those specs, verbatim,
+// must never crash the parser — every outcome is either a parsed spec or
+// an error Status; (3) every (section, key) pair the renderer emits,
+// crossed with adversarial values, yields a parsed spec that re-renders
+// identically or a located error. The fuzzers stop at parse and render,
+// so they never generate a dataset. Failures report the mutation seed or
+// the key and value so the case can be replayed.
 
 #include <gtest/gtest.h>
 
@@ -61,19 +62,42 @@ uint64_t Fnv1a64(const void* data, size_t size,
   return hash;
 }
 
+/// A spec's identity once its datasets are built.
+struct BuiltHashes {
+  uint64_t structural;  ///< RunSpec::StructuralHash.
+  uint64_t keys;        ///< FNV-1a over every dataset's keys, in order.
+};
+
+/// Builds `spec`'s datasets and hashes the result. The keys are freed on
+/// return, so two builds of a large spec are never held at once.
+BuiltHashes BuildAndHash(RunSpec spec) {
+  const Status built = BuildDatasets(&spec);
+  EXPECT_TRUE(built.ok()) << built.ToString();
+  uint64_t keys_hash = Fnv1a64(nullptr, 0);
+  for (const Dataset& ds : spec.datasets) {
+    keys_hash = Fnv1a64(ds.keys.data(), ds.keys.size() * sizeof(uint64_t),
+                        keys_hash);
+  }
+  return {spec.StructuralHash(), keys_hash};
+}
+
 /// Pins what a shipped spec means, so a parser or renderer change that
 /// still round-trips cannot silently change a spec's rendering, identity or
 /// data.
 struct SpecGolden {
   const char* file;
   uint64_t render_hash;      ///< FNV-1a of RenderRunSpecText.
-  uint64_t structural_hash;  ///< RunSpec::StructuralHash.
-  uint64_t keys_hash;        ///< FNV-1a over every dataset's keys, in order.
+  uint64_t structural_hash;  ///< BuiltHashes::structural.
+  uint64_t keys_hash;        ///< BuiltHashes::keys.
 };
 
 constexpr SpecGolden kGoldens[] = {
     {"batch_demo.lsb", 0xf182f8b24ea01253ull, 0xd3f9de2f810a341cull,
      0x42e22ac80984b0a8ull},
+    {"bench/cached_batch.lsb", 0x9c422d09c39a90b8ull, 0x71a4ddeb5a85c257ull,
+     0xc752b115eef2e9aeull},
+    {"bench/dram_read.lsb", 0xf1041196dc8a9fb0ull, 0xef612057da9ce974ull,
+     0x3b7946641c492c18ull},
     {"concurrent_demo.lsb", 0xec728db0780357f6ull, 0x994913fe341df960ull,
      0xdba006df70423667ull},
     {"demo_shift.lsb", 0x6cc48114131fa231ull, 0x1a766eef7e26cb3eull,
@@ -109,15 +133,13 @@ TEST_P(SpecRoundTripTest, ParsePrintParseIsIdentity) {
                            << second.status().ToString() << "\n"
                            << rendered.value();
 
-  // Semantically the same run: same structural hash, same generated keys,
-  // same observability switches.
-  EXPECT_EQ(first.value().StructuralHash(), second.value().StructuralHash());
-  ASSERT_EQ(first.value().datasets.size(), second.value().datasets.size());
-  for (size_t i = 0; i < first.value().datasets.size(); ++i) {
-    EXPECT_EQ(first.value().datasets[i].keys,
-              second.value().datasets[i].keys)
-        << "dataset " << i << " diverged through the round trip";
-  }
+  // Semantically the same run: once built, same structural hash and same
+  // generated keys; same observability switches.
+  const BuiltHashes built = BuildAndHash(first.value());
+  const BuiltHashes rebuilt = BuildAndHash(second.value());
+  EXPECT_EQ(built.structural, rebuilt.structural);
+  EXPECT_EQ(built.keys, rebuilt.keys)
+      << "dataset keys diverged through the round trip";
   EXPECT_TRUE(first.value().observability == second.value().observability);
 
   // Printing is a fixpoint: render(parse(render(spec))) == render(spec).
@@ -126,14 +148,9 @@ TEST_P(SpecRoundTripTest, ParsePrintParseIsIdentity) {
   ASSERT_TRUE(rendered_again.ok()) << rendered_again.status().ToString();
   EXPECT_EQ(rendered.value(), rendered_again.value());
 
-  uint64_t keys_hash = Fnv1a64(nullptr, 0);
-  for (const Dataset& ds : first.value().datasets) {
-    keys_hash = Fnv1a64(ds.keys.data(), ds.keys.size() * sizeof(uint64_t),
-                        keys_hash);
-  }
   const SpecGolden actual{
       nullptr, Fnv1a64(rendered.value().data(), rendered.value().size()),
-      first.value().StructuralHash(), keys_hash};
+      built.structural, built.keys};
   const SpecGolden* golden = nullptr;
   for (const SpecGolden& g : kGoldens) {
     if (GetParam() == g.file) golden = &g;
@@ -217,29 +234,10 @@ std::string Mutate(const std::string& text, Rng* rng) {
   return out;
 }
 
-/// Caps every digit run at three digits. Parsing materializes dataset keys,
-/// so fuzzing the shipped specs verbatim would spend the whole budget
-/// generating multi-hundred-thousand-key datasets thousands of times; the
-/// parser's control flow does not depend on the magnitudes.
-std::string ShrinkNumbers(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  size_t digits = 0;
-  for (char c : text) {
-    if (c >= '0' && c <= '9') {
-      if (++digits > 3) continue;
-    } else {
-      digits = 0;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
 TEST(SpecFuzzTest, MutatedSpecsNeverCrashTheParser) {
   const int iterations = EnvFlagEnabled("LSBENCH_QUICK") ? 150 : 600;
   for (const std::string& file : SpecFiles()) {
-    const std::string base = ShrinkNumbers(ReadSpecFile(file));
+    const std::string base = ReadSpecFile(file);
     for (int i = 0; i < iterations; ++i) {
       const uint64_t seed = 0xf022eedULL + static_cast<uint64_t>(i);
       Rng rng(seed);

@@ -2,9 +2,11 @@
 
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "core/spec_text.h"
 #include "data/dataset.h"
+#include "data/distribution.h"
 
 namespace lsbench {
 namespace {
@@ -66,9 +68,14 @@ TEST(SpecTextTest, ParsesFullSpec) {
   EXPECT_EQ(spec.sla.threshold_nanos, 5000000);
   EXPECT_EQ(spec.adjustment_window_ops, 123u);
 
-  ASSERT_EQ(spec.datasets.size(), 2u);
-  EXPECT_EQ(spec.datasets[0].size(), 2000u);
-  EXPECT_EQ(spec.datasets[1].size(), 3000u);
+  // Parsing describes the datasets and generates none of them.
+  EXPECT_TRUE(spec.datasets.empty());
+  ASSERT_EQ(spec.dataset_sources.size(), 2u);
+  EXPECT_EQ(spec.dataset_sources[0].kind, "uniform");
+  EXPECT_EQ(spec.dataset_sources[0].num_keys, 2000u);
+  EXPECT_EQ(spec.dataset_sources[1].kind, "gaussian");
+  EXPECT_EQ(spec.dataset_sources[1].seed, 2u);
+  EXPECT_DOUBLE_EQ(spec.dataset_sources[1].param2, 0.05);
 
   ASSERT_EQ(spec.phases.size(), 2u);
   const PhaseSpec& p0 = spec.phases[0];
@@ -97,6 +104,84 @@ TEST(SpecTextTest, ParsedSpecValidates) {
   const Result<RunSpec> result = ParseRunSpecText(kGoodSpec);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().Validate().ok());
+}
+
+TEST(SpecTextTest, BuildDatasetsGeneratesWhatTheSectionsDescribe) {
+  RunSpec spec = ParseRunSpecText(kGoodSpec).value();
+  const std::string unbuilt = RenderRunSpecText(spec).value();
+  ASSERT_TRUE(BuildDatasets(&spec).ok());
+  ASSERT_EQ(spec.datasets.size(), 2u);
+  EXPECT_EQ(spec.datasets[0].size(), 2000u);
+  EXPECT_EQ(spec.datasets[0].seed, 1u);
+  EXPECT_EQ(spec.datasets[1].size(), 3000u);
+  EXPECT_EQ(spec.datasets[1].name, MakeGaussian(0.4, 0.05)->name());
+  EXPECT_TRUE(spec.Validate().ok());
+  // Rendering reads only the descriptions, built or not.
+  EXPECT_EQ(RenderRunSpecText(spec).value(), unbuilt);
+
+  // A built spec, or one built in code, is left as it is.
+  const std::vector<uint64_t> keys = spec.datasets[0].keys;
+  spec.dataset_sources[0].seed = 7;
+  ASSERT_TRUE(BuildDatasets(&spec).ok());
+  EXPECT_EQ(spec.datasets[0].keys, keys);
+}
+
+TEST(SpecTextTest, HugeDatasetsParseAndFailToBuild) {
+  // 2^40 keys would be 8 TiB: the description parses, and BuildDatasets
+  // refuses it before allocating anything.
+  RunSpec huge =
+      ParseRunSpecText(
+          "[dataset]\nnum_keys = 1099511627776\n[phase]\nops = 10\n")
+          .value();
+  EXPECT_EQ(huge.dataset_sources[0].num_keys, uint64_t{1} << 40);
+  const Status too_big = BuildDatasets(&huge);
+  EXPECT_TRUE(too_big.IsInvalidArgument());
+  for (const char* part : {"dataset 0 ", "uniform", "268435456-byte bound"}) {
+    EXPECT_NE(too_big.message().find(part), std::string::npos)
+        << part << " -> " << too_big.message();
+  }
+  EXPECT_TRUE(huge.datasets.empty());
+
+  // The bound is on the sum: two datasets of 2^24 + 1 keys are each under
+  // 256 MiB and together over it. The second is named; neither is built.
+  RunSpec pair = ParseRunSpecText(
+                     "[dataset]\nnum_keys = 16777217\n"
+                     "[dataset]\nkind = pareto\nnum_keys = 16777217\n"
+                     "[phase]\nops = 10\n")
+                     .value();
+  const Status sum_too_big = BuildDatasets(&pair);
+  EXPECT_TRUE(sum_too_big.IsInvalidArgument());
+  EXPECT_EQ(sum_too_big.message().rfind("dataset 1 (pareto): ", 0), 0u)
+      << sum_too_big.message();
+  EXPECT_TRUE(pair.datasets.empty());
+}
+
+TEST(SpecTextTest, BuildErrorsNameTheirDataset) {
+  // Errors that only generation can find name the dataset's ordinal and
+  // kind rather than a line.
+  struct Case {
+    std::string text;
+    const char* prefix;
+    const char* names;
+  };
+  const Case kCases[] = {
+      {"[dataset]\nnum_keys = 99999999\n[phase]\n", "dataset 0 (uniform): ",
+       "num_keys 99999999"},
+      // A distribution too narrow for num_keys distinct keys fails instead
+      // of sampling forever.
+      {"[dataset]\n[dataset]\nkind = gaussian\nparam1 = 1e20\n[phase]\n",
+       "dataset 1 (gaussian): ", "too few distinct keys"},
+  };
+  for (const Case& c : kCases) {
+    Result<RunSpec> parsed = ParseRunSpecText(c.text + "ops = 10\n");
+    ASSERT_TRUE(parsed.ok()) << c.text << " -> " << parsed.status().ToString();
+    const Status status = BuildDatasets(&parsed.value());
+    EXPECT_TRUE(status.IsInvalidArgument()) << c.text;
+    EXPECT_EQ(status.message().rfind(c.prefix, 0), 0u)
+        << c.text << " -> " << status.message();
+    EXPECT_NE(status.message().find(c.names), std::string::npos)
+        << c.text << " -> " << status.message();
+  }
 }
 
 TEST(SpecTextTest, RejectsUnknownKeys) {
@@ -153,14 +238,15 @@ TEST(SpecTextTest, CommentsAndWhitespaceIgnored) {
       "mix = get:1.0\n");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().name, "spaced");
-  EXPECT_EQ(result.value().datasets[0].size(), 100u);
+  EXPECT_EQ(result.value().dataset_sources[0].num_keys, 100u);
 }
 
 TEST(SpecTextTest, EmailDatasetKind) {
-  const Result<RunSpec> result = ParseRunSpecText(
+  Result<RunSpec> result = ParseRunSpecText(
       "[dataset]\nkind = emails\nnum_keys = 500\nseed = 3\n"
       "[phase]\nops = 10\nmix = get:1.0\n");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(BuildDatasets(&result.value()).ok());
   EXPECT_EQ(result.value().datasets[0].name, "emails");
   EXPECT_GT(result.value().datasets[0].size(), 100u);
 }
@@ -339,8 +425,8 @@ TEST(SpecTextTest, RejectsBadExecutionValues) {
 
 TEST(SpecTextTest, ErrorsNameTheirLine) {
   // Key errors point at the key's line and name the key; errors found when
-  // a section closes point at its header (or, for arrival parameters, at
-  // the phase's last arrival key).
+  // a section closes point at its header (or, for dataset and arrival
+  // parameters, at the key at fault or the phase's last arrival key).
   const std::string base =
       "[dataset]\nnum_keys = 100\n[phase]\nops = 10\n";  // Lines 1-4.
   struct Case {
@@ -352,12 +438,24 @@ TEST(SpecTextTest, ErrorsNameTheirLine) {
       {"seed = banana\n", "line 1: ", "seed"},
       {"\n[dataset]\nkind = pyramid\nnum_keys = 10\n", "line 2: ",
        "pyramid"},
-      {"[dataset]\nnum_keys = 99999999\n[phase]\n", "line 1: ",
-       "num_keys"},
-      // A distribution too narrow for num_keys distinct keys fails instead
-      // of sampling forever.
-      {"[dataset]\nkind = gaussian\nparam1 = 1e20\n[phase]\n", "line 1: ",
-       "too few distinct keys"},
+      {"\n[dataset]\nnum_keys = 0\n", "line 2: ", "num_keys"},
+      {"\n[dataset]\nkind = clustered\nparam1 = 65537\n", "line 2: ",
+       "cluster count"},
+      // Negative parameters are errors, not a silent default; so is a
+      // parameter the kind does not take.
+      {"[dataset]\nkind = gaussian\nparam2 = -0.2\nseed = 1\n", "line 3: ",
+       "param2"},
+      {"[dataset]\nparam2 = -1\nkind = lognormal\n", "line 2: ", "param2"},
+      {"[dataset]\nkind = pareto\nparam1 = -2\n", "line 3: ", "param1"},
+      {"[dataset]\nkind = pareto\nparam2 = 1\n", "line 3: ", "param2"},
+      {"[dataset]\nkind = gaussian\nparam1 = -0.5\n", "line 3: ",
+       "param1"},
+      {"[dataset]\nkind = clustered\nparam1 = -4\n", "line 3: ",
+       "param1"},
+      {"[dataset]\nkind = clustered\nparam2 = -0.01\n", "line 3: ",
+       "param2"},
+      {"[dataset]\nparam1 = 0.5\nnum_keys = 10\n", "line 2: ", "param1"},
+      {"[dataset]\nkind = emails\nparam2 = 3\n", "line 3: ", "param2"},
       {"[phase]\naccess = psychic\n", "line 2: ", "access"},
       {base + "[faults]\nexecute_fail_code = maybe\n", "line 6: ",
        "execute_fail_code"},

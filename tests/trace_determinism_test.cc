@@ -7,9 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "core/driver.h"
@@ -23,22 +21,17 @@
 namespace lsbench {
 namespace {
 
-RunSpec LoadConcurrentDemoSpec() {
-  const std::string path =
-      std::string(LSBENCH_SPEC_DIR) + "/concurrent_demo.lsb";
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "missing spec file: " << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  Result<RunSpec> parsed = ParseRunSpecText(buffer.str());
-  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
-  return std::move(parsed).value();
+RunSpec LoadSpecFile(const char* name) {
+  Result<RunSpec> loaded =
+      LoadRunSpecFile(std::string(LSBENCH_SPEC_DIR) + "/" + name);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  return std::move(loaded).value();
 }
 
 /// One full simulation run with observability on: virtual clock shared by
 /// driver and SUT, so every exported timestamp is virtual.
 RunResult RunOnce(uint32_t workers, bool observe = true) {
-  RunSpec spec = LoadConcurrentDemoSpec();
+  RunSpec spec = LoadSpecFile("concurrent_demo.lsb");
   spec.execution.workers = workers;
   spec.observability.trace = observe;
   spec.observability.profile = observe;
@@ -53,17 +46,6 @@ RunResult RunOnce(uint32_t workers, bool observe = true) {
   Result<RunResult> result = driver.Run(spec, &sut);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
-}
-
-RunSpec LoadSpecFile(const char* name) {
-  const std::string path = std::string(LSBENCH_SPEC_DIR) + "/" + name;
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "missing spec file: " << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  Result<RunSpec> parsed = ParseRunSpecText(buffer.str());
-  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
-  return std::move(parsed).value();
 }
 
 /// One full simulation run of an arbitrary spec with observability on.

@@ -48,11 +48,9 @@
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -181,20 +179,13 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  std::ifstream in(spec_path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", spec_path.c_str());
-    return 1;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  Result<RunSpec> parsed = ParseRunSpecText(buffer.str());
-  if (!parsed.ok()) {
+  Result<RunSpec> loaded = LoadRunSpecFile(spec_path);
+  if (!loaded.ok()) {
     std::fprintf(stderr, "spec error: %s\n",
-                 parsed.status().ToString().c_str());
+                 loaded.status().ToString().c_str());
     return 1;
   }
-  RunSpec spec = std::move(parsed).value();
+  RunSpec spec = std::move(loaded).value();
   std::printf("parsed spec '%s': %zu dataset(s), %zu phase(s)\n",
               spec.name.c_str(), spec.datasets.size(), spec.phases.size());
 
