@@ -201,6 +201,11 @@ bool operator==(const DriftSpec& a, const DriftSpec& b) {
          a.seed == b.seed;
 }
 
+bool operator==(const DatasetSourceSpec& a, const DatasetSourceSpec& b) {
+  return a.kind == b.kind && a.num_keys == b.num_keys && a.seed == b.seed &&
+         a.param1 == b.param1 && a.param2 == b.param2;
+}
+
 Status RunSpec::Validate() const {
   // A parsed spec describes its datasets before BuildDatasets generates
   // them; phases may reference either.

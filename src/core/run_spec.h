@@ -104,6 +104,8 @@ struct DatasetSourceSpec {
   double param2 = 0.0;
 };
 
+bool operator==(const DatasetSourceSpec& a, const DatasetSourceSpec& b);
+
 /// The complete description of one benchmark run: datasets, the phase
 /// sequence over them, SLA, and reporting granularity. A RunSpec plus a
 /// seed fully determines the operation stream.
