@@ -352,11 +352,6 @@ void BenchmarkDriver::ResetHoldoutRegistryForTesting() {
 Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
                                        SystemUnderTest* sut) {
   LSBENCH_ASSERT(sut != nullptr);
-  if (spec.datasets.size() < spec.dataset_sources.size()) {
-    return Status::FailedPrecondition(
-        "spec '" + spec.name + "' describes datasets that were never "
-        "generated; call BuildDatasets before Run");
-  }
   LSBENCH_RETURN_IF_ERROR(spec.Validate());
 
   const bool has_holdout =

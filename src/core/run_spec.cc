@@ -1,6 +1,5 @@
 #include "core/run_spec.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -91,6 +90,9 @@ std::string FormatNumber(double v) {
   return buf;
 }
 
+uint64_t KeyCount(const Dataset& ds) { return ds.keys.size(); }
+uint64_t KeyCount(const DatasetSourceSpec& source) { return source.num_keys; }
+
 Status DatasetError(size_t index, const DatasetSourceSpec& source,
                     const std::string& message) {
   return Status::InvalidArgument("dataset " + std::to_string(index) + " (" +
@@ -134,9 +136,8 @@ Status CheckDatasetSource(const DatasetSourceSpec& source, int* param) {
   return Status::OK();
 }
 
-Status BuildDatasets(RunSpec* spec) {
-  const std::vector<DatasetSourceSpec>& sources = spec->dataset_sources;
-  if (spec->datasets.size() >= sources.size()) return Status::OK();
+Result<RunSpec> BuildDatasets(ParsedSpec spec) {
+  const std::vector<DatasetSourceSpec>& sources = spec.datasets;
   uint64_t keys_left = kMaxSpecDatasetBytes / sizeof(uint64_t);
   for (size_t i = 0; i < sources.size(); ++i) {
     if (const Status st = CheckDatasetSource(sources[i]); !st.ok()) {
@@ -153,28 +154,26 @@ Status BuildDatasets(RunSpec* spec) {
     keys_left -= sources[i].num_keys;
   }
 
-  std::vector<Dataset> datasets;
-  datasets.reserve(sources.size());
+  RunSpec run;
   for (size_t i = 0; i < sources.size(); ++i) {
     const DatasetSourceSpec& source = sources[i];
     const DatasetKind& kind = *FindDatasetKind(source.kind);
-    if (kind.make == nullptr) {
-      datasets.push_back(GenerateEmailDataset(source.num_keys, source.seed));
-      continue;
-    }
     DatasetOptions options;
     options.num_keys = source.num_keys;
     options.seed = source.seed;
-    const std::unique_ptr<UnitDistribution> dist = kind.make(source);
-    Dataset ds = GenerateDataset(*dist, options);
+    Dataset ds = kind.make == nullptr
+                     ? GenerateEmailDataset(source.num_keys, source.seed)
+                     : GenerateDataset(*kind.make(source), options);
     if (ds.keys.size() < source.num_keys) {
       return DatasetError(i, source,
-                          dist->name() + " yields too few distinct keys");
+                          ds.name + " yields too few distinct keys: " +
+                              std::to_string(ds.keys.size()) + " of " +
+                              std::to_string(source.num_keys));
     }
-    datasets.push_back(std::move(ds));
+    run.datasets.push_back(std::move(ds));
   }
-  spec->datasets = std::move(datasets);
-  return Status::OK();
+  static_cast<RunPlan&>(run) = std::move(spec);
+  return run;
 }
 
 std::string OverloadPolicyToString(OverloadPolicy policy) {
@@ -206,18 +205,16 @@ bool operator==(const DatasetSourceSpec& a, const DatasetSourceSpec& b) {
          a.param1 == b.param1 && a.param2 == b.param2;
 }
 
-Status RunSpec::Validate() const {
-  // A parsed spec describes its datasets before BuildDatasets generates
-  // them; phases may reference either.
-  const size_t num_datasets = std::max(datasets.size(), dataset_sources.size());
-  if (num_datasets == 0) {
+template <class DatasetT>
+Status RunPlan::ValidateWith(const std::vector<DatasetT>& datasets) const {
+  if (datasets.empty()) {
     return Status::InvalidArgument("run spec has no datasets");
   }
   if (phases.empty()) {
     return Status::InvalidArgument("run spec has no phases");
   }
   for (size_t i = 0; i < datasets.size(); ++i) {
-    if (datasets[i].empty()) {
+    if (KeyCount(datasets[i]) == 0) {
       return Status::InvalidArgument("dataset " + std::to_string(i) +
                                      " is empty");
     }
@@ -225,7 +222,7 @@ Status RunSpec::Validate() const {
   for (size_t i = 0; i < phases.size(); ++i) {
     const PhaseSpec& p = phases[i];
     if (p.dataset_index < 0 ||
-        static_cast<size_t>(p.dataset_index) >= num_datasets) {
+        static_cast<size_t>(p.dataset_index) >= datasets.size()) {
       return Status::InvalidArgument("phase " + std::to_string(i) +
                                      " references missing dataset");
     }
@@ -382,6 +379,9 @@ Status RunSpec::Validate() const {
   }
   return Status::OK();
 }
+
+Status ParsedSpec::Validate() const { return ValidateWith(datasets); }
+Status RunSpec::Validate() const { return ValidateWith(datasets); }
 
 uint64_t RunSpec::StructuralHash() const {
   uint64_t h = HashString(name);

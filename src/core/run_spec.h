@@ -106,12 +106,11 @@ struct DatasetSourceSpec {
 
 bool operator==(const DatasetSourceSpec& a, const DatasetSourceSpec& b);
 
-/// The complete description of one benchmark run: datasets, the phase
-/// sequence over them, SLA, and reporting granularity. A RunSpec plus a
-/// seed fully determines the operation stream.
-struct RunSpec {
+/// Everything about one benchmark run but its datasets: the phase sequence
+/// over them, SLA, and reporting granularity. ParsedSpec and RunSpec each
+/// add their own `datasets`, so whether the datasets exist is a type.
+struct RunPlan {
   std::string name = "unnamed_run";
-  std::vector<Dataset> datasets;
   std::vector<PhaseSpec> phases;
   SlaSpec sla;
   /// Width of the reporting interval for bands/timelines, in nanoseconds.
@@ -143,17 +142,33 @@ struct RunSpec {
   /// annotation about the run rather than part of it — excluded from
   /// StructuralHash so declaring drift does not change run identity.
   DriftSpec drift;
-  /// What `datasets` is generated from, one entry per `[dataset]` section.
-  /// ParseRunSpecText fills only this; `datasets` stays empty until
-  /// BuildDatasets generates it, parallel by index. May be empty for
-  /// programmatically built specs — then the spec cannot be rendered back
-  /// to text.
-  std::vector<DatasetSourceSpec> dataset_sources;
 
-  /// Structural validation: phases reference valid datasets (generated or
-  /// only described), lengths are nonzero, generated datasets are nonempty,
-  /// trace phases match their trace's length, and no transition blends
-  /// into or out of a trace phase.
+ protected:
+  /// The body of ParsedSpec::Validate and RunSpec::Validate, shared so the
+  /// two cannot drift apart; defined in run_spec.cc.
+  template <class DatasetT>
+  Status ValidateWith(const std::vector<DatasetT>& datasets) const;
+};
+
+/// A run as spec text describes it: the plan plus one DatasetSourceSpec per
+/// `[dataset]` section, and no keys. ParseRunSpecText returns one, and
+/// RenderRunSpecText renders one; BuildDatasets turns it into the RunSpec
+/// that BenchmarkDriver::Run accepts.
+struct ParsedSpec : RunPlan {
+  std::vector<DatasetSourceSpec> datasets;
+
+  /// RunSpec::Validate's checks, against the described datasets.
+  Status Validate() const;
+};
+
+/// The complete description of one benchmark run: its plan over generated
+/// datasets. A RunSpec plus a seed fully determines the operation stream.
+struct RunSpec : RunPlan {
+  std::vector<Dataset> datasets;
+
+  /// Structural validation: phases reference valid datasets, lengths are
+  /// nonzero, datasets are nonempty, trace phases match their trace's
+  /// length, and no transition blends into or out of a trace phase.
   Status Validate() const;
 
   /// Stable hash of the spec's structure — the identity under which the
@@ -172,15 +187,14 @@ struct RunSpec {
 Status CheckDatasetSource(const DatasetSourceSpec& source,
                           int* param = nullptr);
 
-/// Generates `spec->datasets` from `spec->dataset_sources`: the only code
-/// that turns a DatasetSourceSpec into a Dataset. A spec with at least as
-/// many datasets as sources (already built, or built in code) is left as
-/// it is. Every source is checked, and the keys of all of them together
-/// are bounded to 256 MiB (2^25 8-byte keys), before anything is
-/// generated, so a rejected spec allocates no keys. A distribution too
-/// narrow to yield num_keys distinct keys is an error too. Errors name the
-/// dataset's ordinal and kind; on error `spec->datasets` is unchanged.
-Status BuildDatasets(RunSpec* spec);
+/// Generates the Dataset each of `spec.datasets` describes and returns the
+/// run: the only code that turns a DatasetSourceSpec into a Dataset. Every
+/// source is checked, and the keys of all of them together are bounded to
+/// 256 MiB (2^25 8-byte keys), before anything is generated, so a rejected
+/// spec allocates no keys. A source whose distribution (or, for emails,
+/// whose ~4k distinct 8-byte prefixes) cannot yield num_keys distinct keys
+/// is an error too. Errors name the dataset's ordinal and kind.
+Result<RunSpec> BuildDatasets(ParsedSpec spec);
 
 }  // namespace lsbench
 

@@ -271,7 +271,7 @@ constexpr BoolCodec kBool{};
 // argument is a value the key renders no line for.
 
 template <class A>
-void Fields(A& a, RunSpec& s) {
+void Fields(A& a, RunPlan& s) {
   a("name", s.name, kText);
   a("seed", s.seed, kU64);
   a("interval_ms", s.interval_nanos, kMillis);
@@ -448,8 +448,8 @@ Status CheckRenderableName(const std::string& name, const char* what) {
 
 }  // namespace
 
-Result<RunSpec> ParseRunSpecText(const std::string& text) {
-  RunSpec spec;
+Result<ParsedSpec> ParseRunSpecText(const std::string& text) {
+  ParsedSpec spec;
   Section section = Section::kTop;
   size_t section_line = 0;  // line of the open section's header
   DatasetSourceSpec dataset;
@@ -462,16 +462,14 @@ Result<RunSpec> ParseRunSpecText(const std::string& text) {
   auto close_section = [&]() -> Status {
     switch (section) {
       case Section::kDataset: {
-        // The section only describes its dataset; BuildDatasets generates
-        // it. A parameter's error names that parameter's key line.
+        // A parameter's error names that parameter's key line.
         int param = 0;
         const Status st = CheckDatasetSource(dataset, &param);
         if (!st.ok()) {
           return AtLine(param == 0 ? section_line : param_lines[param - 1],
                         st.message());
         }
-        spec.dataset_sources.push_back(
-            std::exchange(dataset, DatasetSourceSpec()));
+        spec.datasets.push_back(std::exchange(dataset, DatasetSourceSpec()));
         break;
       }
       case Section::kPhase: {
@@ -557,18 +555,11 @@ Result<RunSpec> LoadRunSpecFile(const std::string& path) {
   if (!in) return Status::IoError("cannot open spec file: " + path);
   std::ostringstream text;
   text << in.rdbuf();
-  LSBENCH_ASSIGN_OR_RETURN(RunSpec spec, ParseRunSpecText(text.str()));
-  LSBENCH_RETURN_IF_ERROR(BuildDatasets(&spec));
-  return spec;
+  LSBENCH_ASSIGN_OR_RETURN(ParsedSpec spec, ParseRunSpecText(text.str()));
+  return BuildDatasets(std::move(spec));
 }
 
-Result<std::string> RenderRunSpecText(const RunSpec& spec) {
-  if (spec.dataset_sources.empty() ||
-      spec.dataset_sources.size() < spec.datasets.size()) {
-    return Status::FailedPrecondition(
-        "spec has no dataset descriptions (dataset_sources); only specs "
-        "parsed from text can be rendered back");
-  }
+Result<std::string> RenderRunSpecText(const ParsedSpec& spec) {
   LSBENCH_RETURN_IF_ERROR(CheckRenderableName(spec.name, "run name"));
   for (const PhaseSpec& phase : spec.phases) {
     if (phase.trace != nullptr) {
@@ -591,7 +582,7 @@ Result<std::string> RenderRunSpecText(const RunSpec& spec) {
     }
   };
 
-  for (const DatasetSourceSpec& source : spec.dataset_sources) {
+  for (const DatasetSourceSpec& source : spec.datasets) {
     emit_section(Section::kDataset, RenderFields(source));
   }
   for (const PhaseSpec& phase : spec.phases) {

@@ -8,13 +8,19 @@
 
 namespace lsbench {
 
-/// Parses the LSBench textual spec format into a RunSpec. Parsing only
-/// describes the run: each `[dataset]` section becomes a checked entry of
-/// `dataset_sources`, and `datasets` stays empty, so parsing allocates no
-/// keys however large num_keys is. BuildDatasets (core/run_spec.h)
-/// generates the datasets, bounding a spec's keys to 256 MiB in all;
-/// LoadRunSpecFile reads, parses and builds in one call. The format is a
-/// line-based INI dialect:
+/// Parses the LSBench textual spec format into a ParsedSpec. Text becomes a
+/// run in two steps, one type each:
+///
+///   text --ParseRunSpecText--> ParsedSpec --BuildDatasets--> RunSpec
+///
+/// A ParsedSpec only describes its datasets (one checked DatasetSourceSpec
+/// per `[dataset]` section), so parsing allocates no keys however large
+/// num_keys is; RenderRunSpecText turns it back into text. BuildDatasets
+/// (core/run_spec.h) generates the keys, bounding a spec's keys to 256 MiB
+/// in all, and returns the RunSpec that BenchmarkDriver::Run,
+/// CompareSystems and MeasureDriftTrajectory take; nothing else accepts a
+/// ParsedSpec. LoadRunSpecFile reads, parses and builds in one call. The
+/// format is a line-based INI dialect:
 ///
 /// ```
 /// # top-level keys before any section
@@ -116,34 +122,35 @@ namespace lsbench {
 /// lognormal(param1=mu, param2=sigma), pareto(param1=alpha),
 /// clustered(param1=num_clusters <= 65536, param2=spread); uniform and
 /// emails take none, so a nonzero one is an error. 0 selects the kind's
-/// default (see DatasetSourceSpec), and only mu may be negative. Unknown
+/// default (see DatasetSourceSpec), and only mu may be negative. An emails
+/// key is an address's first 8 bytes, of which the generator yields only
+/// about 4,000 distinct values (4,011 at seed 4, 4,014 at seed 42); a
+/// larger num_keys parses but fails to build. Unknown
 /// keys are rejected (typo safety). Every error about a line starts with
 /// `line N:`: a key error names the key, an error found when a section
 /// closes names the section header's line (an unknown dataset kind,
 /// num_keys = 0, too many clusters), the dataset parameter at fault, or
 /// the phase's last arrival key (an open-loop phase without a rate).
-/// Errors from RunSpec::Validate, run on the whole spec, name the phase or
+/// Errors from ParsedSpec::Validate, run on the whole spec, name the phase or
 /// fault window instead; phase `dataset` indexes are checked against the
 /// number of `[dataset]` sections.
-Result<RunSpec> ParseRunSpecText(const std::string& text);
+Result<ParsedSpec> ParseRunSpecText(const std::string& text);
 
 /// Reads the spec file at `path`, parses it, and generates its datasets
 /// (BuildDatasets): a spec ready for BenchmarkDriver::Run. An unreadable
 /// file is an IoError; parse and build errors come back as they are.
 Result<RunSpec> LoadRunSpecFile(const std::string& path);
 
-/// Renders a complete RunSpec back into parseable spec text, whether or not
-/// its datasets have been built. Requires the dataset descriptions
-/// (`dataset_sources`, filled by ParseRunSpecText); programmatically built
-/// specs without them get FailedPrecondition, as do specs with trace
-/// phases (the text format has no trace key). For any spec that came from
-/// ParseRunSpecText, parse → render → parse yields the same descriptions,
-/// so once built the same StructuralHash and identical dataset keys, and
-/// render is a fixpoint (render(parse(render(s))) == render(s)) — the
-/// round-trip property the spec robustness tests pin. Durations render in
-/// the whole ms/us units the parser accepts; optional sections and keys
-/// render only when they differ from their defaults.
-Result<std::string> RenderRunSpecText(const RunSpec& spec);
+/// Renders a ParsedSpec back into parseable spec text. Specs with trace
+/// phases get FailedPrecondition (the text format has no trace key). For
+/// any spec that came from ParseRunSpecText, parse → render → parse yields
+/// the same ParsedSpec, so once built the same StructuralHash and
+/// identical dataset keys, and render is a fixpoint
+/// (render(parse(render(s))) == render(s)) — the round-trip property the
+/// spec robustness tests pin. Durations render in the whole ms/us units
+/// the parser accepts; optional sections and keys render only when they
+/// differ from their defaults.
+Result<std::string> RenderRunSpecText(const ParsedSpec& spec);
 
 }  // namespace lsbench
 

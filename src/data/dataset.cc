@@ -135,14 +135,14 @@ uint64_t EmailGenerator::ToKey(const std::string& email) {
 
 Dataset GenerateEmailDataset(size_t num_keys, uint64_t seed) {
   EmailGenerator gen(seed);
+  // Not reserved for num_keys: keys are 8-byte address prefixes, which
+  // collide often, and the generator yields only about 4k distinct ones,
+  // so the set never outgrows that space.
   std::unordered_set<uint64_t> seen;
-  seen.reserve(num_keys * 2);
-  // Email prefixes collide often (8-byte prefix), and the generator's
-  // distinct-prefix space may be smaller than num_keys. Stop once the
-  // generator stagnates — a long run of attempts with no new key — rather
-  // than burning a num_keys-proportional attempt budget: with a saturated
-  // space that budget is O(num_keys * 1000) wasted string builds, slow
-  // enough to stall spec parsing.
+  // Stop once the generator stagnates — a long run of attempts with no new
+  // key — rather than burning a num_keys-proportional attempt budget: with
+  // a saturated space that budget is O(num_keys * 1000) wasted string
+  // builds, slow enough to stall spec parsing.
   constexpr size_t kStagnationWindow = 10000;
   size_t attempts = 0;
   size_t last_growth = 0;

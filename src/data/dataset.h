@@ -86,7 +86,8 @@ class EmailGenerator {
 };
 
 /// Generates a Dataset whose keys come from EmailGenerator::ToKey over
-/// `num_keys` distinct synthetic addresses.
+/// synthetic addresses: `num_keys` distinct keys, or fewer when the
+/// generator's ~4k distinct 8-byte prefixes run out first.
 Dataset GenerateEmailDataset(size_t num_keys, uint64_t seed);
 
 }  // namespace lsbench

@@ -143,7 +143,7 @@ inline bool operator==(const Status& a, const Status& b) {
 
 /// Evaluates `rexpr` (a Result<T>), propagating a non-OK status to the
 /// caller; on success assigns the unwrapped value to `lhs`:
-///   LSBENCH_ASSIGN_OR_RETURN(const RunSpec spec, ParseRunSpecText(text));
+///   LSBENCH_ASSIGN_OR_RETURN(const ParsedSpec spec, ParseRunSpecText(text));
 /// Usable in functions returning Status or Result<U>.
 #define LSBENCH_ASSIGN_OR_RETURN(lhs, rexpr)                             \
   auto LSBENCH_STATUS_CONCAT(_lsb_result_, __LINE__) = (rexpr);          \

@@ -415,10 +415,11 @@ TEST(ReplayTest, TraceEntriesAreTheHoldoutIdentity) {
 }
 
 TEST(ReplayTest, RenderRefusesTracePhases) {
-  RunSpec spec = GeneratedSpec(ArrivalPattern::kClosedLoop);
-  spec.dataset_sources.resize(spec.datasets.size());
+  const RunSpec run = GeneratedSpec(ArrivalPattern::kClosedLoop);
+  // The same plan, with its dataset described as spec text describes it.
+  ParsedSpec spec{run, {DatasetSourceSpec{"uniform", 3000, 5}}};
   ASSERT_TRUE(RenderRunSpecText(spec).ok());
-  spec.phases[0].trace = Record(spec, 0, 1);
+  spec.phases[0].trace = Record(run, 0, 1);
   EXPECT_TRUE(RenderRunSpecText(spec).status().IsFailedPrecondition());
 }
 

@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/driver.h"
 #include "core/event_sink.h"
 #include "core/run_spec.h"
-#include "core/spec_text.h"
 #include "core/specialization.h"
 #include "data/dataset.h"
 #include "sut/systems.h"
@@ -70,23 +70,13 @@ TEST_F(DriverTest, ValidatesSpec) {
   EXPECT_TRUE(driver.Run(zero_ops, &sut).status().IsInvalidArgument());
 }
 
-TEST_F(DriverTest, RefusesSpecWhoseDatasetsWereNeverBuilt) {
-  // A parsed spec only describes its datasets; running it before
-  // BuildDatasets is a caller error, reported rather than crashed on.
-  RunSpec spec =
-      ParseRunSpecText("[dataset]\nnum_keys = 500\n[phase]\nops = 100\n")
-          .value();
-  BenchmarkDriver driver;
-  BTreeSystem sut;
-  const Status unbuilt = driver.Run(spec, &sut).status();
-  EXPECT_TRUE(unbuilt.IsFailedPrecondition()) << unbuilt.ToString();
-  EXPECT_NE(unbuilt.message().find("BuildDatasets"), std::string::npos)
-      << unbuilt.ToString();
-
-  ASSERT_TRUE(BuildDatasets(&spec).ok());
-  const Result<RunResult> built = driver.Run(spec, &sut);
-  EXPECT_TRUE(built.ok()) << built.status().ToString();
-}
+// A parsed spec only describes its datasets. Run takes only the RunSpec
+// that BuildDatasets returns, so running an unbuilt spec does not compile.
+using RunMethod = decltype(&BenchmarkDriver::Run);
+static_assert(std::is_invocable_v<RunMethod, BenchmarkDriver&, const RunSpec&,
+                                  SystemUnderTest*>);
+static_assert(!std::is_invocable_v<RunMethod, BenchmarkDriver&,
+                                   const ParsedSpec&, SystemUnderTest*>);
 
 TEST_F(DriverTest, SimulatedRunProducesFullEventStream) {
   VirtualClock clock;

@@ -13,9 +13,13 @@
 // metrics, which scales with run size but not per operation.
 //
 // The same counter also sums the bytes requested, which pins that training
-// a learned index reads its key set where it lives instead of copying it.
+// a learned index reads its key set where it lives instead of copying it,
+// and, with a high-water mark of the bytes live at once, that building a
+// dataset holds memory for the keys it yields rather than for the num_keys
+// it was asked for.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
@@ -23,6 +27,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "core/driver.h"
@@ -37,22 +42,40 @@ namespace {
 
 std::atomic<uint64_t> g_heap_allocs{0};
 std::atomic<uint64_t> g_heap_bytes{0};
+/// Heap bytes allocated and not yet freed, and their high-water mark.
+std::atomic<uint64_t> g_live_bytes{0};
+std::atomic<uint64_t> g_peak_live_bytes{0};
 
 void* CountedAlloc(size_t size) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  const uint64_t usable = malloc_usable_size(p);
+  const uint64_t live =
+      g_live_bytes.fetch_add(usable, std::memory_order_relaxed) + usable;
+  uint64_t peak = g_peak_live_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !g_peak_live_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+  return p;
+}
+
+void CountedFree(void* p) {
+  if (p != nullptr) {
+    g_live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
+  }
+  std::free(p);
 }
 
 }  // namespace
 
 void* operator new(size_t size) { return CountedAlloc(size); }
 void* operator new[](size_t size) { return CountedAlloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, size_t) noexcept { CountedFree(p); }
 
 namespace lsbench {
 namespace {
@@ -267,6 +290,16 @@ uint64_t HeapBytesDuring(Fn&& fn) {
   return g_heap_bytes.load(std::memory_order_relaxed) - before;
 }
 
+/// The most heap bytes live at once while `fn` runs, above those live
+/// before it.
+template <typename Fn>
+uint64_t PeakLiveBytesDuring(Fn&& fn) {
+  const uint64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  g_peak_live_bytes.store(before, std::memory_order_relaxed);
+  fn();
+  return g_peak_live_bytes.load(std::memory_order_relaxed) - before;
+}
+
 constexpr size_t kTrainKeys = 200000;
 /// One copy of the trained keys: the smallest copy of the key set.
 constexpr uint64_t kKeySetBytes = kTrainKeys * sizeof(Key);
@@ -315,6 +348,28 @@ TEST(TrainAllocTest, RetrainWithEmptyDeltaCopiesNoKeySet) {
   EXPECT_LT(pgm_bytes, kKeySetBytes)
       << "PgmIndex::Retrain() with an empty delta allocated " << pgm_bytes
       << " bytes";
+}
+
+TEST(BuildAllocTest, EmailsPastItsKeySpaceFailsWithoutReserving) {
+  // An emails source yields about 4k distinct keys however many it asks
+  // for. Asking for 2^24 (128 MiB of keys, under the 256 MiB bound) must
+  // fail having held memory for the keys it found, not for the ones it
+  // asked for. Peak live bytes, not bytes requested: each attempt builds
+  // a short-lived address string, freed before the next.
+  ParsedSpec spec;
+  DatasetSourceSpec source;
+  source.kind = "emails";
+  source.num_keys = uint64_t{1} << 24;
+  spec.datasets.push_back(source);
+  Status status;
+  const uint64_t bytes =
+      PeakLiveBytesDuring([&] { status = BuildDatasets(spec).status(); });
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find("too few distinct keys"), std::string::npos)
+      << status.ToString();
+  EXPECT_LT(bytes, uint64_t{1} << 20)
+      << "BuildDatasets of a 2^24-key emails source held " << bytes
+      << " heap bytes at its peak";
 }
 
 }  // namespace

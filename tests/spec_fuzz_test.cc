@@ -70,15 +70,45 @@ struct BuiltHashes {
 
 /// Builds `spec`'s datasets and hashes the result. The keys are freed on
 /// return.
-BuiltHashes BuildAndHash(RunSpec spec) {
-  const Status built = BuildDatasets(&spec);
-  EXPECT_TRUE(built.ok()) << built.ToString();
+BuiltHashes BuildAndHash(const ParsedSpec& spec) {
+  const Result<RunSpec> built = BuildDatasets(spec);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  if (!built.ok()) return {0, 0};
   uint64_t keys_hash = Fnv1a64(nullptr, 0);
-  for (const Dataset& ds : spec.datasets) {
+  for (const Dataset& ds : built.value().datasets) {
     keys_hash = Fnv1a64(ds.keys.data(), ds.keys.size() * sizeof(uint64_t),
                         keys_hash);
   }
-  return {spec.StructuralHash(), keys_hash};
+  return {built.value().StructuralHash(), keys_hash};
+}
+
+/// RunSpec::StructuralHash of `spec`'s plan alone, with no datasets: its
+/// name, seed, phases, faults, resilience, service and execution.
+uint64_t PlanHash(const ParsedSpec& spec) {
+  return RunSpec{spec, {}}.StructuralHash();
+}
+
+/// Checks that `reparsed`, the parse of `parsed`'s rendering, is the same
+/// spec: every plan field and every dataset description. The plan fields
+/// PlanHash leaves out are compared one by one.
+void ExpectSameSpec(const ParsedSpec& parsed, const ParsedSpec& reparsed,
+                    const std::string& where) {
+  EXPECT_EQ(PlanHash(reparsed), PlanHash(parsed)) << where;
+  EXPECT_TRUE(reparsed.datasets == parsed.datasets)
+      << where << ": dataset descriptions diverged";
+  EXPECT_EQ(reparsed.sla.threshold_nanos, parsed.sla.threshold_nanos)
+      << where;
+  EXPECT_EQ(reparsed.sla.auto_percentile, parsed.sla.auto_percentile)
+      << where;
+  EXPECT_EQ(reparsed.sla.auto_margin, parsed.sla.auto_margin) << where;
+  EXPECT_EQ(reparsed.interval_nanos, parsed.interval_nanos) << where;
+  EXPECT_EQ(reparsed.boxplot_sample_nanos, parsed.boxplot_sample_nanos)
+      << where;
+  EXPECT_EQ(reparsed.adjustment_window_ops, parsed.adjustment_window_ops)
+      << where;
+  EXPECT_EQ(reparsed.offline_training, parsed.offline_training) << where;
+  EXPECT_TRUE(reparsed.observability == parsed.observability) << where;
+  EXPECT_TRUE(reparsed.drift == parsed.drift) << where;
 }
 
 /// Pins what a shipped spec means, so a parser or renderer change that
@@ -102,7 +132,7 @@ constexpr SpecGolden kGoldens[] = {
      0xdba006df70423667ull},
     {"demo_shift.lsb", 0x6cc48114131fa231ull, 0x1a766eef7e26cb3eull,
      0x4465451473c82d16ull},
-    {"holdout_eval.lsb", 0xa5a34214534bae2dull, 0xfc91f468d6b84734ull,
+    {"holdout_eval.lsb", 0x3eba9c276bb48da7ull, 0xfc91f468d6b84734ull,
      0x4f551a4236740dc4ull},
     {"resilience_demo.lsb", 0x8d03c11ffb4fd350ull, 0x92f0ad81d4728d9cull,
      0x4465451473c82d16ull},
@@ -122,24 +152,20 @@ class SpecRoundTripTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SpecRoundTripTest, ParsePrintParseIsIdentity) {
   const std::string text = ReadSpecFile(GetParam());
-  Result<RunSpec> first = ParseRunSpecText(text);
+  const Result<ParsedSpec> first = ParseRunSpecText(text);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
 
   const Result<std::string> rendered = RenderRunSpecText(first.value());
   ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
 
-  Result<RunSpec> second = ParseRunSpecText(rendered.value());
+  const Result<ParsedSpec> second = ParseRunSpecText(rendered.value());
   ASSERT_TRUE(second.ok()) << "re-parse of rendered spec failed: "
                            << second.status().ToString() << "\n"
                            << rendered.value();
 
-  // Semantically the same run: the same dataset descriptions (BuildDatasets
-  // is deterministic, so the same keys), the same structure and the same
-  // observability switches.
-  EXPECT_TRUE(first.value().dataset_sources == second.value().dataset_sources)
-      << "dataset descriptions diverged through the round trip";
-  EXPECT_EQ(first.value().StructuralHash(), second.value().StructuralHash());
-  EXPECT_TRUE(first.value().observability == second.value().observability);
+  // Semantically the same run: the same plan and the same dataset
+  // descriptions (BuildDatasets is deterministic, so the same keys).
+  ExpectSameSpec(first.value(), second.value(), GetParam());
 
   // Printing is a fixpoint: render(parse(render(spec))) == render(spec).
   const Result<std::string> rendered_again =
@@ -246,7 +272,7 @@ TEST(SpecFuzzTest, MutatedSpecsNeverCrashTheParser) {
       const uint64_t rounds = 1 + rng.NextBounded(3);
       for (uint64_t r = 0; r < rounds; ++r) mutated = Mutate(mutated, &rng);
 
-      const Result<RunSpec> parsed = ParseRunSpecText(mutated);
+      const Result<ParsedSpec> parsed = ParseRunSpecText(mutated);
       if (!parsed.ok()) {
         // Errors must be real statuses with a message, never a crash.
         EXPECT_FALSE(parsed.status().ToString().empty())
@@ -258,15 +284,13 @@ TEST(SpecFuzzTest, MutatedSpecsNeverCrashTheParser) {
       const Result<std::string> rendered = RenderRunSpecText(parsed.value());
       ASSERT_TRUE(rendered.ok()) << file << " seed=" << seed << ": "
                                  << rendered.status().ToString();
-      const Result<RunSpec> reparsed = ParseRunSpecText(rendered.value());
+      const Result<ParsedSpec> reparsed = ParseRunSpecText(rendered.value());
       ASSERT_TRUE(reparsed.ok())
           << file << " seed=" << seed
           << ": rendered spec failed to re-parse: "
           << reparsed.status().ToString();
-      EXPECT_TRUE(reparsed.value().dataset_sources ==
-                  parsed.value().dataset_sources)
-          << file << " seed=" << seed
-          << ": dataset descriptions diverged through render";
+      ExpectSameSpec(parsed.value(), reparsed.value(),
+                     file + " seed=" + std::to_string(seed));
     }
   }
 }
@@ -344,7 +368,7 @@ max_retries = 2
 )";
 
 TEST(SpecFuzzTest, EveryKeyWithAdversarialValues) {
-  const Result<RunSpec> base_spec = ParseRunSpecText(kEverySectionSpec);
+  const Result<ParsedSpec> base_spec = ParseRunSpecText(kEverySectionSpec);
   ASSERT_TRUE(base_spec.ok()) << base_spec.status().ToString();
   const Result<std::string> base_text = RenderRunSpecText(base_spec.value());
   ASSERT_TRUE(base_text.ok()) << base_text.status().ToString();
@@ -406,7 +430,7 @@ TEST(SpecFuzzTest, EveryKeyWithAdversarialValues) {
         text += '\n';
       }
       const std::string where = k.section + " " + k.key + " = " + value;
-      const Result<RunSpec> parsed = ParseRunSpecText(text);
+      const Result<ParsedSpec> parsed = ParseRunSpecText(text);
       if (!parsed.ok()) {
         const std::string& message = parsed.status().message();
         size_t at = 0;
@@ -431,23 +455,14 @@ TEST(SpecFuzzTest, EveryKeyWithAdversarialValues) {
       const Result<std::string> rendered = RenderRunSpecText(parsed.value());
       ASSERT_TRUE(rendered.ok()) << where << ": "
                                  << rendered.status().ToString();
-      const Result<RunSpec> reparsed = ParseRunSpecText(rendered.value());
+      const Result<ParsedSpec> reparsed = ParseRunSpecText(rendered.value());
       ASSERT_TRUE(reparsed.ok()) << where << ": rendered spec failed to "
                                  << "re-parse: "
                                  << reparsed.status().ToString();
       EXPECT_EQ(RenderRunSpecText(reparsed.value()).value(),
                 rendered.value())
           << where;
-      EXPECT_EQ(reparsed.value().StructuralHash(),
-                parsed.value().StructuralHash())
-          << where;
-      EXPECT_TRUE(reparsed.value().dataset_sources ==
-                  parsed.value().dataset_sources)
-          << where;
-      EXPECT_TRUE(reparsed.value().drift == parsed.value().drift) << where;
-      EXPECT_TRUE(reparsed.value().observability ==
-                  parsed.value().observability)
-          << where;
+      ExpectSameSpec(parsed.value(), reparsed.value(), where);
     }
   }
 }

@@ -57,9 +57,9 @@ range_selectivity = 0.01
 )";
 
 TEST(SpecTextTest, ParsesFullSpec) {
-  const Result<RunSpec> result = ParseRunSpecText(kGoodSpec);
+  const Result<ParsedSpec> result = ParseRunSpecText(kGoodSpec);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const RunSpec& spec = result.value();
+  const ParsedSpec& spec = result.value();
   EXPECT_EQ(spec.name, "parse_me");
   EXPECT_EQ(spec.seed, 99u);
   EXPECT_EQ(spec.interval_nanos, 250000000);
@@ -68,14 +68,13 @@ TEST(SpecTextTest, ParsesFullSpec) {
   EXPECT_EQ(spec.sla.threshold_nanos, 5000000);
   EXPECT_EQ(spec.adjustment_window_ops, 123u);
 
-  // Parsing describes the datasets and generates none of them.
-  EXPECT_TRUE(spec.datasets.empty());
-  ASSERT_EQ(spec.dataset_sources.size(), 2u);
-  EXPECT_EQ(spec.dataset_sources[0].kind, "uniform");
-  EXPECT_EQ(spec.dataset_sources[0].num_keys, 2000u);
-  EXPECT_EQ(spec.dataset_sources[1].kind, "gaussian");
-  EXPECT_EQ(spec.dataset_sources[1].seed, 2u);
-  EXPECT_DOUBLE_EQ(spec.dataset_sources[1].param2, 0.05);
+  // Parsing describes the datasets; a ParsedSpec holds no keys.
+  ASSERT_EQ(spec.datasets.size(), 2u);
+  EXPECT_EQ(spec.datasets[0].kind, "uniform");
+  EXPECT_EQ(spec.datasets[0].num_keys, 2000u);
+  EXPECT_EQ(spec.datasets[1].kind, "gaussian");
+  EXPECT_EQ(spec.datasets[1].seed, 2u);
+  EXPECT_DOUBLE_EQ(spec.datasets[1].param2, 0.05);
 
   ASSERT_EQ(spec.phases.size(), 2u);
   const PhaseSpec& p0 = spec.phases[0];
@@ -101,59 +100,61 @@ TEST(SpecTextTest, ParsesFullSpec) {
 }
 
 TEST(SpecTextTest, ParsedSpecValidates) {
-  const Result<RunSpec> result = ParseRunSpecText(kGoodSpec);
+  const Result<ParsedSpec> result = ParseRunSpecText(kGoodSpec);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().Validate().ok());
 }
 
 TEST(SpecTextTest, BuildDatasetsGeneratesWhatTheSectionsDescribe) {
-  RunSpec spec = ParseRunSpecText(kGoodSpec).value();
-  const std::string unbuilt = RenderRunSpecText(spec).value();
-  ASSERT_TRUE(BuildDatasets(&spec).ok());
+  const ParsedSpec parsed = ParseRunSpecText(kGoodSpec).value();
+  const Result<RunSpec> built = BuildDatasets(parsed);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const RunSpec& spec = built.value();
   ASSERT_EQ(spec.datasets.size(), 2u);
   EXPECT_EQ(spec.datasets[0].size(), 2000u);
   EXPECT_EQ(spec.datasets[0].seed, 1u);
   EXPECT_EQ(spec.datasets[1].size(), 3000u);
   EXPECT_EQ(spec.datasets[1].name, MakeGaussian(0.4, 0.05)->name());
   EXPECT_TRUE(spec.Validate().ok());
-  // Rendering reads only the descriptions, built or not.
-  EXPECT_EQ(RenderRunSpecText(spec).value(), unbuilt);
+  // The plan passes through as parsed.
+  EXPECT_EQ(spec.name, parsed.name);
+  EXPECT_EQ(spec.seed, parsed.seed);
+  ASSERT_EQ(spec.phases.size(), parsed.phases.size());
+  EXPECT_EQ(spec.phases[1].name, parsed.phases[1].name);
 
-  // A built spec, or one built in code, is left as it is.
-  const std::vector<uint64_t> keys = spec.datasets[0].keys;
-  spec.dataset_sources[0].seed = 7;
-  ASSERT_TRUE(BuildDatasets(&spec).ok());
-  EXPECT_EQ(spec.datasets[0].keys, keys);
+  // Another description, other keys.
+  ParsedSpec reseeded = parsed;
+  reseeded.datasets[0].seed = 7;
+  EXPECT_NE(BuildDatasets(reseeded).value().datasets[0].keys,
+            spec.datasets[0].keys);
 }
 
 TEST(SpecTextTest, HugeDatasetsParseAndFailToBuild) {
   // 2^40 keys would be 8 TiB: the description parses, and BuildDatasets
   // refuses it before allocating anything.
-  RunSpec huge =
+  const ParsedSpec huge =
       ParseRunSpecText(
           "[dataset]\nnum_keys = 1099511627776\n[phase]\nops = 10\n")
           .value();
-  EXPECT_EQ(huge.dataset_sources[0].num_keys, uint64_t{1} << 40);
-  const Status too_big = BuildDatasets(&huge);
+  EXPECT_EQ(huge.datasets[0].num_keys, uint64_t{1} << 40);
+  const Status too_big = BuildDatasets(huge).status();
   EXPECT_TRUE(too_big.IsInvalidArgument());
   for (const char* part : {"dataset 0 ", "uniform", "268435456-byte bound"}) {
     EXPECT_NE(too_big.message().find(part), std::string::npos)
         << part << " -> " << too_big.message();
   }
-  EXPECT_TRUE(huge.datasets.empty());
 
   // The bound is on the sum: two datasets of 2^24 + 1 keys are each under
-  // 256 MiB and together over it. The second is named; neither is built.
-  RunSpec pair = ParseRunSpecText(
-                     "[dataset]\nnum_keys = 16777217\n"
-                     "[dataset]\nkind = pareto\nnum_keys = 16777217\n"
-                     "[phase]\nops = 10\n")
-                     .value();
-  const Status sum_too_big = BuildDatasets(&pair);
+  // 256 MiB and together over it. The second is named.
+  const ParsedSpec pair = ParseRunSpecText(
+                              "[dataset]\nnum_keys = 16777217\n"
+                              "[dataset]\nkind = pareto\nnum_keys = 16777217\n"
+                              "[phase]\nops = 10\n")
+                              .value();
+  const Status sum_too_big = BuildDatasets(pair).status();
   EXPECT_TRUE(sum_too_big.IsInvalidArgument());
   EXPECT_EQ(sum_too_big.message().rfind("dataset 1 (pareto): ", 0), 0u)
       << sum_too_big.message();
-  EXPECT_TRUE(pair.datasets.empty());
 }
 
 TEST(SpecTextTest, BuildErrorsNameTheirDataset) {
@@ -171,11 +172,15 @@ TEST(SpecTextTest, BuildErrorsNameTheirDataset) {
       // of sampling forever.
       {"[dataset]\n[dataset]\nkind = gaussian\nparam1 = 1e20\n[phase]\n",
        "dataset 1 (gaussian): ", "too few distinct keys"},
+      // An emails key is an 8-byte address prefix, with only about 4k
+      // distinct values: 100000 keys cannot be delivered.
+      {"[dataset]\nkind = emails\nnum_keys = 100000\n[phase]\n",
+       "dataset 0 (emails): ", "too few distinct keys"},
   };
   for (const Case& c : kCases) {
-    Result<RunSpec> parsed = ParseRunSpecText(c.text + "ops = 10\n");
+    const Result<ParsedSpec> parsed = ParseRunSpecText(c.text + "ops = 10\n");
     ASSERT_TRUE(parsed.ok()) << c.text << " -> " << parsed.status().ToString();
-    const Status status = BuildDatasets(&parsed.value());
+    const Status status = BuildDatasets(parsed.value()).status();
     EXPECT_TRUE(status.IsInvalidArgument()) << c.text;
     EXPECT_EQ(status.message().rfind(c.prefix, 0), 0u)
         << c.text << " -> " << status.message();
@@ -227,7 +232,7 @@ TEST(SpecTextTest, RejectsStructurallyInvalidSpecs) {
 }
 
 TEST(SpecTextTest, CommentsAndWhitespaceIgnored) {
-  const Result<RunSpec> result = ParseRunSpecText(
+  const Result<ParsedSpec> result = ParseRunSpecText(
       "  name =  spaced   # trailing comment\n"
       "# full-line comment\n"
       "\n"
@@ -238,17 +243,18 @@ TEST(SpecTextTest, CommentsAndWhitespaceIgnored) {
       "mix = get:1.0\n");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().name, "spaced");
-  EXPECT_EQ(result.value().dataset_sources[0].num_keys, 100u);
+  EXPECT_EQ(result.value().datasets[0].num_keys, 100u);
 }
 
 TEST(SpecTextTest, EmailDatasetKind) {
-  Result<RunSpec> result = ParseRunSpecText(
+  const Result<ParsedSpec> parsed = ParseRunSpecText(
       "[dataset]\nkind = emails\nnum_keys = 500\nseed = 3\n"
       "[phase]\nops = 10\nmix = get:1.0\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const Result<RunSpec> result = BuildDatasets(parsed.value());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_TRUE(BuildDatasets(&result.value()).ok());
   EXPECT_EQ(result.value().datasets[0].name, "emails");
-  EXPECT_GT(result.value().datasets[0].size(), 100u);
+  EXPECT_EQ(result.value().datasets[0].size(), 500u);
 }
 
 // ---------------------------------------------------------------------------
@@ -302,9 +308,9 @@ breaker_halfopen_probes = 6
 )";
 
 TEST(SpecTextTest, ParsesFaultsAndResilience) {
-  const Result<RunSpec> result = ParseRunSpecText(kFaultedSpec);
+  const Result<ParsedSpec> result = ParseRunSpecText(kFaultedSpec);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const RunSpec& spec = result.value();
+  const ParsedSpec& spec = result.value();
 
   EXPECT_EQ(spec.faults.seed, 777u);
   EXPECT_EQ(spec.faults.load_failures, 2u);
@@ -336,12 +342,12 @@ TEST(SpecTextTest, ParsesFaultsAndResilience) {
 }
 
 TEST(SpecTextTest, FaultsRoundTripLosslessly) {
-  const RunSpec parsed = ParseRunSpecText(kFaultedSpec).value();
+  const ParsedSpec parsed = ParseRunSpecText(kFaultedSpec).value();
   const Result<std::string> rendered = RenderRunSpecText(parsed);
   ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
   EXPECT_NE(rendered.value().find("[faults]"), std::string::npos);
   EXPECT_NE(rendered.value().find("[resilience]"), std::string::npos);
-  const Result<RunSpec> reparsed = ParseRunSpecText(rendered.value());
+  const Result<ParsedSpec> reparsed = ParseRunSpecText(rendered.value());
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   EXPECT_TRUE(reparsed.value().faults == parsed.faults);
   EXPECT_TRUE(reparsed.value().resilience == parsed.resilience);
@@ -353,7 +359,7 @@ TEST(SpecTextTest, FaultsRoundTripLosslessly) {
 TEST(SpecTextTest, PlanKeysWithoutWindowsRoundTrip) {
   // Plan-level keys in an otherwise empty [faults] section record no
   // window, and render back into a [faults] section of their own.
-  const RunSpec parsed =
+  const ParsedSpec parsed =
       ParseRunSpecText(
           "[dataset]\nnum_keys = 100\n[phase]\nops = 10\n"
           "[faults]\nseed = 5\nload_failures = 1\n")
@@ -368,7 +374,7 @@ TEST(SpecTextTest, PlanKeysWithoutWindowsRoundTrip) {
 }
 
 TEST(SpecTextTest, DefaultSectionsAreNotRendered) {
-  const RunSpec plain =
+  const ParsedSpec plain =
       ParseRunSpecText(
           "[dataset]\nnum_keys = 100\n[phase]\nops = 10\nmix = get:1\n")
           .value();
@@ -401,7 +407,7 @@ TEST(SpecTextTest, RejectsBadFaultValues) {
 TEST(SpecTextTest, ParsesExecutionSection) {
   const std::string base =
       "[dataset]\nnum_keys = 100\n[phase]\nops = 10\nmix = get:1\n";
-  const Result<RunSpec> parsed =
+  const Result<ParsedSpec> parsed =
       ParseRunSpecText(base + "[execution]\nworkers = 4\n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed.value().execution.workers, 4u);
