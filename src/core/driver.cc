@@ -14,7 +14,6 @@
 #include "core/workload_stream.h"
 #include "obs/observability.h"
 #include "sut/concurrent_kv.h"
-#include "sut/fault_injection.h"
 #include "sut/serializing.h"
 #include "sut/systems.h"
 #include "util/assert.h"
@@ -63,44 +62,9 @@ constexpr uint64_t kBackoffStreamTag = 0x0ba2c0ffULL;
 /// EventSink's allocating overflow path, recording the same events.
 constexpr double kArenaMarginSigmas = 6.0;
 
-/// Routes one worker's Execute calls through its fault lane. Phase
-/// notifications and lifecycle calls are orchestrator business — the
-/// wrapped injector receives OnPhaseStart exactly once per phase, from the
-/// driver, never per worker.
-class LaneSut final : public SystemUnderTest {
- public:
-  LaneSut(FaultInjectingSut* fault, size_t lane)
-      : fault_(fault), lane_(lane) {}
-
-  std::string name() const override { return fault_->name(); }
-  SutConcurrency concurrency() const override {
-    return fault_->concurrency();
-  }
-  Status Load(const std::vector<KeyValue>& sorted_pairs) override {
-    return fault_->Load(sorted_pairs);
-  }
-  TrainReport Train() override { return fault_->Train(); }
-  OpResult Execute(const Operation& op) override {
-    return fault_->ExecuteLane(lane_, op);
-  }
-  void ExecuteBatch(const Operation& op, OpResult* results) override {
-    fault_->ExecuteLaneBatch(lane_, op, results);
-  }
-  void OnPhaseStart(int phase_index, bool holdout) override {
-    // Intentionally empty: the orchestrator notifies the injector directly.
-    (void)phase_index;
-    (void)holdout;
-  }
-  SutStats GetStats() const override { return fault_->GetStats(); }
-
- private:
-  FaultInjectingSut* fault_;
-  size_t lane_;
-};
-
 /// One worker's slice of the staged execution core: its workload stream,
-/// resilient executor, event shard, clocks, and (under fan-out) its lane
-/// adapter and private virtual clock.
+/// resilient executor (with its fault lane), event shard, clocks, and
+/// (under simulated fan-out) its private virtual clock.
 struct WorkerContext {
   uint32_t worker_id = 0;
   const Clock* clock = nullptr;
@@ -109,12 +73,8 @@ struct WorkerContext {
   /// fan-out, nullptr on the real clock.
   VirtualClock* sim_clock = nullptr;
   std::optional<VirtualClock> private_clock;  ///< Simulation fan-out only.
-  std::optional<LaneSut> lane;
   std::optional<WorkloadStream> stream;
   std::optional<ResilientExecutor> executor;
-  /// The SUT (or per-worker lane adapter) the executor targets. Engine
-  /// selection monomorphizes against this pointer's proven runtime type.
-  SystemUnderTest* exec_target = nullptr;
   /// Per-element result arena for every request unit, sized once (off the
   /// measured loop) to the run's largest batch so the hot loop never
   /// allocates.
@@ -183,7 +143,7 @@ void RecordUnit(WorkerContext* ctx, const WorkloadStream::Issue& issue,
 ///     latency must include.
 ///
 /// The loop is a template over the executor's attempt-dispatch policy: the
-/// driver selects — once per phase — either the generic VirtualExec engine
+/// driver selects — once per run — either the generic VirtualExec engine
 /// or a MonoExec<SutT> instantiation with the proven final SUT type baked
 /// in, so the steady state makes zero virtual calls per operation.
 template <typename Exec>
@@ -258,27 +218,31 @@ void RunWorkerPhaseT(WorkerContext* ctx, int64_t run_start_nanos,
 // entry re-derives the typed SUT pointer with a static_cast that is only
 // reached after SelectEngine proved the runtime type via dynamic_cast.
 
-using PhaseFn = void (*)(WorkerContext*, int64_t);
+using PhaseFn = void (*)(WorkerContext*, SystemUnderTest*, int64_t);
 
-void RunWorkerPhaseVirtual(WorkerContext* ctx, int64_t run_start_nanos) {
-  RunWorkerPhaseT(ctx, run_start_nanos, VirtualExec{ctx->exec_target});
+void RunWorkerPhaseVirtual(WorkerContext* ctx, SystemUnderTest* sut,
+                           int64_t run_start_nanos) {
+  RunWorkerPhaseT(ctx, run_start_nanos, VirtualExec{sut});
 }
 
 template <typename SutT>
-void RunWorkerPhaseMono(WorkerContext* ctx, int64_t run_start_nanos) {
+void RunWorkerPhaseMono(WorkerContext* ctx, SystemUnderTest* sut,
+                        int64_t run_start_nanos) {
   RunWorkerPhaseT(ctx, run_start_nanos,
-                  MonoExec<SutT>{static_cast<SutT*>(ctx->exec_target)});
+                  MonoExec<SutT>{static_cast<SutT*>(sut)});
 }
 
-/// Picks the execution engine for the phase about to run. Monomorphization
+/// Picks the execution engine for the run. Monomorphization
 /// is sound only on a proven exact runtime type — all cases below are
 /// final classes, so a successful dynamic_cast is such a proof. The
 /// driver's own SerializingSut wrapper is itself in the chain: the mono
 /// engine binds the *wrapper's* Execute/ExecuteBatch statically (the lock
 /// still guards every call; only the outer virtual dispatch is removed),
-/// so serial SUTs under fan-out keep a monomorphized loop. Fault lanes and
-/// user-supplied decorators fail every cast and fall back to the generic
-/// virtual engine, preserving their must-see-every-call semantics.
+/// so serial SUTs under fan-out keep a monomorphized loop. Faults are drawn
+/// by each worker's executor, not by a SUT wrapper, so faulted runs take
+/// the same engine as their fault-free controls. User-supplied SUTs and
+/// decorators fail every cast and fall back to the generic virtual engine,
+/// preserving their must-see-every-call semantics.
 PhaseFn SelectEngine(SystemUnderTest* target) {
   if (dynamic_cast<BTreeSystem*>(target) != nullptr) {
     return &RunWorkerPhaseMono<BTreeSystem>;
@@ -380,13 +344,6 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
     sut = &*serializer;
   }
 
-  // ---- Fault injection (spec-driven, deterministic) ----
-  std::optional<FaultInjectingSut> fault_wrapper;
-  if (!spec.faults.Empty()) {
-    fault_wrapper.emplace(sut, spec.faults, clock_, options_.virtual_clock);
-    sut = &*fault_wrapper;
-  }
-
   // ---- Observability arming (driver level) ----
   // The driver's own instruments carry run-scoped work: load/train before
   // the phases, merge/metrics after, plus the SUT's registry instruments
@@ -402,6 +359,11 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
   }
 
   // ---- Load ----
+  // The driver calls Load once and never retries it, so any injected load
+  // failure fails the run.
+  if (spec.faults.load_failures > 0) {
+    return Status::IoError("injected fault: load I/O error (attempt 1)");
+  }
   {
     Stopwatch watch(clock_);
     LSBENCH_RETURN_IF_ERROR(sut->Load(BuildLoadImage(spec)));
@@ -412,11 +374,25 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
   }
 
   // ---- Offline training (timed, first-class) ----
+  // Phase 0's fault window may hang training (paced on the driver's clock)
+  // and fail it before it reaches the SUT.
   uint64_t failed_trains = 0;
   if (spec.offline_training) {
+    const FaultWindow* train_faults = spec.faults.WindowForPhase(0);
     TrainEvent te;
     te.start_nanos = clock_->NowNanos();
-    const TrainReport report = sut->Train();
+    TrainReport report;
+    if (train_faults != nullptr && train_faults->train_hang_nanos > 0) {
+      ++result.fault_stats.hung_trains;
+      Pacer(clock_, options_.virtual_clock)
+          .PaceUntil(te.start_nanos + train_faults->train_hang_nanos);
+    }
+    if (train_faults != nullptr && train_faults->fail_train) {
+      ++result.fault_stats.failed_trains;
+      report.status = Status::Unavailable("injected fault: training failed");
+    } else {
+      report = sut->Train();
+    }
     te.end_nanos = clock_->NowNanos();
     te.work_items = report.work_items;
     te.ok = report.status.ok();
@@ -438,6 +414,7 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
   ResilientExecutor::Options exec_options;
   exec_options.run_start_nanos = run_start;
   exec_options.virtual_service_nanos = options_.virtual_service_nanos;
+  if (!spec.faults.windows.empty()) exec_options.faults = &spec.faults;
 
   std::vector<WorkerContext> contexts(workers);
   uint64_t total_ops = 0;
@@ -504,14 +481,8 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
     ctx.stream.emplace(&spec, root, 1.0 / static_cast<double>(workers), w,
                        workers);
 
-    SystemUnderTest* target = sut;
-    if (workers > 1 && fault_wrapper) {
-      ctx.lane.emplace(&*fault_wrapper, w);
-      target = &*ctx.lane;
-    }
-    ctx.exec_target = target;
-    ctx.executor.emplace(target, spec.resilience,
-                         Pacer(ctx.clock, ctx.sim_clock),
+    exec_options.worker = w;
+    ctx.executor.emplace(sut, spec.resilience, Pacer(ctx.clock, ctx.sim_clock),
                          root.Fork(kBackoffStreamTag).Next(), exec_options);
     if (spec.service.enabled) ctx.admission.emplace(spec.service);
 
@@ -554,15 +525,10 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
     }
   }
 
-  // Under fan-out, bind one fault lane (with its clocks) per worker.
-  if (workers > 1 && fault_wrapper) {
-    std::vector<FaultInjectingSut::LaneClocks> lanes(workers);
-    for (uint32_t w = 0; w < workers; ++w) {
-      lanes[w].clock = contexts[w].clock;
-      lanes[w].virtual_clock = contexts[w].sim_clock;
-    }
-    fault_wrapper->ConfigureLanes(std::move(lanes));
-  }
+  // Engine selection, once per run: if the SUT's exact type is in
+  // SelectEngine's list (SerializingSut included), monomorphize the whole
+  // inner loop on it — zero virtual calls per op in the steady state.
+  const PhaseFn run_worker = SelectEngine(sut);
 
   for (size_t phase_idx = 0; phase_idx < spec.phases.size(); ++phase_idx) {
     const PhaseSpec& phase = spec.phases[phase_idx];
@@ -578,6 +544,7 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
     for (uint32_t w = 0; w < workers; ++w) {
       WorkerContext& ctx = contexts[w];
       ctx.current_phase = static_cast<int32_t>(phase_idx);
+      ctx.executor->BeginPhase(static_cast<int>(phase_idx));
       if (ctx.obs != nullptr) {
         ctx.obs->tracer.set_phase(static_cast<int32_t>(phase_idx));
         ctx.obs->profiler.set_phase(static_cast<int32_t>(phase_idx));
@@ -588,21 +555,13 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
           ctx.clock->NowNanos() - run_start);
     }
 
-    // Engine selection, once at phase start: if the target's exact type is
-    // in SelectEngine's list (SerializingSut included), monomorphize the
-    // whole inner loop on it — zero virtual calls per op in the steady
-    // state. Runs with a fault plan drive the fault wrapper or its lanes,
-    // which take the virtual engine. Workers always share the target's
-    // runtime type, so worker 0 decides for all.
-    const PhaseFn run_worker = SelectEngine(contexts[0].exec_target);
-
     if (workers == 1) {
-      run_worker(&contexts[0], run_start);
+      run_worker(&contexts[0], sut, run_start);
     } else if (simulated) {
       // Deterministic simulated fan-out: workers run sequentially on
       // private virtual clocks, then a *virtual barrier* advances every
       // clock to the phase's maximum. Event order is recovered at merge.
-      for (WorkerContext& ctx : contexts) run_worker(&ctx, run_start);
+      for (WorkerContext& ctx : contexts) run_worker(&ctx, sut, run_start);
       int64_t max_nanos = options_.virtual_clock->NowNanos();
       for (const WorkerContext& ctx : contexts) {
         max_nanos = std::max(max_nanos, ctx.clock->NowNanos());
@@ -622,7 +581,7 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
       std::vector<std::thread> threads;
       threads.reserve(workers);
       for (WorkerContext& ctx : contexts) {
-        threads.emplace_back(run_worker, &ctx, run_start);
+        threads.emplace_back(run_worker, &ctx, sut, run_start);
       }
       for (std::thread& t : threads) t.join();
     }
@@ -696,6 +655,11 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
   // event stream alone.
   result.metrics.resilience.failed_trains = failed_trains;
   for (const WorkerContext& ctx : contexts) {
+    if (const FaultLane* lane = ctx.executor->faults()) {
+      result.fault_stats.injected_failures += lane->stats().injected_failures;
+      result.fault_stats.injected_spikes += lane->stats().injected_spikes;
+      result.fault_stats.injected_stalls += lane->stats().injected_stalls;
+    }
     const CircuitBreaker* breaker = ctx.executor->breaker();
     if (breaker == nullptr) continue;
     result.metrics.resilience.breaker_opens += breaker->open_count();
@@ -704,7 +668,6 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
         1e-9;
   }
   result.final_sut_stats = sut->GetStats();
-  if (fault_wrapper) result.fault_stats = fault_wrapper->fault_stats();
 
   // ---- Observability collection ----
   // Worker shards plus the driver's own shard merge exactly like event

@@ -71,13 +71,14 @@ struct DriverOptions {
 /// (SerializingSut); thread-safe SUTs opt in via
 /// SystemUnderTest::concurrency().
 ///
-/// When the spec carries a FaultPlan the SUT is transparently wrapped in a
-/// FaultInjectingSut (one fault lane per worker), and the spec's
-/// ResilienceSpec governs how the driver responds to failures: per-op
-/// timeout budgets (deadline measured from the intended arrival), retry
-/// with exponential backoff and seeded jitter for transient codes, and a
-/// circuit breaker per worker that sheds load (skip-and-count degraded
-/// mode) while the error rate is above threshold.
+/// When the spec carries a FaultPlan, each worker's executor draws that
+/// worker's faults (a FaultLane) before every attempt, so the SUT itself is
+/// never wrapped; load and training faults are injected by the driver.
+/// The spec's ResilienceSpec governs how the driver responds to failures:
+/// per-op timeout budgets (deadline measured from the intended arrival),
+/// retry with exponential backoff and seeded jitter for transient codes,
+/// and a circuit breaker per worker that sheds load (skip-and-count
+/// degraded mode) while the error rate is above threshold.
 class BenchmarkDriver {
  public:
   /// `clock` must outlive the driver; nullptr selects an internal RealClock.

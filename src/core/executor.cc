@@ -14,6 +14,9 @@ ResilientExecutor::ResilientExecutor(SystemUnderTest* sut,
       options_(options) {
   LSBENCH_ASSERT(sut != nullptr);
   if (spec.breaker_enabled) breaker_.emplace(spec);
+  if (options.faults != nullptr) {
+    faults_.emplace(*options.faults, options.worker, pacer);
+  }
 }
 
 void ResilientExecutor::BindObservability(Tracer* tracer,

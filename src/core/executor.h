@@ -16,37 +16,6 @@
 
 namespace lsbench {
 
-/// Advances one worker's notion of time to an absolute instant: jumps the
-/// VirtualClock in simulation mode, hybrid sleep-then-spins on the real
-/// clock otherwise (sub-microsecond pacing without burning a core — see
-/// SleepSpinUntil).
-class Pacer {
- public:
-  /// `clock` must be non-null; `virtual_clock`, when non-null, must be the
-  /// same object as `clock` (simulation mode).
-  Pacer(const Clock* clock, VirtualClock* virtual_clock)
-      : clock_(clock), virtual_clock_(virtual_clock) {}
-
-  LSBENCH_HOT_PATH
-  LSBENCH_DETERMINISTIC
-  void PaceUntil(int64_t target_abs_nanos) const {
-    if (virtual_clock_ != nullptr) {
-      if (virtual_clock_->NowNanos() < target_abs_nanos) {
-        virtual_clock_->SetNanos(target_abs_nanos);
-      }
-      return;
-    }
-    SleepSpinUntil(*clock_, target_abs_nanos);
-  }
-
-  const Clock* clock() const { return clock_; }
-  VirtualClock* virtual_clock() const { return virtual_clock_; }
-
- private:
-  const Clock* clock_;
-  VirtualClock* virtual_clock_;
-};
-
 /// How resilient execution classified one request unit: retries consumed
 /// and the failure classification the event stream records. Per-element
 /// data (ok, rows, status) stays in the caller's results array.
@@ -58,14 +27,13 @@ struct ExecOutcome {
 };
 
 /// Exec policies: how one executor attempt reaches the SUT. The retry loop
-/// is a template over this policy, so the driver can pick — once per phase
+/// is a template over this policy, so the driver can pick — once per run
 /// — between generic virtual dispatch and a monomorphized engine with the
 /// final SUT type baked in.
 
 /// Generic engine: every attempt goes through the SystemUnderTest vtable.
 /// Always correct; the driver uses it for any SUT whose exact type is not
-/// in SelectEngine's list, which includes every run with a fault plan (the
-/// fault wrapper and its per-worker lanes are not in the list).
+/// in SelectEngine's list, such as a user-supplied SUT or decorator.
 struct VirtualExec {
   SystemUnderTest* sut;
   OpResult Execute(const Operation& op) const { return sut->Execute(op); }
@@ -104,17 +72,24 @@ inline constexpr int64_t kVirtualShedNanos = 1000;  // 1 us.
 /// monolithic driver's retry loop: deadline measured from the intended
 /// arrival, breaker checked before every attempt, transient failures
 /// retried with seeded backoff inside the deadline, open breaker shedding
-/// operations unexecuted.
+/// operations unexecuted. With a fault plan, the worker's FaultLane draws
+/// each attempt's faults before the attempt reaches the SUT.
 class ResilientExecutor {
  public:
   struct Options {
     int64_t run_start_nanos = 0;
     /// Simulated service cost per attempted element (simulation mode only).
     int64_t virtual_service_nanos = 100000;
+    /// Faults to inject before each attempt; null injects none. Must
+    /// outlive the executor.
+    const FaultPlan* faults = nullptr;
+    /// Which worker's fault stream the executor draws (FaultLane).
+    uint32_t worker = 0;
   };
 
   /// `sut` must outlive the executor. The executor has a circuit breaker
-  /// exactly when `spec.breaker_enabled` is set.
+  /// exactly when `spec.breaker_enabled` is set, and a fault lane exactly
+  /// when `options.faults` is set.
   ResilientExecutor(SystemUnderTest* sut, const ResilienceSpec& spec,
                     Pacer pacer, uint64_t backoff_seed, Options options);
 
@@ -155,10 +130,18 @@ class ResilientExecutor {
                                             int64_t arrival_rel_nanos,
                                             OpResult* results);
 
+  /// Starts `phase`'s fault stream. Call before the phase's first unit.
+  void BeginPhase(int phase) {
+    if (faults_) faults_->BeginPhase(phase);
+  }
+
   /// Breaker state for run-level accounting (null when disabled).
   const CircuitBreaker* breaker() const {
     return breaker_ ? &*breaker_ : nullptr;
   }
+
+  /// The worker's fault lane for run-level accounting (null without faults).
+  const FaultLane* faults() const { return faults_ ? &*faults_ : nullptr; }
 
   /// Arms the execute/retry observability hooks: per-attempt spans on
   /// `tracer`, Stage::kExecute / Stage::kBackoff on `profiler`, and
@@ -185,6 +168,9 @@ class ResilientExecutor {
   Counter* timeouts_ = nullptr;
   Counter* shed_ = nullptr;
   Counter* failures_ = nullptr;
+
+  // Last: a fault-free run reads only its has-value flag.
+  std::optional<FaultLane> faults_;
 };
 
 // ---- Retry-loop template ----
@@ -222,7 +208,9 @@ ExecOutcome ResilientExecutor::Execute(const Exec& exec, const Operation& op,
       LSBENCH_TRACE_SPAN(tracer_, "execute");
       LSBENCH_PROFILE_STAGE(profiler_, Stage::kExecute);
       if (attempts_ != nullptr) attempts_->Increment();
-      if (batch) {
+      if (faults_ && faults_->Inject(op, results)) {
+        // Injected failure: the attempt never reaches the SUT.
+      } else if (batch) {
         exec.ExecuteBatch(op, results);
       } else {
         results[0] = exec.Execute(op);

@@ -6,6 +6,15 @@
 
 namespace lsbench {
 
+namespace {
+
+/// Stream tags of the fault forks: one per phase from the plan's seed, then
+/// one per worker w > 0 from the phase's stream.
+constexpr uint64_t kPhaseStreamTag = 0x0fa171ULL;
+constexpr uint64_t kLaneStreamTag = 0x1a9e0000ULL;
+
+}  // namespace
+
 bool operator==(const ResilienceSpec& a, const ResilienceSpec& b) {
   return a.op_timeout_nanos == b.op_timeout_nanos &&
          a.max_retries == b.max_retries &&
@@ -103,6 +112,45 @@ int64_t CircuitBreaker::DegradedNanos(int64_t now_nanos) const {
   int64_t total = degraded_accum_nanos_;
   if (state_ != State::kClosed) total += now_nanos - degraded_since_nanos_;
   return total;
+}
+
+FaultLane::FaultLane(const FaultPlan& plan, uint32_t worker, Pacer pacer)
+    : plan_(&plan), worker_(worker), pacer_(pacer) {
+  BeginPhase(0);
+}
+
+void FaultLane::BeginPhase(int phase) {
+  window_ = plan_->WindowForPhase(phase);
+  rng_ = Rng(plan_->seed).Fork(static_cast<uint64_t>(phase) + kPhaseStreamTag);
+  if (worker_ > 0) rng_ = rng_.Fork(kLaneStreamTag + worker_);
+}
+
+bool FaultLane::Inject(const Operation& op, OpResult* results) {
+  if (window_ == nullptr) return false;
+  const FaultWindow& w = *window_;
+  const double u_fail = rng_.NextDouble();
+  const double u_spike = rng_.NextDouble();
+  const double u_stall = rng_.NextDouble();
+  if (w.stall_rate > 0.0 && u_stall < w.stall_rate) {
+    ++stats_.injected_stalls;
+    pacer_.PaceUntil(pacer_.clock()->NowNanos() + w.stall_nanos);
+  } else if (w.latency_spike_rate > 0.0 && u_spike < w.latency_spike_rate) {
+    ++stats_.injected_spikes;
+    pacer_.PaceUntil(pacer_.clock()->NowNanos() + w.latency_spike_nanos);
+  }
+  if (w.execute_fail_rate <= 0.0 || u_fail >= w.execute_fail_rate) {
+    return false;
+  }
+  ++stats_.injected_failures;
+  const Status injected(w.execute_fail_code, "injected fault");
+  const uint32_t count = OpResultCount(op);
+  for (uint32_t i = 0; i < count; ++i) {
+    OpResult& r = results[i];
+    r.ok = false;
+    r.rows = 0;
+    r.status = injected;
+  }
+  return true;
 }
 
 }  // namespace lsbench

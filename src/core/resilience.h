@@ -5,10 +5,46 @@
 #include <vector>
 
 #include "obs/metrics_registry.h"
+#include "sut/fault_plan.h"
+#include "sut/sut.h"
+#include "util/annotate.h"
+#include "util/clock.h"
 #include "util/random.h"
 #include "util/sync.h"
+#include "workload/operation.h"
 
 namespace lsbench {
+
+/// Advances one worker's notion of time to an absolute instant: jumps the
+/// VirtualClock in simulation mode, hybrid sleep-then-spins on the real
+/// clock otherwise (sub-microsecond pacing without burning a core — see
+/// SleepSpinUntil).
+class Pacer {
+ public:
+  /// `clock` must be non-null; `virtual_clock`, when non-null, must be the
+  /// same object as `clock` (simulation mode).
+  Pacer(const Clock* clock, VirtualClock* virtual_clock)
+      : clock_(clock), virtual_clock_(virtual_clock) {}
+
+  LSBENCH_HOT_PATH
+  LSBENCH_DETERMINISTIC
+  void PaceUntil(int64_t target_abs_nanos) const {
+    if (virtual_clock_ != nullptr) {
+      if (virtual_clock_->NowNanos() < target_abs_nanos) {
+        virtual_clock_->SetNanos(target_abs_nanos);
+      }
+      return;
+    }
+    SleepSpinUntil(*clock_, target_abs_nanos);
+  }
+
+  const Clock* clock() const { return clock_; }
+  VirtualClock* virtual_clock() const { return virtual_clock_; }
+
+ private:
+  const Clock* clock_;
+  VirtualClock* virtual_clock_;
+};
 
 /// How the driver responds to SUT failures: per-operation timeout budgets,
 /// retry with exponential backoff (seeded jitter) for transient codes, and
@@ -134,6 +170,45 @@ class CircuitBreaker {
   int64_t degraded_since_nanos_ LSBENCH_GUARDED_BY(mu_) = 0;
   Counter* opens_counter_ LSBENCH_GUARDED_BY(mu_) = nullptr;
   Counter* closes_counter_ LSBENCH_GUARDED_BY(mu_) = nullptr;
+};
+
+/// One worker's share of a FaultPlan: the seeded stream that decides, per
+/// attempt, whether the attempt fails before reaching the SUT and how much
+/// injected latency it burns first. Each worker's executor owns one lane,
+/// so lanes share no mutable state and need no atomics. All decisions come
+/// from per-phase forks of the plan's seed (worker 0's stream is the
+/// phase's own; worker w > 0 forks it again), so a faulted run is
+/// reproducible bit-for-bit at any worker count.
+class FaultLane {
+ public:
+  /// `plan` must outlive the lane. Injected latency goes through `pacer`,
+  /// the worker's own. Starts in phase 0.
+  FaultLane(const FaultPlan& plan, uint32_t worker, Pacer pacer);
+
+  /// Re-forks the stream for `phase` and selects its window, so a phase's
+  /// decisions never depend on how many draws earlier phases consumed.
+  void BeginPhase(int phase);
+
+  /// Draws this attempt's faults: three uniforms in fixed order (fail,
+  /// spike, stall), so the stream is stable across plans that enable
+  /// different fault kinds. A stall takes priority over a spike. On an
+  /// injected failure fills all OpResultCount(op) `results` and returns
+  /// true; the attempt must then not reach the SUT. A batch is one request
+  /// unit: one decision fails every element.
+  LSBENCH_HOT_PATH
+  LSBENCH_DETERMINISTIC
+  bool Inject(const Operation& op, OpResult* results);
+
+  /// What this lane injected so far (execute-path counters only).
+  const FaultStats& stats() const { return stats_; }
+
+ private:
+  const FaultPlan* plan_;
+  uint32_t worker_;
+  Pacer pacer_;
+  const FaultWindow* window_ = nullptr;
+  Rng rng_;
+  FaultStats stats_;
 };
 
 }  // namespace lsbench

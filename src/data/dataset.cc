@@ -1,6 +1,9 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
+#include <string_view>
 #include <unordered_set>
 
 #include "data/distinct_draws.h"
@@ -58,28 +61,35 @@ std::vector<Dataset> GenerateDriftSequence(const UnitDistribution& from,
 
 namespace {
 
-const char* const kFirstNames[] = {
+constexpr std::string_view kFirstNames[] = {
     "maria", "james", "wei", "fatima", "ivan",  "sofia", "liam",  "aisha",
     "yuki",  "pedro", "anna", "omar",   "chloe", "raj",   "elena", "noah",
     "mia",   "juan",  "lena", "kofi"};
 
-const char* const kLastNames[] = {
+constexpr std::string_view kLastNames[] = {
     "chen",   "smith",  "garcia",  "mueller", "tanaka", "okafor", "silva",
     "kumar",  "ivanov", "dubois",  "rossi",   "kim",    "haddad", "nguyen",
     "brown",  "santos", "johnson", "lopez",   "wang",   "novak"};
 
 // Popularity-ordered synthetic provider domains (Zipf-like usage).
-const char* const kDomains[] = {
+constexpr std::string_view kDomains[] = {
     "mailhub.example",   "inbox.example",   "postbox.example",
     "corp-mail.example", "uni.example",     "startup.example",
     "letters.example",   "rapid.example",   "cloudmsg.example",
     "relay.example"};
 
+/// Appends the decimal digits of `value` to `out`.
+void AppendDecimal(uint64_t value, std::string* out) {
+  char digits[20];  // Enough for any uint64_t.
+  const std::to_chars_result written =
+      std::to_chars(digits, digits + sizeof(digits), value);
+  out->append(digits, written.ptr);
+}
+
 }  // namespace
 
 EmailGenerator::EmailGenerator(uint64_t seed) : rng_(seed) {
-  const size_t n = sizeof(kDomains) / sizeof(kDomains[0]);
-  domains_.assign(kDomains, kDomains + n);
+  const size_t n = std::size(kDomains);
   // Zipf(1.0) popularity over domains.
   double total = 0.0;
   std::vector<double> weights;
@@ -96,32 +106,37 @@ EmailGenerator::EmailGenerator(uint64_t seed) : rng_(seed) {
   domain_cdf_.back() = 1.0;
 }
 
-std::string EmailGenerator::Next() {
-  const size_t nf = sizeof(kFirstNames) / sizeof(kFirstNames[0]);
-  const size_t nl = sizeof(kLastNames) / sizeof(kLastNames[0]);
-  const std::string first = kFirstNames[rng_.NextBounded(nf)];
-  const std::string last = kLastNames[rng_.NextBounded(nl)];
-  std::string local = first;
+const std::string& EmailGenerator::Next() {
+  const std::string_view first =
+      kFirstNames[rng_.NextBounded(std::size(kFirstNames))];
+  const std::string_view last =
+      kLastNames[rng_.NextBounded(std::size(kLastNames))];
+  address_.assign(first);
   switch (rng_.NextBounded(4)) {
     case 0:
-      local = first + "." + last;
+      address_ += '.';
+      address_ += last;
       break;
     case 1:
-      local = first + last.substr(0, 1);
+      address_ += last.front();
       break;
     case 2:
-      local = first + "." + last + std::to_string(rng_.NextBounded(100));
+      address_ += '.';
+      address_ += last;
+      AppendDecimal(rng_.NextBounded(100), &address_);
       break;
     default:
-      local = first + std::to_string(1950 + rng_.NextBounded(60));
+      AppendDecimal(1950 + rng_.NextBounded(60), &address_);
       break;
   }
   const double u = rng_.NextDouble();
   const auto it =
       std::lower_bound(domain_cdf_.begin(), domain_cdf_.end(), u);
   const size_t idx =
-      std::min<size_t>(it - domain_cdf_.begin(), domains_.size() - 1);
-  return local + "@" + domains_[idx];
+      std::min<size_t>(it - domain_cdf_.begin(), std::size(kDomains) - 1);
+  address_ += '@';
+  address_ += kDomains[idx];
+  return address_;
 }
 
 uint64_t EmailGenerator::ToKey(const std::string& email) {

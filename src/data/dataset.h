@@ -72,8 +72,10 @@ class EmailGenerator {
  public:
   explicit EmailGenerator(uint64_t seed);
 
-  /// One synthetic address, e.g. "maria.chen91@mailhub.example".
-  std::string Next();
+  /// One synthetic address, e.g. "maria.chen91@mailhub.example". Built in
+  /// a buffer the generator reuses: the reference is valid until the next
+  /// call.
+  const std::string& Next();
 
   /// Order-preserving 64-bit key from the first 8 bytes of the address
   /// (big-endian), so learned indexes can ingest string keys.
@@ -81,8 +83,8 @@ class EmailGenerator {
 
  private:
   Rng rng_;
-  std::vector<std::string> domains_;
   std::vector<double> domain_cdf_;
+  std::string address_;
 };
 
 /// Generates a Dataset whose keys come from EmailGenerator::ToKey over

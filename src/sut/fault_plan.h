@@ -16,7 +16,7 @@ namespace lsbench {
 struct FaultWindow {
   int32_t phase = -1;
 
-  /// Probability that Execute fails before reaching the wrapped system.
+  /// Probability that an execute attempt fails before reaching the SUT.
   double execute_fail_rate = 0.0;
   /// Code attached to injected Execute failures (a transient code makes
   /// the driver retry; a permanent one fails the operation immediately).
@@ -37,13 +37,14 @@ struct FaultWindow {
 
 bool operator==(const FaultWindow& a, const FaultWindow& b);
 
-/// A seeded, fully deterministic description of every fault the injector
-/// will consider during a run. Identical plans + identical seeds produce
+/// A seeded, fully deterministic description of every fault the driver
+/// will inject during a run. Identical plans + identical seeds produce
 /// identical injection decisions (per-phase forked RNG streams), including
 /// under VirtualClock simulation.
 struct FaultPlan {
   uint64_t seed = 0x5eedfa17u;
-  /// The first `load_failures` Load calls fail with an injected I/O error.
+  /// Any value above 0 fails the run's one Load call with an injected I/O
+  /// error (the driver never retries Load), so the SUT is never loaded.
   uint32_t load_failures = 0;
   std::vector<FaultWindow> windows;
 
@@ -55,12 +56,11 @@ struct FaultPlan {
 
 bool operator==(const FaultPlan& a, const FaultPlan& b);
 
-/// What the injector actually did during a run.
+/// What fault injection actually did during a run.
 struct FaultStats {
-  uint64_t injected_failures = 0;  ///< Execute calls failed synthetically.
+  uint64_t injected_failures = 0;  ///< Attempts failed before the SUT.
   uint64_t injected_spikes = 0;
   uint64_t injected_stalls = 0;
-  uint64_t failed_loads = 0;
   uint64_t failed_trains = 0;
   uint64_t hung_trains = 0;
 };

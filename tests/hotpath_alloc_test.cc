@@ -35,6 +35,7 @@
 #include "data/dataset.h"
 #include "learned/pgm.h"
 #include "learned/rmi.h"
+#include "sut/fault_plan.h"
 #include "sut/systems.h"
 #include "workload/trace.h"
 
@@ -151,6 +152,23 @@ RunSpec WithServiceOverload(RunSpec spec, uint32_t unit_elements) {
   return spec;
 }
 
+/// Faulted analogue of either spec above: a wildcard window that fails a
+/// fifth of the attempts with a transient code and delays a tenth of them,
+/// with retries on, so the steady state includes injected failures, latency
+/// spikes and backoff.
+RunSpec WithFaults(RunSpec spec) {
+  spec.name += "_faults";
+  FaultWindow window;
+  window.execute_fail_rate = 0.2;
+  window.execute_fail_code = StatusCode::kUnavailable;
+  window.latency_spike_rate = 0.1;
+  window.latency_spike_nanos = 50000;  // 50 us.
+  spec.faults.windows.push_back(window);
+  spec.resilience.max_retries = 2;
+  spec.resilience.backoff_initial_nanos = 10000;  // 10 us.
+  return spec;
+}
+
 uint64_t HeapAllocsForSpec(const RunSpec& spec) {
   VirtualClock clock;
   DriverOptions options;
@@ -176,6 +194,15 @@ uint64_t HeapAllocsForSpec(const RunSpec& spec) {
       std::any_of(events.begin(), events.end(),
                   [](const OpEvent& e) { return e.queue_shed; });
   EXPECT_EQ(queue_shed, spec.service.enabled);
+  // Faulted inputs must actually inject failures and spikes, and retry.
+  const bool faulted = !spec.faults.Empty();
+  const FaultStats& faults = result.value().fault_stats;
+  EXPECT_EQ(faults.injected_failures > 0, faulted);
+  EXPECT_EQ(faults.injected_spikes > 0, faulted);
+  const bool retried =
+      std::any_of(events.begin(), events.end(),
+                  [](const OpEvent& e) { return e.retries > 0; });
+  EXPECT_EQ(retried, faulted);
   return used;
 }
 
@@ -281,6 +308,29 @@ TEST(HotpathAllocTest, ServiceModeSteadyStateAllocatesZeroPerElement) {
       << kSlack << ")";
 }
 
+TEST(HotpathAllocTest, FaultedSteadyStateAllocatesZeroPerElement) {
+  // Each worker's executor draws its faults inside the same loop a clean
+  // run takes: injected failures, latency spikes and retries cost zero
+  // marginal heap calls per element, for scalar and batch units alike.
+  constexpr uint64_t kElements = 4096;
+  constexpr uint32_t kBatchSize = 64;
+  constexpr uint64_t kSlack = 96;
+  const uint64_t scalar = MarginalAllocs(
+      [](uint64_t n) { return WithFaults(MakeReadOnlySpec(n)); }, kElements);
+  EXPECT_LE(scalar, kSlack)
+      << "marginal heap allocations for " << kElements
+      << " extra faulted ops: " << scalar << " (slack " << kSlack << ")";
+  const uint64_t batch = MarginalAllocs(
+      [](uint64_t n) {
+        return WithFaults(MakeBatchReadOnlySpec(n, kBatchSize));
+      },
+      kElements);
+  EXPECT_LE(batch, kSlack)
+      << "marginal heap allocations for " << kElements
+      << " extra faulted batch elements: " << batch << " (slack " << kSlack
+      << ")";
+}
+
 /// Total bytes requested from the heap while `fn` runs; frees do not
 /// subtract, so a transient copy counts in full.
 template <typename Fn>
@@ -354,22 +404,29 @@ TEST(BuildAllocTest, EmailsPastItsKeySpaceFailsWithoutReserving) {
   // An emails source yields about 4k distinct keys however many it asks
   // for. Asking for 2^24 (128 MiB of keys, under the 256 MiB bound) must
   // fail having held memory for the keys it found, not for the ones it
-  // asked for. Peak live bytes, not bytes requested: each attempt builds
-  // a short-lived address string, freed before the next.
+  // asked for, and without building a fresh address string per attempt:
+  // the generator reuses one buffer, so the bytes requested stay small
+  // too.
   ParsedSpec spec;
   DatasetSourceSpec source;
   source.kind = "emails";
   source.num_keys = uint64_t{1} << 24;
   spec.datasets.push_back(source);
   Status status;
-  const uint64_t bytes =
-      PeakLiveBytesDuring([&] { status = BuildDatasets(spec).status(); });
+  uint64_t peak = 0;
+  const uint64_t requested = HeapBytesDuring([&] {
+    peak = PeakLiveBytesDuring(
+        [&] { status = BuildDatasets(spec).status(); });
+  });
   EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
   EXPECT_NE(status.message().find("too few distinct keys"), std::string::npos)
       << status.ToString();
-  EXPECT_LT(bytes, uint64_t{1} << 20)
-      << "BuildDatasets of a 2^24-key emails source held " << bytes
+  EXPECT_LT(peak, uint64_t{1} << 20)
+      << "BuildDatasets of a 2^24-key emails source held " << peak
       << " heap bytes at its peak";
+  EXPECT_LT(requested, uint64_t{1} << 20)
+      << "BuildDatasets of a 2^24-key emails source requested " << requested
+      << " heap bytes";
 }
 
 }  // namespace

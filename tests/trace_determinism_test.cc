@@ -213,6 +213,9 @@ struct PinCase {
   uint32_t workers;
   uint64_t events_hash;
   uint64_t trace_hash;
+  /// Adds a phase-1 window with latency spikes and stalls on top of the
+  /// wildcard fail window (only meaningful with `faults`).
+  bool spikes = false;
 };
 
 uint64_t Fnv1a64(const std::string& bytes) {
@@ -268,6 +271,17 @@ RunSpec MakePinSpec(const PinCase& c) {
     window.execute_fail_rate = 0.2;
     window.execute_fail_code = StatusCode::kUnavailable;
     spec.faults.windows.push_back(window);
+    if (c.spikes) {
+      // Phase 1 keeps the failures and adds latency: 300 us spikes, and
+      // stalls that outlast the op timeout.
+      FaultWindow burst = window;
+      burst.phase = 1;
+      burst.latency_spike_rate = 0.2;
+      burst.latency_spike_nanos = 300000;
+      burst.stall_rate = 0.15;
+      burst.stall_nanos = 25000000;
+      spec.faults.windows.push_back(burst);
+    }
     spec.resilience.op_timeout_nanos = 20000000;  // 20 ms.
     spec.resilience.max_retries = 2;
     spec.resilience.backoff_initial_nanos = 10000;
@@ -276,6 +290,12 @@ RunSpec MakePinSpec(const PinCase& c) {
     spec.resilience.breaker_failure_threshold = 0.3;
     spec.resilience.breaker_cooldown_nanos = 1000000;
     spec.resilience.breaker_half_open_probes = 2;
+    if (c.spikes) {
+      // A closed-loop shed costs 1 us of virtual time, so the 1 ms
+      // cooldown would shed every remaining op once the breaker trips;
+      // 100 us lets closed-loop runs reach phase 1's window.
+      spec.resilience.breaker_cooldown_nanos = 100000;
+    }
   }
   spec.execution.workers = c.workers;
   spec.observability.trace = true;
@@ -290,7 +310,8 @@ std::string PinCaseName(const ::testing::TestParamInfo<PinCase>& info) {
                      : c.mode == PinMode::kOpenLoop ? "Open"
                                                      : "Service";
   return std::string(mode) + (c.batch ? "Batch" : "Scalar") +
-         (c.faults ? "Faults" : "Clean") + "W" + std::to_string(c.workers);
+         (c.faults ? "Faults" : "Clean") + (c.spikes ? "Spikes" : "") + "W" +
+         std::to_string(c.workers);
 }
 
 class GoldenEventStreamTest : public ::testing::TestWithParam<PinCase> {};
@@ -318,6 +339,8 @@ TEST_P(GoldenEventStreamTest, HashesMatchThePinnedBytes) {
   EXPECT_EQ(queue_sheds > 0, c.mode == PinMode::kService);
   EXPECT_EQ(retried > 0, c.faults);
   EXPECT_EQ(breaker_sheds > 0, c.faults);
+  EXPECT_EQ(run.fault_stats.injected_spikes > 0, c.spikes);
+  EXPECT_EQ(run.fault_stats.injected_stalls > 0, c.spikes);
 
   EXPECT_EQ(Fnv1a64(SerializeEventStream(run.events)), c.events_hash)
       << std::hex << "events 0x" << Fnv1a64(SerializeEventStream(run.events));
@@ -379,6 +402,28 @@ INSTANTIATE_TEST_SUITE_P(
                 0xa0947f2c32690e8eull},
         PinCase{PinMode::kService, true, true, 4, 0x510803bfe923e01bull,
                 0x20dfcde2bcc5304full}),
+    PinCaseName);
+
+INSTANTIATE_TEST_SUITE_P(
+    SpikesAndStalls, GoldenEventStreamTest,
+    ::testing::Values(
+        // mode, batch, faults, workers, events hash, trace-file hash, spikes
+        PinCase{PinMode::kClosedLoop, false, true, 1, 0x0e505b2ea009cf31ull,
+                0x2ecdb2a2421bc59bull, true},
+        PinCase{PinMode::kClosedLoop, false, true, 4, 0xd51db21cf7cfceadull,
+                0x4c121c9f4ee449f8ull, true},
+        PinCase{PinMode::kClosedLoop, true, true, 1, 0x9317ea64f321e004ull,
+                0xd998db8a0d8d29feull, true},
+        PinCase{PinMode::kClosedLoop, true, true, 4, 0xd95d3f990bc985e0ull,
+                0x26c8f36f820563f6ull, true},
+        PinCase{PinMode::kService, false, true, 1, 0x3437c0b9b9f00b3eull,
+                0x1f844f466ce198f0ull, true},
+        PinCase{PinMode::kService, false, true, 4, 0xd183ebc860446617ull,
+                0x64c9cdf0590c0359ull, true},
+        PinCase{PinMode::kService, true, true, 1, 0xadbd2eff6d73aaeeull,
+                0xb97213281bbfbd25ull, true},
+        PinCase{PinMode::kService, true, true, 4, 0x915209a903d92288ull,
+                0xaddddbe87c66a9acull, true}),
     PinCaseName);
 
 TEST(TraceDeterminismTest, MergedTraceIsProvenanceOrdered) {
