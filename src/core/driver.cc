@@ -56,11 +56,40 @@ constexpr uint64_t kWorkerStreamTag = 0x3077ab5cULL;
 /// must reproduce the monolithic driver's backoff sequence).
 constexpr uint64_t kBackoffStreamTag = 0x0ba2c0ffULL;
 
-/// Headroom of each worker's event arena over its expected element count,
-/// in binomial standard deviations of the batch-unit count
-/// (ExpectedArenaEvents). A worker that draws past it records through
+/// Headroom of each worker's outcome arena over its expected batch-element
+/// count, in binomial standard deviations of the batch-unit count
+/// (ExpectedBatchElements). A worker that draws past it records through
 /// EventSink's allocating overflow path, recording the same events.
 constexpr double kArenaMarginSigmas = 6.0;
+
+/// What a phase's transition window can draw: batch units of up to
+/// `batch_size` elements, each draw a batch with at most `probability`.
+struct PhaseBatchDraws {
+  double probability = 0.0;
+  uint64_t batch_size = 1;
+};
+
+/// Phase `i`'s draws: transition blending can carry the previous phase's
+/// batch class into this phase's window, so a phase can draw the larger of
+/// the two phases' batch sizes, with the larger of their batch
+/// probabilities. Trace phases are scalar-only.
+PhaseBatchDraws BatchDrawsOfPhase(const RunSpec& spec, size_t i) {
+  const auto batch_probability = [](const PhaseSpec& p) {
+    const double total = p.mix.Total();
+    if (p.trace != nullptr || total <= 0.0) return 0.0;
+    return (p.mix.batch_get + p.mix.batch_put) / total;
+  };
+  double prob = batch_probability(spec.phases[i]);
+  uint64_t size = prob > 0.0 ? spec.phases[i].batch_size : 1;
+  if (i > 0) {
+    const double prev_prob = batch_probability(spec.phases[i - 1]);
+    prob = std::max(prob, prev_prob);
+    if (prev_prob > 0.0) {
+      size = std::max<uint64_t>(size, spec.phases[i - 1].batch_size);
+    }
+  }
+  return {prob, size};
+}
 
 /// One worker's slice of the staged execution core: its workload stream,
 /// resilient executor (with its fault lane), event shard, clocks, and
@@ -90,18 +119,18 @@ struct WorkerContext {
   std::unique_ptr<WorkerObs> obs;
 };
 
-/// The event builder: records one request unit as one event per element.
-/// Every element shares the unit's timestamps and outcome and carries its
-/// own data-level ok/rows from `results` (a scalar op is a unit of one).
-/// The issue time is `issue_rel` clamped to the completion: inline pacing
-/// issues a unit the moment its arrival is due, so that is the intended
-/// arrival; the admission step issues it when it pops from the queue.
+/// The event builder: records one request unit as one event. Every element
+/// shares the unit's timestamps and outcome; a batch unit's elements keep
+/// their own data-level ok/rows from `results` beside it (a scalar op is a
+/// unit of one). The issue time is `issue_rel` clamped to the completion:
+/// inline pacing issues a unit the moment its arrival is due, so that is
+/// the intended arrival; the admission step issues it when it pops from
+/// the queue.
 ///
 /// `results == nullptr` records a queue shed: no SUT work happened, so it
 /// completes at its decision point, and its response time still counts
 /// from the intended arrival — a dropped request is a served-badly request,
-/// not a missing sample. Shed elements are recorded one at a time, which
-/// keeps one record-stage profile sample per element.
+/// not a missing sample.
 void RecordUnit(WorkerContext* ctx, const WorkloadStream::Issue& issue,
                 int64_t issue_rel, int64_t completion_rel,
                 const ExecOutcome& outcome, const OpResult* results) {
@@ -120,11 +149,9 @@ void RecordUnit(WorkerContext* ctx, const WorkloadStream::Issue& issue,
   proto.batch = OpResultCount(issue.op);
   if (results != nullptr) {
     ctx->sink.RecordBatch(proto, results, proto.batch);
-    return;
+  } else {
+    ctx->sink.RecordQueueShed(proto);
   }
-  proto.failed = true;
-  proto.queue_shed = true;
-  for (uint32_t i = 0; i < proto.batch; ++i) ctx->sink.Record(proto);
 }
 
 /// Drains one worker's current phase: obtain the next request unit, execute
@@ -278,20 +305,68 @@ std::vector<KeyValue> BuildLoadImage(const RunSpec& spec) {
   return pairs;
 }
 
-uint64_t ExpectedArenaEvents(uint64_t ops, double batch_probability,
-                             uint64_t batch_size, double margin_sigmas) {
+uint64_t ExpectedBatchElements(uint64_t ops, double batch_probability,
+                               uint64_t batch_size, double margin_sigmas) {
   LSBENCH_ASSERT(margin_sigmas >= 0.0);
-  if (batch_size <= 1 || batch_probability <= 0.0) return ops;
+  if (batch_size <= 1 || batch_probability <= 0.0) return 0;
   const uint64_t worst = ops * batch_size;
   const double units = static_cast<double>(ops) * batch_probability;
   const double spread =
       std::sqrt(units * std::max(0.0, 1.0 - batch_probability));
   const double bound =
-      static_cast<double>(ops) +
-      (units + margin_sigmas * spread) * static_cast<double>(batch_size - 1);
+      (units + margin_sigmas * spread) * static_cast<double>(batch_size);
   return bound < static_cast<double>(worst)
              ? static_cast<uint64_t>(std::ceil(bound))
              : worst;
+}
+
+void ReserveWorkerSink(const RunSpec& spec, uint32_t worker,
+                       EventSink* sink) {
+  const uint32_t workers = spec.execution.workers;
+  uint64_t units = 0;
+  uint64_t outcomes = 0;
+  for (size_t i = 0; i < spec.phases.size(); ++i) {
+    const uint64_t ops =
+        WorkerShare(spec.phases[i].num_operations, workers, worker);
+    const PhaseBatchDraws draws = BatchDrawsOfPhase(spec, i);
+    units += ops;
+    outcomes += ExpectedBatchElements(ops, draws.probability,
+                                      draws.batch_size, kArenaMarginSigmas);
+  }
+  sink->Reserve(units, outcomes);
+}
+
+Status AuditUnitAccounting(const std::vector<ShardAccumulation>& worker_folds,
+                           const RunMetrics& metrics) {
+  const uint32_t workers = static_cast<uint32_t>(worker_folds.size());
+  if (workers == 0) return Status::OK();
+  const std::vector<PhaseBoundary>& boundaries = worker_folds[0].boundaries;
+  for (size_t p = 0; p < boundaries.size(); ++p) {
+    const std::string phase = "phase " + std::to_string(boundaries[p].phase);
+    uint64_t elements = 0;
+    for (uint32_t w = 0; w < workers; ++w) {
+      const PhaseAccumulation& fold = worker_folds[w].phases[p];
+      const uint64_t share = WorkerShare(boundaries[p].operations, workers, w);
+      if (fold.units != share) {
+        return Status::Internal(
+            phase + " worker " + std::to_string(w) + ": recorded " +
+            std::to_string(fold.units) + " request units, but its share of "
+            "the phase's " + std::to_string(boundaries[p].operations) +
+            " is " + std::to_string(share));
+      }
+      elements += fold.operations;
+    }
+    if (p >= metrics.phases.size() ||
+        metrics.phases[p].operations != elements) {
+      return Status::Internal(
+          phase + ": the workers' units carry " + std::to_string(elements) +
+          " elements, but the phase's metrics count " +
+          (p < metrics.phases.size()
+               ? std::to_string(metrics.phases[p].operations)
+               : std::string("none")));
+    }
+  }
+  return Status::OK();
 }
 
 uint64_t WorkerShare(uint64_t total, uint32_t workers, uint32_t worker) {
@@ -420,46 +495,16 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
   uint64_t total_ops = 0;
   for (const PhaseSpec& p : spec.phases) total_ops += p.num_operations;
 
-  // Batch accounting: a batch issue expands into batch_size per-element
-  // events, and transition blending can carry the previous phase's batch
-  // class into this phase's window — so each phase's event multiplier is
-  // the largest batch its window can draw, drawn with the larger of the two
-  // phases' batch probabilities. Trace phases are scalar-only.
-  const auto batch_probability = [](const PhaseSpec& p) {
-    const double total = p.mix.Total();
-    if (p.trace != nullptr || total <= 0.0) return 0.0;
-    return (p.mix.batch_get + p.mix.batch_put) / total;
-  };
-  uint32_t max_batch = 1;
-  std::vector<uint64_t> phase_event_mult(spec.phases.size(), 1);
-  std::vector<double> phase_batch_prob(spec.phases.size(), 0.0);
+  uint64_t max_batch = 1;
   for (size_t i = 0; i < spec.phases.size(); ++i) {
-    double prob = batch_probability(spec.phases[i]);
-    uint64_t mult = prob > 0.0 ? spec.phases[i].batch_size : 1;
-    if (i > 0) {
-      const double prev_prob = batch_probability(spec.phases[i - 1]);
-      prob = std::max(prob, prev_prob);
-      if (prev_prob > 0.0) {
-        mult = std::max<uint64_t>(mult, spec.phases[i - 1].batch_size);
-      }
-    }
-    phase_event_mult[i] = mult;
-    phase_batch_prob[i] = prob;
-    max_batch = std::max<uint32_t>(max_batch,
-                                   static_cast<uint32_t>(mult));
+    max_batch = std::max(max_batch, BatchDrawsOfPhase(spec, i).batch_size);
   }
 
   for (uint32_t w = 0; w < workers; ++w) {
     WorkerContext& ctx = contexts[w];
     ctx.worker_id = w;
     ctx.sink = EventSink(w);
-    uint64_t worker_events = 0;
-    for (size_t i = 0; i < spec.phases.size(); ++i) {
-      worker_events += ExpectedArenaEvents(
-          WorkerShare(spec.phases[i].num_operations, workers, w),
-          phase_batch_prob[i], phase_event_mult[i], kArenaMarginSigmas);
-    }
-    ctx.sink.Reserve(worker_events + workers);
+    ReserveWorkerSink(spec, w, &ctx.sink);
     ctx.batch_results.resize(max_batch);
 
     // Clocks: the single worker shares the driver's; under simulated
@@ -599,26 +644,30 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
     }
   }
 
-  // ---- Fold metrics per worker, then merge shards ----
+  // ---- Fold metrics per worker, then merge and expand the units ----
   // Every figure but the adjustment-window excess is an order-free fold,
-  // so each worker's shard is folded on its own thread (the calling thread
-  // at workers == 1) and the folds merge exactly. The fold also checks the
-  // order the merge relies on: an out-of-order shard fails the run.
+  // so each worker's units are folded on its own thread (the calling
+  // thread at workers == 1), weighted by their element counts, and the
+  // folds merge exactly. The fold also checks the order the merge relies
+  // on: an out-of-order shard fails the run. The units then merge into
+  // (timestamp, worker, seq) order, and the per-element stream is written
+  // once, by expanding each unit in that order.
   Stopwatch metrics_watch(clock_);
   const MetricsOptions metrics_options = MetricsOptions::FromSpec(spec);
-  std::vector<EventStream> shards;
-  std::vector<const EventStream*> shard_ptrs;
+  std::vector<UnitShard> shards;
+  std::vector<const EventStream*> unit_ptrs;
   shards.reserve(workers);
   for (WorkerContext& ctx : contexts) {
-    shards.push_back(ctx.sink.TakeEvents());
+    shards.push_back(ctx.sink.TakeUnits());
   }
-  for (const EventStream& shard : shards) shard_ptrs.push_back(&shard);
-  std::vector<ShardAccumulation> folds(
-      workers, ShardAccumulation(result.boundaries, metrics_options,
-                                 ResolveSla(shard_ptrs, metrics_options)));
+  for (const UnitShard& shard : shards) unit_ptrs.push_back(&shard.units);
+  const ShardAccumulation empty_fold(
+      result.boundaries, metrics_options,
+      ResolveSla(unit_ptrs, metrics_options, EventGrain::kUnit));
+  std::vector<ShardAccumulation> folds(workers, empty_fold);
   std::vector<Status> fold_status(workers);
   const auto fold = [&folds, &fold_status, &shards](uint32_t w) {
-    fold_status[w] = folds[w].Accumulate(shards[w]);
+    fold_status[w] = folds[w].AccumulateUnits(shards[w]);
   };
   if (workers == 1) {
     fold(0);
@@ -628,27 +677,42 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
     for (uint32_t w = 0; w < workers; ++w) threads.emplace_back(fold, w);
     for (std::thread& t : threads) t.join();
   }
+  ShardAccumulation run_fold = empty_fold;
   for (uint32_t w = 0; w < workers; ++w) {
     if (!fold_status[w].ok()) {
       return Status::Internal("worker " + std::to_string(w) +
                               " shard: " + fold_status[w].message());
     }
-    if (w > 0) folds[0].Merge(folds[w]);
+    run_fold.Merge(folds[w]);
   }
   int64_t metrics_nanos = metrics_watch.ElapsedNanos();
 
   Stopwatch merge_watch(clock_);
-  result.events = MergeEventShards(std::move(shards));
-  if (driver_obs != nullptr) {
-    driver_obs->profiler.set_phase(PhaseStageBreakdown::kRunLevelPhase);
-    driver_obs->profiler.Add(Stage::kMerge, merge_watch.ElapsedNanos());
+  std::vector<EventStream> unit_shards;
+  std::vector<std::vector<ElementOutcome>> outcomes;
+  unit_shards.reserve(workers);
+  outcomes.reserve(workers);
+  for (UnitShard& shard : shards) {
+    unit_shards.push_back(std::move(shard.units));
+    outcomes.push_back(std::move(shard.outcomes));
   }
+  EventStream units = MergeEventShards(std::move(unit_shards));
+  int64_t merge_nanos = merge_watch.ElapsedNanos();
 
   metrics_watch.Restart();
-  result.metrics =
-      FinalizeRunMetrics(folds[0], result.events, metrics_options);
+  result.metrics = FinalizeRunMetrics(run_fold, units, metrics_options,
+                                      EventGrain::kUnit);
+  LSBENCH_RETURN_IF_ERROR(AuditUnitAccounting(folds, result.metrics));
   metrics_nanos += metrics_watch.ElapsedNanos();
+
+  merge_watch.Restart();
+  result.events =
+      ExpandUnits(std::move(units), outcomes, run_fold.operations);
+  outcomes = {};
+  merge_nanos += merge_watch.ElapsedNanos();
   if (driver_obs != nullptr) {
+    driver_obs->profiler.set_phase(PhaseStageBreakdown::kRunLevelPhase);
+    driver_obs->profiler.Add(Stage::kMerge, merge_nanos);
     driver_obs->profiler.Add(Stage::kMetrics, metrics_nanos);
   }
   // Driver-owned resilience state the metric layer cannot derive from the

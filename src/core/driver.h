@@ -16,6 +16,8 @@
 
 namespace lsbench {
 
+class EventSink;
+
 /// Everything a single benchmark run produces.
 struct RunResult {
   std::string sut_name;
@@ -102,14 +104,29 @@ class BenchmarkDriver {
 /// (key, ordinal) pairs.
 std::vector<KeyValue> BuildLoadImage(const RunSpec& spec);
 
-/// Event-arena slots for `ops` draws of one phase on one worker, when each
-/// draw is a batch of `batch_size` elements with probability
-/// `batch_probability` and one element otherwise: the expected element
-/// count plus `margin_sigmas` standard deviations of the batch-unit count
-/// (each unit adds batch_size - 1 elements), capped at the worst case of
-/// `ops * batch_size`.
-uint64_t ExpectedArenaEvents(uint64_t ops, double batch_probability,
-                             uint64_t batch_size, double margin_sigmas);
+/// Outcome-arena slots for `ops` draws of one phase on one worker, when
+/// each draw is a batch of `batch_size` elements with probability
+/// `batch_probability` and one element otherwise: the expected count of
+/// elements in batch units plus `margin_sigmas` standard deviations of the
+/// batch-unit count (each unit adds batch_size elements), capped at the
+/// worst case of `ops * batch_size`. 0 when no draw is a batch.
+uint64_t ExpectedBatchElements(uint64_t ops, double batch_probability,
+                               uint64_t batch_size, double margin_sigmas);
+
+/// Sizes worker `worker`'s sink for a run of `spec`, as the driver does
+/// before the first phase: exactly the worker's share of every phase's
+/// request units, and ExpectedBatchElements outcomes per phase.
+void ReserveWorkerSink(const RunSpec& spec, uint32_t worker, EventSink* sink);
+
+/// The run's unit accounting, checked after the phases on every run. For
+/// every phase, each worker's fold of its request units
+/// (`worker_folds[w]`, ShardAccumulation::AccumulateUnits) counts exactly
+/// its WorkerShare of PhaseBoundary::operations, and the elements those
+/// units carry, summed over workers, equal the phase's operations in
+/// `metrics`. A violation is Status::Internal naming the phase (and the
+/// worker, for a unit count).
+Status AuditUnitAccounting(const std::vector<ShardAccumulation>& worker_folds,
+                           const RunMetrics& metrics);
 
 /// This worker's share of `total` items under the driver's round-robin
 /// split: total/workers plus one of the first (total % workers) remainders.

@@ -10,13 +10,95 @@
 namespace lsbench {
 
 // lsbench-deepcheck: allow(hot-alloc, hot-throw)
-void EventSink::RecordSlow(const OpEvent& event) {
-  // Only reached when Reserve undersized the arena: a worker drew more
-  // batch elements than the driver's expected count plus margin
-  // (ExpectedArenaEvents). Doubling keeps repeat spills amortized.
-  events_.reserve(std::max<size_t>(events_.size() * 2, 64));
-  events_.push_back(event);
-  used_ = events_.size();
+void EventSink::RecordUnitSlow(const OpEvent& unit) {
+  // Only reached when Reserve undersized the arena; the driver reserves
+  // every unit of the run. Doubling keeps repeat spills amortized.
+  units_.reserve(std::max<size_t>(units_.size() * 2, 64));
+  units_.push_back(unit);
+  used_units_ = units_.size();
+}
+
+// lsbench-deepcheck: allow(hot-alloc, hot-throw)
+void EventSink::RecordOutcomesSlow(const OpResult* results, uint32_t count) {
+  // Only reached when a worker drew more batch elements than the driver's
+  // expected count plus margin (ExpectedBatchElements).
+  outcomes_.resize(used_outcomes_);
+  outcomes_.reserve(std::max<size_t>((outcomes_.size() + count) * 2, 64));
+  for (uint32_t i = 0; i < count; ++i) {
+    outcomes_.push_back(ElementOutcome{results[i].ok, results[i].rows});
+  }
+  used_outcomes_ = outcomes_.size();
+}
+
+UnitShard EventSink::TakeUnits() {
+  units_.resize(used_units_);
+  outcomes_.resize(used_outcomes_);
+  used_units_ = 0;
+  used_outcomes_ = 0;
+  elements_ = 0;
+  return UnitShard{std::move(units_), std::move(outcomes_)};
+}
+
+namespace {
+
+/// Appends `unit`'s elements to `out`. A unit that keeps outcomes reads
+/// them from `*outcome` on, and moves `*outcome` past them.
+void AppendElements(const OpEvent& unit, const ElementOutcome** outcome,
+                    EventStream* out) {
+  if (unit.batch <= 1) {
+    out->push_back(unit);
+    return;
+  }
+  OpEvent element = unit;
+  if (unit.queue_shed) {
+    for (uint32_t i = 0; i < unit.batch; ++i) {
+      element.seq = unit.seq + i;
+      out->push_back(element);
+    }
+    return;
+  }
+  const ElementOutcome* results = *outcome;
+  for (uint32_t i = 0; i < unit.batch; ++i) {
+    element.ok = !unit.failed && results[i].ok;
+    element.rows = results[i].rows;
+    element.seq = unit.seq + i;
+    out->push_back(element);
+  }
+  *outcome += unit.batch;
+}
+
+}  // namespace
+
+EventStream EventSink::TakeEvents() {
+  const size_t elements = elements_;
+  UnitShard shard = TakeUnits();
+  std::vector<std::vector<ElementOutcome>> outcomes(worker_ + size_t{1});
+  outcomes[worker_] = std::move(shard.outcomes);
+  return ExpandUnits(std::move(shard.units), outcomes, elements);
+}
+
+EventStream ExpandUnits(
+    EventStream units, const std::vector<std::vector<ElementOutcome>>& outcomes,
+    uint64_t elements) {
+  if (elements == units.size()) return units;
+  std::vector<const ElementOutcome*> cursor(outcomes.size());
+  for (size_t w = 0; w < outcomes.size(); ++w) cursor[w] = outcomes[w].data();
+  EventStream events;
+  events.reserve(elements);
+  for (const OpEvent& unit : units) {
+    LSBENCH_ASSERT_MSG(unit.worker < outcomes.size(),
+                       "ExpandUnits: a unit's worker has no outcome array");
+    const std::vector<ElementOutcome>& own = outcomes[unit.worker];
+    LSBENCH_ASSERT_MSG(
+        !UnitHasOutcomes(unit) ||
+            unit.batch <= static_cast<size_t>(own.data() + own.size() -
+                                              cursor[unit.worker]),
+        "ExpandUnits: a unit keeps more outcomes than its worker recorded");
+    AppendElements(unit, &cursor[unit.worker], &events);
+  }
+  LSBENCH_ASSERT_MSG(events.size() == elements,
+                     "ExpandUnits: the units carry a different element count");
+  return events;
 }
 
 EventStream MergeEventShards(std::vector<EventStream> shards) {

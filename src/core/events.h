@@ -45,7 +45,9 @@ struct OpEvent {
   /// completion, latency, and resilience outcome (coordinated-omission
   /// accounting charges the batch once) but carry their own data-level
   /// ok/rows and consecutive seqs. Effective per-op latency for batch rows
-  /// is latency_nanos / batch.
+  /// is latency_nanos / batch. In a stream of request units (UnitShard)
+  /// one event stands for the whole unit, and `batch` is its element
+  /// count.
   uint32_t batch = 1;
   // Provenance (multi-worker runs): which worker shard produced the event
   // and its issue order within that shard. Together with the timestamp they
@@ -54,6 +56,29 @@ struct OpEvent {
   uint32_t worker = 0;
   uint64_t seq = 0;
 };
+
+/// One element's data-level outcome within an executed batch unit, as the
+/// SUT returned it. EventSink keeps one per element beside the unit's
+/// single event; expanding the unit gives element i `ok = !failed &&
+/// outcome.ok` and `rows = outcome.rows`.
+struct ElementOutcome {
+  bool ok = false;
+  uint64_t rows = 0;
+};
+
+/// Elements in a request unit recorded as one event (EventSink's shards):
+/// its batch size, or 1 for a scalar op.
+inline uint32_t UnitElements(const OpEvent& unit) {
+  return unit.batch > 1 ? unit.batch : 1;
+}
+
+/// Whether a request unit keeps one ElementOutcome per element: an
+/// executed unit of more than one element. A scalar unit keeps its own
+/// ok/rows, and a queue-shed unit's elements all have ok = false and
+/// rows = 0.
+inline bool UnitHasOutcomes(const OpEvent& unit) {
+  return unit.batch > 1 && !unit.queue_shed;
+}
 
 /// The deterministic merge order of events: by (timestamp, worker, seq).
 /// A worker's shard is already in this order (its completion times never
@@ -88,6 +113,15 @@ struct TrainEvent {
 };
 
 using EventStream = std::vector<OpEvent>;
+
+/// One worker's recorded request units (EventSink::TakeUnits): one event
+/// per unit, whose `batch` is its element count and whose `seq` is its
+/// first element's seq, and the ElementOutcomes of the units that keep
+/// them (UnitHasOutcomes), in record order.
+struct UnitShard {
+  EventStream units;
+  std::vector<ElementOutcome> outcomes;
+};
 
 }  // namespace lsbench
 

@@ -196,12 +196,20 @@ std::vector<MultiBand> BuildMultiBands(
   return bands;
 }
 
+namespace {
+
+/// CalibrateSla's threshold from the calibration percentile's value.
+int64_t SlaFromPercentile(double p, double margin) {
+  return static_cast<int64_t>(std::max(1.0, p * margin));
+}
+
+}  // namespace
+
 int64_t CalibrateSla(std::vector<double> latencies, double percentile,
                      double margin) {
   if (latencies.empty()) return 1000000;  // 1 ms fallback.
-  const double p = Quantile(std::move(latencies), percentile);
-  const double threshold = std::max(1.0, p * margin);
-  return static_cast<int64_t>(threshold);
+  return SlaFromPercentile(Quantile(std::move(latencies), percentile),
+                           margin);
 }
 
 MetricsOptions MetricsOptions::FromSpec(const RunSpec& spec) {
@@ -271,7 +279,20 @@ ShardAccumulation::ShardAccumulation(std::vector<PhaseBoundary> boundaries_in,
   }
 }
 
-Status ShardAccumulation::Accumulate(const EventStream& shard) {
+namespace {
+
+/// What one event of a fold stands for: `elements` elements, `ok` of which
+/// succeeded, in `units` request units.
+struct EventWeight {
+  uint64_t elements = 1;
+  uint64_t ok = 0;
+  uint64_t units = 0;
+};
+
+}  // namespace
+
+template <typename Weigh>
+Status ShardAccumulation::Fold(const EventStream& shard, Weigh weigh) {
   SlotCursor interval(0, interval_nanos);
   SlotCursor sample(0, boxplot_sample_nanos);
   PhaseAccumulation* phase = nullptr;
@@ -296,40 +317,47 @@ Status ShardAccumulation::Accumulate(const EventStream& shard) {
       }
       phase = &phases[idx];
       phase_id = e.phase;
-      sample = SlotCursor(boundaries[idx].start_nanos, boxplot_sample_nanos);
+      sample = SlotCursor(boundaries[idx].start_nanos,
+                          boxplot_sample_nanos);
     }
 
+    const EventWeight weight = weigh(e);
+    const uint64_t k = weight.elements;
     const double latency_value = static_cast<double>(e.latency_nanos);
     const int bucket = latency_bucket.Of(latency_value);
     const bool violated = e.latency_nanos > sla_nanos;
 
     // Whole-run totals.
-    ++operations;
-    if (e.ok) ++ok_operations;
-    latency.RecordInBucket(latency_value, bucket);
-    if (violated) ++sla_violations;
-    if (e.failed) ++failed_operations;
-    if (e.timed_out) ++timeouts;
-    if (e.shed) ++shed_operations;
-    total_retries += e.retries;
-    last_timestamp_nanos = std::max(last_timestamp_nanos, e.timestamp_nanos);
+    operations += k;
+    ok_operations += weight.ok;
+    latency.RecordRepeated(latency_value, bucket, k);
+    if (violated) sla_violations += k;
+    if (e.failed) failed_operations += k;
+    if (e.timed_out) timeouts += k;
+    if (e.shed) shed_operations += k;
+    total_retries += e.retries * k;
+    last_timestamp_nanos =
+        std::max(last_timestamp_nanos, e.timestamp_nanos);
     if (e.open_loop) {
-      ++open_loop_operations;
+      open_loop_operations += k;
       const int64_t intended = e.timestamp_nanos - e.latency_nanos;
       intended_min_nanos = std::min(intended_min_nanos, intended);
       intended_max_nanos = std::max(intended_max_nanos, intended);
       if (e.queue_shed) {
-        ++queue_shed_operations;
+        queue_shed_operations += k;
       } else {
         // Executed ops only: a shed's "latency" is the policy's decision
         // delay, not a measurement of the SUT. Since issue >= intended
         // arrival, response >= service pointwise, so the p99 gap the
         // report prints — the coordinated-omission error — is nonnegative
         // by construction.
-        response_latency.RecordInBucket(latency_value, bucket);
-        service_latency.Record(
-            static_cast<double>(e.timestamp_nanos - e.issue_nanos));
-        queue_wait.Record(static_cast<double>(e.issue_nanos - intended));
+        response_latency.RecordRepeated(latency_value, bucket, k);
+        const double service =
+            static_cast<double>(e.timestamp_nanos - e.issue_nanos);
+        service_latency.RecordRepeated(
+            service, Histogram::BucketFor(service), k);
+        const double wait = static_cast<double>(e.issue_nanos - intended);
+        queue_wait.RecordRepeated(wait, Histogram::BucketFor(wait), k);
       }
     }
 
@@ -338,33 +366,76 @@ Status ShardAccumulation::Accumulate(const EventStream& shard) {
     const size_t type = static_cast<size_t>(e.type);
     LSBENCH_ASSERT(type < kNumOpTypes);
     OpTypeMetrics& row = op_types[type];
-    ++row.operations;
-    if (e.ok) ++row.ok_operations;
-    if (e.failed) ++row.failed_operations;
-    row.latency.RecordInBucket(latency_value, bucket);
+    row.operations += k;
+    row.ok_operations += weight.ok;
+    if (e.failed) row.failed_operations += k;
+    row.latency.RecordRepeated(latency_value, bucket, k);
     const uint32_t batch = e.batch > 0 ? e.batch : 1;
     const double effective = latency_value / static_cast<double>(batch);
-    row.effective_latency.RecordInBucket(effective,
-                                         effective_bucket.Of(effective));
-    row.batch_sum += batch;
+    row.effective_latency.RecordRepeated(effective,
+                                         effective_bucket.Of(effective), k);
+    row.batch_sum += batch * k;
 
     // Phase.
-    ++phase->operations;
-    phase->latency.RecordInBucket(latency_value, bucket);
-    if (violated) ++phase->sla_violations;
-    if (e.failed) ++phase->failed_operations;
+    phase->units += weight.units;
+    phase->operations += k;
+    phase->latency.RecordRepeated(latency_value, bucket, k);
+    if (violated) phase->sla_violations += k;
+    if (e.failed) phase->failed_operations += k;
     const size_t s = sample.SlotOf(e.timestamp_nanos);
     if (s >= phase->samples.size()) phase->samples.resize(s + 1);
-    ++phase->samples[s];
+    phase->samples[s] += k;
 
     // Interval.
     const size_t i = interval.SlotOf(e.timestamp_nanos);
-    if (i >= bands.size()) GrowBands(&bands, i + 1, interval_nanos);
-    if (violated) {
-      ++bands[i].violated;
-    } else {
-      ++bands[i].within_sla;
+    if (i >= bands.size()) {
+      GrowBands(&bands, i + 1, interval_nanos);
     }
+    if (violated) {
+      bands[i].violated += k;
+    } else {
+      bands[i].within_sla += k;
+    }
+  }
+  return Status::OK();
+}
+
+Status ShardAccumulation::Accumulate(const EventStream& shard) {
+  return Fold(shard, [](const OpEvent& e) {
+    return EventWeight{1, e.ok ? uint64_t{1} : 0, 0};
+  });
+}
+
+Status ShardAccumulation::AccumulateUnits(const UnitShard& shard) {
+  const ElementOutcome* outcome = shard.outcomes.data();
+  const ElementOutcome* const end = outcome + shard.outcomes.size();
+  bool overrun = false;
+  const Status folded = Fold(shard.units, [&](const OpEvent& unit) {
+    const uint64_t k = UnitElements(unit);
+    EventWeight weight{k, unit.ok ? k : 0, 1};
+    if (!UnitHasOutcomes(unit)) return weight;
+    if (static_cast<uint64_t>(end - outcome) < k) {
+      overrun = true;
+      outcome = end;
+      return weight;
+    }
+    weight.ok = 0;
+    if (!unit.failed) {
+      for (uint64_t i = 0; i < k; ++i) weight.ok += outcome[i].ok ? 1 : 0;
+    }
+    outcome += k;
+    return weight;
+  });
+  LSBENCH_RETURN_IF_ERROR(folded);
+  if (overrun || outcome != end) {
+    uint64_t kept = 0;
+    for (const OpEvent& unit : shard.units) {
+      if (UnitHasOutcomes(unit)) kept += unit.batch;
+    }
+    return Status::InvalidArgument(
+        "the units keep " + std::to_string(kept) +
+        " element outcomes, but the shard holds " +
+        std::to_string(shard.outcomes.size()));
   }
   return Status::OK();
 }
@@ -421,21 +492,41 @@ void ShardAccumulation::Merge(const ShardAccumulation& other) {
 }
 
 int64_t ResolveSla(const std::vector<const EventStream*>& shards,
-                   const MetricsOptions& options) {
+                   const MetricsOptions& options, EventGrain grain) {
   if (options.sla_nanos > 0) return options.sla_nanos;
   size_t total = 0;
   for (const EventStream* shard : shards) total += shard->size();
+  // Plain latencies while every phase-0 event is one element, so an
+  // all-scalar run selects over doubles as CalibrateSla does; weighted
+  // pairs from the first larger unit on.
   std::vector<double> latencies;
+  std::vector<WeightedValue> weighted;
   latencies.reserve(total);
   for (const EventStream* shard : shards) {
     for (const OpEvent& e : *shard) {
-      if (e.phase == 0) {
-        latencies.push_back(static_cast<double>(e.latency_nanos));
+      if (e.phase != 0) continue;
+      const double latency = static_cast<double>(e.latency_nanos);
+      const uint64_t elements =
+          grain == EventGrain::kUnit ? UnitElements(e) : 1;
+      if (elements == 1 && weighted.empty()) {
+        latencies.push_back(latency);
+        continue;
       }
+      if (weighted.empty()) {
+        weighted.reserve(total);
+        for (const double l : latencies) weighted.push_back({l, 1});
+        latencies = {};
+      }
+      weighted.push_back({latency, elements});
     }
   }
-  return CalibrateSla(std::move(latencies), options.sla_auto_percentile,
-                      options.sla_auto_margin);
+  if (weighted.empty()) {
+    return CalibrateSla(std::move(latencies), options.sla_auto_percentile,
+                        options.sla_auto_margin);
+  }
+  return SlaFromPercentile(
+      WeightedQuantile(std::move(weighted), options.sla_auto_percentile),
+      options.sla_auto_margin);
 }
 
 namespace {
@@ -470,8 +561,10 @@ BoxPlotSummary SampleThroughputBox(const std::vector<uint64_t>& samples,
 
 RunMetrics FinalizeRunMetrics(const ShardAccumulation& acc,
                               const EventStream& events,
-                              const MetricsOptions& options) {
-  LSBENCH_ASSERT_MSG(events.size() == acc.operations,
+                              const MetricsOptions& options,
+                              EventGrain grain) {
+  LSBENCH_ASSERT_MSG(grain == EventGrain::kUnit ||
+                         events.size() == acc.operations,
                      "the fold must cover exactly the merged stream");
   RunMetrics metrics;
   metrics.total_operations = acc.operations;
@@ -560,7 +653,8 @@ RunMetrics FinalizeRunMetrics(const ShardAccumulation& acc,
                      "every event must count under exactly one phase");
 
   // Adjustment speed: latency above the SLA over the first
-  // adjustment_window_ops events of each phase, summed in merged order.
+  // adjustment_window_ops elements of each phase, summed in merged order,
+  // one element at a time.
   std::vector<uint64_t> window(boundaries.size());
   uint64_t remaining = 0;
   for (size_t p = 0; p < boundaries.size(); ++p) {
@@ -576,11 +670,15 @@ RunMetrics FinalizeRunMetrics(const ShardAccumulation& acc,
       LSBENCH_ASSERT(p < boundaries.size());
     }
     if (window[p] == 0) continue;
-    --window[p];
-    --remaining;
+    const uint64_t elements = std::min<uint64_t>(
+        window[p], grain == EventGrain::kUnit ? UnitElements(e) : 1);
+    window[p] -= elements;
+    remaining -= elements;
     if (e.latency_nanos > sla) {
-      metrics.phases[p].adjustment_excess_seconds +=
-          static_cast<double>(e.latency_nanos - sla) * 1e-9;
+      const double excess = static_cast<double>(e.latency_nanos - sla) * 1e-9;
+      for (uint64_t i = 0; i < elements; ++i) {
+        metrics.phases[p].adjustment_excess_seconds += excess;
+      }
     }
   }
   return metrics;
@@ -589,7 +687,8 @@ RunMetrics FinalizeRunMetrics(const ShardAccumulation& acc,
 RunMetrics ComputeRunMetrics(const EventStream& events,
                              const std::vector<PhaseBoundary>& boundaries,
                              const MetricsOptions& options) {
-  ShardAccumulation acc(boundaries, options, ResolveSla({&events}, options));
+  ShardAccumulation acc(boundaries, options,
+                        ResolveSla({&events}, options, EventGrain::kElement));
   const Status folded = acc.Accumulate(events);
   LSBENCH_ASSERT_MSG(folded.ok(), folded.message().c_str());
   return FinalizeRunMetrics(acc, events, options);

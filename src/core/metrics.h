@@ -211,8 +211,20 @@ struct MetricsOptions {
   static MetricsOptions FromSpec(const RunSpec& spec);
 };
 
+/// How the events of a stream count toward element totals.
+enum class EventGrain {
+  /// One event per element (RunResult::events): each event counts once.
+  kElement,
+  /// One event per request unit (UnitShard::units): each event counts as
+  /// its UnitElements elements, which share its latency and outcome.
+  kUnit,
+};
+
 /// One phase's share of a ShardAccumulation.
 struct PhaseAccumulation {
+  /// Request units folded. Only a fold of units counts them; a fold of
+  /// elements cannot tell where a unit starts and leaves this 0.
+  uint64_t units = 0;
   uint64_t operations = 0;
   uint64_t sla_violations = 0;
   uint64_t failed_operations = 0;
@@ -224,13 +236,17 @@ struct PhaseAccumulation {
 
 /// Order-free fold of one event shard: every RunMetrics figure that is a
 /// count, an integer-valued sum or a histogram. The driver folds each
-/// worker's shard on that worker's own thread and merges the folds;
-/// ComputeRunMetrics folds the merged stream as one shard. Both give the
-/// same accumulation, because every field merges exactly: integer counts;
-/// histograms, whose bucket counts, minimum and maximum (so every quantile
-/// a report prints) merge exactly; and counts indexed by op type, phase,
-/// box-plot sample and interval. The only figure that depends on the
-/// merged order, the adjustment-window excess, is left to
+/// worker's shard of request units on that worker's own thread and merges
+/// the folds; ComputeRunMetrics folds the merged per-element stream as one
+/// shard. Both give the same accumulation, because a unit's elements
+/// share every value the fold reads but ok, and every field merges
+/// exactly: integer counts; histograms, whose bucket counts, minimum and
+/// maximum (so every quantile a report prints) merge exactly; and counts
+/// indexed by op type, phase, box-plot sample and interval. The fold is
+/// weighted: a unit of k elements adds k to each count, and adds its
+/// value k times to each histogram (Histogram::RecordRepeated), so the
+/// sums round exactly as k separate elements would. The only figure that
+/// depends on the merged order, the adjustment-window excess, is left to
 /// FinalizeRunMetrics.
 struct ShardAccumulation {
   /// An empty fold against the run's phases and its resolved SLA threshold
@@ -272,29 +288,49 @@ struct ShardAccumulation {
   /// cumulative curve's steps.
   std::vector<LatencyBand> bands;
 
-  /// Folds one shard: a worker's events, or a merged stream. Returns a
-  /// located error, naming the event's worker, seq and timestamp, when an
-  /// event sorts before its predecessor by (timestamp, worker, seq), or
-  /// when its phase has no boundary. Events folded before the error stay
-  /// counted.
+  /// Folds one shard of per-element events: a worker's, or a merged
+  /// stream. Returns a located error, naming the event's worker, seq and
+  /// timestamp, when an event sorts before its predecessor by (timestamp,
+  /// worker, seq), or when its phase has no boundary. Events folded before
+  /// the error stay counted.
   Status Accumulate(const EventStream& shard);
+
+  /// Folds one worker's request units, each weighted by its element
+  /// count; a unit that keeps outcomes (UnitHasOutcomes) counts its
+  /// elements' ok from the shard's outcomes, in order. Fails like
+  /// Accumulate, and also when the units keep more or fewer outcomes than
+  /// the shard holds.
+  Status AccumulateUnits(const UnitShard& shard);
 
   /// Adds another fold of the same run (same boundaries, options and SLA).
   void Merge(const ShardAccumulation& other);
+
+ private:
+  /// The fold behind Accumulate and AccumulateUnits: `weigh(e)` says how
+  /// many elements event `e` stands for, how many of them succeeded, and
+  /// how many request units it is.
+  template <typename Weigh>
+  Status Fold(const EventStream& shard, Weigh weigh);
 };
 
 /// The run's SLA threshold: `options.sla_nanos` when fixed, otherwise
-/// calibrated (CalibrateSla) on the latencies of every phase-0 event in
-/// `shards`. Shard and event order do not matter.
+/// calibrated (CalibrateSla) on the latencies of every phase-0 element in
+/// `shards`, whose events count by `grain`. Over request units this is an
+/// exact weighted percentile (WeightedQuantile), equal to the percentile
+/// over every element's latency; when every unit is one element it is
+/// the same selection as over elements. Shard and event order do not
+/// matter.
 int64_t ResolveSla(const std::vector<const EventStream*>& shards,
-                   const MetricsOptions& options);
+                   const MetricsOptions& options, EventGrain grain);
 
 /// Turns the fold of a whole run into its metrics. `events` is the merged
-/// stream the fold covered; only the adjustment-window excess reads it (the
-/// first adjustment_window_ops events of each phase, in merged order).
+/// stream the fold covered, counted by `grain`; only the adjustment-window
+/// excess reads it (the first adjustment_window_ops elements of each
+/// phase, in merged order).
 RunMetrics FinalizeRunMetrics(const ShardAccumulation& acc,
                               const EventStream& events,
-                              const MetricsOptions& options);
+                              const MetricsOptions& options,
+                              EventGrain grain = EventGrain::kElement);
 
 /// Computes the full metric suite: ResolveSla, one fold of `events`, then
 /// FinalizeRunMetrics. `events` must be in (timestamp, worker, seq) order

@@ -87,14 +87,15 @@ class StageProfiler {
   }
   int32_t phase() const { return phase_; }
 
-  /// Charges `nanos` to `stage` in the current phase. No-op while disabled.
+  /// Charges `nanos` to `stage` in the current phase, as `samples`
+  /// samples. No-op while disabled.
   LSBENCH_HOT_PATH
   LSBENCH_DETERMINISTIC
-  void Add(Stage stage, int64_t nanos) {
+  void Add(Stage stage, int64_t nanos, uint64_t samples = 1) {
     if (current_ == nullptr) return;
     StageAccum& accum = current_->stages[static_cast<size_t>(stage)];
     accum.total_nanos += nanos;
-    accum.samples++;
+    accum.samples += samples;
   }
 
   /// Sorted-by-phase export (run-level entry first when present).
@@ -115,19 +116,20 @@ class StageProfiler {
 };
 
 /// RAII stage timer: charges the elapsed time between construction and
-/// destruction to (profiler's current phase, stage). Null or unbound
-/// profiler → both ends are a branch and nothing else.
+/// destruction to (profiler's current phase, stage), as `samples` samples.
+/// Null or unbound profiler → both ends are a branch and nothing else.
 class StageTimer {
  public:
-  StageTimer(StageProfiler* profiler, Stage stage)
+  StageTimer(StageProfiler* profiler, Stage stage, uint64_t samples = 1)
       : profiler_(profiler != nullptr && profiler->enabled() ? profiler
                                                              : nullptr),
         stage_(stage),
+        samples_(samples),
         start_nanos_(profiler_ != nullptr ? profiler_->NowNanos() : 0) {}
 
   ~StageTimer() {
     if (profiler_ != nullptr) {
-      profiler_->Add(stage_, profiler_->NowNanos() - start_nanos_);
+      profiler_->Add(stage_, profiler_->NowNanos() - start_nanos_, samples_);
     }
   }
 
@@ -137,6 +139,7 @@ class StageTimer {
  private:
   StageProfiler* profiler_;
   Stage stage_;
+  uint64_t samples_;
   int64_t start_nanos_;
 };
 

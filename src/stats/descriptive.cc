@@ -94,6 +94,49 @@ double Quantile(std::vector<double> values, double q) {
   return below + p.frac * (above - below);
 }
 
+namespace {
+
+/// The value at 0-based position `rank` of the expanded sample in
+/// [first, last), which holds more than `rank` elements by weight.
+/// Reorders the range.
+double WeightedOrderStatistic(std::vector<WeightedValue>::iterator first,
+                              std::vector<WeightedValue>::iterator last,
+                              uint64_t rank) {
+  const auto by_value = [](const WeightedValue& a, const WeightedValue& b) {
+    return a.value < b.value;
+  };
+  for (;;) {
+    const auto mid = first + (last - first) / 2;
+    std::nth_element(first, mid, last, by_value);
+    uint64_t below = 0;
+    for (auto it = first; it != mid; ++it) below += it->weight;
+    if (rank < below) {
+      last = mid;
+    } else if (rank - below < mid->weight) {
+      return mid->value;
+    } else {
+      rank -= below + mid->weight;
+      first = mid + 1;
+    }
+  }
+}
+
+}  // namespace
+
+double WeightedQuantile(std::vector<WeightedValue> values, double q) {
+  uint64_t n = 0;
+  for (const WeightedValue& v : values) n += v.weight;
+  if (n == 0) return 0.0;
+  const QuantilePosition p = PositionOf(static_cast<size_t>(n), q);
+  const double below = WeightedOrderStatistic(values.begin(), values.end(),
+                                              p.lo);
+  const double above =
+      p.hi == p.lo
+          ? below
+          : WeightedOrderStatistic(values.begin(), values.end(), p.hi);
+  return below + p.frac * (above - below);
+}
+
 std::string BoxPlotSummary::ToString() const {
   std::ostringstream os;
   os << "n=" << count << " min=" << min << " q1=" << q1

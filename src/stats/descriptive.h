@@ -43,6 +43,18 @@ double Quantile(std::vector<double> values, double q);
 /// Quantile over already-sorted data (no copy).
 double QuantileSorted(const std::vector<double>& sorted, double q);
 
+/// A value that occurs `weight` times.
+struct WeightedValue {
+  double value = 0.0;
+  uint64_t weight = 0;
+};
+
+/// Quantile of the sample in which each value occurs `weight` times:
+/// equals Quantile over that expanded list bit for bit, without expanding
+/// it. Selects the two order statistics by weighted partitioning, in
+/// expected time linear in the number of distinct entries.
+double WeightedQuantile(std::vector<WeightedValue> values, double q);
+
 /// Five-number summary plus Tukey outliers — the ingredients of the box
 /// plots the paper proposes for specialization reporting (Fig. 1a).
 struct BoxPlotSummary {

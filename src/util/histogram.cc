@@ -49,6 +49,25 @@ void Histogram::RecordInBucket(double value, int bucket) {
   ++buckets_[bucket];
 }
 
+void Histogram::RecordRepeated(double value, int bucket, uint64_t times) {
+  if (times == 0) return;
+  if (value < 0.0) value = 0.0;
+  if (count_ == 0) {
+    min_ = value;
+    max_ = value;
+  } else {
+    min_ = std::min(min_, value);
+    max_ = std::max(max_, value);
+  }
+  count_ += times;
+  const double square = value * value;
+  for (uint64_t i = 0; i < times; ++i) {
+    sum_ += value;
+    sum_squares_ += square;
+  }
+  buckets_[bucket] += times;
+}
+
 void Histogram::Merge(const Histogram& other) {
   if (other.count_ == 0) return;
   if (count_ == 0) {

@@ -26,6 +26,11 @@ class Histogram {
   /// Record(value), given `bucket == BucketFor(value)`.
   void RecordInBucket(double value, int bucket);
 
+  /// `times` calls of RecordInBucket(value, bucket), bit for bit: the sum
+  /// and sum of squares still add `value` once per repeat, in a loop, so
+  /// they round exactly as the separate calls would.
+  void RecordRepeated(double value, int bucket, uint64_t times);
+
   /// Merges another histogram into this one.
   void Merge(const Histogram& other);
 

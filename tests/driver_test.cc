@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "core/driver.h"
 #include "core/event_sink.h"
 #include "core/run_spec.h"
+#include "core/spec_text.h"
 #include "core/specialization.h"
 #include "data/dataset.h"
 #include "sut/systems.h"
@@ -382,20 +385,21 @@ TEST_F(DriverTest, LoadFailureProducesCleanError) {
   EXPECT_EQ(retry.value().events.size(), 4000u);
 }
 
-TEST_F(DriverTest, ExpectedArenaEventsBoundsTheBatchDraws) {
-  // Scalar phases reserve one slot per op; a pure batch phase has no
-  // spread and reserves the worst case.
-  EXPECT_EQ(ExpectedArenaEvents(1000, 0.0, 16, 6.0), 1000u);
-  EXPECT_EQ(ExpectedArenaEvents(1000, 0.5, 1, 6.0), 1000u);
-  EXPECT_EQ(ExpectedArenaEvents(1000, 1.0, 16, 6.0), 16000u);
-  // open_loop's shape: 10% batch_get x 16 expects 2.5 events per op.
-  const uint64_t expected = ExpectedArenaEvents(400000, 0.1, 16, 0.0);
-  EXPECT_EQ(expected, 1000000u);
-  const uint64_t reserved = ExpectedArenaEvents(400000, 0.1, 16, 6.0);
+TEST_F(DriverTest, ExpectedBatchElementsBoundsTheBatchDraws) {
+  // Scalar phases keep no outcomes; a pure batch phase has no spread and
+  // reserves the worst case.
+  EXPECT_EQ(ExpectedBatchElements(1000, 0.0, 16, 6.0), 0u);
+  EXPECT_EQ(ExpectedBatchElements(1000, 0.5, 1, 6.0), 0u);
+  EXPECT_EQ(ExpectedBatchElements(1000, 1.0, 16, 6.0), 16000u);
+  // open_loop's shape: 10% batch_get x 16 expects 1.6 batch elements per
+  // op.
+  const uint64_t expected = ExpectedBatchElements(400000, 0.1, 16, 0.0);
+  EXPECT_EQ(expected, 640000u);
+  const uint64_t reserved = ExpectedBatchElements(400000, 0.1, 16, 6.0);
   EXPECT_GT(reserved, expected);
-  EXPECT_LT(reserved, expected + expected / 50);
+  EXPECT_LT(reserved, expected + expected / 30);
   // A margin past the worst case is capped there.
-  EXPECT_EQ(ExpectedArenaEvents(4, 0.5, 16, 6.0), 64u);
+  EXPECT_EQ(ExpectedBatchElements(4, 0.5, 16, 6.0), 64u);
 }
 
 TEST_F(DriverTest, UndersizedArenaRecordsTheSameShard) {
@@ -476,6 +480,217 @@ TEST_F(DriverTest, ExpectedSizeArenaRecordsEveryElement) {
     EXPECT_EQ(units + batch_events / kBatch, phase.num_operations)
         << "seed " << seed;
   }
+}
+
+/// MakeTwoPhaseSpec in [service] mode, with an 8-deep admission queue per
+/// worker. Phase 0's Poisson arrivals, half scalar gets and half
+/// 16-element batch gets, come at about twice the simulated capacity, so
+/// it sheds; phase 1's come well under it.
+RunSpec MakeServiceBatchSpec(uint32_t workers) {
+  RunSpec spec = MakeTwoPhaseSpec(31);
+  spec.name = "service_batch16_w" + std::to_string(workers);
+  PhaseSpec& phase = spec.phases[0];
+  phase.mix = OperationMix{};
+  phase.mix.get = 0.5;
+  phase.mix.batch_get = 0.5;
+  phase.batch_size = 16;
+  phase.arrival = ArrivalPattern::kPoisson;
+  phase.arrival_rate_qps = 2500.0 * workers;
+  spec.phases[1].arrival = ArrivalPattern::kPoisson;
+  spec.phases[1].arrival_rate_qps = 1000.0 * workers;
+  spec.service.enabled = true;
+  spec.service.queue_capacity = 8;
+  spec.execution.workers = workers;
+  return spec;
+}
+
+void ExpectSameHistogram(const Histogram& a, const Histogram& b,
+                         const std::string& what, bool integer_values) {
+  EXPECT_EQ(a.count(), b.count()) << what;
+  // Integer-valued sums are exact in any order; a per-worker fold and a
+  // fold of the merged stream add in different orders.
+  if (integer_values) {
+    EXPECT_EQ(a.sum(), b.sum()) << what;
+  }
+  EXPECT_EQ(a.min(), b.min()) << what;
+  EXPECT_EQ(a.max(), b.max()) << what;
+  EXPECT_EQ(a.Median(), b.Median()) << what;
+  EXPECT_EQ(a.P99(), b.P99()) << what;
+}
+
+/// The driver's metrics, folded from request units, against
+/// ComputeRunMetrics over the run's own per-element stream.
+void ExpectMetricsMatchElementFold(const RunSpec& spec,
+                                   const RunResult& run) {
+  const RunMetrics outside = ComputeRunMetrics(
+      run.events, run.boundaries, MetricsOptions::FromSpec(spec));
+  const RunMetrics& inside = run.metrics;
+  EXPECT_EQ(inside.total_operations, run.events.size());
+  EXPECT_EQ(inside.total_operations, outside.total_operations);
+  EXPECT_EQ(inside.sla_nanos, outside.sla_nanos);
+  EXPECT_EQ(inside.total_sla_violations, outside.total_sla_violations);
+  ExpectSameHistogram(inside.overall_latency, outside.overall_latency,
+                      "overall", true);
+  for (size_t t = 0; t < kNumOpTypes; ++t) {
+    const OpTypeMetrics& x = inside.op_types[t];
+    const OpTypeMetrics& y = outside.op_types[t];
+    const std::string what = "op type " + std::to_string(t);
+    EXPECT_EQ(x.operations, y.operations) << what;
+    EXPECT_EQ(x.ok_operations, y.ok_operations) << what;
+    EXPECT_EQ(x.failed_operations, y.failed_operations) << what;
+    EXPECT_EQ(x.batch_sum, y.batch_sum) << what;
+    ExpectSameHistogram(x.latency, y.latency, what, true);
+    ExpectSameHistogram(x.effective_latency, y.effective_latency,
+                        what + " effective", false);
+  }
+  ASSERT_EQ(inside.phases.size(), outside.phases.size());
+  for (size_t p = 0; p < inside.phases.size(); ++p) {
+    const PhaseMetrics& x = inside.phases[p];
+    const PhaseMetrics& y = outside.phases[p];
+    const std::string what = "phase " + std::to_string(p);
+    EXPECT_EQ(x.operations, y.operations) << what;
+    EXPECT_EQ(x.sla_violations, y.sla_violations) << what;
+    EXPECT_EQ(x.failed_operations, y.failed_operations) << what;
+    ExpectSameHistogram(x.latency, y.latency, what, true);
+    EXPECT_EQ(x.throughput_box.count, y.throughput_box.count) << what;
+    EXPECT_EQ(x.throughput_box.min, y.throughput_box.min) << what;
+    EXPECT_EQ(x.throughput_box.median, y.throughput_box.median) << what;
+    EXPECT_EQ(x.throughput_box.max, y.throughput_box.max) << what;
+    EXPECT_EQ(x.throughput_box.mean, y.throughput_box.mean) << what;
+    EXPECT_EQ(x.adjustment_excess_seconds, y.adjustment_excess_seconds)
+        << what;
+  }
+  ASSERT_EQ(inside.bands.size(), outside.bands.size());
+  for (size_t i = 0; i < inside.bands.size(); ++i) {
+    EXPECT_EQ(inside.bands[i].within_sla, outside.bands[i].within_sla) << i;
+    EXPECT_EQ(inside.bands[i].violated, outside.bands[i].violated) << i;
+  }
+  EXPECT_EQ(inside.resilience.failed_operations,
+            outside.resilience.failed_operations);
+  EXPECT_EQ(inside.resilience.timeouts, outside.resilience.timeouts);
+  EXPECT_EQ(inside.resilience.shed_operations,
+            outside.resilience.shed_operations);
+  EXPECT_EQ(inside.resilience.total_retries, outside.resilience.total_retries);
+  EXPECT_EQ(inside.service.open_loop_operations,
+            outside.service.open_loop_operations);
+  EXPECT_EQ(inside.service.queue_shed_operations,
+            outside.service.queue_shed_operations);
+  ExpectSameHistogram(inside.service.response_latency,
+                      outside.service.response_latency, "response", true);
+  ExpectSameHistogram(inside.service.service_latency,
+                      outside.service.service_latency, "service", true);
+  ExpectSameHistogram(inside.service.queue_wait, outside.service.queue_wait,
+                      "queue wait", true);
+}
+
+TEST_F(DriverTest, UnitFoldMatchesTheElementFold) {
+  for (const uint32_t workers : {1u, 4u}) {
+    std::vector<RunSpec> specs;
+    for (const char* file : {"batch_demo.lsb", "resilience_demo.lsb"}) {
+      Result<RunSpec> spec =
+          LoadRunSpecFile(std::string(LSBENCH_SPEC_DIR) + "/" + file);
+      ASSERT_TRUE(spec.ok()) << file << ": " << spec.status().ToString();
+      specs.push_back(std::move(spec).value());
+    }
+    specs.push_back(MakeServiceBatchSpec(workers));
+    for (RunSpec& spec : specs) {
+      spec.execution.workers = workers;
+      SCOPED_TRACE(spec.name + " workers=" + std::to_string(workers));
+      VirtualClock clock;
+      DriverOptions options;
+      options.virtual_clock = &clock;
+      options.enforce_holdout_once = false;
+      BenchmarkDriver driver(&clock, options);
+      BTreeSystem sut;
+      const Result<RunResult> run = driver.Run(spec, &sut);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      if (spec.service.enabled) {
+        EXPECT_GT(run.value().metrics.service.queue_shed_operations, 0u);
+      }
+      ExpectMetricsMatchElementFold(spec, run.value());
+    }
+  }
+}
+
+TEST_F(DriverTest, UnitAuditNamesThePhaseAndWorkerOfAMissingUnit) {
+  // Two workers, two phases of 6 request units (3 per worker); the middle
+  // unit of each is a batch of 4.
+  const std::vector<PhaseBoundary> boundaries = {{0, 0, 1000, false, 6},
+                                                 {1, 1000, 2000, false, 6}};
+  const MetricsOptions options;
+  std::vector<UnitShard> shards;
+  OpResult results[4];
+  for (uint32_t w = 0; w < 2; ++w) {
+    EventSink sink(w);
+    for (int32_t p = 0; p < 2; ++p) {
+      for (int64_t i = 0; i < 3; ++i) {
+        OpEvent proto;
+        proto.timestamp_nanos = 1000 * p + 10 * i + w;
+        proto.latency_nanos = 5;
+        proto.phase = p;
+        if (i == 1) {
+          proto.type = OpType::kBatchGet;
+          sink.RecordBatch(proto, results, 4);
+        } else {
+          sink.Record(proto);
+        }
+      }
+    }
+    shards.push_back(sink.TakeUnits());
+  }
+  const auto audit = [&](const std::vector<UnitShard>& run_shards,
+                         uint64_t extra_phase0_elements) {
+    std::vector<ShardAccumulation> folds(
+        2, ShardAccumulation(boundaries, options, 1000));
+    ShardAccumulation run(boundaries, options, 1000);
+    std::vector<EventStream> units;
+    for (uint32_t w = 0; w < 2; ++w) {
+      EXPECT_TRUE(folds[w].AccumulateUnits(run_shards[w]).ok());
+      run.Merge(folds[w]);
+      units.push_back(run_shards[w].units);
+    }
+    RunMetrics metrics = FinalizeRunMetrics(
+        run, MergeEventShards(std::move(units)), options, EventGrain::kUnit);
+    metrics.phases[0].operations += extra_phase0_elements;
+    return AuditUnitAccounting(folds, metrics);
+  };
+  EXPECT_TRUE(audit(shards, 0).ok());
+
+  // Worker 1 loses its first phase-1 unit, a scalar one (so its outcomes
+  // still match its batch units).
+  std::vector<UnitShard> missing = shards;
+  EventStream& units = missing[1].units;
+  units.erase(std::find_if(units.begin(), units.end(),
+                           [](const OpEvent& e) { return e.phase == 1; }));
+  const Status lost = audit(missing, 0);
+  EXPECT_TRUE(lost.IsInternal()) << lost.ToString();
+  EXPECT_NE(lost.message().find("phase 1 worker 1: recorded 2 request units"),
+            std::string::npos)
+      << lost.ToString();
+
+  const Status miscounted = audit(shards, 1);
+  EXPECT_TRUE(miscounted.IsInternal()) << miscounted.ToString();
+  EXPECT_NE(miscounted.message().find("phase 0: the workers' units carry 12 "
+                                      "elements, but the phase's metrics "
+                                      "count 13"),
+            std::string::npos)
+      << miscounted.ToString();
+}
+
+TEST_F(DriverTest, UnitFoldRejectsOutcomesThatDoNotMatchItsUnits) {
+  EventSink sink(0);
+  OpEvent proto;
+  proto.type = OpType::kBatchGet;
+  OpResult results[4];
+  sink.RecordBatch(proto, results, 4);
+  UnitShard shard = sink.TakeUnits();
+  const std::vector<PhaseBoundary> boundaries = {{0, 0, 1000, false, 1}};
+  shard.outcomes.pop_back();
+  ShardAccumulation fold(boundaries, MetricsOptions(), 1000);
+  const Status status = fold.AccumulateUnits(shard);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_EQ(status.message(),
+            "the units keep 4 element outcomes, but the shard holds 3");
 }
 
 TEST_F(DriverTest, HoldoutRegistryResetClearsCrossTestState) {

@@ -7,8 +7,9 @@
 //
 // The workload is read-only so the SUT performs no inserts of its own: the
 // measured loop's steady state (generate -> pace -> execute -> record) is
-// exactly what the static rule audits, and with the event/trace/key arenas
-// reserved up front the marginal cost per op must be zero heap calls. The
+// exactly what the static rule audits, and with the unit/outcome/trace/key
+// arenas reserved up front the marginal cost per op must be zero heap
+// calls. The
 // absolute slack term absorbs O(log n) container regrowth in post-run
 // metrics, which scales with run size but not per operation.
 //
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "core/driver.h"
+#include "core/event_sink.h"
 #include "core/run_spec.h"
 #include "data/dataset.h"
 #include "learned/pgm.h"
@@ -102,7 +104,7 @@ RunSpec MakeReadOnlySpec(uint64_t num_operations) {
 
 /// Batch analogue of MakeReadOnlySpec: the same element count driven as
 /// kBatchGet request units of `batch_size` keys through the monomorphized
-/// batch loop (one event per element, so the arenas see the same load).
+/// batch loop (one event per unit and one outcome per element).
 RunSpec MakeBatchReadOnlySpec(uint64_t num_elements, uint32_t batch_size) {
   RunSpec spec = MakeReadOnlySpec(num_elements);
   spec.name = "hotpath_alloc_batch_" + std::to_string(num_elements);
@@ -348,6 +350,25 @@ uint64_t PeakLiveBytesDuring(Fn&& fn) {
   g_peak_live_bytes.store(before, std::memory_order_relaxed);
   fn();
   return g_peak_live_bytes.load(std::memory_order_relaxed) - before;
+}
+
+TEST(HotpathAllocTest, BatchRecordingArenasReserveUnitsNotElements) {
+  // A closed-loop phase of 256-element batch units records one event per
+  // unit and one compact outcome per element: its arenas reserve no
+  // per-element event slot.
+  constexpr uint64_t kElements = uint64_t{1} << 16;
+  constexpr uint32_t kBatchSize = 256;
+  const RunSpec spec = MakeBatchReadOnlySpec(kElements, kBatchSize);
+  const uint64_t units = spec.phases[0].num_operations;
+  EventSink sink(0);
+  const uint64_t reserved =
+      HeapBytesDuring([&] { ReserveWorkerSink(spec, 0, &sink); });
+  const uint64_t bound =
+      units * sizeof(OpEvent) + kElements * sizeof(ElementOutcome);
+  EXPECT_LE(reserved, bound)
+      << "a worker's recording arenas for " << units << " units of "
+      << kBatchSize << " elements reserved " << reserved << " bytes";
+  EXPECT_LT(bound, kElements * sizeof(OpEvent) / 4);
 }
 
 constexpr size_t kTrainKeys = 200000;

@@ -166,6 +166,95 @@ TEST(MergePermutation, KWayMergeEqualsSortMerge) {
   }
 }
 
+// --- Unit shards, merged then expanded ------------------------------------
+
+// Records request units into `units` -- scalar units, executed batch units
+// (some failed) and queue-shed batch units, with timestamps that tie within
+// and across workers -- and writes by hand the per-element shard they stand
+// for into `elements`: one event per element, consecutive seqs, each with
+// its own ok/rows.
+void RecordUnits(Rng* rng, uint32_t worker, size_t n, EventSink* units,
+                 EventStream* elements) {
+  std::vector<OpResult> results(32);
+  int64_t ts = static_cast<int64_t>(rng->NextBounded(4));
+  const auto append = [&](OpEvent e, bool ok, uint64_t rows) {
+    e.ok = ok;
+    e.rows = rows;
+    e.worker = worker;
+    e.seq = elements->size();
+    elements->push_back(e);
+  };
+  for (size_t i = 0; i < n; ++i) {
+    ts += static_cast<int64_t>(rng->NextBounded(2));
+    OpEvent proto;
+    proto.timestamp_nanos = ts;
+    proto.latency_nanos = static_cast<int64_t>(rng->NextBounded(50));
+    proto.issue_nanos = ts - proto.latency_nanos;
+    proto.phase = static_cast<int32_t>(rng->NextBounded(2));
+    proto.retries = static_cast<uint16_t>(rng->NextBounded(3));
+    const uint64_t kind = rng->NextBounded(4);
+    if (kind == 0) {
+      proto.ok = rng->NextBounded(2) == 0;
+      proto.rows = rng->NextBounded(8);
+      units->Record(proto);
+      append(proto, proto.ok, proto.rows);
+      continue;
+    }
+    proto.type = OpType::kBatchGet;
+    proto.batch = 2 + static_cast<uint32_t>(rng->NextBounded(31));
+    if (kind == 1) {
+      units->RecordQueueShed(proto);
+      proto.failed = true;
+      proto.queue_shed = true;
+      for (uint32_t j = 0; j < proto.batch; ++j) append(proto, false, 0);
+      continue;
+    }
+    proto.failed = kind == 2 && rng->NextBounded(2) == 0;
+    for (uint32_t j = 0; j < proto.batch; ++j) {
+      results[j].ok = rng->NextBounded(3) != 0;
+      results[j].rows = rng->NextBounded(1000);
+    }
+    units->RecordBatch(proto, results.data(), proto.batch);
+    for (uint32_t j = 0; j < proto.batch; ++j) {
+      append(proto, !proto.failed && results[j].ok, results[j].rows);
+    }
+  }
+}
+
+TEST(MergePermutation, UnitShardsExpandToTheMergedElementShards) {
+  constexpr uint32_t kShards = 4;
+  Rng rng(5002);
+  std::vector<UnitShard> unit_shards;
+  std::vector<EventStream> element_shards;
+  uint64_t elements = 0;
+  for (uint32_t w = 0; w < kShards; ++w) {
+    EventSink units(w);
+    EventStream per_element;
+    // Worker 2 records nothing: an empty shard merges too.
+    RecordUnits(&rng, w, w == 2 ? 0 : 24, &units, &per_element);
+    elements += units.recorded();
+    ASSERT_EQ(units.recorded(), per_element.size());
+    unit_shards.push_back(units.TakeUnits());
+    element_shards.push_back(std::move(per_element));
+  }
+  ASSERT_GT(elements, 4u * 24u);
+  const std::string reference =
+      SerializeEventStream(MergeEventShards(element_shards));
+  std::vector<std::vector<ElementOutcome>> outcomes;
+  for (const UnitShard& shard : unit_shards) {
+    outcomes.push_back(shard.outcomes);
+  }
+
+  ForEachPermutation(kShards, [&](const std::vector<size_t>& perm) {
+    std::vector<EventStream> permuted;
+    for (size_t idx : perm) permuted.push_back(unit_shards[idx].units);
+    const EventStream expanded = ExpandUnits(
+        MergeEventShards(std::move(permuted)), outcomes, elements);
+    EXPECT_EQ(reference, SerializeEventStream(expanded))
+        << "merging units then expanding changed the element stream";
+  });
+}
+
 TEST(MergePermutation, OutOfOrderShardAbortsTheMerge) {
   Rng rng(5001);
   std::vector<EventStream> shards;

@@ -111,6 +111,51 @@ TEST(QuantileTest, SelectionMatchesSortOracleBitForBit) {
   }
 }
 
+/// `values` with each value repeated `weight` times.
+std::vector<double> Expand(const std::vector<WeightedValue>& values) {
+  std::vector<double> expanded;
+  for (const WeightedValue& v : values) {
+    expanded.insert(expanded.end(), v.weight, v.value);
+  }
+  return expanded;
+}
+
+TEST(QuantileTest, WeightedMatchesExpandedListBitForBit) {
+  Rng rng(78);
+  const std::vector<double> qs = {0.0, 0.01, 0.5, 0.99, 1.0};
+  for (size_t n = 1; n <= 300; n += n < 20 ? 1 : 23) {
+    for (const bool scalar : {false, true}) {
+      // Few distinct values (ties inside and across units), weights from 1
+      // (a scalar unit) up to a 256-element batch unit.
+      std::vector<WeightedValue> values(n);
+      const uint64_t distinct = 1 + rng.NextBounded(n < 8 ? 4 : n / 4);
+      for (WeightedValue& v : values) {
+        v.value = static_cast<double>(rng.NextBounded(distinct)) * 1.375 + 0.1;
+        v.weight = scalar ? 1 : 1 + rng.NextBounded(256);
+      }
+      const std::vector<double> expanded = Expand(values);
+      std::vector<double> random_qs = qs;
+      random_qs.push_back(rng.NextDouble());
+      for (const double q : random_qs) {
+        EXPECT_EQ(Bits(WeightedQuantile(values, q)),
+                  Bits(Quantile(expanded, q)))
+            << "n=" << n << " scalar=" << scalar << " q=" << q;
+      }
+    }
+  }
+}
+
+TEST(QuantileTest, WeightedSingleUnitAndEmpty) {
+  EXPECT_EQ(WeightedQuantile({}, 0.5), 0.0);
+  for (const double q : {0.0, 0.99, 1.0}) {
+    EXPECT_EQ(Bits(WeightedQuantile({{7.5, 256}}, q)), Bits(7.5));
+    EXPECT_EQ(Bits(WeightedQuantile({{7.5, 1}}, q)), Bits(7.5));
+  }
+  // Two units: the 0.99 position falls inside the larger one.
+  EXPECT_EQ(WeightedQuantile({{1.0, 1}, {9.0, 99}}, 0.99), 9.0);
+  EXPECT_EQ(WeightedQuantile({{9.0, 1}, {1.0, 99}}, 0.0), 1.0);
+}
+
 TEST(BoxPlotTest, FiveNumberSummary) {
   const BoxPlotSummary s = ComputeBoxPlot({1, 2, 3, 4, 5, 6, 7, 8, 9});
   EXPECT_EQ(s.count, 9u);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -417,6 +418,35 @@ TEST(HistogramTest, NegativeValuesClampToZero) {
   h.Record(-5.0);
   EXPECT_DOUBLE_EQ(h.min(), 0.0);
   EXPECT_EQ(h.count(), 1u);
+}
+
+TEST(HistogramTest, RecordRepeatedMatchesSeparateRecordsBitForBit) {
+  Histogram repeated;
+  Histogram separate;
+  Rng rng(38);
+  for (int unit = 0; unit < 400; ++unit) {
+    // Fractional latencies, so the running sums round; zero repeats and
+    // negative (clamped) values too.
+    const double v = unit % 50 == 0 ? -3.0 : rng.NextDoubleInRange(0, 1e7);
+    const uint64_t k = unit % 7 == 0 ? 0 : 1 + rng.NextBounded(256);
+    const int bucket = Histogram::BucketFor(v);
+    repeated.RecordRepeated(v, bucket, k);
+    for (uint64_t i = 0; i < k; ++i) separate.RecordInBucket(v, bucket);
+  }
+  EXPECT_EQ(repeated.count(), separate.count());
+  const auto bits = [](double x) {
+    uint64_t b = 0;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+  };
+  EXPECT_EQ(bits(repeated.sum()), bits(separate.sum()));
+  EXPECT_EQ(bits(repeated.StdDev()), bits(separate.StdDev()));
+  EXPECT_EQ(bits(repeated.min()), bits(separate.min()));
+  EXPECT_EQ(bits(repeated.max()), bits(separate.max()));
+  for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(bits(repeated.Quantile(q)), bits(separate.Quantile(q)))
+        << "q=" << q;
+  }
 }
 
 TEST(HistogramTest, MergeEqualsCombinedRecording) {
