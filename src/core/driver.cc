@@ -436,8 +436,8 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
   // ---- Load ----
   // The driver calls Load once and never retries it, so any injected load
   // failure fails the run.
-  if (spec.faults.load_failures > 0) {
-    return Status::IoError("injected fault: load I/O error (attempt 1)");
+  if (spec.faults.fail_load) {
+    return Status::IoError("injected fault: load I/O error");
   }
   {
     Stopwatch watch(clock_);

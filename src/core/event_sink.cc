@@ -25,7 +25,7 @@ void EventSink::RecordOutcomesSlow(const OpResult* results, uint32_t count) {
   outcomes_.resize(used_outcomes_);
   outcomes_.reserve(std::max<size_t>((outcomes_.size() + count) * 2, 64));
   for (uint32_t i = 0; i < count; ++i) {
-    outcomes_.push_back(ElementOutcome{results[i].ok, results[i].rows});
+    outcomes_.push_back(MakeOutcome(results[i].ok, results[i].rows));
   }
   used_outcomes_ = outcomes_.size();
 }

@@ -23,7 +23,9 @@ namespace lsbench {
 /// resilience outcome); its `batch` is its element count and its `seq` the
 /// first element's seq, so the elements keep consecutive seqs. A scalar
 /// unit keeps its own ok/rows. An executed batch unit also keeps one
-/// ElementOutcome (ok, rows) per element, in a second arena. A queue-shed
+/// 8-byte ElementOutcome (ok, rows) per element, in a second arena; a
+/// `rows` above kMaxOutcomeRows saturates there, so a batch element's
+/// expanded `rows` does too (a scalar unit's stays exact). A queue-shed
 /// unit is one event: its elements all failed unexecuted. TakeUnits hands
 /// out the units and outcomes as they are; TakeEvents expands them into
 /// one event per element, the bytes a per-element sink would have
@@ -90,8 +92,7 @@ class EventSink {
     if (used_outcomes_ + count <= outcomes_.size()) {
       ElementOutcome* out = outcomes_.data() + used_outcomes_;
       for (uint32_t i = 0; i < count; ++i) {
-        out[i].ok = results[i].ok;
-        out[i].rows = results[i].rows;
+        out[i] = MakeOutcome(results[i].ok, results[i].rows);
       }
       used_outcomes_ += count;
     } else {

@@ -12,6 +12,13 @@ namespace lsbench {
 /// metric in LSBench is a pure function of a stream of these (plus phase
 /// boundaries), which keeps the metric layer deterministic and testable
 /// against synthetic streams.
+///
+/// Layout: the harness keeps one of these per element, so it is packed to
+/// 56 bytes with no padding — the five 8-byte fields, then the three 4-byte
+/// ones, `retries`, the one-byte `type`, and the six flags as one-bit
+/// fields in the last byte. Every member reads and assigns as a plain
+/// field, though a flag cannot be bound to a reference or have its address
+/// taken.
 struct OpEvent {
   int64_t timestamp_nanos = 0;  ///< Completion time (run-relative).
   /// Completion minus *intended arrival* — the response time. On open-loop
@@ -24,21 +31,13 @@ struct OpEvent {
   /// `issue_nanos - (timestamp_nanos - latency_nanos)` is the queue wait
   /// and `timestamp_nanos - issue_nanos` the service time.
   int64_t issue_nanos = 0;
-  int32_t phase = 0;
-  OpType type = OpType::kGet;
-  bool ok = false;
   uint64_t rows = 0;
-  // Resilience outcome (all zero on healthy runs).
-  uint16_t retries = 0;   ///< Retry attempts consumed by this operation.
-  bool failed = false;    ///< Operation ultimately failed (any cause).
-  bool timed_out = false; ///< Exceeded its per-op timeout budget.
-  bool shed = false;      ///< Dropped unexecuted by the open circuit breaker.
-  /// Dropped unexecuted by the admission queue's overload policy
-  /// ([service] mode). Distinct from `shed` (breaker) — both imply failed.
-  bool queue_shed = false;
-  /// Scheduled by an open-loop arrival process (latency is a response
-  /// time); false on closed-loop phases (latency is a service time).
-  bool open_loop = false;
+  // Provenance (multi-worker runs): which worker shard produced the event
+  // (`worker`) and its issue order within that shard (`seq`). Together with
+  // the timestamp they define the deterministic merge order (timestamp,
+  // worker, seq) — ties between workers never depend on thread scheduling.
+  uint64_t seq = 0;
+  int32_t phase = 0;
   /// Elements in the request unit this event belongs to: 1 for scalar ops,
   /// the batch size for every per-element event of a batch op. A batch is
   /// ONE request unit — its elements share one intended arrival, issue,
@@ -49,22 +48,49 @@ struct OpEvent {
   /// one event stands for the whole unit, and `batch` is its element
   /// count.
   uint32_t batch = 1;
-  // Provenance (multi-worker runs): which worker shard produced the event
-  // and its issue order within that shard. Together with the timestamp they
-  // define the deterministic merge order (timestamp, worker, seq) — ties
-  // between workers never depend on thread scheduling.
   uint32_t worker = 0;
-  uint64_t seq = 0;
+  uint16_t retries = 0;  ///< Retry attempts consumed by this operation.
+  OpType type = OpType::kGet;
+  bool ok : 1 = false;
+  // Resilience outcome, with `retries` (all zero on healthy runs).
+  bool failed : 1 = false;     ///< Operation ultimately failed (any cause).
+  bool timed_out : 1 = false;  ///< Exceeded its per-op timeout budget.
+  bool shed : 1 = false;  ///< Dropped unexecuted by the open circuit breaker.
+  /// Dropped unexecuted by the admission queue's overload policy
+  /// ([service] mode). Distinct from `shed` (breaker) — both imply failed.
+  bool queue_shed : 1 = false;
+  /// Scheduled by an open-loop arrival process (latency is a response
+  /// time); false on closed-loop phases (latency is a service time).
+  bool open_loop : 1 = false;
 };
+static_assert(sizeof(OpEvent) == 56, "OpEvent must stay packed");
+static_assert(sizeof(OpType) == 1, "OpEvent stores OpType in one byte");
+
+/// The largest row count an ElementOutcome holds; a larger one saturates
+/// to it. Every shipped SUT reports 0 or 1 row per batch element.
+inline constexpr uint64_t kMaxOutcomeRows = (uint64_t{1} << 63) - 1;
 
 /// One element's data-level outcome within an executed batch unit, as the
 /// SUT returned it. EventSink keeps one per element beside the unit's
 /// single event; expanding the unit gives element i `ok = !failed &&
-/// outcome.ok` and `rows = outcome.rows`.
+/// outcome.ok` and `rows = outcome.rows`. Packed into 8 bytes: `ok` in one
+/// bit and `rows` in 63 (build one with MakeOutcome, which saturates).
 struct ElementOutcome {
-  bool ok = false;
-  uint64_t rows = 0;
+  bool ok : 1 = false;
+  uint64_t rows : 63 = 0;
 };
+static_assert(sizeof(ElementOutcome) == 8, "ElementOutcome must stay packed");
+
+/// The ElementOutcome of one element: `rows` above kMaxOutcomeRows
+/// saturates to it.
+inline ElementOutcome MakeOutcome(bool ok, uint64_t rows) {
+  ElementOutcome outcome;
+  outcome.ok = ok;
+  // Both arms are provably below 2^63, so the 63-bit store is exact.
+  outcome.rows = rows >= kMaxOutcomeRows ? kMaxOutcomeRows
+                                         : (rows & kMaxOutcomeRows);
+  return outcome;
+}
 
 /// Elements in a request unit recorded as one event (EventSink's shards):
 /// its batch size, or 1 for a scalar op.

@@ -308,6 +308,11 @@ Status ShardAccumulation::Fold(const EventStream& shard, Weigh weigh) {
           "; events must be in (timestamp, worker, seq) order");
     }
     prev = &e;
+    if (e.latency_nanos < 0) {
+      return Status::InvalidArgument(
+          "event " + DescribeEvent(e) + " has negative latency " +
+          std::to_string(e.latency_nanos) + " ns");
+    }
     if (phase == nullptr || e.phase != phase_id) {
       const size_t idx = FindPhase(boundaries, e.phase);
       if (idx == boundaries.size()) {
@@ -350,7 +355,16 @@ Status ShardAccumulation::Fold(const EventStream& shard, Weigh weigh) {
         // delay, not a measurement of the SUT. Since issue >= intended
         // arrival, response >= service pointwise, so the p99 gap the
         // report prints — the coordinated-omission error — is nonnegative
-        // by construction.
+        // by construction. An event that breaks intended <= issue <=
+        // completion is refused: the histograms would bin its negative
+        // wait or service time as 0.
+        if (e.issue_nanos < intended || e.timestamp_nanos < e.issue_nanos) {
+          return Status::InvalidArgument(
+              "open-loop event " + DescribeEvent(e) + " has issue " +
+              std::to_string(e.issue_nanos) +
+              " ns outside [intended arrival " + std::to_string(intended) +
+              " ns, completion]");
+        }
         response_latency.RecordRepeated(latency_value, bucket, k);
         const double service =
             static_cast<double>(e.timestamp_nanos - e.issue_nanos);

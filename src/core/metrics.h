@@ -291,8 +291,10 @@ struct ShardAccumulation {
   /// Folds one shard of per-element events: a worker's, or a merged
   /// stream. Returns a located error, naming the event's worker, seq and
   /// timestamp, when an event sorts before its predecessor by (timestamp,
-  /// worker, seq), or when its phase has no boundary. Events folded before
-  /// the error stay counted.
+  /// worker, seq), when its phase has no boundary, when its latency is
+  /// negative, or when it is an executed open-loop event that breaks
+  /// intended arrival <= issue <= completion (the histograms would bin a
+  /// negative time as 0). Events folded before the error stay counted.
   Status Accumulate(const EventStream& shard);
 
   /// Folds one worker's request units, each weighted by its element

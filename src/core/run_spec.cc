@@ -429,7 +429,7 @@ uint64_t RunSpec::StructuralHash() const {
     }
   }
   h = MixHash(h, faults.seed);
-  h = MixHash(h, faults.load_failures);
+  h = MixHash(h, faults.fail_load ? 1 : 0);
   for (const FaultWindow& w : faults.windows) {
     h = MixHash(h, static_cast<uint64_t>(static_cast<int64_t>(w.phase)));
     h = MixHash(h, HashDouble(w.execute_fail_rate));

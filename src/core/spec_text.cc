@@ -321,7 +321,7 @@ void Fields(A& a, PhaseSpec& p) {
 template <class A>
 void Fields(A& a, FaultPlan& f) {
   a("seed", f.seed, kU64, FaultPlan().seed);
-  a("load_failures", f.load_failures, kU32, uint32_t{0});
+  a("fail_load", f.fail_load, kBool, false);
 }
 
 template <class A>
@@ -530,6 +530,13 @@ Result<ParsedSpec> ParseRunSpecText(const std::string& text) {
       case Section::kObservability: Fields(archive, spec.observability); break;
       case Section::kService: Fields(archive, spec.service); break;
       case Section::kDrift: Fields(archive, spec.drift); break;
+    }
+    if (archive.field == nullptr && section == Section::kFaults &&
+        key == "load_failures") {
+      // The driver loads once, so a count of load failures only ever
+      // meant "fail the load".
+      return AtLine(line_no, "unknown [faults] key 'load_failures'; use "
+                             "fail_load = true|false");
     }
     if (archive.field == nullptr) {
       return AtLine(line_no, "unknown " + std::string(kHeaders[static_cast<int>(

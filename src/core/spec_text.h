@@ -70,7 +70,7 @@ namespace lsbench {
 /// ```
 /// [faults]                   # one section per fault window
 /// seed = 77                  # plan-level: seeds the injector's RNG
-/// load_failures = 0          # plan-level: first N Load calls fail
+/// fail_load = false          # plan-level: true fails the run's one Load
 /// phase = -1                 # -1 = every phase; exact match wins
 /// execute_fail_rate = 0.01   # P(injected transient Execute failure)
 /// execute_fail_code = unavailable  # unavailable|timeout|

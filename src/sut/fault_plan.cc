@@ -13,7 +13,7 @@ bool operator==(const FaultWindow& a, const FaultWindow& b) {
 }
 
 bool operator==(const FaultPlan& a, const FaultPlan& b) {
-  return a.seed == b.seed && a.load_failures == b.load_failures &&
+  return a.seed == b.seed && a.fail_load == b.fail_load &&
          a.windows == b.windows;
 }
 

@@ -43,12 +43,12 @@ bool operator==(const FaultWindow& a, const FaultWindow& b);
 /// under VirtualClock simulation.
 struct FaultPlan {
   uint64_t seed = 0x5eedfa17u;
-  /// Any value above 0 fails the run's one Load call with an injected I/O
-  /// error (the driver never retries Load), so the SUT is never loaded.
-  uint32_t load_failures = 0;
+  /// Fails the run's one Load call with an injected I/O error (the driver
+  /// never retries Load), so the SUT is never loaded.
+  bool fail_load = false;
   std::vector<FaultWindow> windows;
 
-  bool Empty() const { return windows.empty() && load_failures == 0; }
+  bool Empty() const { return windows.empty() && !fail_load; }
 
   /// The active window for `phase`, or nullptr when none matches.
   const FaultWindow* WindowForPhase(int phase) const;

@@ -93,10 +93,14 @@ HotSpotAccess::HotSpotAccess(double hot_fraction, double hot_probability,
 }
 
 std::string HotSpotAccess::name() const {
-  std::string out = "hotspot(" + FormatDouble(hot_fraction_, 2) + "," +
-                    FormatDouble(hot_probability_, 2);
-  if (hot_start_ > 0.0) out += "," + FormatDouble(hot_start_, 2);
-  return out + ")";
+  // Appended piecewise: GCC 12's -Wrestrict misfires on the `"(" + s`
+  // form in an optimized build, which fails -DLSBENCH_WERROR=ON.
+  std::string out = "hotspot(";
+  out.append(FormatDouble(hot_fraction_, 2))
+      .append(",")
+      .append(FormatDouble(hot_probability_, 2));
+  if (hot_start_ > 0.0) out.append(",").append(FormatDouble(hot_start_, 2));
+  return out.append(")");
 }
 
 uint64_t HotSpotAccess::NextRank(Rng* rng, uint64_t population) {

@@ -10,8 +10,9 @@ namespace lsbench {
 
 /// The operation vocabulary of LSBench workloads: YCSB-style point/write ops
 /// plus two range flavors that exercise scans and analytic aggregation
-/// (where cardinality estimation and access-path choice matter).
-enum class OpType {
+/// (where cardinality estimation and access-path choice matter). Stored in
+/// one byte: every recorded OpEvent carries one.
+enum class OpType : uint8_t {
   kGet = 0,
   kScan,        ///< Ordered scan of `scan_length` entries from `key`.
   kInsert,      ///< Insert a (usually new) key.

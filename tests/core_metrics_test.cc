@@ -303,6 +303,106 @@ TEST(RunMetricsTest, FoldRejectsOutOfOrderEvents) {
             "(timestamp, worker, seq) order");
 }
 
+/// An executed open-loop element of worker 3, seq 5: intended arrival at
+/// 2 ms, issued at 6 ms, completed at 10 ms.
+OpEvent OpenLoopElement() {
+  OpEvent e;
+  e.timestamp_nanos = 10 * kMilli;
+  e.latency_nanos = 8 * kMilli;
+  e.issue_nanos = 6 * kMilli;
+  e.open_loop = true;
+  e.ok = true;
+  e.worker = 3;
+  e.seq = 5;
+  return e;
+}
+
+/// The statuses of folding `e` as a one-element stream (Accumulate) and
+/// as a unit of four elements (AccumulateUnits), with their outcomes
+/// unless it was shed.
+std::vector<Status> FoldAsElementAndUnit(const OpEvent& e) {
+  std::vector<PhaseBoundary> boundaries(1);
+  boundaries[0] = {0, 0, kSecond, false, 5};
+  ShardAccumulation elements(boundaries, MetricsOptions(), kMilli);
+  ShardAccumulation units(boundaries, MetricsOptions(), kMilli);
+  UnitShard shard;
+  shard.units.push_back(e);
+  shard.units[0].batch = 4;
+  if (UnitHasOutcomes(shard.units[0])) {
+    shard.outcomes.assign(4, MakeOutcome(true, 1));
+  }
+  return {elements.Accumulate(EventStream{e}), units.AccumulateUnits(shard)};
+}
+
+TEST(RunMetricsTest, FoldAcceptsOpenLoopTimesInOrder) {
+  OpEvent e = OpenLoopElement();
+  for (const Status& status : FoldAsElementAndUnit(e)) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  // Issue at the arrival (no wait) and at the completion (no service).
+  e.issue_nanos = 2 * kMilli;
+  for (const Status& status : FoldAsElementAndUnit(e)) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  e.issue_nanos = 10 * kMilli;
+  for (const Status& status : FoldAsElementAndUnit(e)) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+}
+
+TEST(RunMetricsTest, FoldRejectsIssueBeforeIntendedArrival) {
+  OpEvent e = OpenLoopElement();
+  e.issue_nanos = kMilli;
+  for (const Status& status : FoldAsElementAndUnit(e)) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.message(),
+              "open-loop event worker 3 seq 5 at t=10000000 ns has issue "
+              "1000000 ns outside [intended arrival 2000000 ns, "
+              "completion]");
+  }
+}
+
+TEST(RunMetricsTest, FoldRejectsIssueAfterCompletion) {
+  OpEvent e = OpenLoopElement();
+  e.issue_nanos = 11 * kMilli;
+  for (const Status& status : FoldAsElementAndUnit(e)) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.message(),
+              "open-loop event worker 3 seq 5 at t=10000000 ns has issue "
+              "11000000 ns outside [intended arrival 2000000 ns, "
+              "completion]");
+  }
+}
+
+TEST(RunMetricsTest, FoldRejectsNegativeLatency) {
+  OpEvent e = OpenLoopElement();
+  e.open_loop = false;
+  e.latency_nanos = -1;
+  for (const Status& status : FoldAsElementAndUnit(e)) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.message(),
+              "event worker 3 seq 5 at t=10000000 ns has negative latency "
+              "-1 ns");
+  }
+}
+
+TEST(RunMetricsTest, FoldIgnoresIssueOfClosedLoopAndShedEvents) {
+  // The fold never reads a closed-loop event's issue, nor a queue-shed
+  // one's (it was never executed).
+  OpEvent e = OpenLoopElement();
+  e.issue_nanos = 11 * kMilli;
+  e.open_loop = false;
+  for (const Status& status : FoldAsElementAndUnit(e)) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  e.open_loop = true;
+  e.queue_shed = true;
+  e.failed = true;
+  for (const Status& status : FoldAsElementAndUnit(e)) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+}
+
 TEST(RunMetricsTest, EmptyRun) {
   const RunMetrics m = ComputeRunMetrics({}, {}, MetricsOptions());
   EXPECT_EQ(m.total_operations, 0u);

@@ -21,7 +21,7 @@ Dataset MakeDataset(size_t num_keys = 20000, uint64_t seed = 7) {
 PhaseSpec HotspotPhase(double hot_start, double get = 0.8,
                        double update = 0.2) {
   PhaseSpec phase;
-  phase.name = "p";
+  phase.name = std::string(1, 'p');  // `= "p"` trips GCC 12 -Wrestrict
   phase.mix.get = get;
   phase.mix.update = update;
   phase.access = AccessPattern::kHotSpot;

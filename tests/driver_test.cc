@@ -371,7 +371,7 @@ TEST_F(DriverTest, LoadFailureProducesCleanError) {
   BenchmarkDriver driver(&clock, options);
   BTreeSystem sut;
   RunSpec spec = MakeTwoPhaseSpec(20);
-  spec.faults.load_failures = 1;  // The single Load call fails.
+  spec.faults.fail_load = true;  // The single Load call fails.
 
   const Result<RunResult> result = driver.Run(spec, &sut);
   ASSERT_FALSE(result.ok());
@@ -379,7 +379,7 @@ TEST_F(DriverTest, LoadFailureProducesCleanError) {
 
   // The failed run leaves no partial state: with the fault removed, the
   // same driver reruns the spec to a full event stream.
-  spec.faults.load_failures = 0;
+  spec.faults.fail_load = false;
   const Result<RunResult> retry = driver.Run(spec, &sut);
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
   EXPECT_EQ(retry.value().events.size(), 4000u);

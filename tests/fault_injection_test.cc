@@ -130,9 +130,9 @@ TEST(FaultPlanTest, EmptyAndWindowLookup) {
   EXPECT_EQ(plan.WindowForPhase(2)->execute_fail_rate, 0.5);
 }
 
-TEST(FaultPlanTest, LoadFailuresAloneMakePlanNonEmpty) {
+TEST(FaultPlanTest, FailLoadAloneMakesPlanNonEmpty) {
   FaultPlan plan;
-  plan.load_failures = 1;
+  plan.fail_load = true;
   EXPECT_FALSE(plan.Empty());
 }
 
@@ -267,9 +267,9 @@ TEST(FaultInjectionTest, LatencySpikesAndStallsAdvanceVirtualClock) {
   EXPECT_EQ(stalling.stats().injected_spikes, 0u);
 }
 
-TEST(FaultInjectionTest, LoadFailuresFailTheRunWithoutLoading) {
+TEST(FaultInjectionTest, FailLoadFailsTheRunWithoutLoading) {
   RunSpec spec = SmallSpec(100);
-  spec.faults.load_failures = 2;
+  spec.faults.fail_load = true;
   RecordingSut sut;
   const Result<RunResult> result = RunSimulated(spec, &sut);
   ASSERT_FALSE(result.ok());

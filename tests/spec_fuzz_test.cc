@@ -358,7 +358,7 @@ seed = 9
 
 [faults]
 seed = 11
-load_failures = 1
+fail_load = true
 phase = 0
 execute_fail_rate = 0.01
 execute_fail_code = timeout

@@ -279,7 +279,7 @@ mix = get:1.0
 
 [faults]
 seed = 777
-load_failures = 2
+fail_load = true
 phase = -1
 latency_spike_rate = 0.01
 latency_spike_us = 1500
@@ -313,7 +313,7 @@ TEST(SpecTextTest, ParsesFaultsAndResilience) {
   const ParsedSpec& spec = result.value();
 
   EXPECT_EQ(spec.faults.seed, 777u);
-  EXPECT_EQ(spec.faults.load_failures, 2u);
+  EXPECT_TRUE(spec.faults.fail_load);
   ASSERT_EQ(spec.faults.windows.size(), 2u);
   const FaultWindow& wildcard = spec.faults.windows[0];
   EXPECT_EQ(wildcard.phase, -1);
@@ -362,12 +362,12 @@ TEST(SpecTextTest, PlanKeysWithoutWindowsRoundTrip) {
   const ParsedSpec parsed =
       ParseRunSpecText(
           "[dataset]\nnum_keys = 100\n[phase]\nops = 10\n"
-          "[faults]\nseed = 5\nload_failures = 1\n")
+          "[faults]\nseed = 5\nfail_load = true\n")
           .value();
   EXPECT_TRUE(parsed.faults.windows.empty());
   EXPECT_EQ(parsed.faults.seed, 5u);
   const std::string rendered = RenderRunSpecText(parsed).value();
-  EXPECT_NE(rendered.find("\n[faults]\nseed = 5\nload_failures = 1\n"),
+  EXPECT_NE(rendered.find("\n[faults]\nseed = 5\nfail_load = true\n"),
             std::string::npos)
       << rendered;
   EXPECT_TRUE(ParseRunSpecText(rendered).value().faults == parsed.faults);
@@ -396,6 +396,15 @@ TEST(SpecTextTest, RejectsBadFaultValues) {
                   .status()
                   .IsInvalidArgument());
   EXPECT_TRUE(ParseRunSpecText(base + "[resilience]\nshields = up\n")
+                  .status()
+                  .IsInvalidArgument());
+  // The retired load-failure count names the key that replaced it.
+  EXPECT_EQ(ParseRunSpecText(base + "[faults]\nload_failures = 1\n")
+                .status()
+                .message(),
+            "line 7: unknown [faults] key 'load_failures'; use fail_load = "
+            "true|false");
+  EXPECT_TRUE(ParseRunSpecText(base + "[faults]\nfail_load = 2\n")
                   .status()
                   .IsInvalidArgument());
   // Validate() rejects out-of-range rates and windows for missing phases.
