@@ -369,6 +369,23 @@ Status AuditUnitAccounting(const std::vector<ShardAccumulation>& worker_folds,
   return Status::OK();
 }
 
+Status AuditRegistryCounters(const MetricsSnapshot& metrics, uint64_t units,
+                             uint64_t elements) {
+  const auto check = [&metrics](const std::string& name, uint64_t folded,
+                                const char* what) {
+    uint64_t counted = 0;
+    for (const auto& [metric, value] : metrics.counters) {
+      if (metric == name) counted = value;
+    }
+    if (counted == folded) return Status::OK();
+    return Status::Internal("counter " + name + " = " +
+                            std::to_string(counted) + ", but the folds count " +
+                            std::to_string(folded) + " " + what);
+  };
+  LSBENCH_RETURN_IF_ERROR(check("stream.ops_issued", units, "request units"));
+  return check("sink.events_recorded", elements, "elements");
+}
+
 uint64_t WorkerShare(uint64_t total, uint32_t workers, uint32_t worker) {
   LSBENCH_ASSERT(workers > 0 && worker < workers);
   return total / workers + (worker < total % workers ? 1 : 0);
@@ -687,16 +704,16 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
   }
   int64_t metrics_nanos = metrics_watch.ElapsedNanos();
 
+  // The merged units get room for every element, so ExpandUnits writes
+  // them in place instead of beside a copy of the units.
   Stopwatch merge_watch(clock_);
   std::vector<EventStream> unit_shards;
-  std::vector<std::vector<ElementOutcome>> outcomes;
   unit_shards.reserve(workers);
-  outcomes.reserve(workers);
   for (UnitShard& shard : shards) {
     unit_shards.push_back(std::move(shard.units));
-    outcomes.push_back(std::move(shard.outcomes));
   }
-  EventStream units = MergeEventShards(std::move(unit_shards));
+  EventStream units =
+      MergeEventShards(std::move(unit_shards), run_fold.operations);
   int64_t merge_nanos = merge_watch.ElapsedNanos();
 
   metrics_watch.Restart();
@@ -706,9 +723,8 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
   metrics_nanos += metrics_watch.ElapsedNanos();
 
   merge_watch.Restart();
-  result.events =
-      ExpandUnits(std::move(units), outcomes, run_fold.operations);
-  outcomes = {};
+  result.events = ExpandUnits(std::move(units), std::move(shards),
+                              run_fold.operations);
   merge_nanos += merge_watch.ElapsedNanos();
   if (driver_obs != nullptr) {
     driver_obs->profiler.set_phase(PhaseStageBreakdown::kRunLevelPhase);
@@ -759,6 +775,12 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
     if (obs_spec.metrics) {
       LSBENCH_ASSIGN_OR_RETURN(result.observability.metrics,
                                MergeMetricsShards(metric_shards));
+      uint64_t run_units = 0;
+      for (const PhaseAccumulation& phase : run_fold.phases) {
+        run_units += phase.units;
+      }
+      LSBENCH_RETURN_IF_ERROR(AuditRegistryCounters(
+          result.observability.metrics, run_units, run_fold.operations));
     }
   }
   return result;

@@ -19,16 +19,14 @@ void EventSink::RecordUnitSlow(const OpEvent& unit) {
 }
 
 // lsbench-deepcheck: allow(hot-alloc, hot-throw)
-void EventSink::RecordOutcomesSlow(const OpResult* results, uint32_t count) {
+void EventSink::GrowOutcomes(uint32_t count) {
   // Only reached when a worker drew more batch elements than the driver's
   // expected count plus margin (ExpectedBatchElements).
-  outcomes_.resize(used_outcomes_);
-  outcomes_.reserve(std::max<size_t>((outcomes_.size() + count) * 2, 64));
-  for (uint32_t i = 0; i < count; ++i) {
-    outcomes_.push_back(MakeOutcome(results[i].ok, results[i].rows));
-  }
-  used_outcomes_ = outcomes_.size();
+  outcomes_.resize(std::max<size_t>((used_outcomes_ + count) * 2, 64));
 }
+
+// lsbench-deepcheck: allow(hot-alloc, hot-throw)
+void EventSink::RecordWideRows(uint64_t rows) { wide_rows_.push_back(rows); }
 
 UnitShard EventSink::TakeUnits() {
   units_.resize(used_units_);
@@ -36,74 +34,87 @@ UnitShard EventSink::TakeUnits() {
   used_units_ = 0;
   used_outcomes_ = 0;
   elements_ = 0;
-  return UnitShard{std::move(units_), std::move(outcomes_)};
+  return UnitShard{std::move(units_), std::move(outcomes_),
+                   std::move(wide_rows_)};
 }
-
-namespace {
-
-/// Appends `unit`'s elements to `out`. A unit that keeps outcomes reads
-/// them from `*outcome` on, and moves `*outcome` past them.
-void AppendElements(const OpEvent& unit, const ElementOutcome** outcome,
-                    EventStream* out) {
-  if (unit.batch <= 1) {
-    out->push_back(unit);
-    return;
-  }
-  OpEvent element = unit;
-  if (unit.queue_shed) {
-    for (uint32_t i = 0; i < unit.batch; ++i) {
-      element.seq = unit.seq + i;
-      out->push_back(element);
-    }
-    return;
-  }
-  const ElementOutcome* results = *outcome;
-  for (uint32_t i = 0; i < unit.batch; ++i) {
-    element.ok = !unit.failed && results[i].ok;
-    element.rows = results[i].rows;
-    element.seq = unit.seq + i;
-    out->push_back(element);
-  }
-  *outcome += unit.batch;
-}
-
-}  // namespace
 
 EventStream EventSink::TakeEvents() {
   const size_t elements = elements_;
   UnitShard shard = TakeUnits();
-  std::vector<std::vector<ElementOutcome>> outcomes(worker_ + size_t{1});
-  outcomes[worker_] = std::move(shard.outcomes);
-  return ExpandUnits(std::move(shard.units), outcomes, elements);
+  EventStream units = std::move(shard.units);
+  std::vector<UnitShard> shards(worker_ + size_t{1});
+  shards[worker_] = std::move(shard);
+  return ExpandUnits(std::move(units), std::move(shards), elements);
 }
 
-EventStream ExpandUnits(
-    EventStream units, const std::vector<std::vector<ElementOutcome>>& outcomes,
-    uint64_t elements) {
-  if (elements == units.size()) return units;
-  std::vector<const ElementOutcome*> cursor(outcomes.size());
-  for (size_t w = 0; w < outcomes.size(); ++w) cursor[w] = outcomes[w].data();
-  EventStream events;
-  events.reserve(elements);
-  for (const OpEvent& unit : units) {
-    LSBENCH_ASSERT_MSG(unit.worker < outcomes.size(),
-                       "ExpandUnits: a unit's worker has no outcome array");
-    const std::vector<ElementOutcome>& own = outcomes[unit.worker];
-    LSBENCH_ASSERT_MSG(
-        !UnitHasOutcomes(unit) ||
-            unit.batch <= static_cast<size_t>(own.data() + own.size() -
-                                              cursor[unit.worker]),
-        "ExpandUnits: a unit keeps more outcomes than its worker recorded");
-    AppendElements(unit, &cursor[unit.worker], &events);
-  }
-  LSBENCH_ASSERT_MSG(events.size() == elements,
+EventStream ExpandUnits(EventStream units, std::vector<UnitShard> shards,
+                        uint64_t elements) {
+  const size_t count = units.size();
+  if (elements == count) return units;
+  LSBENCH_ASSERT_MSG(elements > count,
                      "ExpandUnits: the units carry a different element count");
-  return events;
+  units.reserve(elements);
+  units.resize(elements);
+  // Back to front: `end` is where the elements of the units not yet
+  // expanded end. Unit i's elements start at end - k >= i, and each unit
+  // is copied out before its own elements are written, possibly over it.
+  size_t end = elements;
+  for (size_t i = count; i-- > 0;) {
+    const OpEvent unit = units[i];
+    const uint32_t k = UnitElements(unit);
+    LSBENCH_ASSERT_MSG(end - i >= k,
+                       "ExpandUnits: the units carry a different element "
+                       "count");
+    end -= k;
+    OpEvent* out = units.data() + end;
+    if (unit.batch <= 1) {
+      out[0] = unit;
+      continue;
+    }
+    if (unit.queue_shed) {
+      for (uint32_t j = 0; j < k; ++j) {
+        out[j] = unit;
+        out[j].seq = unit.seq + j;
+      }
+      continue;
+    }
+    LSBENCH_ASSERT_MSG(unit.worker < shards.size(),
+                       "ExpandUnits: a unit's worker has no outcome array");
+    UnitShard& own = shards[unit.worker];
+    LSBENCH_ASSERT_MSG(
+        k <= own.outcomes.size(),
+        "ExpandUnits: a unit keeps more outcomes than its worker recorded");
+    const size_t first = own.outcomes.size() - k;
+    const ElementOutcome* results = own.outcomes.data() + first;
+    for (uint32_t j = k; j-- > 0;) {
+      OpEvent& element = out[j];
+      element = unit;
+      element.ok = !unit.failed && results[j].ok;
+      element.seq = unit.seq + j;
+      if (results[j].rows != kRowsEscape) {
+        element.rows = results[j].rows;
+        continue;
+      }
+      LSBENCH_ASSERT_MSG(!own.wide_rows.empty(),
+                         "ExpandUnits: an outcome escapes, but its worker "
+                         "kept no wide rows for it");
+      element.rows = own.wide_rows.back();
+      own.wide_rows.pop_back();
+    }
+    own.outcomes.resize(first);
+  }
+  LSBENCH_ASSERT_MSG(end == 0,
+                     "ExpandUnits: the units carry a different element count");
+  return units;
 }
 
-EventStream MergeEventShards(std::vector<EventStream> shards) {
+EventStream MergeEventShards(std::vector<EventStream> shards,
+                             size_t capacity) {
   if (shards.empty()) return {};
-  if (shards.size() == 1) return std::move(shards[0]);
+  if (shards.size() == 1) {
+    shards[0].reserve(capacity);
+    return std::move(shards[0]);
+  }
 
   // A k-way merge: a min-heap holds each unfinished shard's next event
   // (ties between shards broken by shard index, so equal keys still merge
@@ -131,7 +142,7 @@ EventStream MergeEventShards(std::vector<EventStream> shards) {
   std::make_heap(heap.begin(), heap.end(), after);
 
   EventStream merged;
-  merged.reserve(total);
+  merged.reserve(std::max(total, capacity));
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), after);
     Head& head = heap.back();

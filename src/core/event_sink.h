@@ -23,11 +23,12 @@ namespace lsbench {
 /// resilience outcome); its `batch` is its element count and its `seq` the
 /// first element's seq, so the elements keep consecutive seqs. A scalar
 /// unit keeps its own ok/rows. An executed batch unit also keeps one
-/// 8-byte ElementOutcome (ok, rows) per element, in a second arena; a
-/// `rows` above kMaxOutcomeRows saturates there, so a batch element's
-/// expanded `rows` does too (a scalar unit's stays exact). A queue-shed
-/// unit is one event: its elements all failed unexecuted. TakeUnits hands
-/// out the units and outcomes as they are; TakeEvents expands them into
+/// one-byte ElementOutcome (ok, rows) per element, in a second arena; an
+/// element whose rows do not fit in the byte's 7 bits stores kRowsEscape
+/// there and its exact rows in a third, unreserved vector of wide rows,
+/// so every element's expanded `rows` is exact. A queue-shed unit is one
+/// event: its elements all failed unexecuted. TakeUnits hands out the
+/// units, outcomes and wide rows as they are; TakeEvents expands them into
 /// one event per element, the bytes a per-element sink would have
 /// recorded.
 class EventSink {
@@ -89,15 +90,14 @@ class EventSink {
     LSBENCH_PROFILE_STAGE(profiler_, Stage::kRecord);
     if (events_recorded_ != nullptr) events_recorded_->Increment(count);
     AppendUnit(unit, count);
-    if (used_outcomes_ + count <= outcomes_.size()) {
-      ElementOutcome* out = outcomes_.data() + used_outcomes_;
-      for (uint32_t i = 0; i < count; ++i) {
-        out[i] = MakeOutcome(results[i].ok, results[i].rows);
-      }
-      used_outcomes_ += count;
-    } else {
-      RecordOutcomesSlow(results, count);
+    if (used_outcomes_ + count > outcomes_.size()) GrowOutcomes(count);
+    ElementOutcome* out = outcomes_.data() + used_outcomes_;
+    for (uint32_t i = 0; i < count; ++i) {
+      const uint64_t rows = results[i].rows;
+      out[i] = MakeOutcome(results[i].ok, rows);
+      if (rows >= kRowsEscape) RecordWideRows(rows);
     }
+    used_outcomes_ += count;
   }
 
   /// Records one request unit the admission queue shed: one event for its
@@ -130,8 +130,8 @@ class EventSink {
   /// Elements recorded so far, summed over the units.
   size_t recorded() const { return elements_; }
 
-  /// Moves the units and outcomes out, trimmed to what was recorded (the
-  /// sink is spent afterwards).
+  /// Moves the units, outcomes and wide rows out, trimmed to what was
+  /// recorded (the sink is spent afterwards).
   UnitShard TakeUnits();
 
   /// Moves the shard out as one event per element, in record order: each
@@ -154,10 +154,14 @@ class EventSink {
     }
   }
 
-  /// Cold paths: an arena is full. They grow it (allocate); out of line so
-  /// the hot-alloc frontier is these functions, not the record calls.
+  /// Cold paths: an arena is full, or an element's rows escape. They
+  /// allocate; out of line so the hot-alloc frontier is these functions,
+  /// not the record calls.
   void RecordUnitSlow(const OpEvent& unit);
-  void RecordOutcomesSlow(const OpResult* results, uint32_t count);
+  /// Makes room in the outcome arena for `count` more outcomes.
+  void GrowOutcomes(uint32_t count);
+  /// Keeps the exact `rows` of an element whose outcome escapes.
+  void RecordWideRows(uint64_t rows);
 
   uint32_t worker_;
   uint64_t next_seq_ = 0;
@@ -168,6 +172,8 @@ class EventSink {
   size_t used_units_ = 0;
   std::vector<ElementOutcome> outcomes_;
   size_t used_outcomes_ = 0;
+  /// Not an arena: holds exactly the escaped rows recorded, in order.
+  std::vector<uint64_t> wide_rows_;
 
   // Observability hooks (null = disabled).
   StageProfiler* profiler_ = nullptr;
@@ -190,17 +196,27 @@ class EventSink {
 /// re-sorting it. The driver checks each shard's order first and fails the
 /// run with a located error instead. A single shard passes through
 /// unchanged and unchecked.
-EventStream MergeEventShards(std::vector<EventStream> shards);
+///
+/// The result has room for at least `capacity` events, so that
+/// ExpandUnits can expand merged units in place: pass the element count.
+EventStream MergeEventShards(std::vector<EventStream> shards,
+                             size_t capacity = 0);
 
 /// Expands a stream of request units (merged by MergeEventShards, or one
 /// worker's) into one event per element, in the same order. Each unit
-/// that keeps outcomes reads them from `outcomes[unit.worker]`, where a
-/// per-worker cursor moves on in that worker's record order. `elements` is
-/// the stream's element count (the sum of UnitElements); the result is
-/// written once at that exact size. When every unit is one element,
-/// `units` itself is returned.
-EventStream ExpandUnits(EventStream units,
-                        const std::vector<std::vector<ElementOutcome>>& outcomes,
+/// that keeps outcomes reads them, and the wide rows of those that escape,
+/// from `shards[unit.worker]`, whose units are not read. `elements` is the
+/// stream's element count (the sum of UnitElements). When every unit is
+/// one element, `units` itself is returned.
+///
+/// The elements are written in place, back to front, into `units`' own
+/// buffer: unit i's elements start at an offset of at least i, so no unit
+/// is overwritten before it is read. The shards' outcome and wide-row
+/// arrays are the cursors: each unit takes its outcomes from the end of
+/// its worker's array and shrinks it. When `units` has room for the
+/// elements, nothing is allocated; otherwise its buffer is first grown to
+/// the exact element count.
+EventStream ExpandUnits(EventStream units, std::vector<UnitShard> shards,
                         uint64_t elements);
 
 /// Canonical one-line-per-event text form of a merged stream. Two runs

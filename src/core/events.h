@@ -66,29 +66,34 @@ struct OpEvent {
 static_assert(sizeof(OpEvent) == 56, "OpEvent must stay packed");
 static_assert(sizeof(OpType) == 1, "OpEvent stores OpType in one byte");
 
-/// The largest row count an ElementOutcome holds; a larger one saturates
-/// to it. Every shipped SUT reports 0 or 1 row per batch element.
-inline constexpr uint64_t kMaxOutcomeRows = (uint64_t{1} << 63) - 1;
+/// The `rows` value an ElementOutcome keeps for an element whose rows do
+/// not fit in its 7 bits: that element's exact rows are the next entry of
+/// its worker's wide rows (UnitShard::wide_rows), which hold them in record
+/// order. Every shipped SUT reports 0 or 1 row per batch element, so a run
+/// never takes the escape.
+inline constexpr uint8_t kRowsEscape = 127;
 
 /// One element's data-level outcome within an executed batch unit, as the
 /// SUT returned it. EventSink keeps one per element beside the unit's
 /// single event; expanding the unit gives element i `ok = !failed &&
-/// outcome.ok` and `rows = outcome.rows`. Packed into 8 bytes: `ok` in one
-/// bit and `rows` in 63 (build one with MakeOutcome, which saturates).
+/// outcome.ok` and its exact rows. Packed into one byte: `ok` in one bit
+/// and `rows` in seven, where kRowsEscape stands for a row count kept
+/// aside (build one with MakeOutcome).
 struct ElementOutcome {
   bool ok : 1 = false;
-  uint64_t rows : 63 = 0;
+  uint8_t rows : 7 = 0;
 };
-static_assert(sizeof(ElementOutcome) == 8, "ElementOutcome must stay packed");
+static_assert(sizeof(ElementOutcome) == 1, "ElementOutcome must stay packed");
 
-/// The ElementOutcome of one element: `rows` above kMaxOutcomeRows
-/// saturates to it.
+/// The ElementOutcome of one element: `rows` from kRowsEscape up is stored
+/// as kRowsEscape, and its exact value must be kept in the wide rows.
 inline ElementOutcome MakeOutcome(bool ok, uint64_t rows) {
   ElementOutcome outcome;
   outcome.ok = ok;
-  // Both arms are provably below 2^63, so the 63-bit store is exact.
-  outcome.rows = rows >= kMaxOutcomeRows ? kMaxOutcomeRows
-                                         : (rows & kMaxOutcomeRows);
+  // The mask makes the 7-bit store provably exact.
+  outcome.rows =
+      static_cast<uint8_t>(rows < kRowsEscape ? rows : kRowsEscape) &
+      kRowsEscape;
   return outcome;
 }
 
@@ -142,11 +147,13 @@ using EventStream = std::vector<OpEvent>;
 
 /// One worker's recorded request units (EventSink::TakeUnits): one event
 /// per unit, whose `batch` is its element count and whose `seq` is its
-/// first element's seq, and the ElementOutcomes of the units that keep
-/// them (UnitHasOutcomes), in record order.
+/// first element's seq, the ElementOutcomes of the units that keep them
+/// (UnitHasOutcomes), and the exact rows of the outcomes that escape
+/// (kRowsEscape), each in record order.
 struct UnitShard {
   EventStream units;
   std::vector<ElementOutcome> outcomes;
+  std::vector<uint64_t> wide_rows;
 };
 
 }  // namespace lsbench

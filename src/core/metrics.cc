@@ -487,6 +487,7 @@ void ShardAccumulation::Merge(const ShardAccumulation& other) {
   for (size_t p = 0; p < phases.size(); ++p) {
     PhaseAccumulation& phase = phases[p];
     const PhaseAccumulation& add = other.phases[p];
+    phase.units += add.units;
     phase.operations += add.operations;
     phase.sla_violations += add.sla_violations;
     phase.failed_operations += add.failed_operations;

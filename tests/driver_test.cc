@@ -693,6 +693,58 @@ TEST_F(DriverTest, UnitFoldRejectsOutcomesThatDoNotMatchItsUnits) {
             "the units keep 4 element outcomes, but the shard holds 3");
 }
 
+uint64_t CounterValue(const MetricsSnapshot& snapshot,
+                      const std::string& name) {
+  for (const auto& [metric, value] : snapshot.counters) {
+    if (metric == name) return value;
+  }
+  return 0;
+}
+
+TEST_F(DriverTest, RegistryCounterAuditHoldsUnderQueueSheds) {
+  // A [service] run whose admission queue sheds batch units, with the
+  // metrics registry armed: every unit the streams drew was recorded, a
+  // shed one as one unit of all its elements, so the end-of-run counter
+  // audit passes. Off by one either way, it names the counter.
+  for (const uint32_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    RunSpec spec = MakeServiceBatchSpec(workers);
+    spec.observability.metrics = true;
+    VirtualClock clock;
+    DriverOptions options;
+    options.virtual_clock = &clock;
+    options.enforce_holdout_once = false;
+    BenchmarkDriver driver(&clock, options);
+    BTreeSystem sut;
+    const Result<RunResult> run = driver.Run(spec, &sut);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const RunResult& result = run.value();
+    EXPECT_TRUE(std::any_of(
+        result.events.begin(), result.events.end(),
+        [](const OpEvent& e) { return e.queue_shed && e.batch > 1; }));
+    uint64_t units = 0;
+    for (const PhaseBoundary& b : result.boundaries) units += b.operations;
+    const uint64_t elements = result.events.size();
+    const MetricsSnapshot& counters = result.observability.metrics;
+    EXPECT_EQ(CounterValue(counters, "stream.ops_issued"), units);
+    EXPECT_EQ(CounterValue(counters, "sink.events_recorded"), elements);
+
+    const Status drawn = AuditRegistryCounters(counters, units + 1, elements);
+    EXPECT_TRUE(drawn.IsInternal()) << drawn.ToString();
+    EXPECT_EQ(drawn.message(),
+              "counter stream.ops_issued = " + std::to_string(units) +
+                  ", but the folds count " + std::to_string(units + 1) +
+                  " request units");
+    const Status recorded =
+        AuditRegistryCounters(counters, units, elements - 1);
+    EXPECT_TRUE(recorded.IsInternal()) << recorded.ToString();
+    EXPECT_EQ(recorded.message(),
+              "counter sink.events_recorded = " + std::to_string(elements) +
+                  ", but the folds count " + std::to_string(elements - 1) +
+                  " elements");
+  }
+}
+
 TEST_F(DriverTest, HoldoutRegistryResetClearsCrossTestState) {
   VirtualClock clock;
   DriverOptions options;

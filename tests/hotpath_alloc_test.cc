@@ -352,9 +352,12 @@ uint64_t PeakLiveBytesDuring(Fn&& fn) {
   return g_peak_live_bytes.load(std::memory_order_relaxed) - before;
 }
 
+static_assert(sizeof(ElementOutcome) == 1,
+              "a batch element's outcome is one byte");
+
 TEST(HotpathAllocTest, BatchRecordingArenasReserveUnitsNotElements) {
   // A closed-loop phase of 256-element batch units records one event per
-  // unit and one compact outcome per element: its arenas reserve no
+  // unit and a one-byte outcome per element: its arenas reserve no
   // per-element event slot.
   constexpr uint64_t kElements = uint64_t{1} << 16;
   constexpr uint32_t kBatchSize = 256;
@@ -363,12 +366,51 @@ TEST(HotpathAllocTest, BatchRecordingArenasReserveUnitsNotElements) {
   EventSink sink(0);
   const uint64_t reserved =
       HeapBytesDuring([&] { ReserveWorkerSink(spec, 0, &sink); });
-  const uint64_t bound =
-      units * sizeof(OpEvent) + kElements * sizeof(ElementOutcome);
+  const uint64_t bound = units * sizeof(OpEvent) + kElements;
   EXPECT_LE(reserved, bound)
       << "a worker's recording arenas for " << units << " units of "
       << kBatchSize << " elements reserved " << reserved << " bytes";
-  EXPECT_LT(bound, kElements * sizeof(OpEvent) / 4);
+  EXPECT_LT(bound, kElements * sizeof(OpEvent) / 32);
+}
+
+TEST(HotpathAllocTest, ExpansionIntoRoomyMergedUnitsAllocatesNothing) {
+  // Units merged with room for every element expand inside that buffer:
+  // batch units (one failed, one queue-shed) and escaped rows take no
+  // heap byte, and the elements come back in the merged buffer.
+  constexpr uint32_t kBatch = 64;
+  std::vector<OpResult> results(kBatch);
+  for (uint32_t i = 0; i < kBatch; ++i) {
+    results[i] = {i % 3 != 0, i % 5 == 0 ? uint64_t{1} << 40 : 1,
+                  Status::OK()};
+  }
+  std::vector<EventStream> unit_shards;
+  std::vector<UnitShard> shards;
+  uint64_t elements = 0;
+  for (uint32_t w = 0; w < 2; ++w) {
+    EventSink sink(w);
+    sink.Reserve(8, 4 * kBatch);
+    OpEvent proto;
+    for (int64_t u = 0; u < 8; ++u) {
+      proto.timestamp_nanos = 10 * u + w;
+      proto.type = u % 2 == 0 ? OpType::kGet : OpType::kBatchGet;
+      proto.failed = u == 3;
+      proto.queue_shed = u == 5;
+      sink.RecordBatch(proto, results.data(), u % 2 == 0 ? 1 : kBatch);
+    }
+    elements += sink.recorded();
+    shards.push_back(sink.TakeUnits());
+    unit_shards.push_back(std::move(shards.back().units));
+  }
+  ASSERT_FALSE(shards[0].wide_rows.empty());
+  EventStream merged = MergeEventShards(std::move(unit_shards), elements);
+  const OpEvent* buffer = merged.data();
+  EventStream events;
+  const uint64_t bytes = HeapBytesDuring([&] {
+    events = ExpandUnits(std::move(merged), std::move(shards), elements);
+  });
+  EXPECT_EQ(bytes, 0u) << "expanding " << elements << " elements in place";
+  EXPECT_EQ(events.size(), elements);
+  EXPECT_EQ(events.data(), buffer);
 }
 
 constexpr size_t kTrainKeys = 200000;

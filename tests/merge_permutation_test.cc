@@ -170,9 +170,10 @@ TEST(MergePermutation, KWayMergeEqualsSortMerge) {
 
 // Records request units into `units` -- scalar units, executed batch units
 // (some failed) and queue-shed batch units, with timestamps that tie within
-// and across workers -- and writes by hand the per-element shard they stand
-// for into `elements`: one event per element, consecutive seqs, each with
-// its own ok/rows.
+// and across workers, and with a third of the batch elements' rows too wide
+// for an outcome's byte -- and writes by hand the per-element shard they
+// stand for into `elements`: one event per element, consecutive seqs, each
+// with its own ok/rows.
 void RecordUnits(Rng* rng, uint32_t worker, size_t n, EventSink* units,
                  EventStream* elements) {
   std::vector<OpResult> results(32);
@@ -212,7 +213,8 @@ void RecordUnits(Rng* rng, uint32_t worker, size_t n, EventSink* units,
     proto.failed = kind == 2 && rng->NextBounded(2) == 0;
     for (uint32_t j = 0; j < proto.batch; ++j) {
       results[j].ok = rng->NextBounded(3) != 0;
-      results[j].rows = rng->NextBounded(1000);
+      results[j].rows = rng->NextBounded(3) == 0 ? rng->Next() >> (j % 64)
+                                                 : rng->NextBounded(127);
     }
     units->RecordBatch(proto, results.data(), proto.batch);
     for (uint32_t j = 0; j < proto.batch; ++j) {
@@ -240,19 +242,91 @@ TEST(MergePermutation, UnitShardsExpandToTheMergedElementShards) {
   ASSERT_GT(elements, 4u * 24u);
   const std::string reference =
       SerializeEventStream(MergeEventShards(element_shards));
-  std::vector<std::vector<ElementOutcome>> outcomes;
-  for (const UnitShard& shard : unit_shards) {
-    outcomes.push_back(shard.outcomes);
-  }
 
   ForEachPermutation(kShards, [&](const std::vector<size_t>& perm) {
     std::vector<EventStream> permuted;
     for (size_t idx : perm) permuted.push_back(unit_shards[idx].units);
     const EventStream expanded = ExpandUnits(
-        MergeEventShards(std::move(permuted)), outcomes, elements);
+        MergeEventShards(std::move(permuted)), unit_shards, elements);
     EXPECT_EQ(reference, SerializeEventStream(expanded))
         << "merging units then expanding changed the element stream";
   });
+}
+
+// Expands merged units out of place, front to back, as ExpandUnits did
+// before it wrote in place: the oracle for the in-place expansion.
+EventStream ExpandOutOfPlace(const EventStream& units,
+                             const std::vector<UnitShard>& shards) {
+  std::vector<size_t> outcome(shards.size());
+  std::vector<size_t> wide(shards.size());
+  EventStream events;
+  for (const OpEvent& unit : units) {
+    if (unit.batch <= 1) {
+      events.push_back(unit);
+      continue;
+    }
+    for (uint32_t j = 0; j < unit.batch; ++j) {
+      OpEvent element = unit;
+      element.seq = unit.seq + j;
+      if (!unit.queue_shed) {
+        const UnitShard& own = shards[unit.worker];
+        const ElementOutcome result = own.outcomes[outcome[unit.worker]++];
+        element.ok = !unit.failed && result.ok;
+        element.rows = result.rows == kRowsEscape
+                           ? own.wide_rows[wide[unit.worker]++]
+                           : result.rows;
+      }
+      events.push_back(element);
+    }
+  }
+  return events;
+}
+
+TEST(MergePermutation, InPlaceExpansionEqualsOutOfPlaceExpansion) {
+  // Random shard counts, sizes and orders, with queue-shed units, failed
+  // batch units and escaped rows: merged with room for every element,
+  // the units expand inside the merged buffer, to the same bytes as the
+  // out-of-place oracle. Merged without that room, they expand the same.
+  Rng rng(5003);
+  uint64_t total_escapes = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const uint32_t k = 1 + static_cast<uint32_t>(rng.NextBounded(6));
+    std::vector<UnitShard> shards;
+    uint64_t elements = 0;
+    uint64_t escapes = 0;
+    for (uint32_t w = 0; w < k; ++w) {
+      EventSink sink(w);
+      EventStream unused;
+      RecordUnits(&rng, w, rng.NextBounded(40), &sink, &unused);
+      elements += sink.recorded();
+      shards.push_back(sink.TakeUnits());
+      escapes += shards.back().wide_rows.size();
+    }
+    std::vector<EventStream> order;
+    for (const UnitShard& shard : shards) order.push_back(shard.units);
+    for (size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.NextBounded(i)]);
+    }
+    const EventStream merged = MergeEventShards(order);
+    const std::string reference =
+        SerializeEventStream(ExpandOutOfPlace(merged, shards));
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": " + std::to_string(k) +
+                 " shards, " + std::to_string(elements) + " elements, " +
+                 std::to_string(escapes) + " escaped rows");
+
+    EventStream roomy = MergeEventShards(order, elements);
+    ASSERT_EQ(SerializeEventStream(roomy), SerializeEventStream(merged));
+    ASSERT_GE(roomy.capacity(), elements);
+    const OpEvent* buffer = roomy.data();
+    const EventStream in_place =
+        ExpandUnits(std::move(roomy), shards, elements);
+    EXPECT_EQ(in_place.data(), buffer);
+    EXPECT_EQ(SerializeEventStream(in_place), reference);
+    EXPECT_EQ(SerializeEventStream(ExpandUnits(merged, shards, elements)),
+              reference);
+    total_escapes += escapes;
+  }
+  EXPECT_GT(total_escapes, 0u);
 }
 
 TEST(MergePermutation, OutOfOrderShardAbortsTheMerge) {
