@@ -369,8 +369,8 @@ Status AuditUnitAccounting(const std::vector<ShardAccumulation>& worker_folds,
   return Status::OK();
 }
 
-Status AuditRegistryCounters(const MetricsSnapshot& metrics, uint64_t units,
-                             uint64_t elements) {
+Status AuditRegistryCounters(const MetricsSnapshot& metrics,
+                             const ShardAccumulation& run_fold) {
   const auto check = [&metrics](const std::string& name, uint64_t folded,
                                 const char* what) {
     uint64_t counted = 0;
@@ -382,8 +382,15 @@ Status AuditRegistryCounters(const MetricsSnapshot& metrics, uint64_t units,
                             std::to_string(counted) + ", but the folds count " +
                             std::to_string(folded) + " " + what);
   };
+  uint64_t units = 0;
+  for (const PhaseAccumulation& phase : run_fold.phases) units += phase.units;
   LSBENCH_RETURN_IF_ERROR(check("stream.ops_issued", units, "request units"));
-  return check("sink.events_recorded", elements, "elements");
+  LSBENCH_RETURN_IF_ERROR(
+      check("sink.events_recorded", run_fold.operations, "elements"));
+  LSBENCH_RETURN_IF_ERROR(
+      check("executor.attempts", run_fold.attempts, "attempts"));
+  return check("service.shed", run_fold.queue_shed_units,
+               "queue-shed request units");
 }
 
 uint64_t WorkerShare(uint64_t total, uint32_t workers, uint32_t worker) {
@@ -775,12 +782,8 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
     if (obs_spec.metrics) {
       LSBENCH_ASSIGN_OR_RETURN(result.observability.metrics,
                                MergeMetricsShards(metric_shards));
-      uint64_t run_units = 0;
-      for (const PhaseAccumulation& phase : run_fold.phases) {
-        run_units += phase.units;
-      }
-      LSBENCH_RETURN_IF_ERROR(AuditRegistryCounters(
-          result.observability.metrics, run_units, run_fold.operations));
+      LSBENCH_RETURN_IF_ERROR(
+          AuditRegistryCounters(result.observability.metrics, run_fold));
     }
   }
   return result;

@@ -128,15 +128,19 @@ void ReserveWorkerSink(const RunSpec& spec, uint32_t worker, EventSink* sink);
 Status AuditUnitAccounting(const std::vector<ShardAccumulation>& worker_folds,
                            const RunMetrics& metrics);
 
-/// The registry's counts of what the run drew and recorded, checked after
-/// the phases on every run whose metrics registry is armed: the merged
-/// `stream.ops_issued` equals the request units the workers' folds counted
-/// (`units`, queue-shed units included), and the merged
-/// `sink.events_recorded` equals the elements those units carry
-/// (`elements`). A missing counter counts 0. A mismatch is
-/// Status::Internal naming the counter and both counts.
-Status AuditRegistryCounters(const MetricsSnapshot& metrics, uint64_t units,
-                             uint64_t elements);
+/// The registry's counts of what the run drew, executed and recorded,
+/// checked after the phases on every run whose metrics registry is armed,
+/// against `run_fold`, the merge of the workers' folds of their units:
+///   - `stream.ops_issued` equals the request units folded, queue-shed
+///     units included;
+///   - `sink.events_recorded` equals the elements those units carry;
+///   - `executor.attempts` equals ShardAccumulation::attempts;
+///   - `service.shed` equals ShardAccumulation::queue_shed_units, since
+///     every shed the admission queue counts is recorded as one unit.
+/// A missing counter counts 0. A mismatch is Status::Internal naming the
+/// counter and both counts.
+Status AuditRegistryCounters(const MetricsSnapshot& metrics,
+                             const ShardAccumulation& run_fold);
 
 /// This worker's share of `total` items under the driver's round-robin
 /// split: total/workers plus one of the first (total % workers) remainders.

@@ -341,6 +341,11 @@ Status ShardAccumulation::Fold(const EventStream& shard, Weigh weigh) {
     if (e.timed_out) timeouts += k;
     if (e.shed) shed_operations += k;
     total_retries += e.retries * k;
+    if (e.queue_shed) {
+      queue_shed_units += weight.units;
+    } else {
+      attempts += weight.units * (e.retries + (e.shed ? 0u : 1u));
+    }
     last_timestamp_nanos =
         std::max(last_timestamp_nanos, e.timestamp_nanos);
     if (e.open_loop) {
@@ -464,6 +469,8 @@ void ShardAccumulation::Merge(const ShardAccumulation& other) {
   timeouts += other.timeouts;
   shed_operations += other.shed_operations;
   total_retries += other.total_retries;
+  attempts += other.attempts;
+  queue_shed_units += other.queue_shed_units;
   latency.Merge(other.latency);
   last_timestamp_nanos =
       std::max(last_timestamp_nanos, other.last_timestamp_nanos);

@@ -266,6 +266,13 @@ struct ShardAccumulation {
   uint64_t timeouts = 0;
   uint64_t shed_operations = 0;
   uint64_t total_retries = 0;
+  /// Executor attempts over the units folded: an executed unit made its
+  /// retries plus one, a unit the breaker shed made its retries alone, a
+  /// queue-shed unit none. Like PhaseAccumulation::units, only a fold of
+  /// units counts these two; a fold of elements leaves them 0.
+  uint64_t attempts = 0;
+  /// Request units the admission queue shed.
+  uint64_t queue_shed_units = 0;
   Histogram latency;
   /// Latest completion folded; 0 while empty.
   int64_t last_timestamp_nanos = 0;

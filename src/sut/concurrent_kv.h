@@ -19,10 +19,12 @@ namespace lsbench {
 /// Load so partitions start balanced.
 ///
 /// This is the scaling reference for the multi-worker driver: with N
-/// workers touching mostly distinct partitions, throughput grows with N
-/// (bench/scaling_workers.cc), whereas a serial SUT behind SerializingSut
-/// stays flat. It deliberately skips the estimator/cost-model substrate —
-/// its job is measuring harness fan-out, not optimizer quality.
+/// workers touching mostly distinct partitions, throughput grows with N,
+/// whereas a serial SUT behind SerializingSut stays flat. `lsbench_cli
+/// --sut=partitioned` runs it, and tools/ci/ledger.py gates on its rate at
+/// 4 workers over the serialized B-tree's (specs/bench/scaling.lsb). It
+/// deliberately skips the estimator/cost-model substrate — its job is
+/// measuring harness fan-out, not optimizer quality.
 class PartitionedKvSystem final : public SystemUnderTest {
  public:
   explicit PartitionedKvSystem(size_t partitions = 16, int fanout = 64);

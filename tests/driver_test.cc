@@ -702,14 +702,26 @@ uint64_t CounterValue(const MetricsSnapshot& snapshot,
 }
 
 TEST_F(DriverTest, RegistryCounterAuditHoldsUnderQueueSheds) {
-  // A [service] run whose admission queue sheds batch units, with the
-  // metrics registry armed: every unit the streams drew was recorded, a
-  // shed one as one unit of all its elements, so the end-of-run counter
-  // audit passes. Off by one either way, it names the counter.
+  // A [service] run whose admission queue sheds batch units, whose
+  // injected faults are retried and whose breaker opens, with the metrics
+  // registry armed: every unit the streams drew was recorded (a shed one
+  // as one unit of all its elements), every attempt the executors made is
+  // a unit's retries plus its one try, and every queue shed was recorded,
+  // so the end-of-run counter audit passes. Off by one, it names the
+  // counter.
   for (const uint32_t workers : {1u, 4u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     RunSpec spec = MakeServiceBatchSpec(workers);
     spec.observability.metrics = true;
+    FaultWindow faults;
+    faults.execute_fail_rate = 0.4;
+    spec.faults.windows.push_back(faults);
+    spec.resilience.max_retries = 2;
+    spec.resilience.backoff_initial_nanos = 10000;
+    spec.resilience.breaker_enabled = true;
+    spec.resilience.breaker_window_ops = 20;
+    spec.resilience.breaker_cooldown_nanos = 1000000;
+    spec.resilience.breaker_half_open_probes = 2;
     VirtualClock clock;
     DriverOptions options;
     options.virtual_clock = &clock;
@@ -728,20 +740,45 @@ TEST_F(DriverTest, RegistryCounterAuditHoldsUnderQueueSheds) {
     const MetricsSnapshot& counters = result.observability.metrics;
     EXPECT_EQ(CounterValue(counters, "stream.ops_issued"), units);
     EXPECT_EQ(CounterValue(counters, "sink.events_recorded"), elements);
+    const uint64_t attempts = CounterValue(counters, "executor.attempts");
+    const uint64_t queue_sheds = CounterValue(counters, "service.shed");
+    EXPECT_GT(CounterValue(counters, "executor.retries"), 0u);
+    EXPECT_GT(CounterValue(counters, "executor.shed"), 0u);
+    EXPECT_GT(queue_sheds, 0u);
+    EXPECT_GT(attempts, units - queue_sheds);
 
-    const Status drawn = AuditRegistryCounters(counters, units + 1, elements);
-    EXPECT_TRUE(drawn.IsInternal()) << drawn.ToString();
-    EXPECT_EQ(drawn.message(),
+    // A fold that agrees with every counter, then each count off by one.
+    ShardAccumulation fold(result.boundaries,
+                           MetricsOptions::FromSpec(spec), 0);
+    fold.phases[0].units = units;
+    fold.operations = elements;
+    fold.attempts = attempts;
+    fold.queue_shed_units = queue_sheds;
+    EXPECT_TRUE(AuditRegistryCounters(counters, fold).ok());
+    const auto audit_off_by_one = [&](uint64_t* count) {
+      ++*count;
+      const Status status = AuditRegistryCounters(counters, fold);
+      --*count;
+      EXPECT_TRUE(status.IsInternal()) << status.ToString();
+      return status.message();
+    };
+    EXPECT_EQ(audit_off_by_one(&fold.phases[0].units),
               "counter stream.ops_issued = " + std::to_string(units) +
                   ", but the folds count " + std::to_string(units + 1) +
                   " request units");
-    const Status recorded =
-        AuditRegistryCounters(counters, units, elements - 1);
-    EXPECT_TRUE(recorded.IsInternal()) << recorded.ToString();
-    EXPECT_EQ(recorded.message(),
+    EXPECT_EQ(audit_off_by_one(&fold.operations),
               "counter sink.events_recorded = " + std::to_string(elements) +
-                  ", but the folds count " + std::to_string(elements - 1) +
+                  ", but the folds count " + std::to_string(elements + 1) +
                   " elements");
+    EXPECT_EQ(audit_off_by_one(&fold.attempts),
+              "counter executor.attempts = " + std::to_string(attempts) +
+                  ", but the folds count " + std::to_string(attempts + 1) +
+                  " attempts");
+    EXPECT_EQ(audit_off_by_one(&fold.queue_shed_units),
+              "counter service.shed = " + std::to_string(queue_sheds) +
+                  ", but the folds count " +
+                  std::to_string(queue_sheds + 1) +
+                  " queue-shed request units");
   }
 }
 

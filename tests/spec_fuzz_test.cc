@@ -126,8 +126,12 @@ constexpr SpecGolden kGoldens[] = {
      0x42e22ac80984b0a8ull},
     {"bench/cached_batch.lsb", 0x9c422d09c39a90b8ull, 0x71a4ddeb5a85c257ull,
      0xc752b115eef2e9aeull},
+    {"bench/dispatch.lsb", 0x61300a6c9aa4e7eull, 0x2e1c4a693c16b93eull,
+     0x17a234bf5b4e651dull},
     {"bench/dram_read.lsb", 0xf1041196dc8a9fb0ull, 0xef612057da9ce974ull,
      0x3b7946641c492c18ull},
+    {"bench/scaling.lsb", 0x4468157a2042fca6ull, 0x1c64a7803cdeda44ull,
+     0x67aa73af0d5022d3ull},
     {"concurrent_demo.lsb", 0xec728db0780357f6ull, 0x994913fe341df960ull,
      0xdba006df70423667ull},
     {"demo_shift.lsb", 0x6cc48114131fa231ull, 0x1a766eef7e26cb3eull,

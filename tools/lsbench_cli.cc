@@ -2,13 +2,16 @@
 // and print the paper's metric suite.
 //
 // Usage:
-//   lsbench_cli <spec-file> [--sut=btree|lsm|rmi|pgm|adaptive|stdcmp]
+//   lsbench_cli <spec-file>
+//               [--sut=btree|lsm|rmi|pgm|adaptive|partitioned|stdcmp]
 //               [--no-holdout-enforcement] [--csv] [--html=PATH]
 //               [--faults=RATE] [--no-faults] [--op-timeout-us=N]
 //               [--retries=N] [--workers=N] [--trace-out=PATH] [--sim]
 //               [--drift-csv=PATH]
 //
-//   --sut               system under test (default btree). "stdcmp" runs
+//   --sut               system under test (default btree). "partitioned"
+//                       is 16 range-partitioned B-trees, one lock each,
+//                       run without the driver's lock. "stdcmp" runs
 //                       btree + rmi + adaptive through the comparison
 //                       harness instead of a single system; it writes no
 //                       HTML report or trace, so --html and --trace-out are
@@ -64,6 +67,7 @@
 #include "report/html.h"
 #include "report/report.h"
 #include "report/table.h"
+#include "sut/concurrent_kv.h"
 #include "sut/systems.h"
 #include "util/file.h"
 
@@ -72,10 +76,10 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: lsbench_cli <spec-file> "
-    "[--sut=btree|lsm|rmi|pgm|adaptive|stdcmp] [--no-holdout-enforcement] "
-    "[--csv] [--html=PATH] [--faults=RATE] [--no-faults] [--op-timeout-us=N] "
-    "[--retries=N] [--workers=N] [--trace-out=PATH] [--sim] "
-    "[--drift-csv=PATH]\n";
+    "[--sut=btree|lsm|rmi|pgm|adaptive|partitioned|stdcmp] "
+    "[--no-holdout-enforcement] [--csv] [--html=PATH] [--faults=RATE] "
+    "[--no-faults] [--op-timeout-us=N] [--retries=N] [--workers=N] "
+    "[--trace-out=PATH] [--sim] [--drift-csv=PATH]\n";
 
 /// `clock` (may be null → RealClock) times SUT-internal retraining; passing
 /// the simulation clock keeps every exported duration virtual, so --sim
@@ -93,6 +97,7 @@ std::unique_ptr<SystemUnderTest> MakeSut(const std::string& kind,
     return std::make_unique<LearnedKvSystem>(options, clock);
   }
   if (kind == "adaptive") return std::make_unique<AdaptiveKvSystem>();
+  if (kind == "partitioned") return std::make_unique<PartitionedKvSystem>(16);
   return nullptr;
 }
 
