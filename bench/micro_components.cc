@@ -16,9 +16,11 @@
 namespace lsbench {
 namespace {
 
-// Arg 0: uniform keys, arg 1: lognormal(0, 1.5) keys; 1M keys per run.
-// The per_key counter is the wall time per generated key: generation sorts
-// on every hardware thread, so the calling thread's CPU time undercounts.
+// First arg 0: uniform keys, 1: lognormal(0, 1.5) keys; second arg: keys
+// per run. The 65,536-key row is cached_batch's size, sorted in one block
+// on the calling thread. The per_key counter is the wall time per
+// generated key: generation sorts on every hardware thread, so the calling
+// thread's CPU time undercounts.
 void BM_GenerateDataset(benchmark::State& state) {
   const UniformUnit uniform;
   const LognormalUnit lognormal(0.0, 1.5);
@@ -26,7 +28,7 @@ void BM_GenerateDataset(benchmark::State& state) {
       state.range(0) == 0 ? static_cast<const UnitDistribution&>(uniform)
                           : lognormal;
   DatasetOptions options;
-  options.num_keys = 1000000;
+  options.num_keys = static_cast<size_t>(state.range(1));
   for (auto _ : state) {
     const Dataset ds = GenerateDataset(dist, options);
     benchmark::DoNotOptimize(ds.keys.data());
@@ -38,8 +40,9 @@ void BM_GenerateDataset(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_GenerateDataset)
-    ->Arg(0)
-    ->Arg(1)
+    ->Args({0, 1000000})
+    ->Args({1, 1000000})
+    ->Args({0, 65536})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

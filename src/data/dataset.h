@@ -46,11 +46,15 @@ struct DatasetOptions {
 /// keys still missing, sort them and merge them in, while each round at
 /// least halves the shortfall; then a tail that draws ahead in chunks,
 /// merge-joins each sorted chunk against the kept keys, and cuts it at the
-/// draw that fills the target. Each sort is split in place at the median
-/// across the host's hardware threads (ParallelSortKeys), so the keys do
-/// not depend on the thread count. Memory is the key vector plus, in the
-/// tail, two chunk-sized scratch vectors; time is O(d log d) for d draws,
-/// at most the cap, so a near-saturated support costs about as much as the
+/// draw that fills the target. Each sort is an LSD radix sort split into
+/// blocks across the host's hardware threads (ParallelSortKeys), so the
+/// keys do not depend on the thread count. Memory is the key vector plus,
+/// in the tail, two chunk-sized scratch vectors, plus the sort's scratch of
+/// 8 B per key sorted, freed before it returns. So a round holds at most
+/// 16 B per key, less than the keys plus the 16 B-per-key load image that
+/// a run holds during Load, and the sort does not set a run's peak. Time
+/// is O(d log d) for d draws, at most the cap (the merge-joins; the sorts
+/// are linear), so a near-saturated support costs about as much as the
 /// hash set did.
 Dataset GenerateDataset(const UnitDistribution& dist,
                         const DatasetOptions& options);

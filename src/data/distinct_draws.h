@@ -34,13 +34,13 @@ using KeyDrawFn = std::function<void(uint64_t* out, size_t count)>;
 /// call.
 ///
 /// Cost: every tail chunk is at least as long as the kept set, so the
-/// merge-join and sort cost O(log) per draw, and at most `max_draws` draws
-/// are made: O(max_draws log max_draws) time. Both sorts (a round's draws,
+/// merge-join costs O(log) per draw and the sort O(1), and at most
+/// `max_draws` draws are made: O(max_draws log max_draws) time. Both sorts (a round's draws,
 /// a tail chunk's copy) are ParallelSortKeys over the host's hardware
-/// threads, split in place, so they add no memory and the keys do not
-/// depend on the thread count. Memory is the key vector plus, in the tail,
-/// two chunk-sized scratch vectors (the chunk in draw order and its sorted
-/// new keys), where the hash set needed a node per key.
+/// threads, and the keys do not depend on the thread count. Memory is the
+/// key vector plus, in the tail, two chunk-sized scratch vectors (the chunk
+/// in draw order and its sorted new keys), plus the sort's 8 B per key
+/// while it runs, where the hash set needed a node per key.
 ///
 /// GenerateEmailDataset does not use this: its stagnation stop is decided
 /// per attempt (a run of attempts with no new key), which rounds of draws
@@ -48,16 +48,24 @@ using KeyDrawFn = std::function<void(uint64_t* out, size_t count)>;
 std::vector<uint64_t> DistinctSortedDraws(size_t target, size_t max_draws,
                                           const KeyDrawFn& draw);
 
-/// Smallest half ParallelSortKeys hands to a thread of its own.
-inline constexpr size_t kMinPartKeys = size_t{1} << 16;
+/// Fewest keys ParallelSortKeys gives a block, and so a thread, of its own.
+/// Of 2^14 to 2^20, this was fastest or tied on a 4-core host: 262,144
+/// keys sorted no faster on four threads than on one, while 1M keys
+/// generated in about 30 ms on three blocks against about 50 ms on one.
+inline constexpr size_t kMinBlockKeys = size_t{1} << 18;
 
-/// Sorts `keys[0, n)` ascending, like std::sort, on up to `parts` threads.
-/// While `parts > 1` and both halves would hold at least kMinPartKeys keys,
-/// std::nth_element splits the range in place at its middle, and the two
-/// halves are sorted at once: the lower on a new, joined thread with half
-/// the parts, the upper on the calling thread with the rest. Each part left
-/// is a plain std::sort. There is no merge step and no scratch buffer, and
-/// since a sort has one output the result is the same for every `parts`.
+/// Sorts `keys[0, n)` ascending, like std::sort, on up to `parts` threads,
+/// with an LSD radix sort. One pass ORs `key ^ keys[0]` over the range to
+/// find the digits that vary; each varying digit then takes a counting pass
+/// and a stable scatter pass, and a constant digit takes none (the top
+/// 16 bits of keys below 2^48, say). Both passes split the range into
+/// min(parts, n / kMinBlockKeys) blocks, at least one, of near-equal size:
+/// each block keeps its own counts, blocks after the first run on joined
+/// threads and the first on the calling thread, and a block whose thread
+/// fails to start runs on the calling thread. The scatter writes into a
+/// scratch buffer of n keys, 8 B per key, allocated without a zero fill
+/// and freed before return. Since a sort has one output, the result is the
+/// same for every `parts`.
 void ParallelSortKeys(uint64_t* keys, size_t n, size_t parts);
 
 }  // namespace lsbench

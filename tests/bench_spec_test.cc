@@ -2,6 +2,8 @@
 // each must build the same datasets, byte for byte, and the same run
 // identity (StructuralHash) as the definition in benchmark/workloads.cc at
 // seed 1 and full scale. That file is compiled into this test as it is.
+// Every workload's keys are also pinned to a recorded hash, so a generator
+// that goes wrong the same way on both builds still fails.
 
 #include <gtest/gtest.h>
 
@@ -43,6 +45,19 @@ RunIdentity Identify(RunSpec spec) {
   return id;
 }
 
+/// FNV-1a over every dataset's keys of each benchmark workload at seed 1 and
+/// full scale, recorded with the comparison sort that the radix sort in
+/// ParallelSortKeys replaced. dram_read's 14M keys are the full-size check
+/// of that sort's multi-block path.
+uint64_t PinnedKeys(const std::string& workload) {
+  if (workload == "cached_batch") return 0xc752b115eef2e9aeull;
+  if (workload == "dram_read") return 0x3b7946641c492c18ull;
+  if (workload == "drift_write") return 0x97cf0cbe4aa74a2bull;
+  if (workload == "open_loop") return 0x899dc77b690a42cbull;
+  ADD_FAILURE() << "no key pin for workload " << workload;
+  return 0;
+}
+
 class BenchSpecTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BenchSpecTest, SpecFileBuildsTheBenchmarkWorkload) {
@@ -55,10 +70,29 @@ TEST_P(BenchSpecTest, SpecFileBuildsTheBenchmarkWorkload) {
   const RunIdentity in_code = Identify(workload->build_spec(1, 1));
   EXPECT_EQ(from_file.keys, in_code.keys);
   EXPECT_EQ(from_file.structural, in_code.structural);
+  EXPECT_EQ(in_code.keys, PinnedKeys(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, BenchSpecTest,
                          ::testing::Values("cached_batch", "dram_read"),
+                         [](const ::testing::TestParamInfo<std::string>& p) {
+                           return p.param;
+                         });
+
+// The workloads with no spec file: their keys are checked against the pin
+// alone. (The ones with a spec file are pinned above, so dram_read's keys
+// are not generated a third time.)
+class WorkloadKeysTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(WorkloadKeysTest, KeysArePinned) {
+  const bm::Workload* workload = bm::FindWorkload(GetParam());
+  ASSERT_NE(workload, nullptr);
+  EXPECT_EQ(Identify(workload->build_spec(1, 1)).keys,
+            PinnedKeys(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, WorkloadKeysTest,
+                         ::testing::Values("drift_write", "open_loop"),
                          [](const ::testing::TestParamInfo<std::string>& p) {
                            return p.param;
                          });
