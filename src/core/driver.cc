@@ -294,17 +294,6 @@ double RunResult::OfflineTrainSeconds() const {
   return total;
 }
 
-std::vector<KeyValue> BuildLoadImage(const RunSpec& spec) {
-  LSBENCH_ASSERT(!spec.phases.empty());
-  const Dataset& ds = spec.datasets[spec.phases[0].dataset_index];
-  std::vector<KeyValue> pairs;
-  pairs.reserve(ds.keys.size());
-  for (size_t i = 0; i < ds.keys.size(); ++i) {
-    pairs.emplace_back(ds.keys[i], static_cast<Value>(i));
-  }
-  return pairs;
-}
-
 uint64_t ExpectedBatchElements(uint64_t ops, double batch_probability,
                                uint64_t batch_size, double margin_sigmas) {
   LSBENCH_ASSERT(margin_sigmas >= 0.0);
@@ -370,7 +359,8 @@ Status AuditUnitAccounting(const std::vector<ShardAccumulation>& worker_folds,
 }
 
 Status AuditRegistryCounters(const MetricsSnapshot& metrics,
-                             const ShardAccumulation& run_fold) {
+                             const ShardAccumulation& run_fold,
+                             const ServiceSpec& service) {
   const auto check = [&metrics](const std::string& name, uint64_t folded,
                                 const char* what) {
     uint64_t counted = 0;
@@ -389,8 +379,17 @@ Status AuditRegistryCounters(const MetricsSnapshot& metrics,
       check("sink.events_recorded", run_fold.operations, "elements"));
   LSBENCH_RETURN_IF_ERROR(
       check("executor.attempts", run_fold.attempts, "attempts"));
-  return check("service.shed", run_fold.queue_shed_units,
-               "queue-shed request units");
+  LSBENCH_RETURN_IF_ERROR(check("service.shed", run_fold.queue_shed_units,
+                                "queue-shed request units"));
+  if (!service.enabled) return Status::OK();
+  // Every unit of a service run is offered to its worker's queue once.
+  // Drop-newest and SLO sheds refuse the arrival; drop-oldest admits every
+  // arrival and sheds a unit it admitted earlier.
+  const uint64_t refused = service.policy == OverloadPolicy::kDropOldest
+                               ? 0
+                               : run_fold.queue_shed_units;
+  return check("service.admitted", units - refused,
+               "offered request units not shed on arrival");
 }
 
 uint64_t WorkerShare(uint64_t total, uint32_t workers, uint32_t worker) {
@@ -458,14 +457,16 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
   }
 
   // ---- Load ----
-  // The driver calls Load once and never retries it, so any injected load
-  // failure fails the run.
+  // The SUT loads phase 0's dataset from its keys, key i holding value i.
+  // The driver calls LoadKeys once and never retries it, so any injected
+  // load failure fails the run.
   if (spec.faults.fail_load) {
     return Status::IoError("injected fault: load I/O error");
   }
   {
     Stopwatch watch(clock_);
-    LSBENCH_RETURN_IF_ERROR(sut->Load(BuildLoadImage(spec)));
+    LSBENCH_RETURN_IF_ERROR(
+        sut->LoadKeys(spec.datasets[spec.phases[0].dataset_index].keys));
     result.load_seconds = watch.ElapsedSeconds();
     if (driver_obs != nullptr) {
       driver_obs->profiler.Add(Stage::kLoad, watch.ElapsedNanos());
@@ -783,7 +784,8 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
       LSBENCH_ASSIGN_OR_RETURN(result.observability.metrics,
                                MergeMetricsShards(metric_shards));
       LSBENCH_RETURN_IF_ERROR(
-          AuditRegistryCounters(result.observability.metrics, run_fold));
+          AuditRegistryCounters(result.observability.metrics, run_fold,
+                                spec.service));
     }
   }
   return result;

@@ -100,10 +100,6 @@ class BenchmarkDriver {
   DriverOptions options_;
 };
 
-/// Builds the initial load image for a spec: the first phase's dataset as
-/// (key, ordinal) pairs.
-std::vector<KeyValue> BuildLoadImage(const RunSpec& spec);
-
 /// Outcome-arena slots for `ops` draws of one phase on one worker, when
 /// each draw is a batch of `batch_size` elements with probability
 /// `batch_probability` and one element otherwise: the expected count of
@@ -136,11 +132,17 @@ Status AuditUnitAccounting(const std::vector<ShardAccumulation>& worker_folds,
 ///   - `sink.events_recorded` equals the elements those units carry;
 ///   - `executor.attempts` equals ShardAccumulation::attempts;
 ///   - `service.shed` equals ShardAccumulation::queue_shed_units, since
-///     every shed the admission queue counts is recorded as one unit.
+///     every shed the admission queue counts is recorded as one unit;
+///   - on a `service` run, `service.admitted` plus the arrivals shed
+///     equals the units offered, which are all the units folded. Under
+///     drop-oldest no arrival is shed (each shed is an admitted head), so
+///     admitted equals offered; under the other policies every shed is an
+///     arrival, so admitted plus queue-shed units equals offered.
 /// A missing counter counts 0. A mismatch is Status::Internal naming the
 /// counter and both counts.
 Status AuditRegistryCounters(const MetricsSnapshot& metrics,
-                             const ShardAccumulation& run_fold);
+                             const ShardAccumulation& run_fold,
+                             const ServiceSpec& service);
 
 /// This worker's share of `total` items under the driver's round-robin
 /// split: total/workers plus one of the first (total % workers) remainders.

@@ -51,11 +51,11 @@ struct DatasetOptions {
 /// keys do not depend on the thread count. Memory is the key vector plus,
 /// in the tail, two chunk-sized scratch vectors, plus the sort's scratch of
 /// 8 B per key sorted, freed before it returns. So a round holds at most
-/// 16 B per key, less than the keys plus the 16 B-per-key load image that
-/// a run holds during Load, and the sort does not set a run's peak. Time
-/// is O(d log d) for d draws, at most the cap (the merge-joins; the sorts
-/// are linear), so a near-saturated support costs about as much as the
-/// hash set did.
+/// 16 B per key, less than the keys plus an index of at least 16 B per key
+/// that a run holds while its SUT loads, and the sort does not set a run's
+/// peak. Time is O(d log d) for d draws, at most the cap (the merge-joins;
+/// the sorts are linear), so a near-saturated support costs about as much
+/// as the hash set did.
 Dataset GenerateDataset(const UnitDistribution& dist,
                         const DatasetOptions& options);
 

@@ -17,6 +17,64 @@ constexpr int kDigitBits = 12;
 constexpr size_t kRadix = size_t{1} << kDigitBits;
 constexpr uint64_t kDigitMask = kRadix - 1;
 
+// Moves to the front of `round[0, n)`, sorted, each of its keys that is
+// not in `kept` (sorted, unique), once, and returns their count. Each key
+// gallops up from the previous one's place in `kept`, so c keys cost
+// O(c log(|kept| / c)) probes rather than a pass over `kept`.
+size_t KeepNewKeys(const std::vector<uint64_t>& kept, uint64_t* round,
+                   size_t n) {
+  size_t out = 0;
+  size_t k = 0;  // Every kept key before k is below the current key.
+  for (size_t j = 0; j < n; ++j) {
+    const uint64_t key = round[j];
+    if (out > 0 && round[out - 1] == key) continue;
+    for (size_t step = 1; k < kept.size() && kept[k] < key; step *= 2) {
+      const size_t hi = std::min(k + step, kept.size());
+      if (kept[hi - 1] < key) {
+        k = hi;
+        continue;
+      }
+      k = static_cast<size_t>(
+          std::lower_bound(kept.begin() + static_cast<std::ptrdiff_t>(k),
+                           kept.begin() + static_cast<std::ptrdiff_t>(hi),
+                           key) -
+          kept.begin());
+      break;
+    }
+    if (k == kept.size() || kept[k] != key) round[out++] = key;
+  }
+  return out;
+}
+
+// Merges `fresh` (sorted, none of its keys in `keys`) into `keys` (sorted)
+// in place, backward from the end: each new key, largest first, gallops
+// down to its place, and the kept keys above it move up in one block. The
+// pass stops at the smallest new key, so the keys below it never move.
+void MergeNewKeys(const std::vector<uint64_t>& fresh,
+                  std::vector<uint64_t>* keys) {
+  size_t a = keys->size();  // Kept keys not yet moved: out[0, a).
+  size_t b = fresh.size();  // New keys not yet placed: fresh[0, b).
+  keys->resize(a + b);
+  uint64_t* out = keys->data();
+  while (b > 0) {
+    const uint64_t key = fresh[--b];
+    size_t pos = a;  // out[pos, a) are the kept keys above `key`.
+    for (size_t step = 1; pos > 0 && out[pos - 1] > key; step *= 2) {
+      const size_t lo = pos > step ? pos - step : 0;
+      if (out[lo] > key) {
+        pos = lo;
+        continue;
+      }
+      pos = static_cast<size_t>(std::upper_bound(out + lo, out + pos, key) -
+                                out);
+      break;
+    }
+    std::copy_backward(out + pos, out + a, out + a + b + 1);
+    a = pos;
+    out[a + b] = key;
+  }
+}
+
 // Runs body(b) for every block b < blocks: block 0 on the calling thread,
 // the others on threads joined before this returns (lsbench-lint:
 // no-detached-thread). A block whose thread fails to start runs on the
@@ -94,7 +152,7 @@ std::vector<uint64_t> DistinctSortedDraws(size_t target, size_t max_draws,
   std::vector<uint64_t> keys;
   keys.reserve(target);
   std::vector<uint64_t> chunk;  // A long chunk, in draw order.
-  std::vector<uint64_t> fresh;  // Its keys not kept yet, sorted.
+  std::vector<uint64_t> fresh;  // A round's keys not kept yet, sorted.
   std::vector<char> first_drawn;
   // A fact of the host, not a setting: the keys do not depend on it.
   const size_t parts = std::max(1u, std::thread::hardware_concurrency());
@@ -107,28 +165,26 @@ std::vector<uint64_t> DistinctSortedDraws(size_t target, size_t max_draws,
     const size_t count = std::min(halving ? need : std::max(need, keys.size()),
                                   max_draws - draws);
     draws += count;
-    const size_t old_size = keys.size();
-    if (count <= need) {
+    if (keys.empty()) {
+      // The first round is drawn, sorted and de-duplicated in the key
+      // vector itself.
+      keys.resize(count);
+      draw(keys.data(), count);
+      ParallelSortKeys(keys.data(), count, parts);
+      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    } else if (count <= need) {
       // A chunk no longer than the shortfall cannot pass the draw that
-      // fills the target, so it is drawn straight into the key vector.
-      keys.resize(old_size + count);
-      draw(keys.data() + old_size, count);
-      ParallelSortKeys(keys.data() + old_size, count, parts);
+      // fills the target, so all its new keys are kept.
+      fresh.resize(count);
+      draw(fresh.data(), count);
+      ParallelSortKeys(fresh.data(), count, parts);
+      fresh.resize(KeepNewKeys(keys, fresh.data(), count));
     } else {
       chunk.resize(count);
       draw(chunk.data(), count);
       fresh.assign(chunk.begin(), chunk.end());
       ParallelSortKeys(fresh.data(), fresh.size(), parts);
-      // Merge-join against the kept keys, keeping each new key once.
-      size_t kept = 0;
-      auto k = keys.begin();
-      for (size_t j = 0; j < fresh.size(); ++j) {
-        const uint64_t key = fresh[j];
-        if (kept > 0 && fresh[kept - 1] == key) continue;
-        while (k != keys.end() && *k < key) ++k;
-        if (k == keys.end() || *k != key) fresh[kept++] = key;
-      }
-      fresh.resize(kept);
+      fresh.resize(KeepNewKeys(keys, fresh.data(), fresh.size()));
 
       if (fresh.size() > need) {
         // Cut at the draw that fills the target: keep the new keys first
@@ -144,18 +200,14 @@ std::vector<uint64_t> DistinctSortedDraws(size_t target, size_t max_draws,
             ++found;
           }
         }
-        kept = 0;
+        size_t kept = 0;
         for (size_t j = 0; j < fresh.size(); ++j) {
           if (first_drawn[j] != 0) fresh[kept++] = fresh[j];
         }
         fresh.resize(kept);
       }
-      keys.insert(keys.end(), fresh.begin(), fresh.end());
     }
-    std::inplace_merge(keys.begin(),
-                       keys.begin() + static_cast<std::ptrdiff_t>(old_size),
-                       keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    MergeNewKeys(fresh, &keys);  // A no-op on the first round: no `fresh`.
     const size_t prev_need = need;
     need = target - keys.size();
     halving = halving && 2 * need <= prev_need;

@@ -19,7 +19,10 @@ using KeyDrawFn = std::function<void(uint64_t* out, size_t count)>;
 ///
 /// Rounds: round 1 draws exactly `target` keys, then sorts and
 /// de-duplicates them; each later round draws exactly the keys still
-/// missing and merges them in. A round that draws exactly the shortfall
+/// missing into a scratch vector, sorts them, drops those already kept
+/// (galloping through the kept keys), and merges the rest in place,
+/// backward from the end, so kept keys below the smallest new key never
+/// move. A round that draws exactly the shortfall
 /// cannot pass the hash-set loop's stopping draw: the distinct count can
 /// reach `target` only on that round's last draw. Rounds continue while
 /// each at least halves the shortfall.
@@ -38,9 +41,10 @@ using KeyDrawFn = std::function<void(uint64_t* out, size_t count)>;
 /// `max_draws` draws are made: O(max_draws log max_draws) time. Both sorts (a round's draws,
 /// a tail chunk's copy) are ParallelSortKeys over the host's hardware
 /// threads, and the keys do not depend on the thread count. Memory is the
-/// key vector plus, in the tail, two chunk-sized scratch vectors (the chunk
-/// in draw order and its sorted new keys), plus the sort's 8 B per key
-/// while it runs, where the hash set needed a node per key.
+/// key vector plus a later round's draws, or in the tail two chunk-sized
+/// scratch vectors (the chunk in draw order and its sorted new keys), plus
+/// the sort's 8 B per key while it runs, where the hash set needed a node
+/// per key.
 ///
 /// GenerateEmailDataset does not use this: its stagnation stop is decided
 /// per attempt (a run of attempts with no new key), which rounds of draws

@@ -329,15 +329,17 @@ size_t BTree::MemoryBytes() const {
   return entry_bytes + leaf_overhead + internal_bytes;
 }
 
-void BTree::BulkLoad(const std::vector<KeyValue>& sorted_pairs) {
+template <typename View>
+void BTree::BulkLoadFrom(const View& view) {
   DeleteSubtree(root_);
   root_ = nullptr;
   size_ = 0;
   leaf_count_ = 0;
   internal_count_ = 0;
-  if (sorted_pairs.empty()) return;
-  for (size_t i = 1; i < sorted_pairs.size(); ++i) {
-    LSBENCH_ASSERT_MSG(sorted_pairs[i - 1].first < sorted_pairs[i].first,
+  const size_t n = view.size();
+  if (n == 0) return;
+  for (size_t i = 1; i < n; ++i) {
+    LSBENCH_ASSERT_MSG(view.key(i - 1) < view.key(i),
                        "BulkLoad requires strictly ascending keys");
   }
 
@@ -348,9 +350,9 @@ void BTree::BulkLoad(const std::vector<KeyValue>& sorted_pairs) {
       min_keys_, static_cast<size_t>(static_cast<double>(fanout_) * 0.9));
   std::vector<LeafNode*> leaves;
   size_t i = 0;
-  while (i < sorted_pairs.size()) {
-    size_t take = std::min(target, sorted_pairs.size() - i);
-    const size_t remaining_after = sorted_pairs.size() - i - take;
+  while (i < n) {
+    size_t take = std::min(target, n - i);
+    const size_t remaining_after = n - i - take;
     if (remaining_after > 0 && remaining_after < static_cast<size_t>(min_keys_)) {
       // Shift entries so the final leaf meets the occupancy minimum.
       take -= (min_keys_ - remaining_after);
@@ -359,8 +361,8 @@ void BTree::BulkLoad(const std::vector<KeyValue>& sorted_pairs) {
     leaf->keys.reserve(take);
     leaf->values.reserve(take);
     for (size_t j = 0; j < take; ++j) {
-      leaf->keys.push_back(sorted_pairs[i + j].first);
-      leaf->values.push_back(sorted_pairs[i + j].second);
+      leaf->keys.push_back(view.key(i + j));
+      leaf->values.push_back(view.value(i + j));
     }
     if (!leaves.empty()) {
       leaves.back()->next = leaf;
@@ -370,7 +372,7 @@ void BTree::BulkLoad(const std::vector<KeyValue>& sorted_pairs) {
     i += take;
   }
   leaf_count_ = leaves.size();
-  size_ = sorted_pairs.size();
+  size_ = n;
 
   // Build internal levels bottom-up. Track (subtree-min-key, node).
   std::vector<std::pair<Key, Node*>> level;
@@ -402,6 +404,15 @@ void BTree::BulkLoad(const std::vector<KeyValue>& sorted_pairs) {
     level = std::move(next_level);
   }
   root_ = level.front().second;
+}
+
+void BTree::BulkLoad(const std::vector<KeyValue>& sorted_pairs) {
+  BulkLoadFrom(SortedPairsView{&sorted_pairs});
+}
+
+void BTree::BulkLoadKeys(std::span<const Key> sorted_keys,
+                        Value first_value) {
+  BulkLoadFrom(SortedKeysView{sorted_keys, first_value});
 }
 
 int BTree::Height() const {

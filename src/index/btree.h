@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,8 @@ class BTree final : public KvIndex {
   size_t size() const override { return size_; }
   size_t MemoryBytes() const override;
   void BulkLoad(const std::vector<KeyValue>& sorted_pairs) override;
+  void BulkLoadKeys(std::span<const Key> sorted_keys,
+                    Value first_value) override;
 
   /// Tree height (1 = root is a leaf). 0 when empty.
   int Height() const;
@@ -57,6 +60,9 @@ class BTree final : public KvIndex {
     Node* right;
   };
 
+  /// The one body of both bulk loads (View: index/kv_index.h).
+  template <typename View>
+  void BulkLoadFrom(const View& view);
   const LeafNode* FindLeaf(Key key) const;
   bool InsertRec(Node* node, Key key, Value value,
                  std::optional<SplitResult>* split);

@@ -2,6 +2,7 @@
 #define LSBENCH_INDEX_KV_INDEX_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,34 @@ class KvIndex {
 
   /// Replaces the contents with `sorted_pairs` (strictly ascending keys).
   virtual void BulkLoad(const std::vector<KeyValue>& sorted_pairs) = 0;
+
+  /// BulkLoad from keys alone (strictly ascending), key i holding value
+  /// `first_value + i`: the index is built straight from `sorted_keys`,
+  /// with no pair image.
+  virtual void BulkLoadKeys(std::span<const Key> sorted_keys,
+                            Value first_value) = 0;
+};
+
+/// The two forms a bulk load's input comes in, read element by element.
+/// An index's pairs form and keys form instantiate one body on these, so
+/// the loop that builds the index exists once.
+///
+/// (key, value) pairs, as KvIndex::BulkLoad takes them.
+struct SortedPairsView {
+  const std::vector<KeyValue>* pairs;
+  size_t size() const { return pairs->size(); }
+  Key key(size_t i) const { return (*pairs)[i].first; }
+  Value value(size_t i) const { return (*pairs)[i].second; }
+};
+
+/// Keys alone: key i holds value `first_value + i`, so a dataset is loaded
+/// in place with its positions as the payload.
+struct SortedKeysView {
+  std::span<const Key> keys;
+  Value first_value = 0;
+  size_t size() const { return keys.size(); }
+  Key key(size_t i) const { return keys[i]; }
+  Value value(size_t i) const { return first_value + static_cast<Value>(i); }
 };
 
 }  // namespace lsbench

@@ -235,20 +235,23 @@ size_t LsmTree::MemoryBytes() const {
   return bytes;
 }
 
-void LsmTree::BulkLoad(const std::vector<KeyValue>& sorted_pairs) {
+template <typename View>
+void LsmTree::BulkLoadFrom(const View& view) {
+  const size_t n = view.size();
   memtable_.clear();
   levels_.clear();
-  live_count_ = sorted_pairs.size();
+  live_count_ = n;
   compaction_count_ = 0;
   compaction_work_ = 0;
   bloom_negatives_ = 0;
-  if (sorted_pairs.empty()) return;
+  if (n == 0) return;
   std::vector<Entry> entries;
-  entries.reserve(sorted_pairs.size());
-  for (const auto& [k, v] : sorted_pairs) {
+  entries.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Key k = view.key(i);
     LSBENCH_ASSERT_MSG(entries.empty() || entries.back().key < k,
                        "BulkLoad requires strictly ascending keys");
-    entries.push_back(Entry{k, v, false});
+    entries.push_back(Entry{k, view.value(i), false});
   }
   // Place the whole image directly at the shallowest level that fits.
   size_t level = 0;
@@ -256,6 +259,15 @@ void LsmTree::BulkLoad(const std::vector<KeyValue>& sorted_pairs) {
   levels_.resize(level + 1);
   levels_[level].entries = std::move(entries);
   FinalizeRun(&levels_[level]);
+}
+
+void LsmTree::BulkLoad(const std::vector<KeyValue>& sorted_pairs) {
+  BulkLoadFrom(SortedPairsView{&sorted_pairs});
+}
+
+void LsmTree::BulkLoadKeys(std::span<const Key> sorted_keys,
+                          Value first_value) {
+  BulkLoadFrom(SortedKeysView{sorted_keys, first_value});
 }
 
 void LsmTree::CheckInvariants() const {

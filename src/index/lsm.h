@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,8 @@ class LsmTree final : public KvIndex {
   size_t size() const override { return live_count_; }
   size_t MemoryBytes() const override;
   void BulkLoad(const std::vector<KeyValue>& sorted_pairs) override;
+  void BulkLoadKeys(std::span<const Key> sorted_keys,
+                    Value first_value) override;
 
   // --- introspection for tests / stats ---
   size_t memtable_size() const { return memtable_.size(); }
@@ -66,6 +69,9 @@ class LsmTree final : public KvIndex {
   void CheckInvariants() const;
 
  private:
+  /// The one body of both bulk loads (View: index/kv_index.h).
+  template <typename View>
+  void BulkLoadFrom(const View& view);
   struct Entry {
     Key key;
     Value value;

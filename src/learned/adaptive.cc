@@ -349,26 +349,40 @@ size_t AdaptiveLearnedIndex::MemoryBytes() const {
   return bytes;
 }
 
-void AdaptiveLearnedIndex::BulkLoad(const std::vector<KeyValue>& sorted_pairs) {
+template <typename View>
+void AdaptiveLearnedIndex::BulkLoadFrom(const View& view) {
+  const size_t n = view.size();
   segments_.clear();
-  size_ = sorted_pairs.size();
+  size_ = n;
   retrain_count_ = 0;
   retrain_work_ = 0;
-  if (sorted_pairs.empty()) return;
-  for (size_t i = 1; i < sorted_pairs.size(); ++i) {
-    LSBENCH_ASSERT_MSG(sorted_pairs[i - 1].first < sorted_pairs[i].first,
+  if (n == 0) return;
+  for (size_t i = 1; i < n; ++i) {
+    LSBENCH_ASSERT_MSG(view.key(i - 1) < view.key(i),
                        "BulkLoad requires strictly ascending keys");
   }
   const size_t chunk = std::max<size_t>(1, options_.max_segment_entries / 2);
+  std::vector<KeyValue> pairs;
   size_t i = 0;
-  while (i < sorted_pairs.size()) {
-    const size_t take = std::min(chunk, sorted_pairs.size() - i);
-    const std::vector<KeyValue> pairs(sorted_pairs.begin() + i,
-                                      sorted_pairs.begin() + i + take);
+  while (i < n) {
+    const size_t take = std::min(chunk, n - i);
+    pairs.clear();
+    for (size_t j = i; j < i + take; ++j) {
+      pairs.emplace_back(view.key(j), view.value(j));
+    }
     const Key first_key = i == 0 ? 0 : pairs.front().first;
     segments_.push_back(MakeSegment(pairs, first_key));
     i += take;
   }
+}
+
+void AdaptiveLearnedIndex::BulkLoad(const std::vector<KeyValue>& sorted_pairs) {
+  BulkLoadFrom(SortedPairsView{&sorted_pairs});
+}
+
+void AdaptiveLearnedIndex::BulkLoadKeys(std::span<const Key> sorted_keys,
+                                       Value first_value) {
+  BulkLoadFrom(SortedKeysView{sorted_keys, first_value});
 }
 
 void AdaptiveLearnedIndex::CheckInvariants() const {

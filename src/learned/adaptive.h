@@ -2,6 +2,7 @@
 #define LSBENCH_LEARNED_ADAPTIVE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,8 @@ class AdaptiveLearnedIndex final : public KvIndex {
   size_t size() const override { return size_; }
   size_t MemoryBytes() const override;
   void BulkLoad(const std::vector<KeyValue>& sorted_pairs) override;
+  void BulkLoadKeys(std::span<const Key> sorted_keys,
+                    Value first_value) override;
 
   size_t segment_count() const { return segments_.size(); }
   /// Cumulative number of model refits (splits + threshold retrains) —
@@ -52,6 +55,9 @@ class AdaptiveLearnedIndex final : public KvIndex {
   void CheckInvariants() const;
 
  private:
+  /// The one body of both bulk loads (View: index/kv_index.h).
+  template <typename View>
+  void BulkLoadFrom(const View& view);
   /// One gapped-array segment. `occupied[i]` marks live slots; keys of dead
   /// slots are undefined.
   struct Segment {

@@ -14,7 +14,7 @@ double QError(double estimate, double truth) {
   return std::max(e / t, t / e);
 }
 
-EquiDepthHistogram::EquiDepthHistogram(const std::vector<Key>& sorted_keys,
+EquiDepthHistogram::EquiDepthHistogram(std::span<const Key> sorted_keys,
                                        int num_buckets) {
   LSBENCH_ASSERT(num_buckets >= 1);
   total_keys_ = sorted_keys.size();
@@ -71,13 +71,13 @@ size_t EquiDepthHistogram::MemoryBytes() const {
 }
 
 LearnedCardinalityEstimator::LearnedCardinalityEstimator(
-    const std::vector<Key>& sorted_keys, Options options)
+    std::span<const Key> sorted_keys, Options options)
     : options_(options) {
   Retrain(sorted_keys);
 }
 
 void LearnedCardinalityEstimator::Retrain(
-    const std::vector<Key>& sorted_keys) {
+    std::span<const Key> sorted_keys) {
   total_keys_ = sorted_keys.size();
   knot_keys_.clear();
   knot_cdf_.clear();

@@ -2,6 +2,7 @@
 #define LSBENCH_LEARNED_CARDINALITY_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,7 +40,7 @@ class CardinalityEstimator {
 /// uniformity inside a bucket.
 class EquiDepthHistogram final : public CardinalityEstimator {
  public:
-  EquiDepthHistogram(const std::vector<Key>& sorted_keys, int num_buckets);
+  EquiDepthHistogram(std::span<const Key> sorted_keys, int num_buckets);
 
   std::string name() const override { return "equi_depth_histogram"; }
   double EstimateRange(Key lo, Key hi) const override;
@@ -67,7 +68,7 @@ class LearnedCardinalityEstimator final : public CardinalityEstimator {
     uint64_t seed = 99;
   };
 
-  LearnedCardinalityEstimator(const std::vector<Key>& sorted_keys,
+  LearnedCardinalityEstimator(std::span<const Key> sorted_keys,
                               Options options);
 
   std::string name() const override { return "learned_cdf"; }
@@ -78,7 +79,7 @@ class LearnedCardinalityEstimator final : public CardinalityEstimator {
   uint64_t feedback_count() const { return feedback_count_; }
 
   /// Rebuilds the model from a fresh key sample (offline retraining).
-  void Retrain(const std::vector<Key>& sorted_keys);
+  void Retrain(std::span<const Key> sorted_keys);
 
  private:
   double CdfAt(Key key) const;

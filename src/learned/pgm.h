@@ -1,6 +1,7 @@
 #ifndef LSBENCH_LEARNED_PGM_H_
 #define LSBENCH_LEARNED_PGM_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,8 @@ class PgmIndex final : public KvIndex {
   size_t size() const override { return live_count_; }
   size_t MemoryBytes() const override;
   void BulkLoad(const std::vector<KeyValue>& sorted_pairs) override;
+  void BulkLoadKeys(std::span<const Key> sorted_keys,
+                    Value first_value) override;
 
   /// Merges the delta and rebuilds segments. Returns keys trained over.
   size_t Retrain();
@@ -42,6 +45,9 @@ class PgmIndex final : public KvIndex {
   uint32_t epsilon() const { return epsilon_; }
 
  private:
+  /// The one body of both bulk loads (View: index/kv_index.h).
+  template <typename View>
+  void BulkLoadFrom(const View& view);
   /// Piecewise-linear segment anchored at its own origin: position(key) =
   /// slope * (key - x0) + y0. The anchored form is numerically essential —
   /// an absolute `slope * key + intercept` loses ~8 positions of precision

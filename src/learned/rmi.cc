@@ -173,20 +173,32 @@ size_t RmiIndex::MemoryBytes() const {
          delta_.MemoryBytes();
 }
 
-void RmiIndex::BulkLoad(const std::vector<KeyValue>& sorted_pairs) {
+template <typename View>
+void RmiIndex::BulkLoadFrom(const View& view) {
+  const size_t n = view.size();
   keys_.clear();
   values_.clear();
-  keys_.reserve(sorted_pairs.size());
-  values_.reserve(sorted_pairs.size());
-  for (const auto& [k, v] : sorted_pairs) {
+  keys_.reserve(n);
+  values_.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Key k = view.key(i);
     LSBENCH_ASSERT_MSG(keys_.empty() || keys_.back() < k,
                        "BulkLoad requires strictly ascending keys");
     keys_.push_back(k);
-    values_.push_back(v);
+    values_.push_back(view.value(i));
   }
   delta_.Clear();
   live_count_ = keys_.size();
   Fit();
+}
+
+void RmiIndex::BulkLoad(const std::vector<KeyValue>& sorted_pairs) {
+  BulkLoadFrom(SortedPairsView{&sorted_pairs});
+}
+
+void RmiIndex::BulkLoadKeys(std::span<const Key> sorted_keys,
+                           Value first_value) {
+  BulkLoadFrom(SortedKeysView{sorted_keys, first_value});
 }
 
 size_t RmiIndex::Retrain() {

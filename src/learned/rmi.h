@@ -1,6 +1,7 @@
 #ifndef LSBENCH_LEARNED_RMI_H_
 #define LSBENCH_LEARNED_RMI_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,8 @@ class RmiIndex final : public KvIndex {
   size_t size() const override { return live_count_; }
   size_t MemoryBytes() const override;
   void BulkLoad(const std::vector<KeyValue>& sorted_pairs) override;
+  void BulkLoadKeys(std::span<const Key> sorted_keys,
+                    Value first_value) override;
 
   /// Merges the delta buffer into the static arrays and refits all models.
   /// Returns the number of keys trained over.
@@ -61,6 +64,9 @@ class RmiIndex final : public KvIndex {
   const RmiOptions& options() const { return options_; }
 
  private:
+  /// The one body of both bulk loads (View: index/kv_index.h).
+  template <typename View>
+  void BulkLoadFrom(const View& view);
   /// Fits root + leaf models + error bounds over keys_.
   void Fit();
   size_t LeafFor(Key key) const;

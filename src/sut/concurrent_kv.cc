@@ -32,37 +32,41 @@ size_t PartitionedKvSystem::ShardFor(Key key) const {
   return static_cast<size_t>(it - shard_lower_.begin()) - 1;
 }
 
-Status PartitionedKvSystem::Load(const std::vector<KeyValue>& sorted_pairs) {
+template <typename View, typename LoadShardFn>
+void PartitionedKvSystem::LoadShards(const View& view,
+                                     LoadShardFn load_shard) {
   const size_t partitions = shards_.size();
-  const size_t n = sorted_pairs.size();
-
+  const size_t n = view.size();
   // Equi-count split keys: shard i owns keys in
   // [shard_lower_[i], shard_lower_[i + 1]).
-  shard_lower_.assign(partitions, 0);
-  for (size_t i = 1; i < partitions; ++i) {
-    const size_t split = i * n / partitions;
-    shard_lower_[i] =
-        split < n ? sorted_pairs[split].first : shard_lower_[i - 1];
-  }
-
-  std::vector<KeyValue> slice;
-  size_t begin = 0;
   for (size_t i = 0; i < partitions; ++i) {
-    size_t end = n;
-    if (i + 1 < partitions) {
-      const auto it = std::lower_bound(
-          sorted_pairs.begin() + static_cast<ptrdiff_t>(begin),
-          sorted_pairs.end(), shard_lower_[i + 1],
-          [](const KeyValue& kv, Key k) { return kv.first < k; });
-      end = static_cast<size_t>(it - sorted_pairs.begin());
-    }
-    slice.assign(sorted_pairs.begin() + static_cast<ptrdiff_t>(begin),
-                 sorted_pairs.begin() + static_cast<ptrdiff_t>(end));
+    const size_t begin = i * n / partitions;
+    const size_t end = (i + 1) * n / partitions;
+    shard_lower_[i] = i == 0 || n == 0 ? 0 : view.key(begin);
     Shard& shard = *shards_[i];
     MutexLock lock(shard.mu);
-    shard.tree.BulkLoad(slice);
-    begin = end;
+    load_shard(&shard.tree, begin, end);
   }
+}
+
+Status PartitionedKvSystem::Load(const std::vector<KeyValue>& sorted_pairs) {
+  std::vector<KeyValue> slice;
+  LoadShards(SortedPairsView{&sorted_pairs},
+             [&](BTree* tree, size_t begin, size_t end) {
+               slice.assign(
+                   sorted_pairs.begin() + static_cast<ptrdiff_t>(begin),
+                   sorted_pairs.begin() + static_cast<ptrdiff_t>(end));
+               tree->BulkLoad(slice);
+             });
+  return Status::OK();
+}
+
+Status PartitionedKvSystem::LoadKeys(std::span<const Key> sorted_keys) {
+  LoadShards(SortedKeysView{sorted_keys},
+             [&](BTree* tree, size_t begin, size_t end) {
+               tree->BulkLoadKeys(sorted_keys.subspan(begin, end - begin),
+                                  static_cast<Value>(begin));
+             });
   return Status::OK();
 }
 
@@ -183,7 +187,7 @@ void PartitionedKvSystem::ExecuteBatch(const Operation& op,
   const bool put = op.type == OpType::kBatchPut;
   for (size_t s = 0; s < shards_.size(); ++s) {
     // Cheap unlocked membership scan first (routing is immutable after
-    // Load), so shards no batch element touches are never locked.
+    // a load), so shards no batch element touches are never locked.
     bool any = false;
     for (uint32_t i = 0; i < op.batch_size; ++i) {
       if (ShardFor(op.batch_keys[i]) == s) {

@@ -2,6 +2,7 @@
 #define LSBENCH_SUT_CONCURRENT_KV_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,7 +17,7 @@ namespace lsbench {
 /// `partitions` B+-trees, each guarded by its own mutex. Point operations
 /// lock exactly one partition; scans and range counts walk consecutive
 /// partitions locking one at a time. Split keys are chosen equi-count at
-/// Load so partitions start balanced.
+/// load so partitions start balanced.
 ///
 /// This is the scaling reference for the multi-worker driver: with N
 /// workers touching mostly distinct partitions, throughput grows with N,
@@ -34,6 +35,9 @@ class PartitionedKvSystem final : public SystemUnderTest {
     return SutConcurrency::kThreadSafe;
   }
   Status Load(const std::vector<KeyValue>& sorted_pairs) override;
+  /// Loads each shard straight from its slice of `sorted_keys`; a key's
+  /// value is its position in the whole span.
+  Status LoadKeys(std::span<const Key> sorted_keys) override;
   LSBENCH_DETERMINISTIC
   OpResult Execute(const Operation& op) override;
   /// Partition-grouped fan-out: walks the shards in order and serves every
@@ -55,11 +59,17 @@ class PartitionedKvSystem final : public SystemUnderTest {
   /// Index of the partition owning `key`: the last shard whose lower
   /// bound is <= key.
   size_t ShardFor(Key key) const;
+  /// The equi-count cut both loads share: shard i gets positions
+  /// [i n / p, (i + 1) n / p) of the sorted input (View: index/kv_index.h)
+  /// and its first key as its lower bound. `load_shard(tree, begin, end)`
+  /// bulk-loads one shard's positions, under that shard's lock.
+  template <typename View, typename LoadShardFn>
+  void LoadShards(const View& view, LoadShardFn load_shard);
 
   int fanout_;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// shard_lower_[i] is the smallest key routed to shard i
-  /// (shard_lower_[0] == 0). Immutable after Load.
+  /// (shard_lower_[0] == 0). Immutable after a load.
   std::vector<Key> shard_lower_;
 };
 

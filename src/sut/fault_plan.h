@@ -43,8 +43,8 @@ bool operator==(const FaultWindow& a, const FaultWindow& b);
 /// under VirtualClock simulation.
 struct FaultPlan {
   uint64_t seed = 0x5eedfa17u;
-  /// Fails the run's one Load call with an injected I/O error (the driver
-  /// never retries Load), so the SUT is never loaded.
+  /// Fails the run's one load (LoadKeys) with an injected I/O error (the
+  /// driver never retries it), so the SUT is never loaded.
   bool fail_load = false;
   std::vector<FaultWindow> windows;
 

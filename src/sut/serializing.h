@@ -1,6 +1,7 @@
 #ifndef LSBENCH_SUT_SERIALIZING_H_
 #define LSBENCH_SUT_SERIALIZING_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,11 @@ class SerializingSut final : public SystemUnderTest {
   Status Load(const std::vector<KeyValue>& sorted_pairs) override {
     MutexLock lock(mu_);
     return inner_->Load(sorted_pairs);
+  }
+
+  Status LoadKeys(std::span<const Key> sorted_keys) override {
+    MutexLock lock(mu_);
+    return inner_->LoadKeys(sorted_keys);
   }
 
   TrainReport Train() override {

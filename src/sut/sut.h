@@ -2,6 +2,7 @@
 #define LSBENCH_SUT_SUT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,8 +52,8 @@ enum class SutConcurrency {
   /// (see SerializingSut) — correctness is preserved, throughput won't
   /// scale.
   kSerial,
-  /// Execute is safe to call concurrently from many threads. Load, Train,
-  /// and OnPhaseStart are still invoked by a single thread at quiescent
+  /// Execute is safe to call concurrently from many threads. LoadKeys,
+  /// Train, and OnPhaseStart are still invoked by a single thread at quiescent
   /// points (before execution / at phase barriers), but may be called from
   /// *different* threads across phases, so implementations must not rely
   /// on thread identity. See docs/ARCHITECTURE.md for the full contract.
@@ -77,6 +78,21 @@ class SystemUnderTest {
 
   /// Replaces the stored data with `sorted_pairs` (ascending unique keys).
   virtual Status Load(const std::vector<KeyValue>& sorted_pairs) = 0;
+
+  /// Replaces the stored data with `sorted_keys` (ascending unique), key i
+  /// holding value i: the dataset itself, with its payload implicit. The
+  /// driver loads through this call. The default builds the (key, i) pairs
+  /// and calls Load, so a SUT or decorator that implements Load alone
+  /// still works; the bundled SUTs override it to load straight from the
+  /// span, without that 16 B-per-key image.
+  virtual Status LoadKeys(std::span<const Key> sorted_keys) {
+    std::vector<KeyValue> pairs;
+    pairs.reserve(sorted_keys.size());
+    for (size_t i = 0; i < sorted_keys.size(); ++i) {
+      pairs.emplace_back(sorted_keys[i], static_cast<Value>(i));
+    }
+    return Load(pairs);
+  }
 
   /// Offline training pass over the currently loaded data. Traditional
   /// systems return trained=false. The driver times this call and charges
@@ -116,7 +132,7 @@ class SystemUnderTest {
 
   /// Offers the SUT a metrics registry to publish internal instruments
   /// into (retrain counters, model-rebuild latency histograms, ...). Called
-  /// once per run, before Load, only when metrics export is enabled.
+  /// once per run, before LoadKeys, only when metrics export is enabled.
   /// Default: the SUT publishes nothing. `registry` outlives the run;
   /// wrapper SUTs must forward the call to the system they wrap.
   virtual void BindObservability(MetricsRegistry* registry) {

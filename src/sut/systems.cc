@@ -34,6 +34,17 @@ void ExecuteBatchDirect(IndexT* idx, const Operation& op, OpResult* results) {
     }
   }
 }
+
+/// The keys of (key, value) pairs, for the estimators built at load time.
+std::vector<Key> KeysOf(const std::vector<KeyValue>& pairs) {
+  std::vector<Key> keys;
+  keys.reserve(pairs.size());
+  for (const auto& [k, v] : pairs) {
+    (void)v;
+    keys.push_back(k);
+  }
+  return keys;
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -212,16 +223,17 @@ BTreeSystem::BTreeSystem(int fanout, int histogram_buckets)
 
 Status BTreeSystem::Load(const std::vector<KeyValue>& sorted_pairs) {
   btree_.BulkLoad(sorted_pairs);
-  std::vector<Key> keys;
-  keys.reserve(sorted_pairs.size());
-  for (const auto& [k, v] : sorted_pairs) {
-    (void)v;
-    keys.push_back(k);
-  }
   // ANALYZE-style statistics collection at load time: part of normal
   // traditional-system operation, not "training".
+  estimator_ = std::make_unique<EquiDepthHistogram>(KeysOf(sorted_pairs),
+                                                    histogram_buckets_);
+  return Status::OK();
+}
+
+Status BTreeSystem::LoadKeys(std::span<const Key> sorted_keys) {
+  btree_.BulkLoadKeys(sorted_keys, 0);
   estimator_ =
-      std::make_unique<EquiDepthHistogram>(keys, histogram_buckets_);
+      std::make_unique<EquiDepthHistogram>(sorted_keys, histogram_buckets_);
   return Status::OK();
 }
 
@@ -244,14 +256,15 @@ LsmKvSystem::LsmKvSystem(LsmOptions options, int histogram_buckets)
 
 Status LsmKvSystem::Load(const std::vector<KeyValue>& sorted_pairs) {
   lsm_.BulkLoad(sorted_pairs);
-  std::vector<Key> keys;
-  keys.reserve(sorted_pairs.size());
-  for (const auto& [k, v] : sorted_pairs) {
-    (void)v;
-    keys.push_back(k);
-  }
+  estimator_ = std::make_unique<EquiDepthHistogram>(KeysOf(sorted_pairs),
+                                                    histogram_buckets_);
+  return Status::OK();
+}
+
+Status LsmKvSystem::LoadKeys(std::span<const Key> sorted_keys) {
+  lsm_.BulkLoadKeys(sorted_keys, 0);
   estimator_ =
-      std::make_unique<EquiDepthHistogram>(keys, histogram_buckets_);
+      std::make_unique<EquiDepthHistogram>(sorted_keys, histogram_buckets_);
   return Status::OK();
 }
 
@@ -323,6 +336,12 @@ const std::vector<Key>& LearnedKvSystem::TrainedKeys() const {
 
 Status LearnedKvSystem::Load(const std::vector<KeyValue>& sorted_pairs) {
   index()->BulkLoad(sorted_pairs);
+  trained_ = false;
+  return Status::OK();
+}
+
+Status LearnedKvSystem::LoadKeys(std::span<const Key> sorted_keys) {
+  index()->BulkLoadKeys(sorted_keys, 0);
   trained_ = false;
   return Status::OK();
 }
@@ -462,14 +481,15 @@ AdaptiveKvSystem::AdaptiveKvSystem(
 
 Status AdaptiveKvSystem::Load(const std::vector<KeyValue>& sorted_pairs) {
   alex_.BulkLoad(sorted_pairs);
-  std::vector<Key> keys;
-  keys.reserve(sorted_pairs.size());
-  for (const auto& [k, v] : sorted_pairs) {
-    (void)v;
-    keys.push_back(k);
-  }
   estimator_ = std::make_unique<LearnedCardinalityEstimator>(
-      keys, estimator_options_);
+      KeysOf(sorted_pairs), estimator_options_);
+  return Status::OK();
+}
+
+Status AdaptiveKvSystem::LoadKeys(std::span<const Key> sorted_keys) {
+  alex_.BulkLoadKeys(sorted_keys, 0);
+  estimator_ = std::make_unique<LearnedCardinalityEstimator>(
+      sorted_keys, estimator_options_);
   return Status::OK();
 }
 

@@ -2,6 +2,7 @@
 #define LSBENCH_SUT_SYSTEMS_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,7 @@ class BTreeSystem final : public KvSystemBase {
 
   std::string name() const override { return "btree_system"; }
   Status Load(const std::vector<KeyValue>& sorted_pairs) override;
+  Status LoadKeys(std::span<const Key> sorted_keys) override;
   /// Native batch path: per-element calls go straight to the concrete
   /// BTree (devirtualized and inlinable), not through KvIndex.
   LSBENCH_DETERMINISTIC
@@ -90,6 +92,7 @@ class LsmKvSystem final : public KvSystemBase {
 
   std::string name() const override { return "lsm_system"; }
   Status Load(const std::vector<KeyValue>& sorted_pairs) override;
+  Status LoadKeys(std::span<const Key> sorted_keys) override;
   SutStats GetStats() const override;
 
  protected:
@@ -137,11 +140,12 @@ class LearnedKvSystem final : public KvSystemBase {
 
   std::string name() const override;
   Status Load(const std::vector<KeyValue>& sorted_pairs) override;
+  Status LoadKeys(std::span<const Key> sorted_keys) override;
   /// Timed offline training: refits the index models, samples the learned
   /// estimator and feeds the drift reference, all from the keys the index
   /// holds in place. It copies no key set (merging an empty delta touches
-  /// nothing), so set-up memory peaks during Load at dataset + load image +
-  /// index, and this call adds only the models.
+  /// nothing), so set-up memory peaks during LoadKeys at dataset + index,
+  /// and this call adds only the models.
   TrainReport Train() override;
   void OnPhaseStart(int phase_index, bool holdout) override;
   SutStats GetStats() const override;
@@ -198,6 +202,7 @@ class AdaptiveKvSystem final : public KvSystemBase {
 
   std::string name() const override { return "adaptive_system"; }
   Status Load(const std::vector<KeyValue>& sorted_pairs) override;
+  Status LoadKeys(std::span<const Key> sorted_keys) override;
   SutStats GetStats() const override;
 
  protected:

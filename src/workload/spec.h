@@ -64,7 +64,7 @@ struct PhaseSpec {
   /// Recorded trace phase. When set, the phase issues the trace's entries
   /// in order instead of drawing from a generator: `mix`, `access*`,
   /// `scan_length`, `range_selectivity` and `batch_*` are ignored, while
-  /// `dataset_index` still selects the load image and arrivals, hold-out
+  /// `dataset_index` still selects the phase's dataset, and arrivals, hold-out
   /// and every driver feature apply as for a generated phase. Requires
   /// `num_operations == trace->size()` and `transition_operations == 0`,
   /// and the next phase cannot blend in from it (RunSpec::Validate).

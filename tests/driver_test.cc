@@ -235,12 +235,46 @@ TEST_F(DriverTest, SpecializationReportSortsByPhi) {
   EXPECT_GT(report.entries[0].throughput_box.count, 0u);
 }
 
-TEST_F(DriverTest, BuildLoadImageUsesFirstPhaseDataset) {
-  const RunSpec spec = MakeTwoPhaseSpec();
-  const auto image = BuildLoadImage(spec);
-  EXPECT_EQ(image.size(), spec.datasets[0].keys.size());
-  EXPECT_EQ(image.front().first, spec.datasets[0].keys.front());
-  EXPECT_TRUE(std::is_sorted(image.begin(), image.end()));
+/// A decorator that implements Load alone, as user decorators do, and
+/// keeps the pairs it was given: the driver's LoadKeys reaches it through
+/// the default adapter.
+class LoadOnlyDecorator final : public SystemUnderTest {
+ public:
+  explicit LoadOnlyDecorator(SystemUnderTest* inner) : inner_(inner) {}
+  std::string name() const override { return inner_->name(); }
+  Status Load(const std::vector<KeyValue>& sorted_pairs) override {
+    loaded = sorted_pairs;
+    return inner_->Load(sorted_pairs);
+  }
+  OpResult Execute(const Operation& op) override {
+    return inner_->Execute(op);
+  }
+  SutStats GetStats() const override { return inner_->GetStats(); }
+
+  std::vector<KeyValue> loaded;
+
+ private:
+  SystemUnderTest* const inner_;
+};
+
+TEST_F(DriverTest, LoadsFirstPhaseDatasetThroughLoadOnlyDecorator) {
+  // Phase 0 reads the second dataset, so loading dataset 0 would show.
+  RunSpec spec = MakeTwoPhaseSpec();
+  spec.phases[0].dataset_index = 1;
+  spec.phases[1].dataset_index = 0;
+  VirtualClock clock;
+  DriverOptions options;
+  options.virtual_clock = &clock;
+  BenchmarkDriver driver(&clock, options);
+  BTreeSystem inner;
+  LoadOnlyDecorator sut(&inner);
+  const Result<RunResult> run = driver.Run(spec, &sut);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<Key>& keys = spec.datasets[1].keys;
+  ASSERT_EQ(sut.loaded.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(sut.loaded[i], KeyValue(keys[i], i)) << "position " << i;
+  }
 }
 
 /// Property sweep: randomized specs (mixes, access patterns, arrivals,
@@ -706,12 +740,18 @@ TEST_F(DriverTest, RegistryCounterAuditHoldsUnderQueueSheds) {
   // injected faults are retried and whose breaker opens, with the metrics
   // registry armed: every unit the streams drew was recorded (a shed one
   // as one unit of all its elements), every attempt the executors made is
-  // a unit's retries plus its one try, and every queue shed was recorded,
-  // so the end-of-run counter audit passes. Off by one, it names the
-  // counter.
-  for (const uint32_t workers : {1u, 4u}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
+  // a unit's retries plus its one try, every queue shed was recorded, and
+  // every unit was offered to a queue once, so the end-of-run counter
+  // audit passes. Off by one, it names the counter.
+  for (const auto& [policy, workers] :
+       {std::pair{OverloadPolicy::kDropNewest, 1u},
+        std::pair{OverloadPolicy::kDropNewest, 4u},
+        std::pair{OverloadPolicy::kDropOldest, 1u},
+        std::pair{OverloadPolicy::kDropOldest, 4u}}) {
+    SCOPED_TRACE(OverloadPolicyToString(policy) +
+                 " workers=" + std::to_string(workers));
     RunSpec spec = MakeServiceBatchSpec(workers);
+    spec.service.policy = policy;
     spec.observability.metrics = true;
     FaultWindow faults;
     faults.execute_fail_rate = 0.4;
@@ -742,10 +782,16 @@ TEST_F(DriverTest, RegistryCounterAuditHoldsUnderQueueSheds) {
     EXPECT_EQ(CounterValue(counters, "sink.events_recorded"), elements);
     const uint64_t attempts = CounterValue(counters, "executor.attempts");
     const uint64_t queue_sheds = CounterValue(counters, "service.shed");
+    const uint64_t admitted = CounterValue(counters, "service.admitted");
     EXPECT_GT(CounterValue(counters, "executor.retries"), 0u);
     EXPECT_GT(CounterValue(counters, "executor.shed"), 0u);
     EXPECT_GT(queue_sheds, 0u);
     EXPECT_GT(attempts, units - queue_sheds);
+    // Drop-oldest admits every arrival and sheds admitted heads; drop-newest
+    // refuses every arrival it sheds.
+    EXPECT_EQ(admitted, policy == OverloadPolicy::kDropOldest
+                            ? units
+                            : units - queue_sheds);
 
     // A fold that agrees with every counter, then each count off by one.
     ShardAccumulation fold(result.boundaries,
@@ -754,10 +800,11 @@ TEST_F(DriverTest, RegistryCounterAuditHoldsUnderQueueSheds) {
     fold.operations = elements;
     fold.attempts = attempts;
     fold.queue_shed_units = queue_sheds;
-    EXPECT_TRUE(AuditRegistryCounters(counters, fold).ok());
+    EXPECT_TRUE(AuditRegistryCounters(counters, fold, spec.service).ok());
     const auto audit_off_by_one = [&](uint64_t* count) {
       ++*count;
-      const Status status = AuditRegistryCounters(counters, fold);
+      const Status status =
+          AuditRegistryCounters(counters, fold, spec.service);
       --*count;
       EXPECT_TRUE(status.IsInternal()) << status.ToString();
       return status.message();
@@ -779,6 +826,20 @@ TEST_F(DriverTest, RegistryCounterAuditHoldsUnderQueueSheds) {
                   ", but the folds count " +
                   std::to_string(queue_sheds + 1) +
                   " queue-shed request units");
+
+    // The admitted counter is checked against the folds' offered units,
+    // on service runs only.
+    MetricsSnapshot bumped = counters;
+    for (auto& [metric, value] : bumped.counters) {
+      if (metric == "service.admitted") ++value;
+    }
+    const Status status = AuditRegistryCounters(bumped, fold, spec.service);
+    EXPECT_TRUE(status.IsInternal()) << status.ToString();
+    EXPECT_EQ(status.message(),
+              "counter service.admitted = " + std::to_string(admitted + 1) +
+                  ", but the folds count " + std::to_string(admitted) +
+                  " offered request units not shed on arrival");
+    EXPECT_TRUE(AuditRegistryCounters(bumped, fold, ServiceSpec{}).ok());
   }
 }
 

@@ -416,6 +416,9 @@ TEST(HotpathAllocTest, ExpansionIntoRoomyMergedUnitsAllocatesNothing) {
 constexpr size_t kTrainKeys = 200000;
 /// One copy of the trained keys: the smallest copy of the key set.
 constexpr uint64_t kKeySetBytes = kTrainKeys * sizeof(Key);
+/// What a learned index's models may add to its arrays at load: RMI's 256
+/// leaf models and their bounds take about 7 KiB, PGM's segments about 2.
+constexpr uint64_t kModelSlackBytes = 16 * 1024;
 
 std::vector<KeyValue> TrainPairs() {
   DatasetOptions options;
@@ -461,6 +464,36 @@ TEST(TrainAllocTest, RetrainWithEmptyDeltaCopiesNoKeySet) {
   EXPECT_LT(pgm_bytes, kKeySetBytes)
       << "PgmIndex::Retrain() with an empty delta allocated " << pgm_bytes
       << " bytes";
+}
+
+TEST(LoadAllocTest, LoadKeysAllocatesOnlyTheIndex) {
+  // LoadKeys fills a learned index's key and value arrays straight from the
+  // dataset: 16 B per key, plus the models. Loading through a pair image
+  // allocated that image too, 32 B per key in all.
+  std::vector<Key> keys;
+  for (const auto& [k, v] : TrainPairs()) {
+    (void)v;
+    keys.push_back(k);
+  }
+  const uint64_t index_bytes = kTrainKeys * (sizeof(Key) + sizeof(Value));
+  for (const auto kind : {LearnedSystemOptions::IndexKind::kRmi,
+                          LearnedSystemOptions::IndexKind::kPgm}) {
+    LearnedSystemOptions options;
+    options.index_kind = kind;
+    LearnedKvSystem sut(options);
+    Status status;
+    uint64_t peak = 0;
+    const uint64_t requested = HeapBytesDuring([&] {
+      peak = PeakLiveBytesDuring([&] { status = sut.LoadKeys(keys); });
+    });
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_LE(requested, index_bytes + kModelSlackBytes)
+        << sut.name() << ": LoadKeys of " << kTrainKeys << " keys requested "
+        << requested << " heap bytes";
+    EXPECT_LE(peak, index_bytes + kModelSlackBytes)
+        << sut.name() << ": LoadKeys of " << kTrainKeys << " keys held "
+        << peak << " heap bytes at its peak";
+  }
 }
 
 TEST(BuildAllocTest, EmailsPastItsKeySpaceFailsWithoutReserving) {

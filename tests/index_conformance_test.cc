@@ -3,6 +3,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -114,6 +115,30 @@ TEST_P(IndexConformanceTest, BulkLoadThenLookupAll) {
   EXPECT_FALSE(index_->Get(2).has_value());
   EXPECT_FALSE(index_->Get(4).has_value());
   EXPECT_FALSE(index_->Get(pairs.back().first + 1).has_value());
+}
+
+TEST_P(IndexConformanceTest, BulkLoadKeysEqualsBulkLoadOfPositions) {
+  // Key i of the span holds first_value + i: the index is the one BulkLoad
+  // builds from those pairs.
+  constexpr Value kFirstValue = 100;
+  std::vector<Key> keys;
+  std::vector<KeyValue> pairs;
+  for (Key i = 0; i < 2000; ++i) {
+    keys.push_back(i * 7 + 3);
+    pairs.emplace_back(i * 7 + 3, kFirstValue + i);
+  }
+  index_->BulkLoadKeys(keys, kFirstValue);
+  const std::unique_ptr<KvIndex> reference = GetParam().make();
+  reference->BulkLoad(pairs);
+  EXPECT_EQ(index_->size(), reference->size());
+  EXPECT_EQ(index_->MemoryBytes(), reference->MemoryBytes());
+  std::vector<KeyValue> scanned;
+  index_->Scan(0, pairs.size() + 1, &scanned);
+  EXPECT_EQ(scanned, pairs);
+  for (const auto& [k, v] : pairs) {
+    ASSERT_EQ(index_->Get(k), std::optional<Value>(v)) << "key " << k;
+  }
+  EXPECT_FALSE(index_->Get(4).has_value());
 }
 
 TEST_P(IndexConformanceTest, ScanIsSortedAndBounded) {

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
+#include "sut/concurrent_kv.h"
 #include "sut/cost_model.h"
+#include "sut/serializing.h"
 #include "sut/systems.h"
 #include "util/clock.h"
 
@@ -254,6 +260,148 @@ TEST(AdaptiveSystemTest, AdaptsWithoutExplicitTraining) {
   const SutStats stats = sut.GetStats();
   EXPECT_GT(stats.retrain_events, 0u);  // Online splits/retrains happened.
   EXPECT_GT(stats.offline_train_items, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// LoadKeys against Load
+// ---------------------------------------------------------------------------
+
+// Every library SUT. LoadKeys(keys) must leave each one, bare and behind
+// SerializingSut, in the state Load of the (key, position) pairs leaves.
+struct BTreeMaker {
+  static std::unique_ptr<SystemUnderTest> Make() {
+    return std::make_unique<BTreeSystem>(16);
+  }
+};
+struct LsmMaker {
+  static std::unique_ptr<SystemUnderTest> Make() {
+    LsmOptions options;
+    options.memtable_limit = 128;
+    return std::make_unique<LsmKvSystem>(options);
+  }
+};
+struct RmiMaker {
+  static std::unique_ptr<SystemUnderTest> Make() {
+    return std::make_unique<LearnedKvSystem>();
+  }
+};
+struct PgmMaker {
+  static std::unique_ptr<SystemUnderTest> Make() {
+    LearnedSystemOptions options;
+    options.index_kind = LearnedSystemOptions::IndexKind::kPgm;
+    return std::make_unique<LearnedKvSystem>(options);
+  }
+};
+struct AdaptiveMaker {
+  static std::unique_ptr<SystemUnderTest> Make() {
+    return std::make_unique<AdaptiveKvSystem>();
+  }
+};
+struct PartitionedMaker {
+  static std::unique_ptr<SystemUnderTest> Make() {
+    return std::make_unique<PartitionedKvSystem>(4, 16);
+  }
+};
+
+/// What a loaded SUT serves: a Get of every key and of a miss, a scan, a
+/// range count, and the memory it reports.
+struct Served {
+  std::vector<std::pair<bool, uint64_t>> gets;
+  uint64_t scan_rows = 0;
+  uint64_t range_rows = 0;
+  size_t memory_bytes = 0;
+  bool operator==(const Served&) const = default;
+};
+
+Served Serve(SystemUnderTest* sut, const std::vector<Key>& keys) {
+  Served served;
+  for (const Key k : keys) {
+    const OpResult r = sut->Execute(MakeGet(k));
+    served.gets.emplace_back(r.ok, r.rows);
+  }
+  const OpResult miss = sut->Execute(MakeGet(keys.back() + 1));
+  served.gets.emplace_back(miss.ok, miss.rows);
+  Operation scan;
+  scan.type = OpType::kScan;
+  scan.key = keys[keys.size() / 3];
+  scan.scan_length = 100;
+  served.scan_rows = sut->Execute(scan).rows;
+  served.range_rows =
+      sut->Execute(MakeRangeCount(keys[100], keys[keys.size() - 100])).rows;
+  served.memory_bytes = sut->GetStats().memory_bytes;
+  return served;
+}
+
+template <typename Maker>
+class LoadKeysTest : public ::testing::Test {};
+
+using LibrarySuts = ::testing::Types<BTreeMaker, LsmMaker, RmiMaker, PgmMaker,
+                                     AdaptiveMaker, PartitionedMaker>;
+TYPED_TEST_SUITE(LoadKeysTest, LibrarySuts);
+
+TYPED_TEST(LoadKeysTest, LeavesTheStateLoadLeaves) {
+  const std::vector<KeyValue> pairs = UniformPairs(3000, 21);
+  std::vector<Key> keys;
+  for (const auto& [k, v] : pairs) {
+    (void)v;
+    keys.push_back(k);
+  }
+  for (const bool serialized : {false, true}) {
+    SCOPED_TRACE(serialized ? "behind SerializingSut" : "bare");
+    const std::unique_ptr<SystemUnderTest> by_pairs = TypeParam::Make();
+    const std::unique_ptr<SystemUnderTest> by_keys = TypeParam::Make();
+    std::optional<SerializingSut> pairs_lock;
+    std::optional<SerializingSut> keys_lock;
+    SystemUnderTest* a = by_pairs.get();
+    SystemUnderTest* b = by_keys.get();
+    if (serialized) {
+      a = &pairs_lock.emplace(a);
+      b = &keys_lock.emplace(b);
+    }
+    ASSERT_TRUE(a->Load(pairs).ok());
+    ASSERT_TRUE(b->LoadKeys(keys).ok());
+    EXPECT_TRUE(Serve(a, keys) == Serve(b, keys)) << "after the load";
+    EXPECT_EQ(a->Train().trained, b->Train().trained);
+    EXPECT_TRUE(Serve(a, keys) == Serve(b, keys)) << "after training";
+  }
+}
+
+/// A decorator that implements Load alone, as a user's decorator may, and
+/// keeps the pairs it is given.
+class LoadOnlyDecorator final : public SystemUnderTest {
+ public:
+  explicit LoadOnlyDecorator(SystemUnderTest* inner) : inner_(inner) {}
+  std::string name() const override { return inner_->name(); }
+  Status Load(const std::vector<KeyValue>& sorted_pairs) override {
+    loaded = sorted_pairs;
+    return inner_->Load(sorted_pairs);
+  }
+  OpResult Execute(const Operation& op) override {
+    return inner_->Execute(op);
+  }
+  SutStats GetStats() const override { return inner_->GetStats(); }
+
+  std::vector<KeyValue> loaded;
+
+ private:
+  SystemUnderTest* const inner_;
+};
+
+TEST(LoadKeysDefaultTest, LoadOnlyDecoratorGetsPositionPairs) {
+  // SerializingSut forwards LoadKeys, and the decorator's default LoadKeys
+  // hands its Load the keys with their positions as values.
+  const std::vector<KeyValue> pairs = UniformPairs(1000, 22);
+  std::vector<Key> keys;
+  for (const auto& [k, v] : pairs) {
+    (void)v;
+    keys.push_back(k);
+  }
+  BTreeSystem inner;
+  LoadOnlyDecorator decorator(&inner);
+  SerializingSut sut(&decorator);
+  ASSERT_TRUE(sut.LoadKeys(keys).ok());
+  EXPECT_EQ(decorator.loaded, pairs);
+  EXPECT_TRUE(sut.Execute(MakeGet(keys[500])).ok);
 }
 
 // ---------------------------------------------------------------------------
