@@ -192,7 +192,10 @@ void RunWorkerPhaseT(WorkerContext* ctx, int64_t run_start_nanos,
       issue = stream.Next();
       {
         LSBENCH_PROFILE_STAGE(profiler, Stage::kPace);
-        pacer.PaceUntil(run_start_nanos + issue.arrival_rel_nanos);
+        // A closed-loop arrival is the previous completion, already past.
+        if (issue.open_loop) {
+          pacer.PaceUntil(run_start_nanos + issue.arrival_rel_nanos);
+        }
       }
       issue_rel = issue.arrival_rel_nanos;
       return true;

@@ -149,7 +149,7 @@ EventStream MergeEventShards(std::vector<EventStream> shards,
     const EventStream& shard = *head.shard;
     size_t end = head.pos + 1;
     for (; end < shard.size(); ++end) {
-      LSBENCH_ASSERT_MSG(!MergeOrderLess(shard[end], shard[end - 1]),
+      LSBENCH_ASSERT_MSG(MergeOrderLess(shard[end - 1], shard[end]),
                          "MergeEventShards: a shard is not in "
                          "(timestamp, seq) order");
       if (heap.size() > 1) {

@@ -189,9 +189,10 @@ class EventSink {
 /// they are contiguous in that order, and merging units then expanding
 /// them (ExpandUnits) gives what merging expanded shards gives.
 ///
-/// Precondition: every shard is already in that order, i.e. in (timestamp,
-/// seq) order, which an EventSink's shard is as long as its clock never
-/// steps back. The merge is a k-way merge of the shards, not a sort; it
+/// Precondition: every shard is already in that order, strictly, i.e. in
+/// increasing (timestamp, seq) order, which an EventSink's shard is as
+/// long as its clock never steps back. Two equal keys mean a unit recorded
+/// twice. The merge is a k-way merge of the shards, not a sort; it
 /// aborts (LSBENCH_ASSERT_MSG) on an out-of-order shard rather than
 /// re-sorting it. The driver checks each shard's order first and fails the
 /// run with a located error instead. A single shard passes through

@@ -301,7 +301,9 @@ Status ShardAccumulation::Fold(const EventStream& shard, Weigh weigh) {
   BucketMemo effective_bucket;
   const OpEvent* prev = nullptr;
   for (const OpEvent& e : shard) {
-    if (prev != nullptr && MergeOrderLess(e, *prev)) {
+    // Strictly after: equal (timestamp, worker, seq) is a unit recorded
+    // twice.
+    if (prev != nullptr && !MergeOrderLess(*prev, e)) {
       return Status::InvalidArgument(
           "event out of order: " + DescribeEvent(e) + " follows " +
           DescribeEvent(*prev) +

@@ -297,8 +297,9 @@ struct ShardAccumulation {
 
   /// Folds one shard of per-element events: a worker's, or a merged
   /// stream. Returns a located error, naming the event's worker, seq and
-  /// timestamp, when an event sorts before its predecessor by (timestamp,
-  /// worker, seq), when its phase has no boundary, when its latency is
+  /// timestamp, when an event does not sort after its predecessor by
+  /// (timestamp, worker, seq) (an equal key is a unit recorded twice),
+  /// when its phase has no boundary, when its latency is
   /// negative, or when it is an executed open-loop event that breaks
   /// intended arrival <= issue <= completion (the histograms would bin a
   /// negative time as 0). Events folded before the error stay counted.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <iterator>
+#include <string>
 #include <string_view>
 #include <unordered_set>
 
@@ -20,8 +21,78 @@ std::vector<double> Dataset::NormalizedKeys() const {
   return out;
 }
 
+namespace {
+
+/// Writes `count` draws of `dist` from `*rng`, scaled by `scale`, to `out`
+/// on up to `parts` threads, and leaves `*rng` where drawing them one at a
+/// time would: the keys and the end state do not depend on `parts`.
+///
+/// A call of BlockCount(count, parts) > 1 blocks first walks a copy of
+/// `*rng` over the draws with Skip and records the state at each block's
+/// start, moved forward past any draw that would leave a Box–Muller value
+/// pending (Skip does not compute it). The blocks then Sample from their
+/// recorded states on ForEachBlock's threads. A block that ends elsewhere
+/// than the next block's recorded start means a Skip that does not move
+/// the generator as its Sample does, and aborts the generation.
+void DrawKeys(const UnitDistribution& dist, double scale, size_t parts,
+              Rng* rng, uint64_t* out, size_t count) {
+  const auto draw = [&dist, scale](Rng* from, uint64_t* first,
+                                   uint64_t* last) {
+    // The unit sample is < 1 so the scaled key is < domain_max.
+    for (; first != last; ++first) {
+      *first = static_cast<uint64_t>(dist.Sample(from) * scale);
+    }
+  };
+  const size_t blocks = BlockCount(count, parts);
+  if (blocks == 1) {
+    draw(rng, out, out + count);
+    return;
+  }
+  std::vector<size_t> begin = {0};  // begin[b]: block b's first draw.
+  std::vector<Rng> start = {*rng};  // start[b]: the Rng at that draw.
+  Rng walk = *rng;
+  size_t drawn = 0;  // Draws `walk` has skipped.
+  for (size_t b = 1; b < blocks; ++b) {
+    const size_t nominal = b * (count / blocks);
+    while (drawn < count && (drawn < nominal || walk.GaussianPending())) {
+      dist.Skip(&walk);
+      ++drawn;
+    }
+    if (drawn == count) break;
+    if (drawn > begin.back()) {
+      begin.push_back(drawn);
+      start.push_back(walk);
+    }
+  }
+  begin.push_back(count);
+  std::vector<Rng> end(start.size());
+  ForEachBlock(start.size(), [&](size_t b) {
+    Rng block_rng = start[b];
+    draw(&block_rng, out + begin[b], out + begin[b + 1]);
+    end[b] = block_rng;
+  });
+  for (size_t b = 0; b + 1 < start.size(); ++b) {
+    const bool continuous = end[b].SamePosition(start[b + 1]);
+    if (continuous) continue;
+    const std::string where =
+        dist.name() + ": block " + std::to_string(b) + " (draws " +
+        std::to_string(begin[b]) + " to " + std::to_string(begin[b + 1]) +
+        " of " + std::to_string(count) +
+        ") ends elsewhere than Skip put the next block's start";
+    LSBENCH_ASSERT_MSG(continuous, where.c_str());
+  }
+  *rng = end.back();
+}
+
+}  // namespace
+
 Dataset GenerateDataset(const UnitDistribution& dist,
                         const DatasetOptions& options) {
+  return GenerateDataset(dist, options, HardwareParts());
+}
+
+Dataset GenerateDataset(const UnitDistribution& dist,
+                        const DatasetOptions& options, size_t parts) {
   LSBENCH_ASSERT(options.num_keys > 0);
   LSBENCH_ASSERT(options.domain_max >= 2 * options.num_keys);
   Dataset ds;
@@ -33,11 +104,8 @@ Dataset GenerateDataset(const UnitDistribution& dist,
   const double scale = static_cast<double>(options.domain_max);
   ds.keys = DistinctSortedDraws(
       options.num_keys, 64 * options.num_keys + 1024,
-      [&dist, &rng, scale](uint64_t* out, size_t count) {
-        // The unit sample is < 1 so the scaled key is < domain_max.
-        for (size_t i = 0; i < count; ++i) {
-          out[i] = static_cast<uint64_t>(dist.Sample(&rng) * scale);
-        }
+      [&dist, &rng, scale, parts](uint64_t* out, size_t count) {
+        DrawKeys(dist, scale, parts, &rng, out, count);
       });
   return ds;
 }

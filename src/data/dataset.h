@@ -56,8 +56,23 @@ struct DatasetOptions {
 /// peak. Time is O(d log d) for d draws, at most the cap (the merge-joins;
 /// the sorts are linear), so a near-saturated support costs about as much
 /// as the hash set did.
+///
+/// The draws themselves are split the same way: a round or tail chunk of
+/// at least 2 * kMinBlockKeys draws is cut into BlockCount blocks, a serial
+/// walk of `dist.Skip` records the Rng at each block's start (where no
+/// Box–Muller value is pending), and the blocks Sample on joined threads.
+/// The walk costs a few ns per draw against tens for a lognormal Sample.
+/// Each block must end where the next one starts, or generation aborts, and
+/// the Rng continues from the last block's end, so the keys are the serial
+/// draw's at every thread count. Memory is one Rng per block.
 Dataset GenerateDataset(const UnitDistribution& dist,
                         const DatasetOptions& options);
+
+/// GenerateDataset with its draws split into up to `parts` blocks instead
+/// of the host's hardware threads (the sorts still use those). The keys
+/// are the same for every `parts`.
+Dataset GenerateDataset(const UnitDistribution& dist,
+                        const DatasetOptions& options, size_t parts);
 
 /// A sequence of datasets drifting from `from` to `to` in `steps` stages.
 /// Stage i samples from Blend(from, to, i/(steps-1)), so stage 0 is pure

@@ -1,9 +1,7 @@
 #include "data/distinct_draws.h"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
-#include <system_error>
 #include <thread>
 
 namespace lsbench {
@@ -75,35 +73,18 @@ void MergeNewKeys(const std::vector<uint64_t>& fresh,
   }
 }
 
-// Runs body(b) for every block b < blocks: block 0 on the calling thread,
-// the others on threads joined before this returns (lsbench-lint:
-// no-detached-thread). A block whose thread fails to start runs on the
-// calling thread instead. The bodies do not throw, so nothing can throw
-// between a thread's start and its join.
-template <typename Body>
-void ForEachBlock(size_t blocks, const Body& body) {
-  std::vector<std::thread> threads;
-  threads.reserve(blocks - 1);
-  for (size_t b = 1; b < blocks; ++b) {
-    try {
-      threads.emplace_back(std::cref(body), b);
-    } catch (const std::system_error&) {
-      body(b);
-    }
-  }
-  body(0);
-  for (std::thread& thread : threads) thread.join();
-}
-
 }  // namespace
+
+size_t HardwareParts() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 void ParallelSortKeys(uint64_t* keys, size_t n, size_t parts) {
   uint64_t varying = 0;  // The bits on which some key differs from keys[0].
   for (size_t i = 0; i < n; ++i) varying |= keys[i] ^ keys[0];
   if (varying == 0) return;
 
-  const size_t blocks = std::clamp(n / kMinBlockKeys, size_t{1},
-                                   std::max(parts, size_t{1}));
+  const size_t blocks = BlockCount(n, parts);
   const size_t block_keys = n / blocks;
   const size_t longer_blocks = n % blocks;  // These hold one key more.
   const auto block_begin = [block_keys, longer_blocks](size_t b) {
@@ -154,8 +135,7 @@ std::vector<uint64_t> DistinctSortedDraws(size_t target, size_t max_draws,
   std::vector<uint64_t> chunk;  // A long chunk, in draw order.
   std::vector<uint64_t> fresh;  // A round's keys not kept yet, sorted.
   std::vector<char> first_drawn;
-  // A fact of the host, not a setting: the keys do not depend on it.
-  const size_t parts = std::max(1u, std::thread::hardware_concurrency());
+  const size_t parts = HardwareParts();
   size_t draws = 0;
   size_t need = target;
   bool halving = true;

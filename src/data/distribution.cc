@@ -25,6 +25,8 @@ double GaussianUnit::Sample(Rng* rng) const {
   return FoldIntoUnit(mean_ + stddev_ * rng->NextGaussian());
 }
 
+void GaussianUnit::Skip(Rng* rng) const { rng->SkipGaussian(); }
+
 std::string GaussianUnit::name() const {
   return "gaussian(" + FormatDouble(mean_, 2) + "," + FormatDouble(stddev_, 2) +
          ")";
@@ -41,6 +43,8 @@ double LognormalUnit::Sample(Rng* rng) const {
   return std::min(x / saturation_, std::nextafter(1.0, 0.0));
 }
 
+void LognormalUnit::Skip(Rng* rng) const { rng->SkipGaussian(); }
+
 std::string LognormalUnit::name() const {
   return "lognormal(" + FormatDouble(mu_, 2) + "," + FormatDouble(sigma_, 2) +
          ")";
@@ -55,6 +59,8 @@ double ParetoUnit::Sample(Rng* rng) const {
   const double x = std::pow(1.0 - u, -1.0 / alpha_);
   return std::min(x, kCap) / kCap * (1.0 - 1e-12);
 }
+
+void ParetoUnit::Skip(Rng* rng) const { rng->Next(); }  // NextDouble's draw.
 
 std::string ParetoUnit::name() const {
   return "pareto(" + FormatDouble(alpha_, 2) + ")";
@@ -80,14 +86,18 @@ MixtureUnit::MixtureUnit(
   cumulative_.back() = 1.0;
 }
 
-double MixtureUnit::Sample(Rng* rng) const {
+const UnitDistribution& MixtureUnit::Pick(Rng* rng) const {
   const double u = rng->NextDouble();
   const auto it =
       std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
   const size_t idx = std::min<size_t>(it - cumulative_.begin(),
                                       components_.size() - 1);
-  return components_[idx]->Sample(rng);
+  return *components_[idx];
 }
+
+double MixtureUnit::Sample(Rng* rng) const { return Pick(rng).Sample(rng); }
+
+void MixtureUnit::Skip(Rng* rng) const { Pick(rng).Skip(rng); }
 
 std::string MixtureUnit::name() const {
   std::string out = "mixture(";
@@ -113,6 +123,11 @@ double ClusteredUnit::Sample(Rng* rng) const {
   return FoldIntoUnit(centers_[idx] + spread_ * rng->NextGaussian());
 }
 
+void ClusteredUnit::Skip(Rng* rng) const {
+  rng->NextBounded(centers_.size());
+  rng->SkipGaussian();
+}
+
 std::string ClusteredUnit::name() const {
   return "clustered(" + std::to_string(centers_.size()) + "," +
          FormatDouble(spread_, 3) + ")";
@@ -124,9 +139,13 @@ BlendUnit::BlendUnit(const UnitDistribution* a, const UnitDistribution* b,
   LSBENCH_ASSERT(a != nullptr && b != nullptr);
 }
 
-double BlendUnit::Sample(Rng* rng) const {
-  return rng->NextBool(t_) ? b_->Sample(rng) : a_->Sample(rng);
+const UnitDistribution& BlendUnit::Pick(Rng* rng) const {
+  return rng->NextBool(t_) ? *b_ : *a_;
 }
+
+double BlendUnit::Sample(Rng* rng) const { return Pick(rng).Sample(rng); }
+
+void BlendUnit::Skip(Rng* rng) const { Pick(rng).Skip(rng); }
 
 std::string BlendUnit::name() const {
   return "blend(" + a_->name() + "->" + b_->name() + "," +

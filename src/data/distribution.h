@@ -17,8 +17,18 @@ class UnitDistribution {
  public:
   virtual ~UnitDistribution() = default;
 
-  /// Draws one value in [0, 1).
+  /// Draws one value in [0, 1). GenerateDataset calls it from several
+  /// threads at once, each with its own Rng, so it must not write to the
+  /// distribution.
   virtual double Sample(Rng* rng) const = 0;
+
+  /// Moves `rng` exactly as Sample would, without computing the value.
+  /// GenerateDataset walks a long draw with Skip to find where each
+  /// thread's block of draws starts. The default calls Sample; an override
+  /// is only faster. One that moves `rng` differently is caught: the
+  /// generation aborts when a block's draws end elsewhere than the walk
+  /// put the next block's start.
+  virtual void Skip(Rng* rng) const { static_cast<void>(Sample(rng)); }
 
   /// Short descriptive name, e.g. "zipfish(1.1)".
   virtual std::string name() const = 0;
@@ -29,6 +39,7 @@ class UnitDistribution {
 class UniformUnit final : public UnitDistribution {
  public:
   double Sample(Rng* rng) const override { return rng->NextDouble(); }
+  void Skip(Rng* rng) const override { rng->Next(); }  // NextDouble's.
   std::string name() const override { return "uniform"; }
 };
 
@@ -37,6 +48,7 @@ class GaussianUnit final : public UnitDistribution {
  public:
   GaussianUnit(double mean, double stddev) : mean_(mean), stddev_(stddev) {}
   double Sample(Rng* rng) const override;
+  void Skip(Rng* rng) const override;
   std::string name() const override;
 
  private:
@@ -50,6 +62,7 @@ class LognormalUnit final : public UnitDistribution {
  public:
   LognormalUnit(double mu, double sigma);
   double Sample(Rng* rng) const override;
+  void Skip(Rng* rng) const override;
   std::string name() const override;
 
  private:
@@ -64,6 +77,7 @@ class ParetoUnit final : public UnitDistribution {
  public:
   explicit ParetoUnit(double alpha) : alpha_(alpha) {}
   double Sample(Rng* rng) const override;
+  void Skip(Rng* rng) const override;
   std::string name() const override;
 
  private:
@@ -77,9 +91,13 @@ class MixtureUnit final : public UnitDistribution {
   MixtureUnit(std::vector<std::unique_ptr<UnitDistribution>> components,
               std::vector<double> weights);
   double Sample(Rng* rng) const override;
+  void Skip(Rng* rng) const override;
   std::string name() const override;
 
  private:
+  /// Draws the component the next sample comes from.
+  const UnitDistribution& Pick(Rng* rng) const;
+
   std::vector<std::unique_ptr<UnitDistribution>> components_;
   std::vector<double> cumulative_;
 };
@@ -90,6 +108,7 @@ class ClusteredUnit final : public UnitDistribution {
  public:
   ClusteredUnit(int n_clusters, double spread, uint64_t seed);
   double Sample(Rng* rng) const override;
+  void Skip(Rng* rng) const override;
   std::string name() const override;
 
  private:
@@ -103,9 +122,13 @@ class BlendUnit final : public UnitDistribution {
  public:
   BlendUnit(const UnitDistribution* a, const UnitDistribution* b, double t);
   double Sample(Rng* rng) const override;
+  void Skip(Rng* rng) const override;
   std::string name() const override;
 
  private:
+  /// Draws the distribution the next sample comes from.
+  const UnitDistribution& Pick(Rng* rng) const;
+
   const UnitDistribution* a_;
   const UnitDistribution* b_;
   double t_;

@@ -114,6 +114,37 @@ class Rng {
     return r * std::cos(theta);
   }
 
+  /// Moves the generator exactly as NextGaussian would, without computing
+  /// the value: the same uniforms, the same u1 <= 0 rejection and the same
+  /// toggle of the Box–Muller cache. A pair it starts leaves its second
+  /// value pending but not computed, so a NextGaussian right after it would
+  /// return a stale value; a skipped-to state is drawn from only where
+  /// GaussianPending() is false.
+  void SkipGaussian() {
+    if (has_cached_gaussian_) {
+      has_cached_gaussian_ = false;
+      return;
+    }
+    double u1 = 0.0;
+    while (u1 <= 0.0) u1 = NextDouble();
+    Next();  // u2.
+    has_cached_gaussian_ = true;
+  }
+
+  /// Whether the second value of a Box–Muller pair is pending, so the next
+  /// NextGaussian returns it without drawing.
+  bool GaussianPending() const { return has_cached_gaussian_; }
+
+  /// Whether this generator is at the same place in its stream as `other`:
+  /// the same xoshiro state and the same Box–Muller phase. The pending
+  /// value itself is not compared, because SkipGaussian does not compute
+  /// it.
+  bool SamePosition(const Rng& other) const {
+    return s_[0] == other.s_[0] && s_[1] == other.s_[1] &&
+           s_[2] == other.s_[2] && s_[3] == other.s_[3] &&
+           has_cached_gaussian_ == other.has_cached_gaussian_;
+  }
+
   /// Exponential with the given rate (mean = 1/rate). Requires rate > 0.
   double NextExponential(double rate) {
     LSBENCH_ASSERT(rate > 0.0);

@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/event_sink.h"
 #include "core/metrics.h"
 
 namespace lsbench {
@@ -301,6 +302,29 @@ TEST(RunMetricsTest, FoldRejectsOutOfOrderEvents) {
             "event out of order: worker 0 seq 0 at t=300000000 ns follows "
             "worker 0 seq 0 at t=500000000 ns; events must be in "
             "(timestamp, worker, seq) order");
+}
+
+// A unit recorded twice repeats its (timestamp, worker, seq). The fold
+// rejects the repeat as out of order, and the shard merge's order check
+// aborts on it.
+TEST(RunMetricsTest, FoldRejectsAUnitRecordedTwice) {
+  EventStream events = ConstantRate(0, 1, 10, kMilli, 0);
+  for (size_t i = 0; i < events.size(); ++i) events[i].seq = i;
+  events.insert(events.begin() + 4, events[3]);
+  std::vector<PhaseBoundary> boundaries(1);
+  boundaries[0] = {0, 0, kSecond, false, 11};
+  ShardAccumulation acc(boundaries, MetricsOptions(), kMilli);
+  const Status status = acc.Accumulate(events);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.message(),
+            "event out of order: worker 0 seq 3 at t=300000000 ns follows "
+            "worker 0 seq 3 at t=300000000 ns; events must be in "
+            "(timestamp, worker, seq) order");
+
+  EventStream other = ConstantRate(0, 1, 10, kMilli, 0);
+  for (OpEvent& e : other) e.worker = 1;
+  std::vector<EventStream> shards = {events, other};
+  EXPECT_DEATH(MergeEventShards(shards), "not in \\(timestamp, seq\\) order");
 }
 
 /// An executed open-loop element of worker 3, seq 5: intended arrival at

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "data/distinct_draws.h"
 #include "data/distribution.h"
 #include "data/quality.h"
 #include "data/synthesizer.h"
@@ -104,6 +105,44 @@ TEST(DistributionTest, MixtureRespectsWeights) {
     if (mix.Sample(&rng) < 0.5) ++low;
   }
   EXPECT_NEAR(static_cast<double>(low) / n, 0.8, 0.02);
+}
+
+// Skip must move the Rng exactly as Sample does, from either Box–Muller
+// phase: GenerateDataset's draw blocks start where a Skip walk ends. Where
+// the walk leaves nothing pending, the next Sample is the serial one.
+TEST(DistributionTest, SkipMovesTheRngAsSampleDoes) {
+  const UniformUnit uniform;
+  const GaussianUnit gaussian(0.5, 0.1);
+  const LognormalUnit lognormal(0.0, 1.5);
+  const ParetoUnit pareto(1.2);
+  const ClusteredUnit clustered(6, 0.004, 3);
+  std::vector<std::unique_ptr<UnitDistribution>> components;
+  components.push_back(MakeLognormal(0.0, 1.0));
+  components.push_back(MakeGaussian(0.3, 0.05));
+  components.push_back(MakeUniform());
+  const MixtureUnit mixture(std::move(components), {0.5, 0.3, 0.2});
+  const BlendUnit blend(&uniform, &lognormal, 0.5);
+  const UnitDistribution* const dists[] = {
+      &uniform, &pareto, &gaussian, &lognormal, &clustered, &mixture, &blend};
+  for (const UnitDistribution* dist : dists) {
+    for (uint64_t seed = 1; seed <= 200; ++seed) {
+      for (const bool pending : {false, true}) {
+        SCOPED_TRACE(dist->name() + " seed=" + std::to_string(seed) +
+                     (pending ? " pending" : ""));
+        Rng sampled(seed);
+        if (pending) sampled.NextGaussian();
+        Rng skipped = sampled;
+        for (int i = 0; i < 9; ++i) {
+          dist->Sample(&sampled);
+          dist->Skip(&skipped);
+          ASSERT_TRUE(sampled.SamePosition(skipped)) << "after " << i + 1;
+        }
+        if (!skipped.GaussianPending()) {
+          ASSERT_EQ(dist->Sample(&sampled), dist->Sample(&skipped));
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -422,6 +461,114 @@ TEST(GenerationPinTest, SaturatedSupportReturnsEveryReachableKey) {
       GenerateDataset(FiniteSupportUnit(kKeys - 5, 2 * kKeys), options);
   ASSERT_EQ(ds.size(), kKeys - 5);
   for (size_t i = 0; i < ds.size(); ++i) ASSERT_EQ(ds.keys[i], i);
+}
+
+/// Forwards only Sample to `inner`, so Skip is UnitDistribution's default:
+/// a distribution written before Skip existed.
+class SampleOnlyUnit final : public UnitDistribution {
+ public:
+  explicit SampleOnlyUnit(const UnitDistribution* inner) : inner_(inner) {}
+  double Sample(Rng* rng) const override { return inner_->Sample(rng); }
+  std::string name() const override { return "sample_only"; }
+
+ private:
+  const UnitDistribution* inner_;
+};
+
+// Sizes at which generation splits its draws into blocks (a call of at
+// least 2 * kMinBlockKeys draws), at part counts 1 to 8, so a one-core host
+// covers the split too. Pinned before the draws were split, so they hold
+// the serial draw's keys. Most cases split into at most two blocks, whose
+// boundary falls after an odd draw, so a gaussian-based one moves past a
+// pending Box–Muller value. Lognormal, dram_read's distribution, also
+// splits into three and four blocks. The saturated case's support is an
+// eighth larger than its target, so its rounds stall and the rest is drawn
+// in tail chunks long enough to split; it and sample_only keep the default
+// Skip.
+TEST(GenerationPinTest, SplitDrawKeysArePinned) {
+  constexpr size_t kTwoBlocks = (size_t{1} << 19) + 4099;
+  constexpr size_t kFourBlocks = (size_t{1} << 20) + 4099;
+  constexpr uint64_t kDomain = uint64_t{1} << 48;
+  const UniformUnit uniform;
+  const GaussianUnit gaussian(0.5, 0.1);
+  const LognormalUnit lognormal(0.0, 1.5);
+  const ParetoUnit pareto(1.2);
+  const ClusteredUnit clustered(6, 0.004, 3);
+  std::vector<std::unique_ptr<UnitDistribution>> components;
+  components.push_back(MakeLognormal(0.0, 1.0));
+  components.push_back(MakeGaussian(0.3, 0.05));
+  components.push_back(MakeUniform());
+  const MixtureUnit mixture(std::move(components), {0.5, 0.3, 0.2});
+  const BlendUnit blend(&uniform, &lognormal, 0.5);
+  const SampleOnlyUnit sample_only(&lognormal);
+  const FiniteSupportUnit saturated(kFourBlocks + kFourBlocks / 8,
+                                    2 * kFourBlocks);
+  struct Case {
+    const char* name;
+    const UnitDistribution* dist;
+    size_t keys;
+    uint64_t domain;
+  };
+  const Case cases[] = {
+      {"uniform", &uniform, kTwoBlocks, kDomain},
+      {"gaussian", &gaussian, kTwoBlocks, kDomain},
+      {"lognormal", &lognormal, kFourBlocks, kDomain},
+      {"pareto", &pareto, kTwoBlocks, kDomain},
+      {"clustered", &clustered, kTwoBlocks, kDomain},
+      {"mixture", &mixture, kTwoBlocks, kDomain},
+      {"blend", &blend, kTwoBlocks, kDomain},
+      {"sample_only", &sample_only, kTwoBlocks, kDomain},
+      {"saturated", &saturated, kFourBlocks, 2 * kFourBlocks}};
+  for (const size_t parts : {1, 2, 3, 4, 8}) {
+    SCOPED_TRACE("parts=" + std::to_string(parts));
+    std::vector<KeysPin> actual;
+    for (const Case& c : cases) {
+      DatasetOptions options;
+      options.num_keys = c.keys;
+      options.domain_max = c.domain;
+      options.seed = 11;
+      const Dataset ds = GenerateDataset(*c.dist, options, parts);
+      actual.push_back({c.name, ds.size(), HashKeys(ds.keys)});
+    }
+    ExpectPins(actual, {
+        {"uniform", 528387, 0x3e615b8ea0eea949ull},
+        {"gaussian", 528387, 0x9bbd8cb64fbe78fbull},
+        {"lognormal", 1052675, 0x90b89e4b8cc74d32ull},
+        {"pareto", 528387, 0xf7ba1ff9dae2eddcull},
+        {"clustered", 528387, 0x3b26fae658a91c82ull},
+        {"mixture", 528387, 0x30236efacca9c9acull},
+        {"blend", 528387, 0x914eaf92ac229de7ull},
+        {"sample_only", 528387, 0x00862fa7750416c0ull},
+        {"saturated", 1052675, 0x7438ccd9a5b2614eull},
+    });
+  }
+}
+
+/// A lognormal whose Skip draws one uniform per key instead of a
+/// Box–Muller pair per two keys: a Skip that does not move the Rng as its
+/// Sample does.
+class MisskippingUnit final : public UnitDistribution {
+ public:
+  double Sample(Rng* rng) const override { return lognormal_.Sample(rng); }
+  void Skip(Rng* rng) const override { rng->Next(); }
+  std::string name() const override { return "misskipping"; }
+
+ private:
+  LognormalUnit lognormal_{0.0, 1.5};
+};
+
+TEST(GenerationPinTest, SplitDrawRejectsSkipThatMovesTheRngElsewhere) {
+  // Two blocks of an odd number of draws: the first ends with a value
+  // pending, where the walk's one uniform per key left none. (At an even
+  // boundary this Skip lands where Sample does.)
+  DatasetOptions options;
+  options.num_keys = 2 * kMinBlockKeys + 2;
+  const MisskippingUnit misskipping;
+  // One block has no Skip walk to check.
+  EXPECT_EQ(GenerateDataset(misskipping, options, 1).size(), options.num_keys);
+  EXPECT_DEATH(GenerateDataset(misskipping, options, 2),
+               "misskipping: block 0 \\(draws 0 to 262145 of 524290\\) ends "
+               "elsewhere than Skip put the next block's start");
 }
 
 // ---------------------------------------------------------------------------

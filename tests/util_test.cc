@@ -300,6 +300,43 @@ TEST(RngTest, GaussianHasUnitMoments) {
   EXPECT_NEAR(sumsq / n, 1.0, 0.05);
 }
 
+TEST(RngTest, SkipGaussianMovesLikeNextGaussian) {
+  for (uint64_t seed = 1; seed <= 500; ++seed) {
+    Rng drawn(seed);
+    Rng skipped(seed);
+    for (int i = 0; i < 7; ++i) {
+      drawn.NextGaussian();
+      skipped.SkipGaussian();
+      ASSERT_TRUE(drawn.SamePosition(skipped)) << seed << " " << i;
+      ASSERT_EQ(skipped.GaussianPending(), i % 2 == 0);
+    }
+    // The seventh call left a value pending; the eighth takes it, and the
+    // two then draw the same values.
+    drawn.NextGaussian();
+    skipped.SkipGaussian();
+    ASSERT_EQ(drawn.NextGaussian(), skipped.NextGaussian()) << seed;
+  }
+}
+
+TEST(RngTest, SamePositionComparesStateAndPhase) {
+  Rng a(29);
+  Rng b(29);
+  EXPECT_TRUE(a.SamePosition(b));
+  EXPECT_FALSE(a.SamePosition(Rng(30)));
+  a.Next();
+  EXPECT_FALSE(a.SamePosition(b));
+  b.Next();
+  EXPECT_TRUE(a.SamePosition(b));
+  // One pair drawn by both: the same xoshiro state, but `a` has taken one
+  // value of it and `b` both.
+  a.NextGaussian();
+  b.NextGaussian();
+  b.NextGaussian();
+  EXPECT_FALSE(a.SamePosition(b));
+  a.NextGaussian();
+  EXPECT_TRUE(a.SamePosition(b));
+}
+
 TEST(RngTest, ExponentialHasExpectedMean) {
   Rng rng(19);
   double sum = 0.0;
