@@ -1,5 +1,7 @@
 #include "core/comparison.h"
 
+#include <string>
+
 #include "util/assert.h"
 
 namespace lsbench {
@@ -35,6 +37,16 @@ Result<ComparisonReport> CompareSystems(
     const Clock* clock, DriverOptions driver_options) {
   if (suts.empty()) {
     return Status::InvalidArgument("no systems to compare");
+  }
+  // Checked before any run: a refusal after the first system's run would
+  // have used up the hold-out that a single-system run may still claim.
+  if (suts.size() > 1 && spec.HasHoldout() &&
+      driver_options.enforce_holdout_once) {
+    return Status::FailedPrecondition(
+        "spec '" + spec.name + "' contains hold-out phases, which run once "
+        "per process, so it cannot be compared across " +
+        std::to_string(suts.size()) +
+        " systems; run one system, or pass --no-holdout-enforcement");
   }
   ComparisonReport report;
   report.run_name = spec.name;

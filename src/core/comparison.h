@@ -40,8 +40,11 @@ struct ComparisonReport {
 };
 
 /// Runs `spec` against each SUT in order. Hold-out single-execution applies
-/// to the spec as a whole, so either disable enforcement in `driver_options`
-/// or compare SUTs under specs without hold-out phases.
+/// to the spec as a whole: with enforcement on, a spec with hold-out phases
+/// and more than one SUT is refused with FailedPrecondition before any run,
+/// so the refusal leaves the hold-out unclaimed. Disable enforcement in
+/// `driver_options` (the CLI's --no-holdout-enforcement) to compare SUTs
+/// under such a spec.
 Result<ComparisonReport> CompareSystems(
     const RunSpec& spec, const std::vector<SystemUnderTest*>& suts,
     const Clock* clock = nullptr, DriverOptions driver_options = {});

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -17,6 +16,7 @@
 #include "sut/serializing.h"
 #include "sut/systems.h"
 #include "util/assert.h"
+#include "util/fan_out.h"
 #include "util/sync.h"
 
 namespace lsbench {
@@ -25,11 +25,8 @@ namespace {
 
 /// Process-wide registry of spec hashes whose hold-out phases have already
 /// executed (§V-A: hold-out distributions may only run once). Heap-allocated
-/// and never destroyed (trivial-destruction rule for statics). The set is
-/// process-global mutable state, so it carries its own mutex: two drivers
-/// running concurrently on different threads must not race the check-insert
-/// (the unguarded set was a latent data race the thread-safety pass
-/// surfaced).
+/// and never destroyed (trivial-destruction rule for statics). Its mutex
+/// lets drivers on different threads check and insert without a race.
 struct HoldoutRegistry {
   Mutex mu;
   std::unordered_set<uint64_t> executed LSBENCH_GUARDED_BY(mu);
@@ -92,10 +89,8 @@ PhaseBatchDraws BatchDrawsOfPhase(const RunSpec& spec, size_t i) {
 }
 
 /// One worker's slice of the staged execution core: its workload stream,
-/// resilient executor (with its fault lane), event shard, clocks, and
-/// (under simulated fan-out) its private virtual clock.
+/// resilient executor (with its fault lane), event shard and clocks.
 struct WorkerContext {
-  uint32_t worker_id = 0;
   const Clock* clock = nullptr;
   /// The virtual clock this worker paces against in simulation mode: the
   /// driver's own clock at workers == 1, a private per-worker clock under
@@ -155,10 +150,8 @@ void RecordUnit(WorkerContext* ctx, const WorkloadStream::Issue& issue,
 }
 
 /// Drains one worker's current phase: obtain the next request unit, execute
-/// it resiliently, record its events. This is the one inner loop the serial
-/// path and every worker thread run, for every arrival mode and op class;
-/// at workers == 1 with the generic engine it reproduces the monolithic
-/// driver's loop bit-for-bit.
+/// it resiliently, record its events. Every worker runs this one loop, for
+/// every arrival mode and op class.
 ///
 /// Only obtaining the next unit depends on the mode:
 ///   - inline (closed loop, or open loop without [service]): draw the next
@@ -243,10 +236,9 @@ void RunWorkerPhaseT(WorkerContext* ctx, int64_t run_start_nanos,
 }
 
 // ---- Engine selection ----
-// One worker-loop entry point per engine, with a uniform signature so phase
-// orchestration stays a plain function-pointer call. The monomorphized
-// entry re-derives the typed SUT pointer with a static_cast that is only
-// reached after SelectEngine proved the runtime type via dynamic_cast.
+// One worker-loop entry point per engine, all of one signature, so a phase
+// calls a plain function pointer. The mono entry's static_cast is reached
+// only after SelectEngine proved the runtime type via dynamic_cast.
 
 using PhaseFn = void (*)(WorkerContext*, SystemUnderTest*, int64_t);
 
@@ -268,11 +260,9 @@ void RunWorkerPhaseMono(WorkerContext* ctx, SystemUnderTest* sut,
 /// driver's own SerializingSut wrapper is itself in the chain: the mono
 /// engine binds the *wrapper's* Execute/ExecuteBatch statically (the lock
 /// still guards every call; only the outer virtual dispatch is removed),
-/// so serial SUTs under fan-out keep a monomorphized loop. Faults are drawn
-/// by each worker's executor, not by a SUT wrapper, so faulted runs take
-/// the same engine as their fault-free controls. User-supplied SUTs and
-/// decorators fail every cast and fall back to the generic virtual engine,
-/// preserving their must-see-every-call semantics.
+/// so serial SUTs under fan-out keep a monomorphized loop. User-supplied
+/// SUTs and decorators fail every cast and fall back to the generic virtual
+/// engine, preserving their must-see-every-call semantics.
 PhaseFn SelectEngine(SystemUnderTest* target) {
   if (dynamic_cast<BTreeSystem*>(target) != nullptr) {
     return &RunWorkerPhaseMono<BTreeSystem>;
@@ -400,6 +390,384 @@ uint64_t WorkerShare(uint64_t total, uint32_t workers, uint32_t worker) {
   return total / workers + (worker < total % workers ? 1 : 0);
 }
 
+namespace {
+
+/// One BenchmarkDriver::Run: SetUp claims the hold-out, loads and trains
+/// the SUT and builds the workers; RunPhase runs a phase to its barrier;
+/// Finish folds, merges and audits. Each returns the run's first error.
+class RunSession {
+ public:
+  RunSession(const RunSpec& spec, SystemUnderTest* sut, const Clock* clock,
+             const DriverOptions& options)
+      : spec_(spec), sut_(sut), clock_(clock), options_(options) {}
+
+  Status SetUp();
+  Status RunPhase(size_t phase_idx);
+  Result<RunResult> Finish();
+
+ private:
+  Status LoadAndTrain();
+  void ArmWorkerObs(WorkerContext* ctx, uint32_t w, uint64_t total_ops) const;
+  Status CollectObservability(const ShardAccumulation& run_fold);
+
+  const RunSpec& spec_;
+  SystemUnderTest* sut_;  ///< Behind `serializer_` once SetUp adds one.
+  const Clock* const clock_;
+  const DriverOptions& options_;
+  const uint32_t workers_ = spec_.execution.workers;
+  std::optional<SerializingSut> serializer_;
+  std::unique_ptr<WorkerObs> driver_obs_;  ///< Null with observability off.
+  RunResult result_;
+  int64_t run_start_ = 0;  ///< What run-relative times count from.
+  std::vector<WorkerContext> contexts_;
+  PhaseFn run_worker_ = nullptr;
+};
+
+Status RunSession::SetUp() {
+  if (spec_.HasHoldout() && options_.enforce_holdout_once &&
+      !TryClaimHoldout(spec_.StructuralHash())) {
+    return Status::FailedPrecondition(
+        "spec '" + spec_.name +
+        "' contains hold-out phases and has already executed once");
+  }
+  result_.sut_name = sut_->name();
+  result_.run_name = spec_.name;
+
+  // ---- SUT concurrency contract ----
+  // Serial systems keep working under fan-out behind a driver-side lock;
+  // thread-safe systems run bare.
+  if (workers_ > 1 && sut_->concurrency() == SutConcurrency::kSerial) {
+    serializer_.emplace(sut_);
+    sut_ = &*serializer_;
+  }
+
+  // ---- Observability arming (driver level) ----
+  // The driver's shard times load/train and merge/metrics, and holds the
+  // SUT's registry instruments (thread-safe, as every worker shares the
+  // SUT). Workers get private shards below.
+  const ObservabilitySpec& obs_spec = spec_.observability;
+  if (obs_spec.Enabled()) {
+    driver_obs_ = std::make_unique<WorkerObs>(kDriverTraceWorker);
+    if (obs_spec.profile) driver_obs_->profiler.Bind(clock_);
+    if (obs_spec.metrics) sut_->BindObservability(&driver_obs_->registry);
+  }
+  LSBENCH_RETURN_IF_ERROR(LoadAndTrain());
+
+  // ---- Execution ----
+  run_start_ = clock_->NowNanos();
+  if (driver_obs_ != nullptr && obs_spec.trace) {
+    driver_obs_->tracer.Bind(clock_, run_start_);
+  }
+  const Rng master(spec_.seed);
+
+  ResilientExecutor::Options exec_options;
+  exec_options.run_start_nanos = run_start_;
+  exec_options.virtual_service_nanos = options_.virtual_service_nanos;
+  if (!spec_.faults.windows.empty()) exec_options.faults = &spec_.faults;
+
+  contexts_ = std::vector<WorkerContext>(workers_);
+  uint64_t total_ops = 0;
+  for (const PhaseSpec& p : spec_.phases) total_ops += p.num_operations;
+  uint64_t max_batch = 1;
+  for (size_t i = 0; i < spec_.phases.size(); ++i) {
+    max_batch = std::max(max_batch, BatchDrawsOfPhase(spec_, i).batch_size);
+  }
+
+  for (uint32_t w = 0; w < workers_; ++w) {
+    WorkerContext& ctx = contexts_[w];
+    ctx.sink = EventSink(w);
+    ReserveWorkerSink(spec_, w, &ctx.sink);
+    ctx.batch_results.resize(max_batch);
+
+    // Clocks: a single worker shares the driver's; simulated fan-out gives
+    // each worker a private virtual clock, synchronized at phase barriers.
+    if (workers_ > 1 && options_.virtual_clock != nullptr) {
+      ctx.private_clock.emplace();
+      ctx.private_clock->SetNanos(run_start_);
+      ctx.clock = &*ctx.private_clock;
+      ctx.sim_clock = &*ctx.private_clock;
+    } else {
+      ctx.clock = clock_;
+      ctx.sim_clock = options_.virtual_clock;  // nullptr on the real clock.
+    }
+
+    // RNG roots: worker 0 IS the master stream (bit-identity), workers
+    // w > 0 fork disjoint streams.
+    const Rng root = w == 0 ? master : master.Fork(kWorkerStreamTag + w);
+    ctx.stream.emplace(&spec_, root, 1.0 / static_cast<double>(workers_), w,
+                       workers_);
+
+    exec_options.worker = w;
+    ctx.executor.emplace(sut_, spec_.resilience,
+                         Pacer(ctx.clock, ctx.sim_clock),
+                         root.Fork(kBackoffStreamTag).Next(), exec_options);
+    if (spec_.service.enabled) ctx.admission.emplace(spec_.service);
+    if (obs_spec.Enabled()) ArmWorkerObs(&ctx, w, total_ops);
+  }
+
+  run_worker_ = SelectEngine(sut_);  // Once per run.
+  return Status::OK();
+}
+
+Status RunSession::LoadAndTrain() {
+  // ---- Load ----
+  // The SUT loads phase 0's dataset from its keys, key i holding value i.
+  // The driver calls LoadKeys once and never retries it, so any injected
+  // load failure fails the run.
+  if (spec_.faults.fail_load) {
+    return Status::IoError("injected fault: load I/O error");
+  }
+  const Stopwatch load_watch(clock_);
+  LSBENCH_RETURN_IF_ERROR(
+      sut_->LoadKeys(spec_.datasets[spec_.phases[0].dataset_index].keys));
+  result_.load_seconds = load_watch.ElapsedSeconds();
+  if (driver_obs_ != nullptr) {
+    driver_obs_->profiler.Add(Stage::kLoad, load_watch.ElapsedNanos());
+  }
+
+  // ---- Offline training (timed, first-class) ----
+  // Phase 0's fault window may hang training (paced on the driver's clock)
+  // and fail it before it reaches the SUT.
+  if (!spec_.offline_training) return Status::OK();
+  const FaultWindow* train_faults = spec_.faults.WindowForPhase(0);
+  TrainEvent te;
+  te.start_nanos = clock_->NowNanos();
+  TrainReport report;
+  if (train_faults != nullptr && train_faults->train_hang_nanos > 0) {
+    ++result_.fault_stats.hung_trains;
+    Pacer(clock_, options_.virtual_clock)
+        .PaceUntil(te.start_nanos + train_faults->train_hang_nanos);
+  }
+  if (train_faults != nullptr && train_faults->fail_train) {
+    ++result_.fault_stats.failed_trains;
+    report.status = Status::Unavailable("injected fault: training failed");
+  } else {
+    report = sut_->Train();
+  }
+  te.end_nanos = clock_->NowNanos();
+  te.work_items = report.work_items;
+  te.ok = report.status.ok();
+  if (report.trained || !te.ok) result_.train_events.push_back(te);
+  if (driver_obs_ != nullptr) {
+    driver_obs_->profiler.Add(Stage::kTrain, te.end_nanos - te.start_nanos);
+  }
+  return Status::OK();
+}
+
+/// Arms worker `ctx`'s observability shard. The hooks only *read* the
+/// worker's clock — they never advance it or draw randomness — so arming
+/// them cannot perturb the operation stream (pinned by test).
+void RunSession::ArmWorkerObs(WorkerContext* ctx, uint32_t w,
+                              uint64_t total_ops) const {
+  const ObservabilitySpec& obs_spec = spec_.observability;
+  ctx->obs = std::make_unique<WorkerObs>(w);
+  Tracer* tracer = obs_spec.trace ? &ctx->obs->tracer : nullptr;
+  StageProfiler* profiler = obs_spec.profile ? &ctx->obs->profiler : nullptr;
+  MetricsRegistry* registry = obs_spec.metrics ? &ctx->obs->registry : nullptr;
+  if (tracer != nullptr) {
+    tracer->Bind(ctx->clock, run_start_);
+    tracer->Reserve(static_cast<size_t>(std::min<uint64_t>(
+        WorkerShare(total_ops, workers_, w), uint64_t{1} << 20)));
+  }
+  if (profiler != nullptr) profiler->Bind(ctx->clock);
+  const auto counter = [registry](const std::string& name) {
+    return registry != nullptr ? registry->GetCounter(name) : nullptr;
+  };
+  ctx->stream->BindObservability(profiler, counter("stream.ops_issued"));
+  ctx->sink.BindObservability(profiler, counter("sink.events_recorded"));
+  ctx->executor->BindObservability(tracer, profiler, registry);
+  if (ctx->admission.has_value() && registry != nullptr) {
+    ctx->admission->BindObservability(
+        registry->GetGauge("service.queue_depth"),
+        registry->GetGauge("service.queue_peak_depth"),
+        registry->GetCounter("service.admitted"),
+        registry->GetCounter("service.shed"),
+        registry->GetHistogram("service.queue_wait"));
+  }
+}
+
+Status RunSession::RunPhase(size_t phase_idx) {
+  const PhaseSpec& phase = spec_.phases[phase_idx];
+  const int32_t phase_id = static_cast<int32_t>(phase_idx);
+
+  PhaseBoundary boundary;
+  boundary.phase = phase_id;
+  boundary.holdout = phase.holdout;
+  boundary.start_nanos = clock_->NowNanos() - run_start_;
+
+  // Exactly one notification per phase, through the full wrapper chain.
+  sut_->OnPhaseStart(phase_id, phase.holdout);
+
+  for (uint32_t w = 0; w < workers_; ++w) {
+    WorkerContext& ctx = contexts_[w];
+    ctx.current_phase = phase_id;
+    ctx.executor->BeginPhase(phase_id);
+    if (ctx.obs != nullptr) {
+      ctx.obs->tracer.set_phase(phase_id);
+      ctx.obs->profiler.set_phase(phase_id);
+    }
+    ctx.stream->BeginPhase(
+        phase_idx, WorkerShare(phase.num_operations, workers_, w),
+        WorkerShare(phase.transition_operations, workers_, w),
+        ctx.clock->NowNanos() - run_start_);
+  }
+
+  if (options_.virtual_clock != nullptr) {
+    // Simulated fan-out: the workers run one after another, each on its
+    // own virtual clock, then a *virtual barrier* advances every clock to
+    // the latest (a single worker's clock is the driver's: nothing moves).
+    int64_t barrier = options_.virtual_clock->NowNanos();
+    for (WorkerContext& ctx : contexts_) {
+      run_worker_(&ctx, sut_, run_start_);
+      barrier = std::max(barrier, ctx.sim_clock->NowNanos());
+    }
+    const auto advance = [barrier](VirtualClock* clock) {
+      if (clock->NowNanos() < barrier) clock->SetNanos(barrier);
+    };
+    for (WorkerContext& ctx : contexts_) advance(ctx.sim_clock);
+    advance(options_.virtual_clock);
+  } else {
+    // Real-clock fan-out: worker 0 runs on this thread and each other
+    // worker on a thread of its own; ForEachBlock's join is the barrier.
+    const size_t on_caller = ForEachBlock(workers_, [this](size_t w) {
+      run_worker_(&contexts_[w], sut_, run_start_);
+    });
+    if (on_caller != 0) {
+      return Status::ResourceExhausted(
+          "phase " + std::to_string(phase_idx) + ": " +
+          std::to_string(on_caller) + " of " + std::to_string(workers_) +
+          " worker threads failed to start, so workers ran one at a time");
+    }
+  }
+
+  boundary.end_nanos = clock_->NowNanos() - run_start_;
+  boundary.operations = phase.num_operations;
+  result_.boundaries.push_back(boundary);
+
+  // The driver's phase span, from the measured boundary (no-op unbound).
+  if (driver_obs_ != nullptr) {
+    driver_obs_->tracer.set_phase(phase_id);
+    driver_obs_->tracer.Record("phase", boundary.start_nanos,
+                               boundary.end_nanos);
+  }
+  return Status::OK();
+}
+
+Result<RunResult> RunSession::Finish() {
+  // ---- Fold metrics per worker, then merge and expand the units ----
+  // Every figure but the adjustment-window excess is an order-free fold,
+  // weighted by element counts, so each worker's units fold in a block of
+  // ForEachBlock (a block run on the calling thread folds the same) and
+  // the folds merge exactly. A fold fails the run on an out-of-order
+  // shard. The units then merge into (timestamp, worker, seq) order and
+  // expand into the per-element stream once, in that order.
+  Stopwatch metrics_watch(clock_);
+  const MetricsOptions metrics_options = MetricsOptions::FromSpec(spec_);
+  std::vector<UnitShard> shards;
+  std::vector<const EventStream*> unit_ptrs;
+  shards.reserve(workers_);
+  for (WorkerContext& ctx : contexts_) shards.push_back(ctx.sink.TakeUnits());
+  for (const UnitShard& shard : shards) unit_ptrs.push_back(&shard.units);
+  const ShardAccumulation empty_fold(
+      result_.boundaries, metrics_options,
+      ResolveSla(unit_ptrs, metrics_options, EventGrain::kUnit));
+  std::vector<ShardAccumulation> folds(workers_, empty_fold);
+  std::vector<Status> fold_status(workers_);
+  ForEachBlock(workers_, [&folds, &fold_status, &shards](size_t w) {
+    fold_status[w] = folds[w].AccumulateUnits(shards[w]);
+  });
+  ShardAccumulation run_fold = empty_fold;
+  for (uint32_t w = 0; w < workers_; ++w) {
+    if (!fold_status[w].ok()) {
+      return Status::Internal("worker " + std::to_string(w) +
+                              " shard: " + fold_status[w].message());
+    }
+    run_fold.Merge(folds[w]);
+  }
+  int64_t metrics_nanos = metrics_watch.ElapsedNanos();
+
+  // The merged units get room for every element, so ExpandUnits writes
+  // them in place instead of beside a copy of the units.
+  Stopwatch merge_watch(clock_);
+  std::vector<EventStream> unit_shards;
+  unit_shards.reserve(workers_);
+  for (UnitShard& shard : shards) unit_shards.push_back(std::move(shard.units));
+  EventStream units =
+      MergeEventShards(std::move(unit_shards), run_fold.operations);
+  int64_t merge_nanos = merge_watch.ElapsedNanos();
+
+  metrics_watch.Restart();
+  result_.metrics = FinalizeRunMetrics(run_fold, units, metrics_options,
+                                       EventGrain::kUnit);
+  LSBENCH_RETURN_IF_ERROR(AuditUnitAccounting(folds, result_.metrics));
+  metrics_nanos += metrics_watch.ElapsedNanos();
+
+  merge_watch.Restart();
+  result_.events = ExpandUnits(std::move(units), std::move(shards),
+                               run_fold.operations);
+  merge_nanos += merge_watch.ElapsedNanos();
+  if (driver_obs_ != nullptr) {
+    driver_obs_->profiler.set_phase(PhaseStageBreakdown::kRunLevelPhase);
+    driver_obs_->profiler.Add(Stage::kMerge, merge_nanos);
+    driver_obs_->profiler.Add(Stage::kMetrics, metrics_nanos);
+  }
+  // Driver-owned resilience state the metric layer cannot derive from the
+  // event stream alone. A breaker still open at run end was degraded until
+  // the last phase ended, not through the harness work after it.
+  const int64_t run_end = run_start_ + result_.boundaries.back().end_nanos;
+  for (const TrainEvent& te : result_.train_events) {
+    result_.metrics.resilience.failed_trains += te.ok ? 0 : 1;
+  }
+  for (const WorkerContext& ctx : contexts_) {
+    if (const FaultLane* lane = ctx.executor->faults()) {
+      result_.fault_stats.injected_failures += lane->stats().injected_failures;
+      result_.fault_stats.injected_spikes += lane->stats().injected_spikes;
+      result_.fault_stats.injected_stalls += lane->stats().injected_stalls;
+    }
+    const CircuitBreaker* breaker = ctx.executor->breaker();
+    if (breaker == nullptr) continue;
+    result_.metrics.resilience.breaker_opens += breaker->open_count();
+    result_.metrics.resilience.degraded_seconds +=
+        static_cast<double>(breaker->DegradedNanos(run_end)) * 1e-9;
+  }
+  result_.final_sut_stats = sut_->GetStats();
+  LSBENCH_RETURN_IF_ERROR(CollectObservability(run_fold));
+  return std::move(result_);
+}
+
+/// Worker shards plus the driver's own shard merge exactly like event
+/// shards: the result is a pure function of shard contents.
+Status RunSession::CollectObservability(const ShardAccumulation& run_fold) {
+  const ObservabilitySpec& obs_spec = spec_.observability;
+  result_.observability.spec = obs_spec;
+  if (!obs_spec.Enabled()) return Status::OK();
+  std::vector<TraceStream> trace_shards;
+  std::vector<MetricsSnapshot> metric_shards;
+  for (WorkerContext& ctx : contexts_) {
+    if (ctx.obs == nullptr) continue;
+    trace_shards.push_back(ctx.obs->tracer.TakeSpans());
+    MergeStageBreakdown(&result_.observability.stages,
+                        ctx.obs->profiler.Breakdown());
+    metric_shards.push_back(ctx.obs->registry.Snapshot());
+  }
+  if (driver_obs_ != nullptr) {
+    trace_shards.push_back(driver_obs_->tracer.TakeSpans());
+    MergeStageBreakdown(&result_.observability.stages,
+                        driver_obs_->profiler.Breakdown());
+    metric_shards.push_back(driver_obs_->registry.Snapshot());
+  }
+  if (obs_spec.trace) {
+    result_.observability.trace = MergeTraceShards(std::move(trace_shards));
+  }
+  if (!obs_spec.metrics) return Status::OK();
+  LSBENCH_ASSIGN_OR_RETURN(result_.observability.metrics,
+                           MergeMetricsShards(metric_shards));
+  return AuditRegistryCounters(result_.observability.metrics, run_fold,
+                               spec_.service);
+}
+
+}  // namespace
+
 BenchmarkDriver::BenchmarkDriver(const Clock* clock, DriverOptions options)
     : clock_(clock != nullptr ? clock : &default_clock_), options_(options) {
   if (options_.virtual_clock != nullptr) {
@@ -418,380 +786,12 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
                                        SystemUnderTest* sut) {
   LSBENCH_ASSERT(sut != nullptr);
   LSBENCH_RETURN_IF_ERROR(spec.Validate());
-
-  const bool has_holdout =
-      std::any_of(spec.phases.begin(), spec.phases.end(),
-                  [](const PhaseSpec& p) { return p.holdout; });
-  if (has_holdout && options_.enforce_holdout_once) {
-    if (!TryClaimHoldout(spec.StructuralHash())) {
-      return Status::FailedPrecondition(
-          "spec '" + spec.name +
-          "' contains hold-out phases and has already executed once");
-    }
-  }
-
-  RunResult result;
-  result.sut_name = sut->name();
-  result.run_name = spec.name;
-
-  const uint32_t workers = spec.execution.workers;
-
-  // ---- SUT concurrency contract ----
-  // Serial systems keep working under fan-out behind a driver-side lock;
-  // thread-safe systems run bare.
-  std::optional<SerializingSut> serializer;
-  if (workers > 1 && sut->concurrency() == SutConcurrency::kSerial) {
-    serializer.emplace(sut);
-    sut = &*serializer;
-  }
-
-  // ---- Observability arming (driver level) ----
-  // The driver's own instruments carry run-scoped work: load/train before
-  // the phases, merge/metrics after, plus the SUT's registry instruments
-  // (the SUT is shared across workers, so it binds into this registry —
-  // its instruments are thread-safe by construction). Workers get private
-  // shards below.
-  const ObservabilitySpec& obs_spec = spec.observability;
-  std::unique_ptr<WorkerObs> driver_obs;
-  if (obs_spec.Enabled()) {
-    driver_obs = std::make_unique<WorkerObs>(kDriverTraceWorker);
-    if (obs_spec.profile) driver_obs->profiler.Bind(clock_);
-    if (obs_spec.metrics) sut->BindObservability(&driver_obs->registry);
-  }
-
-  // ---- Load ----
-  // The SUT loads phase 0's dataset from its keys, key i holding value i.
-  // The driver calls LoadKeys once and never retries it, so any injected
-  // load failure fails the run.
-  if (spec.faults.fail_load) {
-    return Status::IoError("injected fault: load I/O error");
-  }
-  {
-    Stopwatch watch(clock_);
-    LSBENCH_RETURN_IF_ERROR(
-        sut->LoadKeys(spec.datasets[spec.phases[0].dataset_index].keys));
-    result.load_seconds = watch.ElapsedSeconds();
-    if (driver_obs != nullptr) {
-      driver_obs->profiler.Add(Stage::kLoad, watch.ElapsedNanos());
-    }
-  }
-
-  // ---- Offline training (timed, first-class) ----
-  // Phase 0's fault window may hang training (paced on the driver's clock)
-  // and fail it before it reaches the SUT.
-  uint64_t failed_trains = 0;
-  if (spec.offline_training) {
-    const FaultWindow* train_faults = spec.faults.WindowForPhase(0);
-    TrainEvent te;
-    te.start_nanos = clock_->NowNanos();
-    TrainReport report;
-    if (train_faults != nullptr && train_faults->train_hang_nanos > 0) {
-      ++result.fault_stats.hung_trains;
-      Pacer(clock_, options_.virtual_clock)
-          .PaceUntil(te.start_nanos + train_faults->train_hang_nanos);
-    }
-    if (train_faults != nullptr && train_faults->fail_train) {
-      ++result.fault_stats.failed_trains;
-      report.status = Status::Unavailable("injected fault: training failed");
-    } else {
-      report = sut->Train();
-    }
-    te.end_nanos = clock_->NowNanos();
-    te.work_items = report.work_items;
-    te.ok = report.status.ok();
-    if (!te.ok) ++failed_trains;
-    if (report.trained || !te.ok) result.train_events.push_back(te);
-    if (driver_obs != nullptr) {
-      driver_obs->profiler.Add(Stage::kTrain, te.end_nanos - te.start_nanos);
-    }
-  }
-
-  // ---- Execution ----
-  const int64_t run_start = clock_->NowNanos();
-  if (driver_obs != nullptr && obs_spec.trace) {
-    driver_obs->tracer.Bind(clock_, run_start);
-  }
-  const Rng master(spec.seed);
-  const bool simulated = options_.virtual_clock != nullptr;
-
-  ResilientExecutor::Options exec_options;
-  exec_options.run_start_nanos = run_start;
-  exec_options.virtual_service_nanos = options_.virtual_service_nanos;
-  if (!spec.faults.windows.empty()) exec_options.faults = &spec.faults;
-
-  std::vector<WorkerContext> contexts(workers);
-  uint64_t total_ops = 0;
-  for (const PhaseSpec& p : spec.phases) total_ops += p.num_operations;
-
-  uint64_t max_batch = 1;
+  RunSession session(spec, sut, clock_, options_);
+  LSBENCH_RETURN_IF_ERROR(session.SetUp());
   for (size_t i = 0; i < spec.phases.size(); ++i) {
-    max_batch = std::max(max_batch, BatchDrawsOfPhase(spec, i).batch_size);
+    LSBENCH_RETURN_IF_ERROR(session.RunPhase(i));
   }
-
-  for (uint32_t w = 0; w < workers; ++w) {
-    WorkerContext& ctx = contexts[w];
-    ctx.worker_id = w;
-    ctx.sink = EventSink(w);
-    ReserveWorkerSink(spec, w, &ctx.sink);
-    ctx.batch_results.resize(max_batch);
-
-    // Clocks: the single worker shares the driver's; under simulated
-    // fan-out each worker advances a private virtual clock, synchronized
-    // at phase boundaries.
-    if (workers > 1 && simulated) {
-      ctx.private_clock.emplace();
-      ctx.private_clock->SetNanos(run_start);
-      ctx.clock = &*ctx.private_clock;
-      ctx.sim_clock = &*ctx.private_clock;
-    } else {
-      ctx.clock = clock_;
-      ctx.sim_clock = options_.virtual_clock;  // nullptr on the real clock.
-    }
-
-    // RNG roots: worker 0 IS the master stream (bit-identity), workers
-    // w > 0 fork disjoint streams.
-    const Rng root = w == 0 ? master : master.Fork(kWorkerStreamTag + w);
-    ctx.stream.emplace(&spec, root, 1.0 / static_cast<double>(workers), w,
-                       workers);
-
-    exec_options.worker = w;
-    ctx.executor.emplace(sut, spec.resilience, Pacer(ctx.clock, ctx.sim_clock),
-                         root.Fork(kBackoffStreamTag).Next(), exec_options);
-    if (spec.service.enabled) ctx.admission.emplace(spec.service);
-
-    // Per-worker observability shard. The hooks only *read* the worker's
-    // clock — they never advance it or draw randomness — so arming them
-    // cannot perturb the operation stream (pinned by test).
-    if (obs_spec.Enabled()) {
-      ctx.obs = std::make_unique<WorkerObs>(w);
-      Tracer* tracer = nullptr;
-      StageProfiler* profiler = nullptr;
-      MetricsRegistry* registry = nullptr;
-      if (obs_spec.trace) {
-        ctx.obs->tracer.Bind(ctx.clock, run_start);
-        ctx.obs->tracer.Reserve(static_cast<size_t>(std::min<uint64_t>(
-            WorkerShare(total_ops, workers, w), uint64_t{1} << 20)));
-        tracer = &ctx.obs->tracer;
-      }
-      if (obs_spec.profile) {
-        ctx.obs->profiler.Bind(ctx.clock);
-        profiler = &ctx.obs->profiler;
-      }
-      if (obs_spec.metrics) registry = &ctx.obs->registry;
-      ctx.stream->BindObservability(
-          profiler, registry != nullptr
-                        ? registry->GetCounter("stream.ops_issued")
-                        : nullptr);
-      ctx.sink.BindObservability(
-          profiler, registry != nullptr
-                        ? registry->GetCounter("sink.events_recorded")
-                        : nullptr);
-      ctx.executor->BindObservability(tracer, profiler, registry);
-      if (ctx.admission.has_value() && registry != nullptr) {
-        ctx.admission->BindObservability(
-            registry->GetGauge("service.queue_depth"),
-            registry->GetGauge("service.queue_peak_depth"),
-            registry->GetCounter("service.admitted"),
-            registry->GetCounter("service.shed"),
-            registry->GetHistogram("service.queue_wait"));
-      }
-    }
-  }
-
-  // Engine selection, once per run: if the SUT's exact type is in
-  // SelectEngine's list (SerializingSut included), monomorphize the whole
-  // inner loop on it — zero virtual calls per op in the steady state.
-  const PhaseFn run_worker = SelectEngine(sut);
-
-  for (size_t phase_idx = 0; phase_idx < spec.phases.size(); ++phase_idx) {
-    const PhaseSpec& phase = spec.phases[phase_idx];
-
-    PhaseBoundary boundary;
-    boundary.phase = static_cast<int32_t>(phase_idx);
-    boundary.holdout = phase.holdout;
-    boundary.start_nanos = clock_->NowNanos() - run_start;
-
-    // Exactly one notification per phase, through the full wrapper chain.
-    sut->OnPhaseStart(static_cast<int>(phase_idx), phase.holdout);
-
-    for (uint32_t w = 0; w < workers; ++w) {
-      WorkerContext& ctx = contexts[w];
-      ctx.current_phase = static_cast<int32_t>(phase_idx);
-      ctx.executor->BeginPhase(static_cast<int>(phase_idx));
-      if (ctx.obs != nullptr) {
-        ctx.obs->tracer.set_phase(static_cast<int32_t>(phase_idx));
-        ctx.obs->profiler.set_phase(static_cast<int32_t>(phase_idx));
-      }
-      ctx.stream->BeginPhase(
-          phase_idx, WorkerShare(phase.num_operations, workers, w),
-          WorkerShare(phase.transition_operations, workers, w),
-          ctx.clock->NowNanos() - run_start);
-    }
-
-    if (workers == 1) {
-      run_worker(&contexts[0], sut, run_start);
-    } else if (simulated) {
-      // Deterministic simulated fan-out: workers run sequentially on
-      // private virtual clocks, then a *virtual barrier* advances every
-      // clock to the phase's maximum. Event order is recovered at merge.
-      for (WorkerContext& ctx : contexts) run_worker(&ctx, sut, run_start);
-      int64_t max_nanos = options_.virtual_clock->NowNanos();
-      for (const WorkerContext& ctx : contexts) {
-        max_nanos = std::max(max_nanos, ctx.clock->NowNanos());
-      }
-      for (WorkerContext& ctx : contexts) {
-        if (ctx.private_clock->NowNanos() < max_nanos) {
-          ctx.private_clock->SetNanos(max_nanos);
-        }
-      }
-      if (options_.virtual_clock->NowNanos() < max_nanos) {
-        options_.virtual_clock->SetNanos(max_nanos);
-      }
-    } else {
-      // Real-clock fan-out: one joined thread per worker; the join is the
-      // phase barrier. Threads are never detached (lsbench-lint:
-      // no-detached-thread).
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (WorkerContext& ctx : contexts) {
-        threads.emplace_back(run_worker, &ctx, sut, run_start);
-      }
-      for (std::thread& t : threads) t.join();
-    }
-
-    boundary.end_nanos = clock_->NowNanos() - run_start;
-    boundary.operations = phase.num_operations;
-    result.boundaries.push_back(boundary);
-
-    // Orchestrator-level phase span, recorded from the already-measured
-    // boundary so it costs nothing extra. No-op while the tracer is unbound.
-    if (driver_obs != nullptr) {
-      driver_obs->tracer.set_phase(static_cast<int32_t>(phase_idx));
-      driver_obs->tracer.Record("phase", boundary.start_nanos,
-                                boundary.end_nanos);
-    }
-  }
-
-  // ---- Fold metrics per worker, then merge and expand the units ----
-  // Every figure but the adjustment-window excess is an order-free fold,
-  // so each worker's units are folded on its own thread (the calling
-  // thread at workers == 1), weighted by their element counts, and the
-  // folds merge exactly. The fold also checks the order the merge relies
-  // on: an out-of-order shard fails the run. The units then merge into
-  // (timestamp, worker, seq) order, and the per-element stream is written
-  // once, by expanding each unit in that order.
-  Stopwatch metrics_watch(clock_);
-  const MetricsOptions metrics_options = MetricsOptions::FromSpec(spec);
-  std::vector<UnitShard> shards;
-  std::vector<const EventStream*> unit_ptrs;
-  shards.reserve(workers);
-  for (WorkerContext& ctx : contexts) {
-    shards.push_back(ctx.sink.TakeUnits());
-  }
-  for (const UnitShard& shard : shards) unit_ptrs.push_back(&shard.units);
-  const ShardAccumulation empty_fold(
-      result.boundaries, metrics_options,
-      ResolveSla(unit_ptrs, metrics_options, EventGrain::kUnit));
-  std::vector<ShardAccumulation> folds(workers, empty_fold);
-  std::vector<Status> fold_status(workers);
-  const auto fold = [&folds, &fold_status, &shards](uint32_t w) {
-    fold_status[w] = folds[w].AccumulateUnits(shards[w]);
-  };
-  if (workers == 1) {
-    fold(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (uint32_t w = 0; w < workers; ++w) threads.emplace_back(fold, w);
-    for (std::thread& t : threads) t.join();
-  }
-  ShardAccumulation run_fold = empty_fold;
-  for (uint32_t w = 0; w < workers; ++w) {
-    if (!fold_status[w].ok()) {
-      return Status::Internal("worker " + std::to_string(w) +
-                              " shard: " + fold_status[w].message());
-    }
-    run_fold.Merge(folds[w]);
-  }
-  int64_t metrics_nanos = metrics_watch.ElapsedNanos();
-
-  // The merged units get room for every element, so ExpandUnits writes
-  // them in place instead of beside a copy of the units.
-  Stopwatch merge_watch(clock_);
-  std::vector<EventStream> unit_shards;
-  unit_shards.reserve(workers);
-  for (UnitShard& shard : shards) {
-    unit_shards.push_back(std::move(shard.units));
-  }
-  EventStream units =
-      MergeEventShards(std::move(unit_shards), run_fold.operations);
-  int64_t merge_nanos = merge_watch.ElapsedNanos();
-
-  metrics_watch.Restart();
-  result.metrics = FinalizeRunMetrics(run_fold, units, metrics_options,
-                                      EventGrain::kUnit);
-  LSBENCH_RETURN_IF_ERROR(AuditUnitAccounting(folds, result.metrics));
-  metrics_nanos += metrics_watch.ElapsedNanos();
-
-  merge_watch.Restart();
-  result.events = ExpandUnits(std::move(units), std::move(shards),
-                              run_fold.operations);
-  merge_nanos += merge_watch.ElapsedNanos();
-  if (driver_obs != nullptr) {
-    driver_obs->profiler.set_phase(PhaseStageBreakdown::kRunLevelPhase);
-    driver_obs->profiler.Add(Stage::kMerge, merge_nanos);
-    driver_obs->profiler.Add(Stage::kMetrics, metrics_nanos);
-  }
-  // Driver-owned resilience state the metric layer cannot derive from the
-  // event stream alone.
-  result.metrics.resilience.failed_trains = failed_trains;
-  for (const WorkerContext& ctx : contexts) {
-    if (const FaultLane* lane = ctx.executor->faults()) {
-      result.fault_stats.injected_failures += lane->stats().injected_failures;
-      result.fault_stats.injected_spikes += lane->stats().injected_spikes;
-      result.fault_stats.injected_stalls += lane->stats().injected_stalls;
-    }
-    const CircuitBreaker* breaker = ctx.executor->breaker();
-    if (breaker == nullptr) continue;
-    result.metrics.resilience.breaker_opens += breaker->open_count();
-    result.metrics.resilience.degraded_seconds +=
-        static_cast<double>(breaker->DegradedNanos(ctx.clock->NowNanos())) *
-        1e-9;
-  }
-  result.final_sut_stats = sut->GetStats();
-
-  // ---- Observability collection ----
-  // Worker shards plus the driver's own shard merge exactly like event
-  // shards: the result is a pure function of shard contents.
-  result.observability.spec = obs_spec;
-  if (obs_spec.Enabled()) {
-    std::vector<TraceStream> trace_shards;
-    std::vector<MetricsSnapshot> metric_shards;
-    for (WorkerContext& ctx : contexts) {
-      if (ctx.obs == nullptr) continue;
-      trace_shards.push_back(ctx.obs->tracer.TakeSpans());
-      MergeStageBreakdown(&result.observability.stages,
-                          ctx.obs->profiler.Breakdown());
-      metric_shards.push_back(ctx.obs->registry.Snapshot());
-    }
-    if (driver_obs != nullptr) {
-      trace_shards.push_back(driver_obs->tracer.TakeSpans());
-      MergeStageBreakdown(&result.observability.stages,
-                          driver_obs->profiler.Breakdown());
-      metric_shards.push_back(driver_obs->registry.Snapshot());
-    }
-    if (obs_spec.trace) {
-      result.observability.trace = MergeTraceShards(std::move(trace_shards));
-    }
-    if (obs_spec.metrics) {
-      LSBENCH_ASSIGN_OR_RETURN(result.observability.metrics,
-                               MergeMetricsShards(metric_shards));
-      LSBENCH_RETURN_IF_ERROR(
-          AuditRegistryCounters(result.observability.metrics, run_fold,
-                                spec.service));
-    }
-  }
-  return result;
+  return session.Finish();
 }
 
 }  // namespace lsbench

@@ -1,5 +1,6 @@
 #include "core/run_spec.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -382,6 +383,11 @@ Status RunPlan::ValidateWith(const std::vector<DatasetT>& datasets) const {
 
 Status ParsedSpec::Validate() const { return ValidateWith(datasets); }
 Status RunSpec::Validate() const { return ValidateWith(datasets); }
+
+bool RunPlan::HasHoldout() const {
+  return std::any_of(phases.begin(), phases.end(),
+                     [](const PhaseSpec& p) { return p.holdout; });
+}
 
 uint64_t RunSpec::StructuralHash() const {
   uint64_t h = HashString(name);

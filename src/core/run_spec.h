@@ -143,6 +143,9 @@ struct RunPlan {
   /// StructuralHash so declaring drift does not change run identity.
   DriftSpec drift;
 
+  /// Whether any phase is a hold-out phase, which runs once per process.
+  bool HasHoldout() const;
+
  protected:
   /// The body of ParsedSpec::Validate and RunSpec::Validate, shared so the
   /// two cannot drift apart; defined in run_spec.cc.

@@ -9,6 +9,7 @@
 
 #include "data/distinct_draws.h"
 #include "util/assert.h"
+#include "util/fan_out.h"
 
 namespace lsbench {
 

@@ -4,6 +4,8 @@
 #include <memory>
 #include <thread>
 
+#include "util/fan_out.h"
+
 namespace lsbench {
 
 namespace {

@@ -5,8 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <system_error>
-#include <thread>
 #include <vector>
 
 namespace lsbench {
@@ -74,33 +72,13 @@ inline size_t BlockCount(size_t n, size_t parts) {
   return std::clamp(n / kMinBlockKeys, size_t{1}, std::max(parts, size_t{1}));
 }
 
-/// Runs body(b) for every block b < blocks: block 0 on the calling thread,
-/// the others on threads joined before this returns (lsbench-lint:
-/// no-detached-thread). A block whose thread fails to start runs on the
-/// calling thread instead. The bodies must not throw, so nothing can throw
-/// between a thread's start and its join.
-template <typename Body>
-void ForEachBlock(size_t blocks, const Body& body) {
-  std::vector<std::thread> threads;
-  threads.reserve(blocks - 1);
-  for (size_t b = 1; b < blocks; ++b) {
-    try {
-      threads.emplace_back(std::cref(body), b);
-    } catch (const std::system_error&) {
-      body(b);
-    }
-  }
-  body(0);
-  for (std::thread& thread : threads) thread.join();
-}
-
 /// Sorts `keys[0, n)` ascending, like std::sort, on up to `parts` threads,
 /// with an LSD radix sort. One pass ORs `key ^ keys[0]` over the range to
 /// find the digits that vary; each varying digit then takes a counting pass
 /// and a stable scatter pass, and a constant digit takes none (the top
 /// 16 bits of keys below 2^48, say). Both passes split the range into
 /// BlockCount(n, parts) blocks of near-equal size, each with its own
-/// counts, run by ForEachBlock. The scatter writes into a
+/// counts, run by ForEachBlock (util/fan_out.h). The scatter writes into a
 /// scratch buffer of n keys, 8 B per key, allocated without a zero fill
 /// and freed before return. Since a sort has one output, the result is the
 /// same for every `parts`.

@@ -63,6 +63,45 @@ TEST(ComparisonTest, EmptySystemListRejected) {
   EXPECT_TRUE(CompareSystems(SmallSpec(), {}).status().IsInvalidArgument());
 }
 
+TEST(ComparisonTest, HoldoutSpecIsRefusedBeforeAnyRun) {
+  // A hold-out runs once per process, so comparing two systems on it can
+  // never finish. The refusal comes before the first system runs, so the
+  // hold-out is still unclaimed and a single-system run of it succeeds.
+  BenchmarkDriver::ResetHoldoutRegistryForTesting();
+  RunSpec spec = SmallSpec();
+  spec.name = "cmp_holdout";
+  PhaseSpec holdout = spec.phases[0];
+  holdout.name = "holdout";
+  holdout.holdout = true;
+  spec.phases.push_back(holdout);
+  VirtualClock clock;
+  DriverOptions options;
+  options.virtual_clock = &clock;
+  BTreeSystem btree;
+  LearnedKvSystem learned;
+  const Result<ComparisonReport> report =
+      CompareSystems(spec, {&btree, &learned}, &clock, options);
+  ASSERT_TRUE(report.status().IsFailedPrecondition())
+      << report.status().ToString();
+  EXPECT_NE(report.status().message().find("--no-holdout-enforcement"),
+            std::string::npos);
+
+  BTreeSystem single;
+  BenchmarkDriver driver(&clock, options);
+  const Result<RunResult> run = driver.Run(spec, &single);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(driver.Run(spec, &single).status().IsFailedPrecondition());
+
+  // Without enforcement the comparison runs every system.
+  options.enforce_holdout_once = false;
+  BTreeSystem btree2;
+  LearnedKvSystem learned2;
+  const Result<ComparisonReport> unenforced =
+      CompareSystems(spec, {&btree2, &learned2}, &clock, options);
+  ASSERT_TRUE(unenforced.ok()) << unenforced.status().ToString();
+  EXPECT_EQ(unenforced.value().rows.size(), 2u);
+}
+
 TEST(ComparisonTest, RenderContainsAllSystems) {
   VirtualClock clock;
   DriverOptions options;

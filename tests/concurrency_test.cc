@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sys/resource.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/driver.h"
@@ -12,6 +18,7 @@
 #include "sut/concurrent_kv.h"
 #include "sut/serializing.h"
 #include "sut/systems.h"
+#include "util/fan_out.h"
 
 namespace lsbench {
 namespace {
@@ -457,6 +464,105 @@ TEST_F(ConcurrencyTest, ExecutionSpecValidation) {
   const RunSpec one = MakeSpec(18, 1);
   const RunSpec four = MakeSpec(18, 4);
   EXPECT_NE(one.StructuralHash(), four.StructuralHash());
+}
+
+// ---------------------------------------------------------------------------
+// Threads that fail to start
+// ---------------------------------------------------------------------------
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerBuild = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizerBuild = true;
+#else
+constexpr bool kSanitizerBuild = false;
+#endif
+#else
+constexpr bool kSanitizerBuild = false;
+#endif
+
+/// Room left above what the process maps when CapAddressSpace runs: enough
+/// for a small run's allocations, too little for a thread stack.
+constexpr uint64_t kHeadroomBytes = uint64_t{4} << 20;
+
+/// Why a death-test child could not keep every thread from starting by
+/// capping its address space, or empty if it can: sanitizers reserve far
+/// more address space than a cap leaves, and a default thread stack no
+/// larger than the headroom would still be mapped.
+std::string AddressSpaceCapUnusable() {
+  if (kSanitizerBuild) return "sanitizer build";
+  pthread_attr_t attr;
+  if (pthread_getattr_default_np(&attr) != 0) return "no default attr";
+  size_t stack = 0;
+  const int err = pthread_attr_getstacksize(&attr, &stack);
+  pthread_attr_destroy(&attr);
+  if (err != 0 || stack <= kHeadroomBytes) return "small thread stacks";
+  return "";
+}
+
+/// Lowers this process's address-space limit to what it maps now plus
+/// kHeadroomBytes, so a new thread's stack cannot be mapped and
+/// std::thread's constructor throws std::system_error. For death-test
+/// children only: the limit holds until the process exits.
+bool CapAddressSpace() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) != 0) continue;
+    rlimit limit{};
+    if (getrlimit(RLIMIT_AS, &limit) != 0) return false;
+    limit.rlim_cur = std::stoull(line.substr(7)) * 1024 + kHeadroomBytes;
+    return setrlimit(RLIMIT_AS, &limit) == 0;
+  }
+  return false;
+}
+
+TEST(ThreadStartDeathTest, ForEachBlockRunsUnstartedBlocksOnTheCaller) {
+  if (const std::string why = AddressSpaceCapUnusable(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        if (!CapAddressSpace()) std::_Exit(2);
+        std::vector<int> runs(3, 0);
+        std::vector<std::thread::id> ran_on(3);
+        const size_t on_caller = ForEachBlock(3, [&](size_t b) {
+          ++runs[b];
+          ran_on[b] = std::this_thread::get_id();
+        });
+        const std::thread::id caller = std::this_thread::get_id();
+        const bool all_on_caller = ran_on[0] == caller &&
+                                   ran_on[1] == caller && ran_on[2] == caller;
+        std::_Exit(on_caller == 2 && runs == std::vector<int>(3, 1) &&
+                           all_on_caller
+                       ? 0
+                       : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(ThreadStartDeathTest, RealClockPhaseFailsWhenAWorkerThreadCannotStart) {
+  if (const std::string why = AddressSpaceCapUnusable(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  RunSpec spec = MakeSpec(19, 2);
+  spec.phases[0].num_operations = 200;
+  spec.phases[1].num_operations = 200;
+  spec.phases[1].transition_operations = 50;
+  PartitionedKvSystem sut(4);
+  EXPECT_EXIT(
+      {
+        if (!CapAddressSpace()) std::_Exit(2);
+        BenchmarkDriver driver;
+        const Result<RunResult> run = driver.Run(spec, &sut);
+        std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
+        std::_Exit(run.status().IsResourceExhausted() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0),
+      "phase 0: 1 of 2 worker threads failed to start");
 }
 
 }  // namespace

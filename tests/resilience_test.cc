@@ -9,6 +9,7 @@
 #include "core/run_spec.h"
 #include "data/dataset.h"
 #include "sut/systems.h"
+#include "util/atomic.h"
 #include "util/clock.h"
 
 namespace lsbench {
@@ -345,6 +346,43 @@ TEST(ResilientDriverTest, DisabledBreakerNeverShedsThroughTheOutage) {
   EXPECT_EQ(outage.failed_operations, outage.operations);
   EXPECT_EQ(run.fault_stats.injected_failures, outage.operations);
   EXPECT_EQ(recovery.failed_operations, 0u);
+}
+
+/// A clock that moves 1 us forward on every read, so every clock read the
+/// harness makes, inside the phases or after them, takes time.
+class StepClock final : public Clock {
+ public:
+  int64_t NowNanos() const override { return reads_.Add(1) * 1000; }
+
+ private:
+  mutable Atomic<int64_t> reads_{1};
+};
+
+TEST(ResilientDriverTest, DegradedTimeEndsWithTheLastPhase) {
+  // A real-clock run (no virtual clock) whose breaker opens on the first
+  // failed op and is still open at run end. It was degraded only while the
+  // phases ran, so its degraded time cannot exceed their span; the clock
+  // reads of the fold and merge after the last phase must not count.
+  RunSpec spec = SmallSpec(42, 200);
+  FaultWindow outage;
+  outage.phase = 0;
+  outage.execute_fail_rate = 1.0;
+  spec.faults.windows = {outage};
+  spec.resilience.breaker_enabled = true;
+  spec.resilience.breaker_window_ops = 1;
+  spec.resilience.breaker_failure_threshold = 0.5;
+  spec.resilience.breaker_cooldown_nanos = int64_t{1} << 50;
+
+  StepClock clock;
+  BenchmarkDriver driver(&clock);
+  BTreeSystem sut;
+  const RunResult run = driver.Run(spec, &sut).value();
+  const ResilienceMetrics& rm = run.metrics.resilience;
+  ASSERT_EQ(rm.breaker_opens, 1u);
+  const int64_t span =
+      run.boundaries.back().end_nanos - run.boundaries.front().start_nanos;
+  EXPECT_GT(rm.degraded_seconds, 0.0);
+  EXPECT_LE(rm.degraded_seconds, static_cast<double>(span) * 1e-9);
 }
 
 TEST(ResilientDriverTest, FaultedRunIsByteForByteDeterministic) {

@@ -4,15 +4,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "util/atomic.h"
 #include "util/clock.h"
 #include "util/csv.h"
 #include "util/env.h"
+#include "util/fan_out.h"
 #include "util/file.h"
 #include "util/histogram.h"
 #include "util/random.h"
@@ -613,6 +619,57 @@ TEST(CsvTest, FieldFormatters) {
   EXPECT_EQ(CsvWriter::Field(static_cast<int64_t>(-12)), "-12");
   EXPECT_EQ(CsvWriter::Field(static_cast<uint64_t>(12)), "12");
   EXPECT_EQ(CsvWriter::Field(1.5), "1.5");
+}
+
+// ---------------------------------------------------------------------------
+// ForEachBlock
+// ---------------------------------------------------------------------------
+
+TEST(ForEachBlockTest, RunsEveryBlockOnceAndBlockZeroOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const size_t blocks : {1, 2, 3, 8}) {
+    SCOPED_TRACE("blocks=" + std::to_string(blocks));
+    // Each block writes only its own slots, read after the join.
+    std::vector<int> runs(blocks, 0);
+    std::vector<std::thread::id> ran_on(blocks);
+    const size_t on_caller = ForEachBlock(blocks, [&](size_t b) {
+      ++runs[b];
+      ran_on[b] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(on_caller, 0u);
+    EXPECT_EQ(runs, std::vector<int>(blocks, 1));
+    EXPECT_EQ(ran_on[0], caller);
+    for (size_t b = 1; b < blocks; ++b) EXPECT_NE(ran_on[b], caller);
+  }
+}
+
+// The process's threads, one entry each under /proc/self/task.
+size_t ThreadCount() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<size_t>(std::distance(
+      std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+TEST(ForEachBlockTest, OneBlockStartsNoThread) {
+  const size_t before = ThreadCount();
+  size_t during = 0;
+  const size_t on_caller =
+      ForEachBlock(1, [&](size_t) { during = ThreadCount(); });
+  EXPECT_EQ(on_caller, 0u);
+  EXPECT_EQ(during, before);
+  // The count does see a started thread: block 1's is alive, waiting,
+  // while block 0 counts.
+  Atomic<bool> counted{false};
+  size_t during_two = 0;
+  ForEachBlock(2, [&](size_t b) {
+    if (b == 0) {
+      during_two = ThreadCount();
+      counted.StoreRelease(true);
+    } else {
+      while (!counted.LoadAcquire()) std::this_thread::yield();
+    }
+  });
+  EXPECT_EQ(during_two, before + 1);
 }
 
 }  // namespace

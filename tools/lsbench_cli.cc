@@ -15,7 +15,9 @@
 //                       btree + rmi + adaptive through the comparison
 //                       harness instead of a single system; it writes no
 //                       HTML report or trace, so --html and --trace-out are
-//                       rejected with it.
+//                       rejected with it. A spec with hold-out phases runs
+//                       once per process, so stdcmp refuses it (exit 1)
+//                       unless --no-holdout-enforcement is given.
 //   --no-holdout-enforcement
 //                       allow re-running specs that contain hold-out phases
 //   --csv               also print every report table as a CSV block
