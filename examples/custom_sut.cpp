@@ -2,7 +2,9 @@
 // LSBench driver. The paper requires the benchmark to avoid imposing
 // architectural constraints on SUTs — the SystemUnderTest interface is four
 // methods, shown here by wrapping a plain std::map as a (naive) engine with
-// no learned components at all.
+// no learned components at all. Execute serves the scalar op classes only:
+// batch classes go to ExecuteBatch, and its default body serves them
+// element by element through Execute, so this SUT runs batch phases too.
 
 #include <cstdio>
 #include <map>
@@ -65,23 +67,10 @@ class StdMapSystem final : public SystemUnderTest {
         break;
       }
       case OpType::kBatchGet:
-      case OpType::kBatchPut: {
-        // Aggregate view of the batch classes (rows = elements
-        // found/applied). A SUT that doesn't override ExecuteBatch never
-        // receives these through the driver — the scalar fallback unrolls
-        // batches into per-element Gets/Updates — but direct callers may.
-        const bool put = op.type == OpType::kBatchPut;
-        for (uint32_t i = 0; i < op.batch_size; ++i) {
-          if (put) {
-            data_[op.batch_keys[i]] = op.batch_values[i];
-            ++result.rows;
-          } else if (data_.count(op.batch_keys[i]) > 0) {
-            ++result.rows;
-          }
-        }
-        result.ok = true;
+      case OpType::kBatchPut:
+        // Never sent here: the driver hands batches to ExecuteBatch, whose
+        // default unrolls them into kGet / kUpdate calls.
         break;
-      }
     }
     return result;
   }

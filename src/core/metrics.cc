@@ -69,12 +69,6 @@ std::vector<CumulativePoint> CurveFromBands(
 
 }  // namespace
 
-std::vector<CumulativePoint> BuildCumulativeCurve(const EventStream& events,
-                                                  int64_t interval_nanos) {
-  return CurveFromBands(BuildSlaBands(events, interval_nanos, INT64_MAX),
-                        interval_nanos);
-}
-
 double AreaVsIdeal(const std::vector<CumulativePoint>& curve) {
   if (curve.size() < 2) return 0.0;
   const double t0 = static_cast<double>(curve.front().t_nanos) * 1e-9;
@@ -142,23 +136,6 @@ double AreaBetweenCurves(const std::vector<CumulativePoint>& a,
     area += weight * diff * dt * 1e-9;
   }
   return area;
-}
-
-std::vector<LatencyBand> BuildSlaBands(const EventStream& events,
-                                       int64_t interval_nanos,
-                                       int64_t sla_nanos) {
-  SlotCursor interval(0, interval_nanos);
-  std::vector<LatencyBand> bands;
-  for (const OpEvent& e : events) {
-    const size_t idx = interval.SlotOf(e.timestamp_nanos);
-    if (idx >= bands.size()) GrowBands(&bands, idx + 1, interval_nanos);
-    if (e.latency_nanos <= sla_nanos) {
-      ++bands[idx].within_sla;
-    } else {
-      ++bands[idx].violated;
-    }
-  }
-  return bands;
 }
 
 uint64_t MultiBand::Total() const {

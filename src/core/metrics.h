@@ -20,11 +20,6 @@ struct CumulativePoint {
   uint64_t completed = 0;
 };
 
-/// Samples the cumulative completed-queries curve at interval boundaries.
-/// `events` must be sorted by timestamp (the driver emits them sorted).
-std::vector<CumulativePoint> BuildCumulativeCurve(const EventStream& events,
-                                                  int64_t interval_nanos);
-
 /// Signed area (in query-seconds) between the measured cumulative curve and
 /// the ideal constant-throughput line through (start, 0) -> (end, total):
 /// negative means the system lagged the ideal early and caught up late (the
@@ -44,12 +39,6 @@ struct LatencyBand {
 
   uint64_t Total() const { return within_sla + violated; }
 };
-
-/// Buckets completions into `interval_nanos` bands split by the SLA
-/// threshold. Empty trailing intervals are preserved up to the last event.
-std::vector<LatencyBand> BuildSlaBands(const EventStream& events,
-                                       int64_t interval_nanos,
-                                       int64_t sla_nanos);
 
 /// SLA threshold calibrated from observed latencies (nanoseconds):
 /// percentile * margin (§V-D2: derive the threshold from a baseline's
@@ -180,7 +169,10 @@ struct RunMetrics {
   /// Always exactly kNumOpTypes rows, indexed by static_cast<size_t>(type).
   std::vector<OpTypeMetrics> op_types;
   std::vector<PhaseMetrics> phases;
+  /// Completions summed at each interval end, from (0, 0) on.
   std::vector<CumulativePoint> cumulative;
+  /// Completions per interval split by the SLA threshold, with empty
+  /// intervals kept up to the last event.
   std::vector<LatencyBand> bands;
   double area_vs_ideal = 0.0;
   ResilienceMetrics resilience;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -338,6 +340,11 @@ Status RunPlan::ValidateWith(const std::vector<DatasetT>& datasets) const {
       resilience.backoff_max_nanos < 0 ||
       resilience.breaker_cooldown_nanos < 0) {
     return Status::InvalidArgument("resilience durations must be >= 0");
+  }
+  // A unit's retry count is a uint16_t (ExecOutcome, OpEvent); a larger
+  // bound would never stop the retry loop.
+  if (resilience.max_retries > std::numeric_limits<uint16_t>::max()) {
+    return Status::InvalidArgument("resilience max_retries must be <= 65535");
   }
   if (resilience.backoff_multiplier < 1.0) {
     return Status::InvalidArgument("backoff multiplier must be >= 1");

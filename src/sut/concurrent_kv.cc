@@ -144,46 +144,15 @@ OpResult PartitionedKvSystem::Execute(const Operation& op) {
       break;
     }
     case OpType::kBatchGet:
-    case OpType::kBatchPut: {
-      // Aggregate view of a batch: same partition-grouped walk as
-      // ExecuteBatch, rows = elements found/applied.
-      const bool put = op.type == OpType::kBatchPut;
-      uint64_t rows = 0;
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        bool any = false;
-        for (uint32_t i = 0; i < op.batch_size; ++i) {
-          if (ShardFor(op.batch_keys[i]) == s) {
-            any = true;
-            break;
-          }
-        }
-        if (!any) continue;
-        Shard& shard = *shards_[s];
-        MutexLock lock(shard.mu);
-        for (uint32_t i = 0; i < op.batch_size; ++i) {
-          if (ShardFor(op.batch_keys[i]) != s) continue;
-          if (put) {
-            shard.tree.Insert(op.batch_keys[i], op.batch_values[i]);
-            ++rows;
-          } else if (shard.tree.Get(op.batch_keys[i]).has_value()) {
-            ++rows;
-          }
-        }
-      }
-      result.ok = true;
-      result.rows = rows;
+    case OpType::kBatchPut:
+      LSBENCH_ASSERT_MSG(false, "batch ops go to ExecuteBatch, not Execute");
       break;
-    }
   }
   return result;
 }
 
 void PartitionedKvSystem::ExecuteBatch(const Operation& op,
                                        OpResult* results) {
-  if (!IsBatchOp(op.type)) {
-    results[0] = Execute(op);
-    return;
-  }
   const bool put = op.type == OpType::kBatchPut;
   for (size_t s = 0; s < shards_.size(); ++s) {
     // Cheap unlocked membership scan first (routing is immutable after

@@ -99,21 +99,21 @@ class SystemUnderTest {
   /// it to the training budget; it is never invoked for hold-out phases.
   virtual TrainReport Train() { return {}; }
 
-  /// Executes one operation synchronously. Batch ops (kBatchGet /
-  /// kBatchPut) are legal here too — implementations that don't override
-  /// ExecuteBatch still see them and should aggregate (ok = all served,
-  /// rows = elements found/applied); KvSystemBase does this for every
-  /// bundled SUT.
+  /// Executes one scalar operation synchronously. Each op class has one
+  /// entry: the driver sends scalar ops here and batch ops (kBatchGet /
+  /// kBatchPut) to ExecuteBatch, never a batch op here. The bundled SUTs
+  /// abort if one arrives.
   virtual OpResult Execute(const Operation& op) = 0;
 
-  /// Executes one batch op, writing one OpResult per batch element into
-  /// `results` (which has room for `op.batch_size` entries). The default
-  /// unrolls the batch into scalar Execute calls on the per-element views
-  /// (kBatchGet -> kGet, kBatchPut -> kUpdate), so every SUT supports
-  /// batches; native overrides (B-tree, learned, partitioned) amortize
-  /// per-op costs instead. Wrappers (serializing / fault-injecting /
-  /// observability) must forward this call without unbatching, so a batch
-  /// stays one request unit for locking and fault accounting.
+  /// Executes one batch op (kBatchGet or kBatchPut; never a scalar op),
+  /// writing one OpResult per batch element into `results` (which has
+  /// room for `op.batch_size` entries). The default unrolls the batch into
+  /// scalar Execute calls on the per-element views (kBatchGet -> kGet,
+  /// kBatchPut -> kUpdate), so a SUT that implements Execute alone
+  /// supports batches; native overrides (B-tree, learned, partitioned)
+  /// amortize per-op costs instead. Wrappers (serializing / observability)
+  /// must forward this call without unbatching, so a batch stays one
+  /// request unit for locking and fault accounting.
   virtual void ExecuteBatch(const Operation& op, OpResult* results) {
     for (uint32_t i = 0; i < op.batch_size; ++i) {
       results[i] = Execute(ScalarViewOf(op, i));

@@ -11,10 +11,10 @@ constexpr size_t kScanChunk = 1024;
 // KS drift checks sort reference+window samples (~30 us); amortize them.
 constexpr uint64_t kDriftCheckEvery = 512;
 
-/// Per-element batch loop over a *concrete* index type: because IndexT is
-/// the final class (BTree, RmiIndex, PgmIndex), the Get/Insert calls
-/// devirtualize and inline — this is where the batch path sheds the
-/// per-element KvIndex virtual dispatch.
+/// The per-element batch loop of every KvIndex-backed system. Over a final
+/// class (BTree, RmiIndex, PgmIndex) the Get/Insert calls devirtualize and
+/// inline, which is where the native batch paths shed the per-element
+/// KvIndex virtual dispatch; over KvIndex itself they stay virtual.
 template <typename IndexT>
 void ExecuteBatchDirect(IndexT* idx, const Operation& op, OpResult* results) {
   if (op.type == OpType::kBatchGet) {
@@ -153,55 +153,17 @@ OpResult KvSystemBase::Execute(const Operation& op) {
       }
       break;
     }
-    case OpType::kBatchGet: {
-      // Aggregate view of a multi-get: ok means the batch was served,
-      // rows counts the elements found.
-      KvIndex* idx = index();
-      uint64_t found = 0;
-      for (uint32_t i = 0; i < op.batch_size; ++i) {
-        if (idx->Get(op.batch_keys[i]).has_value()) ++found;
-      }
-      result.ok = true;
-      result.rows = found;
+    case OpType::kBatchGet:
+    case OpType::kBatchPut:
+      LSBENCH_ASSERT_MSG(false, "batch ops go to ExecuteBatch, not Execute");
       break;
-    }
-    case OpType::kBatchPut: {
-      KvIndex* idx = index();
-      for (uint32_t i = 0; i < op.batch_size; ++i) {
-        idx->Insert(op.batch_keys[i], op.batch_values[i]);
-      }
-      result.ok = true;
-      result.rows = op.batch_size;
-      break;
-    }
   }
   OnExecuted(op);
   return result;
 }
 
 void KvSystemBase::ExecuteBatch(const Operation& op, OpResult* results) {
-  if (!IsBatchOp(op.type)) {
-    // Non-batch op routed through the batch entry point: one result.
-    results[0] = Execute(op);
-    return;
-  }
-  KvIndex* idx = index();
-  if (op.type == OpType::kBatchGet) {
-    for (uint32_t i = 0; i < op.batch_size; ++i) {
-      OpResult& r = results[i];
-      r.status = Status::OK();
-      r.ok = idx->Get(op.batch_keys[i]).has_value();
-      r.rows = r.ok ? 1 : 0;
-    }
-  } else {
-    for (uint32_t i = 0; i < op.batch_size; ++i) {
-      idx->Insert(op.batch_keys[i], op.batch_values[i]);
-      OpResult& r = results[i];
-      r.status = Status::OK();
-      r.ok = true;
-      r.rows = 1;
-    }
-  }
+  ExecuteBatchDirect(index(), op, results);
   OnExecuted(op);
 }
 
@@ -238,10 +200,6 @@ Status BTreeSystem::LoadKeys(std::span<const Key> sorted_keys) {
 }
 
 void BTreeSystem::ExecuteBatch(const Operation& op, OpResult* results) {
-  if (!IsBatchOp(op.type)) {
-    results[0] = Execute(op);
-    return;
-  }
   ExecuteBatchDirect(&btree_, op, results);
 }
 
@@ -421,10 +379,6 @@ void LearnedKvSystem::MaybeRetrain() {
 }
 
 void LearnedKvSystem::ExecuteBatch(const Operation& op, OpResult* results) {
-  if (!IsBatchOp(op.type)) {
-    results[0] = Execute(op);
-    return;
-  }
   if (rmi_ != nullptr) {
     ExecuteBatchDirect(rmi_.get(), op, results);
   } else {

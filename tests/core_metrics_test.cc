@@ -31,13 +31,27 @@ EventStream ConstantRate(int64_t start, int seconds, int per_second,
   return events;
 }
 
+/// The metrics of `events` run as one phase in 1 s intervals against a
+/// fixed SLA threshold. The fold builds the Fig. 1c bands, and the Fig. 1b
+/// cumulative curve is read off them, as in every reported run.
+RunMetrics OnePhaseMetrics(const EventStream& events,
+                           int64_t sla_nanos = kSecond) {
+  const int64_t end = events.empty() ? 0 : events.back().timestamp_nanos;
+  const std::vector<PhaseBoundary> boundaries = {
+      {0, 0, end, false, events.size()}};
+  MetricsOptions options;
+  options.interval_nanos = kSecond;
+  options.sla_nanos = sla_nanos;
+  return ComputeRunMetrics(events, boundaries, options);
+}
+
 // ---------------------------------------------------------------------------
 // Cumulative curves (Fig. 1b)
 // ---------------------------------------------------------------------------
 
 TEST(CumulativeCurveTest, CountsPerInterval) {
   const EventStream events = ConstantRate(0, 5, 100, kMilli);
-  const auto curve = BuildCumulativeCurve(events, kSecond);
+  const auto curve = OnePhaseMetrics(events).cumulative;
   ASSERT_GE(curve.size(), 6u);
   EXPECT_EQ(curve.front().completed, 0u);
   EXPECT_EQ(curve[1].completed, 100u);
@@ -46,14 +60,14 @@ TEST(CumulativeCurveTest, CountsPerInterval) {
 }
 
 TEST(CumulativeCurveTest, EmptyStream) {
-  const auto curve = BuildCumulativeCurve({}, kSecond);
+  const auto curve = OnePhaseMetrics({}).cumulative;
   ASSERT_EQ(curve.size(), 1u);
   EXPECT_EQ(curve[0].completed, 0u);
 }
 
 TEST(AreaVsIdealTest, ConstantThroughputIsNearZero) {
   const EventStream events = ConstantRate(0, 10, 100, kMilli);
-  const auto curve = BuildCumulativeCurve(events, kSecond);
+  const auto curve = OnePhaseMetrics(events).cumulative;
   const double area = AreaVsIdeal(curve);
   // Perfectly linear accumulation has ~0 area vs the ideal line.
   EXPECT_NEAR(area, 0.0, 60.0);  // 1000 events over 10s: tolerance 6%.
@@ -64,7 +78,7 @@ TEST(AreaVsIdealTest, SlowStartIsNegative) {
   EventStream events = ConstantRate(0, 5, 10, kMilli);
   const EventStream fast = ConstantRate(5 * kSecond, 5, 190, kMilli);
   events.insert(events.end(), fast.begin(), fast.end());
-  const auto curve = BuildCumulativeCurve(events, kSecond);
+  const auto curve = OnePhaseMetrics(events).cumulative;
   EXPECT_LT(AreaVsIdeal(curve), -100.0);
 }
 
@@ -72,15 +86,15 @@ TEST(AreaVsIdealTest, FastStartIsPositive) {
   EventStream events = ConstantRate(0, 5, 190, kMilli);
   const EventStream slow = ConstantRate(5 * kSecond, 5, 10, kMilli);
   events.insert(events.end(), slow.begin(), slow.end());
-  const auto curve = BuildCumulativeCurve(events, kSecond);
+  const auto curve = OnePhaseMetrics(events).cumulative;
   EXPECT_GT(AreaVsIdeal(curve), 100.0);
 }
 
 TEST(AreaBetweenCurvesTest, FasterSystemWins) {
   const auto fast =
-      BuildCumulativeCurve(ConstantRate(0, 10, 200, kMilli), kSecond);
+      OnePhaseMetrics(ConstantRate(0, 10, 200, kMilli)).cumulative;
   const auto slow =
-      BuildCumulativeCurve(ConstantRate(0, 10, 100, kMilli), kSecond);
+      OnePhaseMetrics(ConstantRate(0, 10, 100, kMilli)).cumulative;
   EXPECT_GT(AreaBetweenCurves(fast, slow), 100.0);
   EXPECT_LT(AreaBetweenCurves(slow, fast), -100.0);
   EXPECT_NEAR(AreaBetweenCurves(fast, fast), 0.0, 1e-6);
@@ -98,7 +112,7 @@ TEST(SlaBandsTest, SplitsByThreshold) {
     e.latency_nanos = (i % 2 == 0) ? kMilli : 10 * kMilli;
     events.push_back(e);
   }
-  const auto bands = BuildSlaBands(events, kSecond, 5 * kMilli);
+  const auto bands = OnePhaseMetrics(events, 5 * kMilli).bands;
   ASSERT_EQ(bands.size(), 1u);
   EXPECT_EQ(bands[0].within_sla, 5u);
   EXPECT_EQ(bands[0].violated, 5u);
@@ -115,7 +129,7 @@ TEST(SlaBandsTest, MultipleIntervalsIncludingEmpty) {
   late.timestamp_nanos = 3 * kSecond + 500 * kMilli;
   late.latency_nanos = 1;
   events.push_back(late);
-  const auto bands = BuildSlaBands(events, kSecond, kMilli);
+  const auto bands = OnePhaseMetrics(events, kMilli).bands;
   ASSERT_EQ(bands.size(), 4u);
   EXPECT_EQ(bands[0].Total(), 1u);
   EXPECT_EQ(bands[1].Total(), 0u);
@@ -125,7 +139,7 @@ TEST(SlaBandsTest, MultipleIntervalsIncludingEmpty) {
 }
 
 TEST(SlaBandsTest, EmptyEvents) {
-  EXPECT_TRUE(BuildSlaBands({}, kSecond, kMilli).empty());
+  EXPECT_TRUE(OnePhaseMetrics({}, kMilli).bands.empty());
 }
 
 TEST(CalibrateSlaTest, UsesPercentileTimesMargin) {
@@ -168,7 +182,7 @@ TEST(MultiBandTest, TotalsMatchSimpleBands) {
   for (size_t i = 0; i < events.size(); i += 7) {
     events[i].latency_nanos = 20 * kMilli;
   }
-  const auto simple = BuildSlaBands(events, kSecond, 5 * kMilli);
+  const auto simple = OnePhaseMetrics(events, 5 * kMilli).bands;
   const auto multi = BuildMultiBands(events, kSecond, {kMilli, 5 * kMilli});
   ASSERT_EQ(simple.size(), multi.size());
   for (size_t i = 0; i < simple.size(); ++i) {

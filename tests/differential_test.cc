@@ -93,23 +93,10 @@ class MapOracle {
         result.rows = rows;
         break;
       }
-      case OpType::kBatchGet: {
-        uint64_t rows = 0;
-        for (uint32_t i = 0; i < op.batch_size; ++i) {
-          if (data_.count(op.batch_keys[i]) > 0) ++rows;
-        }
-        result.ok = true;
-        result.rows = rows;
+      case OpType::kBatchGet:
+      case OpType::kBatchPut:
+        ADD_FAILURE() << "the op generator draws no batch op";
         break;
-      }
-      case OpType::kBatchPut: {
-        for (uint32_t i = 0; i < op.batch_size; ++i) {
-          data_[op.batch_keys[i]] = op.batch_values[i];
-        }
-        result.ok = true;
-        result.rows = op.batch_size;
-        break;
-      }
     }
     return result;
   }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -12,6 +14,8 @@
 #include "core/spec_text.h"
 #include "core/specialization.h"
 #include "data/dataset.h"
+#include "sut/concurrent_kv.h"
+#include "sut/fault_plan.h"
 #include "sut/systems.h"
 
 namespace lsbench {
@@ -842,6 +846,105 @@ TEST_F(DriverTest, RegistryCounterAuditHoldsUnderQueueSheds) {
     EXPECT_TRUE(AuditRegistryCounters(bumped, fold, ServiceSpec{}).ok());
   }
 }
+
+/// A thread-safe user SUT that tallies which op classes reach each entry,
+/// then serves them from a partitioned store. Its type is in no engine
+/// list, so every attempt goes through the virtual engine, which runs the
+/// same retry-loop template as the monomorphized ones.
+class RoutingRecorder final : public SystemUnderTest {
+ public:
+  explicit RoutingRecorder(uint32_t batch_size) : batch_size_(batch_size) {}
+  std::string name() const override { return "routing_recorder"; }
+  SutConcurrency concurrency() const override {
+    return SutConcurrency::kThreadSafe;
+  }
+  Status Load(const std::vector<KeyValue>& sorted_pairs) override {
+    return inner_.Load(sorted_pairs);
+  }
+  OpResult Execute(const Operation& op) override {
+    ++execute_calls[static_cast<size_t>(op.type)];
+    return inner_.Execute(op);
+  }
+  void ExecuteBatch(const Operation& op, OpResult* results) override {
+    ++batch_calls[static_cast<size_t>(op.type)];
+    if (op.batch_size != batch_size_) ++wrong_batch_sizes;
+    inner_.ExecuteBatch(op, results);
+  }
+  SutStats GetStats() const override { return inner_.GetStats(); }
+
+  std::array<std::atomic<uint64_t>, kNumOpTypes> execute_calls{};
+  std::array<std::atomic<uint64_t>, kNumOpTypes> batch_calls{};
+  std::atomic<uint64_t> wrong_batch_sizes{0};
+
+ private:
+  const uint32_t batch_size_;
+  PartitionedKvSystem inner_{4};
+};
+
+class RoutingTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  void SetUp() override { BenchmarkDriver::ResetHoldoutRegistryForTesting(); }
+};
+
+// The driver sends scalar ops to Execute and batch ops to ExecuteBatch,
+// whole, through faults, retries and an opening breaker. The bundled SUTs
+// serve each op class through that one entry only.
+TEST_P(RoutingTest, EachOpClassReachesOneEntry) {
+  constexpr uint32_t kBatch = 8;
+  RunSpec spec = MakeTwoPhaseSpec(57);
+  for (PhaseSpec& phase : spec.phases) {
+    phase.mix = OperationMix::ReadWrite();
+    phase.mix.batch_get = 0.2;
+    phase.mix.batch_put = 0.1;
+    phase.batch_size = kBatch;
+  }
+  FaultWindow window;
+  window.execute_fail_rate = 0.2;
+  window.execute_fail_code = StatusCode::kUnavailable;
+  spec.faults.windows.push_back(window);
+  spec.resilience.max_retries = 2;
+  spec.resilience.backoff_initial_nanos = 10000;
+  spec.resilience.breaker_enabled = true;
+  spec.resilience.breaker_window_ops = 20;
+  spec.resilience.breaker_failure_threshold = 0.3;
+  spec.resilience.breaker_cooldown_nanos = 100000;
+  spec.execution.workers = GetParam();
+
+  VirtualClock clock;
+  DriverOptions options;
+  options.virtual_clock = &clock;
+  BenchmarkDriver driver(&clock, options);
+  RoutingRecorder sut(kBatch);
+  const Result<RunResult> run = driver.Run(spec, &sut);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const ResilienceMetrics& resilience = run.value().metrics.resilience;
+  EXPECT_GT(resilience.total_retries, 0u);
+  EXPECT_GT(resilience.breaker_opens, 0u);
+
+  uint64_t scalar_calls = 0;
+  uint64_t batch_unit_calls = 0;
+  for (size_t t = 0; t < kNumOpTypes; ++t) {
+    if (IsBatchOp(static_cast<OpType>(t))) {
+      EXPECT_EQ(sut.execute_calls[t], 0u) << "type " << t;
+      batch_unit_calls += sut.batch_calls[t];
+    } else {
+      EXPECT_EQ(sut.batch_calls[t], 0u) << "type " << t;
+      scalar_calls += sut.execute_calls[t];
+    }
+  }
+  EXPECT_GT(scalar_calls, 0u);
+  EXPECT_GT(batch_unit_calls, 0u);
+  EXPECT_EQ(sut.wrong_batch_sizes, 0u);
+  // The executor read the results ExecuteBatch wrote for each element.
+  for (const OpType type : {OpType::kBatchGet, OpType::kBatchPut}) {
+    EXPECT_GT(
+        run.value().metrics.op_types[static_cast<size_t>(type)].ok_operations,
+        0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(WorkerCounts, RoutingTest,
+                         ::testing::Values(1u, 4u));
 
 TEST_F(DriverTest, HoldoutRegistryResetClearsCrossTestState) {
   VirtualClock clock;

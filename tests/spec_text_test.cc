@@ -531,5 +531,23 @@ TEST(RunSpecTest, ValidateRejectsNegativeOrNonFiniteMixFractions) {
   EXPECT_FALSE(spec.Validate().ok());
 }
 
+// A unit's retry count is 16 bits wide, so a larger bound never ends the
+// retry loop of an always-failing op; it must be refused before any run.
+TEST(RunSpecTest, ValidateBoundsMaxRetriesToTheRetryCounter) {
+  RunSpec spec;
+  DatasetOptions options;
+  options.num_keys = 100;
+  spec.datasets.push_back(GenerateDataset(UniformUnit(), options));
+  spec.phases.emplace_back();
+  spec.phases[0].num_operations = 1;
+  spec.resilience.max_retries = 65535;
+  EXPECT_TRUE(spec.Validate().ok());
+  spec.resilience.max_retries = 65536;
+  const Status status = spec.Validate();
+  EXPECT_TRUE(status.IsInvalidArgument());
+  EXPECT_NE(status.message().find("max_retries"), std::string::npos)
+      << status.message();
+}
+
 }  // namespace
 }  // namespace lsbench

@@ -82,6 +82,19 @@ TEST(BTreeSystemTest, BasicOps) {
   EXPECT_GT(sut.GetStats().memory_bytes, 0u);
 }
 
+// Each op class has one entry: a batch op sent to Execute is a caller bug,
+// and the bundled SUTs abort on it rather than serve it a second way.
+TEST(BTreeSystemDeathTest, ExecuteAbortsOnABatchOp) {
+  BTreeSystem sut;
+  ASSERT_TRUE(sut.Load(UniformPairs(100, 1)).ok());
+  const Key keys[2] = {1, 2};
+  Operation batch;
+  batch.type = OpType::kBatchGet;
+  batch.batch_keys = keys;
+  batch.batch_size = 2;
+  EXPECT_DEATH((void)sut.Execute(batch), "batch ops go to ExecuteBatch");
+}
+
 TEST(BTreeSystemTest, RangeCountMatchesBruteForce) {
   BTreeSystem sut;
   const auto pairs = UniformPairs(20000, 2);
