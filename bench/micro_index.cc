@@ -120,7 +120,7 @@ void BM_RmiTrain(benchmark::State& state) {
   for (auto _ : state) {
     RmiIndex rmi(options);
     rmi.BulkLoad(pairs);
-    benchmark::DoNotOptimize(rmi.MaxLeafError());
+    benchmark::DoNotOptimize(rmi.model().MaxLeafError());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(pairs.size()));
@@ -155,7 +155,7 @@ void BM_PgmBuild(benchmark::State& state) {
   for (auto _ : state) {
     PgmIndex pgm(static_cast<uint32_t>(state.range(0)));
     pgm.BulkLoad(pairs);
-    benchmark::DoNotOptimize(pgm.segment_count());
+    benchmark::DoNotOptimize(pgm.model().segment_count());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(pairs.size()));

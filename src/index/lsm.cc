@@ -39,8 +39,8 @@ void LsmTree::FinalizeRun(Run* run) {
     std::vector<Key> keys;
     keys.reserve(run->entries.size());
     for (const Entry& e : run->entries) keys.push_back(e.key);
-    run->model = std::make_unique<SegmentModel>();
-    run->model->Build(keys.data(), keys.size(), options_.learned_epsilon);
+    run->model = std::make_unique<SegmentModel>(options_.learned_epsilon);
+    run->model->Build(keys.data(), keys.size());
   } else {
     run->model.reset();
   }

@@ -1,12 +1,14 @@
 #ifndef LSBENCH_LEARNED_RMI_H_
 #define LSBENCH_LEARNED_RMI_H_
 
-#include <span>
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "index/kv_index.h"
-#include "learned/delta_buffer.h"
+#include "learned/sorted_learned_index.h"
 #include "stats/model.h"
 
 namespace lsbench {
@@ -21,71 +23,79 @@ struct RmiOptions {
   int train_sample_every = 1;
 };
 
-/// Two-stage Recursive Model Index (Kraska et al., SIGMOD'18) over sorted
-/// 64-bit keys, with a delta buffer for writes. The static part answers
-/// lookups via root model -> leaf model -> bounded binary search inside the
-/// leaf's recorded maximum error. Retrain() merges the delta and refits.
-class RmiIndex final : public KvIndex {
+/// Two-stage Recursive Model Index position model (Kraska et al.,
+/// SIGMOD'18): a root linear model picks a leaf linear model, and the
+/// leaf's recorded maximum error bounds the window a lookup searches.
+/// WindowFor is inline so the index body's lookup inlines it.
+class RmiModel {
  public:
-  explicit RmiIndex(RmiOptions options = {});
+  explicit RmiModel(RmiOptions options);
 
-  std::string name() const override { return "rmi"; }
-  std::optional<Value> Get(Key key) const override;
-  bool Insert(Key key, Value value) override;
-  bool Erase(Key key) override;
-  size_t Scan(Key from, size_t limit,
-              std::vector<KeyValue>* out) const override;
-  size_t size() const override { return live_count_; }
-  size_t MemoryBytes() const override;
-  void BulkLoad(const std::vector<KeyValue>& sorted_pairs) override;
-  void BulkLoadKeys(std::span<const Key> sorted_keys,
-                    Value first_value) override;
+  /// Fits root + leaf models + error bounds over `n` sorted unique keys.
+  /// Replaces any previous fit.
+  void Build(const Key* keys, size_t n);
 
-  /// Merges the delta buffer into the static arrays and refits all models.
-  /// Returns the number of keys trained over.
-  size_t Retrain();
+  /// [lo, hi) window holding the position of any fitted key. Requires a
+  /// prior Build with n > 0.
+  std::pair<size_t, size_t> WindowFor(Key key) const {
+    const size_t leaf = LeafFor(key);
+    const size_t pred =
+        leaf_models_[leaf].PredictClamped(static_cast<double>(key), n_);
+    const uint32_t err = leaf_errors_[leaf];
+    const size_t lo = pred > err ? pred - err : 0;
+    const size_t hi = std::min(n_, pred + err + 1);
+    return {lo, hi};
+  }
 
-  size_t delta_size() const { return delta_.size(); }
-  size_t static_size() const { return keys_.size(); }
-  /// The sorted keys the models were last fitted over. They are every live
-  /// key only while delta_size() == 0.
-  const std::vector<Key>& static_keys() const { return keys_; }
+  size_t MemoryBytes() const {
+    return leaf_models_.size() *
+           (sizeof(LinearModel) + sizeof(uint32_t) + sizeof(size_t));
+  }
 
-  /// Mean/max of the per-leaf maximum position errors — the model quality
-  /// signal the adaptability experiments watch degrade under drift.
-  double MeanLeafError() const;
+  /// Mean of the per-leaf maximum position errors — the model quality
+  /// signal the adaptability experiments watch degrade under drift, and
+  /// what SutStats reports as model_error.
+  double model_error() const;
   uint32_t MaxLeafError() const;
 
-  /// Number of (key, position) points the last Fit actually regressed over
-  /// (= static_size / train_sample_every, plus boundary points) — the
+  /// Number of (key, position) points the last Build actually regressed
+  /// over (= n / train_sample_every, plus boundary points) — the
   /// training-effort figure cost sweeps report.
-  size_t last_fit_points() const { return last_fit_points_; }
-
-  const RmiOptions& options() const { return options_; }
+  size_t fit_work() const { return last_fit_points_; }
 
  private:
-  /// The one body of both bulk loads (View: index/kv_index.h).
-  template <typename View>
-  void BulkLoadFrom(const View& view);
-  /// Fits root + leaf models + error bounds over keys_.
-  void Fit();
-  size_t LeafFor(Key key) const;
-  /// Position of `key` in keys_ or keys_.size() if absent.
-  size_t FindStatic(Key key) const;
-  bool StaticContains(Key key) const { return FindStatic(key) < keys_.size(); }
+  size_t LeafFor(Key key) const {
+    const size_t num_leaves = leaf_models_.size();
+    if (num_leaves <= 1) return 0;
+    const double pos = root_.Predict(static_cast<double>(key));
+    double leaf =
+        pos * static_cast<double>(num_leaves) / static_cast<double>(n_);
+    if (leaf < 0.0) leaf = 0.0;
+    const double max_leaf = static_cast<double>(num_leaves - 1);
+    if (leaf > max_leaf) leaf = max_leaf;
+    return static_cast<size_t>(leaf);
+  }
 
   RmiOptions options_;
-  std::vector<Key> keys_;
-  std::vector<Value> values_;
+  size_t n_ = 0;
   LinearModel root_;
   std::vector<LinearModel> leaf_models_;
   std::vector<uint32_t> leaf_errors_;
-  /// First static position covered by each leaf (ascending); leaf i covers
+  /// First position covered by each leaf (ascending); leaf i covers
   /// [leaf_start_[i], leaf_start_[i+1]).
   std::vector<size_t> leaf_start_;
-  DeltaBuffer delta_;
-  size_t live_count_ = 0;
   size_t last_fit_points_ = 0;
+};
+
+/// Two-stage RMI over sorted 64-bit keys, with a delta buffer for writes:
+/// root model -> leaf model -> bounded binary search inside the leaf's
+/// recorded maximum error. Retrain() merges the delta and refits.
+class RmiIndex final : public SortedLearnedIndex<RmiModel> {
+ public:
+  explicit RmiIndex(RmiOptions options = {})
+      : SortedLearnedIndex(RmiModel(options)) {}
+
+  std::string name() const override { return "rmi"; }
 };
 
 }  // namespace lsbench

@@ -8,14 +8,16 @@
 
 namespace lsbench {
 
-void SegmentModel::Build(const Key* keys, size_t n, uint32_t epsilon) {
-  LSBENCH_ASSERT(epsilon >= 1);
+SegmentModel::SegmentModel(uint32_t epsilon) : epsilon_(epsilon) {
+  LSBENCH_ASSERT(epsilon_ >= 1);
+}
+
+void SegmentModel::Build(const Key* keys, size_t n) {
   segments_.clear();
   n_ = n;
-  epsilon_ = epsilon;
   if (n == 0) return;
 
-  const double eps = static_cast<double>(epsilon);
+  const double eps = static_cast<double>(epsilon_);
   size_t start = 0;
   double x0 = static_cast<double>(keys[0]);
   double y0 = 0.0;
@@ -60,29 +62,6 @@ void SegmentModel::Build(const Key* keys, size_t n, uint32_t epsilon) {
     }
   }
   close();
-}
-
-std::pair<size_t, size_t> SegmentModel::WindowFor(Key key) const {
-  LSBENCH_ASSERT(n_ > 0);
-  const auto it = std::upper_bound(
-      segments_.begin(), segments_.end(), key,
-      [](Key k, const Segment& s) { return k < s.first_key; });
-  const size_t idx =
-      it == segments_.begin() ? 0 : (it - segments_.begin()) - 1;
-  const Segment& seg = segments_[idx];
-  const double pred_real =
-      seg.slope * (static_cast<double>(key) - seg.x0) + seg.y0;
-  size_t pred;
-  if (pred_real <= 0.0) {
-    pred = 0;
-  } else if (pred_real >= static_cast<double>(n_ - 1)) {
-    pred = n_ - 1;
-  } else {
-    pred = static_cast<size_t>(pred_real);
-  }
-  const size_t lo = pred > epsilon_ ? pred - epsilon_ : 0;
-  const size_t hi = std::min(n_, pred + epsilon_ + 1);
-  return {lo, hi};
 }
 
 }  // namespace lsbench

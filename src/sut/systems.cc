@@ -1,6 +1,7 @@
 #include "sut/systems.h"
 
 #include <algorithm>
+#include <variant>
 
 #include "util/assert.h"
 
@@ -257,13 +258,11 @@ LearnedKvSystem::LearnedKvSystem(LearnedSystemOptions options,
                                  const Clock* clock)
     : options_(options),
       clock_(clock != nullptr ? clock : &default_clock_),
-      drift_(options.drift) {
-  if (options_.index_kind == LearnedSystemOptions::IndexKind::kRmi) {
-    rmi_ = std::make_unique<RmiIndex>(options_.rmi);
-  } else {
-    pgm_ = std::make_unique<PgmIndex>(options_.pgm_epsilon);
-  }
-}
+      index_(options.index_kind == LearnedSystemOptions::IndexKind::kRmi
+                 ? LearnedIndex(std::in_place_type<RmiIndex>, options.rmi)
+                 : LearnedIndex(std::in_place_type<PgmIndex>,
+                                options.pgm_epsilon)),
+      drift_(options.drift) {}
 
 std::string LearnedKvSystem::name() const {
   const std::string base =
@@ -274,22 +273,25 @@ std::string LearnedKvSystem::name() const {
 }
 
 KvIndex* LearnedKvSystem::index() {
-  return rmi_ != nullptr ? static_cast<KvIndex*>(rmi_.get())
-                         : static_cast<KvIndex*>(pgm_.get());
+  return std::visit([](auto& idx) -> KvIndex* { return &idx; }, index_);
 }
 
 const KvIndex* LearnedKvSystem::index() const {
-  return rmi_ != nullptr ? static_cast<const KvIndex*>(rmi_.get())
-                         : static_cast<const KvIndex*>(pgm_.get());
+  return std::visit([](const auto& idx) -> const KvIndex* { return &idx; },
+                    index_);
 }
 
 size_t LearnedKvSystem::delta_size() const {
-  return rmi_ != nullptr ? rmi_->delta_size() : pgm_->delta_size();
+  return std::visit([](const auto& idx) { return idx.delta_size(); }, index_);
 }
 
 const std::vector<Key>& LearnedKvSystem::TrainedKeys() const {
   LSBENCH_ASSERT_MSG(delta_size() == 0, "trained keys read after a write");
-  return rmi_ != nullptr ? rmi_->static_keys() : pgm_->static_keys();
+  return std::visit(
+      [](const auto& idx) -> const std::vector<Key>& {
+        return idx.static_keys();
+      },
+      index_);
 }
 
 Status LearnedKvSystem::Load(const std::vector<KeyValue>& sorted_pairs) {
@@ -307,12 +309,14 @@ Status LearnedKvSystem::LoadKeys(std::span<const Key> sorted_keys) {
 TrainReport LearnedKvSystem::Train() {
   TrainReport report;
   report.trained = true;
-  const size_t trained_keys =
-      rmi_ != nullptr ? rmi_->Retrain() : pgm_->Retrain();
-  // Work items = points actually regressed (RMI can subsample its fit);
-  // PGM's shrinking cone always visits every key.
-  const size_t fitted =
-      rmi_ != nullptr ? rmi_->last_fit_points() : trained_keys;
+  // Work items = points the model fitted over (RMI can subsample its fit;
+  // PGM's shrinking cone always visits every key).
+  const size_t fitted = std::visit(
+      [](auto& idx) {
+        idx.Retrain();
+        return idx.model().fit_work();
+      },
+      index_);
   report.work_items = fitted;
   offline_train_items_ += fitted;
   if (train_items_counter_ != nullptr) train_items_counter_->Increment(fitted);
@@ -333,7 +337,7 @@ TrainReport LearnedKvSystem::Train() {
 void LearnedKvSystem::RetrainNow() {
   Stopwatch watch(clock_);
   const size_t fitted =
-      rmi_ != nullptr ? rmi_->Retrain() : pgm_->Retrain();
+      std::visit([](auto& idx) { return idx.Retrain(); }, index_);
   if (estimator_ != nullptr) {
     auto* learned =
         static_cast<LearnedCardinalityEstimator*>(estimator_.get());
@@ -361,8 +365,8 @@ void LearnedKvSystem::MaybeRetrain() {
     case RetrainPolicy::kOnPhaseStart:
       return;
     case RetrainPolicy::kDeltaThreshold: {
-      const size_t static_n =
-          rmi_ != nullptr ? rmi_->static_size() : pgm_->static_size();
+      const size_t static_n = std::visit(
+          [](const auto& idx) { return idx.static_size(); }, index_);
       const size_t threshold = std::max<size_t>(
           64, static_cast<size_t>(options_.delta_threshold_fraction *
                                   static_cast<double>(static_n)));
@@ -379,11 +383,8 @@ void LearnedKvSystem::MaybeRetrain() {
 }
 
 void LearnedKvSystem::ExecuteBatch(const Operation& op, OpResult* results) {
-  if (rmi_ != nullptr) {
-    ExecuteBatchDirect(rmi_.get(), op, results);
-  } else {
-    ExecuteBatchDirect(pgm_.get(), op, results);
-  }
+  std::visit([&](auto& idx) { ExecuteBatchDirect(&idx, op, results); },
+             index_);
   OnExecuted(op);
 }
 
@@ -416,9 +417,8 @@ SutStats LearnedKvSystem::GetStats() const {
   stats.offline_train_items = offline_train_items_;
   stats.online_train_seconds = online_train_seconds_;
   stats.retrain_events = retrain_events_;
-  stats.model_error = rmi_ != nullptr
-                          ? rmi_->MeanLeafError()
-                          : static_cast<double>(pgm_->segment_count());
+  stats.model_error = std::visit(
+      [](const auto& idx) { return idx.model().model_error(); }, index_);
   return stats;
 }
 

@@ -4,6 +4,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "index/btree.h"
@@ -154,7 +155,7 @@ class LearnedKvSystem final : public KvSystemBase {
   /// latency histogram over synchronous retrain stalls.
   void BindObservability(MetricsRegistry* registry) override;
   /// Native batch path: resolves RMI-vs-PGM once per batch, then loops on
-  /// the concrete index; drift observes every batch key.
+  /// the concrete final index type; drift observes every batch key.
   LSBENCH_DETERMINISTIC
   void ExecuteBatch(const Operation& op, OpResult* results) override;
 
@@ -177,8 +178,8 @@ class LearnedKvSystem final : public KvSystemBase {
   LearnedSystemOptions options_;
   RealClock default_clock_;
   const Clock* clock_;
-  std::unique_ptr<RmiIndex> rmi_;
-  std::unique_ptr<PgmIndex> pgm_;
+  using LearnedIndex = std::variant<RmiIndex, PgmIndex>;
+  LearnedIndex index_;
   DriftDetector drift_;
   bool trained_ = false;
   uint64_t retrain_events_ = 0;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -273,7 +274,7 @@ TEST(RmiTest, MoreModelsTightenErrorBounds) {
   RmiIndex rmi_few(few), rmi_many(many);
   rmi_few.BulkLoad(PairsFromDataset(ds));
   rmi_many.BulkLoad(PairsFromDataset(ds));
-  EXPECT_LT(rmi_many.MeanLeafError(), rmi_few.MeanLeafError());
+  EXPECT_LT(rmi_many.model().model_error(), rmi_few.model().model_error());
 }
 
 TEST(RmiTest, DeltaInsertEraseRetrain) {
@@ -317,8 +318,8 @@ TEST(RmiTest, TrainingSampleTradesAccuracy) {
   // ...and the cheap fit's error stays within a sane factor of the full
   // fit's. (Least squares minimizes *squared* error, so the subsampled fit
   // can occasionally have a smaller max error — no ordering is guaranteed.)
-  EXPECT_LT(rmi_sampled.MeanLeafError(),
-            rmi_full.MeanLeafError() * 50.0 + 50.0);
+  EXPECT_LT(rmi_sampled.model().model_error(),
+            rmi_full.model().model_error() * 50.0 + 50.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -333,7 +334,7 @@ TEST_P(PgmParamTest, FindsEveryKeyWithinEpsilon) {
                                      {20000, uint64_t{1} << 44, 13});
   PgmIndex pgm(epsilon);
   pgm.BulkLoad(PairsFromDataset(ds));
-  EXPECT_GT(pgm.segment_count(), 0u);
+  EXPECT_GT(pgm.model().segment_count(), 0u);
   for (size_t i = 0; i < ds.keys.size(); i += 29) {
     ASSERT_TRUE(pgm.Get(ds.keys[i]).has_value()) << "eps=" << epsilon;
     EXPECT_EQ(*pgm.Get(ds.keys[i]), static_cast<Value>(i));
@@ -349,7 +350,7 @@ TEST(PgmTest, LargerEpsilonFewerSegments) {
   PgmIndex tight(4), loose(256);
   tight.BulkLoad(PairsFromDataset(ds));
   loose.BulkLoad(PairsFromDataset(ds));
-  EXPECT_GT(tight.segment_count(), loose.segment_count());
+  EXPECT_GT(tight.model().segment_count(), loose.model().segment_count());
 }
 
 TEST(PgmTest, PerfectlyLinearDataNeedsOneSegment) {
@@ -357,7 +358,7 @@ TEST(PgmTest, PerfectlyLinearDataNeedsOneSegment) {
   for (Key i = 0; i < 10000; ++i) pairs.emplace_back(i * 64, i);
   PgmIndex pgm(8);
   pgm.BulkLoad(pairs);
-  EXPECT_EQ(pgm.segment_count(), 1u);
+  EXPECT_EQ(pgm.model().segment_count(), 1u);
 }
 
 TEST(PgmTest, SurvivesDoublePrecisionCollapse) {
@@ -406,14 +407,44 @@ Dataset PinDataset() {
   return GenerateDataset(LognormalUnit(0.0, 1.5), options);
 }
 
-/// 1,000 inserts of fresh random keys and 100 erases of loaded keys, so the
-/// next Retrain merges live entries and tombstones.
-void ApplyPinWrites(KvIndex* index, const Dataset& ds) {
+/// 50,000 keys 3 apart just below 2^64, where adjacent keys collapse to the
+/// same double and the shrinking cone restarts (its `dx <= 0` branch).
+std::vector<Key> NearMaxKeys() {
+  const Key base = std::numeric_limits<Key>::max() - 200000;
+  std::vector<Key> keys;
+  for (Key i = 0; i < 50000; ++i) keys.push_back(base + i * 3);
+  return keys;
+}
+
+/// Every `PinEraseStride(keys)`-th loaded key, 100 of them, is what
+/// ApplyPinWrites erases.
+size_t PinEraseStride(const std::vector<Key>& keys) {
+  return keys.size() / 100 - 1;
+}
+
+/// 1,000 inserts of random keys in [lo, lo + span) and 100 erases of loaded
+/// keys, so the next Retrain merges live entries and tombstones.
+void ApplyPinWrites(KvIndex* index, const std::vector<Key>& keys, Key lo,
+                    Key span) {
   Rng rng(2);
   for (Value i = 0; i < 1000; ++i) {
-    index->Insert(rng.NextBounded(ds.domain_max), i);
+    index->Insert(lo + rng.NextBounded(span), i);
   }
-  for (size_t i = 0; i < 100; ++i) index->Erase(ds.keys[i * 2999]);
+  const size_t stride = PinEraseStride(keys);
+  for (size_t i = 0; i < 100; ++i) index->Erase(keys[i * stride]);
+}
+
+/// How many loaded keys `index` gets wrong: a key ApplyPinWrites erased must
+/// be absent (when `erased`), every other loaded key present.
+size_t MisreadLoadedKeys(const KvIndex& index, const std::vector<Key>& keys,
+                         bool erased) {
+  const size_t stride = PinEraseStride(keys);
+  size_t wrong = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const bool gone = erased && i % stride == 0 && i / stride < 100;
+    if (index.Get(keys[i]).has_value() == gone) ++wrong;
+  }
+  return wrong;
 }
 
 struct RmiPin {
@@ -443,16 +474,19 @@ TEST(LearnedModelPinTest, RmiLeafErrorsArePinned) {
     RmiIndex rmi(options);
     std::vector<RmiPin> actual;
     auto record = [&](const char* point) {
-      actual.push_back({point, rmi.MeanLeafError(), rmi.MaxLeafError(),
-                        rmi.last_fit_points()});
+      actual.push_back({point, rmi.model().model_error(),
+                        rmi.model().MaxLeafError(), rmi.model().fit_work()});
     };
     rmi.BulkLoad(PairsFromDataset(ds));
     record("bulk_load");
+    EXPECT_EQ(MisreadLoadedKeys(rmi, ds.keys, false), 0u);
     rmi.Retrain();
     record("retrain/empty");
-    ApplyPinWrites(&rmi, ds);
+    EXPECT_EQ(MisreadLoadedKeys(rmi, ds.keys, false), 0u);
+    ApplyPinWrites(&rmi, ds.keys, 0, ds.domain_max);
     rmi.Retrain();
     record("retrain/writes");
+    EXPECT_EQ(MisreadLoadedKeys(rmi, ds.keys, true), 0u);
     ASSERT_EQ(actual.size(), expected.size());
     for (size_t i = 0; i < actual.size(); ++i) {
       SCOPED_TRACE(std::string("every=") + std::to_string(every) + " " +
@@ -466,17 +500,40 @@ TEST(LearnedModelPinTest, RmiLeafErrorsArePinned) {
 
 TEST(LearnedModelPinTest, PgmSegmentCountsArePinned) {
   const Dataset ds = PinDataset();
-  PgmIndex pgm;
-  std::vector<size_t> actual;
-  pgm.BulkLoad(PairsFromDataset(ds));
-  actual.push_back(pgm.segment_count());
-  pgm.Retrain();
-  actual.push_back(pgm.segment_count());
-  ApplyPinWrites(&pgm, ds);
-  pgm.Retrain();
-  actual.push_back(pgm.segment_count());
-  const std::vector<size_t> expected = {62, 62, 62};
-  EXPECT_EQ(actual, expected);
+  const std::vector<Key> near_max = NearMaxKeys();
+  struct PgmPinCase {
+    const char* name;
+    const std::vector<Key>* keys;
+    Key write_lo;
+    Key write_span;
+    uint32_t epsilon;
+    std::vector<size_t> segments;  // bulk_load, retrain/empty, retrain/writes
+  };
+  const PgmPinCase cases[] = {
+      {"lognormal/eps64", &ds.keys, 0, ds.domain_max, 64, {62, 62, 62}},
+      {"lognormal/eps16", &ds.keys, 0, ds.domain_max, 16, {429, 429, 426}},
+      {"near_max/eps64", &near_max, near_max.front(), 150000, 64,
+       {40525, 40525, 41085}},
+  };
+  for (const PgmPinCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<Key>& keys = *c.keys;
+    std::vector<KeyValue> pairs;
+    for (size_t i = 0; i < keys.size(); ++i) pairs.emplace_back(keys[i], i);
+    PgmIndex pgm(c.epsilon);
+    std::vector<size_t> actual;
+    pgm.BulkLoad(pairs);
+    actual.push_back(pgm.model().segment_count());
+    EXPECT_EQ(MisreadLoadedKeys(pgm, keys, false), 0u) << "bulk_load";
+    pgm.Retrain();
+    actual.push_back(pgm.model().segment_count());
+    EXPECT_EQ(MisreadLoadedKeys(pgm, keys, false), 0u) << "retrain/empty";
+    ApplyPinWrites(&pgm, keys, c.write_lo, c.write_span);
+    pgm.Retrain();
+    actual.push_back(pgm.model().segment_count());
+    EXPECT_EQ(MisreadLoadedKeys(pgm, keys, true), 0u) << "retrain/writes";
+    EXPECT_EQ(actual, c.segments);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -266,8 +266,8 @@ TEST(SegmentModelTest, WindowContainsEveryPresentKey) {
     k += 1 + rng.NextBounded(1000);
     keys.push_back(k);
   }
-  SegmentModel model;
-  model.Build(keys.data(), keys.size(), 16);
+  SegmentModel model(16);
+  model.Build(keys.data(), keys.size());
   EXPECT_GT(model.segment_count(), 0u);
   // Membership guarantee: every present key's true position is inside its
   // window, and windows are bounded by 2*eps+1.
@@ -286,10 +286,10 @@ TEST(SegmentModelTest, WindowContainsEveryPresentKey) {
 }
 
 TEST(SegmentModelTest, EmptyAndSingle) {
-  SegmentModel model;
+  SegmentModel model(4);
   EXPECT_TRUE(model.empty());
   const Key one = 42;
-  model.Build(&one, 1, 4);
+  model.Build(&one, 1);
   const auto [lo, hi] = model.WindowFor(42);
   EXPECT_EQ(lo, 0u);
   EXPECT_GE(hi, 1u);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -123,8 +124,12 @@ ShippedRun RunShippedSpec(const std::string& file, const std::string& sut,
   options.enforce_holdout_once = false;
   BTreeSystem btree;
   LearnedKvSystem rmi(LearnedSystemOptions(), &clock);
-  SystemUnderTest* system = sut == "rmi" ? static_cast<SystemUnderTest*>(&rmi)
-                                         : &btree;
+  LearnedSystemOptions pgm_options;
+  pgm_options.index_kind = LearnedSystemOptions::IndexKind::kPgm;
+  LearnedKvSystem pgm(pgm_options, &clock);
+  SystemUnderTest* system = &btree;
+  if (sut == "rmi") system = &rmi;
+  if (sut == "pgm") system = &pgm;
   ShippedRun shipped;
   shipped.drift = MeasureDriftTrajectory(spec);
   shipped.run = BenchmarkDriver(&clock, options).Run(spec, system).value();
@@ -305,6 +310,42 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+/// The CSV pins carry no SUT internals, so they read the same for btree and
+/// rmi. This pins what a learned SUT reports of itself after demo_shift's
+/// --sim run: its final stats and the work of its offline training.
+struct LearnedStatsGolden {
+  const char* sut;
+  uint64_t retrain_events;
+  uint64_t offline_train_items;
+  uint64_t model_error_bits;
+  size_t memory_bytes;
+  uint64_t first_train_work_items;
+};
+
+TEST(LearnedSutStatsGoldenTest, DemoShiftStatsMatchThePins) {
+  constexpr LearnedStatsGolden kGoldens[] = {
+      {"rmi", 4, 268746, 0x4026f60000000000ull, 1136440, 50000},
+      {"pgm", 4, 268746, 0x403b000000000000ull, 1130136, 50000},
+  };
+  for (const LearnedStatsGolden& golden : kGoldens) {
+    SCOPED_TRACE(golden.sut);
+    const ShippedRun shipped =
+        RunShippedSpec("demo_shift.lsb", golden.sut, /*observed=*/false);
+    const SutStats& stats = shipped.run.final_sut_stats;
+    uint64_t error_bits = 0;
+    std::memcpy(&error_bits, &stats.model_error, sizeof(error_bits));
+    EXPECT_EQ(stats.retrain_events, golden.retrain_events);
+    EXPECT_EQ(stats.offline_train_items, golden.offline_train_items);
+    EXPECT_EQ(error_bits, golden.model_error_bits)
+        << "model_error " << stats.model_error << " = 0x" << std::hex
+        << error_bits;
+    EXPECT_EQ(stats.memory_bytes, golden.memory_bytes);
+    ASSERT_FALSE(shipped.run.train_events.empty());
+    EXPECT_EQ(shipped.run.train_events[0].work_items,
+              golden.first_train_work_items);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Full report rendering over a real simulated run
