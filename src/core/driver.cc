@@ -12,9 +12,7 @@
 #include "core/service.h"
 #include "core/workload_stream.h"
 #include "obs/observability.h"
-#include "sut/concurrent_kv.h"
 #include "sut/serializing.h"
-#include "sut/systems.h"
 #include "util/assert.h"
 #include "util/fan_out.h"
 #include "util/sync.h"
@@ -151,7 +149,7 @@ void RecordUnit(WorkerContext* ctx, const WorkloadStream::Issue& issue,
 
 /// Drains one worker's current phase: obtain the next request unit, execute
 /// it resiliently, record its events. Every worker runs this one loop, for
-/// every arrival mode and op class.
+/// every SUT, arrival mode and op class.
 ///
 /// Only obtaining the next unit depends on the mode:
 ///   - inline (closed loop, or open loop without [service]): draw the next
@@ -161,14 +159,7 @@ void RecordUnit(WorkerContext* ctx, const WorkloadStream::Issue& issue,
 ///     the queue is empty, and pop. A unit's issue time can then lag its
 ///     intended arrival — the queue wait coordinated-omission-correct
 ///     latency must include.
-///
-/// The loop is a template over the executor's attempt-dispatch policy: the
-/// driver selects — once per run — either the generic VirtualExec engine
-/// or a MonoExec<SutT> instantiation with the proven final SUT type baked
-/// in, so the steady state makes zero virtual calls per operation.
-template <typename Exec>
-void RunWorkerPhaseT(WorkerContext* ctx, int64_t run_start_nanos,
-                     const Exec exec) {
+void RunWorkerPhase(WorkerContext* ctx, int64_t run_start_nanos) {
   WorkloadStream& stream = *ctx->stream;
   ResilientExecutor& executor = *ctx->executor;
   AdmissionQueue* queue = ctx->admission ? &*ctx->admission : nullptr;
@@ -227,56 +218,12 @@ void RunWorkerPhaseT(WorkerContext* ctx, int64_t run_start_nanos,
 
   while (next_unit()) {
     const ExecOutcome outcome =
-        executor.Execute(exec, issue.op, issue.arrival_rel_nanos, results);
+        executor.Execute(issue.op, issue.arrival_rel_nanos, results);
     const int64_t completion_rel = ctx->clock->NowNanos() - run_start_nanos;
     if (queue != nullptr) queue->RecordServiceTime(completion_rel - issue_rel);
     RecordUnit(ctx, issue, issue_rel, completion_rel, outcome, results);
     stream.RecordCompletion(completion_rel);
   }
-}
-
-// ---- Engine selection ----
-// One worker-loop entry point per engine, all of one signature, so a phase
-// calls a plain function pointer. The mono entry's static_cast is reached
-// only after SelectEngine proved the runtime type via dynamic_cast.
-
-using PhaseFn = void (*)(WorkerContext*, SystemUnderTest*, int64_t);
-
-void RunWorkerPhaseVirtual(WorkerContext* ctx, SystemUnderTest* sut,
-                           int64_t run_start_nanos) {
-  RunWorkerPhaseT(ctx, run_start_nanos, VirtualExec{sut});
-}
-
-template <typename SutT>
-void RunWorkerPhaseMono(WorkerContext* ctx, SystemUnderTest* sut,
-                        int64_t run_start_nanos) {
-  RunWorkerPhaseT(ctx, run_start_nanos,
-                  MonoExec<SutT>{static_cast<SutT*>(sut)});
-}
-
-/// Picks the execution engine for the run. Monomorphization
-/// is sound only on a proven exact runtime type — all cases below are
-/// final classes, so a successful dynamic_cast is such a proof. The
-/// driver's own SerializingSut wrapper is itself in the chain: the mono
-/// engine binds the *wrapper's* Execute/ExecuteBatch statically (the lock
-/// still guards every call; only the outer virtual dispatch is removed),
-/// so serial SUTs under fan-out keep a monomorphized loop. User-supplied
-/// SUTs and decorators fail every cast and fall back to the generic virtual
-/// engine, preserving their must-see-every-call semantics.
-PhaseFn SelectEngine(SystemUnderTest* target) {
-  if (dynamic_cast<BTreeSystem*>(target) != nullptr) {
-    return &RunWorkerPhaseMono<BTreeSystem>;
-  }
-  if (dynamic_cast<LearnedKvSystem*>(target) != nullptr) {
-    return &RunWorkerPhaseMono<LearnedKvSystem>;
-  }
-  if (dynamic_cast<PartitionedKvSystem*>(target) != nullptr) {
-    return &RunWorkerPhaseMono<PartitionedKvSystem>;
-  }
-  if (dynamic_cast<SerializingSut*>(target) != nullptr) {
-    return &RunWorkerPhaseMono<SerializingSut>;
-  }
-  return &RunWorkerPhaseVirtual;
 }
 
 }  // namespace
@@ -420,7 +367,6 @@ class RunSession {
   RunResult result_;
   int64_t run_start_ = 0;  ///< What run-relative times count from.
   std::vector<WorkerContext> contexts_;
-  PhaseFn run_worker_ = nullptr;
 };
 
 Status RunSession::SetUp() {
@@ -505,7 +451,6 @@ Status RunSession::SetUp() {
     if (obs_spec.Enabled()) ArmWorkerObs(&ctx, w, total_ops);
   }
 
-  run_worker_ = SelectEngine(sut_);  // Once per run.
   return Status::OK();
 }
 
@@ -618,7 +563,7 @@ Status RunSession::RunPhase(size_t phase_idx) {
     // the latest (a single worker's clock is the driver's: nothing moves).
     int64_t barrier = options_.virtual_clock->NowNanos();
     for (WorkerContext& ctx : contexts_) {
-      run_worker_(&ctx, sut_, run_start_);
+      RunWorkerPhase(&ctx, run_start_);
       barrier = std::max(barrier, ctx.sim_clock->NowNanos());
     }
     const auto advance = [barrier](VirtualClock* clock) {
@@ -630,7 +575,7 @@ Status RunSession::RunPhase(size_t phase_idx) {
     // Real-clock fan-out: worker 0 runs on this thread and each other
     // worker on a thread of its own; ForEachBlock's join is the barrier.
     const size_t on_caller = ForEachBlock(workers_, [this](size_t w) {
-      run_worker_(&contexts_[w], sut_, run_start_);
+      RunWorkerPhase(&contexts_[w], run_start_);
     });
     if (on_caller != 0) {
       return Status::ResourceExhausted(

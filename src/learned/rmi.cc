@@ -16,7 +16,6 @@ void RmiModel::Build(const Key* keys, size_t n) {
   n_ = n;
   leaf_models_.clear();
   leaf_errors_.clear();
-  leaf_start_.clear();
   last_fit_points_ = 0;
   if (n == 0) {
     root_ = LinearModel{};
@@ -35,13 +34,11 @@ void RmiModel::Build(const Key* keys, size_t n) {
       static_cast<size_t>(options_.num_leaf_models), std::max<size_t>(n, 1));
   leaf_models_.resize(num_leaves);
   leaf_errors_.assign(num_leaves, 0);
-  leaf_start_.assign(num_leaves + 1, n);
 
   // Assign keys to leaves with the same formula lookups use; the mapping is
   // monotone, so each leaf covers a contiguous range of positions.
   size_t start = 0;
   for (size_t leaf = 0; leaf < num_leaves; ++leaf) {
-    leaf_start_[leaf] = start;
     size_t end = start;
     while (end < n && LeafFor(keys[end]) == leaf) ++end;
     // Fit this leaf on its keys (optionally subsampled), targets = global
@@ -81,7 +78,6 @@ void RmiModel::Build(const Key* keys, size_t n) {
     }
     start = end;
   }
-  leaf_start_[num_leaves] = n;
   LSBENCH_ASSERT_MSG(start == n, "leaf assignment covered all keys");
 }
 

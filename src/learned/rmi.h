@@ -48,8 +48,7 @@ class RmiModel {
   }
 
   size_t MemoryBytes() const {
-    return leaf_models_.size() *
-           (sizeof(LinearModel) + sizeof(uint32_t) + sizeof(size_t));
+    return leaf_models_.size() * (sizeof(LinearModel) + sizeof(uint32_t));
   }
 
   /// Mean of the per-leaf maximum position errors — the model quality
@@ -81,9 +80,6 @@ class RmiModel {
   LinearModel root_;
   std::vector<LinearModel> leaf_models_;
   std::vector<uint32_t> leaf_errors_;
-  /// First position covered by each leaf (ascending); leaf i covers
-  /// [leaf_start_[i], leaf_start_[i+1]).
-  std::vector<size_t> leaf_start_;
   size_t last_fit_points_ = 0;
 };
 

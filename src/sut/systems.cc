@@ -309,17 +309,7 @@ Status LearnedKvSystem::LoadKeys(std::span<const Key> sorted_keys) {
 TrainReport LearnedKvSystem::Train() {
   TrainReport report;
   report.trained = true;
-  // Work items = points the model fitted over (RMI can subsample its fit;
-  // PGM's shrinking cone always visits every key).
-  const size_t fitted = std::visit(
-      [](auto& idx) {
-        idx.Retrain();
-        return idx.model().fit_work();
-      },
-      index_);
-  report.work_items = fitted;
-  offline_train_items_ += fitted;
-  if (train_items_counter_ != nullptr) train_items_counter_->Increment(fitted);
+  report.work_items = RefitIndex();
 
   const std::vector<Key>& keys = TrainedKeys();
   estimator_ = std::make_unique<LearnedCardinalityEstimator>(
@@ -334,10 +324,23 @@ TrainReport LearnedKvSystem::Train() {
   return report;
 }
 
+size_t LearnedKvSystem::RefitIndex() {
+  // Work items = points the model fitted over (RMI can subsample its fit;
+  // PGM's shrinking cone always visits every key).
+  const size_t fitted = std::visit(
+      [](auto& idx) {
+        idx.Retrain();
+        return idx.model().fit_work();
+      },
+      index_);
+  offline_train_items_ += fitted;
+  if (train_items_counter_ != nullptr) train_items_counter_->Increment(fitted);
+  return fitted;
+}
+
 void LearnedKvSystem::RetrainNow() {
   Stopwatch watch(clock_);
-  const size_t fitted =
-      std::visit([](auto& idx) { return idx.Retrain(); }, index_);
+  RefitIndex();
   if (estimator_ != nullptr) {
     auto* learned =
         static_cast<LearnedCardinalityEstimator*>(estimator_.get());
@@ -345,10 +348,8 @@ void LearnedKvSystem::RetrainNow() {
   }
   drift_.Rebase();
   ++retrain_events_;
-  offline_train_items_ += fitted;
   online_train_seconds_ += watch.ElapsedSeconds();
   if (retrains_counter_ != nullptr) retrains_counter_->Increment();
-  if (train_items_counter_ != nullptr) train_items_counter_->Increment(fitted);
   if (retrain_nanos_ != nullptr) retrain_nanos_->Record(watch.ElapsedNanos());
 }
 

@@ -171,6 +171,10 @@ class LearnedKvSystem final : public KvSystemBase {
   void MaybeRetrain();
   /// Synchronous retrain: refits index models and the estimator.
   void RetrainNow();
+  /// Merges the delta buffer, refits the index model and adds the model's
+  /// fit work (the points it fitted over, fewer than the keys when RMI
+  /// samples its fit) to the train-item tallies. Returns that work.
+  size_t RefitIndex();
   /// The keys the index was just fitted over, read in place. Valid only
   /// right after a Retrain, while the delta buffer is empty.
   const std::vector<Key>& TrainedKeys() const;

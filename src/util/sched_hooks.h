@@ -49,7 +49,7 @@ enum class SchedOp : uint8_t {
   kMutexUnlock,  ///< Mutex::Unlock.
   kCondWait,     ///< CondVar::Wait (releases + reacquires the mutex).
   kCondSignal,   ///< CondVar::Signal / SignalAll.
-  kYield,        ///< Explicit SchedYield() preemption point.
+  kYield,        ///< A preemption point with no shared operation.
 };
 
 /// The controller's view of one managed task thread. Implemented by
@@ -100,13 +100,6 @@ inline SchedObserver* SchedHook() { return sched_internal::t_observer; }
 /// only by the lsbench-sched controller on its task threads.
 inline void SetSchedHook(SchedObserver* observer) {
   sched_internal::t_observer = observer;
-}
-
-/// Explicit preemption point for fixtures and tests: a place the explorer
-/// may switch tasks even though no shared operation happens here. No-op on
-/// unmanaged threads.
-inline void SchedYield() {
-  if (SchedObserver* s = SchedHook()) s->SchedPoint(SchedOp::kYield, nullptr);
 }
 
 }  // namespace lsbench

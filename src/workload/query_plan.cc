@@ -34,28 +34,6 @@ uint64_t MixHash(uint64_t h, uint64_t v) {
 
 }  // namespace
 
-std::string PlanNodeKindToString(PlanNode::Kind kind) {
-  switch (kind) {
-    case PlanNode::Kind::kTableScan:
-      return "TableScan";
-    case PlanNode::Kind::kIndexProbe:
-      return "IndexProbe";
-    case PlanNode::Kind::kIndexRange:
-      return "IndexRange";
-    case PlanNode::Kind::kFilter:
-      return "Filter";
-    case PlanNode::Kind::kLimit:
-      return "Limit";
-    case PlanNode::Kind::kAggregateCount:
-      return "AggregateCount";
-    case PlanNode::Kind::kMutatePut:
-      return "MutatePut";
-    case PlanNode::Kind::kMutateDelete:
-      return "MutateDelete";
-  }
-  return "Unknown";
-}
-
 std::unique_ptr<PlanNode> BuildPlan(const Operation& op, Key domain_max) {
   const int key_bucket = KeyDecile(op.key, domain_max);
   switch (op.type) {

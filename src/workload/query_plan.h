@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -37,8 +36,6 @@ struct PlanNode {
 
   PlanNode(Kind k, int bucket) : kind(k), param_bucket(bucket) {}
 };
-
-std::string PlanNodeKindToString(PlanNode::Kind kind);
 
 /// Builds the canonical plan tree for an operation. `domain_max` is used to
 /// bucket keys into deciles of the key space.

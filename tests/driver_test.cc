@@ -848,9 +848,9 @@ TEST_F(DriverTest, RegistryCounterAuditHoldsUnderQueueSheds) {
 }
 
 /// A thread-safe user SUT that tallies which op classes reach each entry,
-/// then serves them from a partitioned store. Its type is in no engine
-/// list, so every attempt goes through the virtual engine, which runs the
-/// same retry-loop template as the monomorphized ones.
+/// then serves them from a partitioned store. The driver runs it through
+/// the one worker loop and retry loop every SUT runs, so the tallies show
+/// which entry each op class reaches.
 class RoutingRecorder final : public SystemUnderTest {
  public:
   explicit RoutingRecorder(uint32_t batch_size) : batch_size_(batch_size) {}

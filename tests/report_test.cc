@@ -325,7 +325,7 @@ struct LearnedStatsGolden {
 
 TEST(LearnedSutStatsGoldenTest, DemoShiftStatsMatchThePins) {
   constexpr LearnedStatsGolden kGoldens[] = {
-      {"rmi", 4, 268746, 0x4026f60000000000ull, 1136440, 50000},
+      {"rmi", 4, 268746, 0x4026f60000000000ull, 1134392, 50000},
       {"pgm", 4, 268746, 0x403b000000000000ull, 1130136, 50000},
   };
   for (const LearnedStatsGolden& golden : kGoldens) {

@@ -224,6 +224,22 @@ TEST(LearnedSystemTest, HoldoutPhaseSuppressesPhaseStartRetrain) {
   EXPECT_EQ(sut.retrain_events(), 1u);
 }
 
+// Train and a retrain both count the model's fit work, which a sampled RMI
+// fit keeps well below the key count: no writes land between the two fits,
+// so each fits the same points.
+TEST(LearnedSystemTest, RetrainCountsFitWorkLikeTrain) {
+  LearnedSystemOptions options;
+  options.retrain_policy = RetrainPolicy::kOnPhaseStart;
+  options.rmi.train_sample_every = 3;
+  LearnedKvSystem sut(options);
+  ASSERT_TRUE(sut.Load(UniformPairs(30000, 15)).ok());
+  const TrainReport train = sut.Train();
+  EXPECT_LT(train.work_items, 30000u / 2);
+  sut.OnPhaseStart(1, /*holdout=*/false);
+  ASSERT_EQ(sut.retrain_events(), 1u);
+  EXPECT_EQ(sut.GetStats().offline_train_items, 2 * train.work_items);
+}
+
 TEST(LearnedSystemTest, NeverPolicyNeverRetrains) {
   LearnedSystemOptions options;
   options.retrain_policy = RetrainPolicy::kNever;

@@ -214,17 +214,12 @@ GATES = {
     "hot-block": (
         frozenset({"lsbench::SleepSpinUntil"}),
         ("lsbench::Mutex::", "lsbench::MutexLock::", "lsbench::CondVar::",
-         "lsbench::Atomic::", "lsbench::MonoExec::"),
+         "lsbench::Atomic::"),
     ),
-    "hot-alloc": (frozenset(), ("lsbench::Atomic::", "lsbench::MonoExec::")),
-    "hot-throw": (frozenset(), ("lsbench::Atomic::", "lsbench::MonoExec::")),
+    "hot-alloc": (frozenset(), ("lsbench::Atomic::",)),
+    "hot-throw": (frozenset(), ("lsbench::Atomic::",)),
 }
 
-# lsbench::MonoExec:: is the same SUT boundary as VIRTUAL_BOUNDARIES below,
-# in its monomorphized form: the executor's qualified call into a proven
-# final SUT type. It is gated for the hot rules only, so the determinism
-# walk still descends into every SUT.
-#
 # Virtual dispatch through these class basenames is a modeled boundary for
 # hot rules: the SUT interface is where the harness guarantee ends and the
 # measured system begins (its cost IS the measurement). Harness-side SUT

@@ -59,9 +59,6 @@ EXPECTATIONS = {
     "fail_determinism_clock.cc": {
         ("determinism", "lsbench::DeterministicStamp", "wall-clock"),
     },
-    "fail_mono_sut_boundary.cc": {
-        ("determinism", "lsbench::ClockSut::Execute", "wall-clock"),
-    },
     "pass_wrapper_clock.cc": set(),
     "pass_gated_mutex.cc": set(),
     "pass_clean_math.cc": set(),
