@@ -705,8 +705,7 @@ Status RunSession::CollectObservability(const ShardAccumulation& run_fold) {
     result_.observability.trace = MergeTraceShards(std::move(trace_shards));
   }
   if (!obs_spec.metrics) return Status::OK();
-  LSBENCH_ASSIGN_OR_RETURN(result_.observability.metrics,
-                           MergeMetricsShards(metric_shards));
+  result_.observability.metrics = MergeMetricsShards(metric_shards);
   return AuditRegistryCounters(result_.observability.metrics, run_fold,
                                spec_.service);
 }

@@ -20,7 +20,7 @@ void AdmissionQueue::BindObservability(Gauge* depth_gauge,
                                        Gauge* peak_depth_gauge,
                                        Counter* admitted_counter,
                                        Counter* shed_counter,
-                                       FixedHistogram* queue_wait) {
+                                       LockedHistogram* queue_wait) {
   depth_gauge_ = depth_gauge;
   peak_depth_gauge_ = peak_depth_gauge;
   admitted_counter_ = admitted_counter;

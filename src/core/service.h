@@ -71,7 +71,7 @@ class AdmissionQueue {
   /// never changes its decisions.
   void BindObservability(Gauge* depth_gauge, Gauge* peak_depth_gauge,
                          Counter* admitted_counter, Counter* shed_counter,
-                         FixedHistogram* queue_wait);
+                         LockedHistogram* queue_wait);
 
  private:
   /// Whether the SLO-aware policy sheds this arrival. Budgeted: predictive
@@ -114,7 +114,7 @@ class AdmissionQueue {
   Gauge* peak_depth_gauge_ = nullptr;
   Counter* admitted_counter_ = nullptr;
   Counter* shed_counter_ = nullptr;
-  FixedHistogram* queue_wait_ = nullptr;
+  LockedHistogram* queue_wait_ = nullptr;
 };
 
 }  // namespace lsbench

@@ -426,9 +426,6 @@ int BTree::Height() const {
   return h;
 }
 
-size_t BTree::LeafCount() const { return leaf_count_; }
-size_t BTree::InternalCount() const { return internal_count_; }
-
 void BTree::CheckNode(const Node* node, Key lower, bool has_lower, Key upper,
                       bool has_upper, int depth, int leaf_depth,
                       size_t* entry_count,

@@ -40,8 +40,6 @@ class BTree final : public KvIndex {
 
   /// Tree height (1 = root is a leaf). 0 when empty.
   int Height() const;
-  size_t LeafCount() const;
-  size_t InternalCount() const;
 
   /// Verifies every structural invariant (sorted keys, separator
   /// correctness, occupancy bounds, leaf-chain consistency, size). Intended

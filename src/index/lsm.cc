@@ -19,11 +19,6 @@ size_t LsmTree::LevelCapacity(size_t level) const {
   return capacity;
 }
 
-size_t LsmTree::LevelEntries(size_t level) const {
-  LSBENCH_ASSERT(level < levels_.size());
-  return levels_[level].entries.size();
-}
-
 std::unique_ptr<BloomFilter> LsmTree::BuildBloom(
     const std::vector<Entry>& entries, int bits_per_key) {
   auto bloom = std::make_unique<BloomFilter>(entries.size(), bits_per_key);

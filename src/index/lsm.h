@@ -55,7 +55,6 @@ class LsmTree final : public KvIndex {
   // --- introspection for tests / stats ---
   size_t memtable_size() const { return memtable_.size(); }
   size_t level_count() const { return levels_.size(); }
-  size_t LevelEntries(size_t level) const;
   uint64_t compaction_count() const { return compaction_count_; }
   /// Total entries rewritten by flushes+compactions (write amplification
   /// numerator).

@@ -1,97 +1,17 @@
 #include "obs/metrics_registry.h"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
 
 namespace lsbench {
 
-Status HistogramSnapshot::MergeFrom(const HistogramSnapshot& other) {
-  if (other.count == 0) return Status::OK();
-  if (count == 0 && bounds.empty()) {
-    // Uninitialized target adopts the source layout wholesale.
-    *this = other;
-    return Status::OK();
-  }
-  if (bounds != other.bounds) {
-    return Status::InvalidArgument(
-        "histogram shard merge: bucket bounds mismatch (" +
-        std::to_string(bounds.size()) + " vs " +
-        std::to_string(other.bounds.size()) + " bounds)");
-  }
-  if (counts.size() != other.counts.size()) {
-    return Status::InvalidArgument(
-        "histogram shard merge: bucket count mismatch");
-  }
-  for (size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts[i];
-  if (count == 0) {
-    min = other.min;
-    max = other.max;
-  } else {
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-  }
-  count += other.count;
-  sum += other.sum;
-  return Status::OK();
-}
-
-int64_t HistogramSnapshot::Quantile(double q) const {
-  if (count == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  if (q <= 0.0) return min;
-  if (q >= 1.0) return max;
-  const uint64_t rank =
-      static_cast<uint64_t>(std::ceil(q * static_cast<double>(count)));
-  uint64_t seen = 0;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    seen += counts[i];
-    if (seen >= rank) {
-      if (i < bounds.size()) return std::min(bounds[i], max);
-      return max;  // Saturation bucket: report the observed max.
-    }
-  }
-  return max;
-}
-
-std::vector<int64_t> DefaultLatencyBoundsNanos() {
-  // 1us, 2us, 4us, ... doubling for 24 steps (~16.8s), in nanoseconds.
-  std::vector<int64_t> bounds;
-  bounds.reserve(24);
-  int64_t bound = 1000;
-  for (int i = 0; i < 24; ++i) {
-    bounds.push_back(bound);
-    bound *= 2;
-  }
-  return bounds;
-}
-
-FixedHistogram::FixedHistogram(std::vector<int64_t> bounds) {
+void LockedHistogram::Record(int64_t nanos) {
   MutexLock lock(mu_);
-  snap_.bounds = std::move(bounds);
-  snap_.counts.assign(snap_.bounds.size() + 1, 0);
+  hist_.Record(static_cast<double>(nanos));
 }
 
-void FixedHistogram::Record(int64_t value) {
+Histogram LockedHistogram::Snapshot() const {
   MutexLock lock(mu_);
-  const auto it =
-      std::lower_bound(snap_.bounds.begin(), snap_.bounds.end(), value);
-  const size_t bucket =
-      static_cast<size_t>(std::distance(snap_.bounds.begin(), it));
-  snap_.counts[bucket]++;  // bounds.size() == saturation bucket.
-  if (snap_.count == 0) {
-    snap_.min = value;
-    snap_.max = value;
-  } else {
-    snap_.min = std::min(snap_.min, value);
-    snap_.max = std::max(snap_.max, value);
-  }
-  snap_.count++;
-  snap_.sum += value;
-}
-
-HistogramSnapshot FixedHistogram::Snapshot() const {
-  MutexLock lock(mu_);
-  return snap_;
+  return hist_;
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
@@ -108,14 +28,10 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   return slot.get();
 }
 
-FixedHistogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                              std::vector<int64_t> bounds) {
+LockedHistogram* MetricsRegistry::GetHistogram(const std::string& name) {
   MutexLock lock(mu_);
-  std::unique_ptr<FixedHistogram>& slot = histograms_[name];
-  if (slot == nullptr) {
-    if (bounds.empty()) bounds = DefaultLatencyBoundsNanos();
-    slot = std::make_unique<FixedHistogram>(std::move(bounds));
-  }
+  std::unique_ptr<LockedHistogram>& slot = histograms_[name];
+  if (slot == nullptr) slot = std::make_unique<LockedHistogram>();
   return slot.get();
 }
 
@@ -140,11 +56,11 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 namespace {
 
 /// Merges two sorted (name, value) vectors, combining equal names with
-/// `combine` (a Status-returning callable taking (target, source)).
+/// `combine(target, source)`.
 template <typename T, typename Combine>
-Status MergeSortedSeries(std::vector<std::pair<std::string, T>>* target,
-                         const std::vector<std::pair<std::string, T>>& other,
-                         Combine combine) {
+void MergeSortedSeries(std::vector<std::pair<std::string, T>>* target,
+                       const std::vector<std::pair<std::string, T>>& other,
+                       Combine combine) {
   std::vector<std::pair<std::string, T>> merged;
   merged.reserve(target->size() + other.size());
   size_t i = 0;
@@ -157,42 +73,34 @@ Status MergeSortedSeries(std::vector<std::pair<std::string, T>>* target,
       merged.push_back(other[j++]);
     } else {
       std::pair<std::string, T> entry = std::move((*target)[i++]);
-      LSBENCH_RETURN_IF_ERROR(combine(&entry.second, other[j++].second));
+      combine(&entry.second, other[j++].second);
       merged.push_back(std::move(entry));
     }
   }
   while (i < target->size()) merged.push_back(std::move((*target)[i++]));
   while (j < other.size()) merged.push_back(other[j++]);
   *target = std::move(merged);
-  return Status::OK();
 }
 
 }  // namespace
 
-Status MetricsSnapshot::MergeFrom(const MetricsSnapshot& other) {
-  LSBENCH_RETURN_IF_ERROR(MergeSortedSeries(
-      &counters, other.counters, [](uint64_t* target, uint64_t source) {
-        *target += source;
-        return Status::OK();
-      }));
-  LSBENCH_RETURN_IF_ERROR(MergeSortedSeries(
-      &gauges, other.gauges, [](int64_t* target, int64_t source) {
-        *target += source;
-        return Status::OK();
-      }));
-  return MergeSortedSeries(&histograms, other.histograms,
-                           [](HistogramSnapshot* target,
-                              const HistogramSnapshot& source) {
-                             return target->MergeFrom(source);
-                           });
+void MetricsSnapshot::MergeFrom(const MetricsSnapshot& other) {
+  MergeSortedSeries(&counters, other.counters,
+                    [](uint64_t* target, uint64_t source) {
+                      *target += source;
+                    });
+  MergeSortedSeries(&gauges, other.gauges, [](int64_t* target, int64_t source) {
+    *target += source;
+  });
+  MergeSortedSeries(&histograms, other.histograms,
+                    [](Histogram* target, const Histogram& source) {
+                      target->Merge(source);
+                    });
 }
 
-Result<MetricsSnapshot> MergeMetricsShards(
-    const std::vector<MetricsSnapshot>& shards) {
+MetricsSnapshot MergeMetricsShards(const std::vector<MetricsSnapshot>& shards) {
   MetricsSnapshot merged;
-  for (const MetricsSnapshot& shard : shards) {
-    LSBENCH_RETURN_IF_ERROR(merged.MergeFrom(shard));
-  }
+  for (const MetricsSnapshot& shard : shards) merged.MergeFrom(shard);
   return merged;
 }
 

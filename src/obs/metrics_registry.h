@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "util/atomic.h"
-#include "util/status.h"
+#include "util/histogram.h"
 #include "util/sync.h"
 
 namespace lsbench {
@@ -38,52 +38,19 @@ class Gauge {
   Atomic<int64_t> value_{0};
 };
 
-/// Plain-data snapshot of a fixed-bucket histogram. `bounds` are ascending
-/// inclusive upper bounds; `counts` has bounds.size()+1 entries, the last
-/// being the saturation bucket (samples above the largest bound). Unlike
-/// util/histogram.h's log-bucketed Histogram, bucket layout is part of the
-/// identity: shards merge only when their bounds match exactly, so a merged
-/// histogram is bit-identical to recording all samples into one.
-struct HistogramSnapshot {
-  std::vector<int64_t> bounds;
-  std::vector<uint64_t> counts;
-  uint64_t count = 0;
-  int64_t sum = 0;
-  int64_t min = 0;  ///< Meaningful only when count > 0.
-  int64_t max = 0;  ///< Meaningful only when count > 0.
-
-  /// Accumulates `other` into this snapshot. Empty shards merge into
-  /// anything (their bounds don't matter); otherwise the bucket layouts
-  /// must match or the merge is refused with InvalidArgument — silently
-  /// summing misaligned buckets is exactly the Fig. 1b-skewing bug class
-  /// the tests pin.
-  Status MergeFrom(const HistogramSnapshot& other);
-
-  /// Upper bound of the bucket holding quantile q in [0, 1]; min/max exact
-  /// at the extremes. Returns 0 when empty.
-  int64_t Quantile(double q) const;
-
-  bool empty() const { return count == 0; }
-};
-
-/// Default latency bucket layout: 1us..~16s in power-of-two microsecond
-/// steps. Shared by every registry so shards always merge.
-std::vector<int64_t> DefaultLatencyBoundsNanos();
-
-/// Thread-safe fixed-bucket histogram recorder. Record() takes a Mutex —
-/// histograms are for coarse events (retrain durations, backoff waits),
-/// not the per-op hot path, where the driver already has the log-bucketed
-/// util/histogram.h accumulators.
-class FixedHistogram {
+/// Thread-safe recorder into a log-bucketed Histogram (util/histogram.h),
+/// the type behind every latency the report prints. Record() takes a Mutex,
+/// uncontended when only one worker records into the instrument, as with
+/// each worker's own `service.queue_wait`. Every instrument has the same
+/// bucket layout, so any two snapshots merge.
+class LockedHistogram {
  public:
-  explicit FixedHistogram(std::vector<int64_t> bounds);
-
-  void Record(int64_t value);
-  HistogramSnapshot Snapshot() const;
+  void Record(int64_t nanos);
+  Histogram Snapshot() const;
 
  private:
   mutable Mutex mu_;
-  HistogramSnapshot snap_ LSBENCH_GUARDED_BY(mu_);
+  Histogram hist_ LSBENCH_GUARDED_BY(mu_);
 };
 
 /// Plain-data export of a registry: sorted name→value vectors, so report
@@ -91,13 +58,12 @@ class FixedHistogram {
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, uint64_t>> counters;
   std::vector<std::pair<std::string, int64_t>> gauges;
-  std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
+  std::vector<std::pair<std::string, Histogram>> histograms;
 
   /// Accumulates another shard's snapshot: counters and gauges sum,
-  /// histograms bucket-merge (refused on bound mismatch). Names present in
-  /// only one shard pass through — workers need not register identical
-  /// metric sets.
-  Status MergeFrom(const MetricsSnapshot& other);
+  /// histograms bucket-merge. Names present in only one shard pass through —
+  /// workers need not register identical metric sets.
+  void MergeFrom(const MetricsSnapshot& other);
 
   bool empty() const {
     return counters.empty() && gauges.empty() && histograms.empty();
@@ -120,11 +86,7 @@ class MetricsRegistry {
 
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
-  /// Uses DefaultLatencyBoundsNanos() when `bounds` is empty. The layout is
-  /// fixed on first registration; later calls with a different layout get
-  /// the existing instrument (layouts are identity, not configuration).
-  FixedHistogram* GetHistogram(const std::string& name,
-                               std::vector<int64_t> bounds = {});
+  LockedHistogram* GetHistogram(const std::string& name);
 
   /// Deterministic (name-sorted) export of every registered instrument.
   MetricsSnapshot Snapshot() const;
@@ -136,14 +98,13 @@ class MetricsRegistry {
       LSBENCH_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_
       LSBENCH_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<FixedHistogram>> histograms_
+  std::map<std::string, std::unique_ptr<LockedHistogram>> histograms_
       LSBENCH_GUARDED_BY(mu_);
 };
 
 /// Merges per-worker snapshots into one. Shards may carry disjoint metric
-/// name sets; histogram bound mismatches surface as InvalidArgument.
-Result<MetricsSnapshot> MergeMetricsShards(
-    const std::vector<MetricsSnapshot>& shards);
+/// name sets.
+MetricsSnapshot MergeMetricsShards(const std::vector<MetricsSnapshot>& shards);
 
 }  // namespace lsbench
 

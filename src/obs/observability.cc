@@ -1,5 +1,6 @@
 #include "obs/observability.h"
 
+#include <cmath>
 #include <sstream>
 
 namespace lsbench {
@@ -33,10 +34,15 @@ std::string RenderTraceFile(const ObsReport& report,
     out << "gauge " << name << ' ' << value << '\n';
   }
   for (const auto& [name, hist] : report.metrics.histograms) {
-    out << "hist " << name << " count=" << hist.count << " sum=" << hist.sum;
-    if (hist.count > 0) {
-      out << " min=" << hist.min << " max=" << hist.max
-          << " p50=" << hist.Quantile(0.5) << " p99=" << hist.Quantile(0.99);
+    // Recorded values are integer nanoseconds, so count, sum, min and max
+    // print exactly; the interpolated quantiles round to the nearest one.
+    out << "hist " << name << " count=" << hist.count()
+        << " sum=" << static_cast<int64_t>(hist.sum());
+    if (hist.count() > 0) {
+      out << " min=" << static_cast<int64_t>(hist.min())
+          << " max=" << static_cast<int64_t>(hist.max())
+          << " p50=" << std::llround(hist.Median())
+          << " p99=" << std::llround(hist.P99());
     }
     out << '\n';
   }

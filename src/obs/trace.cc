@@ -1,8 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cstring>
-#include <sstream>
 
 namespace lsbench {
 namespace {
@@ -42,27 +40,6 @@ TraceStream MergeTraceShards(std::vector<TraceStream> shards) {
   // runs, so the simpler stable_sort stays.
   std::stable_sort(merged.begin(), merged.end(), SpanBefore);
   return merged;
-}
-
-std::string SerializeTrace(const TraceStream& trace) {
-  std::ostringstream out;
-  out << "# lsbench-trace v1 spans=" << trace.size() << "\n";
-  for (const TraceSpan& span : trace) {
-    out << "span " << span.start_nanos << ' ' << span.end_nanos << ' '
-        << span.phase << ' ' << span.worker << ' ' << span.seq << ' '
-        << span.name << '\n';
-  }
-  return out.str();
-}
-
-uint64_t HashTrace(const TraceStream& trace) {
-  const std::string text = SerializeTrace(trace);
-  uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a offset basis.
-  for (const char c : text) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001b3ull;  // FNV-1a prime.
-  }
-  return hash;
 }
 
 }  // namespace lsbench

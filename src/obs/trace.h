@@ -140,15 +140,6 @@ class ScopedSpan {
 /// traces. A single already-ordered shard passes through unchanged.
 TraceStream MergeTraceShards(std::vector<TraceStream> shards);
 
-/// Canonical one-line-per-span text form. Byte-identical across runs
-/// whenever the merged stream is — the payload the trace-determinism tests
-/// and the CI smoke job diff.
-std::string SerializeTrace(const TraceStream& trace);
-
-/// FNV-1a over the canonical serialization; a cheap fingerprint for
-/// determinism pinning ("two runs produced byte-identical traces").
-uint64_t HashTrace(const TraceStream& trace);
-
 }  // namespace lsbench
 
 // The span macro. `tracer` is a `Tracer*` (may be null); `name` must be a

@@ -77,8 +77,8 @@ std::string RenderRunSummary(const RunResult& result) {
   if (HasService(sm)) {
     os << "service mode: policy=" << (sm.policy.empty() ? "-" : sm.policy)
        << ", queue capacity=" << sm.queue_capacity
-       << ", offered=" << HumanCount(sm.offered_qps) << " qps"
-       << ", goodput=" << HumanCount(sm.achieved_qps) << " qps\n";
+       << ", offered=" << HumanCount(sm.offered_qps) << " elements/s"
+       << ", goodput=" << HumanCount(sm.achieved_qps) << " elements/s\n";
     os << "  response time (from intended arrival): p50="
        << HumanDuration(sm.response_latency.Median())
        << " p99=" << HumanDuration(sm.response_latency.P99())
@@ -356,10 +356,9 @@ std::optional<Table> HistogramsTable(const MetricsSnapshot& metrics) {
   Table t{"histograms",
           {"histogram", "count", "p50_ns", "p99_ns", "max_ns"}};
   for (const auto& [name, hist] : metrics.histograms) {
-    t.rows.push_back({Cell::Text(name), Cell::Count(hist.count),
-                      Cell::Nanos(hist.Quantile(0.5)),
-                      Cell::Nanos(hist.Quantile(0.99)),
-                      Cell::Nanos(hist.count > 0 ? hist.max : int64_t{0})});
+    t.rows.push_back({Cell::Text(name), Cell::Count(hist.count()),
+                      Cell::Nanos(hist.Median()), Cell::Nanos(hist.P99()),
+                      Cell::Nanos(static_cast<int64_t>(hist.max()))});
   }
   return t;
 }

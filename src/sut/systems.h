@@ -192,7 +192,7 @@ class LearnedKvSystem final : public KvSystemBase {
   uint64_t ops_since_drift_check_ = 0;
   Counter* retrains_counter_ = nullptr;
   Counter* train_items_counter_ = nullptr;
-  FixedHistogram* retrain_nanos_ = nullptr;
+  LockedHistogram* retrain_nanos_ = nullptr;
 };
 
 /// Continuously adaptive learned system: the ALEX-style index adapts inside

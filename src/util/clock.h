@@ -18,8 +18,6 @@ class Clock {
 
   /// Current time in nanoseconds since an arbitrary but fixed epoch.
   virtual int64_t NowNanos() const = 0;
-
-  double NowSeconds() const { return static_cast<double>(NowNanos()) * 1e-9; }
 };
 
 /// Wall-clock time via std::chrono::steady_clock.

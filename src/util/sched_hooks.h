@@ -45,7 +45,7 @@ enum class SchedOp : uint8_t {
   kAtomicLoad,   ///< Atomic<T>::Load / LoadAcquire.
   kAtomicStore,  ///< Atomic<T>::Store / StoreRelease.
   kAtomicRmw,    ///< Atomic<T>::Add / Sub / Exchange / CompareExchange.
-  kMutexLock,    ///< Mutex::Lock / TryLock (modeled; may disable the task).
+  kMutexLock,    ///< Mutex::Lock (modeled; may disable the task).
   kMutexUnlock,  ///< Mutex::Unlock.
   kCondWait,     ///< CondVar::Wait (releases + reacquires the mutex).
   kCondSignal,   ///< CondVar::Signal / SignalAll.
@@ -70,8 +70,6 @@ class SchedObserver {
   /// grants ownership of `mu` to this task. The real std::mutex inside the
   /// wrapper is NOT locked.
   virtual void MutexLock(void* mu) = 0;
-  /// Modeled try-acquire: takes ownership iff `mu` is free right now.
-  virtual bool MutexTryLock(void* mu) = 0;
   /// Modeled release; a schedule decision point (some waiter may run next).
   virtual void MutexUnlock(void* mu) = 0;
 

@@ -71,8 +71,6 @@
   LSBENCH_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define LSBENCH_RELEASE(...) \
   LSBENCH_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define LSBENCH_TRY_ACQUIRE(...) \
-  LSBENCH_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
 /// Declares that the caller must already hold the given capabilities.
 #define LSBENCH_REQUIRES(...) \
@@ -121,10 +119,6 @@ class LSBENCH_CAPABILITY("mutex") Mutex {
       return;
     }
     mu_.unlock();
-  }
-  bool TryLock() LSBENCH_TRY_ACQUIRE(true) {
-    if (SchedObserver* s = SchedHook()) return s->MutexTryLock(this);
-    return mu_.try_lock();
   }
 
  private:

@@ -25,6 +25,7 @@
 #include "core/run_spec.h"
 #include "data/dataset.h"
 #include "obs/metrics_registry.h"
+#include "obs/observability.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "sut/concurrent_kv.h"
@@ -404,6 +405,13 @@ TraceStream MakeTraceShard(uint32_t worker, size_t n) {
   return shard;
 }
 
+// The span lines of a --trace-out file holding the merged shards.
+std::string RenderMergedTrace(std::vector<TraceStream> shards) {
+  ObsReport report;
+  report.trace = MergeTraceShards(std::move(shards));
+  return RenderTraceFile(report, "merge", "none", 4);
+}
+
 TEST(MergePermutation, TraceShardsMergeByteIdentically) {
   constexpr size_t kShards = 4;
   std::vector<TraceStream> shards;
@@ -413,14 +421,13 @@ TEST(MergePermutation, TraceShardsMergeByteIdentically) {
   // Driver-level spans sort after all workers at equal timestamps.
   shards.push_back(MakeTraceShard(kDriverTraceWorker, 6));
 
-  const std::string reference = SerializeTrace(MergeTraceShards(shards));
-  ASSERT_FALSE(reference.empty());
+  const std::string reference = RenderMergedTrace(shards);
+  ASSERT_NE(reference.find("span "), std::string::npos);
 
   ForEachPermutation(shards.size(), [&](const std::vector<size_t>& perm) {
     std::vector<TraceStream> permuted;
     for (size_t idx : perm) permuted.push_back(shards[idx]);
-    EXPECT_EQ(reference, SerializeTrace(MergeTraceShards(
-                             std::move(permuted))))
+    EXPECT_EQ(reference, RenderMergedTrace(std::move(permuted)))
         << "shard order changed the merged trace";
   });
 }
@@ -438,10 +445,14 @@ std::string StringifySnapshot(const MetricsSnapshot& snap) {
   for (const auto& [name, value] : snap.gauges) {
     out << "gauge " << name << " " << value << "\n";
   }
+  // Histogram hides its buckets; a quantile at every percent, printed at
+  // full precision, pins their contents.
+  out.precision(17);
   for (const auto& [name, h] : snap.histograms) {
-    out << "hist " << name << " count=" << h.count << " sum=" << h.sum
-        << " min=" << h.min << " max=" << h.max << " counts=";
-    for (uint64_t c : h.counts) out << c << ",";
+    out << "hist " << name << " count=" << h.count() << " sum=" << h.sum()
+        << " min=" << h.min() << " max=" << h.max()
+        << " stddev=" << h.StdDev() << " quantiles=";
+    for (int q = 0; q <= 100; ++q) out << h.Quantile(q / 100.0) << ",";
     out << "\n";
   }
   return out.str();
@@ -457,7 +468,7 @@ MetricsSnapshot MakeMetricsShard(uint32_t worker) {
       ->Increment(worker + 1);
   registry.GetGauge("queue.depth")->Add(
       static_cast<int64_t>(rng.NextBounded(16)));
-  FixedHistogram* hist = registry.GetHistogram("latency");
+  LockedHistogram* hist = registry.GetHistogram("latency");
   for (int i = 0; i < 32; ++i) {
     hist->Record(static_cast<int64_t>(rng.NextBounded(4000000)));
   }
@@ -470,17 +481,14 @@ TEST(MergePermutation, MetricsShardsMergeByteIdentically) {
   for (size_t w = 0; w < kShards; ++w) {
     shards.push_back(MakeMetricsShard(static_cast<uint32_t>(w)));
   }
-  auto reference = MergeMetricsShards(shards);
-  ASSERT_TRUE(reference.ok()) << reference.status().message();
-  const std::string reference_text = StringifySnapshot(reference.value());
+  const std::string reference_text =
+      StringifySnapshot(MergeMetricsShards(shards));
   ASSERT_FALSE(reference_text.empty());
 
   ForEachPermutation(kShards, [&](const std::vector<size_t>& perm) {
     std::vector<MetricsSnapshot> permuted;
     for (size_t idx : perm) permuted.push_back(shards[idx]);
-    auto merged = MergeMetricsShards(permuted);
-    ASSERT_TRUE(merged.ok()) << merged.status().message();
-    EXPECT_EQ(reference_text, StringifySnapshot(merged.value()))
+    EXPECT_EQ(reference_text, StringifySnapshot(MergeMetricsShards(permuted)))
         << "shard order changed the merged metrics snapshot";
   });
 }

@@ -1,10 +1,10 @@
 // Unit tests for the observability layer: tracer shard merging, the metrics
-// registry, fixed-bucket histogram merge edge cases (empty shards,
-// single-sample shards, saturated buckets, mismatched layouts), and the
-// per-phase stage-time breakdown merge.
+// registry and its histogram shard merge, the per-phase stage-time
+// breakdown merge, and the --trace-out file.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -13,6 +13,7 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "util/clock.h"
+#include "util/histogram.h"
 
 namespace lsbench {
 namespace {
@@ -76,20 +77,14 @@ TEST(TraceMergeTest, ShardOrderDoesNotMatter) {
   TraceStream shard0 = {MakeSpan(10, 0, 0), MakeSpan(15, 0, 1)};
   TraceStream shard1 = {MakeSpan(5, 1, 0), MakeSpan(15, 1, 1)};
   TraceStream driver = {MakeSpan(15, kDriverTraceWorker, 0)};
-  const TraceStream a = MergeTraceShards({shard0, shard1, driver});
-  const TraceStream b = MergeTraceShards({driver, shard1, shard0});
-  EXPECT_EQ(SerializeTrace(a), SerializeTrace(b));
-  EXPECT_EQ(HashTrace(a), HashTrace(b));
+  ObsReport a;
+  a.trace = MergeTraceShards({shard0, shard1, driver});
+  ObsReport b;
+  b.trace = MergeTraceShards({driver, shard1, shard0});
+  EXPECT_EQ(RenderTraceFile(a, "run", "sut", 2),
+            RenderTraceFile(b, "run", "sut", 2));
   // Driver spans sort after every real worker at equal timestamps.
-  EXPECT_EQ(a.back().worker, kDriverTraceWorker);
-}
-
-TEST(TraceMergeTest, SerializationIsStableAndHashable) {
-  const TraceStream trace = {MakeSpan(1, 0, 0), MakeSpan(2, 1, 0)};
-  const std::string text = SerializeTrace(trace);
-  EXPECT_NE(text.find("lsbench-trace v1"), std::string::npos);
-  EXPECT_EQ(HashTrace(trace), HashTrace(trace));
-  EXPECT_NE(HashTrace(trace), HashTrace({MakeSpan(1, 0, 0)}));
+  EXPECT_EQ(a.trace.back().worker, kDriverTraceWorker);
 }
 
 // ---------------------------------------------------------------------------
@@ -131,98 +126,26 @@ TEST(MetricsRegistryTest, SnapshotIsNameSorted) {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram + merge edge cases
+// Registry histograms + shard merge
 // ---------------------------------------------------------------------------
 
-TEST(HistogramTest, RecordsIntoCorrectBuckets) {
-  FixedHistogram hist({10, 100, 1000});
-  hist.Record(5);     // bucket 0 (<= 10)
-  hist.Record(10);    // bucket 0 (inclusive upper)
-  hist.Record(11);    // bucket 1
-  hist.Record(5000);  // saturation bucket
-  const HistogramSnapshot snap = hist.Snapshot();
-  ASSERT_EQ(snap.counts.size(), 4u);
-  EXPECT_EQ(snap.counts[0], 2u);
-  EXPECT_EQ(snap.counts[1], 1u);
-  EXPECT_EQ(snap.counts[2], 0u);
-  EXPECT_EQ(snap.counts[3], 1u);
-  EXPECT_EQ(snap.count, 4u);
-  EXPECT_EQ(snap.min, 5);
-  EXPECT_EQ(snap.max, 5000);
-  EXPECT_EQ(snap.sum, 5 + 10 + 11 + 5000);
-}
-
-TEST(HistogramTest, QuantileWalksBucketsAndSaturation) {
-  FixedHistogram hist({10, 100, 1000});
-  for (int i = 0; i < 90; ++i) hist.Record(5);
-  for (int i = 0; i < 9; ++i) hist.Record(50);
-  hist.Record(777777);  // One outlier in the saturation bucket.
-  const HistogramSnapshot snap = hist.Snapshot();
-  EXPECT_EQ(snap.Quantile(0.5), 10);    // Bucket upper bound.
-  EXPECT_EQ(snap.Quantile(0.95), 100);
-  EXPECT_EQ(snap.Quantile(1.0), 777777);  // Saturation reports max.
-  EXPECT_EQ(snap.Quantile(0.0), 5);       // q=0 reports min.
-}
-
-TEST(HistogramMergeTest, EmptyShardIsANoOp) {
-  FixedHistogram hist({10, 100});
-  hist.Record(7);
-  HistogramSnapshot target = hist.Snapshot();
-  const HistogramSnapshot empty;
-  ASSERT_TRUE(target.MergeFrom(empty).ok());
-  EXPECT_EQ(target.count, 1u);
-  EXPECT_EQ(target.min, 7);
-  EXPECT_EQ(target.max, 7);
-}
-
-TEST(HistogramMergeTest, UninitializedTargetAdoptsSourceLayout) {
-  HistogramSnapshot target;  // Never recorded into, no bounds.
-  FixedHistogram hist({10, 100});
-  hist.Record(50);
-  ASSERT_TRUE(target.MergeFrom(hist.Snapshot()).ok());
-  EXPECT_EQ(target.count, 1u);
-  ASSERT_EQ(target.bounds.size(), 2u);
-  EXPECT_EQ(target.counts[1], 1u);
-}
-
-TEST(HistogramMergeTest, SingleSampleShardsAccumulateMinMax) {
-  FixedHistogram a({10, 100});
-  a.Record(3);
-  FixedHistogram b({10, 100});
-  b.Record(99);
-  HistogramSnapshot target = a.Snapshot();
-  ASSERT_TRUE(target.MergeFrom(b.Snapshot()).ok());
-  EXPECT_EQ(target.count, 2u);
-  EXPECT_EQ(target.min, 3);
-  EXPECT_EQ(target.max, 99);
-  EXPECT_EQ(target.sum, 102);
-}
-
-TEST(HistogramMergeTest, SaturatedBucketsSum) {
-  FixedHistogram a({10});
-  a.Record(1000000);
-  a.Record(2000000);
-  FixedHistogram b({10});
-  b.Record(3000000);
-  HistogramSnapshot target = a.Snapshot();
-  ASSERT_TRUE(target.MergeFrom(b.Snapshot()).ok());
-  ASSERT_EQ(target.counts.size(), 2u);
-  EXPECT_EQ(target.counts[1], 3u);  // All three in the saturation bucket.
-  EXPECT_EQ(target.max, 3000000);
-  EXPECT_EQ(target.Quantile(0.99), 3000000);
-}
-
-TEST(HistogramMergeTest, MismatchedBoundsIsAnError) {
-  FixedHistogram a({10, 100});
-  a.Record(1);
-  FixedHistogram b({10, 100, 1000});
-  b.Record(1);
-  HistogramSnapshot target = a.Snapshot();
-  const Status status = target.MergeFrom(b.Snapshot());
-  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
-  // Target is structurally unchanged after a refused merge.
-  EXPECT_EQ(target.count, 1u);
-  EXPECT_EQ(target.bounds.size(), 2u);
+TEST(LockedHistogramTest, SnapshotIsTheRecordedHistogram) {
+  MetricsRegistry registry;
+  LockedHistogram* hist = registry.GetHistogram("latency");
+  EXPECT_EQ(registry.GetHistogram("latency"), hist);
+  Histogram plain;
+  for (const int64_t nanos : {5, 10, 11, 5000, 777777}) {
+    hist->Record(nanos);
+    plain.Record(static_cast<double>(nanos));
+  }
+  const Histogram snap = hist->Snapshot();
+  EXPECT_EQ(snap.count(), 5u);
+  EXPECT_EQ(snap.sum(), 5.0 + 10 + 11 + 5000 + 777777);
+  EXPECT_EQ(snap.min(), 5.0);
+  EXPECT_EQ(snap.max(), 777777.0);
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(snap.Quantile(q), plain.Quantile(q)) << "q=" << q;
+  }
 }
 
 TEST(MetricsMergeTest, ShardsSumByName) {
@@ -231,29 +154,23 @@ TEST(MetricsMergeTest, ShardsSumByName) {
   worker0.GetCounter("executor.attempts")->Increment(10);
   worker1.GetCounter("executor.attempts")->Increment(5);
   worker1.GetCounter("executor.retries")->Increment(2);
-  worker0.GetHistogram("latency", {100, 200})->Record(150);
-  worker1.GetHistogram("latency", {100, 200})->Record(50);
+  worker0.GetHistogram("latency")->Record(150);
+  worker1.GetHistogram("latency")->Record(50);
+  worker1.GetHistogram("retrain");  // Registered, never recorded.
 
-  const Result<MetricsSnapshot> merged =
+  const MetricsSnapshot merged =
       MergeMetricsShards({worker0.Snapshot(), worker1.Snapshot()});
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  ASSERT_EQ(merged.value().counters.size(), 2u);
-  EXPECT_EQ(merged.value().counters[0].first, "executor.attempts");
-  EXPECT_EQ(merged.value().counters[0].second, 15u);
-  EXPECT_EQ(merged.value().counters[1].second, 2u);
-  ASSERT_EQ(merged.value().histograms.size(), 1u);
-  EXPECT_EQ(merged.value().histograms[0].second.count, 2u);
-}
-
-TEST(MetricsMergeTest, MismatchedHistogramLayoutsSurfaceAnError) {
-  MetricsRegistry worker0;
-  MetricsRegistry worker1;
-  worker0.GetHistogram("latency", {100})->Record(1);
-  worker1.GetHistogram("latency", {100, 200})->Record(1);
-  const Result<MetricsSnapshot> merged =
-      MergeMetricsShards({worker0.Snapshot(), worker1.Snapshot()});
-  EXPECT_FALSE(merged.ok());
-  EXPECT_TRUE(merged.status().IsInvalidArgument());
+  ASSERT_EQ(merged.counters.size(), 2u);
+  EXPECT_EQ(merged.counters[0].first, "executor.attempts");
+  EXPECT_EQ(merged.counters[0].second, 15u);
+  EXPECT_EQ(merged.counters[1].second, 2u);
+  ASSERT_EQ(merged.histograms.size(), 2u);
+  const Histogram& latency = merged.histograms[0].second;
+  EXPECT_EQ(latency.count(), 2u);
+  EXPECT_EQ(latency.min(), 50.0);
+  EXPECT_EQ(latency.max(), 150.0);
+  EXPECT_EQ(merged.histograms[1].first, "retrain");
+  EXPECT_EQ(merged.histograms[1].second.count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -352,6 +269,24 @@ TEST(ObservabilitySpecTest, EnabledAndEquality) {
   ObservabilitySpec defaults;
   EXPECT_TRUE(defaults.Enabled());  // metrics defaults on.
   EXPECT_FALSE(defaults == all_off);
+}
+
+TEST(RenderTraceFileTest, HistLinePrintsIntegerNanos) {
+  MetricsRegistry registry;
+  LockedHistogram* hist = registry.GetHistogram("lat");
+  for (const int64_t nanos : {1000, 2000, 3001}) hist->Record(nanos);
+  registry.GetHistogram("idle");
+  ObsReport report;
+  report.metrics = registry.Snapshot();
+  const std::string payload = RenderTraceFile(report, "run", "sut", 1);
+  EXPECT_NE(payload.find("hist idle count=0 sum=0\n"), std::string::npos)
+      << payload;
+  const Histogram snap = hist->Snapshot();
+  const std::string line =
+      "hist lat count=3 sum=6001 min=1000 max=3001 p50=" +
+      std::to_string(std::llround(snap.Median())) +
+      " p99=" + std::to_string(std::llround(snap.P99())) + "\n";
+  EXPECT_NE(payload.find(line), std::string::npos) << payload;
 }
 
 TEST(RenderTraceFileTest, HeaderCarriesRunIdentity) {

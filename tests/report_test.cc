@@ -388,6 +388,20 @@ TEST_F(ReportRenderTest, RunSummaryMentionsEverything) {
   EXPECT_NE(summary.find("btree_system"), std::string::npos);
   EXPECT_NE(summary.find("operations: 2000"), std::string::npos);
   EXPECT_NE(summary.find("SLA"), std::string::npos);
+  // The service line's rates count elements, not requests: a batch request
+  // carries many.
+  RunResult served = run_;
+  served.metrics.service.enabled = true;
+  served.metrics.service.offered_qps = 498300.0;
+  served.metrics.service.achieved_qps = 120000.0;
+  const std::string service_summary = RenderRunSummary(served);
+  EXPECT_NE(service_summary.find("offered=498.30K elements/s"),
+            std::string::npos)
+      << service_summary;
+  EXPECT_NE(service_summary.find("goodput=120.00K elements/s"),
+            std::string::npos)
+      << service_summary;
+  EXPECT_EQ(service_summary.find(" qps"), std::string::npos);
   // The per-phase numbers are the phases table's.
   const std::vector<Table> tables =
       RunTables(run_, BuildSpecializationReport(spec_, run_), {});

@@ -343,6 +343,26 @@ TEST_P(ServiceDeterminismTest, RepeatedDemoRunsAreByteIdentical) {
             RenderTraceFile(b.observability, b.run_name, b.sut_name, workers));
 }
 
+// The registry's queue-wait histogram gets one sample per popped request, in
+// each worker's own shard. slo_shed sheds only on arrival and the worker
+// loop drains every queue, so every admitted request is popped once: the
+// merged histogram counts exactly the merged admitted counter.
+TEST_P(ServiceDeterminismTest, MergedQueueWaitCountsEveryAdmittedRequest) {
+  const RunResult run = RunDemoOnce(GetParam());
+  const MetricsSnapshot& metrics = run.observability.metrics;
+  uint64_t admitted = 0;
+  for (const auto& [name, value] : metrics.counters) {
+    if (name == "service.admitted") admitted = value;
+  }
+  ASSERT_GT(admitted, 0u);
+  const Histogram* queue_wait = nullptr;
+  for (const auto& [name, hist] : metrics.histograms) {
+    if (name == "service.queue_wait") queue_wait = &hist;
+  }
+  ASSERT_NE(queue_wait, nullptr);
+  EXPECT_EQ(queue_wait->count(), admitted);
+}
+
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, ServiceDeterminismTest,
                          ::testing::Values(1u, 4u));
 

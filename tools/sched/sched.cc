@@ -49,8 +49,6 @@ struct PendingOp {
   SchedOp kind = SchedOp::kYield;
   const void* obj = nullptr;   ///< Primary object (atomic, mutex, condvar).
   const void* obj2 = nullptr;  ///< CondWait: the mutex it releases.
-  bool try_lock = false;       ///< kMutexLock that never blocks.
-  bool reacquire = false;      ///< Post-wait condvar reacquire of `obj`.
 };
 
 const char* KindName(SchedOp op) {
@@ -92,7 +90,6 @@ class TaskObserver : public SchedObserver {
  public:
   void SchedPoint(SchedOp op, const void* obj) override;
   void MutexLock(void* mu) override;
-  bool MutexTryLock(void* mu) override;
   void MutexUnlock(void* mu) override;
   void CondWait(void* cv, void* mu) override;
   void CondSignal(void* cv, bool all) override;
@@ -215,9 +212,11 @@ class Runner {
     if (task.done || !task.has_pending) return false;
     if (task.waiting_cv != nullptr) return false;  // Awaiting a signal.
     const PendingOp& p = task.pending;
-    const bool blocking_acquire =
-        (p.kind == SchedOp::kMutexLock && !p.try_lock) || p.reacquire;
-    if (blocking_acquire && mutex_owner_.count(p.obj) != 0) return false;
+    // A lock, including a condvar's post-wait reacquire, waits for a free
+    // mutex.
+    if (p.kind == SchedOp::kMutexLock && mutex_owner_.count(p.obj) != 0) {
+      return false;
+    }
     return true;
   }
 
@@ -244,7 +243,7 @@ class Runner {
   void OnSchedPoint(int id, SchedOp op, const void* obj) {
     std::unique_lock<std::mutex> l(m_);
     if (poison_) return;
-    (void)AnnounceAndWait(l, id, PendingOp{op, obj, nullptr, false, false});
+    (void)AnnounceAndWait(l, id, PendingOp{op, obj, nullptr});
     // The caller performs the atomic op / yield itself, token in hand.
     // A drain grant changes nothing: the real operation is still safe to
     // run, since drained tasks execute one at a time.
@@ -253,8 +252,7 @@ class Runner {
   void OnMutexLock(int id, void* mu) {
     std::unique_lock<std::mutex> l(m_);
     if (poison_) return;
-    if (!AnnounceAndWait(l, id, PendingOp{SchedOp::kMutexLock, mu, nullptr,
-                                          false, false})) {
+    if (!AnnounceAndWait(l, id, PendingOp{SchedOp::kMutexLock, mu, nullptr})) {
       return;  // Drain: lock bypassed, no ownership recorded.
     }
     // Granted only when free (EnabledLocked); a relock by the owner is a
@@ -262,23 +260,11 @@ class Runner {
     mutex_owner_[mu] = id;
   }
 
-  bool OnMutexTryLock(int id, void* mu) {
-    std::unique_lock<std::mutex> l(m_);
-    if (poison_) return false;
-    if (!AnnounceAndWait(l, id, PendingOp{SchedOp::kMutexLock, mu, nullptr,
-                                          true, false})) {
-      return false;  // Drain: report contention; the caller skips the CS.
-    }
-    if (mutex_owner_.count(mu) != 0) return false;
-    mutex_owner_[mu] = id;
-    return true;
-  }
-
   void OnMutexUnlock(int id, void* mu) {
     std::unique_lock<std::mutex> l(m_);
     if (poison_) return;
-    if (!AnnounceAndWait(l, id, PendingOp{SchedOp::kMutexUnlock, mu, nullptr,
-                                          false, false})) {
+    if (!AnnounceAndWait(l, id,
+                         PendingOp{SchedOp::kMutexUnlock, mu, nullptr})) {
       return;  // Drain: ownership table is already meaningless.
     }
     auto it = mutex_owner_.find(mu);
@@ -295,30 +281,26 @@ class Runner {
     // Drain must unwind here, not return: a no-op Wait inside a predicate
     // loop whose condition will never flip is an infinite spin.
     if (poison_) throw SchedAbort{};
-    if (!AnnounceAndWait(l, id,
-                         PendingOp{SchedOp::kCondWait, cvp, mu, false,
-                                   false})) {
+    if (!AnnounceAndWait(l, id, PendingOp{SchedOp::kCondWait, cvp, mu})) {
       throw SchedAbort{};
     }
     // Scheduled: atomically release the mutex and join the wait set.
     mutex_owner_.erase(mu);
     tasks_[static_cast<size_t>(id)].waiting_cv = cvp;
-    PendingOp reacquire;
-    reacquire.kind = SchedOp::kMutexLock;
-    reacquire.obj = mu;
-    reacquire.reacquire = true;
     // Parks until signaled + mutex free. On a drain grant the task leaves
     // its Wait without the (modeled) lock — harmless, state is discarded —
     // and a re-entered predicate loop hits the poison check above.
-    if (!AnnounceAndWait(l, id, reacquire)) return;
+    if (!AnnounceAndWait(l, id, PendingOp{SchedOp::kMutexLock, mu, nullptr})) {
+      return;
+    }
     mutex_owner_[mu] = id;
   }
 
   void OnCondSignal(int id, void* cvp, bool /*all*/) {
     std::unique_lock<std::mutex> l(m_);
     if (poison_) return;
-    if (!AnnounceAndWait(l, id, PendingOp{SchedOp::kCondSignal, cvp, nullptr,
-                                          false, false})) {
+    if (!AnnounceAndWait(l, id,
+                         PendingOp{SchedOp::kCondSignal, cvp, nullptr})) {
       return;
     }
     // SignalAll semantics either way (sound under predicate loops; keeps
@@ -348,9 +330,6 @@ void TaskObserver::SchedPoint(SchedOp op, const void* obj) {
   runner->OnSchedPoint(id, op, obj);
 }
 void TaskObserver::MutexLock(void* mu) { runner->OnMutexLock(id, mu); }
-bool TaskObserver::MutexTryLock(void* mu) {
-  return runner->OnMutexTryLock(id, mu);
-}
 void TaskObserver::MutexUnlock(void* mu) { runner->OnMutexUnlock(id, mu); }
 void TaskObserver::CondWait(void* cv, void* mu) {
   runner->OnCondWait(id, cv, mu);
