@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -209,48 +210,60 @@ bool operator==(const DatasetSourceSpec& a, const DatasetSourceSpec& b) {
 }
 
 template <class DatasetT>
-Status RunPlan::ValidateWith(const std::vector<DatasetT>& datasets) const {
+Status RunPlan::ValidateWith(const std::vector<DatasetT>& datasets,
+                             SpecSite* site) const {
+  // Every error names where it lies for the text parser: the section, its
+  // ordinal, and the keys whose values are at fault (none when no single
+  // key set them).
+  auto fail = [site](SpecSection section, size_t index,
+                     std::initializer_list<const char*> keys,
+                     const std::string& message) {
+    if (site != nullptr) *site = SpecSite{section, index, keys};
+    return Status::InvalidArgument(message);
+  };
   if (datasets.empty()) {
-    return Status::InvalidArgument("run spec has no datasets");
+    return fail(SpecSection::kTop, 0, {}, "run spec has no datasets");
   }
   if (phases.empty()) {
-    return Status::InvalidArgument("run spec has no phases");
+    return fail(SpecSection::kTop, 0, {}, "run spec has no phases");
   }
   for (size_t i = 0; i < datasets.size(); ++i) {
     if (KeyCount(datasets[i]) == 0) {
-      return Status::InvalidArgument("dataset " + std::to_string(i) +
-                                     " is empty");
+      return fail(SpecSection::kDataset, i, {"num_keys"},
+                  "dataset " + std::to_string(i) + " is empty");
     }
   }
   for (size_t i = 0; i < phases.size(); ++i) {
     const PhaseSpec& p = phases[i];
+    const std::string phase = "phase " + std::to_string(i);
+    auto phase_fail = [&](std::initializer_list<const char*> keys,
+                          const std::string& message) {
+      return fail(SpecSection::kPhase, i, keys, phase + message);
+    };
     if (p.dataset_index < 0 ||
         static_cast<size_t>(p.dataset_index) >= datasets.size()) {
-      return Status::InvalidArgument("phase " + std::to_string(i) +
-                                     " references missing dataset");
+      return phase_fail({"dataset"}, " references missing dataset");
     }
     if (p.trace != nullptr) {
       if (p.trace->empty()) {
-        return Status::InvalidArgument("phase " + std::to_string(i) +
-                                       " replays an empty trace");
+        return phase_fail({}, " replays an empty trace");
       }
       if (p.num_operations != p.trace->size()) {
-        return Status::InvalidArgument(
-            "phase " + std::to_string(i) + " has num_operations " +
-            std::to_string(p.num_operations) + " but its trace holds " +
-            std::to_string(p.trace->size()) + " operations");
+        return phase_fail({"ops"}, " has num_operations " +
+                                       std::to_string(p.num_operations) +
+                                       " but its trace holds " +
+                                       std::to_string(p.trace->size()) +
+                                       " operations");
       }
     }
     if (p.transition_operations != 0 &&
         (p.trace != nullptr || (i > 0 && phases[i - 1].trace != nullptr))) {
-      return Status::InvalidArgument(
-          "phase " + std::to_string(i) +
-          " declares a transition, but no transition runs into or out of a "
-          "trace phase");
+      return phase_fail({"transition_ops"},
+                        " declares a transition, but no transition runs into "
+                        "or out of a trace phase");
     }
     if (p.num_operations == 0) {
-      return Status::InvalidArgument("phase " + std::to_string(i) +
-                                     " has zero operations");
+      return phase_fail({"ops"}, " has zero operations");
     }
     // The generator normalizes the fractions by their total, so a negative
     // or non-finite one would skew or poison every other op's share.
@@ -258,138 +271,166 @@ Status RunPlan::ValidateWith(const std::vector<DatasetT>& datasets) const {
          {p.mix.get, p.mix.scan, p.mix.insert, p.mix.update, p.mix.del,
           p.mix.range_count, p.mix.batch_get, p.mix.batch_put}) {
       if (!std::isfinite(fraction) || fraction < 0.0) {
-        return Status::InvalidArgument(
-            "phase " + std::to_string(i) +
-            " has a negative or non-finite mix fraction");
+        return phase_fail({"mix", "batch_mix"},
+                          " has a negative or non-finite mix fraction");
       }
     }
     if (p.mix.Total() <= 0.0) {
-      return Status::InvalidArgument("phase " + std::to_string(i) +
-                                     " has an empty operation mix");
+      return phase_fail({"mix", "batch_mix"}, " has an empty operation mix");
     }
     if (p.batch_size < 1 || p.batch_size > 4096) {
-      return Status::InvalidArgument("phase " + std::to_string(i) +
-                                     " batch_size must be in [1, 4096]");
+      return phase_fail({"batch_size"}, " batch_size must be in [1, 4096]");
     }
     if (p.transition_operations > p.num_operations) {
-      return Status::InvalidArgument(
-          "phase " + std::to_string(i) +
-          " transition is longer than the phase itself");
+      return phase_fail({"transition_ops"},
+                        " transition is longer than the phase itself");
     }
+    // Arrival parameters interact (an open-loop pattern needs a rate), so
+    // the error names the last of the two keys that choose them.
     if (const Status st = ValidateArrivalParams(
             p.arrival, p.arrival_rate_qps, p.arrival_amplitude,
             p.arrival_period_seconds);
         !st.ok()) {
-      return Status::InvalidArgument("phase " + std::to_string(i) + ": " +
-                                     st.message());
+      return phase_fail({"arrival", "arrival_qps"}, ": " + st.message());
     }
     if (service.enabled && p.arrival == ArrivalPattern::kClosedLoop) {
-      return Status::InvalidArgument(
-          "phase " + std::to_string(i) +
+      return phase_fail(
+          {"arrival"},
           " uses closed-loop arrivals but [service] mode is enabled; "
           "admission control needs open-loop intended arrival times");
     }
   }
   if (service.enabled) {
+    auto service_fail = [&](std::initializer_list<const char*> keys,
+                            const std::string& message) {
+      return fail(SpecSection::kService, 0, keys, message);
+    };
     if (service.queue_capacity == 0 ||
         service.queue_capacity > (uint32_t{1} << 20)) {
-      return Status::InvalidArgument(
-          "service queue_capacity must be in [1, 2^20]");
+      return service_fail({"queue_capacity"},
+                          "service queue_capacity must be in [1, 2^20]");
     }
     if (service.max_shed_fraction < 0.0 || service.max_shed_fraction > 1.0) {
-      return Status::InvalidArgument(
-          "service max_shed_fraction must be in [0, 1]");
+      return service_fail({"max_shed_fraction"},
+                          "service max_shed_fraction must be in [0, 1]");
     }
     if (service.slo_p99_nanos < 0) {
-      return Status::InvalidArgument("service slo_p99_ms must be >= 0");
+      return service_fail({"slo_p99_ms"}, "service slo_p99_ms must be >= 0");
     }
     if (service.policy == OverloadPolicy::kSloShed &&
         service.slo_p99_nanos == 0) {
-      return Status::InvalidArgument(
-          "service policy slo_shed requires slo_p99_ms > 0");
+      return service_fail({"policy", "slo_p99_ms"},
+                          "service policy slo_shed requires slo_p99_ms > 0");
     }
   }
-  if (interval_nanos <= 0 || boxplot_sample_nanos <= 0) {
-    return Status::InvalidArgument("reporting intervals must be positive");
+  if (interval_nanos <= 0) {
+    return fail(SpecSection::kTop, 0, {"interval_ms"},
+                "reporting intervals must be positive");
+  }
+  if (boxplot_sample_nanos <= 0) {
+    return fail(SpecSection::kTop, 0, {"boxplot_sample_ms"},
+                "reporting intervals must be positive");
   }
   for (size_t i = 0; i < faults.windows.size(); ++i) {
     const FaultWindow& w = faults.windows[i];
+    const std::string window = "fault window " + std::to_string(i);
+    auto window_fail = [&](std::initializer_list<const char*> keys,
+                           const std::string& message) {
+      return fail(SpecSection::kFaults, i, keys, window + message);
+    };
     if (w.phase >= static_cast<int32_t>(phases.size())) {
-      return Status::InvalidArgument("fault window " + std::to_string(i) +
-                                     " references missing phase");
+      return window_fail({"phase"}, " references missing phase");
     }
-    for (double rate :
-         {w.execute_fail_rate, w.latency_spike_rate, w.stall_rate}) {
+    const std::pair<double, const char*> rates[] = {
+        {w.execute_fail_rate, "execute_fail_rate"},
+        {w.latency_spike_rate, "latency_spike_rate"},
+        {w.stall_rate, "stall_rate"}};
+    for (const auto& [rate, key] : rates) {
       if (!(rate >= 0.0 && rate <= 1.0)) {  // NaN fails too.
-        return Status::InvalidArgument("fault window " + std::to_string(i) +
-                                       " has a rate outside [0, 1]");
+        return window_fail({key}, " has a rate outside [0, 1]");
       }
     }
     if (w.latency_spike_nanos < 0 || w.stall_nanos < 0 ||
         w.train_hang_nanos < 0) {
-      return Status::InvalidArgument("fault window " + std::to_string(i) +
-                                     " has a negative duration");
+      return window_fail({}, " has a negative duration");
     }
     if (w.execute_fail_code == StatusCode::kOk) {
-      return Status::InvalidArgument("fault window " + std::to_string(i) +
-                                     " cannot inject an OK failure");
+      return window_fail({"execute_fail_code"},
+                         " cannot inject an OK failure");
     }
   }
+  auto resilience_fail = [&](std::initializer_list<const char*> keys,
+                             const std::string& message) {
+    return fail(SpecSection::kResilience, 0, keys, message);
+  };
   if (resilience.op_timeout_nanos < 0 ||
       resilience.backoff_initial_nanos < 0 ||
       resilience.backoff_max_nanos < 0 ||
       resilience.breaker_cooldown_nanos < 0) {
-    return Status::InvalidArgument("resilience durations must be >= 0");
+    return resilience_fail({}, "resilience durations must be >= 0");
   }
   // A unit's retry count is a uint16_t (ExecOutcome, OpEvent); a larger
   // bound would never stop the retry loop.
   if (resilience.max_retries > std::numeric_limits<uint16_t>::max()) {
-    return Status::InvalidArgument("resilience max_retries must be <= 65535");
+    return resilience_fail({"max_retries"},
+                           "resilience max_retries must be <= 65535");
   }
   if (resilience.backoff_multiplier < 1.0) {
-    return Status::InvalidArgument("backoff multiplier must be >= 1");
+    return resilience_fail({"backoff_multiplier"},
+                           "backoff multiplier must be >= 1");
   }
   if (resilience.backoff_jitter < 0.0 || resilience.backoff_jitter >= 1.0) {
-    return Status::InvalidArgument("backoff jitter must be in [0, 1)");
+    return resilience_fail({"backoff_jitter"},
+                           "backoff jitter must be in [0, 1)");
   }
   if (resilience.breaker_enabled) {
     if (resilience.breaker_window_ops == 0) {
-      return Status::InvalidArgument("breaker window must be non-empty");
+      return resilience_fail({"breaker_window_ops"},
+                             "breaker window must be non-empty");
     }
     if (resilience.breaker_failure_threshold <= 0.0 ||
         resilience.breaker_failure_threshold > 1.0) {
-      return Status::InvalidArgument("breaker threshold must be in (0, 1]");
+      return resilience_fail({"breaker_threshold"},
+                             "breaker threshold must be in (0, 1]");
     }
   }
   if (execution.workers == 0 || execution.workers > 1024) {
-    return Status::InvalidArgument("execution workers must be in [1, 1024]");
+    return fail(SpecSection::kExecution, 0, {"workers"},
+                "execution workers must be in [1, 1024]");
   }
   if (drift.declared) {
+    auto drift_fail = [&](std::initializer_list<const char*> keys,
+                          const std::string& message) {
+      return fail(SpecSection::kDrift, 0, keys, message);
+    };
     if (drift.trajectory.size() + 1 != phases.size()) {
-      return Status::InvalidArgument(
+      return drift_fail(
+          {"trajectory"},
           "drift trajectory must declare one factor per phase transition (" +
-          std::to_string(phases.size() - 1) + " expected, " +
-          std::to_string(drift.trajectory.size()) + " declared)");
+              std::to_string(phases.size() - 1) + " expected, " +
+              std::to_string(drift.trajectory.size()) + " declared)");
     }
     for (size_t i = 0; i < drift.trajectory.size(); ++i) {
       if (!(drift.trajectory[i] >= 0.0 && drift.trajectory[i] <= 1.0)) {
-        return Status::InvalidArgument("drift trajectory entry " +
-                                       std::to_string(i) +
-                                       " outside [0, 1]");
+        return drift_fail({"trajectory"}, "drift trajectory entry " +
+                                              std::to_string(i) +
+                                              " outside [0, 1]");
       }
     }
     if (!(drift.tolerance > 0.0 && drift.tolerance <= 1.0)) {
-      return Status::InvalidArgument("drift tolerance must be in (0, 1]");
+      return drift_fail({"tolerance"}, "drift tolerance must be in (0, 1]");
     }
     if (drift.sample_ops == 0) {
-      return Status::InvalidArgument("drift sample_ops must be positive");
+      return drift_fail({"sample_ops"}, "drift sample_ops must be positive");
     }
   }
   return Status::OK();
 }
 
-Status ParsedSpec::Validate() const { return ValidateWith(datasets); }
-Status RunSpec::Validate() const { return ValidateWith(datasets); }
+Status ParsedSpec::Validate(SpecSite* site) const {
+  return ValidateWith(datasets, site);
+}
+Status RunSpec::Validate() const { return ValidateWith(datasets, nullptr); }
 
 bool RunPlan::HasHoldout() const {
   return std::any_of(phases.begin(), phases.end(),

@@ -106,6 +106,25 @@ struct DatasetSourceSpec {
 
 bool operator==(const DatasetSourceSpec& a, const DatasetSourceSpec& b);
 
+/// The sections of spec text (core/spec_text.h), in the order of their
+/// headers; kTop holds the keys before any header.
+enum class SpecSection {
+  kTop, kDataset, kPhase, kFaults, kResilience, kExecution, kObservability,
+  kService, kDrift
+};
+
+/// Where a semantic spec error lies, in spec text terms: a section, its
+/// ordinal among the sections of its kind (the dataset, phase or fault
+/// window index; 0 for the others), and the keys whose values are at
+/// fault, none when no single key set them. ParseRunSpecText turns it into
+/// the line of the last of those keys the text set, else the section's
+/// header line.
+struct SpecSite {
+  SpecSection section = SpecSection::kTop;
+  size_t index = 0;
+  std::vector<const char*> keys;
+};
+
 /// Everything about one benchmark run but its datasets: the phase sequence
 /// over them, SLA, and reporting granularity. ParsedSpec and RunSpec each
 /// add their own `datasets`, so whether the datasets exist is a type.
@@ -148,9 +167,11 @@ struct RunPlan {
 
  protected:
   /// The body of ParsedSpec::Validate and RunSpec::Validate, shared so the
-  /// two cannot drift apart; defined in run_spec.cc.
+  /// two cannot drift apart; defined in run_spec.cc. On an error, `site`
+  /// (when given) is set to where it lies.
   template <class DatasetT>
-  Status ValidateWith(const std::vector<DatasetT>& datasets) const;
+  Status ValidateWith(const std::vector<DatasetT>& datasets,
+                      SpecSite* site) const;
 };
 
 /// A run as spec text describes it: the plan plus one DatasetSourceSpec per
@@ -160,8 +181,9 @@ struct RunPlan {
 struct ParsedSpec : RunPlan {
   std::vector<DatasetSourceSpec> datasets;
 
-  /// RunSpec::Validate's checks, against the described datasets.
-  Status Validate() const;
+  /// RunSpec::Validate's checks, against the described datasets. On an
+  /// error, `site` (when given) is set to where in the text it lies.
+  Status Validate(SpecSite* site = nullptr) const;
 };
 
 /// The complete description of one benchmark run: its plan over generated

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -419,10 +420,7 @@ std::string RenderFields(const T& object) {
   return archive.out;
 }
 
-enum class Section {
-  kTop, kDataset, kPhase, kFaults, kResilience, kExecution, kObservability,
-  kService, kDrift
-};
+using Section = SpecSection;
 
 /// Section headers, indexed by Section. The top level has no header; its
 /// entry only names it in errors.
@@ -446,50 +444,77 @@ Status CheckRenderableName(const std::string& name, const char* what) {
   return Status::OK();
 }
 
+/// The lines of one section's header and of the last setting of each of
+/// its keys, by which a semantic error (SpecSite) is located.
+struct SectionLines {
+  size_t header = 0;  // 0 for the top level, which has no header
+  std::map<std::string, size_t> keys;
+
+  /// Locates `message` about `site`: at the last line of its keys the
+  /// text set, naming that key as a parse error does, else at the header
+  /// line. A site the text holds no line for leaves it as it is.
+  Status Locate(const SpecSite& site, const std::string& message) const {
+    const std::string* found = nullptr;
+    size_t line = 0;
+    for (const char* key : site.keys) {
+      const auto it = keys.find(key);
+      if (it != keys.end() && it->second > line) {
+        found = &it->first;
+        line = it->second;
+      }
+    }
+    if (found != nullptr) return AtLine(line, *found + ": " + message);
+    if (header != 0) return AtLine(header, message);
+    return Status::InvalidArgument(message);
+  }
+};
+
 }  // namespace
 
 Result<ParsedSpec> ParseRunSpecText(const std::string& text) {
   ParsedSpec spec;
   Section section = Section::kTop;
-  size_t section_line = 0;  // line of the open section's header
+  SectionLines open;  // the open section's lines
+  // Every closed section's lines, by (section, ordinal) as SpecSite names
+  // them; a single section given twice shares one entry.
+  std::map<std::pair<Section, size_t>, SectionLines> closed;
   DatasetSourceSpec dataset;
-  size_t param_lines[2] = {};  // the dataset's last param1 and param2 keys
   PhaseSpec phase;
-  size_t arrival_line = 0;  // the phase's last arrival key, else its header
   FaultWindow window;
 
-  // Finishes the open section; its errors name the section's header line.
+  // Finishes the open section. A dataset error names the line of the
+  // parameter at fault, else the section's header line.
   auto close_section = [&]() -> Status {
+    size_t index = 0;
     switch (section) {
       case Section::kDataset: {
-        // A parameter's error names that parameter's key line.
         int param = 0;
         const Status st = CheckDatasetSource(dataset, &param);
         if (!st.ok()) {
-          return AtLine(param == 0 ? section_line : param_lines[param - 1],
+          // A parameter's error starts with its key and names its line.
+          const char* key = param == 1 ? "param1" : "param2";
+          return AtLine(param == 0 ? open.header : open.keys[key],
                         st.message());
         }
+        index = spec.datasets.size();
         spec.datasets.push_back(std::exchange(dataset, DatasetSourceSpec()));
         break;
       }
-      case Section::kPhase: {
-        // Arrival parameters interact (an open-loop pattern needs a rate,
-        // but keys arrive in any order), so the combined check runs when
-        // the phase closes, pointed back at the last arrival key.
-        const Status st = ValidateArrivalParams(
-            phase.arrival, phase.arrival_rate_qps, phase.arrival_amplitude,
-            phase.arrival_period_seconds);
-        if (!st.ok()) return AtLine(arrival_line, st.message());
+      case Section::kPhase:
+        index = spec.phases.size();
         spec.phases.push_back(std::exchange(phase, PhaseSpec()));
         break;
-      }
       case Section::kFaults:
         // An all-default window only carried plan-level keys; drop it.
-        if (!(window == FaultWindow())) spec.faults.windows.push_back(window);
-        window = FaultWindow();
+        if (window == FaultWindow()) return Status::OK();
+        index = spec.faults.windows.size();
+        spec.faults.windows.push_back(std::exchange(window, FaultWindow()));
         break;
       default: break;
     }
+    SectionLines& lines = closed[{section, index}];
+    if (lines.header == 0) lines.header = open.header;
+    for (const auto& [key, line] : open.keys) lines.keys[key] = line;
     return Status::OK();
   };
 
@@ -507,7 +532,7 @@ Result<ParsedSpec> ParseRunSpecText(const std::string& text) {
       }
       LSBENCH_RETURN_IF_ERROR(close_section());
       section = static_cast<Section>(header - std::begin(kHeaders));
-      section_line = arrival_line = line_no;
+      open = SectionLines{line_no, {}};
       if (section == Section::kDrift) spec.drift.declared = true;
       continue;
     }
@@ -545,15 +570,16 @@ Result<ParsedSpec> ParseRunSpecText(const std::string& text) {
     if (!archive.status.ok()) {
       return AtLine(line_no, key + ": " + archive.status.message());
     }
-    if (archive.field == &phase.arrival ||
-        archive.field == &phase.arrival_rate_qps) {
-      arrival_line = line_no;
-    }
-    if (archive.field == &dataset.param1) param_lines[0] = line_no;
-    if (archive.field == &dataset.param2) param_lines[1] = line_no;
+    open.keys[key] = line_no;
   }
   LSBENCH_RETURN_IF_ERROR(close_section());
-  LSBENCH_RETURN_IF_ERROR(spec.Validate());
+  // The semantic checks are the validator's alone; the parser only finds
+  // the line of what it reports.
+  SpecSite site;
+  if (const Status st = spec.Validate(&site); !st.ok()) {
+    const auto it = closed.find({site.section, site.index});
+    return it == closed.end() ? st : it->second.Locate(site, st.message());
+  }
   return spec;
 }
 

@@ -127,13 +127,16 @@ namespace lsbench {
 /// about 4,000 distinct values (4,011 at seed 4, 4,014 at seed 42); a
 /// larger num_keys parses but fails to build. Unknown
 /// keys are rejected (typo safety). Every error about a line starts with
-/// `line N:`: a key error names the key, an error found when a section
-/// closes names the section header's line (an unknown dataset kind,
-/// num_keys = 0, too many clusters), the dataset parameter at fault, or
-/// the phase's last arrival key (an open-loop phase without a rate).
-/// Errors from ParsedSpec::Validate, run on the whole spec, name the phase or
-/// fault window instead; phase `dataset` indexes are checked against the
-/// number of `[dataset]` sections.
+/// `line N:`: a key error names the key, and an error found when a
+/// dataset section closes names the section header's line (an unknown
+/// dataset kind, num_keys = 0, too many clusters) or the dataset
+/// parameter at fault. The semantic checks of ParsedSpec::Validate run on
+/// the whole spec; each of its errors names the line of the key that set
+/// the bad value (the last of `arrival` and `arrival_qps` for an open-loop
+/// phase without a rate), else the header line of the section at fault,
+/// and an error about the whole spec (no phases) names no line. Phase
+/// `dataset` indexes are checked against the number of `[dataset]`
+/// sections.
 Result<ParsedSpec> ParseRunSpecText(const std::string& text);
 
 /// Reads the spec file at `path`, parses it, and generates its datasets

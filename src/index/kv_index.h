@@ -45,6 +45,9 @@ class KvIndex {
   bool empty() const { return size() == 0; }
 
   /// Replaces the contents with `sorted_pairs` (strictly ascending keys).
+  /// The index is ready to serve afterwards: a learned index has fitted
+  /// its model (a learned SUT loads without fitting through its own entry
+  /// and fits in Train).
   virtual void BulkLoad(const std::vector<KeyValue>& sorted_pairs) = 0;
 
   /// BulkLoad from keys alone (strictly ascending), key i holding value

@@ -12,15 +12,19 @@ RmiModel::RmiModel(RmiOptions options) : options_(options) {
   LSBENCH_ASSERT(options_.train_sample_every >= 1);
 }
 
-void RmiModel::Build(const Key* keys, size_t n) {
-  n_ = n;
+void RmiModel::Clear() {
+  n_ = 0;
+  root_ = LinearModel{};
   leaf_models_.clear();
   leaf_errors_.clear();
   last_fit_points_ = 0;
-  if (n == 0) {
-    root_ = LinearModel{};
-    return;
-  }
+}
+
+void RmiModel::Build(const Key* keys, size_t n) {
+  Clear();
+  ++builds_;
+  if (n == 0) return;
+  n_ = n;
   root_ = FitLinear(keys, n);
   // Least squares over ascending positions cannot produce a negative slope,
   // but guard against numeric pathologies: a monotone root is required for

@@ -34,6 +34,9 @@ class RmiModel {
   /// Fits root + leaf models + error bounds over `n` sorted unique keys.
   /// Replaces any previous fit.
   void Build(const Key* keys, size_t n);
+  /// Drops the fit, as a Build over no keys would, without counting a
+  /// Build.
+  void Clear();
 
   /// [lo, hi) window holding the position of any fitted key. Requires a
   /// prior Build with n > 0.
@@ -61,6 +64,8 @@ class RmiModel {
   /// over (= n / train_sample_every, plus boundary points) — the
   /// training-effort figure cost sweeps report.
   size_t fit_work() const { return last_fit_points_; }
+  /// Build calls since construction.
+  size_t builds() const { return builds_; }
 
  private:
   size_t LeafFor(Key key) const {
@@ -81,6 +86,7 @@ class RmiModel {
   std::vector<LinearModel> leaf_models_;
   std::vector<uint32_t> leaf_errors_;
   size_t last_fit_points_ = 0;
+  size_t builds_ = 0;
 };
 
 /// Two-stage RMI over sorted 64-bit keys, with a delta buffer for writes:

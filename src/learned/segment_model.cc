@@ -13,7 +13,8 @@ SegmentModel::SegmentModel(uint32_t epsilon) : epsilon_(epsilon) {
 }
 
 void SegmentModel::Build(const Key* keys, size_t n) {
-  segments_.clear();
+  Clear();
+  ++builds_;
   n_ = n;
   if (n == 0) return;
 

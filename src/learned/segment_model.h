@@ -31,6 +31,12 @@ class SegmentModel {
 
   /// Fits over `n` sorted unique keys. Replaces any previous fit.
   void Build(const Key* keys, size_t n);
+  /// Drops the fit, as a Build over no keys would, without counting a
+  /// Build.
+  void Clear() {
+    segments_.clear();
+    n_ = 0;
+  }
 
   /// [lo, hi) window within the fitted array; contains the key's position
   /// whenever the key is present. Requires a prior Build with n > 0.
@@ -65,6 +71,8 @@ class SegmentModel {
   double model_error() const { return static_cast<double>(segments_.size()); }
   /// The shrinking cone visits every key, so a fit's work is its key count.
   size_t fit_work() const { return n_; }
+  /// Build calls since construction.
+  size_t builds() const { return builds_; }
 
  private:
   /// Piecewise-linear segment anchored at its own origin: position(key) =
@@ -79,6 +87,7 @@ class SegmentModel {
   std::vector<Segment> segments_;
   size_t n_ = 0;
   uint32_t epsilon_;
+  size_t builds_ = 0;
 };
 
 }  // namespace lsbench

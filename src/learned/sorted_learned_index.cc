@@ -12,9 +12,13 @@ template <typename Model>
 size_t SortedLearnedIndex<Model>::FindStatic(Key key) const {
   const size_t n = keys_.size();
   if (n == 0) return 0;
-  const auto [lo, hi] = model_.WindowFor(key);
-  const auto begin = keys_.begin() + lo;
-  const auto end = keys_.begin() + hi;
+  auto begin = keys_.begin();
+  auto end = keys_.end();
+  if (fitted_) {
+    const auto [lo, hi] = model_.WindowFor(key);
+    begin = keys_.begin() + lo;
+    end = keys_.begin() + hi;
+  }
   const auto it = std::lower_bound(begin, end, key);
   if (it != end && *it == key) return it - keys_.begin();
   return n;
@@ -77,7 +81,7 @@ size_t SortedLearnedIndex<Model>::MemoryBytes() const {
 
 template <typename Model>
 template <typename View>
-void SortedLearnedIndex<Model>::BulkLoadFrom(const View& view) {
+void SortedLearnedIndex<Model>::LoadFrom(const View& view) {
   const size_t n = view.size();
   keys_.clear();
   values_.clear();
@@ -92,19 +96,34 @@ void SortedLearnedIndex<Model>::BulkLoadFrom(const View& view) {
   }
   delta_.Clear();
   live_count_ = keys_.size();
-  model_.Build(keys_.data(), keys_.size());
+  model_.Clear();
+  fitted_ = false;
+}
+
+template <typename Model>
+void SortedLearnedIndex<Model>::LoadUnfitted(
+    const std::vector<KeyValue>& sorted_pairs) {
+  LoadFrom(SortedPairsView{&sorted_pairs});
+}
+
+template <typename Model>
+void SortedLearnedIndex<Model>::LoadUnfitted(std::span<const Key> sorted_keys,
+                                             Value first_value) {
+  LoadFrom(SortedKeysView{sorted_keys, first_value});
 }
 
 template <typename Model>
 void SortedLearnedIndex<Model>::BulkLoad(
     const std::vector<KeyValue>& sorted_pairs) {
-  BulkLoadFrom(SortedPairsView{&sorted_pairs});
+  LoadUnfitted(sorted_pairs);
+  Retrain();
 }
 
 template <typename Model>
 void SortedLearnedIndex<Model>::BulkLoadKeys(std::span<const Key> sorted_keys,
                                              Value first_value) {
-  BulkLoadFrom(SortedKeysView{sorted_keys, first_value});
+  LoadUnfitted(sorted_keys, first_value);
+  Retrain();
 }
 
 template <typename Model>
@@ -112,6 +131,7 @@ size_t SortedLearnedIndex<Model>::Retrain() {
   delta_.MergeInto(&keys_, &values_);
   live_count_ = keys_.size();
   model_.Build(keys_.data(), keys_.size());
+  fitted_ = true;
   return keys_.size();
 }
 

@@ -16,14 +16,23 @@ namespace lsbench {
 /// A lookup checks the delta, then binary-searches the window the model
 /// names in the static keys.
 ///
+/// Loading and fitting are separate steps. LoadUnfitted fills the arrays
+/// and drops any earlier fit; until Retrain() fits the model, a lookup
+/// binary-searches all of the static keys, and the index reports no model
+/// (MemoryBytes without it, model() empty). Retrain() holds the one
+/// model fit. The KvIndex bulk loads keep that interface's contract of a
+/// ready index: they are LoadUnfitted followed by Retrain().
+///
 /// `Model` provides
 ///   void Build(const Key* keys, size_t n);  // fit n sorted unique keys
+///   void Clear();                           // drop the fit
 ///   std::pair<size_t, size_t> WindowFor(Key key) const;
 ///       // [lo, hi) holding the position of any fitted key; called only
 ///       // after a Build with n > 0
-///   size_t MemoryBytes() const;
+///   size_t MemoryBytes() const;  // 0 once cleared
 ///   double model_error() const;  // what SutStats reports as model_error
 ///   size_t fit_work() const;     // points the last Build fitted over
+///   size_t builds() const;       // Build calls since construction
 /// The definitions are instantiated for RmiModel and SegmentModel in
 /// sorted_learned_index.cc.
 template <typename Model>
@@ -36,18 +45,26 @@ class SortedLearnedIndex : public KvIndex {
               std::vector<KeyValue>* out) const override;
   size_t size() const override { return live_count_; }
   size_t MemoryBytes() const override;
+  /// LoadUnfitted, then Retrain(): an index-level bulk load returns an
+  /// index that serves through its fitted model.
   void BulkLoad(const std::vector<KeyValue>& sorted_pairs) override;
   void BulkLoadKeys(std::span<const Key> sorted_keys,
                     Value first_value) override;
 
-  /// Merges the delta buffer into the static arrays and refits the model.
+  /// Replaces the contents as the bulk loads do, but fits nothing and
+  /// drops any earlier fit: lookups binary-search the static keys until
+  /// Retrain().
+  void LoadUnfitted(const std::vector<KeyValue>& sorted_pairs);
+  void LoadUnfitted(std::span<const Key> sorted_keys, Value first_value);
+
+  /// Merges the delta buffer into the static arrays and fits the model.
   /// Returns the number of keys trained over.
   size_t Retrain();
 
   size_t delta_size() const { return delta_.size(); }
   size_t static_size() const { return keys_.size(); }
-  /// The sorted keys the model was last fitted over. They are every live
-  /// key only while delta_size() == 0.
+  /// The sorted static keys: the ones loaded, or merged by the last
+  /// Retrain(). They are every live key only while delta_size() == 0.
   const std::vector<Key>& static_keys() const { return keys_; }
   const Model& model() const { return model_; }
 
@@ -55,9 +72,10 @@ class SortedLearnedIndex : public KvIndex {
   explicit SortedLearnedIndex(Model model) : model_(std::move(model)) {}
 
  private:
-  /// The one body of both bulk loads (View: index/kv_index.h).
+  /// The one load body (View: index/kv_index.h): fills the arrays, clears
+  /// the delta and drops the fit.
   template <typename View>
-  void BulkLoadFrom(const View& view);
+  void LoadFrom(const View& view);
   /// Position of `key` in keys_ or keys_.size() if absent.
   size_t FindStatic(Key key) const;
   bool StaticContains(Key key) const { return FindStatic(key) < keys_.size(); }
@@ -67,6 +85,7 @@ class SortedLearnedIndex : public KvIndex {
   std::vector<Value> values_;
   DeltaBuffer delta_;
   size_t live_count_ = 0;
+  bool fitted_ = false;
 };
 
 }  // namespace lsbench

@@ -84,7 +84,10 @@ class SystemUnderTest {
   /// driver loads through this call. The default builds the (key, i) pairs
   /// and calls Load, so a SUT or decorator that implements Load alone
   /// still works; the bundled SUTs override it to load straight from the
-  /// span, without that 16 B-per-key image.
+  /// span, without that 16 B-per-key image. A SUT with an offline training
+  /// step fits its models in Train, not here, so the driver's load time
+  /// holds no training and a SUT loaded but never trained serves
+  /// untrained.
   virtual Status LoadKeys(std::span<const Key> sorted_keys) {
     std::vector<KeyValue> pairs;
     pairs.reserve(sorted_keys.size());
@@ -94,9 +97,11 @@ class SystemUnderTest {
     return Load(pairs);
   }
 
-  /// Offline training pass over the currently loaded data. Traditional
-  /// systems return trained=false. The driver times this call and charges
-  /// it to the training budget; it is never invoked for hold-out phases.
+  /// Offline training pass over the currently loaded data: the one place
+  /// a learned SUT fits its models. Traditional systems return
+  /// trained=false. The driver times this call and charges it to the
+  /// training budget, and calls it once after the load only when the spec
+  /// sets offline_training; it is never invoked for hold-out phases.
   virtual TrainReport Train() { return {}; }
 
   /// Executes one scalar operation synchronously. Each op class has one

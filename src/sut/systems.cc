@@ -294,16 +294,22 @@ const std::vector<Key>& LearnedKvSystem::TrainedKeys() const {
       index_);
 }
 
+// Both loads fill the index's arrays and fit nothing: Train is the one fit.
 Status LearnedKvSystem::Load(const std::vector<KeyValue>& sorted_pairs) {
-  index()->BulkLoad(sorted_pairs);
+  std::visit([&](auto& idx) { idx.LoadUnfitted(sorted_pairs); }, index_);
   trained_ = false;
   return Status::OK();
 }
 
 Status LearnedKvSystem::LoadKeys(std::span<const Key> sorted_keys) {
-  index()->BulkLoadKeys(sorted_keys, 0);
+  std::visit([&](auto& idx) { idx.LoadUnfitted(sorted_keys, 0); }, index_);
   trained_ = false;
   return Status::OK();
+}
+
+size_t LearnedKvSystem::model_builds() const {
+  return std::visit([](const auto& idx) { return idx.model().builds(); },
+                    index_);
 }
 
 TrainReport LearnedKvSystem::Train() {

@@ -140,13 +140,16 @@ class LearnedKvSystem final : public KvSystemBase {
                            const Clock* clock = nullptr);
 
   std::string name() const override;
+  /// Load and LoadKeys fill the index's key and value arrays and fit no
+  /// model: until Train, the index binary-searches all of its keys.
   Status Load(const std::vector<KeyValue>& sorted_pairs) override;
   Status LoadKeys(std::span<const Key> sorted_keys) override;
-  /// Timed offline training: refits the index models, samples the learned
-  /// estimator and feeds the drift reference, all from the keys the index
-  /// holds in place. It copies no key set (merging an empty delta touches
-  /// nothing), so set-up memory peaks during LoadKeys at dataset + index,
-  /// and this call adds only the models.
+  /// Timed offline training, the one model fit of set-up: fits the index
+  /// model, samples the learned estimator and feeds the drift reference,
+  /// all from the keys the index holds in place. It copies no key set
+  /// (merging an empty delta touches nothing), so set-up memory peaks
+  /// during LoadKeys at dataset + index, and this call adds only the
+  /// models.
   TrainReport Train() override;
   void OnPhaseStart(int phase_index, bool holdout) override;
   SutStats GetStats() const override;
@@ -161,6 +164,9 @@ class LearnedKvSystem final : public KvSystemBase {
 
   uint64_t retrain_events() const { return retrain_events_; }
   size_t delta_size() const;
+  /// Fits of the index model since construction: one per Train and one
+  /// per online retrain.
+  size_t model_builds() const;
 
  protected:
   KvIndex* index() override;

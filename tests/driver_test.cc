@@ -166,6 +166,9 @@ TEST_F(DriverTest, OfflineTrainingCanBeDisabled) {
   const Result<RunResult> result = driver.Run(spec, &learned);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().train_events.empty());
+  // The run served from an untrained index: the load fitted no model.
+  EXPECT_EQ(learned.model_builds(), 0u);
+  EXPECT_EQ(learned.GetStats().model_error, 0.0);
 }
 
 TEST_F(DriverTest, HoldoutSpecRunsOnlyOnce) {

@@ -416,8 +416,9 @@ TEST(HotpathAllocTest, ExpansionIntoRoomyMergedUnitsAllocatesNothing) {
 constexpr size_t kTrainKeys = 200000;
 /// One copy of the trained keys: the smallest copy of the key set.
 constexpr uint64_t kKeySetBytes = kTrainKeys * sizeof(Key);
-/// What a learned index's models may add to its arrays at load: RMI's 256
-/// leaf models and their bounds take about 7 KiB, PGM's segments about 2.
+/// Slack over a learned index's arrays at load, the size of its models:
+/// RMI's 256 leaf models and their bounds take about 7 KiB, PGM's segments
+/// about 2. A load fits no model, so the slack only absorbs rounding.
 constexpr uint64_t kModelSlackBytes = 16 * 1024;
 
 std::vector<KeyValue> TrainPairs() {
@@ -468,7 +469,7 @@ TEST(TrainAllocTest, RetrainWithEmptyDeltaCopiesNoKeySet) {
 
 TEST(LoadAllocTest, LoadKeysAllocatesOnlyTheIndex) {
   // LoadKeys fills a learned index's key and value arrays straight from the
-  // dataset: 16 B per key, plus the models. Loading through a pair image
+  // dataset, 16 B per key, and fits no model. Loading through a pair image
   // allocated that image too, 32 B per key in all.
   std::vector<Key> keys;
   for (const auto& [k, v] : TrainPairs()) {
@@ -493,6 +494,53 @@ TEST(LoadAllocTest, LoadKeysAllocatesOnlyTheIndex) {
     EXPECT_LE(peak, index_bytes + kModelSlackBytes)
         << sut.name() << ": LoadKeys of " << kTrainKeys << " keys held "
         << peak << " heap bytes at its peak";
+  }
+}
+
+TEST(HotpathAllocTest, UntrainedLearnedSutServesWithoutAllocating) {
+  // Loaded and never trained, a learned SUT binary-searches all of its keys:
+  // its scalar and batch gets allocate as little as the fitted model's
+  // window search does, nothing.
+  std::vector<Key> keys;
+  for (const auto& [k, v] : TrainPairs()) {
+    (void)v;
+    keys.push_back(k);
+  }
+  constexpr uint32_t kBatch = 64;
+  std::vector<OpResult> results(kBatch);
+  for (const auto kind : {LearnedSystemOptions::IndexKind::kRmi,
+                          LearnedSystemOptions::IndexKind::kPgm}) {
+    LearnedSystemOptions options;
+    options.index_kind = kind;
+    LearnedKvSystem sut(options);
+    ASSERT_TRUE(sut.LoadKeys(keys).ok());
+    uint64_t found = 0;
+    uint64_t expected = 0;
+    const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    for (size_t i = 0; i < keys.size(); i += 7) {
+      Operation get;
+      get.type = OpType::kGet;
+      get.key = keys[i];
+      found += sut.Execute(get).ok ? 1 : 0;
+      get.key = keys[i] + 1;  // Mostly a miss.
+      found += sut.Execute(get).ok ? 1 : 0;
+      expected +=
+          std::binary_search(keys.begin(), keys.end(), get.key) ? 2 : 1;
+    }
+    for (size_t i = 0; i + kBatch <= keys.size(); i += 7 * kBatch) {
+      Operation batch;
+      batch.type = OpType::kBatchGet;
+      batch.batch_keys = keys.data() + i;
+      batch.batch_size = kBatch;
+      sut.ExecuteBatch(batch, results.data());
+      for (const OpResult& r : results) found += r.ok ? 1 : 0;
+      expected += kBatch;
+    }
+    const uint64_t allocs =
+        g_heap_allocs.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(allocs, 0u) << sut.name() << " untrained";
+    EXPECT_EQ(sut.model_builds(), 0u) << sut.name();
+    EXPECT_EQ(found, expected) << sut.name();
   }
 }
 

@@ -141,6 +141,35 @@ TEST_P(IndexConformanceTest, BulkLoadKeysEqualsBulkLoadOfPositions) {
   EXPECT_FALSE(index_->Get(4).has_value());
 }
 
+/// The points the learned index's model last fitted over, or nothing for
+/// an index without a position model.
+std::optional<size_t> FitWork(const KvIndex& index) {
+  if (const auto* rmi = dynamic_cast<const RmiIndex*>(&index)) {
+    return rmi->model().fit_work();
+  }
+  if (const auto* pgm = dynamic_cast<const PgmIndex*>(&index)) {
+    return pgm->model().fit_work();
+  }
+  return std::nullopt;
+}
+
+TEST_P(IndexConformanceTest, LearnedBulkLoadsFitTheModel) {
+  // An index-level bulk load returns a fitted index; only a learned SUT
+  // defers the fit to its Train.
+  if (!FitWork(*index_).has_value()) GTEST_SKIP() << "no position model";
+  std::vector<Key> keys;
+  std::vector<KeyValue> pairs;
+  for (Key i = 0; i < 2000; ++i) {
+    keys.push_back(i * 7 + 3);
+    pairs.emplace_back(i * 7 + 3, i);
+  }
+  index_->BulkLoad(pairs);
+  EXPECT_GT(FitWork(*index_).value(), 0u) << "BulkLoad";
+  const std::unique_ptr<KvIndex> by_keys = GetParam().make();
+  by_keys->BulkLoadKeys(keys, 0);
+  EXPECT_GT(FitWork(*by_keys).value(), 0u) << "BulkLoadKeys";
+}
+
 TEST_P(IndexConformanceTest, ScanIsSortedAndBounded) {
   std::vector<KeyValue> pairs;
   for (Key i = 0; i < 500; ++i) pairs.emplace_back(i * 10, i);

@@ -471,5 +471,68 @@ TEST(SpecFuzzTest, EveryKeyWithAdversarialValues) {
   }
 }
 
+TEST(SpecFuzzTest, SemanticErrorsNameTheirLine) {
+  // Whole-spec validation runs after every key parsed, yet each of its
+  // errors names the line of the key that set the bad value, and the key,
+  // or the header of the section at fault when no key set it.
+  const std::string base =
+      "[dataset]\nnum_keys = 100\n[phase]\nops = 10\n";  // Lines 1-4.
+  const std::string open_loop =
+      base + "arrival = poisson\narrival_qps = 100\n";  // Lines 5-6.
+  struct Case {
+    std::string text;
+    const char* prefix;
+    const char* names;
+  };
+  const Case kCases[] = {
+      // Resilience.
+      {base + "[resilience]\nbackoff_jitter = 0.1\nmax_retries = 65536\n",
+       "line 7: max_retries: ", "<= 65535"},
+      {base + "[resilience]\nbackoff_multiplier = 0.5\n",
+       "line 6: backoff_multiplier: ", "multiplier must be >= 1"},
+      {base + "[resilience]\nbreaker_enabled = true\n"
+              "breaker_window_ops = 0\n",
+       "line 7: breaker_window_ops: ", "non-empty"},
+      // Service.
+      {open_loop + "[service]\nenabled = true\nqueue_capacity = 0\n",
+       "line 9: queue_capacity: ", "[1, 2^20]"},
+      {open_loop + "[service]\nenabled = true\npolicy = slo_shed\n",
+       "line 9: policy: ", "requires slo_p99_ms > 0"},
+      {base + "[service]\nenabled = true\n", "line 3: ",
+       "closed-loop arrivals"},
+      // Drift.
+      {base + "[phase]\nops = 5\n[drift]\ntrajectory = 0.3, 0.8\n",
+       "line 8: trajectory: ", "1 expected, 2 declared"},
+      {base + "[phase]\nops = 5\n[drift]\ntrajectory = 0.3\n"
+              "tolerance = 0\n",
+       "line 9: tolerance: ", "tolerance must be in (0, 1]"},
+      {base + "[phase]\nops = 5\n\n[drift]\n", "line 8: ",
+       "0 declared"},
+      // Phases.
+      {"[dataset]\nnum_keys = 100\n[phase]\nops = 0\n",
+       "line 4: ops: ", "phase 0 has zero operations"},
+      {base + "[phase]\nops = 5\ntransition_ops = 6\n",
+       "line 7: transition_ops: ", "phase 1 transition is longer"},
+      {base + "mix = get:0\n", "line 5: mix: ", "empty operation mix"},
+      {base + "dataset = 3\n", "line 5: dataset: ", "missing dataset"},
+      {base + "arrival = poisson\nname = p\n", "line 5: arrival: ",
+       "positive arrival rate"},
+      // A fault window, the top level, and an error about no one line.
+      {base + "[faults]\nstall_rate = 2\n", "line 6: stall_rate: ",
+       "fault window 0 has a rate outside [0, 1]"},
+      {"interval_ms = 0\n" + base, "line 1: interval_ms: ",
+       "reporting intervals must be positive"},
+      {"[dataset]\nnum_keys = 100\n", "run spec has no phases", ""},
+  };
+  for (const Case& c : kCases) {
+    const Status status = ParseRunSpecText(c.text).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << c.text;
+    EXPECT_EQ(status.message().rfind(c.prefix, 0), 0u)
+        << c.text << " -> " << status.message();
+    EXPECT_NE(status.message().find(c.names), std::string::npos)
+        << c.text << " -> " << status.message();
+  }
+}
+
 }  // namespace
 }  // namespace lsbench

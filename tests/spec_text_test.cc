@@ -440,8 +440,8 @@ TEST(SpecTextTest, RejectsBadExecutionValues) {
 
 TEST(SpecTextTest, ErrorsNameTheirLine) {
   // Key errors point at the key's line and name the key; errors found when
-  // a section closes point at its header (or, for dataset and arrival
-  // parameters, at the key at fault or the phase's last arrival key).
+  // a dataset section closes point at its header (or at the parameter at
+  // fault), and an open-loop phase without a rate at its last arrival key.
   const std::string base =
       "[dataset]\nnum_keys = 100\n[phase]\nops = 10\n";  // Lines 1-4.
   struct Case {

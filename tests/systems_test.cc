@@ -148,6 +148,36 @@ TEST_P(LearnedSystemTest, TrainThenServe) {
   }
 }
 
+// Set-up fits the model once, in Train: neither load fits it, and a
+// retrain is one more fit.
+TEST_P(LearnedSystemTest, LoadAndTrainFitTheModelOnce) {
+  LearnedSystemOptions options;
+  options.index_kind = GetParam();
+  options.retrain_policy = RetrainPolicy::kOnPhaseStart;
+  LearnedKvSystem sut(options);
+  const auto pairs = UniformPairs(20000, 16);
+  std::vector<Key> keys;
+  for (const auto& [k, v] : pairs) {
+    (void)v;
+    keys.push_back(k);
+  }
+  ASSERT_TRUE(sut.LoadKeys(keys).ok());
+  EXPECT_EQ(sut.model_builds(), 0u);
+  EXPECT_EQ(sut.GetStats().model_error, 0.0);
+  ASSERT_TRUE(sut.Train().trained);
+  EXPECT_EQ(sut.model_builds(), 1u);
+  sut.OnPhaseStart(1, /*holdout=*/false);
+  EXPECT_EQ(sut.model_builds(), 2u);
+
+  // A reload drops the fit without fitting; the pairs load fits nothing
+  // either.
+  ASSERT_TRUE(sut.Load(pairs).ok());
+  EXPECT_EQ(sut.model_builds(), 2u);
+  EXPECT_EQ(sut.GetStats().model_error, 0.0);
+  ASSERT_TRUE(sut.Train().trained);
+  EXPECT_EQ(sut.model_builds(), 3u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Kinds, LearnedSystemTest,
     ::testing::Values(LearnedSystemOptions::IndexKind::kRmi,
@@ -379,6 +409,8 @@ TYPED_TEST(LoadKeysTest, LeavesTheStateLoadLeaves) {
     SCOPED_TRACE(serialized ? "behind SerializingSut" : "bare");
     const std::unique_ptr<SystemUnderTest> by_pairs = TypeParam::Make();
     const std::unique_ptr<SystemUnderTest> by_keys = TypeParam::Make();
+    const bool learned =
+        dynamic_cast<const LearnedKvSystem*>(by_keys.get()) != nullptr;
     std::optional<SerializingSut> pairs_lock;
     std::optional<SerializingSut> keys_lock;
     SystemUnderTest* a = by_pairs.get();
@@ -389,9 +421,24 @@ TYPED_TEST(LoadKeysTest, LeavesTheStateLoadLeaves) {
     }
     ASSERT_TRUE(a->Load(pairs).ok());
     ASSERT_TRUE(b->LoadKeys(keys).ok());
-    EXPECT_TRUE(Serve(a, keys) == Serve(b, keys)) << "after the load";
+    const Served untrained = Serve(b, keys);
+    EXPECT_TRUE(Serve(a, keys) == untrained) << "after the load";
+    if (learned) {
+      // Loaded, a learned SUT holds its key and value arrays and no model:
+      // it binary-searches until Train fits one.
+      EXPECT_EQ(untrained.memory_bytes,
+                keys.size() * (sizeof(Key) + sizeof(Value)));
+    }
     EXPECT_EQ(a->Train().trained, b->Train().trained);
-    EXPECT_TRUE(Serve(a, keys) == Serve(b, keys)) << "after training";
+    const Served trained = Serve(b, keys);
+    EXPECT_TRUE(Serve(a, keys) == trained) << "after training";
+    // Training changes what a SUT holds, never what it answers.
+    EXPECT_EQ(untrained.gets, trained.gets);
+    EXPECT_EQ(untrained.scan_rows, trained.scan_rows);
+    EXPECT_EQ(untrained.range_rows, trained.range_rows);
+    if (learned) {
+      EXPECT_GT(trained.memory_bytes, untrained.memory_bytes);
+    }
   }
 }
 
