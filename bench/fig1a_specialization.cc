@@ -1,6 +1,7 @@
 // Reproduces Figure 1a of "Towards a Benchmark for Learned Systems":
 // throughput per workload/data distribution, reported as box plots sorted by
-// the dissimilarity function phi, with a hold-out (out-of-sample) phase.
+// the dissimilarity function phi (each phase's drift factor against phase 0),
+// with a hold-out (out-of-sample) phase.
 //
 // Expected shape: the learned system's boxes sit high and tight on phases
 // similar to its training distribution (low phi) and degrade as phi grows;
@@ -10,6 +11,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
+#include "core/drift.h"
 #include "core/specialization.h"
 #include "report/report.h"
 
@@ -53,9 +55,11 @@ RunSpec BuildSpec(const std::vector<Dataset>& datasets) {
   return spec;
 }
 
-void RunSystem(const RunSpec& spec, SystemUnderTest* sut) {
+void RunSystem(const RunSpec& spec, const DriftTrajectoryReport& drift,
+               SystemUnderTest* sut) {
   const RunResult result = bench::MustRun(spec, sut);
-  const SpecializationReport report = BuildSpecializationReport(spec, result);
+  const SpecializationReport report =
+      BuildSpecializationReport(spec, result, drift);
   bench::Header("Fig. 1a — " + sut->name());
   std::printf("%s\n", RenderRunSummary(result).c_str());
   std::printf("%s\n", RenderSpecializationReport(report).c_str());
@@ -67,16 +71,19 @@ void Main() {
   const std::vector<Dataset> datasets =
       bench::StandardDriftDatasets(bench::ScaledKeys(200000), 1);
   const RunSpec spec = BuildSpec(datasets);
+  // Phi is each phase's drift factor against phase 0, measured once for
+  // both systems.
+  const DriftTrajectoryReport drift = MeasureDriftTrajectory(spec);
 
   // The learned system trains on the phase-0 distribution and keeps its
   // models (kNever) so specialization vs phi is visible undiluted.
   LearnedSystemOptions learned_options;
   learned_options.retrain_policy = RetrainPolicy::kNever;
   LearnedKvSystem learned(learned_options);
-  RunSystem(spec, &learned);
+  RunSystem(spec, drift, &learned);
 
   BTreeSystem btree;
-  RunSystem(spec, &btree);
+  RunSystem(spec, drift, &btree);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "core/drift.h"
 #include "core/driver.h"
 #include "core/specialization.h"
 #include "data/dataset.h"
@@ -64,7 +65,8 @@ int main() {
   std::printf("%s\n", RenderRunSummary(btree_run.value()).c_str());
   std::printf("%s\n",
               RenderSpecializationReport(
-                  BuildSpecializationReport(spec, learned_run.value()))
+                  BuildSpecializationReport(spec, learned_run.value(),
+                                            MeasureDriftTrajectory(spec)))
                   .c_str());
   std::printf(
       "%s\n",

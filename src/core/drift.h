@@ -27,6 +27,9 @@ struct DriftTrajectoryReport {
   bool declared = false;   ///< Spec carried a [drift] section.
   double tolerance = 0.0;  ///< Bound used for the verdicts (0 if undeclared).
   std::vector<DriftTransitionReport> transitions;
+  /// One entry per phase: its drift against phase 0, whose factor is Fig.
+  /// 1a's dissimilarity Φ. Phase 0's entry is the unmeasured default.
+  std::vector<DriftComponents> from_baseline;
 
   bool AllWithinTolerance() const {
     for (const DriftTransitionReport& t : transitions) {
@@ -36,11 +39,13 @@ struct DriftTrajectoryReport {
   }
 };
 
-/// Measures the drift factor of every phase transition in `spec` with a
-/// DriftMeter configured from the spec's [drift] section (defaults when
-/// undeclared) and checks each against the declared trajectory. Pure
-/// offline measurement: samples throwaway generators, never touches a live
-/// run. Deterministic for a given spec.
+/// Measures the drift factor of every phase transition in `spec`, and of
+/// every phase against phase 0, with a DriftMeter configured from the
+/// spec's [drift] section (defaults when undeclared), and checks each
+/// transition against the declared trajectory. Each phase is sampled once; a
+/// single-phase spec samples nothing. Pure offline measurement: samples
+/// throwaway generators, never touches a live run. Deterministic for a given
+/// spec.
 DriftTrajectoryReport MeasureDriftTrajectory(const RunSpec& spec);
 
 }  // namespace lsbench

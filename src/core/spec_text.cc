@@ -476,7 +476,7 @@ Result<ParsedSpec> ParseRunSpecText(const std::string& text) {
   Section section = Section::kTop;
   SectionLines open;  // the open section's lines
   // Every closed section's lines, by (section, ordinal) as SpecSite names
-  // them; a single section given twice shares one entry.
+  // them.
   std::map<std::pair<Section, size_t>, SectionLines> closed;
   DatasetSourceSpec dataset;
   PhaseSpec phase;
@@ -512,9 +512,7 @@ Result<ParsedSpec> ParseRunSpecText(const std::string& text) {
         break;
       default: break;
     }
-    SectionLines& lines = closed[{section, index}];
-    if (lines.header == 0) lines.header = open.header;
-    for (const auto& [key, line] : open.keys) lines.keys[key] = line;
+    closed[{section, index}] = std::move(open);
     return Status::OK();
   };
 
@@ -532,6 +530,17 @@ Result<ParsedSpec> ParseRunSpecText(const std::string& text) {
       }
       LSBENCH_RETURN_IF_ERROR(close_section());
       section = static_cast<Section>(header - std::begin(kHeaders));
+      // Datasets, phases and fault windows repeat; every other section is
+      // one block, and a second header would silently merge into it.
+      const bool repeats = section == Section::kDataset ||
+                           section == Section::kPhase ||
+                           section == Section::kFaults;
+      if (const auto first = closed.find({section, 0});
+          !repeats && first != closed.end()) {
+        return AtLine(line_no, "duplicate " + line + " (first at line " +
+                                   std::to_string(first->second.header) +
+                                   ")");
+      }
       open = SectionLines{line_no, {}};
       if (section == Section::kDrift) spec.drift.declared = true;
       continue;

@@ -115,7 +115,9 @@ namespace lsbench {
 /// trajectory = 0.0, 0.3, 0.8 # intended drift factor per phase transition
 /// tolerance = 0.15           # |measured - declared| bound per transition
 /// sample_ops = 4096          # DriftMeter sampling budget per phase
-/// seed = 7                   # DriftMeter sampling seed
+/// seed = 7                   # DriftMeter sampling seed; with sample_ops
+///                            # it also sets the sample behind Fig. 1a's
+///                            # phi, each phase's factor vs phase 0
 /// ```
 ///
 /// Dataset kind parameters: gaussian(param1=mean, param2=stddev),

@@ -2,50 +2,24 @@
 
 #include <algorithm>
 
-#include "stats/similarity.h"
 #include "util/assert.h"
-#include "workload/generator.h"
 
 namespace lsbench {
 
 SpecializationReport BuildSpecializationReport(
     const RunSpec& spec, const RunResult& result,
-    const SpecializationOptions& options) {
-  LSBENCH_ASSERT(options.baseline_phase >= 0);
-  LSBENCH_ASSERT(static_cast<size_t>(options.baseline_phase) <
-                 spec.phases.size());
+    const DriftTrajectoryReport& drift) {
+  LSBENCH_ASSERT(drift.from_baseline.size() == spec.phases.size());
   SpecializationReport report;
-  report.baseline_phase = options.baseline_phase;
-
-  const PhaseSpec& base_phase = spec.phases[options.baseline_phase];
-  const Dataset& base_dataset = spec.datasets[base_phase.dataset_index];
-  const std::vector<double> base_keys =
-      Subsample(base_dataset.NormalizedKeys(), options.ks_sample);
-  const WorkloadSignature base_signature = ComputePhaseSignature(
-      base_dataset, base_phase, options.similarity_sample, spec.seed + 17);
-
   for (size_t i = 0; i < spec.phases.size(); ++i) {
     const PhaseSpec& phase = spec.phases[i];
-    const Dataset& dataset = spec.datasets[phase.dataset_index];
-
     SpecializationEntry entry;
     entry.phase = static_cast<int32_t>(i);
     entry.phase_name = phase.name.empty()
                            ? "phase" + std::to_string(i)
                            : phase.name;
     entry.holdout = phase.holdout;
-
-    entry.data_ks =
-        KolmogorovSmirnov(base_keys,
-                          Subsample(dataset.NormalizedKeys(),
-                                    options.ks_sample))
-            .statistic;
-    const WorkloadSignature sig = ComputePhaseSignature(
-        dataset, phase, options.similarity_sample, spec.seed + 17);
-    entry.workload_jaccard = base_signature.Similarity(sig);
-    entry.phi = PhiDissimilarity(entry.data_ks, entry.workload_jaccard,
-                                 options.data_weight);
-
+    entry.drift = drift.from_baseline[i];
     if (i < result.metrics.phases.size()) {
       entry.throughput_box = result.metrics.phases[i].throughput_box;
       entry.mean_throughput = result.metrics.phases[i].mean_throughput;
@@ -55,7 +29,9 @@ SpecializationReport BuildSpecializationReport(
 
   std::stable_sort(report.entries.begin(), report.entries.end(),
                    [](const SpecializationEntry& a,
-                      const SpecializationEntry& b) { return a.phi < b.phi; });
+                      const SpecializationEntry& b) {
+                     return a.drift.factor < b.drift.factor;
+                   });
   return report;
 }
 

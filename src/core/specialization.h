@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/drift.h"
 #include "core/driver.h"
 #include "core/run_spec.h"
 #include "stats/descriptive.h"
@@ -17,34 +18,24 @@ struct SpecializationEntry {
   int32_t phase = 0;
   std::string phase_name;
   bool holdout = false;
-  /// Φ dissimilarity vs the baseline phase (0 = identical, 1 = maximally
-  /// different); combines the data KS statistic and workload Jaccard.
-  double phi = 0.0;
-  double data_ks = 0.0;            ///< KS statistic between the datasets.
-  double workload_jaccard = 1.0;   ///< Plan-subtree Jaccard similarity.
+  /// Drift against the baseline phase; `drift.factor` is Φ (0 = identical,
+  /// 1 = maximally different).
+  DriftComponents drift;
   BoxPlotSummary throughput_box;
   double mean_throughput = 0.0;
 };
 
 /// The Fig. 1a report: entries sorted by ascending Φ (the paper: "it should
-/// be sufficient to sort the results by Φ value").
+/// be sufficient to sort the results by Φ value"). The baseline is phase 0.
 struct SpecializationReport {
-  int32_t baseline_phase = 0;
   std::vector<SpecializationEntry> entries;
 };
 
-/// Options for Φ computation.
-struct SpecializationOptions {
-  int32_t baseline_phase = 0;
-  size_t similarity_sample = 2000;  ///< Ops sampled per phase signature.
-  size_t ks_sample = 4096;          ///< Keys subsampled per dataset for KS.
-  double data_weight = 0.5;         ///< Weight of the data term inside Φ.
-};
-
-/// Builds the specialization report from a completed run.
+/// Joins each phase's drift against phase 0 (`drift.from_baseline`, from
+/// MeasureDriftTrajectory(spec)) with its throughput in a completed run.
 SpecializationReport BuildSpecializationReport(
     const RunSpec& spec, const RunResult& result,
-    const SpecializationOptions& options = {});
+    const DriftTrajectoryReport& drift);
 
 }  // namespace lsbench
 

@@ -148,7 +148,7 @@ void BoxPlotsSvg(std::ostringstream* os, const SpecializationReport& report) {
       // Phi label.
       (*os) << "<text x=\"" << cx << "\" y=\"" << (kChartHeight - 14)
             << "\" font-size=\"10\" text-anchor=\"middle\">"
-            << FormatDouble(report.entries[i].phi, 2)
+            << FormatDouble(report.entries[i].drift.factor, 2)
             << (report.entries[i].holdout ? "*" : "") << "</text>\n";
     }
     Axes(os, "phi (ascending; * = hold-out)", "0", HumanCount(t_hi));

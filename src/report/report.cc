@@ -117,7 +117,8 @@ std::string RenderRunSummary(const RunResult& result) {
 std::string RenderSpecializationReport(const SpecializationReport& report) {
   std::vector<LabeledBox> boxes;
   for (const SpecializationEntry& e : report.entries) {
-    std::string label = "phi=" + FormatDouble(e.phi, 2) + " " + e.phase_name;
+    std::string label =
+        "phi=" + FormatDouble(e.drift.factor, 2) + " " + e.phase_name;
     if (e.holdout) label += " [holdout]";
     boxes.push_back({label, e.throughput_box});
   }
@@ -367,12 +368,15 @@ std::optional<Table> HistogramsTable(const MetricsSnapshot& metrics) {
 
 Table SpecializationTable(const SpecializationReport& report) {
   Table t{"specialization",
-          {"phase", "phi", "data_ks", "workload_jaccard", "holdout",
-           "mean_throughput", "q1", "median", "q3", "min", "max"}};
+          {"phase", "phi", "key_ks", "key_mmd", "key_overlap", "op_mix_tv",
+           "holdout", "mean_throughput", "q1", "median", "q3", "min",
+           "max"}};
   for (const SpecializationEntry& e : report.entries) {
-    t.rows.push_back({Cell::Text(e.phase_name), Cell::Ratio(e.phi),
-                      Cell::Ratio(e.data_ks), Cell::Ratio(e.workload_jaccard),
-                      Cell::Flag(e.holdout), Cell::Rate(e.mean_throughput),
+    t.rows.push_back({Cell::Text(e.phase_name), Cell::Ratio(e.drift.factor),
+                      Cell::Ratio(e.drift.key_ks), Cell::Ratio(e.drift.key_mmd),
+                      Cell::Ratio(e.drift.key_overlap),
+                      Cell::Ratio(e.drift.op_mix_tv), Cell::Flag(e.holdout),
+                      Cell::Rate(e.mean_throughput),
                       Cell::Rate(e.throughput_box.q1),
                       Cell::Rate(e.throughput_box.median),
                       Cell::Rate(e.throughput_box.q3),

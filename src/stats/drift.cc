@@ -126,12 +126,4 @@ DriftComponents DriftMeter::Measure(const PhaseDistributionSample& a,
   return out;
 }
 
-DriftComponents DriftMeter::MeasurePhases(const Dataset& dataset_a,
-                                          const PhaseSpec& phase_a,
-                                          const Dataset& dataset_b,
-                                          const PhaseSpec& phase_b) const {
-  return Measure(SamplePhase(dataset_a, phase_a),
-                 SamplePhase(dataset_b, phase_b));
-}
-
 }  // namespace lsbench

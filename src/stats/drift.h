@@ -75,12 +75,6 @@ class DriftMeter {
   DriftComponents Measure(const PhaseDistributionSample& a,
                           const PhaseDistributionSample& b) const;
 
-  /// Convenience: sample both phases, then Measure.
-  DriftComponents MeasurePhases(const Dataset& dataset_a,
-                                const PhaseSpec& phase_a,
-                                const Dataset& dataset_b,
-                                const PhaseSpec& phase_b) const;
-
  private:
   DriftMeterOptions options_;
 };

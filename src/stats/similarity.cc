@@ -101,19 +101,6 @@ double MmdSquared(const std::vector<double>& a, const std::vector<double>& b,
   return kaa + kbb - 2.0 * kab;
 }
 
-double JaccardSimilarity(const std::unordered_set<uint64_t>& a,
-                         const std::unordered_set<uint64_t>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  size_t intersection = 0;
-  const auto& small = a.size() <= b.size() ? a : b;
-  const auto& large = a.size() <= b.size() ? b : a;
-  for (uint64_t v : small) {
-    if (large.count(v) > 0) ++intersection;
-  }
-  const size_t uni = a.size() + b.size() - intersection;
-  return static_cast<double>(intersection) / static_cast<double>(uni);
-}
-
 double WeightedJaccard(const std::vector<uint64_t>& keys_a,
                        const std::vector<double>& weights_a,
                        const std::vector<uint64_t>& keys_b,
@@ -148,14 +135,6 @@ std::vector<double> Subsample(const std::vector<double>& values,
     out.push_back(values[static_cast<size_t>(static_cast<double>(i) * stride)]);
   }
   return out;
-}
-
-double PhiDissimilarity(double data_ks_statistic, double workload_jaccard,
-                        double data_weight) {
-  data_weight = std::clamp(data_weight, 0.0, 1.0);
-  const double data_term = std::clamp(data_ks_statistic, 0.0, 1.0);
-  const double workload_term = 1.0 - std::clamp(workload_jaccard, 0.0, 1.0);
-  return data_weight * data_term + (1.0 - data_weight) * workload_term;
 }
 
 }  // namespace lsbench

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 namespace lsbench {
@@ -25,12 +24,6 @@ KsResult KolmogorovSmirnov(std::vector<double> a, std::vector<double> b);
 double MmdSquared(const std::vector<double>& a, const std::vector<double>& b,
                   double bandwidth = -1.0);
 
-/// Jaccard similarity |A ∩ B| / |A ∪ B| between two sets of 64-bit hashes —
-/// the paper's estimator for similarity across *workloads*, where the hashes
-/// identify query-plan subtrees (§V-D1). Two empty sets have similarity 1.
-double JaccardSimilarity(const std::unordered_set<uint64_t>& a,
-                         const std::unordered_set<uint64_t>& b);
-
 /// Weighted (multiset) Jaccard: sum(min(wa, wb)) / sum(max(wa, wb)) over the
 /// union of keys. Inputs are parallel key/weight vectors per side.
 double WeightedJaccard(const std::vector<uint64_t>& keys_a,
@@ -41,12 +34,6 @@ double WeightedJaccard(const std::vector<uint64_t>& keys_a,
 /// Deterministically subsamples `values` down to at most `max_n` elements
 /// using a fixed stride; preserves distribution shape for KS/MMD inputs.
 std::vector<double> Subsample(const std::vector<double>& values, size_t max_n);
-
-/// The Φ dissimilarity function of Fig. 1a: a convex combination of the data
-/// KS statistic and (1 - workload Jaccard). Both terms live in [0, 1], so
-/// Φ = 0 means "identical to baseline" and Φ = 1 "maximally different".
-double PhiDissimilarity(double data_ks_statistic, double workload_jaccard,
-                        double data_weight = 0.5);
 
 }  // namespace lsbench
 

@@ -297,14 +297,22 @@ const std::vector<Key>& LearnedKvSystem::TrainedKeys() const {
 // Both loads fill the index's arrays and fit nothing: Train is the one fit.
 Status LearnedKvSystem::Load(const std::vector<KeyValue>& sorted_pairs) {
   std::visit([&](auto& idx) { idx.LoadUnfitted(sorted_pairs); }, index_);
-  trained_ = false;
+  ResetRunState();
   return Status::OK();
 }
 
 Status LearnedKvSystem::LoadKeys(std::span<const Key> sorted_keys) {
   std::visit([&](auto& idx) { idx.LoadUnfitted(sorted_keys, 0); }, index_);
-  trained_ = false;
+  ResetRunState();
   return Status::OK();
+}
+
+void LearnedKvSystem::ResetRunState() {
+  trained_ = false;
+  retrain_events_ = 0;
+  online_train_seconds_ = 0.0;
+  offline_train_items_ = 0;
+  ops_since_drift_check_ = 0;
 }
 
 size_t LearnedKvSystem::model_builds() const {

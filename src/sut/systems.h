@@ -141,7 +141,8 @@ class LearnedKvSystem final : public KvSystemBase {
 
   std::string name() const override;
   /// Load and LoadKeys fill the index's key and value arrays and fit no
-  /// model: until Train, the index binary-searches all of its keys.
+  /// model: until Train, the index binary-searches all of its keys. A load
+  /// starts a new run, so it also clears the last run's training tallies.
   Status Load(const std::vector<KeyValue>& sorted_pairs) override;
   Status LoadKeys(std::span<const Key> sorted_keys) override;
   /// Timed offline training, the one model fit of set-up: fits the index
@@ -175,6 +176,8 @@ class LearnedKvSystem final : public KvSystemBase {
 
  private:
   void MaybeRetrain();
+  /// Marks the index untrained and zeroes the training tallies.
+  void ResetRunState();
   /// Synchronous retrain: refits index models and the estimator.
   void RetrainNow();
   /// Merges the delta buffer, refits the index model and adds the model's

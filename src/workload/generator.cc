@@ -192,16 +192,4 @@ Operation OperationGenerator::Next() {
   return op;
 }
 
-WorkloadSignature ComputePhaseSignature(const Dataset& dataset,
-                                        const PhaseSpec& spec,
-                                        size_t sample_ops, uint64_t seed) {
-  OperationGenerator gen(&dataset, spec, seed);
-  WorkloadSignature sig;
-  const Key domain = dataset.domain_max > 0 ? dataset.domain_max : ~Key{0};
-  for (size_t i = 0; i < sample_ops; ++i) {
-    sig.AddOperation(gen.Next(), domain);
-  }
-  return sig;
-}
-
 }  // namespace lsbench

@@ -6,7 +6,6 @@
 
 #include "data/dataset.h"
 #include "workload/operation.h"
-#include "workload/query_plan.h"
 #include "workload/spec.h"
 
 namespace lsbench {
@@ -89,12 +88,6 @@ class OperationGenerator {
   uint64_t generated_ = 0;
   uint64_t value_counter_ = 0;
 };
-
-/// The Jaccard fingerprint of a phase, computed over `sample_ops` sampled
-/// operations from a throwaway generator (independent of the live stream).
-WorkloadSignature ComputePhaseSignature(const Dataset& dataset,
-                                        const PhaseSpec& spec,
-                                        size_t sample_ops, uint64_t seed);
 
 }  // namespace lsbench
 

@@ -122,9 +122,11 @@ TEST(DriftMeterTest, OpMixShiftAloneIsVisible) {
   // carry the drift even though the touched-key distribution barely moves.
   const Dataset dataset = MakeDataset();
   const DriftMeter meter;
-  const DriftComponents d = meter.MeasurePhases(
-      dataset, HotspotPhase(0.0, /*get=*/0.9, /*update=*/0.1), dataset,
-      HotspotPhase(0.0, /*get=*/0.3, /*update=*/0.7));
+  const DriftComponents d = meter.Measure(
+      meter.SamplePhase(dataset,
+                        HotspotPhase(0.0, /*get=*/0.9, /*update=*/0.1)),
+      meter.SamplePhase(dataset,
+                        HotspotPhase(0.0, /*get=*/0.3, /*update=*/0.7)));
   EXPECT_NEAR(d.op_mix_tv, 0.6, 0.05);
   EXPECT_GT(d.factor, 0.1);
   EXPECT_LT(d.key_ks, 0.2);
@@ -133,10 +135,12 @@ TEST(DriftMeterTest, OpMixShiftAloneIsVisible) {
 TEST(DriftMeterTest, MeasurementIsBitDeterministic) {
   const Dataset dataset = MakeDataset();
   const DriftMeter meter;
-  const DriftComponents a = meter.MeasurePhases(
-      dataset, HotspotPhase(0.0), dataset, HotspotPhase(0.35));
-  const DriftComponents b = meter.MeasurePhases(
-      dataset, HotspotPhase(0.0), dataset, HotspotPhase(0.35));
+  auto measure = [&] {
+    return meter.Measure(meter.SamplePhase(dataset, HotspotPhase(0.0)),
+                         meter.SamplePhase(dataset, HotspotPhase(0.35)));
+  };
+  const DriftComponents a = measure();
+  const DriftComponents b = measure();
   EXPECT_EQ(a.factor, b.factor);
   EXPECT_EQ(a.key_ks, b.key_ks);
   EXPECT_EQ(a.key_mmd, b.key_mmd);

@@ -8,6 +8,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/drift.h"
 #include "core/driver.h"
 #include "core/event_sink.h"
 #include "core/run_spec.h"
@@ -171,6 +172,40 @@ TEST_F(DriverTest, OfflineTrainingCanBeDisabled) {
   EXPECT_EQ(learned.GetStats().model_error, 0.0);
 }
 
+TEST_F(DriverTest, ReusedSutReportsOnlyItsLastRun) {
+  // One SUT object run twice on the same spec reports the same final stats
+  // both times: a load clears the last run's training tallies.
+  Result<RunSpec> spec =
+      LoadRunSpecFile(std::string(LSBENCH_SPEC_DIR) + "/demo_shift.lsb");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  VirtualClock clock;
+  DriverOptions options;
+  options.virtual_clock = &clock;
+  options.enforce_holdout_once = false;
+  LearnedSystemOptions pgm_options;
+  pgm_options.index_kind = LearnedSystemOptions::IndexKind::kPgm;
+  LearnedKvSystem rmi(LearnedSystemOptions(), &clock);
+  LearnedKvSystem pgm(pgm_options, &clock);
+  AdaptiveKvSystem adaptive;
+  for (SystemUnderTest* sut :
+       std::initializer_list<SystemUnderTest*>{&rmi, &pgm, &adaptive}) {
+    SCOPED_TRACE(sut->name());
+    SutStats stats[2];
+    for (SutStats& s : stats) {
+      const Result<RunResult> run =
+          BenchmarkDriver(&clock, options).Run(spec.value(), sut);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      s = run.value().final_sut_stats;
+    }
+    EXPECT_GT(stats[0].offline_train_items + stats[0].retrain_events, 0u);
+    EXPECT_EQ(stats[1].memory_bytes, stats[0].memory_bytes);
+    EXPECT_EQ(stats[1].offline_train_items, stats[0].offline_train_items);
+    EXPECT_EQ(stats[1].online_train_seconds, stats[0].online_train_seconds);
+    EXPECT_EQ(stats[1].retrain_events, stats[0].retrain_events);
+    EXPECT_EQ(stats[1].model_error, stats[0].model_error);
+  }
+}
+
 TEST_F(DriverTest, HoldoutSpecRunsOnlyOnce) {
   VirtualClock clock;
   DriverOptions options;
@@ -230,15 +265,16 @@ TEST_F(DriverTest, SpecializationReportSortsByPhi) {
   const RunSpec spec = MakeTwoPhaseSpec();
   const RunResult run = driver.Run(spec, &sut).value();
 
-  const SpecializationReport report = BuildSpecializationReport(spec, run);
+  const SpecializationReport report =
+      BuildSpecializationReport(spec, run, MeasureDriftTrajectory(spec));
   ASSERT_EQ(report.entries.size(), 2u);
   // The baseline phase is at phi == 0 and sorts first.
   EXPECT_EQ(report.entries[0].phase, 0);
-  EXPECT_NEAR(report.entries[0].phi, 0.0, 0.05);
+  EXPECT_EQ(report.entries[0].drift.factor, 0.0);
   // The gaussian phase with a different mix is clearly dissimilar.
-  EXPECT_GT(report.entries[1].phi, report.entries[0].phi + 0.1);
-  EXPECT_GT(report.entries[1].data_ks, 0.2);
-  EXPECT_LT(report.entries[1].workload_jaccard, 0.9);
+  EXPECT_GT(report.entries[1].drift.factor, 0.1);
+  EXPECT_GT(report.entries[1].drift.key_ks, 0.2);
+  EXPECT_LT(report.entries[1].drift.key_overlap, 0.9);
   EXPECT_GT(report.entries[0].throughput_box.count, 0u);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/drift.h"
 #include "core/driver.h"
 #include "core/specialization.h"
 #include "data/dataset.h"
@@ -33,7 +34,8 @@ class HtmlReportTest : public ::testing::Test {
     BenchmarkDriver driver(&clock_, driver_options);
     BTreeSystem sut;
     run_ = driver.Run(spec_, &sut).value();
-    specialization_ = BuildSpecializationReport(spec_, run_);
+    specialization_ =
+        BuildSpecializationReport(spec_, run_, MeasureDriftTrajectory(spec_));
   }
 
   VirtualClock clock_;

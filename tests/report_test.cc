@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/comparison.h"
@@ -133,7 +138,8 @@ ShippedRun RunShippedSpec(const std::string& file, const std::string& sut,
   ShippedRun shipped;
   shipped.drift = MeasureDriftTrajectory(spec);
   shipped.run = BenchmarkDriver(&clock, options).Run(spec, system).value();
-  shipped.specialization = BuildSpecializationReport(spec, shipped.run);
+  shipped.specialization =
+      BuildSpecializationReport(spec, shipped.run, shipped.drift);
   return shipped;
 }
 
@@ -209,7 +215,9 @@ uint64_t Fnv1a64(const std::string& bytes) {
 /// the CSV for those blocks in their old order (specialization, cumulative,
 /// bands, phases, op_types, then service, stages and drift when present).
 /// stages.csv has since gained a trailing share column, so it is hashed
-/// without it.
+/// without it. specialization.csv has since measured Φ as the drift factor
+/// against phase 0 and shows its four components, so its pins were
+/// re-recorded; every other block hashed as before.
 struct CsvGolden {
   const char* file;
   const char* sut;
@@ -218,46 +226,46 @@ struct CsvGolden {
 };
 
 constexpr CsvGolden kCsvGoldens[] = {
-    {"batch_demo.lsb", "btree", 0xb1d629efc0339d28ull,
-     0x80cfe958236b8952ull},
-    {"batch_demo.lsb", "rmi", 0xb1d629efc0339d28ull,
-     0x80cfe958236b8952ull},
-    {"concurrent_demo.lsb", "btree", 0xa9513941f680bd8dull,
-     0xdeb67715899f3d4bull},
-    {"concurrent_demo.lsb", "rmi", 0xa9513941f680bd8dull,
-     0xdeb67715899f3d4bull},
-    {"demo_shift.lsb", "btree", 0x1fa7cf44584cb63cull,
-     0x80fda3d7af1aa824ull},
-    {"demo_shift.lsb", "rmi", 0x1fa7cf44584cb63cull,
-     0x80fda3d7af1aa824ull},
-    {"holdout_eval.lsb", "btree", 0x4b1d1e7d12974df7ull,
-     0x4408d2a6928cfa11ull},
-    {"holdout_eval.lsb", "rmi", 0x4b1d1e7d12974df7ull,
-     0x4408d2a6928cfa11ull},
-    {"resilience_demo.lsb", "btree", 0x8a288761f1eb3c23ull,
-     0xa7c245105f40e879ull},
-    {"resilience_demo.lsb", "rmi", 0x8a288761f1eb3c23ull,
-     0xa7c245105f40e879ull},
-    {"scenarios/diurnal_burst.lsb", "btree", 0xa013837ebe7094d2ull,
-     0xc639d7e0453f372eull},
-    {"scenarios/diurnal_burst.lsb", "rmi", 0xa013837ebe7094d2ull,
-     0xc639d7e0453f372eull},
-    {"scenarios/flash_crowd.lsb", "btree", 0xaa59aab431296030ull,
-     0x7d05089565031ccfull},
-    {"scenarios/flash_crowd.lsb", "rmi", 0xaa59aab431296030ull,
-     0x7d05089565031ccfull},
-    {"scenarios/hotspot_migration.lsb", "btree", 0xa405cba1333baec3ull,
-     0xe85dfecec4370c3full},
-    {"scenarios/hotspot_migration.lsb", "rmi", 0xa405cba1333baec3ull,
-     0xe85dfecec4370c3full},
-    {"scenarios/repeating_session.lsb", "btree", 0x66e18265dae5e21aull,
-     0x8082081b8047e544ull},
-    {"scenarios/repeating_session.lsb", "rmi", 0x66e18265dae5e21aull,
-     0x8082081b8047e544ull},
-    {"service_overload_demo.lsb", "btree", 0xe2f0efc61f0ffe69ull,
-     0xbd25def3c3ba06e7ull},
-    {"service_overload_demo.lsb", "rmi", 0xe2f0efc61f0ffe69ull,
-     0xbd25def3c3ba06e7ull},
+    {"batch_demo.lsb", "btree", 0x97e44b510d80b77full,
+     0x19e4950ffdec2de5ull},
+    {"batch_demo.lsb", "rmi", 0x97e44b510d80b77full,
+     0x19e4950ffdec2de5ull},
+    {"concurrent_demo.lsb", "btree", 0x1c1069b9fbb2af82ull,
+     0xd16896851dcacba2ull},
+    {"concurrent_demo.lsb", "rmi", 0x1c1069b9fbb2af82ull,
+     0xd16896851dcacba2ull},
+    {"demo_shift.lsb", "btree", 0xff7b84595ec02581ull,
+     0xea36434e315211abull},
+    {"demo_shift.lsb", "rmi", 0xff7b84595ec02581ull,
+     0xea36434e315211abull},
+    {"holdout_eval.lsb", "btree", 0x7fe0cb66df567939ull,
+     0xab1735b7af14478full},
+    {"holdout_eval.lsb", "rmi", 0x7fe0cb66df567939ull,
+     0xab1735b7af14478full},
+    {"resilience_demo.lsb", "btree", 0xf67bb2c00ccdc7d1ull,
+     0x2ca1628cd8db550bull},
+    {"resilience_demo.lsb", "rmi", 0xf67bb2c00ccdc7d1ull,
+     0x2ca1628cd8db550bull},
+    {"scenarios/diurnal_burst.lsb", "btree", 0xa66662d5ebf20daaull,
+     0x65cfd5445a045e16ull},
+    {"scenarios/diurnal_burst.lsb", "rmi", 0xa66662d5ebf20daaull,
+     0x65cfd5445a045e16ull},
+    {"scenarios/flash_crowd.lsb", "btree", 0x94fc9649e77f2427ull,
+     0x540f5bb34a7c09fcull},
+    {"scenarios/flash_crowd.lsb", "rmi", 0x94fc9649e77f2427ull,
+     0x540f5bb34a7c09fcull},
+    {"scenarios/hotspot_migration.lsb", "btree", 0xffbdf6822ceca7b4ull,
+     0x82cffcb1ef6ae21aull},
+    {"scenarios/hotspot_migration.lsb", "rmi", 0xffbdf6822ceca7b4ull,
+     0x82cffcb1ef6ae21aull},
+    {"scenarios/repeating_session.lsb", "btree", 0x09dc30311ccf52afull,
+     0xbc3ba82019cf4397ull},
+    {"scenarios/repeating_session.lsb", "rmi", 0x09dc30311ccf52afull,
+     0xbc3ba82019cf4397ull},
+    {"service_overload_demo.lsb", "btree", 0xbc7fef189c100ff4ull,
+     0x89aaa70a0d6376acull},
+    {"service_overload_demo.lsb", "rmi", 0xbc7fef189c100ff4ull,
+     0x89aaa70a0d6376acull},
 };
 
 /// The blocks the pins cover, in their old order.
@@ -348,6 +356,80 @@ TEST(LearnedSutStatsGoldenTest, DemoShiftStatsMatchThePins) {
 }
 
 // ---------------------------------------------------------------------------
+// Fig. 1a's phi is each phase's drift factor against phase 0
+// ---------------------------------------------------------------------------
+
+/// Every shipped spec (specs/ and its subdirectories) with two or more
+/// phases, built, in path order.
+std::vector<std::pair<std::string, RunSpec>> MultiPhaseShippedSpecs() {
+  std::vector<std::string> paths;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(LSBENCH_SPEC_DIR)) {
+    if (entry.path().extension() == ".lsb") {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  std::vector<std::pair<std::string, RunSpec>> specs;
+  for (const std::string& path : paths) {
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    // Parsing generates no keys, so single-phase specs cost nothing here.
+    Result<ParsedSpec> parsed = ParseRunSpecText(text.str());
+    EXPECT_TRUE(parsed.ok()) << path << ": " << parsed.status().ToString();
+    if (!parsed.ok() || parsed.value().phases.size() < 2) continue;
+    Result<RunSpec> built = BuildDatasets(std::move(parsed).value());
+    EXPECT_TRUE(built.ok()) << path << ": " << built.status().ToString();
+    if (built.ok()) specs.emplace_back(path, std::move(built).value());
+  }
+  return specs;
+}
+
+/// Φ per phase index, read back from the sorted report.
+std::vector<double> PhiByPhase(const SpecializationReport& report) {
+  std::vector<double> phi(report.entries.size(), -1.0);
+  for (const SpecializationEntry& e : report.entries) {
+    phi[static_cast<size_t>(e.phase)] = e.drift.factor;
+  }
+  return phi;
+}
+
+TEST(SpecializationPhiTest, PhiIsTheDriftFactorFromPhaseZero) {
+  const auto specs = MultiPhaseShippedSpecs();
+  EXPECT_GE(specs.size(), 12u);
+  for (const auto& [path, spec] : specs) {
+    SCOPED_TRACE(path);
+    const DriftTrajectoryReport drift = MeasureDriftTrajectory(spec);
+    const std::vector<double> phi =
+        PhiByPhase(BuildSpecializationReport(spec, RunResult(), drift));
+    ASSERT_EQ(phi.size(), spec.phases.size());
+    ASSERT_FALSE(drift.transitions.empty());
+    EXPECT_EQ(phi[0], 0.0);
+    EXPECT_EQ(phi[1], drift.transitions[0].components.factor);
+  }
+}
+
+TEST(SpecializationPhiTest, HotspotMovesReadAsDissimilar) {
+  // Every phase reads the same dataset; only the hot key range moves. A
+  // measure over stored keys reads 0 here, the touched keys do not.
+  Result<RunSpec> spec = LoadRunSpecFile(
+      std::string(LSBENCH_SPEC_DIR) + "/scenarios/hotspot_migration.lsb");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  const SpecializationReport report = BuildSpecializationReport(
+      spec.value(), RunResult(), MeasureDriftTrajectory(spec.value()));
+  ASSERT_EQ(report.entries.size(), 4u);
+  for (const SpecializationEntry& e : report.entries) {
+    if (e.phase == 0) {
+      EXPECT_EQ(e.phase_name, "hot_low");
+      EXPECT_EQ(e.drift.factor, 0.0);
+    } else {
+      EXPECT_GE(e.drift.factor, 0.5) << e.phase_name;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Full report rendering over a real simulated run
 // ---------------------------------------------------------------------------
 
@@ -404,7 +486,10 @@ TEST_F(ReportRenderTest, RunSummaryMentionsEverything) {
   EXPECT_EQ(service_summary.find(" qps"), std::string::npos);
   // The per-phase numbers are the phases table's.
   const std::vector<Table> tables =
-      RunTables(run_, BuildSpecializationReport(spec_, run_), {});
+      RunTables(run_,
+                BuildSpecializationReport(spec_, run_,
+                                          MeasureDriftTrajectory(spec_)),
+                {});
   ASSERT_FALSE(tables.empty());
   EXPECT_EQ(tables[0].name, "phases");
   EXPECT_EQ(tables[0].rows.size(), 2u);
@@ -412,7 +497,7 @@ TEST_F(ReportRenderTest, RunSummaryMentionsEverything) {
 
 TEST_F(ReportRenderTest, SpecializationReportMarksHoldout) {
   const SpecializationReport report =
-      BuildSpecializationReport(spec_, run_);
+      BuildSpecializationReport(spec_, run_, MeasureDriftTrajectory(spec_));
   const std::string text = RenderSpecializationReport(report);
   EXPECT_NE(text.find("[holdout]"), std::string::npos);
   EXPECT_NE(text.find("phi"), std::string::npos);

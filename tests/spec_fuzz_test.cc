@@ -534,5 +534,22 @@ TEST(SpecFuzzTest, SemanticErrorsNameTheirLine) {
   }
 }
 
+TEST(SpecFuzzTest, DuplicateSingleSectionsAreRefused) {
+  // Datasets, phases and fault windows repeat; a second header of any
+  // other section would merge into the first, so it is refused at its line.
+  const std::string base =
+      "[dataset]\nnum_keys = 100\n[phase]\nops = 10\n";  // Lines 1-4.
+  for (const char* header : {"[resilience]", "[service]", "[execution]",
+                             "[observability]", "[drift]"}) {
+    const std::string text =
+        base + header + "\n\n[phase]\nops = 5\n" + header + "\n";
+    const Status status = ParseRunSpecText(text).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << text;
+    EXPECT_EQ(status.message(), std::string("line 9: duplicate ") + header +
+                                    " (first at line 5)")
+        << text;
+  }
+}
+
 }  // namespace
 }  // namespace lsbench

@@ -369,27 +369,8 @@ TEST(MmdTest, DeterministicAcrossCalls) {
 }
 
 // ---------------------------------------------------------------------------
-// Jaccard
+// Weighted Jaccard
 // ---------------------------------------------------------------------------
-
-TEST(JaccardTest, IdenticalSetsAreOne) {
-  const std::unordered_set<uint64_t> a = {1, 2, 3};
-  EXPECT_DOUBLE_EQ(JaccardSimilarity(a, a), 1.0);
-}
-
-TEST(JaccardTest, DisjointSetsAreZero) {
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({1, 2}, {3, 4}), 0.0);
-}
-
-TEST(JaccardTest, PartialOverlap) {
-  // |{2,3}| / |{1,2,3,4}| = 0.5.
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({1, 2, 3}, {2, 3, 4}), 0.5);
-}
-
-TEST(JaccardTest, EmptySetsAreSimilar) {
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({1}, {}), 0.0);
-}
 
 TEST(WeightedJaccardTest, MatchesUnweightedOnUnitWeights) {
   const double w = WeightedJaccard({1, 2, 3}, {1, 1, 1}, {2, 3, 4}, {1, 1, 1});
@@ -406,7 +387,7 @@ TEST(WeightedJaccardTest, EmptyInputs) {
 }
 
 // ---------------------------------------------------------------------------
-// Subsample & Phi
+// Subsample
 // ---------------------------------------------------------------------------
 
 TEST(SubsampleTest, NoOpWhenSmall) {
@@ -423,14 +404,6 @@ TEST(SubsampleTest, ReducesToCap) {
   EXPECT_DOUBLE_EQ(s.front(), 0.0);
   EXPECT_GT(s.back(), 900.0);
   EXPECT_TRUE(std::is_sorted(s.begin(), s.end()));
-}
-
-TEST(PhiTest, BoundsAndBlending) {
-  EXPECT_DOUBLE_EQ(PhiDissimilarity(0.0, 1.0), 0.0);   // Identical.
-  EXPECT_DOUBLE_EQ(PhiDissimilarity(1.0, 0.0), 1.0);   // Maximal.
-  EXPECT_DOUBLE_EQ(PhiDissimilarity(1.0, 1.0, 0.5), 0.5);
-  EXPECT_DOUBLE_EQ(PhiDissimilarity(1.0, 1.0, 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(PhiDissimilarity(0.4, 0.7, 0.5), 0.5 * 0.4 + 0.5 * 0.3);
 }
 
 // ---------------------------------------------------------------------------

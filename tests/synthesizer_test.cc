@@ -4,6 +4,7 @@
 
 #include "data/dataset.h"
 #include "data/synthesizer.h"
+#include "stats/drift.h"
 #include "stats/similarity.h"
 #include "workload/generator.h"
 #include "workload/trace.h"
@@ -162,8 +163,8 @@ TEST(FitPhaseSpecTest, EmptyTrace) {
 }
 
 TEST(FitPhaseSpecTest, RoundTripProducesSimilarWorkloadSignature) {
-  // Fit a spec from a trace, generate fresh operations from it, and check
-  // the plan-subtree Jaccard similarity against the original workload.
+  // Fit a spec from a trace, generate fresh operations from it, and bound
+  // the drift factor between the original and the fitted workload.
   DatasetOptions options;
   options.num_keys = 5000;
   const Dataset ds = GenerateDataset(LognormalUnit(0, 1), options);
@@ -175,11 +176,13 @@ TEST(FitPhaseSpecTest, RoundTripProducesSimilarWorkloadSignature) {
   const OperationTrace trace = TraceFor(truth, ds, 10000);
   const FittedWorkload fitted = FitPhaseSpecFromTrace(trace, ds.domain_max);
 
-  const WorkloadSignature original_sig =
-      ComputePhaseSignature(ds, truth, 2000, 5);
-  const WorkloadSignature fitted_sig =
-      ComputePhaseSignature(ds, fitted.phase, 2000, 6);
-  EXPECT_GT(original_sig.Similarity(fitted_sig), 0.7);
+  const DriftMeter meter;
+  const DriftComponents drift =
+      meter.Measure(meter.SamplePhase(ds, truth),
+                    meter.SamplePhase(ds, fitted.phase));
+  EXPECT_LT(drift.factor, 0.05) << "key_ks=" << drift.key_ks
+                                << " key_overlap=" << drift.key_overlap
+                                << " op_mix_tv=" << drift.op_mix_tv;
 }
 
 }  // namespace

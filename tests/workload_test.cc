@@ -9,7 +9,6 @@
 #include "workload/arrival.h"
 #include "workload/generator.h"
 #include "workload/operation.h"
-#include "workload/query_plan.h"
 #include "workload/spec.h"
 
 namespace lsbench {
@@ -215,81 +214,6 @@ TEST(ArrivalTest, FactoryKinds) {
   EXPECT_NE(MakeArrivalProcess(ArrivalPattern::kBursty, 100)->name().find(
                 "bursty"),
             std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Query plans & signatures
-// ---------------------------------------------------------------------------
-
-TEST(QueryPlanTest, HashIsStableAndStructureSensitive) {
-  Operation get;
-  get.type = OpType::kGet;
-  get.key = 100;
-  const auto plan1 = BuildPlan(get, 1000);
-  const auto plan2 = BuildPlan(get, 1000);
-  EXPECT_EQ(HashPlanSubtree(*plan1), HashPlanSubtree(*plan2));
-
-  Operation scan;
-  scan.type = OpType::kScan;
-  scan.key = 100;
-  scan.scan_length = 10;
-  const auto plan3 = BuildPlan(scan, 1000);
-  EXPECT_NE(HashPlanSubtree(*plan1), HashPlanSubtree(*plan3));
-}
-
-TEST(QueryPlanTest, KeyDecileBucketsDifferentiate) {
-  Operation low, high;
-  low.type = high.type = OpType::kGet;
-  low.key = 10;    // Decile 0.
-  high.key = 950;  // Decile 9.
-  EXPECT_NE(HashPlanSubtree(*BuildPlan(low, 1000)),
-            HashPlanSubtree(*BuildPlan(high, 1000)));
-  Operation near_low;
-  near_low.type = OpType::kGet;
-  near_low.key = 20;  // Same decile as `low`.
-  EXPECT_EQ(HashPlanSubtree(*BuildPlan(low, 1000)),
-            HashPlanSubtree(*BuildPlan(near_low, 1000)));
-}
-
-TEST(QueryPlanTest, RangeCountPlanHasAggFilterScanShape) {
-  Operation op;
-  op.type = OpType::kRangeCount;
-  op.key = 100;
-  op.range_end = 200;
-  const auto plan = BuildPlan(op, 1000);
-  EXPECT_EQ(plan->kind, PlanNode::Kind::kAggregateCount);
-  ASSERT_EQ(plan->children.size(), 1u);
-  EXPECT_EQ(plan->children[0]->kind, PlanNode::Kind::kFilter);
-  ASSERT_EQ(plan->children[0]->children.size(), 1u);
-  EXPECT_EQ(plan->children[0]->children[0]->kind,
-            PlanNode::Kind::kTableScan);
-  std::unordered_set<uint64_t> hashes;
-  CollectSubtreeHashes(*plan, &hashes);
-  EXPECT_EQ(hashes.size(), 3u);
-}
-
-TEST(WorkloadSignatureTest, SelfSimilarityIsOne) {
-  const Dataset ds = GenerateDataset(UniformUnit(), {2000, uint64_t{1} << 40, 1});
-  PhaseSpec spec;
-  spec.mix = OperationMix::ReadMostly();
-  const WorkloadSignature a = ComputePhaseSignature(ds, spec, 500, 9);
-  const WorkloadSignature b = ComputePhaseSignature(ds, spec, 500, 9);
-  EXPECT_DOUBLE_EQ(a.Similarity(b), 1.0);
-}
-
-TEST(WorkloadSignatureTest, DifferentMixesAreLessSimilar) {
-  const Dataset ds = GenerateDataset(UniformUnit(), {2000, uint64_t{1} << 40, 1});
-  PhaseSpec reads, analytics;
-  reads.mix = OperationMix::ReadMostly();
-  analytics.mix = OperationMix::Analytic();
-  const WorkloadSignature sig_reads = ComputePhaseSignature(ds, reads, 800, 9);
-  const WorkloadSignature sig_an = ComputePhaseSignature(ds, analytics, 800, 9);
-  const WorkloadSignature sig_reads2 =
-      ComputePhaseSignature(ds, reads, 800, 10);
-  const double cross = sig_reads.Similarity(sig_an);
-  const double self_ish = sig_reads.Similarity(sig_reads2);
-  EXPECT_LT(cross, self_ish);
-  EXPECT_LT(cross, 0.7);
 }
 
 // ---------------------------------------------------------------------------

@@ -283,7 +283,7 @@ int Run(int argc, char** argv) {
     }
     const RunResult& run = result.value();
     const SpecializationReport specialization =
-        BuildSpecializationReport(spec, run);
+        BuildSpecializationReport(spec, run, drift);
     if (!trace_path.empty()) {
       const Status st = WriteTextFile(
           trace_path, RenderTraceFile(run.observability, run.run_name,
